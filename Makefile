@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint lint-fixtures test race bench bench-serve bench-scale fmt vet clean
+.PHONY: all build lint lint-fixtures test race bench bench-quick bench-micro bench-serve bench-scale fmt vet clean
 
 all: build lint test
 
@@ -26,7 +26,17 @@ test:
 race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario
 
+# The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
+# through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the
+# same harness with its correctness checks on.
 bench:
+	$(GO) run ./bench
+
+bench-quick:
+	$(GO) run ./bench -quick
+
+# Kernel, engine and queue microbenchmarks, for measuring while you work.
+bench-micro:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/sim/des ./internal/engine ./internal/fifo
 
 # Load-test the serve tier and regenerate BENCH_serve.json; fails if any

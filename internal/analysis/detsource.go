@@ -10,7 +10,10 @@ import (
 
 // DetSource forbids nondeterministic inputs inside the simulation
 // boundary: wall-clock reads, the global math/rand source, environment
-// variables, and fmt formatting of map values. A simulation cell must be
+// variables, fmt formatting of map values, and go statements — a goroutine
+// is ordered by the runtime scheduler, an ambient input like the wall
+// clock; a run is single-threaded and concurrency lives above it, in
+// pool.ForEach over independent cells. A simulation cell must be
 // a pure function of (scenario, seed) — the byte-identical-across-workers
 // guarantee every golden test leans on — so any ambient input is a bug
 // even when it happens to be harmless today. Legitimate uses (the
@@ -24,7 +27,7 @@ type DetSource struct {
 
 func (*DetSource) Name() string { return "detsource" }
 func (*DetSource) Doc() string {
-	return "forbid time.Now, global math/rand, os.Getenv and map-formatting fmt calls inside the simulation boundary"
+	return "forbid time.Now, global math/rand, os.Getenv, map-formatting fmt calls and go statements inside the simulation boundary"
 }
 
 // randConstructors are the math/rand functions that build seeded private
@@ -41,11 +44,13 @@ func (d *DetSource) Run(prog *Program, report func(pos token.Position, key, mess
 		}
 		for _, file := range pkg.Files {
 			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					d.checkCall(prog, pkg, n, report)
+				case *ast.GoStmt:
+					report(prog.Fset.Position(n.Pos()), "go",
+						"go statement inside the simulation boundary: the scheduler would order its effects; a run is one goroutine on one virtual clock")
 				}
-				d.checkCall(prog, pkg, call, report)
 				return true
 			})
 		}

@@ -13,9 +13,10 @@
 //     (appends, writes to an encoder/writer, or calls a closure that
 //     does) without a subsequent deterministic sort, in the packages on
 //     the output path.
-//   - detsource: forbids wall-clock, global math/rand, environment reads
-//     and map-formatting fmt calls inside the simulation boundary, with
-//     an explicit allowlist file for the few legitimate uses.
+//   - detsource: forbids wall-clock, global math/rand, environment reads,
+//     map-formatting fmt calls and go statements inside the simulation
+//     boundary, with an explicit allowlist file for the few legitimate
+//     uses.
 //   - clonegate: forbids assignments through *planner.Plan, *planner.Job,
 //     *dax.Workflow or *dax.Job outside the defining packages and a
 //     justified whitelist of clone/constructor functions, keeping cached

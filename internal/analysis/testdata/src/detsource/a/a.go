@@ -60,3 +60,7 @@ func goodFmtKeys(m map[string]int) string {
 func goodFmtScalar(n int) string {
 	return fmt.Sprintf("n=%v", n) // fine
 }
+
+func badGoroutine(out chan<- int) {
+	go func() { out <- 1 }() // want "go statement inside the simulation boundary"
+}

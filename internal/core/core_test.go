@@ -7,8 +7,9 @@ import (
 	"pegflow/internal/workflow"
 )
 
-// canonicalSeed is the seed used for the headline reproduction (see
-// EXPERIMENTS.md). The shape assertions below are the paper's findings;
+// canonicalSeed is the seed used for the headline reproduction (README.md's
+// opening list of findings; `go run ./cmd/experiments -seed 42` regenerates
+// the figures). The shape assertions below are the paper's findings;
 // they hold for this seed and, qualitatively, for most seeds — the paper
 // itself notes run-to-run variability on opportunistic resources (§VI.A).
 const canonicalSeed = 42

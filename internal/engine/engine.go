@@ -52,11 +52,18 @@ type Event struct {
 	Members []*kickstart.Record
 }
 
+// Submitter is where a Session sends job attempts — the submit half of an
+// Executor. One that also implements DelayedSubmitter or RecordRecycler
+// gets backoff delays and, in aggregation mode, its spent records back.
+type Submitter interface {
+	Submit(job *planner.Job, attempt int)
+}
+
 // Executor runs planned jobs. Submit must not block; Next blocks until an
 // event is available and may only be called while at least one submitted
 // job is unfinished. Now reports workflow-relative time in seconds.
 type Executor interface {
-	Submit(job *planner.Job, attempt int)
+	Submitter
 	Next() Event
 	Now() float64
 }
@@ -216,147 +223,198 @@ func (q *readyQueue) pop() readyItem {
 	return top
 }
 
-// Run executes the plan on the executor.
+// Session is one workflow run as a step-driven state machine: Start
+// submits the root jobs, every Handle folds one terminal event into the
+// run and submits whatever it released, and Finish reports the outcome.
+// The caller owns the event loop — Run pulls from one Executor, the
+// ensemble driver demultiplexes one platform pool over many sessions —
+// so a run never needs a goroutine of its own.
 //
 // Per-job bookkeeping is index-addressed: the plan's dense Index interns
-// job IDs to contiguous integers at plan time, so the dispatch loop runs
-// on slices (indegree, attempts, completion) with a single map lookup per
-// executor event instead of four string-map probes per dispatch.
-func Run(plan *planner.Plan, ex Executor, opts Options) (*Result, error) {
-	idx, err := plan.Indexed()
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	n := len(idx.Order)
+// job IDs to contiguous integers at plan time, so dispatch runs on slices
+// (indegree, attempts, completion) with a single map lookup per event
+// instead of four string-map probes per dispatch.
+type Session struct {
+	plan     *planner.Plan
+	idx      *planner.Index
+	sub      Submitter
+	delayed  DelayedSubmitter
+	recycler RecordRecycler
+	opts     Options
 
-	indeg := append([]int32(nil), idx.Indegree...)
-	attempts := make([]int, n)
-	done := make([]bool, n)
+	indeg    []int32
+	attempts []int
+	done     []bool
 	// resited tracks jobs the retry policy re-targeted, so later retries
 	// start from the job as last submitted (the plan itself is never
 	// mutated — it may be shared or reused).
-	var resited []*planner.Job
+	resited  []*planner.Job
+	ready    readyQueue
+	inflight int
 
-	res := &Result{Log: &kickstart.Log{}}
-	var recycler RecordRecycler
+	res *Result
+	// err is the first error; it ends the session (Active turns false) and
+	// Finish reports it. Events still in flight are the caller's to drop.
+	err error
+}
+
+// Start begins executing the plan, submitting every root job to sub. It
+// never fails outright: a plan that cannot run yields a session that is
+// not Active and whose Finish returns the error.
+func Start(plan *planner.Plan, sub Submitter, opts Options) *Session {
+	s := &Session{plan: plan, sub: sub, opts: opts, res: &Result{Log: &kickstart.Log{}}}
+	idx, err := plan.Indexed()
+	if err != nil {
+		s.err = fmt.Errorf("engine: %w", err)
+		return s
+	}
+	s.idx = idx
+	n := len(idx.Order)
+	s.indeg = append([]int32(nil), idx.Indegree...)
+	s.attempts = make([]int, n)
+	s.done = make([]bool, n)
 	if opts.Aggregate {
-		res.Log.SetAggregate()
-		recycler, _ = ex.(RecordRecycler)
+		s.res.Log.SetAggregate()
+		s.recycler, _ = sub.(RecordRecycler)
 	}
-	ready := &readyQueue{}
+	s.delayed, _ = sub.(DelayedSubmitter)
 	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready.push(plan.JobAt(int32(i)), int32(i), 0)
+		if s.indeg[i] == 0 {
+			s.ready.push(plan.JobAt(int32(i)), int32(i), 0)
 		}
 	}
+	s.submit()
+	return s
+}
 
-	delayed, _ := ex.(DelayedSubmitter)
-	inflight := 0
-	submit := func() {
-		for len(ready.items) > 0 && (opts.MaxActive == 0 || inflight < opts.MaxActive) {
-			it := ready.pop()
-			attempts[it.pos]++
-			if it.delay > 0 && delayed != nil {
-				delayed.SubmitAfter(it.job, attempts[it.pos], it.delay)
-			} else {
-				ex.Submit(it.job, attempts[it.pos])
+// Active reports whether the session still expects events: attempts are
+// in flight and no error has ended the run.
+func (s *Session) Active() bool { return s.err == nil && s.inflight > 0 }
+
+// submit releases ready jobs while the MaxActive throttle permits.
+func (s *Session) submit() {
+	for len(s.ready.items) > 0 && (s.opts.MaxActive == 0 || s.inflight < s.opts.MaxActive) {
+		it := s.ready.pop()
+		s.attempts[it.pos]++
+		if it.delay > 0 && s.delayed != nil {
+			s.delayed.SubmitAfter(it.job, s.attempts[it.pos], it.delay)
+		} else {
+			s.sub.Submit(it.job, s.attempts[it.pos])
+		}
+		s.inflight++
+	}
+}
+
+// Handle folds the terminal event of one of the session's in-flight
+// attempts into the run: it logs the records, releases the children of a
+// finished job or re-queues a failed one (consulting the retry and
+// backoff policies), and submits what became ready. It may only be called
+// while the session is Active.
+func (s *Session) Handle(ev Event) {
+	if s.err = s.handle(ev); s.err == nil {
+		s.submit()
+	}
+}
+
+func (s *Session) handle(ev Event) error {
+	res, opts := s.res, &s.opts
+	s.inflight--
+	if ev.Record != nil {
+		if err := res.Log.Append(ev.Record); err != nil {
+			return fmt.Errorf("engine: job %q: %w", ev.JobID, err)
+		}
+	}
+	for _, r := range ev.Members {
+		if err := res.Log.Append(r); err != nil {
+			return fmt.Errorf("engine: job %q member %q: %w", ev.JobID, r.JobID, err)
+		}
+	}
+	if ev.Time > res.Makespan {
+		res.Makespan = ev.Time
+	}
+	pos, ok := s.idx.ByID[ev.JobID]
+	if !ok {
+		return fmt.Errorf("engine: executor reported unknown job %q", ev.JobID)
+	}
+	switch ev.Type {
+	case EventFinished:
+		s.done[pos] = true
+		for _, child := range s.idx.Children[pos] {
+			s.indeg[child]--
+			if s.indeg[child] == 0 {
+				s.ready.push(s.plan.JobAt(child), child, 0)
 			}
-			inflight++
 		}
+	case EventFailed, EventEvicted:
+		if ev.Type == EventEvicted {
+			res.Evictions++
+		}
+		if s.attempts[pos] <= opts.RetryLimit {
+			// Resubmit; the attempt counter increments on submit.
+			res.Retries++
+			job := s.plan.JobAt(pos)
+			if s.resited != nil && s.resited[pos] != nil {
+				job = s.resited[pos]
+			}
+			if opts.Retry != nil {
+				lastSite := job.Site
+				if ev.Record != nil && ev.Record.Site != "" {
+					lastSite = ev.Record.Site
+				}
+				if nj := opts.Retry(job, s.attempts[pos], lastSite, ev.Type == EventEvicted); nj != nil {
+					if nj.ID != job.ID {
+						return fmt.Errorf("engine: retry policy renamed job %q to %q", job.ID, nj.ID)
+					}
+					if nj.Site != job.Site {
+						res.Failovers++
+					}
+					if s.resited == nil {
+						s.resited = make([]*planner.Job, len(s.done))
+					}
+					s.resited[pos] = nj
+					job = nj
+				}
+			}
+			var delay float64
+			if opts.Backoff != nil {
+				// Drawn here, in event order, so the jitter sequence is
+				// deterministic for a given seed regardless of executor.
+				if delay = opts.Backoff(s.attempts[pos]); delay > 0 {
+					res.Backoffs++
+					res.BackoffSeconds += delay
+				}
+			}
+			s.ready.push(job, pos, delay)
+		} else {
+			res.PermanentlyFailed = append(res.PermanentlyFailed, ev.JobID)
+		}
+	default:
+		return fmt.Errorf("engine: unknown event type %v for job %q", ev.Type, ev.JobID)
 	}
-
-	submit()
-	for inflight > 0 {
-		ev := ex.Next()
-		inflight--
+	if s.recycler != nil {
+		// The records were folded into the aggregating log above and
+		// the retry branch has taken what it needs (ev.Record.Site);
+		// hand the slots back to the executor's arena.
 		if ev.Record != nil {
-			if err := res.Log.Append(ev.Record); err != nil {
-				return nil, fmt.Errorf("engine: job %q: %w", ev.JobID, err)
-			}
+			s.recycler.Recycle(ev.Record)
 		}
 		for _, r := range ev.Members {
-			if err := res.Log.Append(r); err != nil {
-				return nil, fmt.Errorf("engine: job %q member %q: %w", ev.JobID, r.JobID, err)
-			}
+			s.recycler.Recycle(r)
 		}
-		if ev.Time > res.Makespan {
-			res.Makespan = ev.Time
-		}
-		pos, ok := idx.ByID[ev.JobID]
-		if !ok {
-			return nil, fmt.Errorf("engine: executor reported unknown job %q", ev.JobID)
-		}
-		switch ev.Type {
-		case EventFinished:
-			done[pos] = true
-			for _, child := range idx.Children[pos] {
-				indeg[child]--
-				if indeg[child] == 0 {
-					ready.push(plan.JobAt(child), child, 0)
-				}
-			}
-		case EventFailed, EventEvicted:
-			if ev.Type == EventEvicted {
-				res.Evictions++
-			}
-			if attempts[pos] <= opts.RetryLimit {
-				// Resubmit; the attempt counter increments on submit.
-				res.Retries++
-				job := plan.JobAt(pos)
-				if resited != nil && resited[pos] != nil {
-					job = resited[pos]
-				}
-				if opts.Retry != nil {
-					lastSite := job.Site
-					if ev.Record != nil && ev.Record.Site != "" {
-						lastSite = ev.Record.Site
-					}
-					if nj := opts.Retry(job, attempts[pos], lastSite, ev.Type == EventEvicted); nj != nil {
-						if nj.ID != job.ID {
-							return nil, fmt.Errorf("engine: retry policy renamed job %q to %q", job.ID, nj.ID)
-						}
-						if nj.Site != job.Site {
-							res.Failovers++
-						}
-						if resited == nil {
-							resited = make([]*planner.Job, n)
-						}
-						resited[pos] = nj
-						job = nj
-					}
-				}
-				var delay float64
-				if opts.Backoff != nil {
-					// Drawn here, in event order, so the jitter sequence is
-					// deterministic for a given seed regardless of executor.
-					if delay = opts.Backoff(attempts[pos]); delay > 0 {
-						res.Backoffs++
-						res.BackoffSeconds += delay
-					}
-				}
-				ready.push(job, pos, delay)
-			} else {
-				res.PermanentlyFailed = append(res.PermanentlyFailed, ev.JobID)
-			}
-		default:
-			return nil, fmt.Errorf("engine: unknown event type %v for job %q", ev.Type, ev.JobID)
-		}
-		if recycler != nil {
-			// The records were folded into the aggregating log above and
-			// the retry branch has taken what it needs (ev.Record.Site);
-			// hand the slots back to the executor's arena.
-			if ev.Record != nil {
-				recycler.Recycle(ev.Record)
-			}
-			for _, r := range ev.Members {
-				recycler.Recycle(r)
-			}
-		}
-		submit()
 	}
+	return nil
+}
 
-	for i, id := range idx.Order {
-		if done[i] {
+// Finish returns the run's outcome: the first error, or the result with
+// the plan's jobs partitioned into completed and unfinished. Call it once,
+// after Active has turned false.
+func (s *Session) Finish() (*Result, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	res := s.res
+	for i, id := range s.idx.Order {
+		if s.done[i] {
 			res.Completed = append(res.Completed, id)
 		} else {
 			res.Unfinished = append(res.Unfinished, id)
@@ -367,4 +425,14 @@ func Run(plan *planner.Plan, ex Executor, opts Options) (*Result, error) {
 	res.rescue = append([]string(nil), res.Unfinished...)
 	sort.Strings(res.rescue)
 	return res, nil
+}
+
+// Run executes the plan on the executor: a session driven by the
+// executor's own event stream.
+func Run(plan *planner.Plan, ex Executor, opts Options) (*Result, error) {
+	s := Start(plan, ex, opts)
+	for s.Active() {
+		s.Handle(ex.Next())
+	}
+	return s.Finish()
 }

@@ -1,12 +1,15 @@
 // Package ensemble runs many workflows concurrently against a shared pool
 // of simulated platforms — the role of the Pegasus Ensemble Manager. Each
-// member workflow is driven by the ordinary meta-scheduler (engine.Run);
-// the ensemble adds a global in-flight throttle across members and
+// member workflow is an ordinary meta-scheduler session (engine.Session,
+// the state machine engine.Run loops over); the ensemble adds a global in-flight throttle across members and
 // per-workflow priorities that decide which held job reaches the platform
 // pool first when capacity frees up.
 //
-// Execution is deterministic: member engines run as coroutines that are
-// resumed one at a time by a single driver, so for a fixed seed the
-// interleaving — and therefore every statistic — is bit-identical across
-// runs regardless of how many OS threads or planning workers are used.
+// Execution is single-threaded and deterministic: Run is one loop on the
+// caller's goroutine that steps the pool's virtual clock, takes the next
+// terminal event and hands it to the session of the member that submitted
+// the attempt. For a fixed seed the interleaving — and therefore every
+// statistic — is bit-identical across runs, a single workflow is exactly
+// an ensemble of one, and a panic in a member's policy unwinds to Run's
+// caller. Only PlanAll fans out, over independent members, on pool.ForEach.
 package ensemble

@@ -222,15 +222,6 @@ type tagged struct {
 	ev engine.Event
 }
 
-// ctrl is a message from a member goroutine to the driver: either a yield
-// (parked in Next, waiting for an event) or completion.
-type ctrl struct {
-	wf       int
-	finished bool
-	res      *engine.Result
-	err      error
-}
-
 // held is a submission waiting for global in-flight capacity.
 type held struct {
 	wf      int
@@ -262,18 +253,13 @@ func (q *holdQueue) Pop() any {
 	return it
 }
 
-// driver owns all shared ensemble state. The cooperative hand-off protocol
-// guarantees at most one goroutine (the driver or exactly one member)
-// touches it at a time: a member runs only between the driver's mailbox
-// send and the member's next control send, during which the driver is
-// blocked receiving.
+// driver owns all shared ensemble state: the platform pool, the tagged
+// event queue its emit callbacks fill, and the global hold queue. It runs
+// entirely on the goroutine that called Run.
 type driver struct {
-	pool    *platform.MultiExecutor
-	specs   []Spec
-	opts    Options
-	control chan ctrl
-	mailbox []chan engine.Event
-	done    []bool
+	pool  *platform.MultiExecutor
+	specs []Spec
+	opts  Options
 
 	queue    fifo.Queue[tagged]
 	hold     holdQueue
@@ -281,39 +267,30 @@ type driver struct {
 	seq      int
 }
 
-// facade adapts the driver to engine.Executor for one member.
-type facade struct {
+// member is one workflow's engine.Submitter: submissions enter the
+// driver's hold queue under the member's index.
+type member struct {
 	d  *driver
 	wf int
 }
 
-func (f *facade) Submit(job *planner.Job, attempt int) { f.d.submit(f.wf, job, attempt) }
+func (m *member) Submit(job *planner.Job, attempt int) { m.d.submit(m.wf, job, attempt) }
 
 // SubmitAfter implements engine.DelayedSubmitter: the re-submission is
 // scheduled on the pool's virtual clock and re-enters the driver's hold
 // queue when it fires, so backoff delays and the global in-flight
-// throttle compose. Safe under the hand-off protocol: the callback runs
-// inside the driver's Step loop.
-func (f *facade) SubmitAfter(job *planner.Job, attempt int, delay float64) {
+// throttle compose.
+func (m *member) SubmitAfter(job *planner.Job, attempt int, delay float64) {
 	if delay <= 0 {
-		f.Submit(job, attempt)
+		m.Submit(job, attempt)
 		return
 	}
-	f.d.pool.After(delay, func() { f.d.submit(f.wf, job, attempt) })
+	m.d.pool.After(delay, func() { m.d.submit(m.wf, job, attempt) })
 }
-
-func (f *facade) Next() engine.Event {
-	f.d.control <- ctrl{wf: f.wf}
-	return <-f.d.mailbox[f.wf]
-}
-
-func (f *facade) Now() float64 { return f.d.pool.Now() }
 
 // Recycle implements engine.RecordRecycler by routing the spent record
-// back to the pool site that allocated it. Safe under the hand-off
-// protocol: the engine recycles between Next calls, while the driver is
-// blocked and the pool clock is not advancing.
-func (f *facade) Recycle(r *kickstart.Record) { f.d.pool.Recycle(r) }
+// back to the pool site that allocated it.
+func (m *member) Recycle(r *kickstart.Record) { m.d.pool.Recycle(r) }
 
 // submit holds the job and releases as much held work as global capacity
 // allows.
@@ -359,44 +336,22 @@ func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error)
 		return nil, fmt.Errorf("ensemble: negative MaxInFlight %d", opts.MaxInFlight)
 	}
 
-	d := &driver{
-		pool:    p,
-		specs:   specs,
-		opts:    opts,
-		control: make(chan ctrl),
-		mailbox: make([]chan engine.Event, len(specs)),
-		done:    make([]bool, len(specs)),
-	}
-	results := make([]*engine.Result, len(specs))
-	errs := make([]error, len(specs))
+	d := &driver{pool: p, specs: specs, opts: opts}
+
+	// Admit members in spec order: starting a session submits its root
+	// jobs, so earlier members reach the hold queue (and the submit hosts)
+	// first.
+	sessions := make([]*engine.Session, len(specs))
 	active := 0
-
-	finish := func(msg ctrl) {
-		d.done[msg.wf] = true
-		results[msg.wf] = msg.res
-		errs[msg.wf] = msg.err
-	}
-
-	// Admit members one at a time: start the goroutine, then wait until
-	// it parks in Next (or finishes), so exactly one goroutine is ever
-	// runnable and the interleaving is fully deterministic.
 	for w := range specs {
-		d.mailbox[w] = make(chan engine.Event)
-		w := w
-		go func() {
-			res, err := engine.Run(specs[w].Plan, &facade{d: d, wf: w}, engine.Options{
-				RetryLimit: specs[w].RetryLimit,
-				MaxActive:  specs[w].MaxActive,
-				Retry:      specs[w].Retry,
-				Backoff:    specs[w].Backoff,
-				Aggregate:  opts.Aggregate,
-			})
-			d.control <- ctrl{wf: w, finished: true, res: res, err: err}
-		}()
-		msg := <-d.control
-		if msg.finished {
-			finish(msg)
-		} else {
+		sessions[w] = engine.Start(specs[w].Plan, &member{d: d, wf: w}, engine.Options{
+			RetryLimit: specs[w].RetryLimit,
+			MaxActive:  specs[w].MaxActive,
+			Retry:      specs[w].Retry,
+			Backoff:    specs[w].Backoff,
+			Aggregate:  opts.Aggregate,
+		})
+		if sessions[w].Active() {
 			active++
 		}
 	}
@@ -411,31 +366,28 @@ func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error)
 		te := d.queue.Pop()
 		d.inflight--
 		d.release()
-		if d.done[te.wf] {
-			// The member engine already returned (failed run); its
-			// straggler events are dropped.
+		s := sessions[te.wf]
+		if !s.Active() {
+			// The member's run already ended in an error; its straggler
+			// events are dropped.
 			continue
 		}
-		d.mailbox[te.wf] <- te.ev
-		msg := <-d.control
-		if msg.finished {
-			finish(msg)
+		s.Handle(te.ev)
+		if !s.Active() {
 			active--
-		}
-	}
-
-	for w, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("ensemble: workflow %q: %w", specs[w].Name, err)
 		}
 	}
 
 	out := &Result{Makespan: p.Now()}
 	for w, s := range specs {
+		res, err := sessions[w].Finish()
+		if err != nil {
+			return nil, fmt.Errorf("ensemble: workflow %q: %w", s.Name, err)
+		}
 		out.Workflows = append(out.Workflows, WorkflowResult{
 			Name:     s.Name,
 			Priority: s.Priority,
-			Result:   results[w],
+			Result:   res,
 		})
 	}
 	for _, name := range p.SiteNames() {

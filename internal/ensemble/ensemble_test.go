@@ -3,10 +3,14 @@ package ensemble
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pegflow/internal/catalog"
 	"pegflow/internal/dax"
+	"pegflow/internal/engine"
 	"pegflow/internal/planner"
 	"pegflow/internal/sim/platform"
 )
@@ -243,47 +247,135 @@ func TestPlanAllUnknownPolicy(t *testing.T) {
 	}
 }
 
-// runEnsembleOn is runEnsemble with the pool construction pluggable, so
-// the per-site parallel pool can be driven through the full ensemble
-// stack (hand-off facade, priority holds, backoff via pool.After).
-func runEnsembleOn(t *testing.T, build func([]platform.Config) (*platform.MultiExecutor, error),
-	opts Options) *Result {
-	t.Helper()
-	cats := testCatalogs(t)
-	specs, err := PlanAll(testSources(t, 8), cats,
-		PlanOptions{Sites: []string{"alpha", "beta"}, Policy: planner.PolicyDataAware})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := build(testConfigs(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(pool, specs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+// grid is an OSG-like one-site configuration under the catalogs' "beta"
+// name, with the preemption hazard raised so that most attempts of a
+// clustered job are evicted.
+func grid(seed uint64) platform.Config {
+	cfg := platform.OSG(seed)
+	cfg.Name = "beta"
+	cfg.EvictionRate = 1.0 / 1000
+	return cfg
 }
 
-// TestEnsembleParallelPoolByteIdentical: the ensemble report produced on
-// a per-site parallel pool is byte-identical to the serial pool's —
-// including the constrained (MaxInFlight + backoff) path, which routes
-// delayed re-submissions through boundary events on the pool clock.
-func TestEnsembleParallelPoolByteIdentical(t *testing.T) {
-	for _, opts := range []Options{{}, {MaxInFlight: 3}} {
-		report := func(build func([]platform.Config) (*platform.MultiExecutor, error)) []byte {
-			var buf bytes.Buffer
-			if err := runEnsembleOn(t, build, opts).Report(planner.PolicyDataAware).WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
+// A single workflow is an ensemble of one: one Spec on a one-site pool
+// and engine.Run on the bare executor of the same Config are the same
+// run — every record byte, makespan and counter — in exact and in
+// aggregation mode. The one-run-path refactor (ROADMAP item 3) stands on
+// this equality.
+func TestEnsembleOfOneEqualsEngineRun(t *testing.T) {
+	specs, err := PlanAll([]WorkflowSource{{Name: "solo", Abstract: fanDAX(t, "solo", 400, 200), RetryLimit: 50}},
+		testCatalogs(t), PlanOptions{
+			Sites: []string{"beta"}, Policy: planner.PolicyRoundRobin, Workers: 1,
+			Cluster: planner.ClusterOptions{MaxTasksPerJob: 4},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logBytes := func(res *engine.Result) []byte {
+		var buf bytes.Buffer
+		if err := res.Log.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
 		}
-		serial := report(platform.NewMultiExecutor)
-		par := report(platform.NewParallelMultiExecutor)
-		if !bytes.Equal(serial, par) {
-			t.Errorf("MaxInFlight=%d: parallel-pool ensemble report diverged:\n%s\n---\n%s",
-				opts.MaxInFlight, serial, par)
+		return buf.Bytes()
+	}
+	for _, aggregate := range []bool{false, true} {
+		ex, err := platform.NewExecutor(grid(9))
+		if err != nil {
+			t.Fatal(err)
 		}
+		alone, err := engine.Run(specs[0].Plan, ex, engine.Options{RetryLimit: 50, Aggregate: aggregate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := platform.NewMultiExecutor([]platform.Config{grid(9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ens, err := Run(pool, specs, Options{Aggregate: aggregate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		member := ens.Workflows[0].Result
+		if alone.Retries < 100 || !alone.Success {
+			t.Fatalf("aggregate=%v: fixture too tame: %d retries, success %v", aggregate, alone.Retries, alone.Success)
+		}
+		if !bytes.Equal(logBytes(alone), logBytes(member)) {
+			t.Errorf("aggregate=%v: attempt logs differ", aggregate)
+		}
+		if !reflect.DeepEqual(alone.Log.Aggregates(), member.Log.Aggregates()) {
+			t.Errorf("aggregate=%v: folded logs differ", aggregate)
+		}
+		if alone.Makespan != member.Makespan || alone.Makespan != ens.Makespan ||
+			alone.Retries != member.Retries || alone.Evictions != member.Evictions ||
+			alone.Log.Len() != member.Log.Len() {
+			t.Errorf("aggregate=%v: engine.Run %v s, %d retries, %d evictions, %d attempts; ensemble of one %v s (pool %v s), %d, %d, %d",
+				aggregate, alone.Makespan, alone.Retries, alone.Evictions, alone.Log.Len(),
+				member.Makespan, ens.Makespan, member.Retries, member.Evictions, member.Log.Len())
+		}
+	}
+}
+
+// A member's policies are caller code running inside the driver loop. A
+// panic in one must unwind the goroutine that called Run — where
+// scenario.Run's per-cell recover turns it into a failed cell — and Run
+// must leave no goroutine behind.
+func TestMemberPanicSurfacesOnCaller(t *testing.T) {
+	specs, err := PlanAll(testSources(t, 3), testCatalogs(t),
+		PlanOptions{Sites: []string{"beta"}, Policy: planner.PolicyRoundRobin, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs[1].Retry = func(*planner.Job, int, string, bool) *planner.Job { panic("retry policy bug") }
+	pool, err := platform.NewMultiExecutor([]platform.Config{grid(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		_, err := Run(pool, specs, Options{})
+		t.Errorf("Run returned (err %v) instead of panicking; the fixture never consulted the retry policy", err)
+		return nil
+	}()
+	if recovered != "retry policy bug" {
+		t.Errorf("recovered %v, want the retry policy's panic", recovered)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines: %d before Run, %d after", before, after)
+	}
+}
+
+// A member whose run ends in an error stops receiving events — its
+// in-flight stragglers are dropped — while the other members run to
+// completion; Run then reports the first failed member in spec order.
+func TestMemberErrorDropsStragglersAndReportsFirst(t *testing.T) {
+	specs, err := PlanAll(testSources(t, 4), testCatalogs(t),
+		PlanOptions{Sites: []string{"beta"}, Policy: planner.PolicyRoundRobin, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// retries counts the healthy member's retries; atError is its value
+	// when the first sibling failed.
+	retries, atError := 0, -1
+	rename := func(job *planner.Job, _ int, _ string, _ bool) *planner.Job {
+		if atError < 0 {
+			atError = retries
+		}
+		nj := *job
+		nj.ID = job.ID + "-renamed"
+		return &nj
+	}
+	specs[0].Backoff = func(int) float64 { retries++; return 0 }
+	specs[1].Retry, specs[3].Retry = rename, rename
+	pool, err := platform.NewMultiExecutor([]platform.Config{grid(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(pool, specs, Options{MaxInFlight: 6})
+	if err == nil || !strings.Contains(err.Error(), `workflow "wf01"`) || !strings.Contains(err.Error(), "renamed job") {
+		t.Errorf("Run error = %v, want wf01's renamed-job error", err)
+	}
+	if atError < 0 || retries <= atError {
+		t.Errorf("fixture too tame: healthy member retried %d times, %d of them before the first failure", retries, atError)
 	}
 }

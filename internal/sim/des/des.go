@@ -35,10 +35,6 @@ type event struct {
 	fn   func()
 	gen  uint32
 	hpos int32 // index in the heap array; -1 when not queued
-	// boundary marks events that may touch state outside this simulation's
-	// own partition (emit engine events, mutate submission state). Group
-	// windows never fire boundary events; they are serialization points.
-	boundary bool
 }
 
 // Simulation is a discrete-event simulator instance.
@@ -57,13 +53,6 @@ type Simulation struct {
 	stopped bool
 	// processed counts events executed; useful for tests and loop guards.
 	processed uint64
-	// group is non-nil when the simulation is a member of a Group; sequence
-	// numbers then come from the group's shared counter so events compare
-	// across members exactly as they would on one shared simulation.
-	group *Group
-	// prov is the member-local provisional sequence counter used while the
-	// group is inside a window phase (see Group.BeginWindows).
-	prov uint64
 }
 
 // New returns a simulation with the clock at zero.
@@ -95,13 +84,8 @@ func (s *Simulation) At(t Time, fn func()) EventID {
 		slot = int32(len(s.events) - 1)
 	}
 	e := &s.events[slot]
-	e.at, e.fn, e.boundary = t, fn, false
-	if s.group != nil {
-		e.seq = s.group.nextSeq(s)
-	} else {
-		e.seq = s.seq
-		s.seq++
-	}
+	e.at, e.seq, e.fn = t, s.seq, fn
+	s.seq++
 	s.heapPush(slot)
 	return EventID{slot: slot, gen: e.gen}
 }
@@ -113,25 +97,6 @@ func (s *Simulation) After(d float64, fn func()) EventID {
 		d = 0
 	}
 	return s.At(s.now+Time(d), fn)
-}
-
-// AtBoundary schedules fn like At and marks the event as a boundary: a
-// callback that may reach outside this simulation's own state partition
-// (emitting engine events, mutating submission serialization state).
-// Group windows stop at boundary events so they only ever fire during the
-// serialized phase. Outside a Group the mark has no effect.
-func (s *Simulation) AtBoundary(t Time, fn func()) EventID {
-	id := s.At(t, fn)
-	s.events[id.slot].boundary = true
-	return id
-}
-
-// AfterBoundary is After with the boundary mark of AtBoundary.
-func (s *Simulation) AfterBoundary(d float64, fn func()) EventID {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtBoundary(s.now+Time(d), fn)
 }
 
 // lookup resolves a handle to its live slab entry, or nil when the handle
@@ -205,40 +170,6 @@ func (s *Simulation) Step() bool {
 	s.release(slot)
 	fn()
 	return true
-}
-
-// Head reports the time of the next queued event. The second result is
-// false when the queue is empty.
-func (s *Simulation) Head() (Time, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.events[s.heap[0]].at, true
-}
-
-// CanStepWindow reports whether StepWindow(horizon) would fire an event.
-func (s *Simulation) CanStepWindow(horizon Time) bool {
-	if len(s.heap) == 0 {
-		return false
-	}
-	e := &s.events[s.heap[0]]
-	return !e.boundary && e.at < horizon
-}
-
-// StepWindow executes the single next event only if it is a non-boundary
-// event strictly before horizon, reporting whether one fired. It is the
-// member-local advancement step of a Group window: everything it can fire
-// is invisible outside this simulation's partition up to the horizon, so
-// members may advance concurrently.
-func (s *Simulation) StepWindow(horizon Time) bool {
-	if len(s.heap) == 0 {
-		return false
-	}
-	e := &s.events[s.heap[0]]
-	if e.boundary || e.at >= horizon {
-		return false
-	}
-	return s.Step()
 }
 
 // Run executes events until the queue is empty or Stop is called.

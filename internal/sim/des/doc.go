@@ -7,7 +7,9 @@
 //
 // The kernel is deliberately single-threaded: platform models built on top
 // of it are ordinary sequential Go code, which makes them easy to test and
-// bit-reproducible.
+// bit-reproducible. Nothing inside a run starts a goroutine (pegflow-lint's
+// detsource enforces it); parallelism belongs above the kernel, across
+// independent simulations.
 //
 // Events live by value in a slab: a growable arena of event records indexed
 // by a binary heap of slot numbers, with freed slots recycled through a

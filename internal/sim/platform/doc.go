@@ -16,4 +16,9 @@
 //     campus nodes (the paper's "Kickstart Time" observation);
 //   - preemption: opportunistic slots can be reclaimed by their owners,
 //     ending the attempt with an eviction that DAGMan retries.
+//
+// A MultiExecutor pools several platforms on one shared simulation, so a
+// multi-site run — or an ensemble of them — is still one virtual clock
+// advanced by one goroutine, with events from every site interleaving in
+// global time order.
 package platform

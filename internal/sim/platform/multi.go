@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pegflow/internal/engine"
 	"pegflow/internal/fault"
@@ -28,42 +27,11 @@ type MultiExecutor struct {
 	sites   map[string]*Executor
 	order   []string
 	pending fifo.Queue[engine.Event]
-
-	// group couples the pool clock with one simulation per site when the
-	// pool runs in per-site parallel mode (NewParallelMultiExecutor);
-	// nil for the classic shared-clock pool.
-	group *des.Group
-	// members holds the site executors in order, and ready is the reused
-	// scratch list of sites with window work, for the parallel step.
-	members []*Executor
-	ready   []*Executor
 }
 
 // NewMultiExecutor builds a shared-clock pool from the given platform
 // configurations. Names must be distinct.
 func NewMultiExecutor(cfgs []Config) (*MultiExecutor, error) {
-	return newMultiExecutor(cfgs, false)
-}
-
-// NewParallelMultiExecutor builds a pool whose sites advance their event
-// sub-queues independently — concurrently, when more than one site has
-// work — between resource-boundary synchronization points, instead of
-// interleaving every event on one shared clock. The schedule it produces
-// is byte-identical to NewMultiExecutor's: boundary events (completions,
-// evictions, fault steps, delayed re-submissions) fire one at a time in
-// global (time, sequence) order, and everything a site does between them
-// is invisible outside that site. Only cross-site events at the exact
-// same float64 virtual time can tie-break differently (site order rather
-// than creation order).
-//
-// The pool's own clock tracks the serialized schedule; site clocks may
-// run ahead of it inside a window, so per-site wall-clock accessors
-// (utilization integrals, down-time) read at the site's own frontier.
-func NewParallelMultiExecutor(cfgs []Config) (*MultiExecutor, error) {
-	return newMultiExecutor(cfgs, true)
-}
-
-func newMultiExecutor(cfgs []Config, parallel bool) (*MultiExecutor, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("platform: multi-executor with no platforms")
 	}
@@ -71,46 +39,19 @@ func newMultiExecutor(cfgs []Config, parallel bool) (*MultiExecutor, error) {
 		sim:   des.New(),
 		sites: make(map[string]*Executor, len(cfgs)),
 	}
-	if parallel {
-		// One simulation per site plus the pool clock, coupled into a
-		// shared sequence space. The group must exist before any events
-		// are scheduled (site construction schedules slot ramps).
-		sims := []*des.Simulation{m.sim}
-		for range cfgs {
-			sims = append(sims, des.New())
-		}
-		m.group = des.NewGroup(sims...)
-		for i, cfg := range cfgs {
-			if err := m.addSite(sims[i+1], cfg); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
-	}
 	for _, cfg := range cfgs {
-		if err := m.addSite(m.sim, cfg); err != nil {
+		if _, dup := m.sites[cfg.Name]; dup {
+			return nil, fmt.Errorf("platform: duplicate platform %q in pool", cfg.Name)
+		}
+		e, err := newExecutorOn(m.sim, cfg)
+		if err != nil {
 			return nil, err
 		}
+		e.emit = func(ev engine.Event) { m.pending.Push(ev) }
+		m.sites[cfg.Name] = e
+		m.order = append(m.order, cfg.Name)
 	}
 	return m, nil
-}
-
-func (m *MultiExecutor) addSite(sim *des.Simulation, cfg Config) error {
-	if _, dup := m.sites[cfg.Name]; dup {
-		return fmt.Errorf("platform: duplicate platform %q in pool", cfg.Name)
-	}
-	e, err := newExecutorOn(sim, cfg)
-	if err != nil {
-		return err
-	}
-	if m.group != nil {
-		e.submitClock = m.sim
-	}
-	e.emit = func(ev engine.Event) { m.pending.Push(ev) }
-	m.sites[cfg.Name] = e
-	m.order = append(m.order, cfg.Name)
-	m.members = append(m.members, e)
-	return nil
 }
 
 // Now returns the shared virtual time in seconds.
@@ -147,10 +88,9 @@ func (m *MultiExecutor) SubmitAfter(job *planner.Job, attempt int, delay float64
 
 // After schedules fn on the pool's shared clock. Ensemble drivers use it
 // to delay re-submissions (backoff) in virtual time; fn runs inside the
-// pool's event loop like any other simulation callback. Boundary: the
-// callback typically re-submits, mutating submit-host state.
+// pool's event loop like any other simulation callback.
 func (m *MultiExecutor) After(delay float64, fn func()) {
-	m.sim.AfterBoundary(delay, fn)
+	m.sim.After(delay, fn)
 }
 
 // InstallFaults arms each faulted site with its compiled timeline. Must
@@ -184,7 +124,7 @@ func (m *MultiExecutor) site(job *planner.Job) *Executor {
 // Next advances shared virtual time until a job event is available.
 func (m *MultiExecutor) Next() engine.Event {
 	for m.pending.Len() == 0 {
-		if !m.Step() {
+		if !m.sim.Step() {
 			panic("platform: multi-executor deadlock: no pending events but jobs outstanding")
 		}
 	}
@@ -194,55 +134,7 @@ func (m *MultiExecutor) Next() engine.Event {
 // Step executes the next simulation event, returning false when the
 // virtual-event queue is empty. Ensemble drivers step the pool directly
 // instead of calling Next.
-//
-// In a parallel pool one Step is one phase round: every site first drains
-// its private non-boundary events up to its submit-host release horizon —
-// concurrently when several sites have work — then the single globally
-// earliest remaining event fires serialized.
-func (m *MultiExecutor) Step() bool {
-	if m.group == nil {
-		return m.sim.Step()
-	}
-	m.group.BeginWindows()
-	m.advanceWindows()
-	m.group.Reconcile()
-	return m.group.FireNext()
-}
-
-// advanceWindows drains every site's window. A site's horizon is its own
-// submit-host release time (nextFree): every future submission into the
-// site lands strictly after it, and events this side of it touch only
-// the site's private partition, so sites are mutually invisible and the
-// drains may run concurrently.
-func (m *MultiExecutor) advanceWindows() {
-	m.ready = m.ready[:0]
-	for _, e := range m.members {
-		if e.sim.CanStepWindow(des.Time(e.nextFree)) {
-			m.ready = append(m.ready, e)
-		}
-	}
-	if len(m.ready) == 1 {
-		m.ready[0].advanceWindow()
-		return
-	}
-	var wg sync.WaitGroup
-	for _, e := range m.ready {
-		wg.Add(1)
-		go func(e *Executor) {
-			defer wg.Done()
-			e.advanceWindow()
-		}(e)
-	}
-	wg.Wait()
-}
-
-// advanceWindow fires the site's pending non-boundary events up to its
-// submit-host release horizon.
-func (e *Executor) advanceWindow() {
-	h := des.Time(e.nextFree)
-	for e.sim.StepWindow(h) {
-	}
-}
+func (m *MultiExecutor) Step() bool { return m.sim.Step() }
 
 // PendingEvents reports the number of delivered-but-unconsumed job events.
 func (m *MultiExecutor) PendingEvents() int { return m.pending.Len() }

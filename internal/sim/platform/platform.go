@@ -144,11 +144,6 @@ type Executor struct {
 	cfg   Config
 	sim   *des.Simulation
 	slots *des.Resource
-	// submitClock is the simulation whose clock timestamps submissions.
-	// Normally sim itself; a parallel pool points it at the pool's clock,
-	// which tracks the serialized schedule exactly even while this site's
-	// own clock runs ahead inside a window (see NewParallelMultiExecutor).
-	submitClock *des.Simulation
 
 	dispatch *rng.Stream
 	speed    *rng.Stream
@@ -267,17 +262,16 @@ func newExecutorOn(sim *des.Simulation, cfg Config) (*Executor, error) {
 		startSlots = cfg.InitialSlots
 	}
 	e := &Executor{
-		cfg:         cfg,
-		sim:         sim,
-		submitClock: sim,
-		slots:       des.NewResource(sim, startSlots),
-		dispatch:    base.Derive("dispatch"),
-		speed:       base.Derive("speed"),
-		setup:       base.Derive("setup"),
-		evict:       base.Derive("evict"),
-		frng:        base.Derive("fault"),
-		capBase:     startSlots,
-		capLimit:    fault.NoLimit,
+		cfg:      cfg,
+		sim:      sim,
+		slots:    des.NewResource(sim, startSlots),
+		dispatch: base.Derive("dispatch"),
+		speed:    base.Derive("speed"),
+		setup:    base.Derive("setup"),
+		evict:    base.Derive("evict"),
+		frng:     base.Derive("fault"),
+		capBase:  startSlots,
+		capLimit: fault.NoLimit,
 	}
 	e.nodeNames = make([]string, cfg.Slots)
 	for i := range e.nodeNames {
@@ -308,13 +302,11 @@ func (e *Executor) InstallFaults(tl *fault.Timeline) {
 	}
 	for _, st := range tl.Steps {
 		limit := st.Limit
-		// Boundary: capacity steps evict running attempts and emit their
-		// terminal events, reaching outside the site's window partition.
-		e.sim.AtBoundary(des.Time(st.At), func() { e.setCapLimit(limit) })
+		e.sim.At(des.Time(st.At), func() { e.setCapLimit(limit) })
 	}
 	for _, p := range tl.Preempts {
 		frac := p.Fraction
-		e.sim.AtBoundary(des.Time(p.At), func() { e.preemptOccupied(frac) })
+		e.sim.At(des.Time(p.At), func() { e.preemptOccupied(frac) })
 	}
 }
 
@@ -446,11 +438,7 @@ func (e *Executor) SubmitTagged(job *planner.Job, attempt int, emit func(engine.
 }
 
 func (e *Executor) submitWith(job *planner.Job, attempt int, emit func(engine.Event)) {
-	// Submissions are timestamped off the submit clock: the site's own
-	// clock on a standalone executor, the pool's serialized clock in a
-	// parallel pool (where this site's clock may sit ahead, inside a
-	// window — submissions always originate from the serialized phase).
-	now := e.submitClock.Now().Seconds()
+	now := e.Now()
 	// Serialize submissions through the submit host.
 	release := now
 	if e.nextFree > release {
@@ -467,10 +455,7 @@ func (e *Executor) submitWith(job *planner.Job, attempt int, emit func(engine.Ev
 		land := e.faults.DelayThroughBlackouts(now + delay)
 		delay = land - now
 	}
-	// The arrival lands strictly after the submit host's release point, so
-	// it is always in this site's future even mid-window (delay > release
-	// - now, and windows never advance the site clock to nextFree).
-	e.sim.At(des.Time(now+delay), func() {
+	e.sim.After(delay, func() {
 		e.slots.Acquire(1, func() {
 			e.runOnNode(job, attempt, submitTime, emit)
 		})
@@ -545,8 +530,7 @@ func (e *Executor) runOnNode(job *planner.Job, attempt int, submitTime float64, 
 	}
 
 	if evictAt >= 0 {
-		// Boundary: finishing an attempt emits an engine event.
-		id := e.sim.AfterBoundary(evictAt, func() {
+		id := e.sim.After(evictAt, func() {
 			if key != 0 {
 				delete(e.active, key)
 			}
@@ -562,8 +546,7 @@ func (e *Executor) runOnNode(job *planner.Job, attempt int, submitTime float64, 
 		return
 	}
 
-	// Boundary: completion emits the attempt's terminal engine event.
-	id := e.sim.AfterBoundary(total, func() {
+	id := e.sim.After(total, func() {
 		if key != 0 {
 			delete(e.active, key)
 		}
@@ -628,10 +611,7 @@ func (e *Executor) SubmitAfter(job *planner.Job, attempt int, delay float64) {
 		e.Submit(job, attempt)
 		return
 	}
-	// Scheduled on the submit clock as a boundary event: the retry calls
-	// submitWith, which mutates submit-host state — in a parallel pool it
-	// must fire in the serialized phase, at serialized time.
-	e.submitClock.AfterBoundary(delay, func() { e.Submit(job, attempt) })
+	e.sim.After(delay, func() { e.Submit(job, attempt) })
 }
 
 // memberRecords builds the per-task kickstart records of one successful

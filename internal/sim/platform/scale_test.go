@@ -6,6 +6,18 @@ import (
 	"pegflow/internal/engine"
 )
 
+// stormyConfigs is a two-site pool with evictions and retries on the flaky
+// site, a slot ramp on the stable one, and distinct dispatch streams.
+func stormyConfigs() []Config {
+	return []Config{
+		{Name: "stable", Slots: 8, SubmitInterval: 0.5, DispatchMean: 5, DispatchCV: 0.4,
+			SpeedFactor: 1, SpeedJitter: 0.1, InitialSlots: 2, SlotRampInterval: 40, Seed: 3},
+		{Name: "flaky", Slots: 8, SubmitInterval: 0.5, DispatchMean: 20, DispatchCV: 0.8,
+			SpeedFactor: 1, SpeedJitter: 0.2, SetupMean: 30, SetupCV: 0.5,
+			EvictionRate: 1.0 / 150, Seed: 3},
+	}
+}
+
 // runAggregatedFlat executes an n-job flat plan on the stormy two-site
 // pool in aggregation mode and returns the pool's record-arena high-water
 // mark: the number of kickstart records ever allocated fresh, summed over

@@ -1,6 +1,8 @@
 // Top-level acceptance test: the paper's headline findings, end to end.
 // This is the claim-by-claim gate a reviewer would run first; the detailed
-// bands live in internal/core's tests and EXPERIMENTS.md.
+// bands live in internal/core's tests, README.md's opening list states the
+// findings, and its Quickstart (`go run ./cmd/experiments`) regenerates
+// the figures behind them.
 package pegflow_test
 
 import (
