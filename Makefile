@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint lint-fixtures test race bench bench-quick bench-micro bench-serve bench-scale fmt vet clean
+.PHONY: all build lint lint-fixtures test race allocs bench bench-quick bench-micro bench-serve bench-scale fmt vet clean
 
 all: build lint test
 
@@ -25,6 +25,12 @@ test:
 # into a fast stack-dumped failure instead of a hung job.
 race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario
+	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent' ./internal/core ./internal/planner
+
+# The allocation gates CI runs: zero-alloc kernel and engine dispatch, and a
+# plan clone / warm plan retrieval whose allocation count does not grow with n.
+allocs:
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/sim/des ./internal/engine ./internal/core ./internal/planner
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
 # through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the

@@ -19,8 +19,10 @@
 //     uses.
 //   - clonegate: forbids assignments through *planner.Plan, *planner.Job,
 //     *dax.Workflow or *dax.Job outside the defining packages and a
-//     justified whitelist of clone/constructor functions, keeping cached
-//     masters immutable.
+//     justified whitelist of constructor functions, and mutating dax
+//     method calls on a graph reached through a plan, keeping cached
+//     masters — and the shape every plan clone shares with them —
+//     immutable.
 //   - slabcopy: flags by-value copies of types marked //pegflow:slab
 //     (arena/free-list carriers and types that embed them), where a copy
 //     would alias the free list.

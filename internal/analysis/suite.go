@@ -80,8 +80,9 @@ func NewLockHold() *LockHold {
 }
 
 // NewCloneGate returns the production clonegate: the cached plan/DAX
-// types, their defining packages, and the audited whitelist of functions
-// that mutate fresh (not cached) values.
+// types, their defining packages, the audited whitelist of functions that
+// mutate fresh (not cached) values, and the dax methods that may not be
+// called on the graph a plan shares with its clones.
 func NewCloneGate() *CloneGate {
 	return &CloneGate{
 		Protected: []string{
@@ -95,10 +96,14 @@ func NewCloneGate() *CloneGate {
 			"pegflow/internal/dax",
 		},
 		AllowedFuncs: map[string]string{
-			"pegflow/internal/workflow.BuildDAX":                  "constructor: assembles a brand-new abstract DAX; nothing it touches is cached yet",
-			"pegflow/internal/workflow.BuildSerialDAX":            "constructor: assembles the serial-baseline DAX from scratch",
-			"pegflow/internal/core.Experiment.cachedWorkflowPlan": "patches seed-dependent chunk runtimes into the private Clone it just took from the plan cache",
-			"pegflow/internal/core.EnsembleExperiment.Sources":    "renames the private Clone returned by memberDAX, never the cached master",
+			"pegflow/internal/workflow.BuildDAX":               "constructor: assembles a brand-new abstract DAX; nothing it touches is cached yet",
+			"pegflow/internal/workflow.BuildSerialDAX":         "constructor: assembles the serial-baseline DAX from scratch",
+			"pegflow/internal/core.EnsembleExperiment.Sources": "renames the private Clone returned by memberDAX, never the cached master",
+		},
+		SharedVia: "pegflow/internal/planner.Plan",
+		SharedMutators: []string{
+			"AddJob", "NewJob", "AddDependency", "InferDependencies",
+			"SetProfile", "AddInput", "AddOutput",
 		},
 	}
 }

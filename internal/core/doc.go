@@ -14,8 +14,10 @@
 //
 //   - the keyed plan cache (plancache.go) builds one immutable master
 //     plan per shape key — (site, n, slot counts, workload fingerprint,
-//     cost model) — and serves each request a deep Plan.Clone with the
-//     requesting seed's chunk runtimes patched in;
+//     effective cost model) — and serves each request a Plan.Clone (the
+//     master's graph and index shared, its job slab copied: a constant
+//     number of allocations at any n) with the requesting seed's chunk
+//     runtimes written at the chunk jobs' recorded slab positions;
 //   - the member-DAX cache (ensemble.go) memoizes built abstract
 //     workflows per (params, seed, n) for ensemble members.
 //

@@ -5,10 +5,11 @@
 // of run_cap3 chunk runtimes (the seed drives nothing but the
 // cluster→chunk assignment permutation). The cache builds one immutable
 // master plan per shape key (site, n, slot counts, workload fingerprint,
-// cost model) and serves each request a cheap deep Plan.Clone with the
-// requesting experiment's chunk runtimes patched in, reproducing the
-// uncached plan byte-for-byte: the patched values round-trip through the
-// same "%.3f" formatting the DAX runtime profiles use.
+// cost model) and serves each request a Plan.Clone — the master's shape
+// shared, its job slab copied — with the requesting experiment's chunk
+// runtimes written at the chunk jobs' recorded slab positions, reproducing
+// the uncached plan byte-for-byte: the patched values are rounded exactly
+// as the "%.3f" DAX runtime profiles round them.
 
 package core
 
@@ -127,9 +128,9 @@ type planKey struct {
 type cachedPlan struct {
 	once sync.Once
 	plan *planner.Plan
-	// chunkIDs lists the run_cap3 job IDs in chunk order, so retrieval
-	// patches by index without re-deriving the ID strings.
-	chunkIDs []string
+	// chunkPos lists the run_cap3 jobs' index positions in chunk order, so
+	// retrieval patches the clone's slab without a lookup per job.
+	chunkPos []int32
 	err      error
 }
 
@@ -193,7 +194,8 @@ func ResetPlanCache() {
 }
 
 // effectiveCost mirrors BuildDAX's zero-value defaulting so the cache key
-// and the patch step use the cost model the builder actually applied.
+// and the patch step use the cost model the builder actually applied (a
+// zero CostModel and DefaultCostModel() share one master).
 func effectiveCost(c workflow.CostModel) workflow.CostModel {
 	if c == (workflow.CostModel{}) {
 		return workflow.DefaultCostModel()
@@ -208,11 +210,21 @@ func cacheable(w workflow.Workload) bool {
 	return w.Params != (workflow.WorkloadParams{}) && len(w.Clusters) > 0
 }
 
+// roundMillis rounds x as the DAX builder's runtime profile does — "%.3f"
+// formatted, then parsed back by the planner — bit for bit and without
+// allocating: the digits never leave the stack buffer.
+func roundMillis(x float64) float64 {
+	var buf [32]byte
+	// 'f' digits of a float64 always parse; there is no error to report.
+	v, _ := strconv.ParseFloat(string(strconv.AppendFloat(buf[:0], x, 'f', 3, 64)), 64)
+	return v
+}
+
 // cachedWorkflowPlan returns an executable plan for the workload on the
 // named site with n chunks (or the serial baseline when serial is set),
 // cloned from the cached master when the workload is cacheable and built
-// directly otherwise. The returned plan is private to the caller and safe
-// to mutate or cluster further.
+// directly otherwise. The returned plan's jobs are private to the caller;
+// its graph and index are the master's and must not be edited.
 func (e *Experiment) cachedWorkflowPlan(site string, n int, w workflow.Workload, serial bool) (*planner.Plan, error) {
 	if !cacheable(w) {
 		return e.buildPlan(site, n, w, serial)
@@ -228,7 +240,7 @@ func (e *Experiment) cachedWorkflowPlan(site string, n int, w workflow.Workload,
 		totalTranscripts: w.TotalTranscripts,
 		transcriptBytes:  w.TranscriptBytes,
 		alignmentBytes:   w.AlignmentBytes,
-		cost:             e.Cost,
+		cost:             effectiveCost(e.Cost),
 	}
 	v, _ := planCache.LoadOrStore(key.hash(), key, &cachedPlan{})
 	entry := v.(*cachedPlan)
@@ -238,9 +250,19 @@ func (e *Experiment) cachedWorkflowPlan(site string, n int, w workflow.Workload,
 		if entry.err != nil || serial {
 			return
 		}
-		entry.chunkIDs = make([]string, n)
-		for i := range entry.chunkIDs {
-			entry.chunkIDs[i] = workflow.ChunkJobID(i)
+		idx, err := entry.plan.Indexed()
+		if err != nil {
+			entry.err = err
+			return
+		}
+		entry.chunkPos = make([]int32, n)
+		for i := range entry.chunkPos {
+			pos, ok := idx.ByID[workflow.ChunkJobID(i)]
+			if !ok {
+				entry.err = fmt.Errorf("core: plan cache: job %q missing from cached plan", workflow.ChunkJobID(i))
+				return
+			}
+			entry.chunkPos[i] = pos
 		}
 	})
 	if entry.err != nil {
@@ -253,31 +275,17 @@ func (e *Experiment) cachedWorkflowPlan(site string, n int, w workflow.Workload,
 		// seed-independent, nothing to patch.
 		return plan, nil
 	}
-	// Patch the seed-dependent chunk runtimes, reproducing the DAX
-	// builder's profile round-trip ("%.3f" formatted, then parsed) so the
-	// clone is byte-identical to an uncached plan for this seed.
-	chunks, err := effectiveCost(e.Cost).ChunkSeconds(w, n)
+	// Patch the seed-dependent chunk runtimes, so the clone equals an
+	// uncached plan for this seed. The master's graph jobs carry no runtime
+	// profile (planner.New copies none), so there is nothing else to sync.
+	chunks, err := key.cost.ChunkSeconds(w, n)
 	if err != nil {
 		return nil, err
 	}
-	for i, id := range entry.chunkIDs {
-		j := plan.Info[id]
-		if j == nil {
-			return nil, fmt.Errorf("core: plan cache: job %q missing from cached plan", id)
-		}
-		formatted := fmt.Sprintf("%.3f", chunks[i])
-		v, err := strconv.ParseFloat(formatted, 64)
-		if err != nil {
-			return nil, fmt.Errorf("core: plan cache: chunk %d runtime: %w", i, err)
-		}
-		j.ExecSeconds = v
-		// Keep the graph job's runtime profile in sync too, so consumers
-		// of the exported Graph (DAX writers, re-planning) never see the
-		// master-building seed's estimate.
-		if gj := plan.Graph.Job(id); gj != nil {
-			gj.SetProfile("pegasus", "runtime", formatted)
-		}
+	for i := range chunks {
+		chunks[i] = roundMillis(chunks[i])
 	}
+	plan.SetExecSeconds(entry.chunkPos, chunks)
 	return plan, nil
 }
 

@@ -50,9 +50,13 @@ func wideChainPlan(t testing.TB, width int) *planner.Plan {
 			t.Fatal(err)
 		}
 	}
-	plan := &planner.Plan{Graph: w, Info: map[string]*planner.Job{}, Site: "s"}
+	var jobs []planner.Job
 	for _, j := range w.Jobs() {
-		plan.Info[j.ID] = &planner.Job{ID: j.ID, Transformation: "t", Site: "s"}
+		jobs = append(jobs, planner.Job{ID: j.ID, Transformation: "t", Site: "s"})
+	}
+	plan, err := planner.Assemble(w, "s", jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return plan
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pegflow/internal/dax"
+	"pegflow/internal/planner"
 )
 
 func TestRescueDAXContainsOnlyUnfinished(t *testing.T) {
@@ -90,10 +91,16 @@ func TestRescueRunnableOnFreshExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild a plan view sharing Info of the original plan.
-	sub := *p
-	sub.Graph = rescue
-	res2, err := Run(&sub, newFakeExecutor(), Options{})
+	// Plan the rescue graph with the original plan's job attributes.
+	var jobs []planner.Job
+	for _, gj := range rescue.Jobs() {
+		jobs = append(jobs, *p.Job(gj.ID))
+	}
+	sub, err := planner.Assemble(rescue, p.Site, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := Run(sub, newFakeExecutor(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

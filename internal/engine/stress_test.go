@@ -84,8 +84,8 @@ func (c *chaosExecutor) Next() Event {
 }
 
 // randomPlan builds a random DAG of n jobs with forward edges of
-// probability p, wrapped as a single-site plan.
-func randomPlan(t *testing.T, seed uint64, n int, p float64) *planner.Plan {
+// probability p, wrapped as a single-site plan on the named site.
+func randomPlan(t *testing.T, site string, seed uint64, n int, p float64) *planner.Plan {
 	t.Helper()
 	r := rng.New(seed).Derive("dag")
 	g := dax.New(fmt.Sprintf("stress-%d", seed))
@@ -103,16 +103,20 @@ func randomPlan(t *testing.T, seed uint64, n int, p float64) *planner.Plan {
 			}
 		}
 	}
-	plan := &planner.Plan{Graph: g, Info: make(map[string]*planner.Job), Site: "chaos"}
-	for _, id := range ids {
+	jobs := make([]planner.Job, n)
+	for i, id := range ids {
 		j := g.Job(id)
-		plan.Info[id] = &planner.Job{
+		jobs[i] = planner.Job{
 			ID:             id,
 			Transformation: j.Transformation,
-			Site:           "chaos",
+			Site:           site,
 			Priority:       j.Priority,
 			ExecSeconds:    1 + r.Float64()*5,
 		}
+	}
+	plan, err := planner.Assemble(g, site, jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return plan
 }
@@ -143,7 +147,7 @@ func TestEngineStress(t *testing.T) {
 		cfg := configs[seed%uint64(len(configs))]
 		name := fmt.Sprintf("seed%d_f%.2f_e%.2f_r%d", seed, cfg.failP, cfg.evictP, cfg.retries)
 		t.Run(name, func(t *testing.T) {
-			plan := randomPlan(t, seed, 30+int(seed%3)*10, 0.08)
+			plan := randomPlan(t, "chaos", seed, 30+int(seed%3)*10, 0.08)
 			ex := newChaosExecutor(seed, cfg.failP, cfg.evictP)
 			res, err := Run(plan, ex, Options{RetryLimit: cfg.retries, MaxActive: 1 + int(seed%7)})
 			if err != nil {
@@ -271,10 +275,7 @@ func TestEngineStressFailover(t *testing.T) {
 		name := fmt.Sprintf("seed%d_f%.2f_e%.2f_r%d", seed, cfg.failP, cfg.evictP, cfg.retries)
 		t.Run(name, func(t *testing.T) {
 			run := func() (*Result, *chaosExecutor) {
-				plan := randomPlan(t, seed, 30+int(seed%3)*10, 0.08)
-				for _, j := range plan.Info {
-					j.Site = "chaosA"
-				}
+				plan := randomPlan(t, "chaosA", seed, 30+int(seed%3)*10, 0.08)
 				ex := newChaosExecutor(seed, cfg.failP, cfg.evictP)
 				res, err := Run(plan, ex, Options{
 					RetryLimit: cfg.retries,

@@ -114,10 +114,7 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 		open := make(map[string]*clusterBucket)
 		seq := make(map[string]int)
 		for _, id := range level {
-			j := p.Info[id]
-			if j == nil {
-				return nil, fmt.Errorf("planner: clustering: job %q has no planning info", id)
-			}
+			j := p.Job(id)
 			if !eligible(j) {
 				group[id] = id
 				continue
@@ -161,12 +158,16 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 	}
 	buckets = kept
 
+	folded := 0
+	for _, b := range buckets {
+		folded += len(b.ids)
+	}
 	out := &Plan{
 		Graph:     dax.New(p.Graph.Name + "-clustered"),
-		Info:      make(map[string]*Job, p.Graph.Len()),
 		Site:      p.Site,
-		Sites:     append([]string(nil), p.Sites...),
+		Sites:     p.Sites,
 		SiteEntry: p.SiteEntry,
+		jobs:      make([]Job, 0, len(p.jobs)-folded+len(buckets)),
 	}
 
 	emitted := make(map[string]bool)
@@ -178,11 +179,10 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 		emitted[gid] = true
 		if gid == gj.ID {
 			cp := *gj
-			icp := *p.Info[gj.ID]
 			if err := out.Graph.AddJob(&cp); err != nil {
 				return nil, err
 			}
-			out.Info[gj.ID] = &icp
+			out.jobs = append(out.jobs, *p.Job(gj.ID))
 			continue
 		}
 		b := byID[gid]
@@ -190,14 +190,14 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 			return nil, fmt.Errorf("planner: clustering: composite ID %q collides with an existing job", b.id)
 		}
 		nj := &dax.Job{ID: b.id, Transformation: b.tr}
-		cj := &Job{
+		cj := Job{
 			ID:             b.id,
 			Transformation: b.tr,
 			Site:           b.site,
 			ExecSeconds:    b.exec,
 		}
 		for _, mid := range b.ids {
-			m := p.Info[mid]
+			m := p.Job(mid)
 			nj.Uses = append(nj.Uses, p.Graph.Job(mid).Uses...)
 			if m.Priority > cj.Priority {
 				cj.Priority = m.Priority
@@ -216,7 +216,7 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 		if err := out.Graph.AddJob(nj); err != nil {
 			return nil, err
 		}
-		out.Info[b.id] = cj
+		out.jobs = append(out.jobs, cj)
 	}
 
 	// Rewire dependencies through the grouping, skipping intra-group

@@ -179,8 +179,8 @@ func TestClusterPropertyRandomDAGs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(clustered.Info, again.Info) {
-				t.Error("Cluster not deterministic: Info differs between runs")
+			if !reflect.DeepEqual(clustered.jobs, again.jobs) {
+				t.Error("Cluster not deterministic: jobs differ between runs")
 			}
 		})
 	}

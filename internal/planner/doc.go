@@ -15,4 +15,13 @@
 //     transformation at the same DAG level are merged into clustered jobs
 //     executed on one slot, reducing per-job overhead (Pegasus's task
 //     clustering, paper §III).
+//
+// A built Plan is a shared immutable shape — the executable Graph, the
+// dense topological Index, Sites, SiteEntry — plus one flat slab of planned
+// jobs held by value in index order. Plan.Clone copies the slab and shares
+// the rest (two allocations at any size), which is what the plan cache in
+// package core hands to each sweep cell. Nothing outside this package
+// writes a Job field or edits a plan's Graph (the clonegate analyzer
+// enforces it); Plan.SetExecSeconds is the one post-construction write, and
+// Assemble builds a plan from a hand-made graph and job list.
 package planner

@@ -6,8 +6,8 @@
 // index-addressed slices with a single map lookup per executor event.
 //
 // The Index captures topology only (IDs, edges, degrees) and is immutable
-// after construction, so a cloned plan shares its parent's Index while
-// owning independent job attributes.
+// after construction, so a cloned plan shares its parent's Index — and its
+// Graph — while owning its own slab of job attributes.
 
 package planner
 
@@ -36,13 +36,11 @@ type Index struct {
 	edges int
 }
 
-// Indexed returns the plan's dense index, building it on first use and
-// rebuilding it if the graph was mutated since (dax workflows only ever
-// grow, so a changed job or edge count is a complete staleness signal).
-// It returns an error when the graph is cyclic. Plans produced by New,
-// NewMulti and Cluster are indexed at construction; hand-assembled plans
-// are indexed lazily here and must not be shared across goroutines before
-// the first call.
+// Indexed returns the plan's dense index, built when the plan was
+// constructed. A plan's graph is immutable after construction; the job and
+// edge counts are still compared so that a graph edited behind the plan's
+// back is re-validated (and a cycle reported) instead of run on a stale
+// index.
 func (p *Plan) Indexed() (*Index, error) {
 	if p.index == nil || len(p.index.Order) != p.Graph.Len() || p.index.edges != p.Graph.Edges() {
 		if err := p.finalize(); err != nil {
@@ -53,10 +51,10 @@ func (p *Plan) Indexed() (*Index, error) {
 }
 
 // JobAt returns the planned job at topological position i of the index.
-func (p *Plan) JobAt(i int32) *Job { return p.jobsByPos[i] }
+func (p *Plan) JobAt(i int32) *Job { return &p.jobs[i] }
 
-// finalize validates the executable graph (cycle check via TopoSort) and
-// builds the dense index plus the position-aligned job table.
+// finalize validates the executable graph (cycle check via TopoSort),
+// builds the dense index and moves the job slab into index order.
 func (p *Plan) finalize() error {
 	order, err := p.Graph.TopoSort()
 	if err != nil {
@@ -84,56 +82,52 @@ func (p *Plan) finalize() error {
 		}
 		idx.Children[i] = cs
 	}
-	p.index = idx
-	return p.reindexJobs()
-}
-
-// reindexJobs (re)builds the position-aligned job table from Info.
-func (p *Plan) reindexJobs() error {
-	jobs := make([]*Job, len(p.index.Order))
-	for i, id := range p.index.Order {
-		j := p.Info[id]
-		if j == nil {
-			return fmt.Errorf("planner: job %q has no planning info", id)
-		}
-		jobs[i] = j
+	if err := alignJobs(p.jobs, idx); err != nil {
+		return err
 	}
-	p.jobsByPos = jobs
+	p.index = idx
 	return nil
 }
 
-// Clone returns a deep copy of the plan: the graph, the planned jobs and
-// every slice they carry are duplicated, so mutating one plan (including
-// its runtime estimates) never changes the other. The immutable Index is
-// shared, which makes cloning O(jobs + edges) with no re-sorting — the
-// cheap per-use step of the plan cache.
-func (p *Plan) Clone() *Plan {
-	out := &Plan{
-		Graph:     p.Graph.Clone(),
-		Info:      make(map[string]*Job, len(p.Info)),
-		Site:      p.Site,
-		Sites:     append([]string(nil), p.Sites...),
-		SiteEntry: p.SiteEntry,
-		index:     p.index,
+// alignJobs permutes the slab in place so that jobs[i] is the job at
+// idx.Order[i], and clips every job's slices to their length so that an
+// append through one clone can never reach a backing array another clone
+// shares. Each swap puts one job in its final position, so the permutation
+// costs at most len(jobs) swaps and no allocation.
+func alignJobs(jobs []Job, idx *Index) error {
+	if len(jobs) != len(idx.Order) {
+		return fmt.Errorf("planner: %d planned jobs for %d graph jobs", len(jobs), len(idx.Order))
 	}
-	for id, j := range p.Info {
-		out.Info[id] = j.clone()
-	}
-	if out.index != nil {
-		if err := out.reindexJobs(); err != nil {
-			// Info and index came from a consistent plan; a mismatch here
-			// is a programming error, not an input error.
-			panic(err)
+	for i := range jobs {
+		for {
+			pos, ok := idx.ByID[jobs[i].ID]
+			if !ok {
+				return fmt.Errorf("planner: planned job %q is not in the executable graph", jobs[i].ID)
+			}
+			if int(pos) == i {
+				break
+			}
+			if jobs[pos].ID == jobs[i].ID {
+				return fmt.Errorf("planner: job %q planned twice", jobs[i].ID)
+			}
+			jobs[i], jobs[pos] = jobs[pos], jobs[i]
 		}
+		j := &jobs[i]
+		j.Args = j.Args[:len(j.Args):len(j.Args)]
+		j.Tasks = j.Tasks[:len(j.Tasks):len(j.Tasks)]
+		j.Members = j.Members[:len(j.Members):len(j.Members)]
 	}
-	return out
+	return nil
 }
 
-// clone deep-copies a planned job, including its Args, Tasks and Members.
-func (j *Job) clone() *Job {
-	cp := *j
-	cp.Args = append([]string(nil), j.Args...)
-	cp.Tasks = append([]string(nil), j.Tasks...)
-	cp.Members = append([]Member(nil), j.Members...)
-	return &cp
+// Clone returns a plan that shares this plan's immutable shape — Graph,
+// Index, Sites, SiteEntry and the backing arrays of every job's Args, Tasks
+// and Members — and owns a copy of the job slab, so a Job field written
+// through one plan never shows in the other. It costs two allocations and
+// one memmove whatever the plan's size: the per-retrieval step of the plan
+// cache.
+func (p *Plan) Clone() *Plan {
+	out := *p
+	out.jobs = append([]Job(nil), p.jobs...)
+	return &out
 }

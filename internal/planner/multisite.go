@@ -185,7 +185,7 @@ type MultiOptions struct {
 
 // NewMulti maps the abstract workflow onto a set of sites, choosing an
 // execution site per job via the policy. The resulting Plan has per-job
-// sites in Info and lists the target sites in Plan.Sites; Plan.SiteEntry
+// sites in its jobs and lists the target sites in Plan.Sites; Plan.SiteEntry
 // is nil for multi-site plans.
 func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, error) {
 	if err := abstract.Validate(); err != nil {
@@ -226,9 +226,9 @@ func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, 
 
 	plan := &Plan{
 		Graph: dax.New(work.Name + "-multi"),
-		Info:  make(map[string]*Job),
 		Site:  strings.Join(opts.Sites, ","),
 		Sites: append([]string(nil), opts.Sites...),
+		jobs:  make([]Job, 0, work.Len()+len(sites)), // +sites: the stage-in jobs
 	}
 
 	// Choose sites in topological order so load-based policies see jobs
@@ -275,7 +275,7 @@ func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, 
 		if err := plan.Graph.AddJob(gj); err != nil {
 			return nil, err
 		}
-		plan.Info[aj.ID] = pj
+		plan.jobs = append(plan.jobs, pj)
 	}
 	for _, aj := range work.Jobs() {
 		for _, parent := range work.Parents(aj.ID) {
@@ -312,12 +312,17 @@ func addStageInMulti(plan *Plan, work *dax.Workflow, cats Catalogs) error {
 		lfn  string
 		size int64
 	}
+	// The plan is not indexed yet, so sites are looked up through a table.
+	siteOf := make(map[string]string, len(plan.jobs))
+	for i := range plan.jobs {
+		siteOf[plan.jobs[i].ID] = plan.jobs[i].Site
+	}
 	// Per site: the external inputs staged there and their consumers.
 	externals := make(map[string][]ext)
 	consumers := make(map[string][]string) // site → consumer job IDs
 	seen := make(map[string]map[string]bool)
 	for _, j := range work.Jobs() {
-		site := plan.Info[j.ID].Site
+		site := siteOf[j.ID]
 		for _, u := range j.Uses {
 			if u.Link != dax.LinkInput || produced[u.LFN] {
 				continue
@@ -357,7 +362,7 @@ func addStageInMulti(plan *Plan, work *dax.Workflow, cats Catalogs) error {
 		if err != nil {
 			return err
 		}
-		plan.Info[id] = &Job{
+		plan.jobs = append(plan.jobs, Job{
 			ID:             id,
 			Transformation: StageInTransformation,
 			Site:           site,
@@ -366,7 +371,7 @@ func addStageInMulti(plan *Plan, work *dax.Workflow, cats Catalogs) error {
 			// Stage-in never needs installs and gets top priority so
 			// transfers start immediately.
 			Priority: 1 << 20,
-		}
+		})
 		added := make(map[string]bool)
 		for _, c := range consumers[site] {
 			if added[c] {

@@ -54,16 +54,18 @@ type Member struct {
 	ExecSeconds float64
 }
 
-// Plan is an executable workflow bound to a site.
+// Plan is an executable workflow bound to a site. Its shape — Graph, Sites,
+// SiteEntry and the topological index — is immutable once the plan is built
+// and shared by every Clone; only the job slab is per plan. Nothing outside
+// this package may write a Job field or grow or edit Graph (clonegate
+// enforces both).
 type Plan struct {
 	// Graph holds the executable jobs and their dependencies. Its Job
 	// entries are structural only; per-job planning attributes live in
-	// Info.
+	// the planned jobs (Job, JobAt, Jobs).
 	Graph *dax.Workflow
-	// Info maps executable job ID to its planning attributes.
-	Info map[string]*Job
 	// Site is the execution site name. For multi-site plans (NewMulti) it
-	// is the comma-joined site list; per-job sites live in Info.
+	// is the comma-joined site list; per-job sites live in the jobs.
 	Site string
 	// Sites lists the target sites of a multi-site plan, in the order
 	// given to NewMulti. It is nil for single-site plans.
@@ -73,32 +75,61 @@ type Plan struct {
 	SiteEntry *catalog.Site
 
 	// index is the immutable dense-integer topology (see Indexed), built
-	// at plan construction and shared with clones.
+	// at plan construction.
 	index *Index
-	// jobsByPos aligns this plan's *Job values with index.Order.
-	jobsByPos []*Job
+	// jobs holds the planned jobs by value, jobs[i] being the job at
+	// index.Order[i]. Constructors append in graph insertion order and
+	// finalize permutes the slab into index order in place.
+	jobs []Job
+}
+
+// Assemble wraps a hand-built executable graph and its planned jobs — one
+// per graph job, in any order — as a single-site plan, for callers that
+// bypass catalog resolution. It takes ownership of jobs.
+func Assemble(graph *dax.Workflow, site string, jobs []Job) (*Plan, error) {
+	p := &Plan{Graph: graph, Site: site, jobs: jobs}
+	if err := p.finalize(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Jobs returns the plan's jobs in insertion order.
 func (p *Plan) Jobs() []*Job {
-	out := make([]*Job, 0, len(p.Info))
+	out := make([]*Job, 0, len(p.jobs))
 	for _, j := range p.Graph.Jobs() {
-		out = append(out, p.Info[j.ID])
+		out = append(out, p.Job(j.ID))
 	}
 	return out
 }
 
 // Job returns the planned job with the given ID, or nil.
-func (p *Plan) Job(id string) *Job { return p.Info[id] }
+func (p *Plan) Job(id string) *Job {
+	if pos, ok := p.index.ByID[id]; ok {
+		return &p.jobs[pos]
+	}
+	return nil
+}
 
 // TotalExecSeconds sums the estimated execution time over all jobs — the
-// serial-work content of the plan.
+// serial-work content of the plan. It adds in index order, so equal plans
+// give bit-equal sums.
 func (p *Plan) TotalExecSeconds() float64 {
 	var sum float64
-	for _, j := range p.Info {
-		sum += j.ExecSeconds
+	for i := range p.jobs {
+		sum += p.jobs[i].ExecSeconds
 	}
 	return sum
+}
+
+// SetExecSeconds overwrites the runtime estimate of the job at index
+// position pos[k] with seconds[k]. It is how the plan cache patches a
+// seed's chunk runtimes into the Clone it hands out; it writes this plan's
+// job slab only, never state shared with other clones.
+func (p *Plan) SetExecSeconds(pos []int32, seconds []float64) {
+	for k, i := range pos {
+		p.jobs[i].ExecSeconds = seconds[k]
+	}
 }
 
 // Options configures planning.
@@ -150,9 +181,9 @@ func New(abstract *dax.Workflow, cats Catalogs, opts Options) (*Plan, error) {
 
 	plan := &Plan{
 		Graph:     dax.New(work.Name + "-" + opts.Site),
-		Info:      make(map[string]*Job),
 		Site:      opts.Site,
 		SiteEntry: site,
+		jobs:      make([]Job, 0, work.Len()+1), // +1: the stage-in job
 	}
 
 	// Resolve each job against the transformation catalog and compute
@@ -180,7 +211,7 @@ func New(abstract *dax.Workflow, cats Catalogs, opts Options) (*Plan, error) {
 		if err := plan.Graph.AddJob(gj); err != nil {
 			return nil, err
 		}
-		plan.Info[aj.ID] = pj
+		plan.jobs = append(plan.jobs, pj)
 	}
 	for _, aj := range work.Jobs() {
 		for _, parent := range work.Parents(aj.ID) {
@@ -207,8 +238,8 @@ func New(abstract *dax.Workflow, cats Catalogs, opts Options) (*Plan, error) {
 // task list of clustered jobs, and the declared input/output byte totals.
 // The caller fills in the site-dependent fields (Site, NeedsInstall,
 // InstallBytes).
-func jobAttributes(aj *dax.Job) (*Job, error) {
-	pj := &Job{
+func jobAttributes(aj *dax.Job) (Job, error) {
+	pj := Job{
 		ID:             aj.ID,
 		Transformation: aj.Transformation,
 		Args:           aj.Args,
@@ -217,19 +248,19 @@ func jobAttributes(aj *dax.Job) (*Job, error) {
 	if rt := aj.Profile("pegasus", "runtime"); rt != "" {
 		v, err := strconv.ParseFloat(rt, 64)
 		if err != nil || v < 0 {
-			return nil, fmt.Errorf("planner: job %q: bad pegasus::runtime %q", aj.ID, rt)
+			return Job{}, fmt.Errorf("planner: job %q: bad pegasus::runtime %q", aj.ID, rt)
 		}
 		pj.ExecSeconds = v
 	}
 	if nt := aj.Profile("pegasus", "clustered_tasks"); nt != "" {
 		count, err := strconv.Atoi(nt)
 		if err != nil || count < 1 {
-			return nil, fmt.Errorf("planner: job %q: bad clustered_tasks %q", aj.ID, nt)
+			return Job{}, fmt.Errorf("planner: job %q: bad clustered_tasks %q", aj.ID, nt)
 		}
 		for i := 0; i < count; i++ {
 			tid := aj.Profile("pegasus", fmt.Sprintf("task_%03d", i))
 			if tid == "" {
-				return nil, fmt.Errorf("planner: job %q: missing task_%03d profile", aj.ID, i)
+				return Job{}, fmt.Errorf("planner: job %q: missing task_%03d profile", aj.ID, i)
 			}
 			pj.Tasks = append(pj.Tasks, tid)
 		}
@@ -292,7 +323,7 @@ func addStageIn(plan *Plan, work *dax.Workflow, cats Catalogs) error {
 	if err := plan.Graph.AddJob(gj); err != nil {
 		return err
 	}
-	plan.Info[id] = &Job{
+	plan.jobs = append(plan.jobs, Job{
 		ID:             id,
 		Transformation: StageInTransformation,
 		Site:           plan.Site,
@@ -301,7 +332,7 @@ func addStageIn(plan *Plan, work *dax.Workflow, cats Catalogs) error {
 		// Stage-in runs on the submit side; it never needs installs
 		// and gets top priority so transfers start immediately.
 		Priority: 1 << 20,
-	}
+	})
 	added := make(map[string]bool)
 	for _, e := range externals {
 		for _, c := range consumers[e.lfn] {
