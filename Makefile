@@ -25,10 +25,11 @@ test:
 # into a fast stack-dumped failure instead of a hung job.
 race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario
-	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent' ./internal/core ./internal/planner
+	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestResolvedUnchangedByConcurrentPlans' ./internal/core ./internal/planner
 
 # The allocation gates CI runs: zero-alloc kernel and engine dispatch, and a
-# plan clone / warm plan retrieval whose allocation count does not grow with n.
+# plan clone, a warm single-site plan retrieval and a warm multi-site member
+# plan (placement + clone + patch) whose allocation counts do not grow with n.
 allocs:
 	$(GO) test -run 'TestAllocs' -count=1 ./internal/sim/des ./internal/engine ./internal/core ./internal/planner
 

@@ -19,10 +19,11 @@
 //     uses.
 //   - clonegate: forbids assignments through *planner.Plan, *planner.Job,
 //     *dax.Workflow or *dax.Job outside the defining packages and a
-//     justified whitelist of constructor functions, and mutating dax
-//     method calls on a graph reached through a plan, keeping cached
-//     masters — and the shape every plan clone shares with them —
-//     immutable.
+//     justified whitelist of constructor functions, mutating dax
+//     method calls on a graph reached through a plan, and calls to a
+//     registered slab-writing plan method from anywhere but its
+//     registered callers, keeping cached masters — and the shape every
+//     plan clone shares with them — immutable.
 //   - slabcopy: flags by-value copies of types marked //pegflow:slab
 //     (arena/free-list carriers and types that embed them), where a copy
 //     would alias the free list.

@@ -96,14 +96,18 @@ func NewCloneGate() *CloneGate {
 			"pegflow/internal/dax",
 		},
 		AllowedFuncs: map[string]string{
-			"pegflow/internal/workflow.BuildDAX":               "constructor: assembles a brand-new abstract DAX; nothing it touches is cached yet",
-			"pegflow/internal/workflow.BuildSerialDAX":         "constructor: assembles the serial-baseline DAX from scratch",
-			"pegflow/internal/core.EnsembleExperiment.Sources": "renames the private Clone returned by memberDAX, never the cached master",
+			"pegflow/internal/workflow.BuildDAX":       "constructor: assembles a brand-new abstract DAX; nothing it touches is cached yet",
+			"pegflow/internal/workflow.BuildSerialDAX": "constructor: assembles the serial-baseline DAX from scratch",
 		},
 		SharedVia: "pegflow/internal/planner.Plan",
 		SharedMutators: []string{
 			"AddJob", "NewJob", "AddDependency", "InferDependencies",
 			"SetProfile", "AddInput", "AddOutput",
+		},
+		// The multi-site patch (planner.Resolved.Plan) is unexported, so
+		// SetExecSeconds is the one slab writer reachable from outside.
+		SlabWriters: map[string][]string{
+			"SetExecSeconds": {"pegflow/internal/core.Experiment.cachedWorkflowPlan"},
 		},
 	}
 }

@@ -89,15 +89,14 @@ func (e *EnsembleExperiment) memberWorkload(i int) workflow.Workload {
 	}, e.Seed+uint64(i))
 }
 
-// memberDAXKey fingerprints a member workflow: synthesized datasets are
-// fully determined by (params, seed) — the Params contract guarantees
-// Clusters derive from Params — plus the workload's scalar fields and the
-// chunk count, so the built DAX can be cached across policy comparisons,
-// repeated sweeps and scenario cells regardless of who supplied the
-// workload.
+// memberDAXKey fingerprints a member workflow's shape: synthesized datasets
+// are fully determined by (params, seed) — the Params contract guarantees
+// Clusters derive from Params — and the seed only moves the chunk runtimes,
+// which every member plan overrides, so one abstract master per (params,
+// scalar fields, n) serves every seed, policy comparison, sweep and scenario
+// cell regardless of who supplied the workload.
 type memberDAXKey struct {
 	n                int
-	seed             uint64
 	params           workflow.WorkloadParams
 	name             string
 	totalTranscripts int
@@ -113,65 +112,146 @@ type cachedDAX struct {
 
 // hash picks the key's cache shard (see shardedMap in plancache.go).
 func (k memberDAXKey) hash() uint64 {
-	return hashFields([]string{k.name}, []uint64{uint64(k.n), k.seed})
+	return hashFields([]string{k.name}, []uint64{uint64(k.n)})
 }
 
 var memberDAXCache shardedMap // memberDAXKey -> *cachedDAX
 
-// memberDAX builds (or serves from cache) the abstract workflow of member
-// i. Cached masters are cloned per use — callers rename and plan them.
-func (e *EnsembleExperiment) memberDAX(i int) (*dax.Workflow, error) {
-	w := e.memberWorkload(i)
-	if w.Params == (workflow.WorkloadParams{}) || len(w.Clusters) == 0 {
-		// Hand-built datasets have no synthesis fingerprint to key on.
-		return workflow.BuildDAX(workflow.BuilderConfig{N: e.N, Workload: w})
-	}
-	key := memberDAXKey{
-		n:                e.N,
-		seed:             w.Seed,
-		params:           w.Params,
-		name:             w.Name,
-		totalTranscripts: w.TotalTranscripts,
-		transcriptBytes:  w.TranscriptBytes,
-		alignmentBytes:   w.AlignmentBytes,
-	}
+// memberDAX serves the shape's abstract master, built from whichever seed
+// asked first. The master is shared and read-only.
+func memberDAX(key memberDAXKey, w workflow.Workload) (*dax.Workflow, error) {
 	v, _ := memberDAXCache.LoadOrStore(key.hash(), key, &cachedDAX{})
 	entry := v.(*cachedDAX)
 	entry.once.Do(func() {
 		daxBuilds.Add(1)
-		entry.wf, entry.err = workflow.BuildDAX(workflow.BuilderConfig{N: e.N, Workload: w})
+		entry.wf, entry.err = workflow.BuildDAX(workflow.BuilderConfig{N: key.n, Workload: w})
 	})
 	if entry.err != nil {
 		return nil, entry.err
 	}
 	daxRetrievals.Add(1)
-	return entry.wf.Clone(), nil
+	return entry.wf, nil
 }
 
-// Sources builds the member abstract workflows. Members are admitted in
-// index order; earlier members get higher ensemble priority (the Pegasus
-// Ensemble Manager's priority knob).
-func (e *EnsembleExperiment) Sources() ([]ensemble.WorkflowSource, error) {
+// multiPlanKey is the content key of a resolved multi-site master: the
+// member shape, whether stage-in jobs are planned, and the fingerprint of
+// what planning reads from the catalogs (which covers the ordered site
+// list). Like planKey it holds no seed, and it holds no policy either:
+// placement is per retrieval.
+type multiPlanKey struct {
+	dax      memberDAXKey
+	stageIn  bool
+	catalogs string
+}
+
+func (k multiPlanKey) hash() uint64 {
+	return hashFields([]string{k.dax.name, k.catalogs}, []uint64{uint64(k.dax.n)})
+}
+
+// cachedMultiPlan is one multi-site cache entry; the master is resolved
+// once under the sync.Once and only read afterwards (its memo of
+// materialized graphs is its own, guarded business).
+type cachedMultiPlan struct {
+	once   sync.Once
+	master *planner.Resolved
+	// chunkPos lists the run_cap3 jobs' positions in the master, in chunk
+	// order: where each member's seed-dependent runtimes go.
+	chunkPos []int32
+	err      error
+}
+
+var multiPlanCache shardedMap // multiPlanKey -> *cachedMultiPlan
+
+// memberSource resolves member i: for a synthesized workload the shape's
+// cached master plus this seed's chunk runtimes, rounded as the DAX runtime
+// profiles round them, so that planning it equals planning the member's own
+// BuildDAX; for a hand-built workload (no fingerprint to key on) a master
+// resolved from scratch.
+func (e *EnsembleExperiment) memberSource(i int, catalogs string) (ensemble.ResolvedSource, error) {
+	src := ensemble.ResolvedSource{
+		Name:       fmt.Sprintf("wf%02d", i),
+		Priority:   e.Workflows - i,
+		RetryLimit: e.RetryLimit,
+	}
+	w := e.memberWorkload(i)
+	mopts := planner.MultiOptions{Sites: e.Sites, AddStageIn: true}
+	if !cacheable(w) {
+		abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: e.N, Workload: w})
+		if err != nil {
+			return src, err
+		}
+		src.Master, err = planner.Resolve(abstract, e.Catalogs, mopts)
+		return src, err
+	}
+	key := multiPlanKey{
+		dax: memberDAXKey{
+			n:                e.N,
+			params:           w.Params,
+			name:             w.Name,
+			totalTranscripts: w.TotalTranscripts,
+			transcriptBytes:  w.TranscriptBytes,
+			alignmentBytes:   w.AlignmentBytes,
+		},
+		stageIn:  mopts.AddStageIn,
+		catalogs: catalogs,
+	}
+	v, _ := multiPlanCache.LoadOrStore(key.hash(), key, &cachedMultiPlan{})
+	entry := v.(*cachedMultiPlan)
+	entry.once.Do(func() {
+		planBuilds.Add(1)
+		entry.err = entry.build(key.dax, w, e.Catalogs, mopts)
+	})
+	if entry.err != nil {
+		return src, entry.err
+	}
+	planRetrievals.Add(1)
+	chunks, err := roundedChunkSeconds(workflow.DefaultCostModel(), w, e.N)
+	if err != nil {
+		return src, err
+	}
+	src.Master, src.Pos, src.Seconds = entry.master, entry.chunkPos, chunks
+	return src, nil
+}
+
+// build resolves the entry's master from the shape's abstract DAX and
+// records where the chunk jobs sit in it.
+func (c *cachedMultiPlan) build(dk memberDAXKey, w workflow.Workload, cats planner.Catalogs, mopts planner.MultiOptions) error {
+	abstract, err := memberDAX(dk, w)
+	if err != nil {
+		return err
+	}
+	master, err := planner.Resolve(abstract, cats, mopts)
+	if err != nil {
+		return err
+	}
+	master.Materialized = func() { planShapes.Add(1) }
+	chunkPos := make([]int32, dk.n)
+	for k := range chunkPos {
+		pos, ok := master.Position(workflow.ChunkJobID(k))
+		if !ok {
+			return fmt.Errorf("core: plan cache: job %q missing from resolved workflow", workflow.ChunkJobID(k))
+		}
+		chunkPos[k] = pos
+	}
+	c.master, c.chunkPos = master, chunkPos
+	return nil
+}
+
+// members resolves every member across the worker pool. Members are
+// admitted in index order; earlier members get higher ensemble priority
+// (the Pegasus Ensemble Manager's priority knob).
+func (e *EnsembleExperiment) members() ([]ensemble.ResolvedSource, error) {
 	if e.Workflows <= 0 {
 		return nil, fmt.Errorf("core: non-positive ensemble size %d", e.Workflows)
 	}
 	if e.N <= 0 {
 		return nil, fmt.Errorf("core: non-positive chunk count %d", e.N)
 	}
-	srcs := make([]ensemble.WorkflowSource, e.Workflows)
-	err := pool.ForEach(e.Workers, e.Workflows, func(i int) error {
-		abstract, err := e.memberDAX(i)
-		if err != nil {
-			return err
-		}
-		abstract.Name = fmt.Sprintf("%s-wf%02d", abstract.Name, i)
-		srcs[i] = ensemble.WorkflowSource{
-			Name:       fmt.Sprintf("wf%02d", i),
-			Abstract:   abstract,
-			Priority:   e.Workflows - i,
-			RetryLimit: e.RetryLimit,
-		}
-		return nil
+	catalogs := e.Catalogs.Fingerprint(e.Sites)
+	srcs := make([]ensemble.ResolvedSource, e.Workflows)
+	err := pool.ForEach(e.Workers, e.Workflows, func(i int) (err error) {
+		srcs[i], err = e.memberSource(i, catalogs)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -179,20 +259,24 @@ func (e *EnsembleExperiment) Sources() ([]ensemble.WorkflowSource, error) {
 	return srcs, nil
 }
 
+// plan resolves and plans all members across the worker pool.
+func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
+	srcs, err := e.members()
+	if err != nil {
+		return nil, err
+	}
+	return ensemble.PlanResolved(srcs, e.Catalogs, ensemble.PlanOptions{
+		Sites:    e.Sites,
+		Policy:   e.Policy,
+		Cluster:  e.Cluster,
+		Failover: e.Failover,
+		Workers:  e.Workers,
+	})
+}
+
 // Run plans all members across the worker pool and executes the ensemble.
 func (e *EnsembleExperiment) Run() (*ensemble.Result, *stats.EnsembleReport, error) {
-	srcs, err := e.Sources()
-	if err != nil {
-		return nil, nil, err
-	}
-	specs, err := ensemble.PlanAll(srcs, e.Catalogs, ensemble.PlanOptions{
-		Sites:      e.Sites,
-		Policy:     e.Policy,
-		AddStageIn: true,
-		Cluster:    e.Cluster,
-		Failover:   e.Failover,
-		Workers:    e.Workers,
-	})
+	specs, err := e.plan()
 	if err != nil {
 		return nil, nil, err
 	}

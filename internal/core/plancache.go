@@ -156,19 +156,24 @@ var planCache shardedMap // planKey -> *cachedPlan
 // increases retrievals without increasing builds ran entirely warm.
 var (
 	planBuilds, planRetrievals atomic.Uint64
+	planShapes                 atomic.Uint64
 	daxBuilds, daxRetrievals   atomic.Uint64
 )
 
 // CacheStats is a snapshot of the process-wide plan- and member-DAX-cache
 // counters.
 type CacheStats struct {
-	// PlanBuilds counts master plans constructed (cache misses).
+	// PlanBuilds counts masters constructed (cache misses): single-site
+	// master plans and multi-site resolved masters alike.
 	PlanBuilds uint64 `json:"plan_builds"`
-	// PlanRetrievals counts plans served from the cache (each one a
-	// Clone + runtime patch).
+	// PlanRetrievals counts plans served from a master (each one a
+	// Clone + patch).
 	PlanRetrievals uint64 `json:"plan_retrievals"`
+	// PlanShapes counts executable graphs materialized under multi-site
+	// masters: one per distinct stage-in placement, not one per retrieval.
+	PlanShapes uint64 `json:"plan_shapes"`
 	// MemberDAXBuilds and MemberDAXRetrievals are the same pair for the
-	// ensemble member-DAX cache.
+	// ensemble member-DAX cache, which multi-site masters are resolved from.
 	MemberDAXBuilds     uint64 `json:"member_dax_builds"`
 	MemberDAXRetrievals uint64 `json:"member_dax_retrievals"`
 }
@@ -178,18 +183,18 @@ func PlanCacheStats() CacheStats {
 	return CacheStats{
 		PlanBuilds:          planBuilds.Load(),
 		PlanRetrievals:      planRetrievals.Load(),
+		PlanShapes:          planShapes.Load(),
 		MemberDAXBuilds:     daxBuilds.Load(),
 		MemberDAXRetrievals: daxRetrievals.Load(),
 	}
 }
 
-// ResetPlanCache drops every cached plan and member DAX. Tests and
-// benchmarks use it for a cold cache; long-lived processes that sweep
-// many ensemble seeds should call it between sweeps — the member-DAX
-// cache's key includes the seed, so it is the one cache whose entry
-// count grows with distinct seeds.
+// ResetPlanCache drops every cached plan, resolved multi-site master and
+// member DAX. Tests and benchmarks use it for a cold cache. No key holds a
+// seed, so entry counts grow with distinct shapes, never with seeds.
 func ResetPlanCache() {
 	planCache.Clear()
+	multiPlanCache.Clear()
 	memberDAXCache.Clear()
 }
 
@@ -218,6 +223,19 @@ func roundMillis(x float64) float64 {
 	// 'f' digits of a float64 always parse; there is no error to report.
 	v, _ := strconv.ParseFloat(string(strconv.AppendFloat(buf[:0], x, 'f', 3, 64)), 64)
 	return v
+}
+
+// roundedChunkSeconds is the seed-dependent part of a plan: the workload's
+// per-chunk runtimes under the cost model, as the DAX profiles carry them.
+func roundedChunkSeconds(cost workflow.CostModel, w workflow.Workload, n int) ([]float64, error) {
+	chunks, err := cost.ChunkSeconds(w, n)
+	if err != nil {
+		return nil, err
+	}
+	for i := range chunks {
+		chunks[i] = roundMillis(chunks[i])
+	}
+	return chunks, nil
 }
 
 // cachedWorkflowPlan returns an executable plan for the workload on the
@@ -278,12 +296,9 @@ func (e *Experiment) cachedWorkflowPlan(site string, n int, w workflow.Workload,
 	// Patch the seed-dependent chunk runtimes, so the clone equals an
 	// uncached plan for this seed. The master's graph jobs carry no runtime
 	// profile (planner.New copies none), so there is nothing else to sync.
-	chunks, err := key.cost.ChunkSeconds(w, n)
+	chunks, err := roundedChunkSeconds(key.cost, w, n)
 	if err != nil {
 		return nil, err
-	}
-	for i := range chunks {
-		chunks[i] = roundMillis(chunks[i])
 	}
 	plan.SetExecSeconds(entry.chunkPos, chunks)
 	return plan, nil

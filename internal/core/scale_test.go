@@ -130,12 +130,11 @@ func scaleSpecs(tb testing.TB, n int) ([]ensemble.Spec, []platform.Config) {
 	}
 	e.Failover = true
 	e.RetryLimit = scaleRetryLimit
-	w := DefaultExperiment(42).Workload
-	e.MemberWorkload = func(int) workflow.Workload { return w }
-	srcs, err := e.Sources()
+	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: DefaultExperiment(42).Workload})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	srcs := []ensemble.WorkflowSource{{Name: "wf00", Abstract: abstract, Priority: 1, RetryLimit: e.RetryLimit}}
 	specs, err := ensemble.PlanAll(srcs, e.Catalogs, ensemble.PlanOptions{
 		Sites:    e.Sites,
 		Policy:   e.Policy,

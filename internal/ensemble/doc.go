@@ -11,5 +11,10 @@
 // the attempt. For a fixed seed the interleaving — and therefore every
 // statistic — is bit-identical across runs, a single workflow is exactly
 // an ensemble of one, and a panic in a member's policy unwinds to Run's
-// caller. Only PlanAll fans out, over independent members, on pool.ForEach.
+// caller. Only planning fans out, over independent members, on pool.ForEach:
+// PlanAll resolves each member's abstract workflow and plans it;
+// PlanResolved is its twin for members that arrive as planner.Resolved
+// masters (package core's multi-site plan cache shares one per workflow
+// shape) and runs only the per-member steps — placement under a fresh
+// policy, clustering, failover. PlanAll is Resolve plus those same steps.
 package ensemble

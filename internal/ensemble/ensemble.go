@@ -168,6 +168,22 @@ type PlanOptions struct {
 	Workers int
 }
 
+// ResolvedSource is an ensemble member whose seed-independent planning is
+// already done: a planner.Resolved master — typically shared by many
+// members and cells — plus this member's runtime estimates.
+type ResolvedSource struct {
+	// Name labels the workflow.
+	Name string
+	// Master is the resolved workflow shape; PlanResolved only reads it.
+	Master *planner.Resolved
+	// Pos and Seconds are the member's runtime overrides, as
+	// planner.Resolved.Plan takes them.
+	Pos     []int32
+	Seconds []float64
+	// Priority, RetryLimit and MaxActive carry over to the Spec.
+	Priority, RetryLimit, MaxActive int
+}
+
 // PlanAll maps every source onto the target sites under a fresh instance
 // of the named policy, fanning the independent planning runs across the
 // shared worker pool. Results are identical for any worker count: each
@@ -176,44 +192,76 @@ type PlanOptions struct {
 func PlanAll(srcs []WorkflowSource, cats planner.Catalogs, opts PlanOptions) ([]Spec, error) {
 	specs := make([]Spec, len(srcs))
 	err := pool.ForEach(opts.Workers, len(srcs), func(i int) error {
-		pol, err := planner.NewPolicy(opts.Policy)
-		if err != nil {
-			return err
-		}
-		p, err := planner.NewMulti(srcs[i].Abstract, cats, planner.MultiOptions{
+		r, err := planner.Resolve(srcs[i].Abstract, cats, planner.MultiOptions{
 			Sites:      opts.Sites,
-			Policy:     pol,
 			AddStageIn: opts.AddStageIn,
 		})
 		if err != nil {
 			return fmt.Errorf("ensemble: planning %q: %w", srcs[i].Name, err)
 		}
-		if opts.Cluster.Enabled() {
-			p, err = planner.Cluster(p, opts.Cluster)
-			if err != nil {
-				return fmt.Errorf("ensemble: clustering %q: %w", srcs[i].Name, err)
-			}
-		}
-		specs[i] = Spec{
+		specs[i], err = planMember(ResolvedSource{
 			Name:       srcs[i].Name,
-			Plan:       p,
+			Master:     r,
 			Priority:   srcs[i].Priority,
 			RetryLimit: srcs[i].RetryLimit,
 			MaxActive:  srcs[i].MaxActive,
-		}
-		if opts.Failover {
-			fo, err := planner.NewFailover(cats, opts.Sites)
-			if err != nil {
-				return fmt.Errorf("ensemble: failover for %q: %w", srcs[i].Name, err)
-			}
-			specs[i].Retry = fo.Resite
-		}
-		return nil
+		}, cats, opts)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return specs, nil
+}
+
+// PlanResolved is PlanAll for members that arrive resolved: it runs only
+// the per-member steps — placement under a fresh policy, clustering,
+// failover — so nothing it does is proportional to building a graph once
+// the masters' shapes are materialized. opts.Sites must be the site list
+// the masters were resolved with; opts.AddStageIn is theirs already.
+func PlanResolved(srcs []ResolvedSource, cats planner.Catalogs, opts PlanOptions) ([]Spec, error) {
+	specs := make([]Spec, len(srcs))
+	err := pool.ForEach(opts.Workers, len(srcs), func(i int) (err error) {
+		specs[i], err = planMember(srcs[i], cats, opts)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return specs, nil
+}
+
+// planMember turns one resolved member into its Spec.
+func planMember(src ResolvedSource, cats planner.Catalogs, opts PlanOptions) (Spec, error) {
+	pol, err := planner.NewPolicy(opts.Policy)
+	if err != nil {
+		return Spec{}, err
+	}
+	p, err := src.Master.Plan(pol, src.Pos, src.Seconds)
+	if err != nil {
+		return Spec{}, fmt.Errorf("ensemble: planning %q: %w", src.Name, err)
+	}
+	if opts.Cluster.Enabled() {
+		p, err = planner.Cluster(p, opts.Cluster)
+		if err != nil {
+			return Spec{}, fmt.Errorf("ensemble: clustering %q: %w", src.Name, err)
+		}
+	}
+	spec := Spec{
+		Name:       src.Name,
+		Plan:       p,
+		Priority:   src.Priority,
+		RetryLimit: src.RetryLimit,
+		MaxActive:  src.MaxActive,
+	}
+	if opts.Failover {
+		fo, err := planner.NewFailover(cats, opts.Sites)
+		if err != nil {
+			return Spec{}, fmt.Errorf("ensemble: failover for %q: %w", src.Name, err)
+		}
+		spec.Retry = fo.Resite
+	}
+	return spec, nil
 }
 
 // tagged is a platform event attributed to a member workflow.

@@ -97,7 +97,9 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 		return false
 	}
 
-	levels, err := p.Graph.Levels()
+	// The plan's index already holds the levels and the edges; a plan whose
+	// graph was edited behind its back is re-indexed (and a cycle reported).
+	idx, err := p.Indexed()
 	if err != nil {
 		return nil, fmt.Errorf("planner: clustering: %w", err)
 	}
@@ -108,13 +110,13 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 	var buckets []*clusterBucket
 	byID := make(map[string]*clusterBucket)
 
-	for li, level := range levels {
+	for li, level := range idx.Levels {
 		// Open at most one bucket per (site, transformation) key; close it
 		// when full (member cap) or heavy enough (runtime target).
 		open := make(map[string]*clusterBucket)
 		seq := make(map[string]int)
-		for _, id := range level {
-			j := p.Job(id)
+		for _, pos := range level {
+			id, j := idx.Order[pos], &p.jobs[pos]
 			if !eligible(j) {
 				group[id] = id
 				continue
@@ -223,13 +225,16 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 	// edges. Same-level grouping makes intra-group edges impossible; an
 	// occurrence means the level computation is broken, so fail loudly
 	// rather than emit a plan that silently dropped an ordering constraint.
-	for _, gj := range p.Graph.Jobs() {
-		for _, parent := range p.Graph.Parents(gj.ID) {
-			gp, gc := group[parent], group[gj.ID]
+	for pos, kids := range idx.Children {
+		parent := idx.Order[pos]
+		gp := group[parent]
+		for _, c := range kids {
+			child := idx.Order[c]
+			gc := group[child]
 			if gp == gc {
 				return nil, fmt.Errorf(
 					"planner: clustering folded dependent jobs %q -> %q into composite %q",
-					parent, gj.ID, gp)
+					parent, child, gp)
 			}
 			if err := out.Graph.AddDependency(gp, gc); err != nil {
 				return nil, err

@@ -16,12 +16,25 @@
 //     executed on one slot, reducing per-job overhead (Pegasus's task
 //     clustering, paper §III).
 //
+// Multi-site planning (NewMulti) is three steps. Resolve does what depends on
+// neither runtimes nor policy — validation, topological order, per-job
+// attributes, per-transformation site candidates — and returns a Resolved
+// that any number of plans share. Resolved.Plan places the jobs under a
+// policy, with runtime estimates the caller may override by position, and
+// clones the executable graph for the placement's stage-in signature (which
+// sites stage external inputs, feeding whom: the only thing about a
+// placement that changes the graph), materializing and memoizing it on first
+// use, then writes each job's site, install and runtime fields at its
+// recorded slab position. NewMulti is Resolve plus one Plan.
+//
 // A built Plan is a shared immutable shape — the executable Graph, the
 // dense topological Index, Sites, SiteEntry — plus one flat slab of planned
 // jobs held by value in index order. Plan.Clone copies the slab and shares
 // the rest (two allocations at any size), which is what the plan cache in
 // package core hands to each sweep cell. Nothing outside this package
 // writes a Job field or edits a plan's Graph (the clonegate analyzer
-// enforces it); Plan.SetExecSeconds is the one post-construction write, and
-// Assemble builds a plan from a hand-made graph and job list.
+// enforces it); Plan.SetExecSeconds is the one post-construction write
+// callers can reach (registered with clonegate, which admits it from the plan
+// cache only), and Assemble builds a plan from a hand-made graph and job
+// list. Cluster reads job levels and edges from the shared Index.
 package planner

@@ -13,6 +13,8 @@ package planner
 
 import (
 	"fmt"
+
+	"pegflow/internal/dax"
 )
 
 // Index is the dense-integer view of a plan's DAG. Positions follow the
@@ -32,6 +34,11 @@ type Index struct {
 	Children [][]int32
 	// Indegree is the number of parents per position.
 	Indegree []int32
+	// Levels groups the positions by depth — level 0 holds the roots, level
+	// k the jobs whose deepest parent is at level k-1 — each level in graph
+	// insertion order: dax.Workflow.Levels in positions, computed once so
+	// that Cluster does not re-derive it per cell.
+	Levels [][]int32
 	// edges snapshots Graph.Edges() at build time for staleness detection.
 	edges int
 }
@@ -82,11 +89,45 @@ func (p *Plan) finalize() error {
 		}
 		idx.Children[i] = cs
 	}
+	idx.Levels = levelsOf(idx, p.Graph)
 	if err := alignJobs(p.jobs, idx); err != nil {
 		return err
 	}
 	p.index = idx
 	return nil
+}
+
+// levelsOf computes Index.Levels. Positions are topological, so one forward
+// pass over the adjacency settles every depth; the levels are slices of one
+// backing array, filled in the graph's insertion order.
+func levelsOf(idx *Index, g *dax.Workflow) [][]int32 {
+	depth := make([]int32, len(idx.Order))
+	var deepest int32
+	for i, kids := range idx.Children {
+		for _, c := range kids {
+			if depth[i]+1 > depth[c] {
+				depth[c] = depth[i] + 1
+			}
+		}
+		if depth[i] > deepest {
+			deepest = depth[i]
+		}
+	}
+	width := make([]int32, deepest+1)
+	for _, d := range depth {
+		width[d]++
+	}
+	flat := make([]int32, 0, len(depth))
+	levels := make([][]int32, deepest+1)
+	for d, n := range width {
+		levels[d] = flat[len(flat) : len(flat) : len(flat)+int(n)]
+		flat = flat[:len(flat)+int(n)]
+	}
+	for _, j := range g.Jobs() {
+		pos := idx.ByID[j.ID]
+		levels[depth[pos]] = append(levels[depth[pos]], pos)
+	}
+	return levels
 }
 
 // alignJobs permutes the slab in place so that jobs[i] is the job at

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"pegflow/internal/catalog"
 	"pegflow/internal/dax"
@@ -70,9 +71,9 @@ func NewPolicy(name string) (SitePolicy, error) {
 	case PolicyRoundRobin:
 		return &roundRobinPolicy{}, nil
 	case PolicyDataAware:
-		return &costPolicy{name: PolicyDataAware, includeData: true, load: map[string]float64{}}, nil
+		return &costPolicy{name: PolicyDataAware, includeData: true}, nil
 	case PolicyRuntimeAware:
-		return &costPolicy{name: PolicyRuntimeAware, load: map[string]float64{}}, nil
+		return &costPolicy{name: PolicyRuntimeAware}, nil
 	default:
 		return nil, fmt.Errorf("planner: unknown site policy %q (have %s)",
 			name, strings.Join(PolicyNames(), ", "))
@@ -100,28 +101,43 @@ func (p *roundRobinPolicy) Choose(job PolicyJob, cands []Candidate) int {
 type costPolicy struct {
 	name        string
 	includeData bool
-	// load accumulates assigned work seconds per site.
-	load map[string]float64
+	// load[i] accumulates the work seconds assigned to sites[i]. A plan
+	// targets a handful of sites, so a scan beats a map on the per-job path.
+	sites []string
+	load  []float64
 }
 
 func (p *costPolicy) Name() string { return p.name }
 
+// slot returns the site's index in load, adding it on first sight.
+func (p *costPolicy) slot(site string) int {
+	for i, s := range p.sites {
+		if s == site {
+			return i
+		}
+	}
+	p.sites = append(p.sites, site)
+	p.load = append(p.load, 0)
+	return len(p.load) - 1
+}
+
 func (p *costPolicy) Choose(job PolicyJob, cands []Candidate) int {
-	best, bestCost := 0, 0.0
+	best, bestSlot, bestCost := 0, 0, 0.0
 	for i, c := range cands {
+		slot := p.slot(c.Site.Name)
 		exec := job.ExecSeconds * c.Site.SpeedFactor
-		cost := p.load[c.Site.Name]/float64(c.Site.Slots) + exec
+		cost := p.load[slot]/float64(c.Site.Slots) + exec
 		if p.includeData {
 			cost += dataSeconds(job, c)
 		}
 		if i == 0 || cost < bestCost {
-			best, bestCost = i, cost
+			best, bestSlot, bestCost = i, slot, cost
 		}
 	}
 	chosen := cands[best]
-	p.load[chosen.Site.Name] += job.ExecSeconds * chosen.Site.SpeedFactor
+	p.load[bestSlot] += job.ExecSeconds * chosen.Site.SpeedFactor
 	if p.includeData {
-		p.load[chosen.Site.Name] += dataSeconds(job, chosen)
+		p.load[bestSlot] += dataSeconds(job, chosen)
 	}
 	return best
 }
@@ -186,8 +202,73 @@ type MultiOptions struct {
 // NewMulti maps the abstract workflow onto a set of sites, choosing an
 // execution site per job via the policy. The resulting Plan has per-job
 // sites in its jobs and lists the target sites in Plan.Sites; Plan.SiteEntry
-// is nil for multi-site plans.
+// is nil for multi-site plans. It is Resolve followed by one Resolved.Plan.
 func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, error) {
+	r, err := Resolve(abstract, cats, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.Plan(opts.Policy, nil, nil)
+}
+
+// Resolved is everything about a multi-site plan that does not depend on
+// the jobs' runtime estimates or on the policy: the validated workflow in
+// topological order, each job's site-independent attributes and candidate
+// sites, and the external inputs a stage-in job would transfer. It is
+// immutable apart from the memo of materialized shapes and safe for
+// concurrent Plan calls, so one Resolved serves every plan of its workflow
+// shape (the multi-site plan cache in package core keeps one per shape).
+type Resolved struct {
+	// Materialized, when set before the first Plan call, is called once
+	// per executable graph Plan builds (a memo miss).
+	Materialized func()
+
+	work      *dax.Workflow
+	siteNames []string
+	sites     []*catalog.Site
+	// jobs[k] is the job at topological position k with its placement
+	// (Site, NeedsInstall, InstallBytes) unset; cands[k] are the sites it
+	// may run at. Jobs of one transformation share one candidate slice.
+	jobs  []Job
+	cands [][]Candidate
+	pos   map[string]int32
+	// consumers are the jobs reading external inputs, in workflow insertion
+	// order (none without AddStageIn). Where they are placed is the stage-in
+	// signature: the only thing about a placement that changes the
+	// executable graph.
+	consumers []externalConsumer
+
+	mu sync.Mutex
+	//pegflow:guarded mu
+	shapes map[string]*shape
+}
+
+// externalConsumer is a job with inputs no job of the workflow produces.
+type externalConsumer struct {
+	pos    int32
+	inputs []dax.Use
+}
+
+// shape is one materialized executable graph of a Resolved: the master plan
+// every placement with the same stage-in signature is cloned from, and the
+// slab position of each topological position of the Resolved.
+type shape struct {
+	plan *Plan
+	slab []int32
+}
+
+// placed is one job's share of a placement: the runtime estimate the policy
+// saw and the candidate it chose.
+type placed struct {
+	exec float64
+	cand int32
+}
+
+// Resolve performs the runtime-independent part of multi-site planning:
+// validation, abstract-level clustering, the topological order, per-job
+// attributes, per-transformation site candidates and the replica check of
+// external inputs. opts.Policy is not consulted; it is an argument of Plan.
+func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolved, error) {
 	if err := abstract.Validate(); err != nil {
 		return nil, fmt.Errorf("planner: invalid abstract workflow: %w", err)
 	}
@@ -207,10 +288,6 @@ func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, 
 		}
 		sites = append(sites, s)
 	}
-	policy := opts.Policy
-	if policy == nil {
-		policy = &roundRobinPolicy{}
-	}
 
 	work := abstract
 	if opts.ClusterSize > 1 {
@@ -224,105 +301,64 @@ func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, 
 		}
 	}
 
-	plan := &Plan{
-		Graph: dax.New(work.Name + "-multi"),
-		Site:  strings.Join(opts.Sites, ","),
-		Sites: append([]string(nil), opts.Sites...),
-		jobs:  make([]Job, 0, work.Len()+len(sites)), // +sites: the stage-in jobs
-	}
-
-	// Choose sites in topological order so load-based policies see jobs
+	// Jobs are kept in topological order so load-based policies see them
 	// roughly in execution order; the order is deterministic (Kahn's
 	// algorithm with insertion-order tie-breaking).
 	order, err := work.TopoSort()
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)
 	}
-	for _, id := range order {
+	r := &Resolved{
+		work:      work,
+		siteNames: append([]string(nil), opts.Sites...),
+		sites:     sites,
+		jobs:      make([]Job, 0, len(order)),
+		cands:     make([][]Candidate, 0, len(order)),
+		pos:       make(map[string]int32, len(order)),
+		shapes:    make(map[string]*shape),
+	}
+	byTransformation := make(map[string][]Candidate)
+	for k, id := range order {
 		aj := work.Job(id)
 		pj, err := jobAttributes(aj)
 		if err != nil {
 			return nil, err
 		}
-
 		// Candidate sites: those where the transformation resolves and
 		// is either preinstalled or installable (no shared stack).
-		cands := siteCandidates(cats, sites, aj.Transformation)
+		cands, ok := byTransformation[aj.Transformation]
+		if !ok {
+			cands = siteCandidates(cats, sites, aj.Transformation)
+			byTransformation[aj.Transformation] = cands
+		}
 		if len(cands) == 0 {
 			return nil, fmt.Errorf(
 				"planner: job %q: transformation %q resolves at none of the target sites %v",
 				aj.ID, aj.Transformation, opts.Sites)
 		}
-		choice := policy.Choose(PolicyJob{
-			ID:             pj.ID,
-			Transformation: pj.Transformation,
-			ExecSeconds:    pj.ExecSeconds,
-			InputBytes:     pj.InputBytes,
-			OutputBytes:    pj.OutputBytes,
-		}, cands)
-		if choice < 0 || choice >= len(cands) {
-			return nil, fmt.Errorf("planner: policy %q chose candidate %d of %d for job %q",
-				policy.Name(), choice, len(cands), aj.ID)
-		}
-		chosen := cands[choice]
-		pj.Site = chosen.Site.Name
-		if !chosen.Entry.Installed {
-			pj.NeedsInstall = true
-			pj.InstallBytes = chosen.Entry.InstallBytes
-		}
-
-		gj := &dax.Job{ID: aj.ID, Transformation: aj.Transformation, Uses: aj.Uses, Priority: aj.Priority}
-		if err := plan.Graph.AddJob(gj); err != nil {
-			return nil, err
-		}
-		plan.jobs = append(plan.jobs, pj)
+		r.jobs = append(r.jobs, pj)
+		r.cands = append(r.cands, cands)
+		r.pos[id] = int32(k)
 	}
-	for _, aj := range work.Jobs() {
-		for _, parent := range work.Parents(aj.ID) {
-			if err := plan.Graph.AddDependency(parent, aj.ID); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	if opts.AddStageIn {
-		if err := addStageInMulti(plan, work, cats); err != nil {
+		if err := r.findExternalConsumers(cats); err != nil {
 			return nil, err
 		}
 	}
-
-	if err := plan.finalize(); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return r, nil
 }
 
-// addStageInMulti synthesizes one stage-in job per site that consumes
-// external inputs, transferring every external input consumed at that site
-// and feeding its consumers there. External inputs must have a registered
-// replica.
-func addStageInMulti(plan *Plan, work *dax.Workflow, cats Catalogs) error {
+// findExternalConsumers records the jobs with external inputs. External
+// inputs must have a registered replica.
+func (r *Resolved) findExternalConsumers(cats Catalogs) error {
 	produced := make(map[string]bool)
-	for _, j := range work.Jobs() {
+	for _, j := range r.work.Jobs() {
 		for _, lfn := range j.Outputs() {
 			produced[lfn] = true
 		}
 	}
-	type ext struct {
-		lfn  string
-		size int64
-	}
-	// The plan is not indexed yet, so sites are looked up through a table.
-	siteOf := make(map[string]string, len(plan.jobs))
-	for i := range plan.jobs {
-		siteOf[plan.jobs[i].ID] = plan.jobs[i].Site
-	}
-	// Per site: the external inputs staged there and their consumers.
-	externals := make(map[string][]ext)
-	consumers := make(map[string][]string) // site → consumer job IDs
-	seen := make(map[string]map[string]bool)
-	for _, j := range work.Jobs() {
-		site := siteOf[j.ID]
+	for _, j := range r.work.Jobs() {
+		var inputs []dax.Use
 		for _, u := range j.Uses {
 			if u.Link != dax.LinkInput || produced[u.LFN] {
 				continue
@@ -330,10 +366,174 @@ func addStageInMulti(plan *Plan, work *dax.Workflow, cats Catalogs) error {
 			if !cats.Replicas.Has(u.LFN) {
 				return fmt.Errorf("planner: external input %q of job %q has no replica", u.LFN, j.ID)
 			}
-			consumers[site] = append(consumers[site], j.ID)
-			if seen[site] == nil {
-				seen[site] = make(map[string]bool)
+			inputs = append(inputs, u)
+		}
+		if len(inputs) > 0 {
+			r.consumers = append(r.consumers, externalConsumer{pos: r.pos[j.ID], inputs: inputs})
+		}
+	}
+	return nil
+}
+
+// Position returns the topological position of the job, the index Plan's
+// runtime overrides are addressed by.
+func (r *Resolved) Position(id string) (int32, bool) {
+	pos, ok := r.pos[id]
+	return pos, ok
+}
+
+// Plan places every job under the policy (nil means round-robin) and returns
+// the executable plan, exactly what NewMulti returns for a workflow whose
+// job at topological position pos[k] carries the runtime estimate
+// seconds[k]; jobs not listed keep the estimate they were resolved with.
+//
+// The plan is a Clone of the memoized shape for the placement's stage-in
+// signature, with each job's placement and runtime written at its recorded
+// slab position, so a call whose signature has been seen allocates a
+// constant number of objects: the placement, the plan header and the slab.
+func (r *Resolved) Plan(policy SitePolicy, pos []int32, seconds []float64) (*Plan, error) {
+	if policy == nil {
+		policy = &roundRobinPolicy{}
+	}
+	if len(pos) != len(seconds) {
+		return nil, fmt.Errorf("planner: %d runtime overrides for %d positions", len(seconds), len(pos))
+	}
+	pl := make([]placed, len(r.jobs))
+	for k := range pl {
+		pl[k].exec = r.jobs[k].ExecSeconds
+	}
+	for k, p := range pos {
+		if p < 0 || int(p) >= len(pl) {
+			return nil, fmt.Errorf("planner: runtime override for position %d of %d", p, len(pl))
+		}
+		pl[p].exec = seconds[k]
+	}
+	for k := range pl {
+		j := &r.jobs[k]
+		cands := r.cands[k]
+		choice := policy.Choose(PolicyJob{
+			ID:             j.ID,
+			Transformation: j.Transformation,
+			ExecSeconds:    pl[k].exec,
+			InputBytes:     j.InputBytes,
+			OutputBytes:    j.OutputBytes,
+		}, cands)
+		if choice < 0 || choice >= len(cands) {
+			return nil, fmt.Errorf("planner: policy %q chose candidate %d of %d for job %q",
+				policy.Name(), choice, len(cands), j.ID)
+		}
+		pl[k].cand = int32(choice)
+	}
+
+	sh, err := r.shapeFor(pl)
+	if err != nil {
+		return nil, err
+	}
+	plan := sh.plan.Clone()
+	for k := range pl {
+		j := &plan.jobs[sh.slab[k]]
+		chosen := r.cands[k][pl[k].cand]
+		j.Site = chosen.Site.Name
+		if !chosen.Entry.Installed {
+			j.NeedsInstall = true
+			j.InstallBytes = chosen.Entry.InstallBytes
+		}
+		j.ExecSeconds = pl[k].exec
+	}
+	return plan, nil
+}
+
+// shapeFor returns the memoized shape for the placement's stage-in
+// signature, materializing it on first use.
+func (r *Resolved) shapeFor(pl []placed) (*shape, error) {
+	var buf [32]byte
+	sig := buf[:0]
+	for _, c := range r.consumers {
+		site := r.cands[c.pos][pl[c.pos].cand].Site
+		for i, s := range r.sites {
+			if s == site {
+				sig = append(sig, byte(i), byte(i>>8))
 			}
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if sh := r.shapes[string(sig)]; sh != nil {
+		return sh, nil
+	}
+	sh, err := r.materialize(pl)
+	if err != nil {
+		return nil, err
+	}
+	r.shapes[string(sig)] = sh
+	if r.Materialized != nil {
+		r.Materialized()
+	}
+	return sh, nil
+}
+
+// materialize builds the executable graph of a placement: one graph job per
+// resolved job, the workflow's edges, the stage-in jobs the placement's
+// signature calls for, and the index. The master's resolved jobs carry no
+// placement of their own; Plan writes one into every clone.
+func (r *Resolved) materialize(pl []placed) (*shape, error) {
+	work := r.work
+	plan := &Plan{
+		Graph: dax.New(work.Name + "-multi"),
+		Site:  strings.Join(r.siteNames, ","),
+		Sites: r.siteNames,
+		jobs:  make([]Job, 0, len(r.jobs)+len(r.sites)), // +sites: the stage-in jobs
+	}
+	for k := range r.jobs {
+		aj := work.Job(r.jobs[k].ID)
+		gj := &dax.Job{ID: aj.ID, Transformation: aj.Transformation, Uses: aj.Uses, Priority: aj.Priority}
+		if err := plan.Graph.AddJob(gj); err != nil {
+			return nil, err
+		}
+	}
+	plan.jobs = append(plan.jobs, r.jobs...)
+	for _, aj := range work.Jobs() {
+		for _, parent := range work.Parents(aj.ID) {
+			if err := plan.Graph.AddDependency(parent, aj.ID); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := r.addStageIn(plan, pl); err != nil {
+		return nil, err
+	}
+	if err := plan.finalize(); err != nil {
+		return nil, err
+	}
+	slab := make([]int32, len(r.jobs))
+	for k := range r.jobs {
+		slab[k] = plan.index.ByID[r.jobs[k].ID]
+	}
+	return &shape{plan: plan, slab: slab}, nil
+}
+
+// addStageIn synthesizes one stage-in job per site that consumes external
+// inputs under the placement, transferring every external input consumed at
+// that site and feeding its consumers there.
+func (r *Resolved) addStageIn(plan *Plan, pl []placed) error {
+	type ext struct {
+		lfn  string
+		size int64
+	}
+	// Per site: the external inputs staged there and their consumers.
+	externals := make(map[string][]ext)
+	consumers := make(map[string][]string) // site → consumer job IDs
+	entries := make(map[string]*catalog.Site)
+	seen := make(map[string]map[string]bool)
+	for _, c := range r.consumers {
+		entry := r.cands[c.pos][pl[c.pos].cand].Site
+		site := entry.Name
+		entries[site] = entry
+		consumers[site] = append(consumers[site], r.jobs[c.pos].ID)
+		if seen[site] == nil {
+			seen[site] = make(map[string]bool)
+		}
+		for _, u := range c.inputs {
 			if !seen[site][u.LFN] {
 				seen[site][u.LFN] = true
 				externals[site] = append(externals[site], ext{u.LFN, u.Size})
@@ -358,26 +558,17 @@ func addStageInMulti(plan *Plan, work *dax.Workflow, cats Catalogs) error {
 		if err := plan.Graph.AddJob(gj); err != nil {
 			return err
 		}
-		entry, err := cats.Sites.Lookup(site)
-		if err != nil {
-			return err
-		}
 		plan.jobs = append(plan.jobs, Job{
 			ID:             id,
 			Transformation: StageInTransformation,
 			Site:           site,
-			ExecSeconds:    float64(totalBytes) / (stageInMBps(entry) * 1e6),
+			ExecSeconds:    float64(totalBytes) / (stageInMBps(entries[site]) * 1e6),
 			OutputBytes:    totalBytes,
 			// Stage-in never needs installs and gets top priority so
 			// transfers start immediately.
 			Priority: 1 << 20,
 		})
-		added := make(map[string]bool)
 		for _, c := range consumers[site] {
-			if added[c] {
-				continue
-			}
-			added[c] = true
 			if err := plan.Graph.AddDependency(id, c); err != nil {
 				return err
 			}

@@ -155,6 +155,46 @@ type Catalogs struct {
 	Replicas        *catalog.ReplicaCatalog
 }
 
+// Fingerprint renders every catalog field multi-site planning over the given
+// sites can read — per site its slots, speed, staging bandwidth and software
+// sharing, per transformation and site whether it resolves, is installed and
+// what its install weighs, and which logical files have a replica — as one
+// canonical string. Catalogs with equal fingerprints give equal Resolve
+// results for any workflow, so the string can key a cache where the
+// catalogs' pointers cannot: every scenario compile builds fresh ones.
+func (c Catalogs) Fingerprint(sites []string) string {
+	var b []byte
+	for _, name := range sites {
+		b = strconv.AppendQuote(b, name)
+		s, err := c.Sites.Lookup(name)
+		if err != nil {
+			b = append(b, '?') // Resolve reports the unknown site
+			continue
+		}
+		b = strconv.AppendInt(append(b, ' '), int64(s.Slots), 10)
+		b = strconv.AppendFloat(append(b, ' '), s.SpeedFactor, 'g', -1, 64)
+		b = strconv.AppendFloat(append(b, ' '), s.StageInMBps, 'g', -1, 64)
+		b = strconv.AppendBool(append(b, ' '), s.SharedSoftware)
+	}
+	for _, tr := range c.Transformations.Names() {
+		b = strconv.AppendQuote(append(b, '\n'), tr)
+		for _, site := range sites {
+			t, err := c.Transformations.Lookup(tr, site)
+			if err != nil {
+				b = append(b, " -"...)
+				continue
+			}
+			b = strconv.AppendBool(append(b, ' '), t.Installed)
+			b = strconv.AppendInt(append(b, ' '), t.InstallBytes, 10)
+		}
+	}
+	b = append(b, '\n')
+	for _, lfn := range c.Replicas.LFNs() {
+		b = strconv.AppendQuote(b, lfn)
+	}
+	return string(b)
+}
+
 // StageInTransformation names the synthesized data staging transformation.
 const StageInTransformation = "stage_in"
 

@@ -27,6 +27,8 @@
 // scenario cell: single-site cells on built-in presets go through
 // core.Experiment and hit the keyed plan cache (master plans cloned and
 // runtime-patched per seed); multi-site and ensemble cells go through
-// core.EnsembleExperiment and hit the member-DAX cache. A long-running
-// process (pegflow serve) therefore warms up across requests.
+// core.EnsembleExperiment and hit the multi-site plan cache (resolved
+// masters placed, cloned and patched per seed and policy). No cache key
+// holds a seed, so a long-running process (pegflow serve) warms up across
+// requests and does not grow with the seeds it is asked for.
 package scenario

@@ -359,8 +359,9 @@ func (c *Compiled) runExperimentCell(site string, cell Cell) (cellMetrics, error
 // runEnsembleCell is the general path: multi-site sets, inline or
 // overridden sites, policy/failover cells and ensembles all compile onto
 // core.EnsembleExperiment (a single workflow is an ensemble of one).
-// Member workflows are seeded cell.Seed+i; the shared member-DAX cache
-// serves repeated (params, seed, n) shapes across cells and requests.
+// Member workflows are seeded cell.Seed+i; core's multi-site plan cache
+// serves every seed of a (params, n, sites, catalog content) shape from one
+// resolved master, across cells and requests.
 func (c *Compiled) runEnsembleCell(cell Cell) (cellMetrics, error) {
 	policy := cell.Policy
 	if policy == "" {

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"pegflow/internal/core"
 )
 
 // runLines compiles and runs a scenario source with the given workers.
@@ -397,5 +399,51 @@ func TestMatrixEnsembleCells(t *testing.T) {
 		if !seen[k] {
 			t.Errorf("missing matrix cell %s", k)
 		}
+	}
+}
+
+// warmMatrix sweeps what the multi-site plan cache shares a master across:
+// seeds, the three site policies and the three clustering modes.
+const warmMatrix = `{
+  "version": 1,
+  "name": "warm-matrix",
+  "sites": [
+    {"name": "fast", "slots": 16, "speed_factor": 1.0, "dispatch_mean": 5, "dispatch_cv": 0.3},
+    {"name": "slow", "slots": 16, "speed_factor": 2.5, "speed_jitter": 0.25, "dispatch_mean": 40,
+     "dispatch_cv": 0.8, "preinstalled": false, "install_mb": 80, "setup_mean": 60, "setup_cv": 0.4,
+     "setup_mbps": 5, "eviction_rate": 0.00005, "stage_in_mbps": 20}
+  ],
+  "workload": {"params": {"num_clusters": 150, "max_cluster_size": 50, "size_exponent": 0.5, "mean_read_len": 800},
+               "n": [12], "seeds": [3, 4, 5]},
+  "policies": {"site": ["round-robin", "data-aware", "runtime-aware"],
+               "cluster": [{}, {"target_seconds": 600}, {"max_tasks": 3}],
+               "failover": [true]},
+  "ensemble": {"workflows": 2}
+}`
+
+// TestEnsembleCellsColdWarmAndWorkers: ensemble cell bytes do not depend on
+// whether the plan caches are cold or warm — so not on which cell's seed
+// resolved the shared master either — nor on the worker count.
+func TestEnsembleCellsColdWarmAndWorkers(t *testing.T) {
+	leakCheck(t)
+	core.ResetPlanCache()
+	before := core.PlanCacheStats()
+	cold1 := joinLines(runLines(t, warmMatrix, 1))
+	afterCold := core.PlanCacheStats()
+	warm1 := joinLines(runLines(t, warmMatrix, 1))
+	warm8 := joinLines(runLines(t, warmMatrix, 8))
+	afterWarm := core.PlanCacheStats()
+	core.ResetPlanCache()
+	cold8 := joinLines(runLines(t, warmMatrix, 8))
+	for name, got := range map[string][]byte{"warm, 1 worker": warm1, "warm, 8 workers": warm8, "cold, 8 workers": cold8} {
+		if !bytes.Equal(cold1, got) {
+			t.Errorf("%s: output differs from the cold 1-worker run:\n--- cold ---\n%s--- got ---\n%s", name, cold1, got)
+		}
+	}
+	if got := afterCold.PlanBuilds - before.PlanBuilds; got != 1 {
+		t.Errorf("cold run resolved %d masters for its 27 cells, want 1", got)
+	}
+	if b, s := afterWarm.PlanBuilds-afterCold.PlanBuilds, afterWarm.PlanShapes-afterCold.PlanShapes; b != 0 || s != 0 {
+		t.Errorf("warm runs resolved %d masters and materialized %d graphs, want 0 and 0", b, s)
 	}
 }

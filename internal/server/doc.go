@@ -13,8 +13,8 @@
 //     the cap with 429 rather than queueing unboundedly.
 //
 // Because all requests run in one process, they share the core caches:
-// the first request for a scenario shape builds the master plans and
-// member DAXes, and every later request — from any client — clones warm
+// the first request for a scenario shape builds the master plans, and
+// every later request — from any client, for any seed — clones warm
 // masters and pays only simulation. GET /v1/healthz exposes the cache
 // counters so operators can watch the warm-up.
 package server

@@ -210,6 +210,64 @@ func TestRepeatWaveWarmPlanCacheWithoutResultCache(t *testing.T) {
 	}
 }
 
+// ensembleScenario goes down the multi-site path: one two-site set, two
+// policies, with and without clustering — 4 cells per seed.
+const ensembleScenario = `{
+  "version": 1,
+  "name": "server-ensemble-test",
+  "sites": [
+    {"preset": "sandhills", "slots": 32},
+    {"preset": "osg", "slots": 64}
+  ],
+  "workload": {
+    "params": {"num_clusters": 2000, "max_cluster_size": 120, "size_exponent": 0.5, "mean_read_len": 1000},
+    "n": [24],
+    "seeds": [%s]
+  },
+  "policies": {"site": ["data-aware", "runtime-aware"], "cluster": [{}, {"target_seconds": 900}], "failover": [true]},
+  "ensemble": {"workflows": 2},
+  "outputs": {"fields": ["makespan_s", "attempts", "success"]}
+}`
+
+// An ensemble document's multi-site plans come from one resolved master: a
+// second POST whose seeds the server has never seen — every cell a
+// result-cache miss — resolves no master, materializes no graph and builds
+// no DAX; it only retrieves.
+func TestFreshSeedsRunWarmOnMultiSitePlans(t *testing.T) {
+	core.ResetPlanCache()
+	ts := httptest.NewServer(New(Options{Workers: 4, MaxInFlight: 32}))
+	defer ts.Close()
+
+	before := core.PlanCacheStats()
+	if status, body := post(t, ts, "/v1/scenarios/run", fmt.Sprintf(ensembleScenario, "11, 12")); status != http.StatusOK {
+		t.Fatalf("cold POST: status %d: %s", status, body)
+	}
+	afterCold := core.PlanCacheStats()
+	if builds := afterCold.PlanBuilds - before.PlanBuilds; builds != 1 {
+		t.Errorf("cold POST resolved %d masters, want 1 for its 8 cells", builds)
+	}
+	status, body := post(t, ts, "/v1/scenarios/run", fmt.Sprintf(ensembleScenario, "9001, 9002, 9003"))
+	if status != http.StatusOK {
+		t.Fatalf("fresh-seed POST: status %d: %s", status, body)
+	}
+	if n := bytes.Count(body, []byte(`"success":true`)); n != 12 {
+		t.Errorf("fresh-seed POST: %d successful cells, want 12:\n%s", n, body)
+	}
+	afterWarm := core.PlanCacheStats()
+	if builds := afterWarm.PlanBuilds - afterCold.PlanBuilds; builds != 0 {
+		t.Errorf("fresh seeds resolved %d new masters, want 0", builds)
+	}
+	if shapes := afterWarm.PlanShapes - afterCold.PlanShapes; shapes != 0 {
+		t.Errorf("fresh seeds materialized %d new graphs, want 0", shapes)
+	}
+	if builds := afterWarm.MemberDAXBuilds - afterCold.MemberDAXBuilds; builds != 0 {
+		t.Errorf("fresh seeds built %d member DAXes, want 0", builds)
+	}
+	if served := afterWarm.PlanRetrievals - afterCold.PlanRetrievals; served != 12*2 {
+		t.Errorf("fresh seeds retrieved %d member plans, want 24 (12 cells × 2 members)", served)
+	}
+}
+
 // TestRequestThrottle pins the in-flight cap at its post-fix meaning: a
 // request that is admitted and RUNNING holds its slot, so the next POST
 // is rejected with 429 — deterministically, via the cell-start hook.
