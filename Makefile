@@ -27,11 +27,13 @@ race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario
 	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestResolvedUnchangedByConcurrentPlans' ./internal/core ./internal/planner
 
-# The allocation gates CI runs: zero-alloc kernel and engine dispatch, and a
-# plan clone, a warm single-site plan retrieval and a warm multi-site member
-# plan (placement + clone + patch) whose allocation counts do not grow with n.
+# The allocation gates CI runs: zero-alloc kernel and engine dispatch, an
+# attempt path (platform Submit to terminal event, ensemble hold and release)
+# that allocates nothing per attempt, and a plan clone, a warm single-site
+# plan retrieval and a warm multi-site member plan (placement + clone +
+# patch) whose allocation counts do not grow with n.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/sim/des ./internal/engine ./internal/core ./internal/planner
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
 # through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the

@@ -43,6 +43,30 @@ func TestEscapeGateFixture(t *testing.T) {
 		}
 	})
 
+	t.Run("typed events and the func adapter pass, growth out of line", func(t *testing.T) {
+		gate := &EscapeGate{Guards: []EscapeGuard{{
+			Pkg:   "escapemod/kernel",
+			Funcs: []string{"Queue.Schedule", "Queue.ScheduleFunc", "funcHandler.Handle"},
+		}}}
+		if fs := runEscapeGate(t, dir, gate, "./..."); len(fs) != 0 {
+			t.Fatalf("typed-event guards produced findings: %v", fs)
+		}
+	})
+
+	t.Run("inline growth and interface boxing are flagged", func(t *testing.T) {
+		gate := &EscapeGate{Guards: []EscapeGuard{{
+			Pkg:   "escapemod/kernel",
+			Funcs: []string{"Queue.Schedule", "Queue.ScheduleInlineGrowth", "Queue.Boxed"},
+		}}}
+		flagged := map[string]bool{}
+		for _, f := range runEscapeGate(t, dir, gate, "./...") {
+			flagged[f.Key] = true
+		}
+		if !flagged["Queue.ScheduleInlineGrowth"] || !flagged["Queue.Boxed"] || flagged["Queue.Schedule"] {
+			t.Fatalf("flagged %v, want exactly ScheduleInlineGrowth and Boxed", flagged)
+		}
+	})
+
 	t.Run("deliberate allocation is flagged", func(t *testing.T) {
 		gate := &EscapeGate{Guards: []EscapeGuard{{
 			Pkg: "escapemod/kernel", Funcs: []string{"Sim.Clean", "Sim.Dirty"},

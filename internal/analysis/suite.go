@@ -113,25 +113,41 @@ func NewCloneGate() *CloneGate {
 }
 
 // NewEscapeGate returns the production escapegate: the allocation-free
-// hot path of the slab DES kernel, the resource arena, the engine ready
-// queue and the fifo ring. Growth paths (arena append) never show in -m
-// output — escape analysis reports forced-to-heap values, not amortized
-// slice growth — so guarding schedule/fire wholesale is sound.
+// hot path of the slab DES kernel, the resource arena, the platform's
+// attempt path, the engine ready queue and the fifo ring. Slabs grow in
+// unguarded //go:noinline helpers (Simulation.newSlot, attemptSlab.extend,
+// …), where the make is reported; an append that stays within capacity
+// never shows in -m output — escape analysis reports forced-to-heap values,
+// not amortized slice growth — so guarding schedule/fire wholesale is sound.
 func NewEscapeGate() *EscapeGate {
 	return &EscapeGate{Guards: []EscapeGuard{
 		{
 			Pkg: "pegflow/internal/sim/des",
 			Funcs: []string{
 				// event slab + heap
-				"Simulation.At", "Simulation.After", "Simulation.Cancel",
-				"Simulation.Step", "Simulation.release", "Simulation.lookup",
+				"Simulation.AtOp", "Simulation.AfterOp", "Simulation.At",
+				"Simulation.After", "Simulation.Cancel", "Simulation.Step",
+				"Simulation.release", "Simulation.lookup",
 				"Simulation.heapPush", "Simulation.heapRemove",
-				"Simulation.siftUp", "Simulation.siftDown", "Simulation.heapSwap",
-				"Simulation.less",
+				"Simulation.siftUp", "Simulation.siftDown",
+				"heapEntry.before", "funcHandler.HandleEvent",
 				// resource request arena
-				"Resource.Acquire", "Resource.Release", "Resource.releaseReq",
-				"Resource.popHead", "Resource.maybeCompact", "Resource.dispatch",
+				"Resource.AcquireOp", "Resource.Acquire", "Resource.Release",
+				"Resource.releaseReq", "Resource.popHead",
+				"Resource.maybeCompact", "Resource.dispatch",
 				"Resource.account", "Acquisition.Cancel",
+			},
+		},
+		{
+			// One attempt, Submit to terminal event. finishDone and
+			// finishEvicted are not here: the engine.Event they emit holds
+			// the kickstart record, which is arena-allocated by design.
+			Pkg: "pegflow/internal/sim/platform",
+			Funcs: []string{
+				"Executor.HandleEvent", "Executor.submitWith",
+				"Executor.newAttempt", "Executor.dispatchAttempt",
+				"Executor.runOnNode", "Executor.retire",
+				"attemptSlab.alloc", "attemptSlab.release",
 			},
 		},
 		{

@@ -75,3 +75,49 @@ func goodFreshLiteral() *arena {
 	a := &arena{} // fresh value, no aliasing: fine
 	return a
 }
+
+// recordSlab is index-addressed with the free list threaded through the
+// records (the shape of des.Simulation's events and platform's attempts):
+// a copy shares the records and forks the free-list head.
+//
+//pegflow:slab
+type recordSlab struct {
+	recs []record
+	free int32
+}
+
+type record struct {
+	payload int64
+	next    int32
+}
+
+// owner carries the slab by value, as platform.Executor carries its
+// attempt slab.
+type owner struct {
+	attempts recordSlab
+}
+
+func (s *recordSlab) alloc() int32 { // pointer receiver: fine
+	i := s.free
+	if i < 0 {
+		s.recs = append(s.recs, record{})
+		return int32(len(s.recs) - 1)
+	}
+	s.free = s.recs[i].next
+	return i
+}
+
+func goodRecordCopy(o *owner, i int32) record { // a record is not the slab: fine
+	r := o.attempts.recs[i]
+	return r
+}
+
+func badSnapshot(o *owner) int {
+	snap := o.attempts // want `assignment copies slab type`
+	return len(snap.recs)
+}
+
+func badOwnerCopy(o *owner) {
+	twin := *o // want `assignment copies slab type`
+	_ = twin
+}

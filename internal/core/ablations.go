@@ -85,6 +85,7 @@ func (e *Experiment) RunVariant(platformName string, n int, v Variant) (*RunResu
 	if err != nil {
 		return nil, err
 	}
+	ex.Reserve(plan.Graph.Len())
 	res, err := engine.Run(plan, ex, engine.Options{RetryLimit: e.RetryLimit})
 	if err != nil {
 		return nil, err

@@ -48,6 +48,7 @@ func (e *Experiment) RunClustered(platformName string, n int, copts planner.Clus
 	if err != nil {
 		return nil, err
 	}
+	ex.Reserve(plan.Graph.Len())
 	res, err := engine.Run(plan, ex, engine.Options{RetryLimit: e.RetryLimit, Aggregate: e.Aggregate})
 	if err != nil {
 		return nil, err

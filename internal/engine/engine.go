@@ -278,6 +278,16 @@ func Start(plan *planner.Plan, sub Submitter, opts Options) *Session {
 		s.recycler, _ = sub.(RecordRecycler)
 	}
 	s.delayed, _ = sub.(DelayedSubmitter)
+	// One event can release a whole level at once (a split finishing
+	// readies every chunk), so the ready queue is sized for the widest
+	// level up front instead of grown to it.
+	widest := 0
+	for _, level := range idx.Levels {
+		if len(level) > widest {
+			widest = len(level)
+		}
+	}
+	s.ready.items = make([]readyItem, 0, widest)
 	for i := 0; i < n; i++ {
 		if s.indeg[i] == 0 {
 			s.ready.push(plan.JobAt(int32(i)), int32(i), 0)

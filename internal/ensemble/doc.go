@@ -1,9 +1,16 @@
 // Package ensemble runs many workflows concurrently against a shared pool
 // of simulated platforms — the role of the Pegasus Ensemble Manager. Each
 // member workflow is an ordinary meta-scheduler session (engine.Session,
-// the state machine engine.Run loops over); the ensemble adds a global in-flight throttle across members and
-// per-workflow priorities that decide which held job reaches the platform
-// pool first when capacity frees up.
+// the state machine engine.Run loops over); the ensemble adds a global
+// in-flight throttle across members and per-workflow priorities that decide
+// which held job reaches the platform pool first when capacity frees up.
+//
+// A submission allocates nothing on its way through the driver: the hold
+// queue is a heap of values, a member's attempts all deliver through the one
+// emit callback Run built for it, and a backoff delay is a typed event on
+// the pool's clock (the driver is its des.Handler) naming a slot in the
+// driver's slab of delayed submissions. Run reserves the pool for the
+// members' total job count before admitting them.
 //
 // Execution is single-threaded and deterministic: Run is one loop on the
 // caller's goroutine that steps the pool's virtual clock, takes the next

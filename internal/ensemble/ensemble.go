@@ -1,7 +1,6 @@
 package ensemble
 
 import (
-	"container/heap"
 	"fmt"
 
 	"pegflow/internal/dax"
@@ -270,7 +269,8 @@ type tagged struct {
 	ev engine.Event
 }
 
-// held is a submission waiting for global in-flight capacity.
+// held is a submission waiting for global in-flight capacity, or for its
+// backoff delay to run out.
 type held struct {
 	wf      int
 	job     *planner.Job
@@ -279,31 +279,69 @@ type held struct {
 	seq     int
 }
 
-// holdQueue orders held submissions by member priority (higher first),
-// breaking ties by submission sequence (FIFO).
-type holdQueue []*held
-
-func (q holdQueue) Len() int { return len(q) }
-func (q holdQueue) Less(i, j int) bool {
-	if q[i].prio != q[j].prio {
-		return q[i].prio > q[j].prio
+// before orders held submissions by member priority (higher first),
+// breaking ties by submission sequence (FIFO). seq is unique, so the order
+// is total.
+func (a held) before(b held) bool {
+	if a.prio != b.prio {
+		return a.prio > b.prio
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q holdQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *holdQueue) Push(x any)   { *q = append(*q, x.(*held)) }
-func (q *holdQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+
+// holdQueue is a binary heap of held submissions by value —
+// container/heap would box every item through `any`. The order being
+// total, what pops next does not depend on the heap's shape.
+type holdQueue []held
+
+func (q *holdQueue) push(h held) {
+	*q = append(*q, h)
+	s := *q
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = h
+}
+
+func (q *holdQueue) pop() held {
+	s := *q
+	top := s[0]
+	n := len(s) - 1
+	h := s[n] // re-placed from the root down
+	s[n] = held{}
+	s = s[:n]
+	*q = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].before(s[c]) {
+			c = r
+		}
+		if !s[c].before(h) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = h
+	return top
 }
 
 // driver owns all shared ensemble state: the platform pool, the tagged
-// event queue its emit callbacks fill, and the global hold queue. It runs
-// entirely on the goroutine that called Run.
+// event queue the members' emit callbacks fill, and the global hold queue.
+// It runs entirely on the goroutine that called Run.
 type driver struct {
 	pool  *platform.MultiExecutor
 	specs []Spec
@@ -313,6 +351,23 @@ type driver struct {
 	hold     holdQueue
 	inflight int
 	seq      int
+	// emits[w] delivers a platform event to member w's side of the queue:
+	// one closure per member, not one per submission.
+	emits []func(engine.Event)
+	// delayed holds the re-submissions waiting out a backoff delay, indexed
+	// by the argument of their pool event; free slots are recycled through
+	// freeDelayed.
+	delayed     []held
+	freeDelayed []int32
+}
+
+func newDriver(p *platform.MultiExecutor, specs []Spec, opts Options) *driver {
+	d := &driver{pool: p, specs: specs, opts: opts, emits: make([]func(engine.Event), len(specs))}
+	for w := range specs {
+		w := w
+		d.emits[w] = func(ev engine.Event) { d.queue.Push(tagged{wf: w, ev: ev}) }
+	}
+	return d
 }
 
 // member is one workflow's engine.Submitter: submissions enter the
@@ -333,7 +388,26 @@ func (m *member) SubmitAfter(job *planner.Job, attempt int, delay float64) {
 		m.Submit(job, attempt)
 		return
 	}
-	m.d.pool.After(delay, func() { m.d.submit(m.wf, job, attempt) })
+	d := m.d
+	var slot int32
+	if n := len(d.freeDelayed); n > 0 {
+		slot = d.freeDelayed[n-1]
+		d.freeDelayed = d.freeDelayed[:n-1]
+	} else {
+		d.delayed = append(d.delayed, held{})
+		slot = int32(len(d.delayed) - 1)
+	}
+	d.delayed[slot] = held{wf: m.wf, job: job, attempt: attempt}
+	d.pool.AfterOp(delay, d, 0, slot)
+}
+
+// HandleEvent implements des.Handler for the driver's one kind of event: a
+// backoff delay ran out, and arg names the delayed re-submission.
+func (d *driver) HandleEvent(_, arg int32) {
+	h := d.delayed[arg]
+	d.delayed[arg] = held{}
+	d.freeDelayed = append(d.freeDelayed, arg)
+	d.submit(h.wf, h.job, h.attempt)
 }
 
 // Recycle implements engine.RecordRecycler by routing the spent record
@@ -343,7 +417,7 @@ func (m *member) Recycle(r *kickstart.Record) { m.d.pool.Recycle(r) }
 // submit holds the job and releases as much held work as global capacity
 // allows.
 func (d *driver) submit(wf int, job *planner.Job, attempt int) {
-	heap.Push(&d.hold, &held{wf: wf, job: job, attempt: attempt, prio: d.specs[wf].Priority, seq: d.seq})
+	d.hold.push(held{wf: wf, job: job, attempt: attempt, prio: d.specs[wf].Priority, seq: d.seq})
 	d.seq++
 	d.release()
 }
@@ -351,12 +425,9 @@ func (d *driver) submit(wf int, job *planner.Job, attempt int) {
 // release submits held jobs to the platform pool while the global
 // in-flight cap permits, highest member priority first.
 func (d *driver) release() {
-	for d.hold.Len() > 0 && (d.opts.MaxInFlight == 0 || d.inflight < d.opts.MaxInFlight) {
-		h := heap.Pop(&d.hold).(*held)
-		wf := h.wf
-		d.pool.SubmitTagged(h.job, h.attempt, func(ev engine.Event) {
-			d.queue.Push(tagged{wf: wf, ev: ev})
-		})
+	for len(d.hold) > 0 && (d.opts.MaxInFlight == 0 || d.inflight < d.opts.MaxInFlight) {
+		h := d.hold.pop()
+		d.pool.SubmitTagged(h.job, h.attempt, d.emits[h.wf])
 		d.inflight++
 	}
 }
@@ -384,7 +455,12 @@ func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error)
 		return nil, fmt.Errorf("ensemble: negative MaxInFlight %d", opts.MaxInFlight)
 	}
 
-	d := &driver{pool: p, specs: specs, opts: opts}
+	d := newDriver(p, specs, opts)
+	jobs := 0
+	for _, s := range specs {
+		jobs += s.Plan.Graph.Len()
+	}
+	p.Reserve(jobs)
 
 	// Admit members in spec order: starting a session submits its root
 	// jobs, so earlier members reach the hold queue (and the submit hosts)

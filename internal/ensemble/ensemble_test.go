@@ -379,3 +379,45 @@ func TestMemberErrorDropsStragglersAndReportsFirst(t *testing.T) {
 		t.Errorf("fixture too tame: healthy member retried %d times, %d of them before the first failure", retries, atError)
 	}
 }
+
+// The hold queue releases by (priority descending, submission sequence
+// ascending) whatever the interleaving of pushes and pops — the order
+// container/heap gave it, since the key is a strict total order.
+func TestHoldQueueReleaseOrder(t *testing.T) {
+	var q holdQueue
+	var want []held
+	state := uint64(12345)
+	next := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % n
+	}
+	seq := 0
+	popMin := func() {
+		best := 0
+		for i := range want {
+			if want[i].before(want[best]) {
+				best = i
+			}
+		}
+		if got := q.pop(); got != want[best] {
+			t.Fatalf("pop = %+v, want %+v", got, want[best])
+		}
+		want = append(want[:best], want[best+1:]...)
+	}
+	for step := 0; step < 2000; step++ {
+		if len(want) > 0 && next(3) == 0 {
+			popMin()
+			continue
+		}
+		h := held{wf: next(4), prio: next(3), seq: seq}
+		seq++
+		q.push(h)
+		want = append(want, h)
+	}
+	for len(want) > 0 {
+		popMin()
+	}
+	if len(q) != 0 {
+		t.Fatalf("%d entries left in the queue", len(q))
+	}
+}

@@ -175,11 +175,10 @@ func TestConcurrentPostsAndWarmCache(t *testing.T) {
 	if h.Results.Entries != 4 || h.Results.Bytes <= 0 {
 		t.Errorf("result cache occupancy: %+v", h.Results)
 	}
-	// The warm wave does strictly less work (no planning, no
-	// simulation, no row formatting); allow generous scheduler noise.
-	if warmElapsed > coldElapsed*3/2 {
-		t.Errorf("no warm-cache speedup: cold wave %v, warm wave %v", coldElapsed, warmElapsed)
-	}
+	// The counters above prove the warm wave did no planning and no
+	// simulation. The two waves take a few milliseconds each, so their
+	// wall-time ratio is scheduler noise under a loaded `go test ./...`:
+	// logged, not asserted.
 	t.Logf("cold wave %v, warm wave %v (%.2fx)", coldElapsed, warmElapsed,
 		float64(coldElapsed)/float64(warmElapsed))
 }
@@ -480,7 +479,17 @@ func TestClientDisconnectCountsAbortedStream(t *testing.T) {
 		started <- struct{}{}
 		<-hold
 	}
-	ts := httptest.NewServer(srv)
+	// The held cells may be released only once the server has seen the
+	// disconnect: released any earlier, the run can finish before net/http
+	// notices the closed socket, and nothing is aborted. The wrapper hands
+	// the test the run request's server-side context.
+	serverCtx := make(chan context.Context, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			serverCtx <- r.Context()
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
 	before := health(t, ts).AbortedStreams
@@ -503,6 +512,11 @@ func TestClientDisconnectCountsAbortedStream(t *testing.T) {
 	<-started // the run is mid-stream
 	cancel()
 	<-done
+	select {
+	case <-(<-serverCtx).Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never saw the client disconnect")
+	}
 	close(hold)
 
 	deadline := time.Now().Add(5 * time.Second)

@@ -1,5 +1,7 @@
 package des
 
+import "math"
+
 // Resource models a counted resource (e.g. a pool of CPU slots) with a FIFO
 // wait queue. Acquire requests that cannot be satisfied immediately are
 // queued and granted, in order, as units are released.
@@ -17,10 +19,10 @@ type Resource struct {
 	sim      *Simulation
 	capacity int
 	inUse    int
-	// reqs is the request arena; slots are recycled through freeReqs and
-	// generation-checked so stale Acquisition handles are no-ops.
-	reqs     []acquireReq
-	freeReqs []int32
+	// reqs is the request arena; slots are recycled through the freeReq
+	// list and generation-checked so stale Acquisition handles are no-ops.
+	reqs    []acquireReq
+	freeReq int32 // head of the free-slot list threaded through acquireReq.n; -1 when empty
 	// queue is the FIFO wait queue of arena slots; the live window is
 	// queue[whead:]. The backing array is compacted once the dead prefix
 	// or canceled entries dominate, keeping retention O(live) across
@@ -41,11 +43,15 @@ type Resource struct {
 	capSeconds  float64
 }
 
+// acquireReq is one request: the grant event to deliver and the unit
+// count. A canceled request still in the queue has a nil handler; a free
+// slot holds freeLink(next) in n.
 type acquireReq struct {
-	n        int
-	fn       func()
-	gen      uint32
-	canceled bool
+	h   Handler
+	op  int32
+	arg int32
+	n   int32
+	gen uint32
 }
 
 // Acquisition is a handle for a pending resource request; Cancel withdraws
@@ -64,11 +70,10 @@ func (a Acquisition) Cancel() {
 		return
 	}
 	req := &a.r.reqs[a.slot]
-	if req.gen != a.gen || req.canceled {
+	if req.gen != a.gen || req.h == nil {
 		return
 	}
-	req.canceled = true
-	req.fn = nil
+	req.h = nil
 	a.r.canceled++
 	a.r.maybeCompact()
 }
@@ -78,7 +83,15 @@ func NewResource(sim *Simulation, capacity int) *Resource {
 	if capacity < 0 {
 		panic("des: negative resource capacity")
 	}
-	return &Resource{sim: sim, capacity: capacity}
+	return &Resource{sim: sim, capacity: capacity, freeReq: -1}
+}
+
+// Reserve makes room for n more simultaneously waiting requests (see
+// Simulation.Reserve): a sizing hint, never a behaviour change.
+func (r *Resource) Reserve(n int) {
+	n += len(r.queue) - r.whead
+	r.reqs = reserve(r.reqs, n)
+	r.queue = reserve(r.queue, r.whead+n)
 }
 
 // account integrates units-in-use and capacity over virtual time up to
@@ -137,24 +150,55 @@ func (r *Resource) SetCapacity(c int) {
 // Acquire requests n units. fn runs (as a scheduled event at the current
 // time, never synchronously) once the units are granted.
 func (r *Resource) Acquire(n int, fn func()) Acquisition {
-	if n <= 0 {
-		panic("des: acquire of non-positive unit count")
+	return r.AcquireOp(n, funcHandler(fn), 0, 0)
+}
+
+// AcquireOp requests n units; once they are granted, h.HandleEvent(op, arg)
+// is delivered as a scheduled event at the current time, never
+// synchronously.
+func (r *Resource) AcquireOp(n int, h Handler, op, arg int32) Acquisition {
+	if n <= 0 || n > math.MaxInt32 {
+		panic("des: acquire of non-positive or oversized unit count")
 	}
-	var slot int32
-	if f := len(r.freeReqs); f > 0 {
-		slot = r.freeReqs[f-1]
-		r.freeReqs = r.freeReqs[:f-1]
+	if h == nil {
+		panic("des: acquire with nil handler")
+	}
+	slot := r.freeReq
+	if slot >= 0 {
+		r.freeReq = freeLink(r.reqs[slot].n)
 	} else {
-		r.reqs = append(r.reqs, acquireReq{gen: 1})
-		slot = int32(len(r.reqs) - 1)
+		slot = r.newReq()
 	}
 	req := &r.reqs[slot]
-	req.n, req.fn, req.canceled = n, fn, false
+	req.h, req.op, req.arg, req.n = h, op, arg, int32(n)
 	gen := req.gen
-	r.queue = append(r.queue, slot)
+	r.enqueue(slot)
 	r.dispatch()
 	return Acquisition{r: r, slot: slot, gen: gen}
 }
+
+// newReq extends the request arena by one slot (not inlined: see
+// Simulation.newSlot).
+//
+//go:noinline
+func (r *Resource) newReq() int32 {
+	if len(r.reqs) == cap(r.reqs) {
+		r.reqs = grown(r.reqs)
+	}
+	r.reqs = append(r.reqs, acquireReq{gen: 1})
+	return int32(len(r.reqs) - 1)
+}
+
+// enqueue appends a request slot to the wait queue.
+func (r *Resource) enqueue(slot int32) {
+	if len(r.queue) == cap(r.queue) {
+		r.growQueue()
+	}
+	r.queue = append(r.queue, slot)
+}
+
+//go:noinline
+func (r *Resource) growQueue() { r.queue = grown(r.queue) }
 
 // Release returns n units to the pool, waking queued waiters.
 func (r *Resource) Release(n int) {
@@ -173,9 +217,10 @@ func (r *Resource) Release(n int) {
 // canceled-and-discarded), invalidating outstanding handles.
 func (r *Resource) releaseReq(slot int32) {
 	req := &r.reqs[slot]
-	req.fn = nil
+	req.h = nil
 	req.gen++
-	r.freeReqs = append(r.freeReqs, slot)
+	req.n = freeLink(r.freeReq)
+	r.freeReq = slot
 }
 
 // popHead drops the current head request from the live window.
@@ -200,7 +245,7 @@ func (r *Resource) maybeCompact() {
 	}
 	out := r.queue[:0]
 	for _, slot := range r.queue[r.whead:] {
-		if r.reqs[slot].canceled {
+		if r.reqs[slot].h == nil {
 			r.releaseReq(slot)
 			continue
 		}
@@ -218,16 +263,17 @@ func (r *Resource) dispatch() {
 	for r.whead < len(r.queue) {
 		slot := r.queue[r.whead]
 		head := &r.reqs[slot]
-		if head.canceled {
+		if head.h == nil {
 			r.canceled--
 			r.popHead()
 			r.releaseReq(slot)
 			continue
 		}
-		if r.inUse+head.n > r.capacity {
+		n := int(head.n)
+		if r.inUse+n > r.capacity {
 			return
 		}
-		fn, n := head.fn, head.n
+		h, op, arg := head.h, head.op, head.arg
 		r.popHead()
 		r.releaseReq(slot)
 		r.account()
@@ -236,6 +282,6 @@ func (r *Resource) dispatch() {
 			r.MaxInUse = r.inUse
 		}
 		r.Grants++
-		r.sim.After(0, fn)
+		r.sim.AfterOp(0, h, op, arg)
 	}
 }

@@ -17,6 +17,17 @@
 //   - preemption: opportunistic slots can be reclaimed by their owners,
 //     ending the attempt with an eviction that DAGMan retries.
 //
+// An attempt allocates nothing between Submit and its terminal event. The
+// Executor keeps one attempt record per in-flight attempt in an
+// index-addressed slab and is the des.Handler of every event it schedules:
+// the end of the dispatch latency, the slot grant, the completion or
+// eviction, and the slot-ramp and fault-timeline steps are operations of
+// Executor.HandleEvent, attempt events carrying the record's index. The
+// kickstart record is built from the attempt record at the terminal event.
+// Reserve sizes the kernel, the slot pool and the slab for a plan's job
+// count; the caller that owns both plan and executor calls it, and only the
+// bytes allocated depend on it.
+//
 // A MultiExecutor pools several platforms on one shared simulation, so a
 // multi-site run — or an ensemble of them — is still one virtual clock
 // advanced by one goroutine, with events from every site interleaving in

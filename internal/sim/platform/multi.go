@@ -86,11 +86,22 @@ func (m *MultiExecutor) SubmitAfter(job *planner.Job, attempt int, delay float64
 	m.site(job).SubmitAfter(job, attempt, delay)
 }
 
-// After schedules fn on the pool's shared clock. Ensemble drivers use it
-// to delay re-submissions (backoff) in virtual time; fn runs inside the
-// pool's event loop like any other simulation callback.
-func (m *MultiExecutor) After(delay float64, fn func()) {
-	m.sim.After(delay, fn)
+// AfterOp schedules h.HandleEvent(op, arg) on the pool's shared clock.
+// Ensemble drivers use it to delay re-submissions (backoff) in virtual
+// time; the event fires inside the pool's event loop like any other.
+func (m *MultiExecutor) AfterOp(delay float64, h des.Handler, op, arg int32) {
+	m.sim.AfterOp(delay, h, op, arg)
+}
+
+// Reserve sizes the pool for plans totalling the given number of jobs (see
+// Executor.Reserve): the shared kernel for all of them, and every site for
+// an even share — where the plans actually place them is the policy's
+// business, and a site that gets more than its share grows by doubling.
+func (m *MultiExecutor) Reserve(jobs int) {
+	m.sim.Reserve(jobs)
+	for _, name := range m.order {
+		m.sites[name].reserveSite(jobs / len(m.order))
+	}
 }
 
 // InstallFaults arms each faulted site with its compiled timeline. Must

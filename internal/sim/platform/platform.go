@@ -159,10 +159,12 @@ type Executor struct {
 	// one. The slot pool always runs at min(capBase, capLimit).
 	capBase  int
 	capLimit int
-	// active tracks occupied-slot attempts so correlated preemptions can
-	// evict them; maintained only when a fault timeline is installed.
+	// active holds, by slab index, what a correlated preemption needs of
+	// every occupied-slot attempt; maintained only when a fault timeline is
+	// installed (tracking), so a healthy run's attempt records do not
+	// carry it.
 	tracking   bool
-	active     map[int64]*runningAttempt
+	active     map[int32]occupied
 	attemptSeq int64
 	// Outage/downtime accounting: an outage is any interval with the
 	// fault-imposed limit at zero.
@@ -180,9 +182,13 @@ type Executor struct {
 	submitted int
 	nextFree  float64 // submit-host release time for the next submission
 	nodeSeq   int
-	// nodeNames is the precomputed Slots-sized node-name table, so the
-	// per-attempt node label is an index instead of an fmt.Sprintf.
+	// nodeNames is the Slots-sized node-name table, filled on first use: a
+	// record's node label is an index, and a cell that runs ten attempts
+	// formats ten names.
 	nodeNames []string
+	// attempts holds one record per in-flight attempt; the events of an
+	// attempt carry its index.
+	attempts attemptSlab
 	// recs allocates kickstart records in chunks; records live exactly as
 	// long as the run's log, so chunked arena allocation amortizes one
 	// heap allocation over recChunk attempts.
@@ -272,20 +278,153 @@ func newExecutorOn(sim *des.Simulation, cfg Config) (*Executor, error) {
 		frng:     base.Derive("fault"),
 		capBase:  startSlots,
 		capLimit: fault.NoLimit,
+		attempts: attemptSlab{free: -1},
 	}
 	e.nodeNames = make([]string, cfg.Slots)
-	for i := range e.nodeNames {
-		e.nodeNames[i] = fmt.Sprintf("%s-node-%04d", cfg.Name, i)
-	}
 	if ramp {
-		for k := 1; k <= cfg.Slots-cfg.InitialSlots; k++ {
-			target := cfg.InitialSlots + k
-			sim.At(des.Time(float64(k)*cfg.SlotRampInterval), func() {
-				e.setBaseCapacity(target)
-			})
+		// Every step is scheduled up front, in order: a fault step landing
+		// on a multiple of SlotRampInterval must keep firing after the ramp
+		// step of the same instant.
+		steps := cfg.Slots - cfg.InitialSlots
+		sim.Reserve(steps)
+		for k := 1; k <= steps; k++ {
+			sim.AtOp(des.Time(float64(k)*cfg.SlotRampInterval), e, opRamp, int32(cfg.InitialSlots+k))
 		}
 	}
 	return e, nil
+}
+
+// Reserve sizes the executor for a plan of the given number of jobs: the
+// kernel's event arena and heap, the slot pool's request arena and queue and
+// the attempt slab are each allocated once instead of grown. The caller
+// that owns both the plan and the executor calls it before the run; it is
+// a sizing hint whose absence changes bytes allocated, never results.
+func (e *Executor) Reserve(jobs int) {
+	e.sim.Reserve(jobs)
+	e.reserveSite(jobs)
+}
+
+// reserveSite sizes the per-site state (everything but the shared kernel).
+func (e *Executor) reserveSite(jobs int) {
+	e.slots.Reserve(jobs)
+	e.attempts.reserve(jobs)
+}
+
+// nodeName returns the label of node i, formatting it on first use.
+func (e *Executor) nodeName(i int32) string {
+	if e.nodeNames[i] == "" {
+		e.nodeNames[i] = fmt.Sprintf("%s-node-%04d", e.cfg.Name, i)
+	}
+	return e.nodeNames[i]
+}
+
+// The executor's event operations. An attempt's events carry its slab
+// index as the argument; the capacity events carry what their comment says.
+const (
+	opSubmit   int32 = iota // a SubmitAfter delay ran out
+	opDispatch              // dispatch latency over: queue for a slot
+	opGranted               // slot granted: run on a node
+	opEvicted               // the preemption hazard fired first
+	opDone                  // setup and payload ran to completion
+	opRamp                  // slot-ramp step; arg = new base capacity
+	opCapLimit              // fault capacity step; arg = index in faults.Steps
+	opPreempt               // correlated preemption; arg = index in faults.Preempts
+)
+
+// HandleEvent implements des.Handler: every event the executor schedules
+// is one of the operations above.
+func (e *Executor) HandleEvent(op, arg int32) {
+	switch op {
+	case opSubmit:
+		e.dispatchAttempt(arg)
+	case opDispatch:
+		e.slots.AcquireOp(1, e, opGranted, arg)
+	case opGranted:
+		e.runOnNode(arg)
+	case opEvicted:
+		e.finishEvicted(arg, "slot reclaimed by resource owner")
+	case opDone:
+		e.finishDone(arg)
+	case opRamp:
+		e.setBaseCapacity(int(arg))
+	case opCapLimit:
+		e.setCapLimit(e.faults.Steps[arg].Limit)
+	case opPreempt:
+		e.preemptOccupied(e.faults.Preempts[arg].Fraction)
+	}
+}
+
+// attempt is the state of one in-flight attempt, from submission to its
+// terminal event: what the three closures of the callback formulation
+// (dispatch delay, slot grant, done/evict) captured, and enough to finalize
+// an evicted attempt's record the same way whether the hazard or a site
+// fault took the slot. The kickstart record is built from it at the
+// terminal event.
+type attempt struct {
+	job  *planner.Job
+	emit func(engine.Event)
+	// submitTime is when the engine handed the attempt over; setupStart
+	// when its slot was granted.
+	submitTime, setupStart float64
+	setupDur, nodeSpeed    float64
+	attempt                int32
+	// node indexes nodeNames; a free record holds its free-list link here.
+	node int32
+}
+
+// occupied is the extra state of an attempt holding a slot on a site with a
+// fault timeline: its place in admission order, which is the order
+// correlated preemptions visit attempts in, and the pending terminal event
+// (opDone or opEvicted) such a preemption cancels.
+type occupied struct {
+	seq  int64
+	done des.EventID
+}
+
+// attemptSlab is the index-addressed, free-listed store of attempt records.
+// It may regrow on alloc, so a *attempt must not be held across a call that
+// can submit; events and the active map hold indices. A by-value copy would
+// alias the records and the free list; slabcopy flags it.
+//
+//pegflow:slab
+type attemptSlab struct {
+	recs []attempt
+	free int32 // head of the free list threaded through attempt.node; -1 when empty
+}
+
+func (s *attemptSlab) alloc() int32 {
+	i := s.free
+	if i < 0 {
+		return s.extend()
+	}
+	s.free = s.recs[i].node
+	return i
+}
+
+// extend adds one record, doubling the slab when it is full (append's
+// 1.25× steps would re-allocate a 100k-record slab several times over).
+// Not inlined, so the guarded alloc (escapegate) holds no allocation site.
+//
+//go:noinline
+func (s *attemptSlab) extend() int32 {
+	if len(s.recs) == cap(s.recs) {
+		s.reserve(len(s.recs) + 8)
+	}
+	s.recs = append(s.recs, attempt{})
+	return int32(len(s.recs) - 1)
+}
+
+// reserve makes room for n more records.
+func (s *attemptSlab) reserve(n int) {
+	if n += len(s.recs); n > cap(s.recs) {
+		s.recs = append(make([]attempt, 0, n), s.recs...)
+	}
+}
+
+// release recycles record i, dropping its references.
+func (s *attemptSlab) release(i int32) {
+	s.recs[i] = attempt{node: s.free}
+	s.free = i
 }
 
 // InstallFaults arms the executor with a compiled fault timeline,
@@ -298,29 +437,14 @@ func (e *Executor) InstallFaults(tl *fault.Timeline) {
 	e.faults = tl
 	e.tracking = true
 	if e.active == nil {
-		e.active = make(map[int64]*runningAttempt)
+		e.active = make(map[int32]occupied)
 	}
-	for _, st := range tl.Steps {
-		limit := st.Limit
-		e.sim.At(des.Time(st.At), func() { e.setCapLimit(limit) })
+	for i, st := range tl.Steps {
+		e.sim.AtOp(des.Time(st.At), e, opCapLimit, int32(i))
 	}
-	for _, p := range tl.Preempts {
-		frac := p.Fraction
-		e.sim.At(des.Time(p.At), func() { e.preemptOccupied(frac) })
+	for i, p := range tl.Preempts {
+		e.sim.AtOp(des.Time(p.At), e, opPreempt, int32(i))
 	}
-}
-
-// runningAttempt is the occupied-slot state a correlated preemption needs
-// to evict an attempt: the pending terminal event to cancel and enough of
-// the record context to finalize it the way a hazard eviction would.
-type runningAttempt struct {
-	job        *planner.Job
-	attempt    int
-	rec        *kickstart.Record
-	emit       func(engine.Event)
-	setupStart float64
-	setupDur   float64
-	done       des.EventID
 }
 
 // setBaseCapacity updates the ramp-managed capacity.
@@ -359,30 +483,62 @@ func (e *Executor) preemptOccupied(fraction float64) {
 	if len(e.active) == 0 {
 		return
 	}
-	keys := make([]int64, 0, len(e.active))
-	for k := range e.active {
-		keys = append(keys, k)
+	type victim struct {
+		occupied
+		idx int32
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+	victims := make([]victim, 0, len(e.active))
+	for idx, o := range e.active {
+		victims = append(victims, victim{o, idx})
+	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
+	for _, v := range victims {
 		if fraction < 1 && e.frng.Float64() >= fraction {
 			continue
 		}
-		a := e.active[k]
-		delete(e.active, k)
-		e.sim.Cancel(a.done)
-		e.finishEvicted(a.rec, a.job, a.setupStart, a.setupDur,
-			"slot lost to site fault", a.emit)
+		e.sim.Cancel(v.done)
+		e.finishEvicted(v.idx, "slot lost to site fault")
 	}
+}
+
+// retire ends attempt idx: its record leaves the slab and the active map
+// and is returned by value, since the emit that follows may submit and
+// regrow the slab.
+func (e *Executor) retire(idx int32) attempt {
+	a := e.attempts.recs[idx]
+	e.attempts.release(idx)
+	if e.tracking {
+		delete(e.active, idx)
+	}
+	return a
+}
+
+// newRecord starts the kickstart record of a terminated attempt.
+func (e *Executor) newRecord(a *attempt) *kickstart.Record {
+	rec := e.recs.alloc()
+	*rec = kickstart.Record{
+		JobID:          a.job.ID,
+		Transformation: a.job.Transformation,
+		Site:           e.cfg.Name,
+		Node:           e.nodeName(a.node),
+		Attempt:        int(a.attempt),
+		SubmitTime:     a.submitTime,
+		SetupStart:     a.setupStart,
+	}
+	if len(a.job.Members) > 0 {
+		rec.ClusterID = a.job.ID
+	}
+	return rec
 }
 
 // finishEvicted finalizes an evicted attempt's record, frees its slot and
 // emits the eviction event — shared by hazard evictions and correlated
 // fault preemptions.
-func (e *Executor) finishEvicted(rec *kickstart.Record, job *planner.Job,
-	setupStart, setupDur float64, msg string, emit func(engine.Event)) {
+func (e *Executor) finishEvicted(idx int32, msg string) {
+	a := e.retire(idx)
 	end := e.Now()
-	rec.ExecStart = setupStart + setupDur
+	rec := e.newRecord(&a)
+	rec.ExecStart = a.setupStart + a.setupDur
 	if rec.ExecStart > end {
 		rec.ExecStart = end // evicted during setup
 	}
@@ -390,8 +546,29 @@ func (e *Executor) finishEvicted(rec *kickstart.Record, job *planner.Job,
 	rec.Status = kickstart.StatusEvicted
 	rec.ExitMessage = msg
 	e.slots.Release(1)
-	emit(engine.Event{
-		JobID: job.ID, Type: engine.EventEvicted, Time: end, Record: rec,
+	a.emit(engine.Event{
+		JobID: a.job.ID, Type: engine.EventEvicted, Time: end, Record: rec,
+	})
+}
+
+// finishDone is the terminal event of an attempt that ran to completion.
+func (e *Executor) finishDone(idx int32) {
+	a := e.retire(idx)
+	end := e.Now()
+	e.slots.Release(1)
+	if len(a.job.Members) > 0 {
+		a.emit(engine.Event{
+			JobID: a.job.ID, Type: engine.EventFinished, Time: end,
+			Members: e.memberRecords(&a, end),
+		})
+		return
+	}
+	rec := e.newRecord(&a)
+	rec.ExecStart = a.setupStart + a.setupDur
+	rec.EndTime = end
+	rec.Status = kickstart.StatusSuccess
+	a.emit(engine.Event{
+		JobID: a.job.ID, Type: engine.EventFinished, Time: end, Record: rec,
 	})
 }
 
@@ -438,6 +615,20 @@ func (e *Executor) SubmitTagged(job *planner.Job, attempt int, emit func(engine.
 }
 
 func (e *Executor) submitWith(job *planner.Job, attempt int, emit func(engine.Event)) {
+	e.dispatchAttempt(e.newAttempt(job, attempt, emit))
+}
+
+// newAttempt opens the record of one attempt.
+func (e *Executor) newAttempt(job *planner.Job, attempt int, emit func(engine.Event)) int32 {
+	idx := e.attempts.alloc()
+	a := &e.attempts.recs[idx]
+	a.job, a.attempt, a.emit = job, int32(attempt), emit
+	return idx
+}
+
+// dispatchAttempt passes the attempt through the submit host and schedules
+// the end of its dispatch latency.
+func (e *Executor) dispatchAttempt(idx int32) {
 	now := e.Now()
 	// Serialize submissions through the submit host.
 	release := now
@@ -447,7 +638,7 @@ func (e *Executor) submitWith(job *planner.Job, attempt int, emit func(engine.Ev
 	e.nextFree = release + e.cfg.SubmitInterval
 	e.submitted++
 
-	submitTime := now
+	e.attempts.recs[idx].submitTime = now
 	delay := (release - now) + e.dispatch.LogNormalMeanCV(e.cfg.DispatchMean, e.cfg.DispatchCV)
 	if e.faults != nil {
 		// A dispatch landing inside a blackout window is held until the
@@ -455,123 +646,60 @@ func (e *Executor) submitWith(job *planner.Job, attempt int, emit func(engine.Ev
 		land := e.faults.DelayThroughBlackouts(now + delay)
 		delay = land - now
 	}
-	e.sim.After(delay, func() {
-		e.slots.Acquire(1, func() {
-			e.runOnNode(job, attempt, submitTime, emit)
-		})
-	})
+	e.sim.AfterOp(delay, e, opDispatch, idx)
 }
 
-// runOnNode executes the setup and payload phases once a slot is granted,
-// racing them against the platform's preemption hazard.
-func (e *Executor) runOnNode(job *planner.Job, attempt int, submitTime float64, emit func(engine.Event)) {
-	setupStart := e.Now()
+// runOnNode starts the setup and payload phases once a slot is granted,
+// racing them against the platform's preemption hazard: it schedules the
+// attempt's one terminal event.
+func (e *Executor) runOnNode(idx int32) {
+	a := &e.attempts.recs[idx] // nothing below submits, so a stays valid
+	job := a.job
+	a.setupStart = e.Now()
 	e.nodeSeq++
-	node := e.nodeNames[e.nodeSeq%e.cfg.Slots]
+	a.node = int32(e.nodeSeq % e.cfg.Slots)
 
-	nodeSpeed := e.cfg.SpeedFactor
+	a.nodeSpeed = e.cfg.SpeedFactor
 	if e.cfg.SpeedJitter > 0 {
-		nodeSpeed *= e.speed.Uniform(1-e.cfg.SpeedJitter, 1+e.cfg.SpeedJitter)
+		a.nodeSpeed *= e.speed.Uniform(1-e.cfg.SpeedJitter, 1+e.cfg.SpeedJitter)
 	}
 
-	var setupDur float64
 	if job.NeedsInstall {
 		// The install is paid once per grid job: a composite (clustered)
 		// job stages its software stack a single time and all member
 		// payloads share it — the amortization clustering buys.
-		setupDur = e.setup.LogNormalMeanCV(e.cfg.SetupMean, e.cfg.SetupCV)
+		a.setupDur = e.setup.LogNormalMeanCV(e.cfg.SetupMean, e.cfg.SetupCV)
 		if e.cfg.SetupBytesPerSec > 0 && job.InstallBytes > 0 {
-			setupDur += float64(job.InstallBytes) / e.cfg.SetupBytesPerSec
+			a.setupDur += float64(job.InstallBytes) / e.cfg.SetupBytesPerSec
 		}
 	}
-	execDur := job.ExecSeconds * nodeSpeed
+	execDur := job.ExecSeconds * a.nodeSpeed
 	if len(job.Members) > 0 {
 		// Members run sequentially on the slot; summing their scaled
 		// durations keeps the per-member records exactly consistent with
 		// the composite's end time.
 		execDur = 0
 		for _, m := range job.Members {
-			execDur += m.ExecSeconds * nodeSpeed
+			execDur += m.ExecSeconds * a.nodeSpeed
 		}
 	}
-	total := setupDur + execDur
+	total := a.setupDur + execDur
 
-	rec := e.recs.alloc()
-	*rec = kickstart.Record{
-		JobID:          job.ID,
-		Transformation: job.Transformation,
-		Site:           e.cfg.Name,
-		Node:           node,
-		Attempt:        attempt,
-		SubmitTime:     submitTime,
-		SetupStart:     setupStart,
-	}
-	if len(job.Members) > 0 {
-		rec.ClusterID = job.ID
-	}
-
+	op, after := opDone, total
 	hazards := e.faults != nil && len(e.faults.Hazards) > 0
-	evictAt := -1.0
 	if e.cfg.EvictionRate > 0 && !hazards {
-		tte := e.evict.Exponential(1 / e.cfg.EvictionRate)
-		if tte < total {
-			evictAt = tte
+		if tte := e.evict.Exponential(1 / e.cfg.EvictionRate); tte < total {
+			op, after = opEvicted, tte
 		}
 	} else if hazards {
-		if tte, ok := e.stormEvictionTime(setupStart, total); ok {
-			evictAt = tte
+		if tte, ok := e.stormEvictionTime(a.setupStart, total); ok {
+			op, after = opEvicted, tte
 		}
 	}
-
-	var key int64
+	done := e.sim.AfterOp(after, e, op, idx)
 	if e.tracking {
 		e.attemptSeq++
-		key = e.attemptSeq
-	}
-
-	if evictAt >= 0 {
-		id := e.sim.After(evictAt, func() {
-			if key != 0 {
-				delete(e.active, key)
-			}
-			e.finishEvicted(rec, job, setupStart, setupDur,
-				"slot reclaimed by resource owner", emit)
-		})
-		if key != 0 {
-			e.active[key] = &runningAttempt{
-				job: job, attempt: attempt, rec: rec, emit: emit,
-				setupStart: setupStart, setupDur: setupDur, done: id,
-			}
-		}
-		return
-	}
-
-	id := e.sim.After(total, func() {
-		if key != 0 {
-			delete(e.active, key)
-		}
-		end := e.Now()
-		e.slots.Release(1)
-		if len(job.Members) > 0 {
-			emit(engine.Event{
-				JobID: job.ID, Type: engine.EventFinished, Time: end,
-				Members: e.memberRecords(job, attempt, node,
-					submitTime, setupStart, setupStart+setupDur, nodeSpeed, end),
-			})
-			return
-		}
-		rec.ExecStart = setupStart + setupDur
-		rec.EndTime = end
-		rec.Status = kickstart.StatusSuccess
-		emit(engine.Event{
-			JobID: job.ID, Type: engine.EventFinished, Time: end, Record: rec,
-		})
-	})
-	if key != 0 {
-		e.active[key] = &runningAttempt{
-			job: job, attempt: attempt, rec: rec, emit: emit,
-			setupStart: setupStart, setupDur: setupDur, done: id,
-		}
+		e.active[idx] = occupied{seq: e.attemptSeq, done: done}
 	}
 }
 
@@ -611,7 +739,7 @@ func (e *Executor) SubmitAfter(job *planner.Job, attempt int, delay float64) {
 		e.Submit(job, attempt)
 		return
 	}
-	e.sim.After(delay, func() { e.Submit(job, attempt) })
+	e.sim.AfterOp(delay, e, opSubmit, e.newAttempt(job, attempt, e.emit))
 }
 
 // memberRecords builds the per-task kickstart records of one successful
@@ -620,23 +748,23 @@ func (e *Executor) SubmitAfter(job *planner.Job, attempt int, delay float64) {
 // queued behind its siblings on the node) and its own setup is zero — the
 // install was already paid. The last member is pinned to the composite's
 // end time so the records and the engine event agree to the bit.
-func (e *Executor) memberRecords(job *planner.Job, attempt int, node string,
-	submitTime, setupStart, execStart, nodeSpeed, end float64) []*kickstart.Record {
+func (e *Executor) memberRecords(a *attempt, end float64) []*kickstart.Record {
+	job, node := a.job, e.nodeName(a.node)
 	out := make([]*kickstart.Record, 0, len(job.Members))
-	t := execStart
+	t := a.setupStart + a.setupDur
 	for i, m := range job.Members {
 		start := t
-		t += m.ExecSeconds * nodeSpeed
+		t += m.ExecSeconds * a.nodeSpeed
 		rec := e.recs.alloc()
 		*rec = kickstart.Record{
 			JobID:          m.TaskID,
 			Transformation: job.Transformation,
 			Site:           e.cfg.Name,
 			Node:           node,
-			Attempt:        attempt,
+			Attempt:        int(a.attempt),
 			ClusterID:      job.ID,
-			SubmitTime:     submitTime,
-			SetupStart:     setupStart,
+			SubmitTime:     a.submitTime,
+			SetupStart:     a.setupStart,
 			ExecStart:      start,
 			EndTime:        t,
 			Status:         kickstart.StatusSuccess,

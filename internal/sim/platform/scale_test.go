@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pegflow/internal/engine"
+	"pegflow/internal/planner"
 )
 
 // stormyConfigs is a two-site pool with evictions and retries on the flaky
@@ -18,21 +19,40 @@ func stormyConfigs() []Config {
 	}
 }
 
-// runAggregatedFlat executes an n-job flat plan on the stormy two-site
-// pool in aggregation mode and returns the pool's record-arena high-water
-// mark: the number of kickstart records ever allocated fresh, summed over
-// sites. With aggregation folding and recycling every record, that mark
-// tracks the in-flight population, not the attempt count.
-func runAggregatedFlat(t *testing.T, n int) (highWater, attempts int) {
+// runStormyFlat executes an n-job flat plan on the stormy two-site pool and
+// returns the pool's record-arena high-water mark: the number of kickstart
+// records ever allocated fresh, summed over sites. With aggregation folding
+// and recycling every record, that mark tracks the in-flight population,
+// not the attempt count; an exact run retains every record it logs.
+//
+// With cluster on, the plan is folded into composites of four and evicted
+// jobs fail over to the stable site, so that composite attempts both get
+// evicted and succeed.
+func runStormyFlat(t *testing.T, n int, cluster, aggregate bool) (highWater, logged int) {
 	t.Helper()
-	_, plan := twoSiteWorld(t, n)
+	cats, plan := twoSiteWorld(t, n)
+	opts := engine.Options{RetryLimit: 6, Aggregate: aggregate}
+	if cluster {
+		var err error
+		if plan, err = planner.Cluster(plan, planner.ClusterOptions{MaxTasksPerJob: 4}); err != nil {
+			t.Fatal(err)
+		}
+		fo, err := planner.NewFailover(cats, plan.Sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Retry = fo.Resite
+	}
 	pool, err := NewMultiExecutor(stormyConfigs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(plan, pool, engine.Options{RetryLimit: 6, Aggregate: true})
+	res, err := engine.Run(plan, pool, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cluster && (!res.Success || res.Evictions == 0) {
+		t.Fatalf("fixture broken: clustered run success=%v with %d evictions", res.Success, res.Evictions)
 	}
 	for _, name := range pool.SiteNames() {
 		highWater += pool.Site(name).ArenaRecords()
@@ -43,41 +63,39 @@ func runAggregatedFlat(t *testing.T, n int) (highWater, attempts int) {
 // TestAggregatedArenaRetentionIsFlat is the bounded-retention assertion
 // at the platform layer: growing the job count 10× must not grow the
 // record-arena high-water mark beyond measurement noise (2×), because
-// aggregated runs recycle every record back to its arena at fold time.
-// Exact-mode runs retain every record, so the arena mark there is the
-// attempt count — asserted as the contrast case.
+// aggregated runs recycle every record back to its arena at fold time —
+// a successful composite attempt included, which emits only its member
+// records and must leave no record of its own behind. Exact-mode runs
+// retain every record, so the arena mark there is the log length —
+// asserted as the contrast case.
 func TestAggregatedArenaRetentionIsFlat(t *testing.T) {
-	smallHW, smallAtt := runAggregatedFlat(t, 200)
-	bigHW, bigAtt := runAggregatedFlat(t, 2000)
-	if bigAtt < 10*smallAtt/2 {
-		t.Fatalf("fixture broken: %d attempts at n=2000 vs %d at n=200", bigAtt, smallAtt)
-	}
-	if bigHW > 2*smallHW {
-		t.Errorf("arena high-water grew with n: %d records at n=2000 vs %d at n=200 (attempts %d vs %d)",
-			bigHW, smallHW, bigAtt, smallAtt)
-	}
-	if bigHW >= bigAtt/10 {
-		t.Errorf("arena high-water %d is not small against %d attempts; records are not being recycled",
-			bigHW, bigAtt)
-	}
+	for _, cluster := range []bool{false, true} {
+		name := "flat"
+		if cluster {
+			name = "clustered"
+		}
+		t.Run(name, func(t *testing.T) {
+			smallHW, smallLog := runStormyFlat(t, 200, cluster, true)
+			bigHW, bigLog := runStormyFlat(t, 2000, cluster, true)
+			if bigLog < 10*smallLog/2 {
+				t.Fatalf("fixture broken: %d records at n=2000 vs %d at n=200", bigLog, smallLog)
+			}
+			if bigHW > 2*smallHW {
+				t.Errorf("arena high-water grew with n: %d records at n=2000 vs %d at n=200 (logged %d vs %d)",
+					bigHW, smallHW, bigLog, smallLog)
+			}
+			if bigHW >= bigLog/10 {
+				t.Errorf("arena high-water %d is not small against %d logged records; records are not being recycled",
+					bigHW, bigLog)
+			}
 
-	// Contrast: an exact run must retain every record, so its arena mark
-	// equals its attempt count — proving the measurement would catch a
-	// retention regression.
-	_, plan := twoSiteWorld(t, 2000)
-	pool, err := NewMultiExecutor(stormyConfigs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := engine.Run(plan, pool, engine.Options{RetryLimit: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactHW := 0
-	for _, name := range pool.SiteNames() {
-		exactHW += pool.Site(name).ArenaRecords()
-	}
-	if exactHW != res.Log.Len() {
-		t.Errorf("exact run arena mark %d != %d attempts", exactHW, res.Log.Len())
+			// Contrast: an exact run must retain every record, so its
+			// arena mark equals its log length — proving the measurement
+			// would catch a retention regression.
+			exactHW, exactLog := runStormyFlat(t, 2000, cluster, false)
+			if exactHW != exactLog {
+				t.Errorf("exact run arena mark %d != %d logged records", exactHW, exactLog)
+			}
+		})
 	}
 }
