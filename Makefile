@@ -24,16 +24,18 @@ test:
 # timeout turns a deadlock (the bug class lockhold/pairpath exist for)
 # into a fast stack-dumped failure instead of a hung job.
 race:
-	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario
+	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru
 	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestResolvedUnchangedByConcurrentPlans' ./internal/core ./internal/planner
 
 # The allocation gates CI runs: zero-alloc kernel and engine dispatch, an
 # attempt path (platform Submit to terminal event, ensemble hold and release)
-# that allocates nothing per attempt, and a plan clone, a warm single-site
+# that allocates nothing per attempt, a plan clone, a warm single-site
 # plan retrieval and a warm multi-site member plan (placement + clone +
-# patch) whose allocation counts do not grow with n.
+# patch) whose allocation counts do not grow with n, a chunk-seconds miss
+# that allocates its result only and a hit that allocates nothing, and an
+# LRU whose lookups allocate nothing and whose insert is one entry.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
 # through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the

@@ -8,20 +8,27 @@ import (
 
 // calleeObj resolves the called object of a call expression: a
 // *types.Func for ordinary and method calls, a *types.Builtin for
-// builtins, nil for indirect calls through variables.
+// builtins, nil for indirect calls through variables. A method reached
+// through an instantiated generic type resolves to its declaration, which
+// is what annotations and configured names are recorded against.
 func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
+	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		return info.Uses[fun]
+		obj = info.Uses[fun]
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
-			return sel.Obj()
+			obj = sel.Obj()
+		} else {
+			// Package-qualified call (pkg.Func): the selector identifier
+			// resolves directly.
+			obj = info.Uses[fun.Sel]
 		}
-		// Package-qualified call (pkg.Func): the selector identifier
-		// resolves directly.
-		return info.Uses[fun.Sel]
 	}
-	return nil
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return obj
 }
 
 // isPkgFunc reports whether obj is the package-level function pkgPath.name.

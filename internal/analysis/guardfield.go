@@ -185,7 +185,9 @@ func (g *GuardField) checkFieldAccess(prog *Program, pkg *Package, m *concMarker
 	if !ok {
 		return
 	}
-	ref, guarded := m.fields[v]
+	// A field selected through an instantiated generic type is a copy of
+	// the declared field; the annotation is recorded on the declaration.
+	ref, guarded := m.fields[v.Origin()]
 	if !guarded {
 		return
 	}

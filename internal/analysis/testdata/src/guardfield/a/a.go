@@ -132,3 +132,46 @@ type broken struct {
 }
 
 func useBroken(b *broken) int { return b.v }
+
+// Generic owners: inside a method the receiver is an instantiation, whose
+// fields of parameterized type and whose methods are copies of the
+// declared ones; the annotations must follow them to their origin.
+type table[K comparable, V any] struct {
+	mu sync.Mutex
+	//pegflow:guarded mu
+	entries map[K]V
+	//pegflow:guarded mu
+	size int
+}
+
+func (t *table[K, V]) goodGet(k K) (V, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v, ok := t.entries[k]
+	return v, ok
+}
+
+func (t *table[K, V]) badGet(k K) V {
+	return t.entries[k] // want "t.mu is not held on every path"
+}
+
+//pegflow:holds mu
+func (t *table[K, V]) put(k K, v V) {
+	t.entries[k] = v
+	t.size++
+}
+
+func (t *table[K, V]) goodPut(k K, v V) {
+	t.mu.Lock()
+	t.put(k, v)
+	t.mu.Unlock()
+}
+
+func (t *table[K, V]) badPut(k K, v V) {
+	t.put(k, v) // want "requires t.mu held"
+}
+
+func useTable(t *table[string, int]) int {
+	t.put("a", 1)         // want "requires t.mu held"
+	return len(t.entries) // want "t.mu is not held on every path"
+}

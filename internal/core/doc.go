@@ -9,11 +9,13 @@
 // over a shared platform pool (EnsembleExperiment, ComparePolicies), and
 // the ablations of DESIGN.md.
 //
-// Three process-wide caches make sweeps cheap without changing a single
+// Four process-wide caches make sweeps cheap without changing a single
 // output byte (asserted byte-for-byte in tests). A workload seed moves
 // nothing but the run_cap3 runtime estimates, which are written per
-// retrieval, so no key holds a seed: entries follow distinct shapes, and a
-// seed never seen before runs as warm as a repeated one.
+// retrieval, so no plan or DAX key holds a seed: those entries follow
+// distinct shapes, and a seed never seen before plans as warm as a repeated
+// one. The runtime estimates themselves are the fourth cache, the only one
+// keyed on a seed and therefore the only one with a byte budget.
 //
 //   - the keyed plan cache (plancache.go) builds one immutable master
 //     plan per shape key — (site, n, slot counts, workload fingerprint,
@@ -31,11 +33,22 @@
 //     and one patch of site, install and runtime fields; it equals
 //     planner.NewMulti on the member's own BuildDAX;
 //   - the member-DAX cache (ensemble.go) holds the abstract workflow per
-//     (workload fingerprint, n) that those masters are resolved from.
+//     (workload fingerprint, n) that those masters are resolved from;
+//   - the chunk-seconds cache (plancache.go) holds the rounded run_cap3
+//     runtimes per (workload params, effective cost model, seed, n) in an
+//     internal/lru cache of 32 MiB (a constant). The runtimes depend on
+//     nothing else a cell varies, so the cells of a scenario grid that
+//     differ in site set, policy, clustering or failover — and every
+//     what-if document over the same workload and seeds — deal each
+//     (seed, n) once. Both run paths read it through roundedChunkSeconds;
+//     the slice is shared and read-only; hand-built workloads bypass it;
+//     past the budget the least recently used entries go, and the cost
+//     falls back to the uncached one.
 //
-// PlanCacheStats exposes build/retrieval counters (surfaced by `pegflow
-// serve`'s health endpoint); ResetPlanCache drops every entry, for tests
-// and benchmarks that want a cold cache.
+// PlanCacheStats exposes build/retrieval counters and the chunk-seconds
+// cache's hits, misses, evictions and bytes (surfaced by `pegflow serve`'s
+// health endpoint); ResetPlanCache drops every entry of all four, for
+// tests and benchmarks that want a cold cache.
 //
 // Package scenario compiles declarative what-if documents onto this
 // facade; the caches are therefore shared across scenario cells and, in

@@ -10,6 +10,11 @@
 // runtimes written at the chunk jobs' recorded slab positions, reproducing
 // the uncached plan byte-for-byte: the patched values are rounded exactly
 // as the "%.3f" DAX runtime profiles round them.
+//
+// Those runtimes are the second cache in this file: they depend on the
+// seed and n but not on the site, so the chunk-seconds cache keeps each
+// (workload, cost model, seed, n)'s rounded slice in a byte-bounded LRU
+// that both run paths read through roundedChunkSeconds.
 
 package core
 
@@ -23,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"pegflow/internal/dax"
+	"pegflow/internal/lru"
 	"pegflow/internal/planner"
 	"pegflow/internal/workflow"
 )
@@ -160,8 +166,8 @@ var (
 	daxBuilds, daxRetrievals   atomic.Uint64
 )
 
-// CacheStats is a snapshot of the process-wide plan- and member-DAX-cache
-// counters.
+// CacheStats is a snapshot of the process-wide plan-, member-DAX- and
+// chunk-seconds-cache counters.
 type CacheStats struct {
 	// PlanBuilds counts masters constructed (cache misses): single-site
 	// master plans and multi-site resolved masters alike.
@@ -176,26 +182,41 @@ type CacheStats struct {
 	// ensemble member-DAX cache, which multi-site masters are resolved from.
 	MemberDAXBuilds     uint64 `json:"member_dax_builds"`
 	MemberDAXRetrievals uint64 `json:"member_dax_retrievals"`
+	// ChunkHits, ChunkMisses and ChunkEvictions count lookups of a (workload,
+	// cost model, seed, n)'s rounded chunk runtimes in the chunk-seconds
+	// cache; ChunkBytes is its current charge against chunkCacheBytes.
+	ChunkHits      uint64 `json:"chunk_hits"`
+	ChunkMisses    uint64 `json:"chunk_misses"`
+	ChunkEvictions uint64 `json:"chunk_evictions"`
+	ChunkBytes     int64  `json:"chunk_bytes"`
 }
 
 // PlanCacheStats returns the current cache counters.
 func PlanCacheStats() CacheStats {
+	chunk := chunkCache.Stats()
 	return CacheStats{
 		PlanBuilds:          planBuilds.Load(),
 		PlanRetrievals:      planRetrievals.Load(),
 		PlanShapes:          planShapes.Load(),
 		MemberDAXBuilds:     daxBuilds.Load(),
 		MemberDAXRetrievals: daxRetrievals.Load(),
+		ChunkHits:           chunk.Hits,
+		ChunkMisses:         chunk.Misses,
+		ChunkEvictions:      chunk.Evictions,
+		ChunkBytes:          chunk.Bytes,
 	}
 }
 
-// ResetPlanCache drops every cached plan, resolved multi-site master and
-// member DAX. Tests and benchmarks use it for a cold cache. No key holds a
-// seed, so entry counts grow with distinct shapes, never with seeds.
+// ResetPlanCache drops every cached plan, resolved multi-site master,
+// member DAX and chunk-seconds entry. Tests and benchmarks use it for a cold
+// cache. No plan or DAX key holds a seed, so those entry counts grow with
+// distinct shapes, never with seeds; the chunk-seconds cache, whose key does
+// hold one, is bounded by chunkCacheBytes instead.
 func ResetPlanCache() {
 	planCache.Clear()
 	multiPlanCache.Clear()
 	memberDAXCache.Clear()
+	chunkCache.Clear()
 }
 
 // effectiveCost mirrors BuildDAX's zero-value defaulting so the cache key
@@ -225,15 +246,69 @@ func roundMillis(x float64) float64 {
 	return v
 }
 
+// chunkCacheBytes is the chunk-seconds cache's budget: 32 MiB holds the
+// paper grid (n ∈ {10, 100, 300, 500}) for ≈ 4,000 seeds, or ≈ 7,900
+// (seed, n) pairs at n = 500. It is a constant, not an option: an entry is
+// cheap to recompute, so a working set that outgrows it degrades to the
+// uncached cost and no further.
+const chunkCacheBytes = 32 << 20
+
+// chunkKey names everything a synthesized workload's rounded chunk runtimes
+// depend on. Params stands for the clusters (cacheable workloads share one
+// Clusters slice per Params); site, policy, clustering and failover do not
+// appear because the runtimes do not depend on them — which is why the
+// cells of a scenario grid that differ only on those axes share one entry.
+type chunkKey struct {
+	params workflow.WorkloadParams
+	cost   workflow.CostModel
+	seed   uint64
+	n      int
+}
+
+func (k chunkKey) hash() uint64 {
+	h := (k.seed+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9 ^ uint64(k.n)*0x94d049bb133111eb ^ uint64(k.params.NumClusters)
+	return h ^ h>>29
+}
+
+// chunkEntryOverhead is an entry's charge beyond its floats: the key, the
+// slice header, the list pointers and the map slot.
+const chunkEntryOverhead = 256
+
+// chunkCache is the one cache whose key holds a seed, and therefore the one
+// that is byte-bounded: least-recently-used entries go first, and a slice
+// larger than a shard's share (chunkCacheBytes/16 = 2 MiB, n ≳ 262,000) is
+// not kept at all. Cached slices are shared between cells and immutable.
+var chunkCache = newChunkCache(chunkCacheBytes)
+
+func newChunkCache(maxBytes int64) *lru.Cache[chunkKey, []float64] {
+	return lru.New(maxBytes, lru.DefaultShards, chunkKey.hash,
+		func(_ chunkKey, v []float64) int64 { return 8*int64(len(v)) + chunkEntryOverhead })
+}
+
 // roundedChunkSeconds is the seed-dependent part of a plan: the workload's
-// per-chunk runtimes under the cost model, as the DAX profiles carry them.
+// per-chunk runtimes under the (effective) cost model, as the DAX profiles
+// carry them. For a synthesized workload the slice comes from, or goes
+// into, chunkCache, so a (seed, n) pair is dealt once however many sites,
+// policies or what-if documents ask for it; it is shared and the caller
+// must not write it. Hand-built workloads have no fingerprint to key on and
+// are computed every time.
 func roundedChunkSeconds(cost workflow.CostModel, w workflow.Workload, n int) ([]float64, error) {
+	keyed := cacheable(w)
+	key := chunkKey{params: w.Params, cost: cost, seed: w.Seed, n: n}
+	if keyed {
+		if chunks, ok := chunkCache.Get(key); ok {
+			return chunks, nil
+		}
+	}
 	chunks, err := cost.ChunkSeconds(w, n)
 	if err != nil {
 		return nil, err
 	}
 	for i := range chunks {
 		chunks[i] = roundMillis(chunks[i])
+	}
+	if keyed {
+		chunkCache.Put(key, chunks)
 	}
 	return chunks, nil
 }

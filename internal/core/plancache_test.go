@@ -315,7 +315,9 @@ func cachedMasters() []*planner.Plan {
 // the old deep-clone test: clones now share the master's graph, index and
 // slice backing arrays, so the guarantee is that nothing a cell does —
 // retrieve, patch its seed's runtimes, cluster, run — writes through to
-// the master, even with eight cells at once. CI runs it under
+// the master, even with eight cells at once. The same goes for the cells'
+// chunk runtimes: each seed's slice is the chunk-seconds cache's, handed to
+// every cell of that seed, so it is snapshotted too. CI runs this under
 // -race -count=10, where a write to shared state is also a reported race.
 func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 	ResetPlanCache()
@@ -332,6 +334,17 @@ func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 
 	copts := []planner.ClusterOptions{{}, {MaxTasksPerJob: 3}, {TargetJobSeconds: 1800}}
 	makespans := make([]float64, 8)
+	// The slices the cells are about to share, and a private copy of each.
+	shared, copies := make([][]float64, len(makespans)), make([][]float64, len(makespans))
+	for g := range shared {
+		e := DefaultExperiment(uint64(101 + g))
+		chunks, err := roundedChunkSeconds(effectiveCost(e.Cost), e.Workload, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared[g], copies[g] = chunks, append([]float64(nil), chunks...)
+	}
+	chunkStats := PlanCacheStats()
 	var wg sync.WaitGroup
 	for g := range makespans {
 		wg.Add(1)
@@ -356,6 +369,14 @@ func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 	}
 	if got := planCacheLen(); got != 1 {
 		t.Errorf("%d masters after the cells, want 1", got)
+	}
+	if after := PlanCacheStats(); after.ChunkMisses != chunkStats.ChunkMisses || after.ChunkHits-chunkStats.ChunkHits != 3*uint64(len(makespans)) {
+		t.Errorf("the cells did not all run on the cached chunk seconds: %+v -> %+v", chunkStats, after)
+	}
+	for g := range shared {
+		if !sameBits(shared[g], copies[g]) {
+			t.Errorf("cell %d: the shared chunk-seconds slice was written", g)
+		}
 	}
 	// Each cell saw its own seed's runtimes, not a neighbour's patch.
 	for g, got := range makespans {
@@ -446,9 +467,10 @@ func FuzzRoundMillis(f *testing.F) {
 
 // TestAllocsPlanRetrieval is the allocation gate of the warm plan path (run
 // by CI as `go test -run 'TestAllocs'`): a retrieval costs the cache key,
-// the plan header, one job slab and ChunkSeconds' working slices — a
-// constant, however many jobs the plan has. Anything per-job that creeps
-// back into Clone or the patch makes the two sizes disagree.
+// the plan header and one job slab — the seed's chunk runtimes are the
+// chunk-seconds cache's resident slice — a constant, however many jobs the
+// plan has. Anything per-job that creeps back into Clone or the patch makes
+// the two sizes disagree.
 func TestAllocsPlanRetrieval(t *testing.T) {
 	ResetPlanCache()
 	defer ResetPlanCache()
@@ -468,7 +490,7 @@ func TestAllocsPlanRetrieval(t *testing.T) {
 	if small != large {
 		t.Errorf("warm retrieval allocations grow with n: %v at n=2000, %v at n=20000", small, large)
 	}
-	if small > 12 {
+	if small > 8 {
 		t.Errorf("warm retrieval costs %v allocations, want a handful", small)
 	}
 }

@@ -6,10 +6,10 @@
 // eviction, and a hit lets the server (or any scenario.Run caller) skip
 // planning and simulation entirely while emitting byte-identical output.
 //
-// The cache is sharded: the (fingerprint, cell) key is hashed across a
-// fixed set of independently locked shards, so concurrent requests for
-// hot documents do not contend on one mutex. Each shard owns 1/Nth of
-// the byte budget and runs its own LRU list; hit/miss/eviction/byte
-// counters aggregate across shards and are republished by the serve
-// tier at /v1/healthz.
+// The package is a thin wrapper over internal/lru, the tree's one
+// sharded byte-bounded LRU: it supplies the key, the hash that spreads one
+// hot document's cells over every shard's lock, and the charge an entry
+// makes against the budget; shards, recency lists, eviction and the
+// hit/miss/eviction/byte counters (republished by the serve tier at
+// /v1/healthz) are lru's.
 package resultcache

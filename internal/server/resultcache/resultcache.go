@@ -1,14 +1,9 @@
 package resultcache
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "pegflow/internal/lru"
 
-// DefaultShards is the shard count New uses. 16 keeps per-shard mutexes
-// uncontended well past the request concurrency the serve tier admits,
-// while the fixed fan-out keeps Stats aggregation trivial.
-const DefaultShards = 16
+// DefaultShards is the shard count New uses.
+const DefaultShards = lru.DefaultShards
 
 // entryOverhead approximates the per-entry bookkeeping cost (map slot,
 // list pointers, key copy) charged against the byte budget in addition
@@ -22,58 +17,20 @@ type key struct {
 	cell        int
 }
 
-// entry is one cached line threaded on its shard's LRU list.
-type entry struct {
-	key        key
-	line       []byte
-	prev, next *entry // LRU list: head = most recent, tail = eviction victim
-}
-
-// shard is one independently locked slice of the cache. The map, the
-// LRU list and the byte accounting form one invariant (every entry is
-// in both structures and counted exactly once), so they share a guard;
-// maxBytes is immutable after construction and the atomics are
-// lock-free telemetry.
-type shard struct {
-	mu sync.Mutex
-	//pegflow:guarded mu
-	entries map[key]*entry
-	//pegflow:guarded mu
-	head *entry
-	//pegflow:guarded mu
-	tail *entry
-	//pegflow:guarded mu
-	bytes    int64
-	maxBytes int64
-
-	evictions atomic.Uint64
-	count     atomic.Int64
-	curBytes  atomic.Int64
-}
-
 // Cache is a sharded, byte-bounded, LRU map from (document fingerprint,
-// cell index) to the cell's finished NDJSON line. It is safe for
-// concurrent use. Lines handed to Put and returned by Get are shared,
-// not copied: callers must treat them as immutable.
+// cell index) to the cell's finished NDJSON line: lru.Cache under this
+// package's key, hash and entry charge. It is safe for concurrent use.
+// Lines handed to Put and returned by Get are shared, not copied: callers
+// must treat them as immutable.
 type Cache struct {
-	shards   []*shard
+	lru      *lru.Cache[key, []byte]
 	maxBytes int64
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the cache counters, aggregated
 // across shards. Hits/Misses/Evictions are monotone for the cache's
 // lifetime; Entries and Bytes describe current occupancy.
-type Stats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int64  `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
-}
+type Stats = lru.Stats
 
 // New builds a cache bounded by maxBytes total, spread over
 // DefaultShards shards. maxBytes must be positive.
@@ -87,24 +44,13 @@ func newWithShards(maxBytes int64, shards int) *Cache {
 	if maxBytes <= 0 {
 		panic("resultcache: non-positive byte bound")
 	}
-	if shards <= 0 {
-		shards = 1
-	}
-	c := &Cache{shards: make([]*shard, shards), maxBytes: maxBytes}
-	per := maxBytes / int64(shards)
-	if per <= 0 {
-		per = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &shard{entries: make(map[key]*entry), maxBytes: per}
-	}
-	return c
+	return &Cache{lru: lru.New(maxBytes, shards, hashKey, entrySize), maxBytes: maxBytes}
 }
 
-// shardFor hashes the key across the shards (FNV-1a over the
-// fingerprint bytes, with the cell index mixed in), so the cells of one
-// hot document spread over every lock instead of serializing on one.
-func (c *Cache) shardFor(k key) *shard {
+// hashKey spreads keys across the shards (FNV-1a over the fingerprint
+// bytes, with the cell index mixed in), so the cells of one hot document
+// spread over every lock instead of serializing on one.
+func hashKey(k key) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -116,74 +62,7 @@ func (c *Cache) shardFor(k key) *shard {
 	}
 	h ^= uint64(k.cell)
 	h *= prime64
-	return c.shards[h%uint64(len(c.shards))]
-}
-
-// Get returns the cached line for (fingerprint, cell) and refreshes its
-// recency. The returned slice is shared with the cache: callers must
-// not modify it.
-func (c *Cache) Get(fingerprint string, cell int) ([]byte, bool) {
-	k := key{fingerprint: fingerprint, cell: cell}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.entries[k]
-	if ok {
-		s.moveToFront(e)
-	}
-	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return e.line, true
-}
-
-// Put stores the line under (fingerprint, cell), evicting
-// least-recently-used entries from the key's shard until the shard fits
-// its byte budget. A line too large for the shard budget is not stored.
-// The cache keeps a reference to line: callers must not modify it after
-// Put.
-func (c *Cache) Put(fingerprint string, cell int, line []byte) {
-	k := key{fingerprint: fingerprint, cell: cell}
-	size := entrySize(k, line)
-	s := c.shardFor(k)
-	if size > s.maxBytes {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		// Concurrent requests for the same cold cell race to Put; the
-		// lines are byte-identical (deterministic cells), so refresh
-		// recency and keep the incumbent.
-		s.moveToFront(e)
-		return
-	}
-	e := &entry{key: k, line: line}
-	s.entries[k] = e
-	s.pushFront(e)
-	s.bytes += size
-	for s.bytes > s.maxBytes && s.tail != nil && s.tail != e {
-		s.evict(s.tail)
-	}
-	s.count.Store(int64(len(s.entries)))
-	s.curBytes.Store(s.bytes)
-}
-
-// Stats aggregates the counters across shards.
-func (c *Cache) Stats() Stats {
-	st := Stats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		MaxBytes: c.maxBytes,
-	}
-	for _, s := range c.shards {
-		st.Evictions += s.evictions.Load()
-		st.Entries += s.count.Load()
-		st.Bytes += s.curBytes.Load()
-	}
-	return st
+	return h
 }
 
 // entrySize is the budget charge for one entry.
@@ -191,55 +70,22 @@ func entrySize(k key, line []byte) int64 {
 	return int64(len(k.fingerprint)) + int64(len(line)) + entryOverhead
 }
 
-// moveToFront marks e most-recently-used. Caller holds s.mu.
-//
-//pegflow:holds mu
-func (s *shard) moveToFront(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
+// Get returns the cached line for (fingerprint, cell) and refreshes its
+// recency. The returned slice is shared with the cache: callers must
+// not modify it.
+func (c *Cache) Get(fingerprint string, cell int) ([]byte, bool) {
+	return c.lru.Get(key{fingerprint: fingerprint, cell: cell})
 }
 
-// pushFront links e at the head. Caller holds s.mu.
-//
-//pegflow:holds mu
-func (s *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
+// Put stores the line under (fingerprint, cell), evicting
+// least-recently-used entries from the key's shard until the shard fits
+// its byte budget. A line too large for the shard budget is not stored,
+// and a second Put of a resident key keeps the incumbent (cells are
+// deterministic, so the lines are byte-identical). The cache keeps a
+// reference to line: callers must not modify it after Put.
+func (c *Cache) Put(fingerprint string, cell int, line []byte) {
+	c.lru.Put(key{fingerprint: fingerprint, cell: cell}, line)
 }
 
-// unlink removes e from the list. Caller holds s.mu.
-//
-//pegflow:holds mu
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// evict drops e from the shard. Caller holds s.mu.
-//
-//pegflow:holds mu
-func (s *shard) evict(e *entry) {
-	s.unlink(e)
-	delete(s.entries, e.key)
-	s.bytes -= entrySize(e.key, e.line)
-	s.evictions.Add(1)
-}
+// Stats aggregates the counters across shards.
+func (c *Cache) Stats() Stats { return c.lru.Stats() }

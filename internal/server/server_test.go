@@ -267,6 +267,49 @@ func TestFreshSeedsRunWarmOnMultiSitePlans(t *testing.T) {
 	}
 }
 
+// A what-if over the same workload and seeds with a changed site is a new
+// document — every cell misses the result cache, and the changed catalog
+// resolves a new master — but each (seed, n)'s chunk runtimes are the ones
+// the first POST dealt: /v1/healthz shows chunk hits and not one new miss.
+func TestChangedSitesReuseChunkSeconds(t *testing.T) {
+	core.ResetPlanCache()
+	ts := httptest.NewServer(New(Options{Workers: 4, MaxInFlight: 32}))
+	defer ts.Close()
+
+	doc := fmt.Sprintf(ensembleScenario, "11, 12")
+	if status, body := post(t, ts, "/v1/scenarios/run", doc); status != http.StatusOK {
+		t.Fatalf("first POST: status %d: %s", status, body)
+	}
+	first := health(t, ts)
+	if first.Cache.ChunkMisses == 0 || first.Cache.ChunkBytes <= 0 {
+		t.Fatalf("healthz after the first POST reports no chunk-cache traffic: %+v", first.Cache)
+	}
+	whatIf := strings.Replace(doc, `"slots": 32`, `"slots": 48`, 1)
+	if whatIf == doc {
+		t.Fatal("fixture broken: the site spec did not change")
+	}
+	status, body := post(t, ts, "/v1/scenarios/run", whatIf)
+	if status != http.StatusOK {
+		t.Fatalf("what-if POST: status %d: %s", status, body)
+	}
+	if n := bytes.Count(body, []byte(`"success":true`)); n != 8 {
+		t.Errorf("what-if POST: %d successful cells, want 8:\n%s", n, body)
+	}
+	second := health(t, ts)
+	if hits := second.Results.Hits - first.Results.Hits; hits != 0 {
+		t.Errorf("what-if POST hit the result cache %d times, want 0: it is a new document", hits)
+	}
+	if builds := second.Cache.PlanBuilds - first.Cache.PlanBuilds; builds != 1 {
+		t.Errorf("what-if POST resolved %d masters, want 1 for its changed catalog", builds)
+	}
+	if misses := second.Cache.ChunkMisses - first.Cache.ChunkMisses; misses != 0 {
+		t.Errorf("what-if POST dealt %d chunk-second slices again, want 0", misses)
+	}
+	if hits := second.Cache.ChunkHits - first.Cache.ChunkHits; hits != 8*2 {
+		t.Errorf("what-if POST found %d chunk-second slices, want 16 (8 cells × 2 members)", hits)
+	}
+}
+
 // TestRequestThrottle pins the in-flight cap at its post-fix meaning: a
 // request that is admitted and RUNNING holds its slot, so the next POST
 // is rejected with 429 — deterministically, via the cell-start hook.

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"pegflow/internal/catalog"
@@ -183,5 +184,20 @@ func TestNodeNamesAreFormattedOnFirstUse(t *testing.T) {
 		if want := fmt.Sprintf("osg-node-%04d", k); !seen[want] {
 			t.Errorf("no record on %s; records are on %v", want, seen)
 		}
+	}
+}
+
+// TestFormatNodeNameMatchesSprintf pins the hand-rolled label against the
+// fmt verb it replaced, across the zero-padding boundaries, and its cost.
+func TestFormatNodeNameMatchesSprintf(t *testing.T) {
+	for _, site := range []string{"osg", "sandhills", strings.Repeat("inline-site-", 8)} {
+		for _, i := range []int32{0, 9, 10, 999, 1000, 9999, 10000, 123456} {
+			if got, want := formatNodeName(site, i), fmt.Sprintf("%s-node-%04d", site, i); got != want {
+				t.Errorf("formatNodeName(%q, %d) = %q, want %q", site, i, got, want)
+			}
+		}
+	}
+	if per := testing.AllocsPerRun(100, func() { _ = formatNodeName("osg", 42) }); per > 1 {
+		t.Errorf("formatNodeName allocates %.0f times, want the string only", per)
 	}
 }

@@ -1,9 +1,6 @@
 package rng
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // Stream is a deterministic pseudo-random stream (splitmix64 core, xorshift
 // finalizer). It intentionally does not use math/rand so that the sequence
@@ -25,9 +22,15 @@ func New(seed uint64) *Stream {
 // the parent stream's seed (not its current state), so derivation order
 // does not matter.
 func (s *Stream) Derive(name string) *Stream {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return New(s.seed ^ h.Sum64()*0xbf58476d1ce4e5b9)
+	// FNV-1a over the name, spelled out: hash/fnv's hasher and the []byte
+	// conversion were two allocations per derived stream, and kept Derive
+	// from inlining, which put the stream itself on the heap too.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return New(s.seed ^ h*0xbf58476d1ce4e5b9)
 }
 
 // Uint64 returns the next 64 random bits.
@@ -138,6 +141,19 @@ func (s *Stream) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
+}
+
+// PermInt32 fills p with a random permutation of [0, len(p)) in place: the
+// permutation Perm(len(p)) returns, from the same draws, without the
+// allocation and at half the footprint. len(p) must fit an int32.
+func (s *Stream) PermInt32(p []int32) {
+	for i := range p {
+		p[i] = int32(i)
+	}
+	for i := len(p) - 1; i > 0; i-- {
+		j := s.Uint64() % uint64(i+1)
+		p[i], p[j] = p[j], p[i]
+	}
 }
 
 // Zipf samples ranks from a Zipf distribution over {1, ..., n} with

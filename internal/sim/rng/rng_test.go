@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -230,5 +231,51 @@ func TestUniformRange(t *testing.T) {
 		if v < 2 || v >= 5 {
 			t.Fatalf("Uniform(2,5) = %v", v)
 		}
+	}
+}
+
+// PermInt32 is Perm in place: same permutation, same number of draws, for
+// lengths around the edge cases and a buffer reused across lengths.
+func TestPermInt32MatchesPerm(t *testing.T) {
+	buf := make([]int32, 0, 5000)
+	for _, n := range []int{0, 1, 2, 3, 17, 1000, 5000, 256, 1} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			a, b := New(seed).Derive("perm"), New(seed).Derive("perm")
+			want := a.Perm(n)
+			got := buf[:n]
+			b.PermInt32(got)
+			for i := range want {
+				if int(got[i]) != want[i] {
+					t.Fatalf("seed %d n %d: element %d is %d, Perm gives %d", seed, n, i, got[i], want[i])
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("seed %d n %d: the streams diverged after the permutation", seed, n)
+			}
+		}
+	}
+	p := make([]int32, 1000)
+	s := New(9)
+	if got := testing.AllocsPerRun(50, func() { s.PermInt32(p) }); got != 0 {
+		t.Errorf("PermInt32 allocates %v times, want 0", got)
+	}
+}
+
+// Derive spells FNV-1a out instead of calling hash/fnv; the derived seeds,
+// and with them every golden in the tree, must not notice.
+func TestDeriveMatchesHashFNV(t *testing.T) {
+	for _, name := range []string{"", "a", "chunk-assignment", "backoff/wf03", "dispatch", "sëed/ünicode"} {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
+			want := New(seed ^ h.Sum64()*0xbf58476d1ce4e5b9).Uint64()
+			if got := New(seed).Derive(name).Uint64(); got != want {
+				t.Errorf("Derive(%q) from seed %d draws %#x first, hash/fnv derivation %#x", name, seed, got, want)
+			}
+		}
+	}
+	s := New(5)
+	if got := testing.AllocsPerRun(100, func() { _ = s.Derive("chunk-assignment").Uint64() }); got != 0 {
+		t.Errorf("Derive allocates %v times, want 0", got)
 	}
 }

@@ -19,4 +19,13 @@
 // The OSG variant (Fig. 3) has the same shape; the download/install steps
 // (red rectangles) are injected by the planner from the transformation
 // catalog, not drawn into the DAX.
+//
+// Two seed-independent tables are memoized per WorkloadParams — the
+// synthesized clusters and their per-cluster CAP3 seconds under a cost
+// model — each in an internal/lru cache with a fixed 32 MiB budget, because
+// the params come from client documents: an evicted entry is re-synthesized
+// to identical values. The seed-dependent step, CostModel.ChunkSeconds,
+// deals the clusters to n chunks over a seeded permutation drawn into pooled
+// scratch, so its n-float result is its only allocation; package core caches
+// that result per (params, cost model, seed, n).
 package workflow

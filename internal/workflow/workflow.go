@@ -7,6 +7,7 @@ import (
 
 	"pegflow/internal/catalog"
 	"pegflow/internal/dax"
+	"pegflow/internal/lru"
 	"pegflow/internal/planner"
 	"pegflow/internal/sim/rng"
 )
@@ -112,20 +113,44 @@ func CustomWorkload(p WorkloadParams, seed uint64) Workload {
 	}
 }
 
-// clusterCache memoizes cluster synthesis per WorkloadParams.
-var clusterCache sync.Map // WorkloadParams -> []ClusterSpec
+// memoCacheBytes bounds each of the two memo tables below. Their keys come
+// from client documents (≈ 1 MB per paper-sized entry across the two), so
+// they sit on a byte-bounded LRU: an evicted entry is re-synthesized to
+// identical values on its next use, and workloads holding the old slice
+// keep it alive. Each table is a single shard, so one entry may use the
+// whole budget (a workload of up to ~2M clusters is still memoized) and
+// eviction order is exact; the critical section is a map lookup.
+const memoCacheBytes = 32 << 20
+
+// memoEntryOverhead approximates an entry's bookkeeping (key copy, map
+// slot, list pointers) so that many tiny workloads cannot outgrow the bound.
+const memoEntryOverhead = 192
+
+// hashParams routes a workload fingerprint to a cache shard.
+func hashParams(p WorkloadParams) uint64 {
+	h := uint64(p.NumClusters)*0x9e3779b97f4a7c15 ^ uint64(p.MaxClusterSize)*0xbf58476d1ce4e5b9 ^
+		math.Float64bits(p.SizeExponent)*0x94d049bb133111eb ^ uint64(p.MeanReadLen)
+	return h ^ h>>32
+}
+
+// clusterCache memoizes cluster synthesis per WorkloadParams, within
+// memoCacheBytes.
+var clusterCache = lru.New(memoCacheBytes, 1, hashParams,
+	func(_ WorkloadParams, v []ClusterSpec) int64 {
+		return 16*int64(len(v)) + memoEntryOverhead // a ClusterSpec is two ints
+	})
 
 func clustersFor(p WorkloadParams) []ClusterSpec {
-	if v, ok := clusterCache.Load(p); ok {
-		return v.([]ClusterSpec)
+	if v, ok := clusterCache.Get(p); ok {
+		return v
 	}
 	sizes := rng.ZipfSizes(p.NumClusters, p.SizeExponent, p.MaxClusterSize)
 	clusters := make([]ClusterSpec, p.NumClusters)
 	for i, m := range sizes {
 		clusters[i] = ClusterSpec{Transcripts: m, Bases: m * p.MeanReadLen}
 	}
-	v, _ := clusterCache.LoadOrStore(p, clusters)
-	return v.([]ClusterSpec)
+	clusterCache.Put(p, clusters)
+	return clusters
 }
 
 // CostModel converts workload quantities into reference-machine seconds.
@@ -194,9 +219,11 @@ type costKey struct {
 }
 
 // clusterSecsCache memoizes the per-cluster CAP3 seconds of synthesized
-// workloads: the values depend only on (params, cost model), while the
-// seed only permutes which chunk each cluster lands in.
-var clusterSecsCache sync.Map // costKey -> []float64
+// workloads, within memoCacheBytes: the values depend only on (params, cost
+// model), while the seed only permutes which chunk each cluster lands in.
+var clusterSecsCache = lru.New(memoCacheBytes, 1,
+	func(k costKey) uint64 { return hashParams(k.params) },
+	func(_ costKey, v []float64) int64 { return 8*int64(len(v)) + memoEntryOverhead })
 
 // clusterSecondsAll returns memoized per-cluster seconds for a synthesized
 // workload, or nil when the workload is hand-built (no Params fingerprint).
@@ -205,15 +232,15 @@ func (c CostModel) clusterSecondsAll(w Workload) []float64 {
 		return nil
 	}
 	key := costKey{w.Params, c}
-	if v, ok := clusterSecsCache.Load(key); ok {
-		return v.([]float64)
+	if v, ok := clusterSecsCache.Get(key); ok {
+		return v
 	}
 	secs := make([]float64, len(w.Clusters))
 	for i, cl := range w.Clusters {
 		secs[i] = c.ClusterSeconds(cl)
 	}
-	v, _ := clusterSecsCache.LoadOrStore(key, secs)
-	return v.([]float64)
+	clusterSecsCache.Put(key, secs)
+	return secs
 }
 
 // SerialSeconds is the reference-machine running time of the original
@@ -238,26 +265,69 @@ func (c CostModel) SerialSeconds(w Workload) float64 {
 	return total
 }
 
+// permBuf is ChunkSeconds' scratch: the cluster permutation, pooled so a
+// sweep cell does not allocate 4 bytes per cluster only to drop them.
+type permBuf struct{ p []int32 }
+
+var permPool = sync.Pool{New: func() any { return new(permBuf) }}
+
+// maxPooledPerm is the largest scratch (in entries; 4 MiB) the pool takes
+// back. A request sets num_clusters, so without the cap one oversized
+// request would pin its buffer in the pool for the life of the process.
+const maxPooledPerm = 1 << 20
+
+// getPerm returns a scratch of length n; release it with putPerm.
+func getPerm(n int) *permBuf {
+	b := permPool.Get().(*permBuf)
+	if cap(b.p) < n {
+		b.p = make([]int32, n)
+	}
+	b.p = b.p[:n]
+	return b
+}
+
+func putPerm(b *permBuf) {
+	if cap(b.p) <= maxPooledPerm {
+		permPool.Put(b)
+	}
+}
+
 // ChunkSeconds computes the per-chunk CAP3 seconds for an n-way split: the
 // workload's clusters are dealt to chunks round-robin over a seeded
 // permutation (blast2cap3 assigns whole clusters to chunk files; the
 // permutation models the arbitrary protein order of "alignments.out").
 // For synthesized workloads the per-cluster seconds come from the memoized
 // table — identical values accumulated in identical order, so results are
-// bit-equal to the direct computation.
+// bit-equal to the direct computation. The result is the only allocation:
+// the permutation is drawn into pooled scratch.
 func (c CostModel) ChunkSeconds(w Workload, n int) ([]float64, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workflow: non-positive chunk count %d", n)
 	}
-	perm := rng.New(w.Seed).Derive("chunk-assignment").Perm(len(w.Clusters))
+	if len(w.Clusters) > math.MaxInt32 {
+		return nil, fmt.Errorf("workflow: %d clusters exceed the supported %d", len(w.Clusters), math.MaxInt32)
+	}
+	buf := getPerm(len(w.Clusters))
+	// Deferred: the dealing loops index caller-supplied data.
+	defer putPerm(buf)
+	perm := buf.p
+	rng.New(w.Seed).Derive("chunk-assignment").PermInt32(perm)
 	chunks := make([]float64, n)
+	// k is i % n for the i-th dealt cluster, kept by wrap-around.
+	k := 0
 	if secs := c.clusterSecondsAll(w); secs != nil {
-		for i, ci := range perm {
-			chunks[i%n] += secs[ci]
+		for _, ci := range perm {
+			chunks[k] += secs[ci]
+			if k++; k == n {
+				k = 0
+			}
 		}
 	} else {
-		for i, ci := range perm {
-			chunks[i%n] += c.ClusterSeconds(w.Clusters[ci])
+		for _, ci := range perm {
+			chunks[k] += c.ClusterSeconds(w.Clusters[ci])
+			if k++; k == n {
+				k = 0
+			}
 		}
 	}
 	for i := range chunks {
