@@ -29,13 +29,15 @@ race:
 
 # The allocation gates CI runs: zero-alloc kernel and engine dispatch, an
 # attempt path (platform Submit to terminal event, ensemble hold and release)
-# that allocates nothing per attempt, a plan clone, a warm single-site
-# plan retrieval and a warm multi-site member plan (placement + clone +
-# patch) whose allocation counts do not grow with n, a chunk-seconds miss
-# that allocates its result only and a hit that allocates nothing, and an
-# LRU whose lookups allocate nothing and whose insert is one entry.
+# that allocates nothing per attempt, a plan clone and a warm member plan
+# (placement + clone + patch), one-site and two-site, whose allocation counts
+# do not grow with n, a chunk-seconds miss that allocates its result only and
+# a hit that allocates nothing, an LRU whose lookups allocate nothing and
+# whose insert is one entry, and the scenario front door: a warm single-site
+# cell within the budget of the pipeline it replaced and flat in n, and a
+# Compile that computes nothing a cache-hit request does not need.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
 # through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the

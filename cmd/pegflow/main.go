@@ -578,6 +578,7 @@ func cmdEnsemble(args []string) error {
 		Sites:       siteNames,
 		Platforms:   cfgs,
 		Catalogs:    cats,
+		StageIn:     true,
 		MaxInFlight: o.maxInFlight,
 		RetryLimit:  o.retries,
 		Cluster: planner.ClusterOptions{
@@ -588,10 +589,11 @@ func cmdEnsemble(args []string) error {
 		Workers:   o.workers,
 		Aggregate: o.aggregate,
 	}
-	_, report, err := exp.Run()
+	res, err := exp.Run()
 	if err != nil {
 		return err
 	}
+	report := res.Report(exp.Policy)
 	if o.jsonOut {
 		return report.WriteJSON(os.Stdout)
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// CloneGate enforces the sharing rule behind the keyed plan cache: a
+// CloneGate enforces the sharing rule behind the plan cache: a
 // *planner.Plan, *planner.Job, *dax.Workflow or *dax.Job handed out of a
 // cache is an immutable shared master — mutating it corrupts every future
 // retrieval — and a Plan.Clone shares its master's graph, index and slice
@@ -34,17 +34,11 @@ type CloneGate struct {
 	// finding.
 	SharedVia      string
 	SharedMutators []string
-	// SlabWriters maps each exported SharedVia method that writes a plan's
-	// job slab after construction to the functions ("pkg/path.Recv.Name")
-	// that may call it — those that patch the Clone they just took. A call
-	// from anywhere else outside the defining packages is a finding, so the
-	// registered callers stay the only post-construction writers.
-	SlabWriters map[string][]string
 }
 
 func (*CloneGate) Name() string { return "clonegate" }
 func (*CloneGate) Doc() string {
-	return "forbid field writes through cached plan/DAX types outside whitelisted clone/constructor functions, mutating method calls on a plan's shared graph, and slab-writer calls outside their registered callers"
+	return "forbid field writes through cached plan/DAX types outside whitelisted clone/constructor functions, and mutating method calls on a plan's shared graph"
 }
 
 func (c *CloneGate) Run(prog *Program, report func(pos token.Position, key, message string)) error {
@@ -70,7 +64,6 @@ func (c *CloneGate) Run(prog *Program, report func(pos token.Position, key, mess
 					continue
 				}
 				c.checkFunc(prog, pkg, fd, protected, mutators, report)
-				c.checkSlabWriters(prog, pkg, fd, report)
 			}
 		}
 	}
@@ -99,35 +92,6 @@ func (c *CloneGate) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, pro
 					"call to "+shortTypeKey(key)+"."+method+" through a "+shortTypeKey(c.SharedVia)+": its graph is shared with the cached master and every clone — build a new plan instead")
 			}
 		}
-		return true
-	})
-}
-
-// checkSlabWriters reports calls to a registered slab-writing method from a
-// function that is not one of its registered callers.
-func (c *CloneGate) checkSlabWriters(prog *Program, pkg *Package, fd *ast.FuncDecl, report func(pos token.Position, key, message string)) {
-	caller := pkg.Path + "." + funcDisplayName(fd)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		callers, registered := c.SlabWriters[sel.Sel.Name]
-		if recv := pkg.Info.TypeOf(sel.X); !registered || recv == nil || typeKey(recv) != c.SharedVia {
-			return true
-		}
-		for _, allowed := range callers {
-			if allowed == caller {
-				return true
-			}
-		}
-		name := shortTypeKey(c.SharedVia) + "." + sel.Sel.Name
-		report(prog.Fset.Position(call.Pos()), name,
-			"call to "+name+" outside its registered callers: it writes the job slab of whatever plan it is handed — a cached master included")
 		return true
 	})
 }

@@ -119,9 +119,6 @@ func TestCloneGateFixture(t *testing.T) {
 	a.AllowedFuncs = map[string]string{
 		"pegflow/internal/analysis/testdata/src/clonegate/a.freshCloneMutation": "fixture: mutates its own fresh clone",
 	}
-	a.SlabWriters = map[string][]string{
-		"SetExecSeconds": {"pegflow/internal/analysis/testdata/src/clonegate/a.registeredSlabPatch"},
-	}
 	runFixture(t, a, fixturePath("clonegate"))
 }
 

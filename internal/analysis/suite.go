@@ -104,11 +104,6 @@ func NewCloneGate() *CloneGate {
 			"AddJob", "NewJob", "AddDependency", "InferDependencies",
 			"SetProfile", "AddInput", "AddOutput",
 		},
-		// The multi-site patch (planner.Resolved.Plan) is unexported, so
-		// SetExecSeconds is the one slab writer reachable from outside.
-		SlabWriters: map[string][]string{
-			"SetExecSeconds": {"pegflow/internal/core.Experiment.cachedWorkflowPlan"},
-		},
 	}
 }
 

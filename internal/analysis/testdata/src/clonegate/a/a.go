@@ -73,20 +73,6 @@ func freshCloneMutation(p *planner.Plan) *planner.Plan {
 	return q
 }
 
-// SetExecSeconds writes the slab of the plan it is given; only its
-// registered callers (the plan cache, patching a fresh Clone) may call it.
-func badSlabPatch(p *planner.Plan, plans []*planner.Plan) {
-	p.SetExecSeconds([]int32{0}, []float64{1})                // want `call to planner\.Plan\.SetExecSeconds outside its registered callers`
-	plans[0].Clone().SetExecSeconds([]int32{0}, []float64{1}) // want `call to planner\.Plan\.SetExecSeconds outside its registered callers`
-}
-
-// registeredSlabPatch is registered in the test's analyzer config.
-func registeredSlabPatch(p *planner.Plan) *planner.Plan {
-	q := p.Clone()
-	q.SetExecSeconds([]int32{0}, []float64{1})
-	return q
-}
-
 func goodReads(p *planner.Plan) float64 {
 	return p.TotalExecSeconds() // reads never flag
 }

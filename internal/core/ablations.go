@@ -7,7 +7,6 @@ import (
 	"pegflow/internal/engine"
 	"pegflow/internal/planner"
 	"pegflow/internal/sim/platform"
-	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
 
@@ -32,11 +31,10 @@ type Variant struct {
 // RunVariant executes the blast2cap3 workflow on the named platform with
 // the given variant applied.
 func (e *Experiment) RunVariant(platformName string, n int, v Variant) (*RunResult, error) {
-	cfg, _, err := e.platformConfig(platformName)
+	cfg, err := e.platformConfig(platformName, n)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Seed = e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15)
 	if v.DisablePreemption {
 		cfg.EvictionRate = 0
 	}
@@ -50,36 +48,33 @@ func (e *Experiment) RunVariant(platformName string, n int, v Variant) (*RunResu
 			MeanReadLen:    1500,
 		}, e.Seed)
 	}
-
-	var plan *planner.Plan
 	if !v.PreinstallOSG && v.ClusterSize <= 1 {
-		// Catalog- and clustering-neutral variants share the plan cache;
-		// a SizeExponent override lands on its own key via w.Params.
-		plan, err = e.cachedWorkflowPlan(platformName, n, w, false)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: w, Cost: e.Cost})
-		if err != nil {
-			return nil, err
-		}
-		cats, err := workflow.PaperCatalogs(w, e.SandhillsSlots, e.OSGSlots)
-		if err != nil {
-			return nil, err
-		}
-		if v.PreinstallOSG {
-			cats.Transformations = preinstalledEverywhere(cats.Transformations, platformName)
-		}
-		opts := planner.Options{Site: platformName}
-		if v.ClusterSize > 1 {
-			opts.ClusterSize = v.ClusterSize
-			opts.ClusterTransformations = []string{workflow.TrRunCAP3}
-		}
-		plan, err = planner.New(abstract, cats, opts)
-		if err != nil {
-			return nil, err
-		}
+		// Catalog- and clustering-neutral variants are ordinary runs; a
+		// SizeExponent override plans from its own master via w.Params.
+		return e.runOnSite(cfg, n, w, planner.ClusterOptions{})
+	}
+
+	// An edited catalog or abstract-level clustering changes what is
+	// planned, not how it runs: plan directly and run on a bare engine.
+	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: w})
+	if err != nil {
+		return nil, err
+	}
+	cats, err := workflow.PaperCatalogs(w, e.SandhillsSlots, e.OSGSlots)
+	if err != nil {
+		return nil, err
+	}
+	if v.PreinstallOSG {
+		cats.Transformations = preinstalledEverywhere(cats.Transformations, platformName)
+	}
+	opts := planner.Options{Site: platformName}
+	if v.ClusterSize > 1 {
+		opts.ClusterSize = v.ClusterSize
+		opts.ClusterTransformations = []string{workflow.TrRunCAP3}
+	}
+	plan, err := planner.New(abstract, cats, opts)
+	if err != nil {
+		return nil, err
 	}
 	ex, err := platform.NewExecutor(cfg)
 	if err != nil {
@@ -90,13 +85,7 @@ func (e *Experiment) RunVariant(platformName string, n int, v Variant) (*RunResu
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{
-		Platform: platformName,
-		N:        n,
-		Result:   res,
-		Summary:  stats.Summarize(res.Log, res.Makespan),
-		PerTask:  stats.PerTransformation(res.Log),
-	}, nil
+	return newRunResult(platformName, n, res), nil
 }
 
 // preinstalledEverywhere rebuilds a transformation catalog with every

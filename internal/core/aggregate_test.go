@@ -22,7 +22,6 @@ func smallExperiment(seed uint64, aggregate bool) *Experiment {
 			SizeExponent:   0.5,
 			MeanReadLen:    1000,
 		}, seed),
-		Cost:      workflow.DefaultCostModel(),
 		Aggregate: aggregate,
 	}
 }
@@ -100,14 +99,7 @@ func TestAggregateEnsembleParity(t *testing.T) {
 		e.Aggregate = aggregate
 		return e
 	}
-	_, exact, err := run(false).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, agg, err := run(true).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact, agg := runReport(t, run(false)), runReport(t, run(true))
 	if !reflect.DeepEqual(exact, agg) {
 		t.Errorf("ensemble report diverged:\nexact %+v\nagg   %+v", exact, agg)
 	}

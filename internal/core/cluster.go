@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"io"
 
-	"pegflow/internal/engine"
 	"pegflow/internal/planner"
 	"pegflow/internal/pool"
-	"pegflow/internal/sim/platform"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
@@ -26,40 +24,11 @@ import (
 // identical to RunWorkflow, so a run with disabled options reproduces
 // RunWorkflow exactly and sweeps compare like with like.
 func (e *Experiment) RunClustered(platformName string, n int, copts planner.ClusterOptions) (*RunResult, error) {
-	cfg, _, err := e.platformConfig(platformName)
+	cfg, err := e.platformConfig(platformName, n)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Seed = e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15)
-
-	// The plan cache pays DAX construction and catalog resolution once per
-	// (platform, n) shape; this retrieval clones the master and patches in
-	// this seed's chunk runtimes. Clustering runs per retrieval: with
-	// TargetJobSeconds the packing depends on the seeded runtimes.
-	plan, err := e.cachedWorkflowPlan(platformName, n, e.Workload, false)
-	if err != nil {
-		return nil, err
-	}
-	plan, err = planner.Cluster(plan, copts)
-	if err != nil {
-		return nil, err
-	}
-	ex, err := platform.NewExecutor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ex.Reserve(plan.Graph.Len())
-	res, err := engine.Run(plan, ex, engine.Options{RetryLimit: e.RetryLimit, Aggregate: e.Aggregate})
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{
-		Platform: platformName,
-		N:        n,
-		Result:   res,
-		Summary:  stats.Summarize(res.Log, res.Makespan),
-		PerTask:  stats.PerTransformation(res.Log),
-	}, nil
+	return e.runOnSite(cfg, n, e.Workload, copts)
 }
 
 // ClusterPoint is one cell of the cluster-size sweep.

@@ -126,10 +126,7 @@ func TestClusteredFailoverEnsembleDeterministic(t *testing.T) {
 		exp.Cluster = planner.ClusterOptions{MaxTasksPerJob: 6}
 		exp.Failover = true
 		exp.Workers = workers
-		_, report, err := exp.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		report := runReport(t, exp)
 		var buf bytes.Buffer
 		if err := report.WriteJSON(&buf); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"pegflow/internal/engine"
 	"pegflow/internal/planner"
@@ -36,8 +37,6 @@ type Experiment struct {
 	// Workload is the dataset; defaults to the paper-scale synthetic
 	// Triticum urartu workload.
 	Workload workflow.Workload
-	// Cost is the calibrated cost model.
-	Cost workflow.CostModel
 	// Workers bounds the number of concurrent simulations RunAll fans
 	// out; <= 0 means runtime.NumCPU(), 1 forces the serial path. The
 	// results are identical for any worker count.
@@ -48,6 +47,15 @@ type Experiment struct {
 	// per-transformation tables are unaffected; consumers that need raw
 	// records (timelines, log export) must run exact.
 	Aggregate bool
+
+	// The paper's catalogs at this experiment's slot counts and, per
+	// platform, the key the plan cache knows them by: built by the first
+	// run, so SandhillsSlots and OSGSlots must not change after it.
+	mu sync.Mutex
+	//pegflow:guarded mu
+	cats planner.Catalogs
+	//pegflow:guarded mu
+	catalogKeys map[string]string
 }
 
 // DefaultExperiment returns the paper-scale configuration.
@@ -58,7 +66,6 @@ func DefaultExperiment(seed uint64) *Experiment {
 		OSGSlots:       600,
 		RetryLimit:     5,
 		Workload:       workflow.PaperWorkload(seed),
-		Cost:           workflow.DefaultCostModel(),
 	}
 }
 
@@ -79,22 +86,45 @@ type RunResult struct {
 // WallTime returns the workflow wall time in seconds.
 func (r *RunResult) WallTime() float64 { return r.Summary.WallTime }
 
-func (e *Experiment) platformConfig(name string) (platform.Config, int, error) {
+// platformConfig returns the simulated platform behind a platform name at
+// this experiment's slot counts, seeded for an n-chunk run: n is mixed into
+// the seed so sweep cells draw independent platform noise.
+func (e *Experiment) platformConfig(name string, n int) (platform.Config, error) {
+	var cfg platform.Config
 	switch name {
 	case "sandhills":
-		cfg := platform.Sandhills(e.Seed)
+		cfg = platform.Sandhills(e.Seed)
 		cfg.Slots = e.SandhillsSlots
-		return cfg, e.SandhillsSlots, nil
 	case "osg":
-		cfg := platform.OSG(e.Seed)
+		cfg = platform.OSG(e.Seed)
 		cfg.Slots = e.OSGSlots
-		return cfg, e.OSGSlots, nil
 	case "cloud":
-		cfg := platform.Cloud(e.Seed)
-		return cfg, cfg.Slots, nil
+		cfg = platform.Cloud(e.Seed)
 	default:
-		return platform.Config{}, 0, fmt.Errorf("core: unknown platform %q", name)
+		return platform.Config{}, fmt.Errorf("core: unknown platform %q", name)
 	}
+	cfg.Seed = e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15)
+	return cfg, nil
+}
+
+// catalogs returns the paper's catalogs at this experiment's slot counts
+// and the plan-cache key of planning on the one site.
+func (e *Experiment) catalogs(site string) (planner.Catalogs, string, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.catalogKeys == nil {
+		cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
+		if err != nil {
+			return planner.Catalogs{}, "", err
+		}
+		e.cats, e.catalogKeys = cats, make(map[string]string, 1)
+	}
+	key, ok := e.catalogKeys[site]
+	if !ok {
+		key = e.cats.Fingerprint([]string{site})
+		e.catalogKeys[site] = key
+	}
+	return e.cats, key, nil
 }
 
 // RunWorkflow executes the blast2cap3 workflow with n cluster chunks on
@@ -105,12 +135,72 @@ func (e *Experiment) RunWorkflow(platformName string, n int) (*RunResult, error)
 	return e.RunClustered(platformName, n, planner.ClusterOptions{})
 }
 
+// onSite expresses a run of workload w with n chunks on one simulated
+// platform as an ensemble of one member on a pool of one site, planned over
+// the paper's catalogs without stage-in jobs (the paper's inputs are in
+// place on both platforms). It is how every single-site experiment reaches
+// the run path the scenario cells use; the member plan equals
+// planner.New(BuildDAX(w, n)) on cfg's site, clustered.
+func (e *Experiment) onSite(cfg platform.Config, n int, w workflow.Workload, copts planner.ClusterOptions) (*EnsembleExperiment, error) {
+	cats, key, err := e.catalogs(cfg.Name)
+	if err != nil {
+		return nil, err
+	}
+	return &EnsembleExperiment{
+		Seed:      e.Seed,
+		Workflows: 1,
+		N:         n,
+		// One candidate site per job: the policy has nothing to choose.
+		Policy:         planner.PolicyRoundRobin,
+		Sites:          []string{cfg.Name},
+		Platforms:      []platform.Config{cfg},
+		Catalogs:       cats,
+		CatalogKey:     key,
+		RetryLimit:     e.RetryLimit,
+		Cluster:        copts,
+		Workers:        1,
+		MemberWorkload: func(int) workflow.Workload { return w },
+		Aggregate:      e.Aggregate,
+	}, nil
+}
+
+// runOnSite runs onSite's ensemble of one and reports its only member.
+func (e *Experiment) runOnSite(cfg platform.Config, n int, w workflow.Workload, copts planner.ClusterOptions) (*RunResult, error) {
+	ens, err := e.onSite(cfg, n, w, copts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ens.Run()
+	if err != nil {
+		return nil, err
+	}
+	return newRunResult(cfg.Name, n, res.Workflows[0].Result), nil
+}
+
+func newRunResult(platformName string, n int, res *engine.Result) *RunResult {
+	return &RunResult{
+		Platform: platformName,
+		N:        n,
+		Result:   res,
+		Summary:  stats.Summarize(res.Log, res.Makespan),
+		PerTask:  stats.PerTransformation(res.Log),
+	}
+}
+
 // RunSerial executes the serial blast2cap3 baseline on a single dedicated
-// Sandhills core (paper §V.B: "the running time was 100 hours").
+// Sandhills core (paper §V.B: "the running time was 100 hours"). Its
+// one-job plan is built directly and run on a bare engine: one of the two
+// callers of engine.Run in this package (RunVariant is the other).
 func (e *Experiment) RunSerial() (*RunResult, error) {
-	// The serial plan is fully seed-independent (its one runtime sums
-	// every cluster), so the cache serves it with nothing to patch.
-	plan, err := e.cachedWorkflowPlan("sandhills", 0, e.Workload, true)
+	cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
+	if err != nil {
+		return nil, err
+	}
+	abstract, err := workflow.BuildSerialDAX(e.Workload, workflow.CostModel{})
+	if err != nil {
+		return nil, err
+	}
+	plan, err := planner.New(abstract, cats, planner.Options{Site: "sandhills"})
 	if err != nil {
 		return nil, err
 	}
@@ -124,13 +214,7 @@ func (e *Experiment) RunSerial() (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{
-		Platform: "serial",
-		N:        0,
-		Result:   res,
-		Summary:  stats.Summarize(res.Log, res.Makespan),
-		PerTask:  stats.PerTransformation(res.Log),
-	}, nil
+	return newRunResult("serial", 0, res), nil
 }
 
 // AllResults holds the complete evaluation: the serial baseline plus every

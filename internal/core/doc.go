@@ -9,45 +9,58 @@
 // over a shared platform pool (EnsembleExperiment, ComparePolicies), and
 // the ablations of DESIGN.md.
 //
-// Four process-wide caches make sweeps cheap without changing a single
+// There is one run path. EnsembleExperiment.Run plans N member workflows
+// across a site set under a policy and executes them on a shared platform
+// pool; a single workflow is an ensemble of one and a single site a pool of
+// one, so Experiment (RunWorkflow, RunClustered, RunAll, the Monte Carlo and
+// cluster sweeps, the catalogue-neutral ablations) is a thin adapter: the
+// platform model behind the name, the paper's catalogs, a one-member
+// one-site EnsembleExperiment planned without stage-in jobs, and the
+// member's outcome as a RunResult. Run is the only function here that
+// builds a pool and drives member engines; RunSerial (a one-job DAX) and
+// RunVariant's edited-catalog / abstract-clustering branch plan directly and
+// call engine.Run, which is also the reference the equality tests compare
+// the one path against. Whether plans carry stage-in jobs
+// (EnsembleExperiment.StageIn) is an explicit input: it is the one
+// observable the former single-site pipeline differed in.
+//
+// Three process-wide caches make sweeps cheap without changing a single
 // output byte (asserted byte-for-byte in tests). A workload seed moves
 // nothing but the run_cap3 runtime estimates, which are written per
 // retrieval, so no plan or DAX key holds a seed: those entries follow
 // distinct shapes, and a seed never seen before plans as warm as a repeated
-// one. The runtime estimates themselves are the fourth cache, the only one
+// one. The runtime estimates themselves are the third cache, the only one
 // keyed on a seed and therefore the only one with a byte budget.
 //
-//   - the keyed plan cache (plancache.go) builds one immutable master
-//     plan per shape key — (site, n, slot counts, workload fingerprint,
-//     effective cost model) — and serves each request a Plan.Clone (the
-//     master's graph and index shared, its job slab copied: a constant
-//     number of allocations at any n) with the requesting seed's chunk
-//     runtimes written at the chunk jobs' recorded slab positions;
-//   - the multi-site plan cache (ensemble.go) keeps one planner.Resolved
-//     master per (workload fingerprint, n, AddStageIn, fingerprint of the
-//     catalog fields planning reads over the ordered site list) — content,
-//     not pointers, because every scenario compile builds fresh catalogs.
-//     An ensemble member plan is the seed's ChunkSeconds plus
-//     Resolved.Plan: a placement pass under the cell's policy, a Clone of
-//     the master graph memoized for that placement's stage-in signature,
-//     and one patch of site, install and runtime fields; it equals
-//     planner.NewMulti on the member's own BuildDAX;
+//   - the plan cache (ensemble.go) keeps one planner.Resolved master per
+//     (workload fingerprint, n, StageIn, fingerprint of the catalog fields
+//     planning reads over the ordered site list) — content, not pointers,
+//     because every scenario compile builds fresh catalogs; a caller with
+//     frozen catalogs computes the fingerprint once and passes it as
+//     CatalogKey. A member plan is the seed's ChunkSeconds plus
+//     Resolved.Plan: a placement pass under the cell's policy (none when no
+//     job has a choice of site), a Clone of the master graph memoized for
+//     that placement's stage-in signature (the master's graph and index
+//     shared, its job slab copied: a constant number of allocations at any
+//     n), and one patch of site, install and runtime fields; it equals
+//     planner.NewMulti on the member's own BuildDAX, and on one site
+//     planner.New;
 //   - the member-DAX cache (ensemble.go) holds the abstract workflow per
 //     (workload fingerprint, n) that those masters are resolved from;
 //   - the chunk-seconds cache (plancache.go) holds the rounded run_cap3
-//     runtimes per (workload params, effective cost model, seed, n) in an
+//     runtimes per (workload params, cost model, seed, n) in an
 //     internal/lru cache of 32 MiB (a constant). The runtimes depend on
 //     nothing else a cell varies, so the cells of a scenario grid that
 //     differ in site set, policy, clustering or failover — and every
 //     what-if document over the same workload and seeds — deal each
-//     (seed, n) once. Both run paths read it through roundedChunkSeconds;
-//     the slice is shared and read-only; hand-built workloads bypass it;
-//     past the budget the least recently used entries go, and the cost
-//     falls back to the uncached one.
+//     (seed, n) once. Every member plan reads it through
+//     roundedChunkSeconds; the slice is shared and read-only; hand-built
+//     workloads bypass it; past the budget the least recently used entries
+//     go, and the cost falls back to the uncached one.
 //
 // PlanCacheStats exposes build/retrieval counters and the chunk-seconds
 // cache's hits, misses, evictions and bytes (surfaced by `pegflow serve`'s
-// health endpoint); ResetPlanCache drops every entry of all four, for
+// health endpoint); ResetPlanCache drops every entry of all three, for
 // tests and benchmarks that want a cold cache.
 //
 // Package scenario compiles declarative what-if documents onto this

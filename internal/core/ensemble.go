@@ -40,6 +40,13 @@ type EnsembleExperiment struct {
 	Platforms []platform.Config
 	// Catalogs resolve sites, transformations and replicas.
 	Catalogs planner.Catalogs
+	// CatalogKey, when non-empty, is Catalogs.Fingerprint(Sites), which the
+	// plan cache keys masters on: a caller that runs many experiments over
+	// the same frozen catalogs computes it once instead of once per run.
+	CatalogKey string
+	// StageIn plans one synthesized stage-in job per site that consumes
+	// the workflow's external inputs.
+	StageIn bool
 	// MaxInFlight is the ensemble-wide job throttle (0 = unlimited).
 	MaxInFlight int
 	// RetryLimit is the per-job retry budget.
@@ -115,13 +122,12 @@ func (k memberDAXKey) hash() uint64 {
 	return hashFields([]string{k.name}, []uint64{uint64(k.n)})
 }
 
-var memberDAXCache shardedMap // memberDAXKey -> *cachedDAX
+var memberDAXCache shardedMap[memberDAXKey, cachedDAX]
 
 // memberDAX serves the shape's abstract master, built from whichever seed
 // asked first. The master is shared and read-only.
 func memberDAX(key memberDAXKey, w workflow.Workload) (*dax.Workflow, error) {
-	v, _ := memberDAXCache.LoadOrStore(key.hash(), key, &cachedDAX{})
-	entry := v.(*cachedDAX)
+	entry := memberDAXCache.entry(key.hash(), key)
 	entry.once.Do(func() {
 		daxBuilds.Add(1)
 		entry.wf, entry.err = workflow.BuildDAX(workflow.BuilderConfig{N: key.n, Workload: w})
@@ -136,7 +142,7 @@ func memberDAX(key memberDAXKey, w workflow.Workload) (*dax.Workflow, error) {
 // multiPlanKey is the content key of a resolved multi-site master: the
 // member shape, whether stage-in jobs are planned, and the fingerprint of
 // what planning reads from the catalogs (which covers the ordered site
-// list). Like planKey it holds no seed, and it holds no policy either:
+// list). It holds no seed, and no policy either:
 // placement is per retrieval.
 type multiPlanKey struct {
 	dax      memberDAXKey
@@ -160,7 +166,7 @@ type cachedMultiPlan struct {
 	err      error
 }
 
-var multiPlanCache shardedMap // multiPlanKey -> *cachedMultiPlan
+var multiPlanCache shardedMap[multiPlanKey, cachedMultiPlan]
 
 // memberSource resolves member i: for a synthesized workload the shape's
 // cached master plus this seed's chunk runtimes, rounded as the DAX runtime
@@ -174,7 +180,7 @@ func (e *EnsembleExperiment) memberSource(i int, catalogs string) (ensemble.Reso
 		RetryLimit: e.RetryLimit,
 	}
 	w := e.memberWorkload(i)
-	mopts := planner.MultiOptions{Sites: e.Sites, AddStageIn: true}
+	mopts := planner.MultiOptions{Sites: e.Sites, AddStageIn: e.StageIn}
 	if !cacheable(w) {
 		abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: e.N, Workload: w})
 		if err != nil {
@@ -195,8 +201,7 @@ func (e *EnsembleExperiment) memberSource(i int, catalogs string) (ensemble.Reso
 		stageIn:  mopts.AddStageIn,
 		catalogs: catalogs,
 	}
-	v, _ := multiPlanCache.LoadOrStore(key.hash(), key, &cachedMultiPlan{})
-	entry := v.(*cachedMultiPlan)
+	entry := multiPlanCache.entry(key.hash(), key)
 	entry.once.Do(func() {
 		planBuilds.Add(1)
 		entry.err = entry.build(key.dax, w, e.Catalogs, mopts)
@@ -237,48 +242,50 @@ func (c *cachedMultiPlan) build(dk memberDAXKey, w workflow.Workload, cats plann
 	return nil
 }
 
-// members resolves every member across the worker pool. Members are
+// plan resolves and plans every member across the worker pool. Members are
 // admitted in index order; earlier members get higher ensemble priority
 // (the Pegasus Ensemble Manager's priority knob).
-func (e *EnsembleExperiment) members() ([]ensemble.ResolvedSource, error) {
+func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
 	if e.Workflows <= 0 {
 		return nil, fmt.Errorf("core: non-positive ensemble size %d", e.Workflows)
 	}
 	if e.N <= 0 {
 		return nil, fmt.Errorf("core: non-positive chunk count %d", e.N)
 	}
-	catalogs := e.Catalogs.Fingerprint(e.Sites)
-	srcs := make([]ensemble.ResolvedSource, e.Workflows)
-	err := pool.ForEach(e.Workers, e.Workflows, func(i int) (err error) {
-		srcs[i], err = e.memberSource(i, catalogs)
+	catalogs := e.CatalogKey
+	if catalogs == "" {
+		catalogs = e.Catalogs.Fingerprint(e.Sites)
+	}
+	opts := ensemble.PlanOptions{
+		Sites:    e.Sites,
+		Policy:   e.Policy,
+		Cluster:  e.Cluster,
+		Failover: e.Failover,
+	}
+	specs := make([]ensemble.Spec, e.Workflows)
+	err := pool.ForEach(e.Workers, e.Workflows, func(i int) error {
+		src, err := e.memberSource(i, catalogs)
+		if err != nil {
+			return err
+		}
+		specs[i], err = ensemble.PlanMember(src, e.Catalogs, opts)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return srcs, nil
+	return specs, nil
 }
 
-// plan resolves and plans all members across the worker pool.
-func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
-	srcs, err := e.members()
-	if err != nil {
-		return nil, err
-	}
-	return ensemble.PlanResolved(srcs, e.Catalogs, ensemble.PlanOptions{
-		Sites:    e.Sites,
-		Policy:   e.Policy,
-		Cluster:  e.Cluster,
-		Failover: e.Failover,
-		Workers:  e.Workers,
-	})
-}
-
-// Run plans all members across the worker pool and executes the ensemble.
-func (e *EnsembleExperiment) Run() (*ensemble.Result, *stats.EnsembleReport, error) {
+// Run plans all members across the worker pool and executes the ensemble;
+// Result.Report(e.Policy) renders the outcome as a report. It is the one
+// place in this package that builds a platform pool and drives member
+// engines over it: every experiment, single-site ones included
+// (Experiment.runOnSite), ends here.
+func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 	specs, err := e.plan()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if e.BackoffBase > 0 {
 		for i := range specs {
@@ -288,16 +295,12 @@ func (e *EnsembleExperiment) Run() (*ensemble.Result, *stats.EnsembleReport, err
 	}
 	p, err := platform.NewMultiExecutor(e.Platforms)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := p.InstallFaults(e.Faults); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := ensemble.Run(p, specs, ensemble.Options{MaxInFlight: e.MaxInFlight, Aggregate: e.Aggregate})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, res.Report(e.Policy), nil
+	return ensemble.Run(p, specs, ensemble.Options{MaxInFlight: e.MaxInFlight, Aggregate: e.Aggregate})
 }
 
 // PaperEnsemble builds an ensemble experiment over the paper's two-site
@@ -321,6 +324,7 @@ func PaperEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExper
 		Sites:       []string{"sandhills", "osg"},
 		Platforms:   []platform.Config{sand, osg},
 		Catalogs:    cats,
+		StageIn:     true,
 		MaxInFlight: 0,
 		RetryLimit:  e.RetryLimit,
 	}, nil
@@ -391,6 +395,7 @@ func HeteroBenchEnsemble(seed uint64, workflows, n int, policy string) (*Ensembl
 			},
 		},
 		Catalogs:   cats,
+		StageIn:    true,
 		RetryLimit: 3,
 	}, nil
 }
@@ -435,11 +440,11 @@ func ComparePolicies(baseSeed uint64, runs int, policies []string, workers int,
 			return err
 		}
 		e.Workers = 1
-		_, report, err := e.Run()
+		res, err := e.Run()
 		if err != nil {
 			return fmt.Errorf("core: policy %s seed %d: %w", policies[pi], baseSeed+uint64(rep), err)
 		}
-		cells[i] = cell{report: report}
+		cells[i] = cell{report: res.Report(e.Policy)}
 		return nil
 	})
 	if err != nil {

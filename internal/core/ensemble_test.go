@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pegflow/internal/planner"
+	"pegflow/internal/stats"
 )
 
 func heteroExperiment(t testing.TB, seed uint64, policy string) *EnsembleExperiment {
@@ -15,17 +16,21 @@ func heteroExperiment(t testing.TB, seed uint64, policy string) *EnsembleExperim
 	return e
 }
 
+// runReport runs the experiment and renders its report.
+func runReport(t testing.TB, e *EnsembleExperiment) *stats.EnsembleReport {
+	t.Helper()
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Report(e.Policy)
+}
+
 // Acceptance: on the heterogeneous bench fixture, the data-aware policy
 // beats round-robin ensemble makespan.
 func TestDataAwareBeatsRoundRobin(t *testing.T) {
-	_, rr, err := heteroExperiment(t, 42, planner.PolicyRoundRobin).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, da, err := heteroExperiment(t, 42, planner.PolicyDataAware).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rr := runReport(t, heteroExperiment(t, 42, planner.PolicyRoundRobin))
+	da := runReport(t, heteroExperiment(t, 42, planner.PolicyDataAware))
 	if da.Makespan >= rr.Makespan {
 		t.Errorf("data-aware makespan %.0f s not better than round-robin %.0f s",
 			da.Makespan, rr.Makespan)
@@ -76,10 +81,7 @@ func TestPaperEnsembleReproducible(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Workers = 1 + i*7
-		_, report, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		report := runReport(t, e)
 		for _, w := range report.Workflows {
 			if !w.Success {
 				t.Errorf("workflow %s incomplete", w.Name)
@@ -120,10 +122,7 @@ func BenchmarkEnsemble(b *testing.B) {
 					e := heteroExperiment(b, 42, policy)
 					e.Cluster = v.cluster
 					e.Failover = v.failover
-					_, report, err := e.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
+					report := runReport(b, e)
 					makespan = report.Makespan
 					failovers = report.TotalFailovers
 				}

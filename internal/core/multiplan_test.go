@@ -1,7 +1,12 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"pegflow/internal/ensemble"
 	"pegflow/internal/planner"
@@ -27,6 +32,87 @@ func memberPlans(t testing.TB, e *EnsembleExperiment) []ensemble.Spec {
 		t.Fatal(err)
 	}
 	return specs
+}
+
+// singleSite is what Experiment.RunClustered runs: the experiment's workload
+// with n chunks as an ensemble of one on the named paper platform.
+func singleSite(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *EnsembleExperiment {
+	t.Helper()
+	cfg, err := e.platformConfig(site, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, err := e.onSite(cfg, n, e.Workload, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ens
+}
+
+// singleSitePlan is the one member plan of singleSite.
+func singleSitePlan(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *planner.Plan {
+	t.Helper()
+	return memberPlans(t, singleSite(t, e, site, n, copts))[0].Plan
+}
+
+// uncachedExperiment returns the default experiment with the workload's
+// synthesis fingerprint cleared, which forces every plan to be resolved
+// from the workload's own DAX — no cached master, no runtime patch — the
+// reference the cached runs are compared with.
+func uncachedExperiment(seed uint64) *Experiment {
+	e := DefaultExperiment(seed)
+	w := e.Workload
+	w.Params = workflow.WorkloadParams{}
+	e.Workload = w
+	return e
+}
+
+// planSnapshot captures everything observable about a plan through its
+// exported API — header, index, every Job field by value, insertion order,
+// and the graph's jobs and edges — for deep-equality comparison.
+func planSnapshot(t testing.TB, p *planner.Plan) map[string]any {
+	t.Helper()
+	idx, err := p.Indexed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]any{
+		"name":      p.Graph.Name,
+		"site":      p.Site,
+		"sites":     append([]string(nil), p.Sites...),
+		"siteentry": p.SiteEntry, // DeepEqual compares the pointee; nil for multi-site plans
+		"order":     append([]string(nil), idx.Order...),
+		"indegree":  append([]int32(nil), idx.Indegree...),
+	}
+	var inserted []string
+	for _, j := range p.Jobs() {
+		inserted = append(inserted, j.ID)
+	}
+	out["inserted"] = inserted
+	for i, id := range idx.Order {
+		j := *p.JobAt(int32(i))
+		j.Args = append([]string(nil), j.Args...)
+		j.Tasks = append([]string(nil), j.Tasks...)
+		j.Members = append([]planner.Member(nil), j.Members...)
+		out["job/"+id] = j
+		out["graph/"+id] = *p.Graph.Job(id).Clone()
+		out["parents/"+id] = p.Graph.Parents(id)
+		out["children/"+id] = p.Graph.Children(id)
+	}
+	return out
+}
+
+// diffSnapshots names the first key on which two plan snapshots disagree.
+func diffSnapshots(a, b map[string]any) string {
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d vs %d entries", len(a), len(b))
+	}
+	for k, v := range a {
+		if !reflect.DeepEqual(v, b[k]) {
+			return fmt.Sprintf("%s: %+v vs %+v", k, v, b[k])
+		}
+	}
+	return ""
 }
 
 // uncachedMemberPlan is the reference: member i's own BuildDAX, planned from
@@ -208,29 +294,298 @@ func TestMultiPlanCacheKeysOnCatalogContent(t *testing.T) {
 	}
 }
 
-// TestAllocsMemberPlanRetrieval is the allocation gate of the warm multi-site
-// path (run by CI as `go test -run 'TestAllocs'`): resolving a member from
-// the cache and planning it — chunk runtimes, placement, clone, patch —
-// allocates the same number of objects at n = 500 and at n = 8000. Anything
-// per job that creeps into the placement pass or the patch makes the two
-// sizes disagree.
-func TestAllocsMemberPlanRetrieval(t *testing.T) {
+// checkWarmPlanAllocs is the allocation gate of the warm plan path (run by CI
+// as `go test -run 'TestAllocs'`): resolving a member from the cache and
+// planning it — chunk runtimes, placement, clone, patch — allocates the same
+// number of objects at both sizes, and no more than limit. Anything per job
+// that creeps into the placement pass or the patch makes the sizes disagree.
+func checkWarmPlanAllocs(t *testing.T, build func(n int) *EnsembleExperiment, small, large int, limit float64) {
 	ResetPlanCache()
 	defer ResetPlanCache()
 	measure := func(n int) float64 {
+		e := build(n)
+		memberPlans(t, e)
+		return testing.AllocsPerRun(5, func() { memberPlans(t, e) })
+	}
+	atSmall, atLarge := measure(small), measure(large)
+	t.Logf("warm member plan: %v allocations at n=%d, %v at n=%d", atSmall, small, atLarge, large)
+	if atSmall != atLarge {
+		t.Errorf("warm member-plan allocations grow with n: %v at n=%d, %v at n=%d", atSmall, small, atLarge, large)
+	}
+	if atSmall > limit {
+		t.Errorf("warm member plan costs %v allocations, want at most %v", atSmall, limit)
+	}
+}
+
+// TestAllocsMemberPlanRetrieval: a two-site member under a cost policy.
+func TestAllocsMemberPlanRetrieval(t *testing.T) {
+	checkWarmPlanAllocs(t, func(n int) *EnsembleExperiment {
 		e, err := PaperEnsemble(42, 1, n, planner.PolicyDataAware)
 		if err != nil {
 			t.Fatal(err)
 		}
-		memberPlans(t, e)
-		return testing.AllocsPerRun(5, func() { memberPlans(t, e) })
+		return e
+	}, 500, 8000, 40)
+}
+
+// TestAllocsPlanRetrieval: the one-site member every single-site run plans.
+func TestAllocsPlanRetrieval(t *testing.T) {
+	e := DefaultExperiment(42)
+	checkWarmPlanAllocs(t, func(n int) *EnsembleExperiment {
+		return singleSite(t, e, "osg", n, planner.ClusterOptions{})
+	}, 2000, 20000, 8)
+}
+
+// TestPlanCacheByteIdentical is the cache's end-to-end correctness gate on
+// single-site runs: for a grid of seeds, platforms, chunk counts and
+// clustering options, a run served by the plan cache (a patched clone of the
+// shape's master) must be byte-identical — full kickstart log, summary and
+// per-task statistics — to a run resolved from its own DAX.
+func TestPlanCacheByteIdentical(t *testing.T) {
+	ResetPlanCache()
+	copts := []planner.ClusterOptions{
+		{},
+		{MaxTasksPerJob: 4},
+		{TargetJobSeconds: 1800},
 	}
-	small, large := measure(500), measure(8000)
-	t.Logf("warm member plan: %v allocations at n=500, %v at n=8000", small, large)
-	if small != large {
-		t.Errorf("warm member-plan allocations grow with n: %v at n=500, %v at n=8000", small, large)
+	for _, seed := range []uint64{1, 42} {
+		for _, p := range []string{"sandhills", "osg"} {
+			for _, n := range []int{10, 100} {
+				for _, co := range copts {
+					cached, err := DefaultExperiment(seed).RunClustered(p, n, co)
+					if err != nil {
+						t.Fatal(err)
+					}
+					direct, err := uncachedExperiment(seed).RunClustered(p, n, co)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cb, err := json.Marshal(cached)
+					if err != nil {
+						t.Fatal(err)
+					}
+					db, err := json.Marshal(direct)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(cb) != string(db) {
+						t.Errorf("seed=%d %s n=%d copts=%+v: cached run differs from uncached run", seed, p, n, co)
+					}
+				}
+			}
+		}
 	}
-	if small > 40 {
-		t.Errorf("warm member plan costs %v allocations, want a few dozen at most", small)
+}
+
+// TestPlanCacheBuildsOncePerShape is TestMultiPlanCacheHoldsNoSeed for the
+// one-site members: many retrievals across different seeds share one master
+// per (site, n) shape, and each retrieval is its own clone.
+func TestPlanCacheBuildsOncePerShape(t *testing.T) {
+	ResetPlanCache()
+	none := planner.ClusterOptions{}
+	for seed := uint64(0); seed < 8; seed++ {
+		singleSitePlan(t, DefaultExperiment(seed), "sandhills", 50, none)
+	}
+	if got := multiPlanCache.Len(); got != 1 {
+		t.Errorf("cache entries after 8 seeds of one shape = %d, want 1", got)
+	}
+	e := DefaultExperiment(0)
+	singleSitePlan(t, e, "osg", 50, none)
+	singleSitePlan(t, e, "sandhills", 60, none)
+	if got := multiPlanCache.Len(); got != 3 {
+		t.Errorf("cache entries after two more shapes = %d, want 3", got)
+	}
+	if got := memberDAXCache.Len(); got != 2 {
+		t.Errorf("%d member DAXes, want one per n", got)
+	}
+
+	// Distinct retrievals must be independent clones, not the master.
+	a, b := singleSitePlan(t, e, "sandhills", 50, none), singleSitePlan(t, e, "sandhills", 50, none)
+	if a == b || a.Job("run_cap3_0001") == b.Job("run_cap3_0001") {
+		t.Error("cache handed out shared plan state instead of clones")
+	}
+}
+
+// TestPlanCacheSpeedup pins the headline win: retrieving a warm cached
+// plan (placement + clone + runtime patch) must be at least 2x faster than
+// resolving it from scratch. The real gap is an order of magnitude — the 2x
+// floor leaves room for scheduler noise on tiny CI machines.
+func TestPlanCacheSpeedup(t *testing.T) {
+	const n = 300
+	const reps = 5
+	none := planner.ClusterOptions{}
+	e, eu := DefaultExperiment(42), uncachedExperiment(42)
+
+	// Warm both paths (cache master, memoized workload tables).
+	singleSitePlan(t, e, "sandhills", n, none)
+	singleSitePlan(t, eu, "sandhills", n, none)
+
+	// Best-of-5 sampling damps scheduler preemption on tiny CI machines:
+	// one undisturbed trial per side suffices.
+	best := func(f func()) time.Duration {
+		bestD := time.Duration(1<<63 - 1)
+		for trial := 0; trial < 5; trial++ {
+			start := time.Now()
+			for i := 0; i < reps; i++ {
+				f()
+			}
+			if d := time.Since(start); d < bestD {
+				bestD = d
+			}
+		}
+		return bestD
+	}
+	cachedD := best(func() { singleSitePlan(t, e, "sandhills", n, none) })
+	uncachedD := best(func() { singleSitePlan(t, eu, "sandhills", n, none) })
+
+	t.Logf("warm cached retrieval: %v/plan, uncached planning: %v/plan (%.1fx)",
+		cachedD/reps, uncachedD/reps, float64(uncachedD)/float64(cachedD))
+	if cachedD*2 > uncachedD {
+		t.Errorf("cached plan retrieval (%v) is not ≥2x faster than uncached planning (%v)",
+			cachedD/reps, uncachedD/reps)
+	}
+}
+
+// singleSiteReference is the pipeline single-site runs had to themselves
+// before they became ensembles of one, kept here verbatim as the reference:
+// the seed's own DAX, the paper's catalogs, the single-site planner, then
+// the clustering pass.
+func singleSiteReference(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *planner.Plan {
+	t.Helper()
+	cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: e.Workload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.New(abstract, cats, planner.Options{Site: site})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err = planner.Cluster(plan, copts); err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// TestCachedPlanEqualsUncachedPlan: on every paper platform, for seeds other
+// than the one that resolved the master and under every clustering mode,
+// the one-site member plan equals what the single-site planner builds from
+// that seed's own DAX — every Job field, index and insertion order, edges,
+// and the graph jobs (which carry no runtime profile on either side). Only
+// the label differs: the multi-site planner names the graph "-multi", lists
+// the one site in Sites and resolves no SiteEntry; nothing that executes a
+// plan reads those.
+func TestCachedPlanEqualsUncachedPlan(t *testing.T) {
+	const n = 60
+	copts := []planner.ClusterOptions{{}, {MaxTasksPerJob: 4}, {TargetJobSeconds: 1800}}
+	body := func(p *planner.Plan) map[string]any {
+		snap := planSnapshot(t, p)
+		for _, label := range []string{"name", "sites", "siteentry"} {
+			delete(snap, label)
+		}
+		return snap
+	}
+	for _, site := range ExtendedPlatforms {
+		ResetPlanCache()
+		singleSitePlan(t, DefaultExperiment(7), site, n, planner.ClusterOptions{})
+		for _, seed := range []uint64{8, 42} {
+			e := DefaultExperiment(seed)
+			for _, co := range copts {
+				cached := singleSitePlan(t, e, site, n, co)
+				for _, gj := range cached.Graph.Jobs() {
+					if !co.Enabled() && len(gj.Profiles) != 0 {
+						t.Fatalf("%s seed %d: cached graph job %q carries profiles %v", site, seed, gj.ID, gj.Profiles)
+					}
+				}
+				if d := diffSnapshots(body(singleSiteReference(t, e, site, n, co)), body(cached)); d != "" {
+					t.Errorf("%s seed %d copts %+v: single-site planner vs one-site member plan differ at %s", site, seed, co, d)
+				}
+				if cached.Site != site || !reflect.DeepEqual(cached.Sites, []string{site}) {
+					t.Errorf("%s seed %d: member plan is labelled site %q, sites %v", site, seed, cached.Site, cached.Sites)
+				}
+			}
+		}
+		if got := multiPlanCache.Len(); got != 1 {
+			t.Errorf("%s: %d masters, want the one seed 7 resolved", site, got)
+		}
+	}
+}
+
+// TestCachedMasterUnchangedByConcurrentCells: member plans share their
+// master's graph, index and slice backing arrays, so the guarantee is that
+// nothing a cell does — retrieve, patch its seed's runtimes, cluster, run —
+// writes through to the master, even with eight cells at once: a reference
+// member planned from the master before the cells equals the same member
+// planned after them. The same goes for the cells' chunk runtimes: each
+// seed's slice is the chunk-seconds cache's, handed to every cell of that
+// seed, so it is snapshotted too. CI runs this under -race -count=10, where
+// a write to shared state is also a reported race.
+func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
+	ResetPlanCache()
+	const n = 80
+	builder := DefaultExperiment(100)
+	before := planSnapshot(t, singleSitePlan(t, builder, "osg", n, planner.ClusterOptions{}))
+	if got := multiPlanCache.Len(); got != 1 {
+		t.Fatalf("%d masters, want 1", got)
+	}
+
+	copts := []planner.ClusterOptions{{}, {MaxTasksPerJob: 3}, {TargetJobSeconds: 1800}}
+	makespans := make([]float64, 8)
+	// The slices the cells are about to share, and a private copy of each.
+	shared, copies := make([][]float64, len(makespans)), make([][]float64, len(makespans))
+	for g := range shared {
+		e := DefaultExperiment(uint64(101 + g))
+		chunks, err := roundedChunkSeconds(workflow.DefaultCostModel(), e.Workload, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared[g], copies[g] = chunks, append([]float64(nil), chunks...)
+	}
+	chunkStats := PlanCacheStats()
+	var wg sync.WaitGroup
+	for g := range makespans {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				res, err := DefaultExperiment(uint64(101+g)).RunClustered("osg", n, copts[(g+rep)%len(copts)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rep == 0 {
+					makespans[g] = res.Summary.WallTime
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if after := PlanCacheStats(); after.ChunkMisses != chunkStats.ChunkMisses || after.ChunkHits-chunkStats.ChunkHits != 3*uint64(len(makespans)) {
+		t.Errorf("the cells did not all run on the cached chunk seconds: %+v -> %+v", chunkStats, after)
+	}
+	if d := diffSnapshots(before, planSnapshot(t, singleSitePlan(t, builder, "osg", n, planner.ClusterOptions{}))); d != "" {
+		t.Errorf("master changed under concurrent cells at %s", d)
+	}
+	if got := multiPlanCache.Len(); got != 1 {
+		t.Errorf("%d masters after the cells, want 1", got)
+	}
+	for g := range shared {
+		if !sameBits(shared[g], copies[g]) {
+			t.Errorf("cell %d: the shared chunk-seconds slice was written", g)
+		}
+	}
+	// Each cell saw its own seed's runtimes, not a neighbour's patch.
+	for g, got := range makespans {
+		res, err := uncachedExperiment(uint64(101+g)).RunClustered("osg", n, copts[g%len(copts)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Summary.WallTime != got {
+			t.Errorf("cell %d: makespan %v under concurrency, %v planned from scratch", g, got, res.Summary.WallTime)
+		}
 	}
 }

@@ -1,35 +1,20 @@
-// The keyed plan cache: every Monte Carlo / cluster / ensemble sweep cell
-// used to re-plan an identical workflow from scratch — abstract DAX
-// construction, catalog resolution, dependency wiring and topological
-// indexing — even though the only seed-dependent part of a plan is the set
-// of run_cap3 chunk runtimes (the seed drives nothing but the
-// cluster→chunk assignment permutation). The cache builds one immutable
-// master plan per shape key (site, n, slot counts, workload fingerprint,
-// cost model) and serves each request a Plan.Clone — the master's shape
-// shared, its job slab copied — with the requesting experiment's chunk
-// runtimes written at the chunk jobs' recorded slab positions, reproducing
-// the uncached plan byte-for-byte: the patched values are rounded exactly
-// as the "%.3f" DAX runtime profiles round them.
-//
-// Those runtimes are the second cache in this file: they depend on the
-// seed and n but not on the site, so the chunk-seconds cache keeps each
-// (workload, cost model, seed, n)'s rounded slice in a byte-bounded LRU
-// that both run paths read through roundedChunkSeconds.
+// Shared cache machinery: the sharded map under the plan and member-DAX
+// caches (ensemble.go), their counters, and the chunk-seconds cache. The
+// only seed-dependent part of a plan is the set of run_cap3 chunk runtimes
+// (the seed drives nothing but the cluster→chunk assignment permutation);
+// they depend on the seed and n but not on the site, so the chunk-seconds
+// cache keeps each (workload, cost model, seed, n)'s slice — rounded exactly
+// as the "%.3f" DAX runtime profiles round them — in a byte-bounded LRU that
+// every member plan reads through roundedChunkSeconds.
 
 package core
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"pegflow/internal/dax"
 	"pegflow/internal/lru"
-	"pegflow/internal/planner"
 	"pegflow/internal/workflow"
 )
 
@@ -39,44 +24,43 @@ import (
 // on one map's lock.
 const cacheShards = 16
 
-// shardedMap is a fixed-size array of mutex-guarded maps; callers route
-// each key to a shard with a hash they compute from the key's identity
-// fields. A plain mutex+map beats sync.Map here: LoadOrStore is the only
-// hot operation, each call is one short critical section with no
-// per-entry wrapper allocation, and the guarded state is visible to the
-// guardfield analyzer. Heavy lifting (plan construction) happens outside
-// the lock via the cached entry's sync.Once.
-type shardedMap struct {
-	shards [cacheShards]mapShard
+// shardedMap is a fixed-size array of mutex-guarded maps from keys to
+// entries that build themselves once; callers route each key to a shard with
+// a hash they compute from the key's identity fields. A plain mutex+map
+// beats sync.Map here: entry is the only hot operation, each call is one
+// short critical section that allocates nothing on a hit, and the guarded
+// state is visible to the guardfield analyzer. Heavy lifting (resolving a
+// master) happens outside the lock via the entry's sync.Once.
+type shardedMap[K comparable, E any] struct {
+	shards [cacheShards]mapShard[K, E]
 }
 
 // mapShard is one independently locked slice of a shardedMap.
-type mapShard struct {
+type mapShard[K comparable, E any] struct {
 	mu sync.Mutex
 	//pegflow:guarded mu
-	m map[any]any
+	m map[K]*E
 }
 
-// LoadOrStore returns the value stored under key, or stores and returns
-// val if the key was absent. The bool reports whether the value was
-// already present.
-func (m *shardedMap) LoadOrStore(hash uint64, key, val any) (any, bool) {
+// entry returns the entry stored under key, a zero E on first sight.
+func (m *shardedMap[K, E]) entry(hash uint64, key K) *E {
 	sh := &m.shards[hash%cacheShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if v, ok := sh.m[key]; ok {
-		return v, true
+	e, ok := sh.m[key]
+	if !ok {
+		if sh.m == nil {
+			sh.m = make(map[K]*E)
+		}
+		e = new(E)
+		sh.m[key] = e
 	}
-	if sh.m == nil {
-		sh.m = make(map[any]any)
-	}
-	sh.m[key] = val
-	return val, false
+	return e
 }
 
 // Len counts entries across all shards (cache introspection; the
 // warm-cache tests assert entry counts with it).
-func (m *shardedMap) Len() int {
+func (m *shardedMap[K, E]) Len() int {
 	n := 0
 	for i := range m.shards {
 		sh := &m.shards[i]
@@ -88,7 +72,7 @@ func (m *shardedMap) Len() int {
 }
 
 // Clear drops every entry from every shard.
-func (m *shardedMap) Clear() {
+func (m *shardedMap[K, E]) Clear() {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
@@ -98,62 +82,24 @@ func (m *shardedMap) Clear() {
 }
 
 // hashFields is FNV-1a over a mix of strings and integers — the shard
-// selector for cache keys.
+// selector for cache keys, computed once per member plan and therefore
+// spelled out rather than run through a heap-allocated hash.Hash64.
 func hashFields(strs []string, ints []uint64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for _, s := range strs {
-		io.WriteString(h, s)
-		h.Write([]byte{0}) // separator: ("ab","c") != ("a","bc")
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime64
+		}
+		h *= prime64 // a zero separator byte: ("ab","c") != ("a","bc")
 	}
 	for _, v := range ints {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		for shift := 0; shift < 64; shift += 8 {
+			h = (h ^ (v >> shift & 0xff)) * prime64
+		}
 	}
-	return h.Sum64()
+	return h
 }
-
-// planKey is the shape fingerprint of a cacheable plan. It deliberately
-// excludes the workload seed: seeds only change chunk runtimes, which are
-// patched per retrieval.
-type planKey struct {
-	site                     string
-	n                        int
-	serial                   bool
-	sandhillsSlots, osgSlots int
-	params                   workflow.WorkloadParams
-	name                     string
-	totalTranscripts         int
-	transcriptBytes          int64
-	alignmentBytes           int64
-	cost                     workflow.CostModel
-}
-
-// cachedPlan is one cache entry; the master plan is built once under the
-// sync.Once and never mutated afterwards.
-type cachedPlan struct {
-	once sync.Once
-	plan *planner.Plan
-	// chunkPos lists the run_cap3 jobs' index positions in chunk order, so
-	// retrieval patches the clone's slab without a lookup per job.
-	chunkPos []int32
-	err      error
-}
-
-// hash picks the key's cache shard from its cheap identity fields; the
-// full struct key still guarantees exactness inside the shard.
-func (k planKey) hash() uint64 {
-	serial := uint64(0)
-	if k.serial {
-		serial = 1
-	}
-	return hashFields(
-		[]string{k.site, k.name},
-		[]uint64{uint64(k.n), serial, uint64(k.sandhillsSlots), uint64(k.osgSlots)},
-	)
-}
-
-var planCache shardedMap // planKey -> *cachedPlan
 
 // Cache telemetry: masters built vs. cache retrievals served. The
 // counters are monotone for the process lifetime (ResetPlanCache drops
@@ -169,8 +115,7 @@ var (
 // CacheStats is a snapshot of the process-wide plan-, member-DAX- and
 // chunk-seconds-cache counters.
 type CacheStats struct {
-	// PlanBuilds counts masters constructed (cache misses): single-site
-	// master plans and multi-site resolved masters alike.
+	// PlanBuilds counts resolved masters constructed (cache misses).
 	PlanBuilds uint64 `json:"plan_builds"`
 	// PlanRetrievals counts plans served from a master (each one a
 	// Clone + patch).
@@ -207,26 +152,15 @@ func PlanCacheStats() CacheStats {
 	}
 }
 
-// ResetPlanCache drops every cached plan, resolved multi-site master,
-// member DAX and chunk-seconds entry. Tests and benchmarks use it for a cold
+// ResetPlanCache drops every resolved master, member DAX and chunk-seconds
+// entry. Tests and benchmarks use it for a cold
 // cache. No plan or DAX key holds a seed, so those entry counts grow with
 // distinct shapes, never with seeds; the chunk-seconds cache, whose key does
 // hold one, is bounded by chunkCacheBytes instead.
 func ResetPlanCache() {
-	planCache.Clear()
 	multiPlanCache.Clear()
 	memberDAXCache.Clear()
 	chunkCache.Clear()
-}
-
-// effectiveCost mirrors BuildDAX's zero-value defaulting so the cache key
-// and the patch step use the cost model the builder actually applied (a
-// zero CostModel and DefaultCostModel() share one master).
-func effectiveCost(c workflow.CostModel) workflow.CostModel {
-	if c == (workflow.CostModel{}) {
-		return workflow.DefaultCostModel()
-	}
-	return c
 }
 
 // cacheable reports whether the workload carries the synthesis fingerprint
@@ -311,89 +245,4 @@ func roundedChunkSeconds(cost workflow.CostModel, w workflow.Workload, n int) ([
 		chunkCache.Put(key, chunks)
 	}
 	return chunks, nil
-}
-
-// cachedWorkflowPlan returns an executable plan for the workload on the
-// named site with n chunks (or the serial baseline when serial is set),
-// cloned from the cached master when the workload is cacheable and built
-// directly otherwise. The returned plan's jobs are private to the caller;
-// its graph and index are the master's and must not be edited.
-func (e *Experiment) cachedWorkflowPlan(site string, n int, w workflow.Workload, serial bool) (*planner.Plan, error) {
-	if !cacheable(w) {
-		return e.buildPlan(site, n, w, serial)
-	}
-	key := planKey{
-		site:             site,
-		n:                n,
-		serial:           serial,
-		sandhillsSlots:   e.SandhillsSlots,
-		osgSlots:         e.OSGSlots,
-		params:           w.Params,
-		name:             w.Name,
-		totalTranscripts: w.TotalTranscripts,
-		transcriptBytes:  w.TranscriptBytes,
-		alignmentBytes:   w.AlignmentBytes,
-		cost:             effectiveCost(e.Cost),
-	}
-	v, _ := planCache.LoadOrStore(key.hash(), key, &cachedPlan{})
-	entry := v.(*cachedPlan)
-	entry.once.Do(func() {
-		planBuilds.Add(1)
-		entry.plan, entry.err = e.buildPlan(site, n, w, serial)
-		if entry.err != nil || serial {
-			return
-		}
-		idx, err := entry.plan.Indexed()
-		if err != nil {
-			entry.err = err
-			return
-		}
-		entry.chunkPos = make([]int32, n)
-		for i := range entry.chunkPos {
-			pos, ok := idx.ByID[workflow.ChunkJobID(i)]
-			if !ok {
-				entry.err = fmt.Errorf("core: plan cache: job %q missing from cached plan", workflow.ChunkJobID(i))
-				return
-			}
-			entry.chunkPos[i] = pos
-		}
-	})
-	if entry.err != nil {
-		return nil, entry.err
-	}
-	planRetrievals.Add(1)
-	plan := entry.plan.Clone()
-	if serial {
-		// The serial baseline's single runtime sums every cluster — fully
-		// seed-independent, nothing to patch.
-		return plan, nil
-	}
-	// Patch the seed-dependent chunk runtimes, so the clone equals an
-	// uncached plan for this seed. The master's graph jobs carry no runtime
-	// profile (planner.New copies none), so there is nothing else to sync.
-	chunks, err := roundedChunkSeconds(key.cost, w, n)
-	if err != nil {
-		return nil, err
-	}
-	plan.SetExecSeconds(entry.chunkPos, chunks)
-	return plan, nil
-}
-
-// buildPlan is the uncached planning path: abstract DAX, paper catalogs,
-// single-site planning — exactly what every sweep cell used to run.
-func (e *Experiment) buildPlan(site string, n int, w workflow.Workload, serial bool) (*planner.Plan, error) {
-	cats, err := workflow.PaperCatalogs(w, e.SandhillsSlots, e.OSGSlots)
-	if err != nil {
-		return nil, err
-	}
-	var abstract *dax.Workflow
-	if serial {
-		abstract, err = workflow.BuildSerialDAX(w, e.Cost)
-	} else {
-		abstract, err = workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: w, Cost: e.Cost})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return planner.New(abstract, cats, planner.Options{Site: site})
 }

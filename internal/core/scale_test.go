@@ -49,9 +49,7 @@ const scaleRetryLimit = 1000
 // retention — the quantity this PR makes independent of n.
 func retainedByRun(t *testing.T, e *Experiment, n int) (bytes uint64, attempts int) {
 	t.Helper()
-	if _, err := e.cachedWorkflowPlan("osg", n, e.Workload, false); err != nil {
-		t.Fatal(err)
-	}
+	singleSitePlan(t, e, "osg", n, planner.ClusterOptions{})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()

@@ -332,11 +332,20 @@ func (w *Workflow) TopoSort() ([]string, error) {
 // Validate checks structural invariants: non-empty job set, acyclicity, and
 // that no logical file has more than one producer.
 func (w *Workflow) Validate() error {
+	_, err := w.ValidOrder()
+	return err
+}
+
+// ValidOrder is Validate for callers that go on to walk the workflow: it
+// returns the topological order (TopoSort) its acyclicity check computed,
+// which at a hundred thousand jobs is most of what validating costs.
+func (w *Workflow) ValidOrder() ([]string, error) {
 	if len(w.jobs) == 0 {
-		return fmt.Errorf("dax: workflow %q has no jobs", w.Name)
+		return nil, fmt.Errorf("dax: workflow %q has no jobs", w.Name)
 	}
-	if _, err := w.TopoSort(); err != nil {
-		return err
+	order, err := w.TopoSort()
+	if err != nil {
+		return nil, err
 	}
 	producer := make(map[string]string)
 	for _, id := range w.order {
@@ -345,12 +354,12 @@ func (w *Workflow) Validate() error {
 				continue
 			}
 			if prev, dup := producer[u.LFN]; dup {
-				return fmt.Errorf("dax: file %q produced by both %q and %q", u.LFN, prev, id)
+				return nil, fmt.Errorf("dax: file %q produced by both %q and %q", u.LFN, prev, id)
 			}
 			producer[u.LFN] = id
 		}
 	}
-	return nil
+	return order, nil
 }
 
 // CriticalPathLength returns the length (in job count) of the longest

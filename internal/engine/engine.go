@@ -423,6 +423,14 @@ func (s *Session) Finish() (*Result, error) {
 		return nil, s.err
 	}
 	res := s.res
+	completed := 0
+	for _, done := range s.done {
+		if done {
+			completed++
+		}
+	}
+	res.Completed = make([]string, 0, completed)
+	res.Unfinished = make([]string, 0, len(s.done)-completed)
 	for i, id := range s.idx.Order {
 		if s.done[i] {
 			res.Completed = append(res.Completed, id)

@@ -20,8 +20,8 @@
 // an ensemble of one, and a panic in a member's policy unwinds to Run's
 // caller. Only planning fans out, over independent members, on pool.ForEach:
 // PlanAll resolves each member's abstract workflow and plans it;
-// PlanResolved is its twin for members that arrive as planner.Resolved
-// masters (package core's multi-site plan cache shares one per workflow
-// shape) and runs only the per-member steps — placement under a fresh
-// policy, clustering, failover. PlanAll is Resolve plus those same steps.
+// PlanMember is its per-member step for a member that arrives as a
+// planner.Resolved master (package core's plan cache shares one per
+// workflow shape, and fans its own members out) — placement under a fresh
+// policy, clustering, failover. PlanAll is Resolve plus that same step.
 package ensemble

@@ -173,7 +173,7 @@ type PlanOptions struct {
 type ResolvedSource struct {
 	// Name labels the workflow.
 	Name string
-	// Master is the resolved workflow shape; PlanResolved only reads it.
+	// Master is the resolved workflow shape; PlanMember only reads it.
 	Master *planner.Resolved
 	// Pos and Seconds are the member's runtime overrides, as
 	// planner.Resolved.Plan takes them.
@@ -198,7 +198,7 @@ func PlanAll(srcs []WorkflowSource, cats planner.Catalogs, opts PlanOptions) ([]
 		if err != nil {
 			return fmt.Errorf("ensemble: planning %q: %w", srcs[i].Name, err)
 		}
-		specs[i], err = planMember(ResolvedSource{
+		specs[i], err = PlanMember(ResolvedSource{
 			Name:       srcs[i].Name,
 			Master:     r,
 			Priority:   srcs[i].Priority,
@@ -213,25 +213,13 @@ func PlanAll(srcs []WorkflowSource, cats planner.Catalogs, opts PlanOptions) ([]
 	return specs, nil
 }
 
-// PlanResolved is PlanAll for members that arrive resolved: it runs only
-// the per-member steps — placement under a fresh policy, clustering,
-// failover — so nothing it does is proportional to building a graph once
-// the masters' shapes are materialized. opts.Sites must be the site list
-// the masters were resolved with; opts.AddStageIn is theirs already.
-func PlanResolved(srcs []ResolvedSource, cats planner.Catalogs, opts PlanOptions) ([]Spec, error) {
-	specs := make([]Spec, len(srcs))
-	err := pool.ForEach(opts.Workers, len(srcs), func(i int) (err error) {
-		specs[i], err = planMember(srcs[i], cats, opts)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return specs, nil
-}
-
-// planMember turns one resolved member into its Spec.
-func planMember(src ResolvedSource, cats planner.Catalogs, opts PlanOptions) (Spec, error) {
+// PlanMember is PlanAll's step for one member that arrives resolved: it
+// runs only the per-member work — placement under a fresh policy,
+// clustering, failover — so nothing it does is proportional to building a
+// graph once the master's shapes are materialized. opts.Sites must be the
+// site list the master was resolved with; opts.AddStageIn is the master's
+// already, and opts.Workers is the caller's business.
+func PlanMember(src ResolvedSource, cats planner.Catalogs, opts PlanOptions) (Spec, error) {
 	pol, err := planner.NewPolicy(opts.Policy)
 	if err != nil {
 		return Spec{}, err

@@ -38,14 +38,13 @@ func snapshot(t *testing.T, p *Plan) map[string]any {
 }
 
 // mutate applies one random edit to a planned job, exercising every field
-// kind a clone owns: scalars, the three slices (by append — element writes
-// through a shared backing array are what clonegate forbids), and the
-// plan cache's positional runtime patch.
+// kind a clone owns: scalars and the three slices (by append — element
+// writes through a shared backing array are what clonegate forbids).
 func mutate(t *testing.T, p *Plan, r *rand.Rand) {
 	t.Helper()
 	pos := int32(r.Intn(len(p.jobs)))
 	j := p.JobAt(pos)
-	switch r.Intn(6) {
+	switch r.Intn(5) {
 	case 0:
 		j.ExecSeconds += 17.5
 	case 1:
@@ -62,8 +61,6 @@ func mutate(t *testing.T, p *Plan, r *rand.Rand) {
 		j.Priority++
 		j.InputBytes++
 		j.OutputBytes++
-	case 5:
-		p.SetExecSeconds([]int32{pos}, []float64{r.Float64()})
 	}
 }
 

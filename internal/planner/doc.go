@@ -20,8 +20,9 @@
 // neither runtimes nor policy — validation, topological order, per-job
 // attributes, per-transformation site candidates — and returns a Resolved
 // that any number of plans share. Resolved.Plan places the jobs under a
-// policy, with runtime estimates the caller may override by position, and
-// clones the executable graph for the placement's stage-in signature (which
+// policy (or, when no job has a choice of site — any one-site list — without
+// consulting one), with runtime estimates the caller may override by
+// position, and clones the executable graph for the placement's stage-in signature (which
 // sites stage external inputs, feeding whom: the only thing about a
 // placement that changes the graph), materializing and memoizing it on first
 // use, then writes each job's site, install and runtime fields at its
@@ -33,8 +34,8 @@
 // the rest (two allocations at any size), which is what the plan cache in
 // package core hands to each sweep cell. Nothing outside this package
 // writes a Job field or edits a plan's Graph (the clonegate analyzer
-// enforces it); Plan.SetExecSeconds is the one post-construction write
-// callers can reach (registered with clonegate, which admits it from the plan
-// cache only), and Assemble builds a plan from a hand-made graph and job
-// list. Cluster reads job levels and edges from the shared Index.
+// enforces it), and the package exports no method that writes a plan's slab:
+// the per-seed patch is inside Resolved.Plan. Assemble builds a plan from a
+// hand-made graph and job list. Cluster reads job levels and edges from the
+// shared Index.
 package planner

@@ -45,7 +45,8 @@ type Candidate struct {
 // planning. Choose returns an index into cands (always non-empty, ordered
 // as in MultiOptions.Sites). Policies may carry state (e.g. accumulated
 // per-site load); a fresh policy instance is used per planning run, so
-// plans are independent of each other.
+// plans are independent of each other. A workflow none of whose jobs has
+// more than one candidate is placed without calling Choose at all.
 type SitePolicy interface {
 	// Name identifies the policy ("round-robin", "data-aware", ...).
 	Name() string
@@ -231,7 +232,10 @@ type Resolved struct {
 	// may run at. Jobs of one transformation share one candidate slice.
 	jobs  []Job
 	cands [][]Candidate
-	pos   map[string]int32
+	// choice records that some job has more than one candidate. Without
+	// one, every placement is the same and no policy is consulted.
+	choice bool
+	pos    map[string]int32
 	// consumers are the jobs reading external inputs, in workflow insertion
 	// order (none without AddStageIn). Where they are placed is the stage-in
 	// signature: the only thing about a placement that changes the
@@ -257,19 +261,16 @@ type shape struct {
 	slab []int32
 }
 
-// placed is one job's share of a placement: the runtime estimate the policy
-// saw and the candidate it chose.
-type placed struct {
-	exec float64
-	cand int32
-}
-
 // Resolve performs the runtime-independent part of multi-site planning:
 // validation, abstract-level clustering, the topological order, per-job
 // attributes, per-transformation site candidates and the replica check of
 // external inputs. opts.Policy is not consulted; it is an argument of Plan.
 func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolved, error) {
-	if err := abstract.Validate(); err != nil {
+	// Jobs are kept in topological order so load-based policies see them
+	// roughly in execution order; the order is deterministic (Kahn's
+	// algorithm with insertion-order tie-breaking).
+	order, err := abstract.ValidOrder()
+	if err != nil {
 		return nil, fmt.Errorf("planner: invalid abstract workflow: %w", err)
 	}
 	if len(opts.Sites) == 0 {
@@ -291,7 +292,6 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 
 	work := abstract
 	if opts.ClusterSize > 1 {
-		var err error
 		work, err = clusterTasks(abstract, Options{
 			ClusterSize:            opts.ClusterSize,
 			ClusterTransformations: opts.ClusterTransformations,
@@ -299,14 +299,9 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	// Jobs are kept in topological order so load-based policies see them
-	// roughly in execution order; the order is deterministic (Kahn's
-	// algorithm with insertion-order tie-breaking).
-	order, err := work.TopoSort()
-	if err != nil {
-		return nil, fmt.Errorf("planner: %w", err)
+		if order, err = work.TopoSort(); err != nil {
+			return nil, fmt.Errorf("planner: %w", err)
+		}
 	}
 	r := &Resolved{
 		work:      work,
@@ -338,6 +333,7 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 		}
 		r.jobs = append(r.jobs, pj)
 		r.cands = append(r.cands, cands)
+		r.choice = r.choice || len(cands) > 1
 		r.pos[id] = int32(k)
 	}
 	if opts.AddStageIn {
@@ -385,36 +381,74 @@ func (r *Resolved) Position(id string) (int32, bool) {
 // Plan places every job under the policy (nil means round-robin) and returns
 // the executable plan, exactly what NewMulti returns for a workflow whose
 // job at topological position pos[k] carries the runtime estimate
-// seconds[k]; jobs not listed keep the estimate they were resolved with.
+// seconds[k]; jobs not listed keep the estimate they were resolved with. A
+// workflow none of whose jobs has a choice of site is placed without
+// consulting the policy.
 //
 // The plan is a Clone of the memoized shape for the placement's stage-in
 // signature, with each job's placement and runtime written at its recorded
 // slab position, so a call whose signature has been seen allocates a
-// constant number of objects: the placement, the plan header and the slab.
+// constant number of objects — the plan header and the slab — plus, where
+// the policy had choices to make, one candidate index per job.
 func (r *Resolved) Plan(policy SitePolicy, pos []int32, seconds []float64) (*Plan, error) {
-	if policy == nil {
-		policy = &roundRobinPolicy{}
-	}
 	if len(pos) != len(seconds) {
 		return nil, fmt.Errorf("planner: %d runtime overrides for %d positions", len(seconds), len(pos))
 	}
-	pl := make([]placed, len(r.jobs))
-	for k := range pl {
-		pl[k].exec = r.jobs[k].ExecSeconds
+	for _, p := range pos {
+		if p < 0 || int(p) >= len(r.jobs) {
+			return nil, fmt.Errorf("planner: runtime override for position %d of %d", p, len(r.jobs))
+		}
+	}
+	var cand []int32 // nil: every job runs at its only candidate
+	if r.choice {
+		var err error
+		if cand, err = r.place(policy, pos, seconds); err != nil {
+			return nil, err
+		}
+	}
+	sh, err := r.shapeFor(cand)
+	if err != nil {
+		return nil, err
+	}
+	plan := sh.plan.Clone()
+	for k := range r.jobs {
+		j := &plan.jobs[sh.slab[k]]
+		chosen := r.chosen(cand, int32(k))
+		j.Site = chosen.Site.Name
+		if !chosen.Entry.Installed {
+			j.NeedsInstall = true
+			j.InstallBytes = chosen.Entry.InstallBytes
+		}
 	}
 	for k, p := range pos {
-		if p < 0 || int(p) >= len(pl) {
-			return nil, fmt.Errorf("planner: runtime override for position %d of %d", p, len(pl))
-		}
-		pl[p].exec = seconds[k]
+		plan.jobs[sh.slab[p]].ExecSeconds = seconds[k]
 	}
-	for k := range pl {
+	return plan, nil
+}
+
+// place runs the policy over the jobs in topological order and returns the
+// candidate it chose for each. Until a job's turn comes its slot holds
+// which override, if any, carries its runtime estimate (index + 1), so the
+// pass needs no second per-job array.
+func (r *Resolved) place(policy SitePolicy, pos []int32, seconds []float64) ([]int32, error) {
+	if policy == nil {
+		policy = &roundRobinPolicy{}
+	}
+	cand := make([]int32, len(r.jobs))
+	for k, p := range pos {
+		cand[p] = int32(k) + 1
+	}
+	for k := range cand {
 		j := &r.jobs[k]
+		exec := j.ExecSeconds
+		if o := cand[k]; o != 0 {
+			exec = seconds[o-1]
+		}
 		cands := r.cands[k]
 		choice := policy.Choose(PolicyJob{
 			ID:             j.ID,
 			Transformation: j.Transformation,
-			ExecSeconds:    pl[k].exec,
+			ExecSeconds:    exec,
 			InputBytes:     j.InputBytes,
 			OutputBytes:    j.OutputBytes,
 		}, cands)
@@ -422,34 +456,27 @@ func (r *Resolved) Plan(policy SitePolicy, pos []int32, seconds []float64) (*Pla
 			return nil, fmt.Errorf("planner: policy %q chose candidate %d of %d for job %q",
 				policy.Name(), choice, len(cands), j.ID)
 		}
-		pl[k].cand = int32(choice)
+		cand[k] = int32(choice)
 	}
+	return cand, nil
+}
 
-	sh, err := r.shapeFor(pl)
-	if err != nil {
-		return nil, err
+// chosen is the candidate a placement gives the job at position k; a nil
+// placement is the one where nothing had a choice.
+func (r *Resolved) chosen(cand []int32, k int32) Candidate {
+	if cand == nil {
+		return r.cands[k][0]
 	}
-	plan := sh.plan.Clone()
-	for k := range pl {
-		j := &plan.jobs[sh.slab[k]]
-		chosen := r.cands[k][pl[k].cand]
-		j.Site = chosen.Site.Name
-		if !chosen.Entry.Installed {
-			j.NeedsInstall = true
-			j.InstallBytes = chosen.Entry.InstallBytes
-		}
-		j.ExecSeconds = pl[k].exec
-	}
-	return plan, nil
+	return r.cands[k][cand[k]]
 }
 
 // shapeFor returns the memoized shape for the placement's stage-in
 // signature, materializing it on first use.
-func (r *Resolved) shapeFor(pl []placed) (*shape, error) {
+func (r *Resolved) shapeFor(cand []int32) (*shape, error) {
 	var buf [32]byte
 	sig := buf[:0]
 	for _, c := range r.consumers {
-		site := r.cands[c.pos][pl[c.pos].cand].Site
+		site := r.chosen(cand, c.pos).Site
 		for i, s := range r.sites {
 			if s == site {
 				sig = append(sig, byte(i), byte(i>>8))
@@ -461,7 +488,7 @@ func (r *Resolved) shapeFor(pl []placed) (*shape, error) {
 	if sh := r.shapes[string(sig)]; sh != nil {
 		return sh, nil
 	}
-	sh, err := r.materialize(pl)
+	sh, err := r.materialize(cand)
 	if err != nil {
 		return nil, err
 	}
@@ -476,7 +503,7 @@ func (r *Resolved) shapeFor(pl []placed) (*shape, error) {
 // resolved job, the workflow's edges, the stage-in jobs the placement's
 // signature calls for, and the index. The master's resolved jobs carry no
 // placement of their own; Plan writes one into every clone.
-func (r *Resolved) materialize(pl []placed) (*shape, error) {
+func (r *Resolved) materialize(cand []int32) (*shape, error) {
 	work := r.work
 	plan := &Plan{
 		Graph: dax.New(work.Name + "-multi"),
@@ -499,7 +526,7 @@ func (r *Resolved) materialize(pl []placed) (*shape, error) {
 			}
 		}
 	}
-	if err := r.addStageIn(plan, pl); err != nil {
+	if err := r.addStageIn(plan, cand); err != nil {
 		return nil, err
 	}
 	if err := plan.finalize(); err != nil {
@@ -515,7 +542,7 @@ func (r *Resolved) materialize(pl []placed) (*shape, error) {
 // addStageIn synthesizes one stage-in job per site that consumes external
 // inputs under the placement, transferring every external input consumed at
 // that site and feeding its consumers there.
-func (r *Resolved) addStageIn(plan *Plan, pl []placed) error {
+func (r *Resolved) addStageIn(plan *Plan, cand []int32) error {
 	type ext struct {
 		lfn  string
 		size int64
@@ -526,7 +553,7 @@ func (r *Resolved) addStageIn(plan *Plan, pl []placed) error {
 	entries := make(map[string]*catalog.Site)
 	seen := make(map[string]map[string]bool)
 	for _, c := range r.consumers {
-		entry := r.cands[c.pos][pl[c.pos].cand].Site
+		entry := r.chosen(cand, c.pos).Site
 		site := entry.Name
 		entries[site] = entry
 		consumers[site] = append(consumers[site], r.jobs[c.pos].ID)

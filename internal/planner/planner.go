@@ -56,9 +56,10 @@ type Member struct {
 
 // Plan is an executable workflow bound to a site. Its shape — Graph, Sites,
 // SiteEntry and the topological index — is immutable once the plan is built
-// and shared by every Clone; only the job slab is per plan. Nothing outside
-// this package may write a Job field or grow or edit Graph (clonegate
-// enforces both).
+// and shared by every Clone; only the job slab is per plan, and this package
+// exports nothing that writes it. Nothing outside this package may write a
+// Job field through a pointer it was handed, or grow or edit Graph
+// (clonegate enforces both).
 type Plan struct {
 	// Graph holds the executable jobs and their dependencies. Its Job
 	// entries are structural only; per-job planning attributes live in
@@ -122,16 +123,6 @@ func (p *Plan) TotalExecSeconds() float64 {
 	return sum
 }
 
-// SetExecSeconds overwrites the runtime estimate of the job at index
-// position pos[k] with seconds[k]. It is how the plan cache patches a
-// seed's chunk runtimes into the Clone it hands out; it writes this plan's
-// job slab only, never state shared with other clones.
-func (p *Plan) SetExecSeconds(pos []int32, seconds []float64) {
-	for k, i := range pos {
-		p.jobs[i].ExecSeconds = seconds[k]
-	}
-}
-
 // Options configures planning.
 type Options struct {
 	// Site is the target execution site (required).
@@ -163,7 +154,9 @@ type Catalogs struct {
 // results for any workflow, so the string can key a cache where the
 // catalogs' pointers cannot: every scenario compile builds fresh ones.
 func (c Catalogs) Fingerprint(sites []string) string {
-	var b []byte
+	// A fixed-size start keeps the buffer on the stack for the usual handful
+	// of sites: a document with one cell computes this once per cell.
+	b := make([]byte, 0, 1024)
 	for _, name := range sites {
 		b = strconv.AppendQuote(b, name)
 		s, err := c.Sites.Lookup(name)

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"pegflow/internal/catalog"
 	"pegflow/internal/planner"
@@ -42,6 +44,10 @@ type Compiled struct {
 	params  workflow.WorkloadParams
 	byName  map[string]*SiteSpec
 	retries int
+
+	keyMu sync.Mutex
+	//pegflow:guarded keyMu
+	catalogKeys map[string]string // joined site set → cats.Fingerprint(set)
 }
 
 // Compile validates the document (it accepts hand-built Docs, not just
@@ -255,45 +261,51 @@ func (c *Compiled) buildCatalogs() (planner.Catalogs, error) {
 	return cats, nil
 }
 
-// experimentSite reports whether the cell can run through core.Experiment
-// — the single-workflow, single-site path whose plans are served by the
-// PR-4 keyed plan cache. That requires an unmodified built-in preset
-// (slot overrides excepted: the plan-cache key includes them) and no
-// ensemble, failover or site policy.
-func (c *Compiled) experimentSite(cell Cell) (string, bool) {
+// stageIn reports whether the cell's plans carry the synthesized stage-in
+// jobs. They do, except for one workflow on one untouched built-in preset
+// (a slots override aside, which cloud may not have either) with no
+// failover, fault or backoff in the document: those cells used to run on a separate
+// single-site pipeline whose plans had no stage-in job, and the distinction
+// is the one observable thing that pipeline left behind. Changing this
+// truth table changes the checked-in goldens.
+func (c *Compiled) stageIn(cell Cell) bool {
 	if c.Doc.Ensemble != nil || len(cell.SiteSet) != 1 || cell.Failover ||
 		len(c.Doc.Faults) > 0 || c.Doc.RetryBackoff != nil {
-		// Faults and backoff only wire through EnsembleExperiment.
-		return "", false
+		return true
 	}
 	s := c.byName[cell.SiteSet[0]]
 	if s.Preset == "" || s.Name != s.Preset {
-		return "", false
+		return true
 	}
 	if s.Preset == "cloud" && s.Slots != nil {
-		// core.Experiment has no cloud slot knob.
-		return "", false
+		return true
 	}
-	// Any override beyond slots leaves the preset's calibration, which
-	// core.Experiment hard-codes.
-	if s.SpeedFactor != nil || s.SpeedJitter != nil || s.SubmitInterval != nil ||
+	// Any override beyond slots leaves the preset's calibration.
+	return s.SpeedFactor != nil || s.SpeedJitter != nil || s.SubmitInterval != nil ||
 		s.DispatchMean != nil || s.DispatchCV != nil || s.SetupMean != nil ||
 		s.SetupCV != nil || s.SetupMBps != nil || s.EvictionRate != nil ||
 		s.InitialSlots != nil || s.SlotRampSeconds != nil ||
-		s.Preinstalled != nil || s.InstallMB != nil || s.StageInMBps != nil {
-		return "", false
-	}
-	return s.Preset, true
+		s.Preinstalled != nil || s.InstallMB != nil || s.StageInMBps != nil
 }
 
-// presetSlots returns the effective slot count of a preset site defined in
-// the scenario, or the paper default when the scenario does not define it.
-func (c *Compiled) presetSlots(preset string, fallback int) int {
-	for i := range c.Doc.Sites {
-		s := &c.Doc.Sites[i]
-		if s.Preset == preset && s.Slots != nil {
-			return *s.Slots
+// catalogKey returns what core keys plan masters on for the site set: the
+// fingerprint of the catalog fields planning reads over those sites. The
+// first simulated cell of a set computes it and the rest of the document's
+// cells reuse it; Compile does not, because a request served from the
+// result cache compiles and never simulates.
+func (c *Compiled) catalogKey(set []string) string {
+	// Site names hold no comma (validName), and a one-site set joins to
+	// its own name without allocating.
+	id := strings.Join(set, ",")
+	c.keyMu.Lock()
+	defer c.keyMu.Unlock()
+	key, ok := c.catalogKeys[id]
+	if !ok {
+		if c.catalogKeys == nil {
+			c.catalogKeys = make(map[string]string, len(c.Doc.SiteSets))
 		}
+		key = c.cats.Fingerprint(set)
+		c.catalogKeys[id] = key
 	}
-	return fallback
+	return key
 }

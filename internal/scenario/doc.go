@@ -23,12 +23,16 @@
 // pool, emitting one NDJSON line per cell in deterministic cell order —
 // byte-identical for any worker count.
 //
-// Execution reuses the core facade, so the PR-4 caches are keyed per
-// scenario cell: single-site cells on built-in presets go through
-// core.Experiment and hit the keyed plan cache (master plans cloned and
-// runtime-patched per seed); multi-site and ensemble cells go through
-// core.EnsembleExperiment and hit the multi-site plan cache (resolved
-// masters placed, cloned and patched per seed and policy). No cache key
-// holds a seed, so a long-running process (pegflow serve) warms up across
-// requests and does not grow with the seeds it is asked for.
+// Execution reuses the core facade: every cell, whatever its shape, is one
+// core.EnsembleExperiment — a single workflow is an ensemble of one, a
+// single site a pool of one — and hits core's plan cache (resolved masters
+// placed, cloned and patched per seed and policy). The one thing a cell's
+// shape decides about its plans is whether they carry stage-in jobs
+// (Compiled.stageIn: not for one workflow on one untouched built-in preset
+// in a document without ensemble, fault, backoff or failover — the cells a
+// separate single-site pipeline used to run, whose goldens this keeps). No
+// plan-cache key holds a seed, so a long-running process (pegflow serve)
+// warms up across requests and does not grow with the seeds it is asked
+// for; the catalog fingerprint in the key is computed once per document and
+// site set, by the first cell that is actually simulated.
 package scenario

@@ -220,13 +220,7 @@ type cellMetrics struct {
 
 // runCell executes one cell over the core facade and assembles its row.
 func (c *Compiled) runCell(cell Cell) (map[string]any, error) {
-	var m cellMetrics
-	var err error
-	if site, ok := c.experimentSite(cell); ok {
-		m, err = c.runExperimentCell(site, cell)
-	} else {
-		m, err = c.runEnsembleCell(cell)
-	}
+	m, err := c.simulate(cell)
 	if err != nil {
 		return nil, err
 	}
@@ -275,8 +269,7 @@ func (c *Compiled) runCell(cell Cell) (map[string]any, error) {
 			kp = mergedQuantiles(m.logs, execSketch, ps)
 			wp = mergedQuantiles(m.logs, waitSketch, ps)
 		} else {
-			kick := collectValues(m.logs, (*kickstart.Record).Exec)
-			wait := collectValues(m.logs, (*kickstart.Record).Waiting)
+			kick, wait := successPhases(m.logs)
 			kp = stats.PercentilesOf(kick, ps...)
 			wp = stats.PercentilesOf(wait, ps...)
 		}
@@ -297,15 +290,24 @@ func (c *Compiled) workflows() int {
 	return 1
 }
 
-// collectValues extracts f over the successful attempts of every log.
-func collectValues(logs []*kickstart.Log, f func(*kickstart.Record) float64) []float64 {
-	var vs []float64
+// successPhases returns the kickstart and waiting time of every successful
+// attempt, log by log in append order, from one walk into slices sized for
+// every attempt.
+func successPhases(logs []*kickstart.Log) (kick, wait []float64) {
+	attempts := 0
 	for _, lg := range logs {
-		for _, r := range lg.Successes() {
-			vs = append(vs, f(r))
+		attempts += lg.Len()
+	}
+	kick, wait = make([]float64, 0, attempts), make([]float64, 0, attempts)
+	for _, lg := range logs {
+		for _, r := range lg.Records() {
+			if r.Status == kickstart.StatusSuccess {
+				kick = append(kick, r.Exec())
+				wait = append(wait, r.Waiting())
+			}
 		}
 	}
-	return vs
+	return kick, wait
 }
 
 func execSketch(a *kickstart.Aggregates) *quantile.Sketch { return a.ExecSketch }
@@ -324,53 +326,21 @@ func mergedQuantiles(logs []*kickstart.Log, pick func(*kickstart.Aggregates) *qu
 	return quantile.Of(merged, ps...)
 }
 
-// runExperimentCell is the plan-cached single-site path: the cell maps
-// onto core.Experiment, so its plan is cloned from the keyed master and
-// only the seed's chunk runtimes are patched in.
-func (c *Compiled) runExperimentCell(site string, cell Cell) (cellMetrics, error) {
-	e := &core.Experiment{
-		Seed:           cell.Seed,
-		SandhillsSlots: c.presetSlots("sandhills", 300),
-		OSGSlots:       c.presetSlots("osg", 600),
-		RetryLimit:     c.retries,
-		Workload:       workflow.CustomWorkload(c.params, cell.Seed),
-		Cost:           workflow.DefaultCostModel(),
-		Aggregate:      c.Doc.Outputs.Aggregate,
-	}
-	r, err := e.RunClustered(site, cell.N, cell.Cluster.options())
-	if err != nil {
-		return cellMetrics{}, err
-	}
-	res := r.Result
-	return cellMetrics{
-		makespan:             r.Summary.WallTime,
-		meanWorkflowMakespan: r.Summary.WallTime,
-		cumulativeKickstart:  r.Summary.CumulativeKickstart,
-		jobs:                 r.Summary.Jobs,
-		attempts:             r.Summary.Attempts,
-		retries:              res.Retries,
-		evictions:            res.Evictions,
-		failovers:            res.Failovers,
-		success:              res.Success,
-		logs:                 []*kickstart.Log{res.Log},
-	}, nil
-}
-
-// runEnsembleCell is the general path: multi-site sets, inline or
-// overridden sites, policy/failover cells and ensembles all compile onto
-// core.EnsembleExperiment (a single workflow is an ensemble of one).
-// Member workflows are seeded cell.Seed+i; core's multi-site plan cache
-// serves every seed of a (params, n, sites, catalog content) shape from one
-// resolved master, across cells and requests.
-func (c *Compiled) runEnsembleCell(cell Cell) (cellMetrics, error) {
+// simulate runs one cell: every cell — one workflow on one preset site as
+// much as an ensemble failing over between inline sites — compiles onto
+// core.EnsembleExperiment (a single workflow is an ensemble of one, a single
+// site a pool of one). Member workflows are seeded cell.Seed+i; core's plan
+// cache serves every seed of a (params, n, sites, catalog content, stage-in)
+// shape from one resolved master, across cells and requests.
+func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
 	policy := cell.Policy
 	if policy == "" {
 		// Single-site set: any policy resolves every job to the one site.
 		policy = planner.PolicyDataAware
 	}
-	// Mix n into the platform seed (as core.RunClustered does) so sweep
-	// cells draw independent platform noise, while cells that differ only
-	// in policy share it — paired comparisons.
+	// Mix n into the platform seed so sweep cells draw independent platform
+	// noise, while cells that differ only in policy share it — paired
+	// comparisons.
 	cfgSeed := cell.Seed ^ (uint64(cell.N) * 0x9e3779b97f4a7c15)
 	exp := &core.EnsembleExperiment{
 		Seed:       cell.Seed,
@@ -379,6 +349,8 @@ func (c *Compiled) runEnsembleCell(cell Cell) (cellMetrics, error) {
 		Policy:     policy,
 		Sites:      cell.SiteSet,
 		Catalogs:   c.cats,
+		CatalogKey: c.catalogKey(cell.SiteSet),
+		StageIn:    c.stageIn(cell),
 		RetryLimit: c.retries,
 		Cluster:    cell.Cluster.options(),
 		Failover:   cell.Failover,
@@ -419,30 +391,30 @@ func (c *Compiled) runEnsembleCell(cell Cell) (cellMetrics, error) {
 	for _, name := range cell.SiteSet {
 		exp.Platforms = append(exp.Platforms, c.siteConfig(c.byName[name], cfgSeed))
 	}
-	res, report, err := exp.Run()
+	res, err := exp.Run()
 	if err != nil {
 		return cellMetrics{}, err
 	}
-	m := cellMetrics{
-		makespan:             report.Makespan,
-		meanWorkflowMakespan: report.MeanWorkflowMakespan,
-		retries:              report.TotalRetries,
-		evictions:            report.TotalEvictions,
-		failovers:            report.TotalFailovers,
-		backoffs:             report.TotalBackoffs,
-		outages:              report.TotalOutages,
-		success:              true,
-	}
-	for _, s := range report.Sites {
+	m := cellMetrics{makespan: res.Makespan, success: true}
+	for _, s := range res.Sites {
+		m.outages += s.Outages
 		m.downtimeSeconds += s.DowntimeSeconds
 	}
+	m.logs = make([]*kickstart.Log, 0, len(res.Workflows))
 	for _, w := range res.Workflows {
-		sum := stats.Summarize(w.Result.Log, w.Result.Makespan)
+		r := w.Result
+		sum := stats.Summarize(r.Log, r.Makespan)
+		m.meanWorkflowMakespan += r.Makespan
 		m.cumulativeKickstart += sum.CumulativeKickstart
 		m.jobs += sum.Jobs
 		m.attempts += sum.Attempts
-		m.success = m.success && w.Result.Success
-		m.logs = append(m.logs, w.Result.Log)
+		m.retries += r.Retries
+		m.evictions += r.Evictions
+		m.failovers += r.Failovers
+		m.backoffs += r.Backoffs
+		m.success = m.success && r.Success
+		m.logs = append(m.logs, r.Log)
 	}
+	m.meanWorkflowMakespan /= float64(len(res.Workflows))
 	return m, nil
 }

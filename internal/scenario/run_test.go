@@ -17,15 +17,7 @@ import (
 // runLines compiles and runs a scenario source with the given workers.
 func runLines(t *testing.T, src string, workers int) [][]byte {
 	t.Helper()
-	doc, err := Parse("run.json", []byte(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compile(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines, err := c.Run(RunOptions{Workers: workers})
+	lines, err := compileSource(t, "run.json", []byte(src)).Run(RunOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

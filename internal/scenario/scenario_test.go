@@ -214,42 +214,74 @@ func TestCompileExpandsGridInOrder(t *testing.T) {
 		if cell.Index != i || cell.SiteSet[0] != w.site || cell.N != w.n {
 			t.Errorf("cell %d = %+v, want site %s n %d", i, cell, w.site, w.n)
 		}
-		if site, ok := c.experimentSite(cell); !ok || site != w.site {
-			t.Errorf("cell %d: expected the plan-cached experiment path for %s", i, w.site)
+		if c.stageIn(cell) {
+			t.Errorf("cell %d: one workflow on the untouched %s preset plans without stage-in jobs", i, w.site)
 		}
 	}
 }
 
-func TestExperimentPathEligibility(t *testing.T) {
-	src := `{
-  "version": 1,
-  "name": "edge",
-  "sites": [
-    {"preset": "sandhills", "slots": 16},
-    {"name": "osg-slow", "preset": "osg", "slots": 16, "speed_factor": 2.0}
-  ],
-  "site_sets": [["sandhills"], ["osg-slow"], ["sandhills", "osg-slow"]],
-  "workload": {"params": {"num_clusters": 100, "max_cluster_size": 40, "size_exponent": 0.5, "mean_read_len": 800}, "n": [4]}
-}`
-	doc, err := Parse("edge.json", []byte(src))
-	if err != nil {
-		t.Fatal(err)
+// TestStageInPredicate pins the truth table of the one plan input the merged
+// run path takes from the document's shape: only one workflow on one
+// untouched built-in preset — no failover, fault or backoff anywhere in the
+// document — plans without stage-in jobs. Every row that flips changes a
+// golden.
+func TestStageInPredicate(t *testing.T) {
+	const workload = `"workload": {"params": {"num_clusters": 100, "max_cluster_size": 40, "size_exponent": 0.5, "mean_read_len": 800}, "n": [4]}`
+	cases := []struct {
+		name string
+		doc  string // the document's members besides version, name and workload
+		want []bool // stageIn per cell, in grid order
+	}{
+		{"pristine, overridden and multi-site sets", `
+  "sites": [{"preset": "sandhills", "slots": 16},
+            {"name": "osg-slow", "preset": "osg", "slots": 16, "speed_factor": 2.0}],
+  "site_sets": [["sandhills"], ["osg-slow"], ["sandhills", "osg-slow"]]`,
+			[]bool{false, true, true}},
+		{"renamed preset", `
+  "sites": [{"name": "campus", "preset": "sandhills"}]`,
+			[]bool{true}},
+		{"inline site", `
+  "sites": [{"name": "lab", "slots": 8, "speed_factor": 1.0}]`,
+			[]bool{true}},
+		{"cloud, with and without slots", `
+  "sites": [{"preset": "cloud"}, {"name": "cloud-big", "preset": "cloud", "slots": 900}],
+  "site_sets": [["cloud"], ["cloud-big"]]`,
+			[]bool{false, true}},
+		{"cloud with slots under its own name", `
+  "sites": [{"preset": "cloud", "slots": 900}]`,
+			[]bool{true}},
+		{"ensemble block", `
+  "sites": [{"preset": "osg"}],
+  "ensemble": {"workflows": 2}`,
+			[]bool{true}},
+		{"fault on another site", `
+  "sites": [{"preset": "sandhills"}, {"preset": "osg"}],
+  "site_sets": [["sandhills"], ["osg"]],
+  "faults": [{"type": "outage", "site": "osg", "at": 100, "duration": 50}]`,
+			[]bool{true, true}},
+		{"retry_backoff", `
+  "sites": [{"preset": "osg"}],
+  "retry_backoff": {"base_s": 30, "cap_s": 600}`,
+			[]bool{true}},
+		{"failover cells", `
+  "sites": [{"preset": "sandhills"}, {"preset": "osg"}],
+  "site_sets": [["sandhills", "osg"]],
+  "policies": {"site": ["data-aware"], "failover": [false, true]}`,
+			[]bool{true, true}},
 	}
-	c, err := Compile(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Cells) != 3 {
-		t.Fatalf("cells = %d, want 3", len(c.Cells))
-	}
-	if _, ok := c.experimentSite(c.Cells[0]); !ok {
-		t.Error("pristine sandhills preset should take the experiment path")
-	}
-	if _, ok := c.experimentSite(c.Cells[1]); ok {
-		t.Error("renamed+overridden osg must take the general path")
-	}
-	if _, ok := c.experimentSite(c.Cells[2]); ok {
-		t.Error("multi-site set must take the general path")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := compileSource(t, "edge.json", []byte(`{"version": 1, "name": "edge", `+workload+`,`+tc.doc+`}`))
+			if len(c.Cells) != len(tc.want) {
+				t.Fatalf("cells = %d, want %d", len(c.Cells), len(tc.want))
+			}
+			for i, cell := range c.Cells {
+				if got := c.stageIn(cell); got != tc.want[i] {
+					t.Errorf("cell %d (sites %v, failover %v): stageIn = %v, want %v",
+						i, cell.SiteSet, cell.Failover, got, tc.want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 	"pegflow/internal/core"
 )
 
-// testScenario runs through the plan-cached experiment path on both
-// built-in presets: 2 site sets × 2 n = 4 cells.
+// testScenario is one workflow on each built-in preset, planned without
+// stage-in jobs: 2 site sets × 2 n = 4 cells.
 const testScenario = `{
   "version": 1,
   "name": "server-test",
