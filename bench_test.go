@@ -176,7 +176,9 @@ func BenchmarkAblationClustering(b *testing.B) {
 			e := core.DefaultExperiment(benchSeed)
 			var wall float64
 			for i := 0; i < b.N; i++ {
-				r, err := e.RunVariant("sandhills", 500, core.Variant{ClusterSize: cs})
+				r, err := e.RunClustered("sandhills", 500, planner.ClusterOptions{
+					MaxTasksPerJob: cs, Transformations: []string{workflow.TrRunCAP3},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -232,12 +232,14 @@ func ablations(e *core.Experiment) error {
 		a2Seeds, withoutEv)
 
 	for _, cs := range []int{1, 4, 16} {
-		r, err := e.RunVariant("sandhills", 500, core.Variant{ClusterSize: cs})
+		r, err := e.RunClustered("sandhills", 500, planner.ClusterOptions{
+			MaxTasksPerJob: cs, Transformations: []string{workflow.TrRunCAP3},
+		})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(tw, "A3 task clustering\tsandhills n=500 factor %d\t%.0f\t%d jobs\n",
-			cs, r.WallTime(), r.Summary.Jobs)
+			cs, r.WallTime(), len(r.Result.Completed)+len(r.Result.Unfinished))
 	}
 
 	// A4: the plateau tracks the largest cluster's CAP3 time (the

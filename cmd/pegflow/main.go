@@ -260,7 +260,7 @@ func cmdPlan(args []string) error {
 	if composites > 0 {
 		fmt.Printf("  clustered jobs: %d (bundling %d tasks)\n", composites, clusteredTasks)
 	}
-	if len(plan.Sites) > 0 {
+	if o.sites != "" {
 		for _, s := range plan.Sites {
 			fmt.Printf("  jobs at %-12s: %d\n", s, perSite[s])
 		}

@@ -1,8 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
+	"pegflow/internal/engine"
+	"pegflow/internal/planner"
+	"pegflow/internal/sim/platform"
 	"pegflow/internal/workflow"
 )
 
@@ -59,27 +70,158 @@ func TestVariantDisablePreemptionStopsEvictions(t *testing.T) {
 	}
 }
 
-func TestVariantClusteringReducesJobCount(t *testing.T) {
+// directVariantRun is the pipeline RunVariant's catalog-editing branch had to
+// itself before it became edits handed to the one run path, kept here as the
+// reference: the workload's own DAX, freshly built paper catalogs with the
+// site preinstalled, planner.New, one bare executor, engine.Run.
+func directVariantRun(t *testing.T, e *Experiment, platformName string, n int) *engine.Result {
+	t.Helper()
+	cfg, err := e.platformConfig(platformName, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: e.Workload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cats.Transformations = preinstalledEverywhere(cats, platformName)
+	plan, err := planner.New(abstract, cats, planner.Options{Site: platformName})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := platform.NewExecutor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.Reserve(plan.Graph.Len())
+	res, err := engine.Run(plan, ex, engine.Options{RetryLimit: e.RetryLimit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestVariantPreinstallEqualsDirectPipeline: A1 through the one run path —
+// the edited catalog under its own plan-cache key, a pool of one — is the
+// direct pipeline's run record for record, cold and warm.
+func TestVariantPreinstallEqualsDirectPipeline(t *testing.T) {
+	logBytes := func(res *engine.Result) []byte {
+		var buf bytes.Buffer
+		if err := res.Log.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ResetPlanCache()
+	for _, n := range []int{10, 100, 100} {
+		e := DefaultExperiment(canonicalSeed)
+		want := directVariantRun(t, e, "osg", n)
+		got, err := e.RunVariant("osg", n, Variant{PreinstallOSG: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(logBytes(want), logBytes(got.Result)) {
+			t.Errorf("n=%d: attempt logs differ", n)
+		}
+		if want.Makespan != got.Result.Makespan || want.Retries != got.Result.Retries ||
+			want.Evictions != got.Result.Evictions || want.Success != got.Result.Success {
+			t.Errorf("n=%d: direct pipeline %v s, %d retries, %d evictions; one path %v s, %d, %d",
+				n, want.Makespan, want.Retries, want.Evictions,
+				got.Result.Makespan, got.Result.Retries, got.Result.Evictions)
+		}
+		// The edited catalog must not have served the plain run's master.
+		plain, err := e.RunWorkflow("osg", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if findTask(plain.PerTask, workflow.TrRunCAP3).MeanSetup <= 0 {
+			t.Errorf("n=%d: plain OSG run after the variant has no install time", n)
+		}
+	}
+}
+
+// TestVariantPreinstallKeepsEverySite: editing the catalog for one site keeps
+// the others' entries. The cloud is already preinstalled, so the variant
+// there is the plain run.
+func TestVariantPreinstallKeepsEverySite(t *testing.T) {
+	e := DefaultExperiment(42)
+	plain, err := e.RunVariant("cloud", 10, Variant{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := e.RunVariant("cloud", 10, Variant{PreinstallOSG: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain.Summary, pre.Summary) || !reflect.DeepEqual(plain.PerTask, pre.PerTask) {
+		t.Errorf("preinstalled cloud run differs from the plain one:\n%+v\n%+v", plain.Summary, pre.Summary)
+	}
+}
+
+// TestA3ClusteringViaRunClustered pins ablation A3 — run_cap3 bundled 1, 4
+// and 16 to a grid job on Sandhills at n=500 — to the numbers the deleted
+// abstract-level clustering (Variant.ClusterSize) gave for it.
+func TestA3ClusteringViaRunClustered(t *testing.T) {
 	e := DefaultExperiment(canonicalSeed)
-	base, err := e.RunVariant("sandhills", 500, Variant{ClusterSize: 1})
+	for _, want := range []struct {
+		factor, gridJobs int
+		wall, kickstart  float64
+	}{
+		{1, 505, 12477, 340709},
+		{4, 130, 14214, 340263},
+		{16, 37, 24170, 344319},
+	} {
+		r, err := e.RunClustered("sandhills", 500, planner.ClusterOptions{
+			MaxTasksPerJob: want.factor, Transformations: []string{workflow.TrRunCAP3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gridJobs := len(r.Result.Completed) + len(r.Result.Unfinished)
+		if gridJobs != want.gridJobs || math.Round(r.WallTime()) != want.wall ||
+			math.Round(r.Summary.CumulativeKickstart) != want.kickstart {
+			t.Errorf("factor %d: %d grid jobs, wall %.0f s, cumulative kickstart %.0f s; want %d, %.0f, %.0f",
+				want.factor, gridJobs, r.WallTime(), r.Summary.CumulativeKickstart,
+				want.gridJobs, want.wall, want.kickstart)
+		}
+		// Every payload task still reports its own kickstart record.
+		if r.Summary.Jobs != 505 {
+			t.Errorf("factor %d: %d task records, want 505", want.factor, r.Summary.Jobs)
+		}
+	}
+}
+
+// TestOneEngineDriverInCore parses the package's non-test sources: one
+// engine.Run call (RunSerial) and one platform.NewMultiExecutor call
+// (EnsembleExperiment.Run), so no experiment has a run path of its own.
+func TestOneEngineDriverInCore(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clustered, err := e.RunVariant("sandhills", 500, Variant{ClusterSize: 16})
-	if err != nil {
-		t.Fatal(err)
+	calls := map[string]int{}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok {
+						calls[x.Name+"."+sel.Sel.Name]++
+					}
+				}
+			}
+			return true
+		})
 	}
-	if base.Summary.Jobs != 505 {
-		t.Errorf("unclustered jobs = %d, want 505", base.Summary.Jobs)
-	}
-	if clustered.Summary.Jobs >= base.Summary.Jobs/4 {
-		t.Errorf("clustered jobs = %d, want far fewer than %d", clustered.Summary.Jobs, base.Summary.Jobs)
-	}
-	// Total executed work is preserved by clustering.
-	relDiff := (clustered.Summary.CumulativeKickstart - base.Summary.CumulativeKickstart) /
-		base.Summary.CumulativeKickstart
-	if relDiff < -0.15 || relDiff > 0.15 {
-		t.Errorf("clustering changed cumulative kickstart by %.1f%%", 100*relDiff)
+	for _, call := range []string{"engine.Run", "platform.NewMultiExecutor"} {
+		if calls[call] != 1 {
+			t.Errorf("%d %s calls in non-test core, want 1", calls[call], call)
+		}
 	}
 }
 

@@ -28,7 +28,11 @@ func (e *Experiment) RunClustered(platformName string, n int, copts planner.Clus
 	if err != nil {
 		return nil, err
 	}
-	return e.runOnSite(cfg, n, e.Workload, copts)
+	cats, key, err := e.catalogs(platformName)
+	if err != nil {
+		return nil, err
+	}
+	return e.runOnSite(cfg, n, e.Workload, cats, key, copts)
 }
 
 // ClusterPoint is one cell of the cluster-size sweep.

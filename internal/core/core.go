@@ -6,6 +6,7 @@ import (
 
 	"pegflow/internal/engine"
 	"pegflow/internal/planner"
+	"pegflow/internal/pool"
 	"pegflow/internal/sim/platform"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
@@ -140,12 +141,9 @@ func (e *Experiment) RunWorkflow(platformName string, n int) (*RunResult, error)
 // the paper's catalogs without stage-in jobs (the paper's inputs are in
 // place on both platforms). It is how every single-site experiment reaches
 // the run path the scenario cells use; the member plan equals
-// planner.New(BuildDAX(w, n)) on cfg's site, clustered.
-func (e *Experiment) onSite(cfg platform.Config, n int, w workflow.Workload, copts planner.ClusterOptions) (*EnsembleExperiment, error) {
-	cats, key, err := e.catalogs(cfg.Name)
-	if err != nil {
-		return nil, err
-	}
+// planner.New(BuildDAX(w, n)) on cfg's site, clustered. key is the plan-cache
+// key of cats on that site; empty has the run fingerprint them.
+func (e *Experiment) onSite(cfg platform.Config, n int, w workflow.Workload, cats planner.Catalogs, key string, copts planner.ClusterOptions) *EnsembleExperiment {
 	return &EnsembleExperiment{
 		Seed:      e.Seed,
 		Workflows: 1,
@@ -161,16 +159,12 @@ func (e *Experiment) onSite(cfg platform.Config, n int, w workflow.Workload, cop
 		Workers:        1,
 		MemberWorkload: func(int) workflow.Workload { return w },
 		Aggregate:      e.Aggregate,
-	}, nil
+	}
 }
 
 // runOnSite runs onSite's ensemble of one and reports its only member.
-func (e *Experiment) runOnSite(cfg platform.Config, n int, w workflow.Workload, copts planner.ClusterOptions) (*RunResult, error) {
-	ens, err := e.onSite(cfg, n, w, copts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ens.Run()
+func (e *Experiment) runOnSite(cfg platform.Config, n int, w workflow.Workload, cats planner.Catalogs, key string, copts planner.ClusterOptions) (*RunResult, error) {
+	res, err := e.onSite(cfg, n, w, cats, key, copts).Run()
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +183,8 @@ func newRunResult(platformName string, n int, res *engine.Result) *RunResult {
 
 // RunSerial executes the serial blast2cap3 baseline on a single dedicated
 // Sandhills core (paper §V.B: "the running time was 100 hours"). Its
-// one-job plan is built directly and run on a bare engine: one of the two
-// callers of engine.Run in this package (RunVariant is the other).
+// one-job plan is built directly and run on a bare engine: the only caller
+// of engine.Run in this package.
 func (e *Experiment) RunSerial() (*RunResult, error) {
 	cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
 	if err != nil {
@@ -242,7 +236,7 @@ func (e *Experiment) RunAll() (*AllResults, error) {
 		}
 	}
 	results := make([]*RunResult, 1+len(cells))
-	err := forEachTask(e.Workers, 1+len(cells), func(i int) error {
+	err := pool.ForEach(e.Workers, 1+len(cells), func(i int) error {
 		if i == 0 {
 			ser, err := e.RunSerial()
 			if err != nil {

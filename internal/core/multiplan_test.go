@@ -42,11 +42,11 @@ func singleSite(t testing.TB, e *Experiment, site string, n int, copts planner.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := e.onSite(cfg, n, e.Workload, copts)
+	cats, key, err := e.catalogs(site)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ens
+	return e.onSite(cfg, n, e.Workload, cats, key, copts)
 }
 
 // singleSitePlan is the one member plan of singleSite.
@@ -77,12 +77,11 @@ func planSnapshot(t testing.TB, p *planner.Plan) map[string]any {
 		t.Fatal(err)
 	}
 	out := map[string]any{
-		"name":      p.Graph.Name,
-		"site":      p.Site,
-		"sites":     append([]string(nil), p.Sites...),
-		"siteentry": p.SiteEntry, // DeepEqual compares the pointee; nil for multi-site plans
-		"order":     append([]string(nil), idx.Order...),
-		"indegree":  append([]int32(nil), idx.Indegree...),
+		"name":     p.Graph.Name,
+		"site":     p.Site,
+		"sites":    append([]string(nil), p.Sites...),
+		"order":    append([]string(nil), idx.Order...),
+		"indegree": append([]int32(nil), idx.Indegree...),
 	}
 	var inserted []string
 	for _, j := range p.Jobs() {
@@ -92,7 +91,6 @@ func planSnapshot(t testing.TB, p *planner.Plan) map[string]any {
 	for i, id := range idx.Order {
 		j := *p.JobAt(int32(i))
 		j.Args = append([]string(nil), j.Args...)
-		j.Tasks = append([]string(nil), j.Tasks...)
 		j.Members = append([]planner.Member(nil), j.Members...)
 		out["job/"+id] = j
 		out["graph/"+id] = *p.Graph.Job(id).Clone()
@@ -447,9 +445,10 @@ func TestPlanCacheSpeedup(t *testing.T) {
 }
 
 // singleSiteReference is the pipeline single-site runs had to themselves
-// before they became ensembles of one, kept here verbatim as the reference:
-// the seed's own DAX, the paper's catalogs, the single-site planner, then
-// the clustering pass.
+// before they became ensembles of one, kept here as the reference: the
+// seed's own DAX, the paper's catalogs, planner.New from scratch (itself
+// pinned against the deleted single-site builder by the planner's
+// TestNewEqualsReferenceBuilder), then the clustering pass.
 func singleSiteReference(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *planner.Plan {
 	t.Helper()
 	cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
@@ -472,22 +471,12 @@ func singleSiteReference(t testing.TB, e *Experiment, site string, n int, copts 
 
 // TestCachedPlanEqualsUncachedPlan: on every paper platform, for seeds other
 // than the one that resolved the master and under every clustering mode,
-// the one-site member plan equals what the single-site planner builds from
-// that seed's own DAX — every Job field, index and insertion order, edges,
-// and the graph jobs (which carry no runtime profile on either side). Only
-// the label differs: the multi-site planner names the graph "-multi", lists
-// the one site in Sites and resolves no SiteEntry; nothing that executes a
-// plan reads those.
+// the one-site member plan equals what planner.New builds from that seed's
+// own DAX — the labels, every Job field, index and insertion order, edges,
+// and the graph jobs (which carry no runtime profile on either side).
 func TestCachedPlanEqualsUncachedPlan(t *testing.T) {
 	const n = 60
 	copts := []planner.ClusterOptions{{}, {MaxTasksPerJob: 4}, {TargetJobSeconds: 1800}}
-	body := func(p *planner.Plan) map[string]any {
-		snap := planSnapshot(t, p)
-		for _, label := range []string{"name", "sites", "siteentry"} {
-			delete(snap, label)
-		}
-		return snap
-	}
 	for _, site := range ExtendedPlatforms {
 		ResetPlanCache()
 		singleSitePlan(t, DefaultExperiment(7), site, n, planner.ClusterOptions{})
@@ -500,8 +489,8 @@ func TestCachedPlanEqualsUncachedPlan(t *testing.T) {
 						t.Fatalf("%s seed %d: cached graph job %q carries profiles %v", site, seed, gj.ID, gj.Profiles)
 					}
 				}
-				if d := diffSnapshots(body(singleSiteReference(t, e, site, n, co)), body(cached)); d != "" {
-					t.Errorf("%s seed %d copts %+v: single-site planner vs one-site member plan differ at %s", site, seed, co, d)
+				if d := diffSnapshots(planSnapshot(t, singleSiteReference(t, e, site, n, co)), planSnapshot(t, cached)); d != "" {
+					t.Errorf("%s seed %d copts %+v: planner.New vs one-site member plan differ at %s", site, seed, co, d)
 				}
 				if cached.Site != site || !reflect.DeepEqual(cached.Sites, []string{site}) {
 					t.Errorf("%s seed %d: member plan is labelled site %q, sites %v", site, seed, cached.Site, cached.Sites)

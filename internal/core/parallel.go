@@ -1,10 +1,12 @@
-// Parallel experiment harness: a bounded worker pool fans the Monte Carlo
-// grid and the single-seed evaluation grid out across goroutines. Every
-// task derives its entire RNG state from (baseSeed, rep, platform, n), so
-// a parallel sweep is bit-for-bit identical to a serial one: sweep workers
-// never share an Experiment (RunAll shares one, but strictly read-only),
-// and results are merged in deterministic rep-major order after collection
-// instead of being accumulated under a lock.
+// Parallel experiment harness: pool.ForEach fans the Monte Carlo grid and
+// the single-seed evaluation grid out across a bounded worker pool. Every
+// task derives its entire RNG state from (baseSeed, rep, platform, n), so a
+// parallel sweep is bit-for-bit identical to a serial one: a Monte Carlo
+// cell builds its own Experiment; RunAll's cells share one, whose only
+// mutable state is the catalogs its first run builds under its mutex; the
+// process-wide plan caches hand every cell the same plan whichever worker
+// fills an entry; and results are merged in deterministic rep-major order
+// after collection instead of being accumulated under a lock.
 
 package core
 
@@ -15,13 +17,6 @@ import (
 
 	"pegflow/internal/pool"
 )
-
-// forEachTask runs fn(0) … fn(n-1) across a bounded worker pool — see
-// pool.ForEach, which it delegates to (the pool moved to its own package
-// so the ensemble planner can reuse it without importing core).
-func forEachTask(workers, n int, fn func(i int) error) error {
-	return pool.ForEach(workers, n, fn)
-}
 
 // SweepOptions configures a Monte Carlo sweep.
 type SweepOptions struct {
@@ -83,7 +78,7 @@ func MonteCarloSweep(baseSeed uint64, runs int, opts SweepOptions) (*Sweep, erro
 		progressMu.Unlock()
 	}
 
-	err := forEachTask(opts.Workers, total, func(i int) error {
+	err := pool.ForEach(opts.Workers, total, func(i int) error {
 		rep, k := i/perRep, i%perRep
 		e := DefaultExperiment(baseSeed + uint64(rep))
 		if k == 0 {

@@ -8,12 +8,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"pegflow/internal/pool"
 )
 
 func TestForEachTaskRunsEveryIndexOnce(t *testing.T) {
 	const n = 100
 	var counts [n]atomic.Int32
-	if err := forEachTask(7, n, func(i int) error {
+	if err := pool.ForEach(7, n, func(i int) error {
 		counts[i].Add(1)
 		return nil
 	}); err != nil {
@@ -29,7 +31,7 @@ func TestForEachTaskRunsEveryIndexOnce(t *testing.T) {
 func TestForEachTaskBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	if err := forEachTask(workers, 64, func(i int) error {
+	if err := pool.ForEach(workers, 64, func(i int) error {
 		c := cur.Add(1)
 		defer cur.Add(-1)
 		for {
@@ -48,7 +50,7 @@ func TestForEachTaskBoundsConcurrency(t *testing.T) {
 
 func TestForEachTaskPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	err := forEachTask(4, 32, func(i int) error {
+	err := pool.ForEach(4, 32, func(i int) error {
 		if i == 5 {
 			return boom
 		}
@@ -61,7 +63,7 @@ func TestForEachTaskPropagatesError(t *testing.T) {
 
 func TestForEachTaskSerialStopsAtFirstError(t *testing.T) {
 	var calls int
-	err := forEachTask(1, 32, func(i int) error {
+	err := pool.ForEach(1, 32, func(i int) error {
 		calls++
 		if i == 3 {
 			return errors.New("stop")
@@ -74,12 +76,12 @@ func TestForEachTaskSerialStopsAtFirstError(t *testing.T) {
 }
 
 func TestForEachTaskEdgeCases(t *testing.T) {
-	if err := forEachTask(4, 0, func(int) error { t.Error("fn called"); return nil }); err != nil {
+	if err := pool.ForEach(4, 0, func(int) error { t.Error("fn called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// workers <= 0 defaults to NumCPU; must still cover everything.
 	var ran atomic.Int32
-	if err := forEachTask(0, 10, func(int) error { ran.Add(1); return nil }); err != nil {
+	if err := pool.ForEach(0, 10, func(int) error { ran.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran.Load() != 10 {

@@ -27,7 +27,6 @@ func snapshot(t *testing.T, p *Plan) map[string]any {
 	for i, id := range idx.Order {
 		j := *p.JobAt(int32(i))
 		j.Args = append([]string(nil), j.Args...)
-		j.Tasks = append([]string(nil), j.Tasks...)
 		j.Members = append([]Member(nil), j.Members...)
 		out["job/"+id] = j
 		out["graph/"+id] = *p.Graph.Job(id).Clone()
@@ -38,7 +37,7 @@ func snapshot(t *testing.T, p *Plan) map[string]any {
 }
 
 // mutate applies one random edit to a planned job, exercising every field
-// kind a clone owns: scalars and the three slices (by append — element
+// kind a clone owns: scalars and the two slices (by append — element
 // writes through a shared backing array are what clonegate forbids).
 func mutate(t *testing.T, p *Plan, r *rand.Rand) {
 	t.Helper()
@@ -55,7 +54,6 @@ func mutate(t *testing.T, p *Plan, r *rand.Rand) {
 		j.InstallBytes += 3
 	case 3:
 		j.Members = append(j.Members, Member{TaskID: "ghost", ExecSeconds: 1})
-		j.Tasks = append(j.Tasks, "ghost")
 	case 4:
 		j.ID, j.Transformation = j.ID+"'", "renamed"
 		j.Priority++
@@ -90,7 +88,7 @@ func TestPlanCloneDeeplyIndependent(t *testing.T) {
 		if !reflect.DeepEqual(before, snapshot(t, clone)) {
 			t.Fatalf("round %d: clone does not reproduce the original", round)
 		}
-		if clone.Graph != plan.Graph || clone.index != plan.index || clone.SiteEntry != plan.SiteEntry {
+		if clone.Graph != plan.Graph || clone.index != plan.index {
 			t.Fatalf("round %d: clone does not share the plan's shape", round)
 		}
 		if &clone.jobs[0] == &plan.jobs[0] {
@@ -177,7 +175,7 @@ func TestSlabFollowsIndex(t *testing.T) {
 			if j.ID != id || p.Job(id) != j {
 				t.Errorf("%s: position %d holds %q, want %q", name, i, j.ID, id)
 			}
-			if cap(j.Args) != len(j.Args) || cap(j.Tasks) != len(j.Tasks) || cap(j.Members) != len(j.Members) {
+			if cap(j.Args) != len(j.Args) || cap(j.Members) != len(j.Members) {
 				t.Errorf("%s: job %q has unclipped slices", name, id)
 			}
 		}
@@ -188,7 +186,7 @@ func TestSlabFollowsIndex(t *testing.T) {
 			}
 		}
 	}
-	if single.Job("stage_in_0") == nil || single.Job("nope") != nil {
+	if single.Job("stage_in_osg") == nil || single.Job("nope") != nil {
 		t.Error("Job(id) lookup broken")
 	}
 }

@@ -1,11 +1,10 @@
-// Horizontal task clustering as a post-planning pass: merge small planned
-// jobs into composite grid jobs so one dispatch latency and one software
-// install are amortized over many payloads — Pegasus's answer (paper §III)
-// to the opportunistic grid's dominant cost, per-job overhead.
+// Horizontal task clustering, the planner's one clustering pass: merge small
+// planned jobs into composite grid jobs so one dispatch latency and one
+// software install are amortized over many payloads — Pegasus's answer
+// (paper §III) to the opportunistic grid's dominant cost, per-job overhead.
 //
-// Unlike the abstract-level ClusterSize option (which groups tasks before
-// site resolution), Cluster runs on an executable Plan, so it can respect
-// per-job site bindings of multi-site plans: only jobs of the same
+// Cluster runs on an executable Plan, after site resolution, so it respects
+// the per-job site bindings of multi-site plans: only jobs of the same
 // transformation, bound to the same site, at the same DAG level are merged.
 // Same-level grouping guarantees dependency compatibility — two jobs at one
 // level are never connected by a path, so folding them into one node cannot
@@ -19,7 +18,7 @@ import (
 	"pegflow/internal/dax"
 )
 
-// ClusterOptions configures the post-planning clustering pass.
+// ClusterOptions configures the clustering pass.
 type ClusterOptions struct {
 	// MaxTasksPerJob caps the payload tasks folded into one composite job.
 	// 0 leaves the count unbounded (TargetJobSeconds alone closes
@@ -81,9 +80,8 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 		if j.Transformation == StageInTransformation {
 			return false
 		}
-		// Jobs that already fold several tasks (abstract-level clustering
-		// or a previous Cluster pass) are left alone.
-		if len(j.Tasks) > 0 || len(j.Members) > 0 {
+		// Composites of a previous Cluster pass are left alone.
+		if len(j.Members) > 0 {
 			return false
 		}
 		if len(opts.Transformations) == 0 {
@@ -165,11 +163,10 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 		folded += len(b.ids)
 	}
 	out := &Plan{
-		Graph:     dax.New(p.Graph.Name + "-clustered"),
-		Site:      p.Site,
-		Sites:     p.Sites,
-		SiteEntry: p.SiteEntry,
-		jobs:      make([]Job, 0, len(p.jobs)-folded+len(buckets)),
+		Graph: dax.New(p.Graph.Name + "-clustered"),
+		Site:  p.Site,
+		Sites: p.Sites,
+		jobs:  make([]Job, 0, len(p.jobs)-folded+len(buckets)),
 	}
 
 	emitted := make(map[string]bool)
@@ -211,7 +208,6 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 			cj.InstallBytes = m.InstallBytes
 			cj.InputBytes += m.InputBytes
 			cj.OutputBytes += m.OutputBytes
-			cj.Tasks = append(cj.Tasks, mid)
 			cj.Members = append(cj.Members, Member{TaskID: mid, ExecSeconds: m.ExecSeconds})
 		}
 		nj.Priority = cj.Priority

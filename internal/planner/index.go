@@ -155,18 +155,16 @@ func alignJobs(jobs []Job, idx *Index) error {
 		}
 		j := &jobs[i]
 		j.Args = j.Args[:len(j.Args):len(j.Args)]
-		j.Tasks = j.Tasks[:len(j.Tasks):len(j.Tasks)]
 		j.Members = j.Members[:len(j.Members):len(j.Members)]
 	}
 	return nil
 }
 
 // Clone returns a plan that shares this plan's immutable shape — Graph,
-// Index, Sites, SiteEntry and the backing arrays of every job's Args, Tasks
-// and Members — and owns a copy of the job slab, so a Job field written
-// through one plan never shows in the other. It costs two allocations and
-// one memmove whatever the plan's size: the per-retrieval step of the plan
-// cache.
+// Index, Sites and the backing arrays of every job's Args and Members — and
+// owns a copy of the job slab, so a Job field written through one plan never
+// shows in the other. It costs two allocations and one memmove whatever the
+// plan's size: the per-retrieval step of the plan cache.
 func (p *Plan) Clone() *Plan {
 	out := *p
 	out.jobs = append([]Job(nil), p.jobs...)

@@ -194,16 +194,12 @@ type MultiOptions struct {
 	// AddStageIn synthesizes one stage-in job per site holding external
 	// inputs consumed there.
 	AddStageIn bool
-	// ClusterSize and ClusterTransformations configure horizontal task
-	// clustering exactly as in Options.
-	ClusterSize            int
-	ClusterTransformations []string
 }
 
 // NewMulti maps the abstract workflow onto a set of sites, choosing an
 // execution site per job via the policy. The resulting Plan has per-job
-// sites in its jobs and lists the target sites in Plan.Sites; Plan.SiteEntry
-// is nil for multi-site plans. It is Resolve followed by one Resolved.Plan.
+// sites in its jobs and lists the target sites in Plan.Sites. It is Resolve
+// followed by one Resolved.Plan.
 func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, error) {
 	r, err := Resolve(abstract, cats, opts)
 	if err != nil {
@@ -261,10 +257,10 @@ type shape struct {
 	slab []int32
 }
 
-// Resolve performs the runtime-independent part of multi-site planning:
-// validation, abstract-level clustering, the topological order, per-job
-// attributes, per-transformation site candidates and the replica check of
-// external inputs. opts.Policy is not consulted; it is an argument of Plan.
+// Resolve performs the runtime-independent part of planning: validation,
+// the topological order, per-job attributes, per-transformation site
+// candidates and the replica check of external inputs. opts.Policy is not
+// consulted; it is an argument of Plan.
 func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolved, error) {
 	// Jobs are kept in topological order so load-based policies see them
 	// roughly in execution order; the order is deterministic (Kahn's
@@ -290,21 +286,8 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 		sites = append(sites, s)
 	}
 
-	work := abstract
-	if opts.ClusterSize > 1 {
-		work, err = clusterTasks(abstract, Options{
-			ClusterSize:            opts.ClusterSize,
-			ClusterTransformations: opts.ClusterTransformations,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if order, err = work.TopoSort(); err != nil {
-			return nil, fmt.Errorf("planner: %w", err)
-		}
-	}
 	r := &Resolved{
-		work:      work,
+		work:      abstract,
 		siteNames: append([]string(nil), opts.Sites...),
 		sites:     sites,
 		jobs:      make([]Job, 0, len(order)),
@@ -314,7 +297,7 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 	}
 	byTransformation := make(map[string][]Candidate)
 	for k, id := range order {
-		aj := work.Job(id)
+		aj := abstract.Job(id)
 		pj, err := jobAttributes(aj)
 		if err != nil {
 			return nil, err
@@ -328,7 +311,7 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 		}
 		if len(cands) == 0 {
 			return nil, fmt.Errorf(
-				"planner: job %q: transformation %q resolves at none of the target sites %v",
+				"planner: job %q: transformation %q resolves at none of the target sites %v (not registered there, or not installed at a shared-software site)",
 				aj.ID, aj.Transformation, opts.Sites)
 		}
 		r.jobs = append(r.jobs, pj)
@@ -505,8 +488,12 @@ func (r *Resolved) shapeFor(cand []int32) (*shape, error) {
 // placement of their own; Plan writes one into every clone.
 func (r *Resolved) materialize(cand []int32) (*shape, error) {
 	work := r.work
+	suffix := "-multi"
+	if len(r.siteNames) == 1 {
+		suffix = "-" + r.siteNames[0]
+	}
 	plan := &Plan{
-		Graph: dax.New(work.Name + "-multi"),
+		Graph: dax.New(work.Name + suffix),
 		Site:  strings.Join(r.siteNames, ","),
 		Sites: r.siteNames,
 		jobs:  make([]Job, 0, len(r.jobs)+len(r.sites)), // +sites: the stage-in jobs

@@ -20,8 +20,8 @@ func TestNewMultiRoundRobinSpreadsJobs(t *testing.T) {
 	if got, want := p.Site, "sandhills,osg"; got != want {
 		t.Errorf("plan Site = %q, want %q", got, want)
 	}
-	if len(p.Sites) != 2 || p.SiteEntry != nil {
-		t.Errorf("Sites = %v, SiteEntry = %v", p.Sites, p.SiteEntry)
+	if len(p.Sites) != 2 {
+		t.Errorf("Sites = %v", p.Sites)
 	}
 	counts := map[string]int{}
 	for _, j := range p.Jobs() {
@@ -188,27 +188,4 @@ func TestNewMultiPerSiteStageIn(t *testing.T) {
 		t.Errorf("osg stage-in %.6fs not slower than sandhills %.6fs",
 			bySite["osg"].ExecSeconds, bySite["sandhills"].ExecSeconds)
 	}
-}
-
-func TestNewMultiWithClustering(t *testing.T) {
-	cats := testCatalogs(t, "split", "run_cap3", "merge")
-	pol, err := NewPolicy(PolicyRuntimeAware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abstract := fanWorkflow(t, 9)
-	p, err := NewMulti(abstract, cats, MultiOptions{
-		Sites:                  []string{"sandhills", "osg"},
-		Policy:                 pol,
-		ClusterSize:            3,
-		ClusterTransformations: []string{"run_cap3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 9 cap3 → 3 clustered + split + merge = 5.
-	if p.Graph.Len() != 5 {
-		t.Fatalf("plan jobs = %d, want 5", p.Graph.Len())
-	}
-	checkPlanInvariants(t, abstract, p, cats)
 }

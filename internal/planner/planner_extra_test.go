@@ -9,17 +9,18 @@ import (
 	"pegflow/internal/dax"
 )
 
+// The stage-in job is never folded, and clustering keeps it feeding its
+// consumer.
 func TestStageInCombinesWithClustering(t *testing.T) {
 	cats := testCatalogs(t, "split", "run_cap3", "merge")
 	if err := cats.Replicas.Add("alignments.out", catalog.Replica{Site: "local", PFN: "/d/a"}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(fanWorkflow(t, 9), cats, Options{
-		Site:                   "osg",
-		AddStageIn:             true,
-		ClusterSize:            3,
-		ClusterTransformations: []string{"run_cap3"},
-	})
+	orig, err := New(fanWorkflow(t, 9), cats, Options{Site: "osg", AddStageIn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Cluster(orig, ClusterOptions{MaxTasksPerJob: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,17 +28,15 @@ func TestStageInCombinesWithClustering(t *testing.T) {
 	if p.Graph.Len() != 6 {
 		t.Fatalf("plan jobs = %d: %v", p.Graph.Len(), ids(p))
 	}
-	si := p.Job("stage_in_0")
-	if si == nil {
-		t.Fatal("stage_in missing")
+	si := p.Job("stage_in_osg")
+	if si == nil || len(si.Members) != 0 {
+		t.Fatalf("stage_in missing or folded: %+v", si)
 	}
 	// stage_in feeds split only (the sole consumer of alignments.out).
-	if kids := p.Graph.Children("stage_in_0"); len(kids) != 1 || kids[0] != "split" {
+	if kids := p.Graph.Children("stage_in_osg"); len(kids) != 1 || kids[0] != "split" {
 		t.Errorf("stage_in children = %v", kids)
 	}
-	if _, err := p.Graph.TopoSort(); err != nil {
-		t.Fatal(err)
-	}
+	checkClusterInvariants(t, orig, p, ClusterOptions{MaxTasksPerJob: 3})
 }
 
 func TestStageInJobHasTopPriority(t *testing.T) {
@@ -49,7 +48,7 @@ func TestStageInJobHasTopPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si := p.Job("stage_in_0")
+	si := p.Job("stage_in_sandhills")
 	for _, j := range p.Jobs() {
 		if j.ID != si.ID && j.Priority >= si.Priority {
 			t.Errorf("job %s priority %d ≥ stage_in %d", j.ID, j.Priority, si.Priority)
@@ -65,7 +64,11 @@ func TestClusteredJobInheritsMaxPriority(t *testing.T) {
 		j.Priority = i * 10
 		j.SetProfile("pegasus", "runtime", "5")
 	}
-	p, err := New(w, cats, Options{Site: "sandhills", ClusterSize: 4})
+	orig, err := New(w, cats, Options{Site: "sandhills"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Cluster(orig, ClusterOptions{MaxTasksPerJob: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +79,8 @@ func TestClusteredJobInheritsMaxPriority(t *testing.T) {
 	if only.Priority != 30 {
 		t.Errorf("clustered priority = %d, want max 30", only.Priority)
 	}
-	if len(only.Tasks) != 4 || only.ExecSeconds != 20 {
-		t.Errorf("tasks = %v exec = %v", only.Tasks, only.ExecSeconds)
+	if len(only.Members) != 4 || only.ExecSeconds != 20 {
+		t.Errorf("members = %v exec = %v", only.Members, only.ExecSeconds)
 	}
 }
 
@@ -95,48 +98,8 @@ func TestInputOutputByteTotals(t *testing.T) {
 	}
 }
 
-// Property: for any fan width and cluster size, planning preserves total
-// estimated work and yields an acyclic executable graph whose cap3 task
-// count sums to the original width.
-func TestPropertyClusteringInvariants(t *testing.T) {
-	cats := testCatalogs(t, "split", "run_cap3", "merge")
-	f := func(widthRaw, sizeRaw uint8) bool {
-		width := int(widthRaw%40) + 1
-		size := int(sizeRaw%8) + 1
-		w := fanWorkflowQuick(width)
-		p, err := New(w, cats, Options{
-			Site: "sandhills", ClusterSize: size,
-			ClusterTransformations: []string{"run_cap3"},
-		})
-		if err != nil {
-			return false
-		}
-		if _, err := p.Graph.TopoSort(); err != nil {
-			return false
-		}
-		if p.TotalExecSeconds() != 60+float64(width)*100+30 {
-			return false
-		}
-		tasks := 0
-		for _, j := range p.Jobs() {
-			if j.Transformation != "run_cap3" {
-				continue
-			}
-			if len(j.Tasks) > 0 {
-				tasks += len(j.Tasks)
-			} else {
-				tasks++
-			}
-		}
-		return tasks == width
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // taskOwners maps every abstract task to the executable job that carries
-// it (clustered jobs own their Tasks; plain jobs own themselves).
+// it (composites own their Members; plain jobs own themselves).
 func taskOwners(t *testing.T, p *Plan) map[string]string {
 	t.Helper()
 	owner := make(map[string]string)
@@ -144,9 +107,12 @@ func taskOwners(t *testing.T, p *Plan) map[string]string {
 		if j.Transformation == StageInTransformation {
 			continue
 		}
-		tasks := j.Tasks
-		if len(tasks) == 0 {
-			tasks = []string{j.ID}
+		tasks := []string{j.ID}
+		if len(j.Members) > 0 {
+			tasks = tasks[:0]
+			for _, m := range j.Members {
+				tasks = append(tasks, m.TaskID)
+			}
 		}
 		for _, task := range tasks {
 			if prev, dup := owner[task]; dup {
@@ -246,11 +212,11 @@ func TestPropertySingleSitePlanInvariants(t *testing.T) {
 			site = "osg"
 		}
 		w := fanWorkflowQuick(width)
-		p, err := New(w, cats, Options{
-			Site: site, ClusterSize: size,
-			ClusterTransformations: []string{"run_cap3"},
-		})
+		p, err := New(w, cats, Options{Site: site})
 		if err != nil {
+			return false
+		}
+		if p, err = Cluster(p, ClusterOptions{MaxTasksPerJob: size, Transformations: []string{"run_cap3"}}); err != nil {
 			return false
 		}
 		checkPlanInvariants(t, w, p, cats)
@@ -282,13 +248,11 @@ func TestPropertyMultiSitePlanInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := fanWorkflowQuick(width)
-		p, err := NewMulti(w, cats, MultiOptions{
-			Sites:                  sites,
-			Policy:                 pol,
-			ClusterSize:            size,
-			ClusterTransformations: []string{"run_cap3"},
-		})
+		p, err := NewMulti(w, cats, MultiOptions{Sites: sites, Policy: pol})
 		if err != nil {
+			return false
+		}
+		if p, err = Cluster(p, ClusterOptions{MaxTasksPerJob: size, Transformations: []string{"run_cap3"}}); err != nil {
 			return false
 		}
 		checkPlanInvariants(t, w, p, cats)

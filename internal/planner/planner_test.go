@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestStageInSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si := p.Job("stage_in_0")
+	si := p.Job("stage_in_osg")
 	if si == nil {
 		t.Fatal("no stage_in job synthesized")
 	}
@@ -179,8 +180,8 @@ func TestStageInSynthesis(t *testing.T) {
 	if want := 1000.0 / 20e6; si.ExecSeconds != want {
 		t.Errorf("ExecSeconds = %v, want %v", si.ExecSeconds, want)
 	}
-	if parents := p.Graph.Parents("split"); len(parents) != 1 || parents[0] != "stage_in_0" {
-		t.Errorf("Parents(split) = %v, want [stage_in_0]", parents)
+	if parents := p.Graph.Parents("split"); len(parents) != 1 || parents[0] != "stage_in_osg" {
+		t.Errorf("Parents(split) = %v, want [stage_in_osg]", parents)
 	}
 	// Jobs that don't consume external inputs are not children of stage_in.
 	if parents := p.Graph.Parents("merge"); len(parents) != 2 {
@@ -208,105 +209,54 @@ func TestStageInNoExternalInputsNoJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Job("stage_in_0") != nil {
+	if p.Job("stage_in_osg") != nil {
 		t.Error("stage_in synthesized with no external inputs")
 	}
 }
 
-func TestHorizontalClustering(t *testing.T) {
+// clusterFan plans a width-way fan on the site and clusters it.
+func clusterFan(t *testing.T, width int, site string, opts ClusterOptions) (orig, clustered *Plan) {
+	t.Helper()
 	cats := testCatalogs(t, "split", "run_cap3", "merge")
-	p, err := New(fanWorkflow(t, 10), cats, Options{
-		Site:                   "sandhills",
-		ClusterSize:            4,
-		ClusterTransformations: []string{"run_cap3"},
-	})
+	orig, err := New(fanWorkflow(t, width), cats, Options{Site: site})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 10 tasks at cluster size 4 → 3 clustered jobs (4+4+2), plus split
-	// and merge = 5 jobs.
-	if p.Graph.Len() != 5 {
-		t.Fatalf("plan has %d jobs, want 5: %v", p.Graph.Len(), ids(p))
+	clustered, err = Cluster(orig, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var clustered []*Job
-	for _, j := range p.Jobs() {
-		if len(j.Tasks) > 0 {
-			clustered = append(clustered, j)
-		}
-	}
-	if len(clustered) != 3 {
-		t.Fatalf("clustered jobs = %d, want 3", len(clustered))
-	}
-	total := 0
-	var runtime float64
-	for _, c := range clustered {
-		total += len(c.Tasks)
-		runtime += c.ExecSeconds
-		if c.Transformation != "run_cap3" {
-			t.Errorf("clustered job %s transformation = %s", c.ID, c.Transformation)
-		}
-	}
-	if total != 10 {
-		t.Errorf("clustered task count = %d, want 10", total)
-	}
-	if runtime != 1000 {
-		t.Errorf("clustered runtime sum = %v, want 1000", runtime)
-	}
-	// Structure: split → each cluster → merge.
-	for _, c := range clustered {
-		if parents := p.Graph.Parents(c.ID); len(parents) != 1 || parents[0] != "split" {
-			t.Errorf("Parents(%s) = %v", c.ID, parents)
-		}
-	}
-	if parents := p.Graph.Parents("merge"); len(parents) != 3 {
-		t.Errorf("Parents(merge) = %v, want 3 clustered parents", parents)
-	}
+	return orig, clustered
 }
 
+// An eligibility list that names no job of the plan leaves it as it was.
 func TestClusteringSkipsOtherTransformations(t *testing.T) {
-	cats := testCatalogs(t, "split", "run_cap3", "merge")
-	p, err := New(fanWorkflow(t, 6), cats, Options{
-		Site:                   "sandhills",
-		ClusterSize:            2,
-		ClusterTransformations: []string{"does_not_exist"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig, p := clusterFan(t, 6, "sandhills", ClusterOptions{MaxTasksPerJob: 2, Transformations: []string{"does_not_exist"}})
 	if p.Graph.Len() != 8 {
 		t.Errorf("plan has %d jobs, want 8 (untouched)", p.Graph.Len())
 	}
-}
-
-func TestClusteringDisabledBySize(t *testing.T) {
-	cats := testCatalogs(t, "split", "run_cap3", "merge")
-	for _, size := range []int{0, 1} {
-		p, err := New(fanWorkflow(t, 6), cats, Options{Site: "sandhills", ClusterSize: size})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Graph.Len() != 8 {
-			t.Errorf("ClusterSize=%d: plan has %d jobs, want 8", size, p.Graph.Len())
+	checkClusterInvariants(t, orig, p, ClusterOptions{MaxTasksPerJob: 2})
+	for _, j := range p.Jobs() {
+		if len(j.Members) != 0 || !reflect.DeepEqual(j, orig.Job(j.ID)) {
+			t.Errorf("job %s changed: %+v", j.ID, j)
 		}
 	}
 }
 
+// Total work survives clustering at every size, the width and one past it
+// (one composite holding the whole level) included, and the result is a
+// valid DAG partitioning the original jobs.
 func TestClusteringPreservesTotalWork(t *testing.T) {
-	cats := testCatalogs(t, "split", "run_cap3", "merge")
-	base, err := New(fanWorkflow(t, 17), cats, Options{Site: "sandhills"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{2, 3, 5, 16, 100} {
-		p, err := New(fanWorkflow(t, 17), cats, Options{Site: "sandhills", ClusterSize: size})
-		if err != nil {
-			t.Fatal(err)
-		}
+	const width = 17
+	for _, size := range []int{0, 1, 2, 3, 5, 16, width, width + 1, 100} {
+		opts := ClusterOptions{MaxTasksPerJob: size}
+		base, p := clusterFan(t, width, "sandhills", opts)
 		if got, want := p.TotalExecSeconds(), base.TotalExecSeconds(); got != want {
-			t.Errorf("ClusterSize=%d: total work %v, want %v", size, got, want)
+			t.Errorf("MaxTasksPerJob=%d: total work %v, want %v", size, got, want)
 		}
-		if _, err := p.Graph.TopoSort(); err != nil {
-			t.Errorf("ClusterSize=%d: %v", size, err)
+		checkClusterInvariants(t, base, p, opts)
+		if size >= width && p.Graph.Len() != 3 {
+			t.Errorf("MaxTasksPerJob=%d: %d jobs, want split, one composite, merge", size, p.Graph.Len())
 		}
 	}
 }
