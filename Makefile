@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint lint-fixtures test race allocs bench bench-quick bench-micro bench-serve bench-scale fmt vet clean
+.PHONY: all build lint lint-fixtures test race allocs bench bench-quick bench-micro fmt vet clean
 
 all: build lint test
 
@@ -51,20 +51,6 @@ bench-quick:
 # Kernel, engine and queue microbenchmarks, for measuring while you work.
 bench-micro:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/sim/des ./internal/engine ./internal/fifo
-
-# Load-test the serve tier and regenerate BENCH_serve.json; fails if any
-# request errors or the warm wave is not >= 5x cold throughput.
-bench-serve:
-	$(GO) run ./cmd/loadgen -min-speedup 5
-
-# The million-job scale gate + throughput benchmark behind BENCH_scale.json:
-# a 10^6-chunk aggregated run must complete on the two-site failover world
-# under the CI memory ceiling, then the warm single-site run path is timed.
-bench-scale:
-	$(GO) test -c -o /tmp/scale.test ./internal/core
-	GOMEMLIMIT=8GiB PEGFLOW_SCALE_N=1000000 PEGFLOW_SCALE_MAXRSS_MB=9216 \
-		/tmp/scale.test -test.run '^TestMillionJobScale$$' -test.v -test.timeout 3600s
-	PEGFLOW_SCALE_N=1000000 $(GO) test -run='^$$' -bench=BenchmarkMillionJobRun -benchtime=1x -benchmem -timeout 3600s ./internal/core
 
 fmt:
 	gofmt -l -w .

@@ -249,47 +249,6 @@ func BenchmarkClusterSweep(b *testing.B) {
 	}
 }
 
-// --- parallel harness scaling ---
-
-// BenchmarkMonteCarloParallel measures the bounded worker pool on the
-// paper's 10-seed variability sweep (90 simulations: per seed, a serial
-// baseline plus both platforms at every n). Output is bit-identical at
-// every worker count, so the sub-benchmarks measure pure scheduling:
-// near-linear speedup up to the physical core count.
-func BenchmarkMonteCarloParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		w := w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sw, err := core.MonteCarloSweep(benchSeed, 10, core.SweepOptions{Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sw.Serial.Runs != 10 {
-					b.Fatalf("serial runs = %d", sw.Serial.Runs)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRunAllParallel measures the single-seed evaluation grid (the
-// serial baseline plus 8 workflow cells) at increasing worker counts.
-func BenchmarkRunAllParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		w := w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			e := core.DefaultExperiment(benchSeed)
-			e.Workers = w
-			for i := 0; i < b.N; i++ {
-				if _, err := e.RunAll(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- substrate kernels ---
 
 // BenchmarkRealSerialVsParallel runs the real (non-simulated) blast2cap3
@@ -365,19 +324,4 @@ func BenchmarkOverlapAlignment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		align.Overlap(a, c, p)
 	}
-}
-
-// BenchmarkSimulatorThroughput measures discrete-event throughput of a
-// full n=500 OSG run (jobs simulated per wall-clock second).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	e := core.DefaultExperiment(benchSeed)
-	var jobs int
-	for i := 0; i < b.N; i++ {
-		r, err := e.RunWorkflow("osg", 500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs = r.Summary.Attempts
-	}
-	b.ReportMetric(float64(jobs), "jobs/run")
 }

@@ -14,9 +14,9 @@ import (
 //	go test ./cmd/pegflow -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// captureStdout runs the subcommand with os.Stdout redirected to a pipe
-// and returns what it printed.
-func captureStdout(t *testing.T, fn func([]string) error, args []string) string {
+// runQuiet runs the subcommand with os.Stdout redirected to a pipe and
+// returns what it printed along with its error.
+func runQuiet(t *testing.T, fn func([]string) error, args []string) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -32,9 +32,15 @@ func captureStdout(t *testing.T, fn func([]string) error, args []string) string 
 	runErr := fn(args)
 	w.Close()
 	os.Stdout = old
-	out := <-done
-	if runErr != nil {
-		t.Fatalf("command %v failed: %v", args, runErr)
+	return <-done, runErr
+}
+
+// captureStdout is runQuiet for a subcommand that must succeed.
+func captureStdout(t *testing.T, fn func([]string) error, args []string) string {
+	t.Helper()
+	out, err := runQuiet(t, fn, args)
+	if err != nil {
+		t.Fatalf("command %v failed: %v", args, err)
 	}
 	return out
 }
@@ -95,6 +101,14 @@ func TestGoldenRun(t *testing.T) {
 		"-dax", dax, "-site", "sandhills", "-seed", "7", "-timeline",
 	})
 	checkGolden(t, "run_sandhills_seed7", out)
+}
+
+// TestGoldenRunCloud pins the cloud preset through the CLI: a single -site
+// on the pool-of-one path.
+func TestGoldenRunCloud(t *testing.T) {
+	dax := daxFixture(t)
+	out := captureStdout(t, cmdRun, []string{"-dax", dax, "-site", "cloud", "-seed", "7"})
+	checkGolden(t, "run_cloud_seed7", out)
 }
 
 func TestGoldenRunMultiSite(t *testing.T) {

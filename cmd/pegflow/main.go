@@ -11,8 +11,8 @@
 //	pegflow statistics -log run.jsonl                   (pegasus-statistics)
 //	pegflow analyze    -log run.jsonl                   (pegasus-analyzer)
 //
-// plan and run resolve sites against the paper's built-in two-platform
-// catalogs (Sandhills and OSG); scenarios declare their own site pools.
+// plan, run and ensemble resolve sites against the built-in sites
+// (sandhills, osg, cloud); scenarios declare their own site pools.
 //
 // Every subcommand's flags are defined in a <cmd>Flags constructor so the
 // README's CLI reference can be generated from — and tested against — the
@@ -35,6 +35,7 @@ import (
 	"pegflow/internal/core"
 	"pegflow/internal/dax"
 	"pegflow/internal/engine"
+	"pegflow/internal/ensemble"
 	"pegflow/internal/kickstart"
 	"pegflow/internal/planner"
 	"pegflow/internal/scenario"
@@ -202,6 +203,8 @@ func cmdDAX(args []string) error {
 
 // ---- plan ----
 
+// planOpts are the flags plan and run share: the DAX file, where to plan it
+// and how to cluster it.
 type planOpts struct {
 	dax            string
 	site           string
@@ -211,17 +214,57 @@ type planOpts struct {
 	clusterSeconds float64
 }
 
-func planFlags() (*flag.FlagSet, *planOpts) {
-	o := &planOpts{}
-	fs := flag.NewFlagSet("plan", flag.ExitOnError)
+// register defines the shared flags; multi says what -sites selects.
+func (o *planOpts) register(fs *flag.FlagSet, multi string) {
 	fs.StringVar(&o.dax, "dax", "", "abstract workflow file (required)")
 	fs.StringVar(&o.site, "site", "sandhills", "execution site: sandhills, osg or cloud")
-	fs.StringVar(&o.sites, "sites", "", "comma-separated site set for multi-site planning (overrides -site)")
+	fs.StringVar(&o.sites, "sites", "", "comma-separated site set for "+multi+" (overrides -site)")
 	fs.StringVar(&o.policy, "policy", planner.PolicyDataAware,
 		"site-selection policy for -sites: round-robin, data-aware or runtime-aware")
 	fs.IntVar(&o.cluster, "cluster", 0, "max tasks bundled per clustered grid job (0 = off)")
 	fs.Float64Var(&o.clusterSeconds, "cluster-seconds", 0,
 		"close a clustered job once its estimated runtime reaches this many seconds (0 = off)")
+}
+
+// plan resolves the site set — -sites, or else the one -site, a set of one —
+// against the built-in sites and plans the DAX file on it as an ensemble of
+// one, the way `pegflow ensemble` plans its members.
+func (o *planOpts) plan(failover bool) (ensemble.Spec, []workflow.Site, error) {
+	names := []string{o.site}
+	if o.sites != "" {
+		names = splitSites(o.sites)
+	}
+	sites, err := workflow.PresetSites(names)
+	if err != nil {
+		return ensemble.Spec{}, nil, err
+	}
+	cats, err := workflow.Catalogs(sites)
+	if err != nil {
+		return ensemble.Spec{}, nil, err
+	}
+	wf, err := loadDAX(o.dax)
+	if err != nil {
+		return ensemble.Spec{}, nil, err
+	}
+	specs, err := ensemble.PlanAll([]ensemble.WorkflowSource{{Name: o.dax, Abstract: wf}}, cats, ensemble.PlanOptions{
+		Sites:  names,
+		Policy: o.policy,
+		// The catalogs register replicas for both external inputs, so
+		// multi-site plans stage them in once per site.
+		AddStageIn: o.sites != "",
+		Cluster:    planner.ClusterOptions{MaxTasksPerJob: o.cluster, TargetJobSeconds: o.clusterSeconds},
+		Failover:   failover,
+	})
+	if err != nil {
+		return ensemble.Spec{}, nil, err
+	}
+	return specs[0], sites, nil
+}
+
+func planFlags() (*flag.FlagSet, *planOpts) {
+	o := &planOpts{}
+	fs := flag.NewFlagSet("plan", flag.ExitOnError)
+	o.register(fs, "multi-site planning")
 	return fs, o
 }
 
@@ -233,14 +276,11 @@ func cmdPlan(args []string) error {
 	if o.dax == "" {
 		return fmt.Errorf("plan: -dax is required")
 	}
-	wf, err := loadDAX(o.dax)
+	spec, _, err := o.plan(false)
 	if err != nil {
 		return err
 	}
-	plan, _, err := planFor(wf, o.site, o.sites, o.policy, o.cluster, o.clusterSeconds)
-	if err != nil {
-		return err
-	}
+	plan := spec.Plan
 	fmt.Printf("planned workflow %q for site %q\n", plan.Graph.Name, plan.Site)
 	fmt.Printf("  jobs: %d   edges: %d   estimated serial work: %s\n",
 		plan.Graph.Len(), plan.Graph.Edges(), stats.HMS(plan.TotalExecSeconds()))
@@ -284,90 +324,25 @@ func splitSites(s string) []string {
 	return out
 }
 
-func planFor(wf *dax.Workflow, site, sites, policy string, cluster int, clusterSeconds float64) (*planner.Plan, planner.Catalogs, error) {
-	cats, err := workflow.PaperCatalogs(workflow.PaperWorkload(42), 300, 600)
-	if err != nil {
-		return nil, planner.Catalogs{}, err
-	}
-	var plan *planner.Plan
-	if sites != "" {
-		pol, err := planner.NewPolicy(policy)
-		if err != nil {
-			return nil, planner.Catalogs{}, err
-		}
-		plan, err = planner.NewMulti(wf, cats, planner.MultiOptions{
-			Sites:  splitSites(sites),
-			Policy: pol,
-			// PaperCatalogs registers replicas for both external inputs,
-			// so multi-site plans stage them in once per site.
-			AddStageIn: true,
-		})
-		if err != nil {
-			return nil, planner.Catalogs{}, err
-		}
-	} else {
-		plan, err = planner.New(wf, cats, planner.Options{Site: site})
-		if err != nil {
-			return nil, planner.Catalogs{}, err
-		}
-	}
-	plan, err = planner.Cluster(plan, planner.ClusterOptions{
-		MaxTasksPerJob:   cluster,
-		TargetJobSeconds: clusterSeconds,
-	})
-	if err != nil {
-		return nil, planner.Catalogs{}, err
-	}
-	return plan, cats, nil
-}
-
-// siteConfig returns the simulated platform model for a built-in site.
-func siteConfig(name string, seed uint64) (platform.Config, error) {
-	switch name {
-	case "sandhills":
-		cfg := platform.Sandhills(seed)
-		cfg.Slots = 300
-		return cfg, nil
-	case "osg":
-		return platform.OSG(seed), nil
-	case "cloud":
-		return platform.Cloud(seed), nil
-	default:
-		return platform.Config{}, fmt.Errorf("unknown site %q (have sandhills, osg, cloud)", name)
-	}
-}
-
 // ---- run ----
 
 type runCmdOpts struct {
-	dax            string
-	site           string
-	sites          string
-	policy         string
-	seed           uint64
-	retries        int
-	cluster        int
-	clusterSeconds float64
-	failover       bool
-	logOut         string
-	rescueOut      string
-	timeline       bool
-	aggregate      bool
+	planOpts
+	seed      uint64
+	retries   int
+	failover  bool
+	logOut    string
+	rescueOut string
+	timeline  bool
+	aggregate bool
 }
 
 func runFlags() (*flag.FlagSet, *runCmdOpts) {
 	o := &runCmdOpts{}
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	fs.StringVar(&o.dax, "dax", "", "abstract workflow file (required)")
-	fs.StringVar(&o.site, "site", "sandhills", "execution site: sandhills, osg or cloud")
-	fs.StringVar(&o.sites, "sites", "", "comma-separated site set for a multi-site run (overrides -site)")
-	fs.StringVar(&o.policy, "policy", planner.PolicyDataAware,
-		"site-selection policy for -sites: round-robin, data-aware or runtime-aware")
+	o.register(fs, "a multi-site run")
 	fs.Uint64Var(&o.seed, "seed", 42, "simulation seed")
 	fs.IntVar(&o.retries, "retries", 5, "retry limit per job")
-	fs.IntVar(&o.cluster, "cluster", 0, "max tasks bundled per clustered grid job (0 = off)")
-	fs.Float64Var(&o.clusterSeconds, "cluster-seconds", 0,
-		"close a clustered job once its estimated runtime reaches this many seconds (0 = off)")
 	fs.BoolVar(&o.failover, "failover", false,
 		"retry failed/evicted jobs on a sibling site (requires -sites)")
 	fs.StringVar(&o.logOut, "log-out", "", "write the kickstart log (JSON lines) to this file")
@@ -401,55 +376,24 @@ func cmdRun(args []string) error {
 			}
 		}
 	}
-	wf, err := loadDAX(o.dax)
+	spec, sites, err := o.plan(o.failover)
 	if err != nil {
 		return err
 	}
-	plan, cats, err := planFor(wf, o.site, o.sites, o.policy, o.cluster, o.clusterSeconds)
+	spec.RetryLimit = o.retries
+	cfgs := make([]platform.Config, len(sites))
+	for i, s := range sites {
+		cfgs[i] = s.Config(o.seed)
+	}
+	pool, err := platform.NewMultiExecutor(cfgs)
 	if err != nil {
 		return err
 	}
-	var ex engine.Executor
-	if o.sites != "" {
-		var cfgs []platform.Config
-		for _, s := range splitSites(o.sites) {
-			cfg, err := siteConfig(s, o.seed)
-			if err != nil {
-				return fmt.Errorf("run: %w", err)
-			}
-			cfgs = append(cfgs, cfg)
-		}
-		multi, err := platform.NewMultiExecutor(cfgs)
-		if err != nil {
-			return err
-		}
-		if err := multi.CheckPlan(plan); err != nil {
-			return err
-		}
-		ex = multi
-	} else {
-		cfg, err := siteConfig(o.site, o.seed)
-		if err != nil {
-			return fmt.Errorf("run: %w", err)
-		}
-		single, err := platform.NewExecutor(cfg)
-		if err != nil {
-			return err
-		}
-		ex = single
-	}
-	opts := engine.Options{RetryLimit: o.retries, Aggregate: o.aggregate}
-	if o.failover {
-		fo, err := planner.NewFailover(cats, plan.Sites)
-		if err != nil {
-			return err
-		}
-		opts.Retry = fo.Resite
-	}
-	res, err := engine.Run(plan, ex, opts)
+	out, err := ensemble.Run(pool, []ensemble.Spec{spec}, ensemble.Options{Aggregate: o.aggregate})
 	if err != nil {
 		return err
 	}
+	plan, res := spec.Plan, out.Workflows[0].Result
 	if err := stats.WriteSummary(os.Stdout, plan.Graph.Name, stats.Summarize(res.Log, res.Makespan)); err != nil {
 		return err
 	}
@@ -558,27 +502,15 @@ func cmdEnsemble(args []string) error {
 	if len(siteNames) == 0 {
 		return fmt.Errorf("ensemble: no sites given")
 	}
-	cfgs := make([]platform.Config, 0, len(siteNames))
-	for _, s := range siteNames {
-		cfg, err := siteConfig(s, o.seed)
-		if err != nil {
-			return fmt.Errorf("ensemble: %w", err)
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	cats, err := workflow.PaperCatalogs(workflow.PaperWorkload(o.seed), 300, 600)
+	sites, err := workflow.PresetSites(siteNames)
 	if err != nil {
-		return err
+		return fmt.Errorf("ensemble: %w", err)
 	}
 	exp := &core.EnsembleExperiment{
 		Seed:        o.seed,
 		Workflows:   o.workflows,
 		N:           o.n,
 		Policy:      o.policy,
-		Sites:       siteNames,
-		Platforms:   cfgs,
-		Catalogs:    cats,
-		StageIn:     true,
 		MaxInFlight: o.maxInFlight,
 		RetryLimit:  o.retries,
 		Cluster: planner.ClusterOptions{
@@ -588,6 +520,9 @@ func cmdEnsemble(args []string) error {
 		Failover:  o.failover,
 		Workers:   o.workers,
 		Aggregate: o.aggregate,
+	}
+	if err := exp.Over(sites); err != nil {
+		return err
 	}
 	res, err := exp.Run()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -110,4 +111,55 @@ func firstLine(s string) string {
 		return s[:i]
 	}
 	return s
+}
+
+// TestNoDanglingArtifactReferences keeps the docs and the build files
+// honest about what exists: every BENCH_*.json they name is a checked-in
+// file, and every `make <target>` they tell the reader to run — in
+// backticks, or as a command at the start of a line — is a target of the
+// Makefile, as is every name in its .PHONY list. bench/ documents the
+// artifacts the harness replaced and is not scanned.
+func TestNoDanglingArtifactReferences(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	if phony := regexp.MustCompile(`(?m)^\.PHONY:(.*)$`).FindSubmatch(makefile); phony == nil {
+		t.Error("Makefile: no .PHONY line")
+	} else {
+		for _, name := range strings.Fields(string(phony[1])) {
+			if !targets[name] {
+				t.Errorf("Makefile: .PHONY lists %q, which is not a target", name)
+			}
+		}
+	}
+
+	files := []string{"README.md", "Makefile", filepath.Join(".github", "workflows", "ci.yml")}
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, docs...)
+	artifact := regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
+	command := regexp.MustCompile("(?m)(?:`|^[ \t#]*(?:run:[ \t]*)?)make ([a-z][a-z0-9-]*)")
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range artifact.FindAll(data, -1) {
+			if _, err := os.Stat(string(name)); err != nil {
+				t.Errorf("%s names %s, which is not checked in", path, name)
+			}
+		}
+		for _, m := range command.FindAllSubmatch(data, -1) {
+			if !targets[string(m[1])] {
+				t.Errorf("%s says to run `make %s`, which is not a Makefile target", path, m[1])
+			}
+		}
+	}
 }

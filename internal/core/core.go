@@ -26,13 +26,11 @@ var ExtendedPlatforms = []string{"sandhills", "osg", "cloud"}
 type Experiment struct {
 	// Seed drives every stochastic component.
 	Seed uint64
-	// SandhillsSlots is the campus-cluster allocation the workflow got
-	// ("the resources allocated from Sandhills", §VI.A). The paper's
-	// optimum at n=300 reflects an allocation of roughly that size.
+	// SandhillsSlots resizes the campus-cluster allocation the workflow
+	// got, and OSGSlots the opportunistic pool; zero keeps the slot count
+	// of workflow's preset.
 	SandhillsSlots int
-	// OSGSlots is the opportunistic pool size (OSG offers more
-	// resources than the campus allocation).
-	OSGSlots int
+	OSGSlots       int
 	// RetryLimit is the DAGMan retry budget per job.
 	RetryLimit int
 	// Workload is the dataset; defaults to the paper-scale synthetic
@@ -62,11 +60,9 @@ type Experiment struct {
 // DefaultExperiment returns the paper-scale configuration.
 func DefaultExperiment(seed uint64) *Experiment {
 	return &Experiment{
-		Seed:           seed,
-		SandhillsSlots: 300,
-		OSGSlots:       600,
-		RetryLimit:     5,
-		Workload:       workflow.PaperWorkload(seed),
+		Seed:       seed,
+		RetryLimit: 5,
+		Workload:   workflow.PaperWorkload(seed),
 	}
 }
 
@@ -91,21 +87,12 @@ func (r *RunResult) WallTime() float64 { return r.Summary.WallTime }
 // this experiment's slot counts, seeded for an n-chunk run: n is mixed into
 // the seed so sweep cells draw independent platform noise.
 func (e *Experiment) platformConfig(name string, n int) (platform.Config, error) {
-	var cfg platform.Config
-	switch name {
-	case "sandhills":
-		cfg = platform.Sandhills(e.Seed)
-		cfg.Slots = e.SandhillsSlots
-	case "osg":
-		cfg = platform.OSG(e.Seed)
-		cfg.Slots = e.OSGSlots
-	case "cloud":
-		cfg = platform.Cloud(e.Seed)
-	default:
-		return platform.Config{}, fmt.Errorf("core: unknown platform %q", name)
+	for _, s := range workflow.PaperSites(e.SandhillsSlots, e.OSGSlots) {
+		if s.Platform.Name == name {
+			return s.Config(e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15)), nil
+		}
 	}
-	cfg.Seed = e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15)
-	return cfg, nil
+	return platform.Config{}, fmt.Errorf("core: unknown platform %q", name)
 }
 
 // catalogs returns the paper's catalogs at this experiment's slot counts

@@ -13,10 +13,10 @@
 // across a site set under a policy and executes them on a shared platform
 // pool; a single workflow is an ensemble of one and a single site a pool of
 // one, so Experiment (RunWorkflow, RunClustered, RunAll, the Monte Carlo and
-// cluster sweeps, the ablations) is a thin adapter: the platform model
-// behind the name, the paper's catalogs, a one-member one-site
-// EnsembleExperiment planned without stage-in jobs, and the member's outcome
-// as a RunResult. Run is the only function here that builds a pool and
+// cluster sweeps, the ablations) is a thin adapter: the platform model and
+// the catalogs of workflow's table of built-in sites (workflow.PaperSites at
+// the experiment's slot counts), a one-member one-site EnsembleExperiment
+// planned without stage-in jobs, and the member's outcome as a RunResult. Run is the only function here that builds a pool and
 // drives member engines; RunVariant hands the same path an edited catalog,
 // platform model or workload, and RunSerial (a one-job DAX) alone plans
 // directly and calls engine.Run, which is also the reference the equality

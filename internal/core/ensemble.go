@@ -10,7 +10,6 @@ import (
 	"math"
 	"sync"
 
-	"pegflow/internal/catalog"
 	"pegflow/internal/dax"
 	"pegflow/internal/engine"
 	"pegflow/internal/ensemble"
@@ -303,31 +302,20 @@ func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 	return ensemble.Run(p, specs, ensemble.Options{MaxInFlight: e.MaxInFlight, Aggregate: e.Aggregate})
 }
 
-// PaperEnsemble builds an ensemble experiment over the paper's two-site
-// world (Sandhills + OSG), with platform models scaled by the catalogs'
-// slot counts.
-func PaperEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExperiment, error) {
-	e := DefaultExperiment(seed)
-	cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
-	if err != nil {
-		return nil, err
+// Over points the experiment at a world of declared sites: planned across
+// all of them in order, with stage-in jobs, on catalogs built from the
+// declarations, and run on their platform models seeded with e.Seed.
+func (e *EnsembleExperiment) Over(sites []workflow.Site) error {
+	var err error
+	if e.Catalogs, err = workflow.Catalogs(sites); err != nil {
+		return err
 	}
-	sand := platform.Sandhills(seed)
-	sand.Slots = e.SandhillsSlots
-	osg := platform.OSG(seed)
-	osg.Slots = e.OSGSlots
-	return &EnsembleExperiment{
-		Seed:        seed,
-		Workflows:   workflows,
-		N:           n,
-		Policy:      policy,
-		Sites:       []string{"sandhills", "osg"},
-		Platforms:   []platform.Config{sand, osg},
-		Catalogs:    cats,
-		StageIn:     true,
-		MaxInFlight: 0,
-		RetryLimit:  e.RetryLimit,
-	}, nil
+	e.StageIn = true
+	for _, s := range sites {
+		e.Sites = append(e.Sites, s.Platform.Name)
+		e.Platforms = append(e.Platforms, s.Config(e.Seed))
+	}
+	return nil
 }
 
 // HeteroBenchEnsemble is the policy benchmark fixture: a "fast" site with
@@ -336,68 +324,26 @@ func PaperEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExper
 // and pays the slow site's penalty on half the jobs; a data- or
 // runtime-aware policy should beat it.
 func HeteroBenchEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExperiment, error) {
-	cats := planner.Catalogs{
-		Sites:           catalog.NewSiteCatalog(),
-		Transformations: catalog.NewTransformationCatalog(),
-		Replicas:        catalog.NewReplicaCatalog(),
-	}
-	if err := cats.Sites.Add(&catalog.Site{
-		Name: "fast", Arch: "x86_64", OS: "linux",
-		Slots: 32, SpeedFactor: 1.0,
-		SharedSoftware: true, StageInMBps: 200,
-	}); err != nil {
-		return nil, err
-	}
-	if err := cats.Sites.Add(&catalog.Site{
-		Name: "slow", Arch: "x86_64", OS: "linux",
-		Slots: 32, SpeedFactor: 3.0, Heterogeneous: true,
-		SharedSoftware: false, StageInMBps: 20,
-	}); err != nil {
-		return nil, err
-	}
-	for _, name := range workflow.Transformations() {
-		if err := cats.Transformations.Add(&catalog.Transformation{
-			Name: name, Site: "fast", PFN: "/opt/blast2cap3/" + name, Installed: true,
-		}); err != nil {
-			return nil, err
-		}
-		if err := cats.Transformations.Add(&catalog.Transformation{
-			Name: name, Site: "slow", PFN: name + ".tar.gz",
-			Installed: false, InstallBytes: 150 << 20,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	for _, lfn := range []string{"transcripts.fasta", "alignments.out"} {
-		if err := cats.Replicas.Add(lfn, catalog.Replica{Site: "local", PFN: "/work/data/" + lfn}); err != nil {
-			return nil, err
-		}
-	}
-	return &EnsembleExperiment{
-		Seed:      seed,
-		Workflows: workflows,
-		N:         n,
-		Policy:    policy,
-		Sites:     []string{"fast", "slow"},
-		Platforms: []platform.Config{
-			{
+	e := &EnsembleExperiment{Seed: seed, Workflows: workflows, N: n, Policy: policy, RetryLimit: 3}
+	return e, e.Over([]workflow.Site{
+		{
+			Platform: platform.Config{
 				Name: "fast", Slots: 32, SubmitInterval: 0.2,
 				DispatchMean: 5, DispatchCV: 0.3,
 				SpeedFactor: 1.0, SpeedJitter: 0.05,
-				Seed: seed,
 			},
-			{
+			StageInMBps: 200, Preinstalled: true,
+		},
+		{
+			Platform: platform.Config{
 				Name: "slow", Slots: 32, SubmitInterval: 0.3,
 				DispatchMean: 60, DispatchCV: 0.8,
 				SpeedFactor: 3.0, SpeedJitter: 0.2,
 				SetupMean: 120, SetupCV: 0.5, SetupBytesPerSec: 5e6,
-				Seed: seed,
 			},
+			StageInMBps: 20, InstallBytes: 150 << 20,
 		},
-		Catalogs:   cats,
-		StageIn:    true,
-		RetryLimit: 3,
-	}, nil
+	})
 }
 
 // PolicyStats summarizes one policy over a multi-seed ensemble sweep.

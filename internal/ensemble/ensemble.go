@@ -228,11 +228,10 @@ func PlanMember(src ResolvedSource, cats planner.Catalogs, opts PlanOptions) (Sp
 	if err != nil {
 		return Spec{}, fmt.Errorf("ensemble: planning %q: %w", src.Name, err)
 	}
-	if opts.Cluster.Enabled() {
-		p, err = planner.Cluster(p, opts.Cluster)
-		if err != nil {
-			return Spec{}, fmt.Errorf("ensemble: clustering %q: %w", src.Name, err)
-		}
+	// Disabled options leave the plan as it is; invalid ones are refused.
+	p, err = planner.Cluster(p, opts.Cluster)
+	if err != nil {
+		return Spec{}, fmt.Errorf("ensemble: clustering %q: %w", src.Name, err)
 	}
 	spec := Spec{
 		Name:       src.Name,

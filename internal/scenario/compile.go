@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 
-	"pegflow/internal/catalog"
 	"pegflow/internal/planner"
 	"pegflow/internal/sim/platform"
 	"pegflow/internal/workflow"
@@ -68,11 +67,14 @@ func Compile(d *Doc) (*Compiled, error) {
 	for i := range d.Sites {
 		c.byName[d.Sites[i].Name] = &d.Sites[i]
 	}
-	cats, err := c.buildCatalogs()
-	if err != nil {
-		return nil, err
+	sites := make([]workflow.Site, len(d.Sites))
+	for i := range d.Sites {
+		sites[i] = d.Sites[i].site()
 	}
-	c.cats = cats
+	var err error
+	if c.cats, err = workflow.Catalogs(sites); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
 
 	for _, set := range d.SiteSets {
 		for _, n := range d.Workload.N {
@@ -108,157 +110,46 @@ func Compile(d *Doc) (*Compiled, error) {
 	return c, nil
 }
 
-// presetPlatform returns the built-in platform model for a preset, with
-// the slot defaults the paper experiments use (Sandhills allocation 300,
-// OSG pool 600, cloud 512).
-func presetPlatform(preset string, seed uint64) (platform.Config, bool) {
-	switch preset {
-	case "sandhills":
-		cfg := platform.Sandhills(seed)
-		cfg.Slots = 300
-		return cfg, true
-	case "osg":
-		return platform.OSG(seed), true
-	case "cloud":
-		return platform.Cloud(seed), true
+// site resolves the spec to the site it declares: the preset's row of
+// workflow's table, or a default site for an inline definition, with the
+// document's overrides applied.
+func (s *SiteSpec) site() workflow.Site {
+	site := workflow.DefaultSite(platform.Config{})
+	if s.Preset != "" {
+		// validate refused the document if the preset is unknown.
+		site, _ = workflow.Preset(s.Preset)
 	}
-	return platform.Config{}, false
-}
-
-// siteConfig materializes the simulated platform for a site spec, seeded
-// for one cell.
-func (c *Compiled) siteConfig(s *SiteSpec, seed uint64) platform.Config {
-	cfg, ok := presetPlatform(s.Preset, seed)
-	if !ok {
-		cfg = platform.Config{Seed: seed}
-	}
+	cfg := &site.Platform
 	cfg.Name = s.Name
 	if s.Slots != nil {
 		cfg.Slots = *s.Slots
 	}
-	if s.SpeedFactor != nil {
-		cfg.SpeedFactor = *s.SpeedFactor
-	}
-	if s.SpeedJitter != nil {
-		cfg.SpeedJitter = *s.SpeedJitter
-	}
-	if s.SubmitInterval != nil {
-		cfg.SubmitInterval = *s.SubmitInterval
-	}
-	if s.DispatchMean != nil {
-		cfg.DispatchMean = *s.DispatchMean
-	}
-	if s.DispatchCV != nil {
-		cfg.DispatchCV = *s.DispatchCV
-	}
-	if s.SetupMean != nil {
-		cfg.SetupMean = *s.SetupMean
-	}
-	if s.SetupCV != nil {
-		cfg.SetupCV = *s.SetupCV
+	if s.InitialSlots != nil {
+		cfg.InitialSlots = *s.InitialSlots
 	}
 	if s.SetupMBps != nil {
 		cfg.SetupBytesPerSec = *s.SetupMBps * 1e6
 	}
-	if s.EvictionRate != nil {
-		cfg.EvictionRate = *s.EvictionRate
+	for _, o := range [...]struct{ field, override *float64 }{
+		{&cfg.SpeedFactor, s.SpeedFactor}, {&cfg.SpeedJitter, s.SpeedJitter},
+		{&cfg.SubmitInterval, s.SubmitInterval},
+		{&cfg.DispatchMean, s.DispatchMean}, {&cfg.DispatchCV, s.DispatchCV},
+		{&cfg.SetupMean, s.SetupMean}, {&cfg.SetupCV, s.SetupCV},
+		{&cfg.EvictionRate, s.EvictionRate}, {&cfg.SlotRampInterval, s.SlotRampSeconds},
+		{&site.StageInMBps, s.StageInMBps},
+	} {
+		if o.override != nil {
+			*o.field = *o.override
+		}
 	}
-	if s.InitialSlots != nil {
-		cfg.InitialSlots = *s.InitialSlots
-	}
-	if s.SlotRampSeconds != nil {
-		cfg.SlotRampInterval = *s.SlotRampSeconds
-	}
-	return cfg
-}
-
-// preinstalled reports whether the site's software stack needs no
-// download/install step. Presets keep the paper's semantics (only OSG
-// downloads); inline sites default to preinstalled.
-func (s *SiteSpec) preinstalled() bool {
 	if s.Preinstalled != nil {
-		return *s.Preinstalled
+		site.Preinstalled = *s.Preinstalled
 	}
-	return s.Preset != "osg"
-}
-
-// stageInMBps returns the catalog stage-in bandwidth for the site.
-func (s *SiteSpec) stageInMBps() float64 {
-	if s.StageInMBps != nil {
-		return *s.StageInMBps
-	}
-	switch s.Preset {
-	case "sandhills":
-		return 200
-	case "osg":
-		return 40
-	case "cloud":
-		return 80
-	}
-	return 100
-}
-
-// installBytes returns the per-job software payload for a transformation
-// on a site without preinstalled software.
-func (s *SiteSpec) installBytes(transformation string) int64 {
 	if s.InstallMB != nil {
-		return int64(*s.InstallMB * (1 << 20))
+		// A flat payload, the same for every transformation.
+		site.InstallBytes, site.CAP3Bytes = int64(*s.InstallMB*(1<<20)), 0
 	}
-	// The paper's OSG payload: Python + Biopython, plus the CAP3 binary
-	// for the assembly steps.
-	b := int64(workflow.PythonInstallBytes + workflow.BiopythonInstallBytes)
-	if transformation == workflow.TrRunCAP3 || transformation == workflow.TrSerial {
-		b += workflow.CAP3InstallBytes
-	}
-	return b
-}
-
-// buildCatalogs generalizes workflow.PaperCatalogs to the scenario's site
-// pool: one site-catalog entry per declared site, transformation entries
-// reflecting each site's install semantics, and replicas for the two
-// external inputs so multi-site plans can synthesize stage-in jobs.
-func (c *Compiled) buildCatalogs() (planner.Catalogs, error) {
-	cats := planner.Catalogs{
-		Sites:           catalog.NewSiteCatalog(),
-		Transformations: catalog.NewTransformationCatalog(),
-		Replicas:        catalog.NewReplicaCatalog(),
-	}
-	for i := range c.Doc.Sites {
-		s := &c.Doc.Sites[i]
-		cfg := c.siteConfig(s, 0)
-		if err := cfg.Validate(); err != nil {
-			return cats, fmt.Errorf("scenario: site %q: %w", s.Name, err)
-		}
-		shared := s.preinstalled()
-		if err := cats.Sites.Add(&catalog.Site{
-			Name: s.Name, Arch: "x86_64", OS: "linux",
-			Slots: cfg.Slots, SpeedFactor: cfg.SpeedFactor,
-			Heterogeneous:  cfg.SpeedJitter >= 0.2,
-			SharedSoftware: shared,
-			StageInMBps:    s.stageInMBps(),
-		}); err != nil {
-			return cats, err
-		}
-		for _, name := range append(workflow.Transformations(), workflow.TrSerial) {
-			tr := &catalog.Transformation{Name: name, Site: s.Name}
-			if shared {
-				tr.PFN = "/opt/pegflow/" + name
-				tr.Installed = true
-			} else {
-				tr.PFN = name + ".tar.gz"
-				tr.InstallBytes = s.installBytes(name)
-			}
-			if err := cats.Transformations.Add(tr); err != nil {
-				return cats, err
-			}
-		}
-	}
-	for _, lfn := range []string{"transcripts.fasta", "alignments.out"} {
-		if err := cats.Replicas.Add(lfn, catalog.Replica{Site: "local", PFN: "/work/data/" + lfn}); err != nil {
-			return cats, err
-		}
-	}
-	return cats, nil
+	return site
 }
 
 // stageIn reports whether the cell's plans carry the synthesized stage-in

@@ -23,6 +23,12 @@
 // pool, emitting one NDJSON line per cell in deterministic cell order —
 // byte-identical for any worker count.
 //
+// A declared site resolves to a workflow.Site (SiteSpec.site): the preset's
+// row of workflow's table, or workflow.DefaultSite for an inline definition,
+// with the document's overrides applied. Compile builds the catalogs with
+// workflow.Catalogs and each cell seeds Site.Config, so a bare preset plans
+// and runs on exactly the site `pegflow run -site` does.
+//
 // Execution reuses the core facade: every cell, whatever its shape, is one
 // core.EnsembleExperiment — a single workflow is an ensemble of one, a
 // single site a pool of one — and hits core's plan cache (resolved masters

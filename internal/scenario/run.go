@@ -389,7 +389,7 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
 		exp.Faults = script
 	}
 	for _, name := range cell.SiteSet {
-		exp.Platforms = append(exp.Platforms, c.siteConfig(c.byName[name], cfgSeed))
+		exp.Platforms = append(exp.Platforms, c.byName[name].site().Config(cfgSeed))
 	}
 	res, err := exp.Run()
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"strings"
 
 	"pegflow/internal/fault"
@@ -206,11 +205,6 @@ func MetricFields() []string {
 		"outages", "downtime_s", "success",
 	}
 }
-
-// sitePresets maps preset names to catalog-side defaults; the platform
-// side lives in compile.go. Slot defaults mirror the paper experiments
-// (Sandhills allocation 300, OSG pool 600, cloud 512).
-var sitePresets = map[string]bool{"sandhills": true, "osg": true, "cloud": true}
 
 // Load reads and validates a scenario file.
 func Load(path string) (*Doc, error) {
@@ -435,9 +429,6 @@ func (d *Doc) validateSites(ef func(path, format string, args ...any)) map[strin
 			ef(p("name"), "%q: use letters, digits, dot, underscore or dash", name)
 		}
 		names[name] = true
-		if s.Preset != "" && !sitePresets[s.Preset] {
-			ef(p("preset"), "unknown preset %q (have %s)", s.Preset, strings.Join(presetNames(), ", "))
-		}
 		if s.Preset == "" {
 			if s.Slots == nil {
 				ef(p("slots"), "inline site needs an explicit slot count")
@@ -445,6 +436,8 @@ func (d *Doc) validateSites(ef func(path, format string, args ...any)) map[strin
 			if s.SpeedFactor == nil {
 				ef(p("speed_factor"), "inline site needs an explicit speed factor")
 			}
+		} else if _, err := workflow.Preset(s.Preset); err != nil {
+			ef(p("preset"), "unknown preset %q (have %s)", s.Preset, strings.Join(workflow.PresetNames(), ", "))
 		}
 		if s.Slots != nil && *s.Slots <= 0 {
 			ef(p("slots"), "must be positive, got %d", *s.Slots)
@@ -614,13 +607,4 @@ func (d *Doc) validateOutputs(ef func(path, format string, args ...any)) {
 			ef(fmt.Sprintf("outputs.percentiles[%d]", i), "must be in [0, 100], got %v", p)
 		}
 	}
-}
-
-func presetNames() []string {
-	names := make([]string, 0, len(sitePresets))
-	for n := range sitePresets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -20,6 +20,16 @@
 // (red rectangles) are injected by the planner from the transformation
 // catalog, not drawn into the DAX.
 //
+// The package also declares where the workflow runs (sites.go). A Site is
+// one simulated site — its platform model, stage-in bandwidth, whether
+// software is preinstalled and what a job installs when it is not — and the
+// paper's two platforms and the cloud of its future work are the rows of one
+// table (Preset, PaperSites). Catalogs turns a list of sites into the
+// planner's catalogs and Site.Config seeds a site's platform model; the CLI,
+// scenario and core describe their sites as Site values and derive both from
+// them, so what the planner is told about a site cannot drift from what the
+// simulator runs.
+//
 // Two seed-independent tables are memoized per WorkloadParams — the
 // synthesized clusters and their per-cluster CAP3 seconds under a cost
 // model — each in an internal/lru cache with a fixed 32 MiB budget, because

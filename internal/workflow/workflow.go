@@ -5,10 +5,8 @@ import (
 	"math"
 	"sync"
 
-	"pegflow/internal/catalog"
 	"pegflow/internal/dax"
 	"pegflow/internal/lru"
-	"pegflow/internal/planner"
 	"pegflow/internal/sim/rng"
 )
 
@@ -476,75 +474,4 @@ func BuildSerialDAX(w Workload, cost CostModel) (*dax.Workflow, error) {
 		return nil, err
 	}
 	return wf, nil
-}
-
-// InstallBytes for the software stacks staged onto OSG nodes (paper §V.D:
-// Python, Biopython and the CAP3 executable).
-const (
-	PythonInstallBytes    = 25 << 20
-	BiopythonInstallBytes = 15 << 20
-	CAP3InstallBytes      = 5 << 20
-)
-
-// PaperCatalogs builds the site, transformation and replica catalogs of
-// the paper's two-platform world. Sandhills has every tool preinstalled
-// and maintained; OSG nodes have nothing preinstalled, so every
-// transformation carries its install payload (Fig. 3).
-func PaperCatalogs(w Workload, sandhillsSlots, osgSlots int) (planner.Catalogs, error) {
-	cats := planner.Catalogs{
-		Sites:           catalog.NewSiteCatalog(),
-		Transformations: catalog.NewTransformationCatalog(),
-		Replicas:        catalog.NewReplicaCatalog(),
-	}
-	if err := cats.Sites.Add(&catalog.Site{
-		Name: "sandhills", Arch: "x86_64", OS: "linux",
-		Slots: sandhillsSlots, SpeedFactor: 1.0,
-		SharedSoftware: true, StageInMBps: 200,
-	}); err != nil {
-		return cats, err
-	}
-	if err := cats.Sites.Add(&catalog.Site{
-		Name: "osg", Arch: "x86_64", OS: "linux",
-		Slots: osgSlots, SpeedFactor: 0.85, Heterogeneous: true,
-		SharedSoftware: false, StageInMBps: 40,
-	}); err != nil {
-		return cats, err
-	}
-	// The cloud platform of the paper's future work (§VII): VM images
-	// ship with the software stack baked in.
-	if err := cats.Sites.Add(&catalog.Site{
-		Name: "cloud", Arch: "x86_64", OS: "linux",
-		Slots: 512, SpeedFactor: 1.08,
-		SharedSoftware: true, StageInMBps: 80,
-	}); err != nil {
-		return cats, err
-	}
-	names := append(Transformations(), TrSerial)
-	for _, name := range names {
-		if err := cats.Transformations.Add(&catalog.Transformation{
-			Name: name, Site: "sandhills", PFN: "/util/opt/blast2cap3/" + name, Installed: true,
-		}); err != nil {
-			return cats, err
-		}
-		if err := cats.Transformations.Add(&catalog.Transformation{
-			Name: name, Site: "cloud", PFN: "/opt/image/blast2cap3/" + name, Installed: true,
-		}); err != nil {
-			return cats, err
-		}
-		install := int64(PythonInstallBytes + BiopythonInstallBytes)
-		if name == TrRunCAP3 || name == TrSerial {
-			install += CAP3InstallBytes
-		}
-		if err := cats.Transformations.Add(&catalog.Transformation{
-			Name: name, Site: "osg", PFN: name + ".tar.gz", Installed: false, InstallBytes: install,
-		}); err != nil {
-			return cats, err
-		}
-	}
-	for _, lfn := range []string{"transcripts.fasta", "alignments.out"} {
-		if err := cats.Replicas.Add(lfn, catalog.Replica{Site: "local", PFN: "/work/data/" + lfn}); err != nil {
-			return cats, err
-		}
-	}
-	return cats, nil
 }
