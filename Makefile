@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build lint lint-fixtures test race allocs bench bench-quick bench-micro fmt vet clean
 
-all: build lint test
+all: build vet lint test
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ test:
 # into a fast stack-dumped failure instead of a hung job.
 race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru
-	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestResolvedUnchangedByConcurrentPlans' ./internal/core ./internal/planner
+	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce' ./internal/core ./internal/planner ./internal/workflow
 
 # The allocation gates CI runs: zero-alloc kernel and engine dispatch, an
 # attempt path (platform Submit to terminal event, ensemble hold and release)

@@ -6,8 +6,9 @@
 //
 // Usage:
 //
-//	experiments [-seed N] [-workers N] [-fig 4|5|ablations|all]
-//	            [-cpuprofile cpu.out] [-memprofile mem.out]
+//	experiments [-seed N] [-workers N]
+//	            [-fig 4|5|ablations|cloud|seeds|ensemble|cluster|all]
+//	            [-bench-out sweep.json] [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
 import (

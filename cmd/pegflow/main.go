@@ -40,7 +40,6 @@ import (
 	"pegflow/internal/planner"
 	"pegflow/internal/scenario"
 	"pegflow/internal/server"
-	"pegflow/internal/server/resultcache"
 	"pegflow/internal/sim/platform"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
@@ -226,10 +225,10 @@ func (o *planOpts) register(fs *flag.FlagSet, multi string) {
 		"close a clustered job once its estimated runtime reaches this many seconds (0 = off)")
 }
 
-// plan resolves the site set — -sites, or else the one -site, a set of one —
-// against the built-in sites and plans the DAX file on it as an ensemble of
-// one, the way `pegflow ensemble` plans its members.
-func (o *planOpts) plan(failover bool) (ensemble.Spec, []workflow.Site, error) {
+// plan builds the world of the site set — -sites, or else the one -site, a
+// set of one — from the built-in sites and plans the DAX file on it as an
+// ensemble of one, the way `pegflow ensemble` plans its members.
+func (o *planOpts) plan(failover bool) (ensemble.Spec, *workflow.World, error) {
 	names := []string{o.site}
 	if o.sites != "" {
 		names = splitSites(o.sites)
@@ -238,7 +237,7 @@ func (o *planOpts) plan(failover bool) (ensemble.Spec, []workflow.Site, error) {
 	if err != nil {
 		return ensemble.Spec{}, nil, err
 	}
-	cats, err := workflow.Catalogs(sites)
+	world, err := workflow.NewWorld(sites)
 	if err != nil {
 		return ensemble.Spec{}, nil, err
 	}
@@ -246,7 +245,7 @@ func (o *planOpts) plan(failover bool) (ensemble.Spec, []workflow.Site, error) {
 	if err != nil {
 		return ensemble.Spec{}, nil, err
 	}
-	specs, err := ensemble.PlanAll([]ensemble.WorkflowSource{{Name: o.dax, Abstract: wf}}, cats, ensemble.PlanOptions{
+	specs, err := ensemble.PlanAll([]ensemble.WorkflowSource{{Name: o.dax, Abstract: wf}}, world.Catalogs(), ensemble.PlanOptions{
 		Sites:  names,
 		Policy: o.policy,
 		// The catalogs register replicas for both external inputs, so
@@ -258,7 +257,7 @@ func (o *planOpts) plan(failover bool) (ensemble.Spec, []workflow.Site, error) {
 	if err != nil {
 		return ensemble.Spec{}, nil, err
 	}
-	return specs[0], sites, nil
+	return specs[0], world, nil
 }
 
 func planFlags() (*flag.FlagSet, *planOpts) {
@@ -376,14 +375,14 @@ func cmdRun(args []string) error {
 			}
 		}
 	}
-	spec, sites, err := o.plan(o.failover)
+	spec, world, err := o.plan(o.failover)
 	if err != nil {
 		return err
 	}
 	spec.RetryLimit = o.retries
-	cfgs := make([]platform.Config, len(sites))
-	for i, s := range sites {
-		cfgs[i] = s.Config(o.seed)
+	cfgs, err := world.Configs(spec.Plan.Sites, o.seed)
+	if err != nil {
+		return err
 	}
 	pool, err := platform.NewMultiExecutor(cfgs)
 	if err != nil {
@@ -539,7 +538,6 @@ func cmdEnsemble(args []string) error {
 
 type scenarioRunOpts struct {
 	workers   int
-	cacheMB   int
 	aggregate bool
 }
 
@@ -547,8 +545,6 @@ func scenarioRunFlags() (*flag.FlagSet, *scenarioRunOpts) {
 	o := &scenarioRunOpts{}
 	fs := flag.NewFlagSet("scenario run", flag.ExitOnError)
 	fs.IntVar(&o.workers, "workers", 0, "concurrent cells (0 = all CPUs; output is identical for any count)")
-	fs.IntVar(&o.cacheMB, "cache-mb", 0,
-		"share a content-addressed cell-result cache of this many MB across the given files (0 = off)")
 	fs.BoolVar(&o.aggregate, "aggregate", false,
 		"run every cell in aggregation mode, as if the document set outputs.aggregate (changes the fingerprint)")
 	return fs, o
@@ -562,18 +558,13 @@ func cmdScenarioRun(args []string) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("scenario run: at least one scenario file is required")
 	}
-	var cache scenario.ResultCache
-	if o.cacheMB > 0 {
-		cache = resultcache.New(int64(o.cacheMB) << 20)
-	}
 	for _, path := range fs.Args() {
 		doc, err := scenario.Load(path)
 		if err != nil {
 			return err
 		}
 		if o.aggregate {
-			// Before Compile, so the fingerprint (and the result-cache
-			// keys) reflect the effective mode.
+			// Before Compile, so the fingerprint reflects the effective mode.
 			doc.Outputs.Aggregate = true
 		}
 		c, err := scenario.Compile(doc)
@@ -582,7 +573,6 @@ func cmdScenarioRun(args []string) error {
 		}
 		if _, err := c.Run(scenario.RunOptions{
 			Workers: o.workers,
-			Cache:   cache,
 			OnLine: func(line []byte) error {
 				if _, err := os.Stdout.Write(line); err != nil {
 					return err

@@ -122,10 +122,6 @@ func TestCloneGateFixture(t *testing.T) {
 	runFixture(t, a, fixturePath("clonegate"))
 }
 
-func TestSlabCopyFixture(t *testing.T) {
-	runFixture(t, &SlabCopy{}, fixturePath("slabcopy"))
-}
-
 func TestGuardFieldFixture(t *testing.T) {
 	runFixture(t, &GuardField{}, fixturePath("guardfield"))
 }

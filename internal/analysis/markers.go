@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Concurrency annotation markers. Like //pegflow:slab, these are doc
-// comments that opt code into checking — see docs/LINTING.md.
+// Concurrency annotation markers: doc comments that opt code into
+// checking — see docs/LINTING.md.
 //
 //	//pegflow:guarded <mutex>  on a struct field or var: the sibling
 //	                           mutex must be held to touch it (guardfield)

@@ -162,7 +162,6 @@ func Analyzers() []Analyzer {
 		&DetRange{Packages: OutputPathPackages},
 		&DetSource{Packages: SimBoundaryPackages},
 		NewCloneGate(),
-		&SlabCopy{},
 		NewEscapeGate(),
 		&GuardField{},
 		&PairPath{},

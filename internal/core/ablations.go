@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"pegflow/internal/catalog"
 	"pegflow/internal/planner"
 	"pegflow/internal/workflow"
 )
@@ -11,8 +8,8 @@ import (
 // Variant tweaks one mechanism of the standard experiment, isolating the
 // design choices DESIGN.md calls out (per-experiment index A1, A2, A4; A3,
 // task clustering, is RunClustered). A variant edits what the one run path
-// is handed — the catalogs, the platform model, the workload — and nothing
-// about how it plans or runs.
+// is handed — the declared site, the workload — and nothing about how it
+// plans or runs.
 type Variant struct {
 	// PreinstallOSG marks every transformation as installed at the run's
 	// site (e.g. software distributed via a shared filesystem) — ablation
@@ -29,12 +26,21 @@ type Variant struct {
 // RunVariant executes the blast2cap3 workflow on the named platform with
 // the given variant applied.
 func (e *Experiment) RunVariant(platformName string, n int, v Variant) (*RunResult, error) {
-	cfg, err := e.platformConfig(platformName, n)
+	// The edited declaration's world fingerprints to its own plan-cache key.
+	sites := workflow.PaperSites(e.SandhillsSlots, e.OSGSlots)
+	for i := range sites {
+		if s := &sites[i]; s.Platform.Name == platformName {
+			if v.DisablePreemption {
+				s.Platform.EvictionRate = 0
+			}
+			if v.PreinstallOSG {
+				s.Preinstalled = true
+			}
+		}
+	}
+	world, err := workflow.NewWorld(sites)
 	if err != nil {
 		return nil, err
-	}
-	if v.DisablePreemption {
-		cfg.EvictionRate = 0
 	}
 	// A SizeExponent override plans from its own master via w.Params.
 	w := e.Workload
@@ -46,36 +52,5 @@ func (e *Experiment) RunVariant(platformName string, n int, v Variant) (*RunResu
 			MeanReadLen:    1500,
 		}, e.Seed)
 	}
-	cats, key, err := e.catalogs(platformName)
-	if err != nil {
-		return nil, err
-	}
-	if v.PreinstallOSG {
-		// The edited catalog fingerprints to its own plan-cache key.
-		cats.Transformations, key = preinstalledEverywhere(cats, platformName), ""
-	}
-	return e.runOnSite(cfg, n, w, cats, key, planner.ClusterOptions{})
-}
-
-// preinstalledEverywhere rebuilds the transformation catalog with every
-// entry at the given site marked installed.
-func preinstalledEverywhere(cats planner.Catalogs, site string) *catalog.TransformationCatalog {
-	out := catalog.NewTransformationCatalog()
-	for _, name := range cats.Transformations.Names() {
-		for _, s := range cats.Sites.Names() {
-			t, err := cats.Transformations.Lookup(name, s)
-			if err != nil {
-				continue
-			}
-			cp := *t
-			if s == site {
-				cp.Installed = true
-				cp.InstallBytes = 0
-			}
-			if err := out.Add(&cp); err != nil {
-				panic(fmt.Sprintf("core: rebuilding catalog: %v", err))
-			}
-		}
-	}
-	return out
+	return e.runOnSite(world, platformName, n, w, planner.ClusterOptions{})
 }

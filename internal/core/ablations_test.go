@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"pegflow/internal/catalog"
 	"pegflow/internal/engine"
 	"pegflow/internal/planner"
 	"pegflow/internal/sim/platform"
@@ -70,15 +72,21 @@ func TestVariantDisablePreemptionStopsEvictions(t *testing.T) {
 	}
 }
 
-// directVariantRun is the pipeline RunVariant's catalog-editing branch had to
-// itself before it became edits handed to the one run path, kept here as the
-// reference: the workload's own DAX, freshly built paper catalogs with the
-// site preinstalled, planner.New, one bare executor, engine.Run.
-func directVariantRun(t *testing.T, e *Experiment, platformName string, n int) *engine.Result {
+// directVariantRun is the pipeline RunVariant had to itself before it became
+// an edit of the declared site handed to the one run path, kept here as the
+// reference: the workload's own DAX, freshly built paper catalogs — for A1
+// with the site's transformations marked installed — planner.New, one bare
+// executor — for A2 with the eviction hazard zeroed — and engine.Run.
+func directVariantRun(t *testing.T, e *Experiment, platformName string, n int, v Variant) *engine.Result {
 	t.Helper()
-	cfg, err := e.platformConfig(platformName, n)
-	if err != nil {
-		t.Fatal(err)
+	var cfg platform.Config
+	for _, s := range workflow.PaperSites(e.SandhillsSlots, e.OSGSlots) {
+		if s.Platform.Name == platformName {
+			cfg = s.Config(e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15))
+		}
+	}
+	if v.DisablePreemption {
+		cfg.EvictionRate = 0
 	}
 	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: e.Workload})
 	if err != nil {
@@ -88,7 +96,9 @@ func directVariantRun(t *testing.T, e *Experiment, platformName string, n int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	cats.Transformations = preinstalledEverywhere(cats, platformName)
+	if v.PreinstallOSG {
+		cats.Transformations = preinstalledEverywhere(cats, platformName)
+	}
 	plan, err := planner.New(abstract, cats, planner.Options{Site: platformName})
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +115,33 @@ func directVariantRun(t *testing.T, e *Experiment, platformName string, n int) *
 	return res
 }
 
-// TestVariantPreinstallEqualsDirectPipeline: A1 through the one run path —
-// the edited catalog under its own plan-cache key, a pool of one — is the
-// direct pipeline's run record for record, cold and warm.
+// preinstalledEverywhere rebuilds the transformation catalog with every
+// entry at the given site marked installed: the catalog edit RunVariant made
+// before a variant became an edit of the declared site.
+func preinstalledEverywhere(cats planner.Catalogs, site string) *catalog.TransformationCatalog {
+	out := catalog.NewTransformationCatalog()
+	for _, name := range cats.Transformations.Names() {
+		for _, s := range cats.Sites.Names() {
+			t, err := cats.Transformations.Lookup(name, s)
+			if err != nil {
+				continue
+			}
+			cp := *t
+			if s == site {
+				cp.Installed = true
+				cp.InstallBytes = 0
+			}
+			if err := out.Add(&cp); err != nil {
+				panic(fmt.Sprintf("core: rebuilding catalog: %v", err))
+			}
+		}
+	}
+	return out
+}
+
+// TestVariantPreinstallEqualsDirectPipeline: A1 and A2 through the one run path — the
+// edited site's world under its own plan-cache key, a pool of one — are the
+// direct pipeline's runs record for record, cold and warm.
 func TestVariantPreinstallEqualsDirectPipeline(t *testing.T) {
 	logBytes := func(res *engine.Result) []byte {
 		var buf bytes.Buffer
@@ -117,36 +151,43 @@ func TestVariantPreinstallEqualsDirectPipeline(t *testing.T) {
 		return buf.Bytes()
 	}
 	ResetPlanCache()
-	for _, n := range []int{10, 100, 100} {
-		e := DefaultExperiment(canonicalSeed)
-		want := directVariantRun(t, e, "osg", n)
-		got, err := e.RunVariant("osg", n, Variant{PreinstallOSG: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(logBytes(want), logBytes(got.Result)) {
-			t.Errorf("n=%d: attempt logs differ", n)
-		}
-		if want.Makespan != got.Result.Makespan || want.Retries != got.Result.Retries ||
-			want.Evictions != got.Result.Evictions || want.Success != got.Result.Success {
-			t.Errorf("n=%d: direct pipeline %v s, %d retries, %d evictions; one path %v s, %d, %d",
-				n, want.Makespan, want.Retries, want.Evictions,
-				got.Result.Makespan, got.Result.Retries, got.Result.Evictions)
-		}
-		// The edited catalog must not have served the plain run's master.
-		plain, err := e.RunWorkflow("osg", n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if findTask(plain.PerTask, workflow.TrRunCAP3).MeanSetup <= 0 {
-			t.Errorf("n=%d: plain OSG run after the variant has no install time", n)
+	for _, v := range []Variant{{PreinstallOSG: true}, {DisablePreemption: true}, {PreinstallOSG: true, DisablePreemption: true}} {
+		for _, n := range []int{10, 100, 100} {
+			e := DefaultExperiment(canonicalSeed)
+			want := directVariantRun(t, e, "osg", n, v)
+			got, err := e.RunVariant("osg", n, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(logBytes(want), logBytes(got.Result)) {
+				t.Errorf("%+v n=%d: attempt logs differ", v, n)
+			}
+			if want.Makespan != got.Result.Makespan || want.Retries != got.Result.Retries ||
+				want.Evictions != got.Result.Evictions || want.Success != got.Result.Success {
+				t.Errorf("%+v n=%d: direct pipeline %v s, %d retries, %d evictions; one path %v s, %d, %d",
+					v, n, want.Makespan, want.Retries, want.Evictions,
+					got.Result.Makespan, got.Result.Retries, got.Result.Evictions)
+			}
+			// The edited site must not have served the plain run's master, nor
+			// its platform model.
+			plain, err := e.RunWorkflow("osg", n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if findTask(plain.PerTask, workflow.TrRunCAP3).MeanSetup <= 0 {
+				t.Errorf("%+v n=%d: plain OSG run after the variant has no install time", v, n)
+			}
+			if want := directVariantRun(t, e, "osg", n, Variant{}); plain.Result.Makespan != want.Makespan {
+				t.Errorf("%+v n=%d: plain OSG run after the variant takes %v s, from scratch %v s",
+					v, n, plain.Result.Makespan, want.Makespan)
+			}
 		}
 	}
 }
 
-// TestVariantPreinstallKeepsEverySite: editing the catalog for one site keeps
-// the others' entries. The cloud is already preinstalled, so the variant
-// there is the plain run.
+// TestVariantPreinstallKeepsEverySite: editing one site's declaration keeps
+// the others. The cloud is already preinstalled, so the variant there is the
+// plain run.
 func TestVariantPreinstallKeepsEverySite(t *testing.T) {
 	e := DefaultExperiment(42)
 	plain, err := e.RunVariant("cloud", 10, Variant{})

@@ -24,15 +24,11 @@ import (
 // identical to RunWorkflow, so a run with disabled options reproduces
 // RunWorkflow exactly and sweeps compare like with like.
 func (e *Experiment) RunClustered(platformName string, n int, copts planner.ClusterOptions) (*RunResult, error) {
-	cfg, err := e.platformConfig(platformName, n)
+	world, err := e.paperWorld()
 	if err != nil {
 		return nil, err
 	}
-	cats, key, err := e.catalogs(platformName)
-	if err != nil {
-		return nil, err
-	}
-	return e.runOnSite(cfg, n, e.Workload, cats, key, copts)
+	return e.runOnSite(world, platformName, n, e.Workload, copts)
 }
 
 // ClusterPoint is one cell of the cluster-size sweep.

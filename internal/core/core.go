@@ -47,14 +47,11 @@ type Experiment struct {
 	// records (timelines, log export) must run exact.
 	Aggregate bool
 
-	// The paper's catalogs at this experiment's slot counts and, per
-	// platform, the key the plan cache knows them by: built by the first
+	// The paper's world at this experiment's slot counts: built by the first
 	// run, so SandhillsSlots and OSGSlots must not change after it.
-	mu sync.Mutex
-	//pegflow:guarded mu
-	cats planner.Catalogs
-	//pegflow:guarded mu
-	catalogKeys map[string]string
+	worldOnce sync.Once
+	world     *workflow.World
+	worldErr  error
 }
 
 // DefaultExperiment returns the paper-scale configuration.
@@ -83,36 +80,13 @@ type RunResult struct {
 // WallTime returns the workflow wall time in seconds.
 func (r *RunResult) WallTime() float64 { return r.Summary.WallTime }
 
-// platformConfig returns the simulated platform behind a platform name at
-// this experiment's slot counts, seeded for an n-chunk run: n is mixed into
-// the seed so sweep cells draw independent platform noise.
-func (e *Experiment) platformConfig(name string, n int) (platform.Config, error) {
-	for _, s := range workflow.PaperSites(e.SandhillsSlots, e.OSGSlots) {
-		if s.Platform.Name == name {
-			return s.Config(e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15)), nil
-		}
-	}
-	return platform.Config{}, fmt.Errorf("core: unknown platform %q", name)
-}
-
-// catalogs returns the paper's catalogs at this experiment's slot counts
-// and the plan-cache key of planning on the one site.
-func (e *Experiment) catalogs(site string) (planner.Catalogs, string, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.catalogKeys == nil {
-		cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
-		if err != nil {
-			return planner.Catalogs{}, "", err
-		}
-		e.cats, e.catalogKeys = cats, make(map[string]string, 1)
-	}
-	key, ok := e.catalogKeys[site]
-	if !ok {
-		key = e.cats.Fingerprint([]string{site})
-		e.catalogKeys[site] = key
-	}
-	return e.cats, key, nil
+// paperWorld returns the world of the built-in sites at this experiment's
+// slot counts.
+func (e *Experiment) paperWorld() (*workflow.World, error) {
+	e.worldOnce.Do(func() {
+		e.world, e.worldErr = workflow.NewWorld(workflow.PaperSites(e.SandhillsSlots, e.OSGSlots))
+	})
+	return e.world, e.worldErr
 }
 
 // RunWorkflow executes the blast2cap3 workflow with n cluster chunks on
@@ -123,24 +97,24 @@ func (e *Experiment) RunWorkflow(platformName string, n int) (*RunResult, error)
 	return e.RunClustered(platformName, n, planner.ClusterOptions{})
 }
 
-// onSite expresses a run of workload w with n chunks on one simulated
-// platform as an ensemble of one member on a pool of one site, planned over
-// the paper's catalogs without stage-in jobs (the paper's inputs are in
-// place on both platforms). It is how every single-site experiment reaches
-// the run path the scenario cells use; the member plan equals
-// planner.New(BuildDAX(w, n)) on cfg's site, clustered. key is the plan-cache
-// key of cats on that site; empty has the run fingerprint them.
-func (e *Experiment) onSite(cfg platform.Config, n int, w workflow.Workload, cats planner.Catalogs, key string, copts planner.ClusterOptions) *EnsembleExperiment {
+// onSite expresses a run of workload w with n chunks on one site of the
+// world as an ensemble of one member on a pool of one site, planned without
+// stage-in jobs (the paper's inputs are in place on both platforms). It is
+// how every single-site experiment reaches the run path the scenario cells
+// use; the member plan equals planner.New(BuildDAX(w, n)) on that site,
+// clustered.
+func (e *Experiment) onSite(world *workflow.World, site string, n int, w workflow.Workload, copts planner.ClusterOptions) *EnsembleExperiment {
 	return &EnsembleExperiment{
 		Seed:      e.Seed,
 		Workflows: 1,
 		N:         n,
 		// One candidate site per job: the policy has nothing to choose.
-		Policy:         planner.PolicyRoundRobin,
-		Sites:          []string{cfg.Name},
-		Platforms:      []platform.Config{cfg},
-		Catalogs:       cats,
-		CatalogKey:     key,
+		Policy: planner.PolicyRoundRobin,
+		Sites:  []string{site},
+		World:  world,
+		// n is mixed into the seed so sweep cells draw independent platform
+		// noise.
+		PlatformSeed:   e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15),
 		RetryLimit:     e.RetryLimit,
 		Cluster:        copts,
 		Workers:        1,
@@ -150,12 +124,12 @@ func (e *Experiment) onSite(cfg platform.Config, n int, w workflow.Workload, cat
 }
 
 // runOnSite runs onSite's ensemble of one and reports its only member.
-func (e *Experiment) runOnSite(cfg platform.Config, n int, w workflow.Workload, cats planner.Catalogs, key string, copts planner.ClusterOptions) (*RunResult, error) {
-	res, err := e.onSite(cfg, n, w, cats, key, copts).Run()
+func (e *Experiment) runOnSite(world *workflow.World, site string, n int, w workflow.Workload, copts planner.ClusterOptions) (*RunResult, error) {
+	res, err := e.onSite(world, site, n, w, copts).Run()
 	if err != nil {
 		return nil, err
 	}
-	return newRunResult(cfg.Name, n, res.Workflows[0].Result), nil
+	return newRunResult(site, n, res.Workflows[0].Result), nil
 }
 
 func newRunResult(platformName string, n int, res *engine.Result) *RunResult {
@@ -173,7 +147,7 @@ func newRunResult(platformName string, n int, res *engine.Result) *RunResult {
 // one-job plan is built directly and run on a bare engine: the only caller
 // of engine.Run in this package.
 func (e *Experiment) RunSerial() (*RunResult, error) {
-	cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
+	world, err := e.paperWorld()
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +155,7 @@ func (e *Experiment) RunSerial() (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := planner.New(abstract, cats, planner.Options{Site: "sandhills"})
+	plan, err := planner.New(abstract, world.Catalogs(), planner.Options{Site: "sandhills"})
 	if err != nil {
 		return nil, err
 	}

@@ -13,14 +13,19 @@
 // across a site set under a policy and executes them on a shared platform
 // pool; a single workflow is an ensemble of one and a single site a pool of
 // one, so Experiment (RunWorkflow, RunClustered, RunAll, the Monte Carlo and
-// cluster sweeps, the ablations) is a thin adapter: the platform model and
-// the catalogs of workflow's table of built-in sites (workflow.PaperSites at
-// the experiment's slot counts), a one-member one-site EnsembleExperiment
-// planned without stage-in jobs, and the member's outcome as a RunResult. Run is the only function here that builds a pool and
-// drives member engines; RunVariant hands the same path an edited catalog,
-// platform model or workload, and RunSerial (a one-job DAX) alone plans
-// directly and calls engine.Run, which is also the reference the equality
-// tests compare the one path against. Whether plans carry stage-in jobs
+// cluster sweeps, the ablations) is a thin adapter: the workflow.World of
+// workflow's table of built-in sites (workflow.PaperSites at the
+// experiment's slot counts, built once per Experiment), a one-member
+// EnsembleExperiment on one site of it planned without stage-in jobs, and
+// the member's outcome as a RunResult. An EnsembleExperiment owns no
+// catalogs, platform models or catalog fingerprint: it names a World, the
+// Sites of it to plan across and a PlatformSeed, and asks the world for all
+// three. Run is the only function here that builds a pool and drives member
+// engines; RunVariant hands the same path the world of an edited site
+// declaration (preinstalled, or without the eviction hazard) or another
+// workload, and RunSerial (a one-job DAX) alone plans directly and calls
+// engine.Run, which is also the reference the equality tests compare the
+// one path against. Whether plans carry stage-in jobs
 // (EnsembleExperiment.StageIn) is an explicit input: it is the one
 // observable the former single-site pipeline differed in.
 //
@@ -35,9 +40,9 @@
 //   - the plan cache (ensemble.go) keeps one planner.Resolved master per
 //     (workload fingerprint, n, StageIn, fingerprint of the catalog fields
 //     planning reads over the ordered site list) — content, not pointers,
-//     because every scenario compile builds fresh catalogs; a caller with
-//     frozen catalogs computes the fingerprint once and passes it as
-//     CatalogKey. A member plan is the seed's ChunkSeconds plus
+//     because every scenario compile builds fresh catalogs; the fingerprint
+//     is workflow.World.Key, computed once per world and site list. A
+//     member plan is the seed's ChunkSeconds plus
 //     Resolved.Plan: a placement pass under the cell's policy (none when no
 //     job has a choice of site), a Clone of the master graph memoized for
 //     that placement's stage-in signature (the master's graph and index

@@ -25,7 +25,7 @@ import (
 // EnsembleExperiment configures one ensemble run: N member workflows
 // planned across a site set under a policy, executed on a shared pool.
 type EnsembleExperiment struct {
-	// Seed drives workload synthesis and every platform RNG.
+	// Seed drives workload synthesis and retry-backoff jitter.
 	Seed uint64
 	// Workflows is the member count.
 	Workflows int
@@ -33,16 +33,13 @@ type EnsembleExperiment struct {
 	N int
 	// Policy is the site-selection policy name (planner.PolicyNames).
 	Policy string
-	// Sites are the catalog site names to plan across.
+	// World declares the sites: it supplies the catalogs members are planned
+	// on, the key the plan cache knows them by, and the platform models.
+	World *workflow.World
+	// Sites names the sites of World to plan across and pool, in order.
 	Sites []string
-	// Platforms are the simulated platform configurations backing Sites.
-	Platforms []platform.Config
-	// Catalogs resolve sites, transformations and replicas.
-	Catalogs planner.Catalogs
-	// CatalogKey, when non-empty, is Catalogs.Fingerprint(Sites), which the
-	// plan cache keys masters on: a caller that runs many experiments over
-	// the same frozen catalogs computes it once instead of once per run.
-	CatalogKey string
+	// PlatformSeed seeds every site's platform model.
+	PlatformSeed uint64
 	// StageIn plans one synthesized stage-in job per site that consumes
 	// the workflow's external inputs.
 	StageIn bool
@@ -185,7 +182,7 @@ func (e *EnsembleExperiment) memberSource(i int, catalogs string) (ensemble.Reso
 		if err != nil {
 			return src, err
 		}
-		src.Master, err = planner.Resolve(abstract, e.Catalogs, mopts)
+		src.Master, err = planner.Resolve(abstract, e.World.Catalogs(), mopts)
 		return src, err
 	}
 	key := multiPlanKey{
@@ -203,7 +200,7 @@ func (e *EnsembleExperiment) memberSource(i int, catalogs string) (ensemble.Reso
 	entry := multiPlanCache.entry(key.hash(), key)
 	entry.once.Do(func() {
 		planBuilds.Add(1)
-		entry.err = entry.build(key.dax, w, e.Catalogs, mopts)
+		entry.err = entry.build(key.dax, w, e.World.Catalogs(), mopts)
 	})
 	if entry.err != nil {
 		return src, entry.err
@@ -251,10 +248,7 @@ func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
 	if e.N <= 0 {
 		return nil, fmt.Errorf("core: non-positive chunk count %d", e.N)
 	}
-	catalogs := e.CatalogKey
-	if catalogs == "" {
-		catalogs = e.Catalogs.Fingerprint(e.Sites)
-	}
+	catalogs := e.World.Key(e.Sites)
 	opts := ensemble.PlanOptions{
 		Sites:    e.Sites,
 		Policy:   e.Policy,
@@ -267,7 +261,7 @@ func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
 		if err != nil {
 			return err
 		}
-		specs[i], err = ensemble.PlanMember(src, e.Catalogs, opts)
+		specs[i], err = ensemble.PlanMember(src, e.World.Catalogs(), opts)
 		return err
 	})
 	if err != nil {
@@ -292,7 +286,11 @@ func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 				rng.New(e.Seed).Derive("backoff/"+specs[i].Name))
 		}
 	}
-	p, err := platform.NewMultiExecutor(e.Platforms)
+	cfgs, err := e.World.Configs(e.Sites, e.PlatformSeed)
+	if err != nil {
+		return nil, err
+	}
+	p, err := platform.NewMultiExecutor(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -303,17 +301,16 @@ func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 }
 
 // Over points the experiment at a world of declared sites: planned across
-// all of them in order, with stage-in jobs, on catalogs built from the
-// declarations, and run on their platform models seeded with e.Seed.
+// all of them in order, with stage-in jobs, and run on their platform models
+// seeded with e.Seed.
 func (e *EnsembleExperiment) Over(sites []workflow.Site) error {
 	var err error
-	if e.Catalogs, err = workflow.Catalogs(sites); err != nil {
+	if e.World, err = workflow.NewWorld(sites); err != nil {
 		return err
 	}
-	e.StageIn = true
+	e.StageIn, e.PlatformSeed = true, e.Seed
 	for _, s := range sites {
 		e.Sites = append(e.Sites, s.Platform.Name)
-		e.Platforms = append(e.Platforms, s.Config(e.Seed))
 	}
 	return nil
 }

@@ -39,15 +39,6 @@ type Sweep struct {
 	OptimalNCounts map[string]map[int]int
 }
 
-// MonteCarlo runs the evaluation grid for `runs` seeds starting at
-// baseSeed and aggregates. Platforms defaults to the paper's two when nil.
-// It fans out across runtime.NumCPU() workers; use MonteCarloSweep to
-// control the worker count or observe progress. The output is identical
-// for any worker count.
-func MonteCarlo(baseSeed uint64, runs int, platforms []string, nValues []int) (*Sweep, error) {
-	return MonteCarloSweep(baseSeed, runs, SweepOptions{Platforms: platforms, NValues: nValues})
-}
-
 func summarize(platform string, n int, vals []float64, evictions int) SweepStats {
 	s := SweepStats{Platform: platform, N: n, Runs: len(vals), Evictions: evictions}
 	if len(vals) == 0 {

@@ -3,7 +3,7 @@ package core
 import "testing"
 
 func TestMonteCarloGrid(t *testing.T) {
-	sw, err := MonteCarlo(canonicalSeed, 5, nil, []int{10, 300})
+	sw, err := MonteCarloSweep(canonicalSeed, 5, SweepOptions{NValues: []int{10, 300}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestMonteCarloGrid(t *testing.T) {
 }
 
 func TestMonteCarloOptimumMostlyAt300(t *testing.T) {
-	sw, err := MonteCarlo(canonicalSeed, 5, []string{"sandhills"}, nil)
+	sw, err := MonteCarloSweep(canonicalSeed, 5, SweepOptions{Platforms: []string{"sandhills"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,10 @@ func TestMonteCarloOptimumMostlyAt300(t *testing.T) {
 }
 
 func TestMonteCarloValidation(t *testing.T) {
-	if _, err := MonteCarlo(1, 0, nil, nil); err == nil {
+	if _, err := MonteCarloSweep(1, 0, SweepOptions{}); err == nil {
 		t.Error("zero runs accepted")
 	}
-	if _, err := MonteCarlo(1, 1, []string{"mainframe"}, []int{10}); err == nil {
+	if _, err := MonteCarloSweep(1, 1, SweepOptions{Platforms: []string{"mainframe"}, NValues: []int{10}}); err == nil {
 		t.Error("unknown platform accepted")
 	}
 }

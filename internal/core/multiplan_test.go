@@ -38,15 +38,11 @@ func memberPlans(t testing.TB, e *EnsembleExperiment) []ensemble.Spec {
 // with n chunks as an ensemble of one on the named paper platform.
 func singleSite(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *EnsembleExperiment {
 	t.Helper()
-	cfg, err := e.platformConfig(site, n)
+	world, err := e.paperWorld()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cats, key, err := e.catalogs(site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e.onSite(cfg, n, e.Workload, cats, key, copts)
+	return e.onSite(world, site, n, e.Workload, copts)
 }
 
 // singleSitePlan is the one member plan of singleSite.
@@ -125,7 +121,7 @@ func uncachedMemberPlan(t testing.TB, e *EnsembleExperiment, i int) *planner.Pla
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := planner.NewMulti(abstract, e.Catalogs, planner.MultiOptions{Sites: e.Sites, Policy: pol, AddStageIn: true})
+	p, err := planner.NewMulti(abstract, e.World.Catalogs(), planner.MultiOptions{Sites: e.Sites, Policy: pol, AddStageIn: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +273,8 @@ func TestMultiPlanCacheKeysOnCatalogContent(t *testing.T) {
 		t.Errorf("two experiments with equal catalogs hold %d masters, want 1", got)
 	}
 	build(func(e *EnsembleExperiment) {
-		s, err := e.Catalogs.Sites.Lookup("slow")
+		// Before the world's first Key, which fingerprints the edit.
+		s, err := e.World.Catalogs().Sites.Lookup("slow")
 		if err != nil {
 			t.Fatal(err)
 		}

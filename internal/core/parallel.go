@@ -3,7 +3,7 @@
 // task derives its entire RNG state from (baseSeed, rep, platform, n), so a
 // parallel sweep is bit-for-bit identical to a serial one: a Monte Carlo
 // cell builds its own Experiment; RunAll's cells share one, whose only
-// mutable state is the catalogs its first run builds under its mutex; the
+// mutable state is the paper world its first run builds under a sync.Once; the
 // process-wide plan caches hand every cell the same plan whichever worker
 // fills an entry; and results are merged in deterministic rep-major order
 // after collection instead of being accumulated under a lock.

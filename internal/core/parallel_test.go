@@ -119,24 +119,6 @@ func TestMonteCarloParallelSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestMonteCarloMatchesSweep pins the compatibility wrapper to the pool
-// implementation.
-func TestMonteCarloMatchesSweep(t *testing.T) {
-	a, err := MonteCarlo(canonicalSeed, 2, []string{"sandhills"}, []int{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MonteCarloSweep(canonicalSeed, 2, SweepOptions{
-		Platforms: []string{"sandhills"}, NValues: []int{10}, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("MonteCarlo %+v != MonteCarloSweep %+v", a, b)
-	}
-}
-
 func TestRunAllParallelSerialEquivalence(t *testing.T) {
 	se := DefaultExperiment(canonicalSeed)
 	se.Workers = 1

@@ -133,7 +133,7 @@ func scaleSpecs(tb testing.TB, n int) ([]ensemble.Spec, []platform.Config) {
 		tb.Fatal(err)
 	}
 	srcs := []ensemble.WorkflowSource{{Name: "wf00", Abstract: abstract, Priority: 1, RetryLimit: e.RetryLimit}}
-	specs, err := ensemble.PlanAll(srcs, e.Catalogs, ensemble.PlanOptions{
+	specs, err := ensemble.PlanAll(srcs, e.World.Catalogs(), ensemble.PlanOptions{
 		Sites:    e.Sites,
 		Policy:   e.Policy,
 		Failover: true,
@@ -141,7 +141,11 @@ func scaleSpecs(tb testing.TB, n int) ([]ensemble.Spec, []platform.Config) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return specs, e.Platforms
+	cfgs, err := e.World.Configs(e.Sites, e.PlatformSeed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return specs, cfgs
 }
 
 // retainedByScaleRun plans an n-job two-site workflow, then measures the

@@ -164,15 +164,21 @@ type readyItem struct {
 	delay float64 // backoff before submission; 0 submits immediately
 }
 
+// noCopy makes `go vet` (copylocks) reject a by-value copy of any struct that
+// holds it: the zero-size guard of this package's slab types.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // readyQueue orders ready jobs by priority (higher first), breaking ties
 // by submission sequence (FIFO). It is a hand-rolled binary heap of values
 // — container/heap's interface would box every item through `any`,
 // allocating on each push in the engine's hot loop.
 //
-// A by-value copy aliases the heap backing array; slabcopy flags it.
-//
-//pegflow:slab
+// A by-value copy aliases the heap backing array; go vet flags it.
 type readyQueue struct {
+	_     noCopy
 	items []readyItem
 	seq   int32
 }

@@ -4,14 +4,20 @@ package fifo
 // is considered; below it the copy would cost more than it frees.
 const compactThreshold = 32
 
+// noCopy makes `go vet` (copylocks) reject a by-value copy of any struct that
+// holds it: the zero-size guard of this package's slab types.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // Queue is a first-in-first-out queue of T. The zero value is ready to use.
 //
 // Copying a Queue by value aliases buf between the copies while head
-// diverges, silently re-delivering or dropping elements; slabcopy flags
+// diverges, silently re-delivering or dropping elements; go vet flags
 // by-value copies.
-//
-//pegflow:slab
 type Queue[T any] struct {
+	_    noCopy
 	buf  []T
 	head int
 }

@@ -1,6 +1,9 @@
 package fifo
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestQueueOrder(t *testing.T) {
 	var q Queue[int]
@@ -103,4 +106,16 @@ func TestQueuePeekEmptyPanics(t *testing.T) {
 	}()
 	var q Queue[string]
 	q.Peek()
+}
+
+// TestSlabTypesCarryNoCopy: the leading noCopy field is what makes `go vet`
+// reject a by-value copy of a slab type; dropping it must fail here.
+func TestSlabTypesCarryNoCopy(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*Queue[int])(nil)).Elem(),
+	} {
+		if f := typ.Field(0); f.Type != reflect.TypeOf(noCopy{}) {
+			t.Errorf("%s: first field is %s %s, want the noCopy guard", typ, f.Name, f.Type)
+		}
+	}
 }

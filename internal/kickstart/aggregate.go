@@ -56,8 +56,8 @@ type ClusterAccum struct {
 
 // Aggregates is the folded view of a Log in aggregation mode: the
 // fixed-size state every stats consumer (Summarize, PerTransformation,
-// SiteBreakdown, PerCluster, percentile columns) needs, with streaming
-// sketches in place of retained per-attempt values.
+// PerCluster, percentile columns) needs, with streaming sketches in place of
+// retained per-attempt values.
 type Aggregates struct {
 	// Attempts counts all folded records; Successes, Failed and Evicted
 	// split them by status.
@@ -65,11 +65,9 @@ type Aggregates struct {
 	// CumulativeTotal and CumulativeExec sum Total() and Exec() over
 	// successful attempts.
 	CumulativeTotal, CumulativeExec float64
-	// ByTransformation and BySite accumulate successful-attempt phase
-	// timings keyed by transformation and site.
+	// ByTransformation accumulates successful-attempt phase timings keyed
+	// by transformation.
 	ByTransformation map[string]*PhaseAccum
-	// BySite groups by execution site.
-	BySite map[string]*PhaseAccum
 	// ByCluster accumulates composite-job records keyed by ClusterID.
 	ByCluster map[string]*ClusterAccum
 	// ExecSketch and WaitSketch stream successful attempts' exec and
@@ -86,7 +84,6 @@ type Aggregates struct {
 func newAggregates() *Aggregates {
 	return &Aggregates{
 		ByTransformation: make(map[string]*PhaseAccum),
-		BySite:           make(map[string]*PhaseAccum),
 		ByCluster:        make(map[string]*ClusterAccum),
 		ExecSketch:       quantile.NewSketch(),
 		WaitSketch:       quantile.NewSketch(),
@@ -111,12 +108,6 @@ func (a *Aggregates) fold(r *Record) {
 			a.ByTransformation[r.Transformation] = tr
 		}
 		tr.fold(r)
-		st := a.BySite[r.Site]
-		if st == nil {
-			st = &PhaseAccum{}
-			a.BySite[r.Site] = st
-		}
-		st.fold(r)
 		a.ExecSketch.Add(r.Exec())
 		a.WaitSketch.Add(r.Waiting())
 	case StatusEvicted:

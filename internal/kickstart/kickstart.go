@@ -128,10 +128,6 @@ func (l *Log) SetAggregate() {
 	}
 }
 
-// Aggregating reports whether the log folds records instead of
-// retaining them.
-func (l *Log) Aggregating() bool { return l.agg != nil }
-
 // Aggregates returns the folded view of an aggregating log, or nil for
 // an exact log.
 func (l *Log) Aggregates() *Aggregates { return l.agg }

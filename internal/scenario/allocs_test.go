@@ -9,8 +9,8 @@ import (
 )
 
 // warmCellAllocs is the allocation count of one warm cell: every cache the
-// cell reads (plan master, member DAX, chunk seconds, the site set's
-// catalog key) filled by a first run.
+// cell reads (plan master, member DAX, chunk seconds, the world's key for
+// the site set) filled by a first run.
 func warmCellAllocs(t *testing.T, c *Compiled, cell Cell) float64 {
 	t.Helper()
 	run := func() {
@@ -97,9 +97,9 @@ const serveShape = `{
 
 // TestAllocsCompile: a result-cache hit compiles its document and simulates
 // nothing, so whatever a simulated cell needs computed once per document —
-// the catalog key of its site set — must be computed by the first such
-// cell, not by Compile. The budget is Compile's count before the run paths
-// merged.
+// workflow.World.Key of its site set — must be computed by the first such
+// cell, not by Compile, which only builds the world. The budget is Compile's
+// count before the run paths merged.
 func TestAllocsCompile(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")

@@ -2,10 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
-	"pegflow/internal/planner"
 	"pegflow/internal/sim/platform"
 	"pegflow/internal/workflow"
 )
@@ -30,7 +27,7 @@ type Cell struct {
 }
 
 // Compiled is a validated scenario expanded into its cell grid, with the
-// shared catalogs and workload fingerprint resolved once.
+// world of its declared sites and the workload fingerprint resolved once.
 type Compiled struct {
 	// Doc is the source document (defaults applied).
 	Doc *Doc
@@ -39,18 +36,14 @@ type Compiled struct {
 	// Cells is the grid in deterministic order.
 	Cells []Cell
 
-	cats    planner.Catalogs
+	world   *workflow.World
 	params  workflow.WorkloadParams
 	byName  map[string]*SiteSpec
 	retries int
-
-	keyMu sync.Mutex
-	//pegflow:guarded keyMu
-	catalogKeys map[string]string // joined site set → cats.Fingerprint(set)
 }
 
 // Compile validates the document (it accepts hand-built Docs, not just
-// Parse output), applies defaults, builds the shared catalogs and expands
+// Parse output), applies defaults, builds the world of its sites and expands
 // the grid.
 func Compile(d *Doc) (*Compiled, error) {
 	if errs := d.validate(d.Name, nil); len(errs) > 0 {
@@ -72,7 +65,7 @@ func Compile(d *Doc) (*Compiled, error) {
 		sites[i] = d.Sites[i].site()
 	}
 	var err error
-	if c.cats, err = workflow.Catalogs(sites); err != nil {
+	if c.world, err = workflow.NewWorld(sites); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
@@ -177,26 +170,4 @@ func (c *Compiled) stageIn(cell Cell) bool {
 		s.SetupCV != nil || s.SetupMBps != nil || s.EvictionRate != nil ||
 		s.InitialSlots != nil || s.SlotRampSeconds != nil ||
 		s.Preinstalled != nil || s.InstallMB != nil || s.StageInMBps != nil
-}
-
-// catalogKey returns what core keys plan masters on for the site set: the
-// fingerprint of the catalog fields planning reads over those sites. The
-// first simulated cell of a set computes it and the rest of the document's
-// cells reuse it; Compile does not, because a request served from the
-// result cache compiles and never simulates.
-func (c *Compiled) catalogKey(set []string) string {
-	// Site names hold no comma (validName), and a one-site set joins to
-	// its own name without allocating.
-	id := strings.Join(set, ",")
-	c.keyMu.Lock()
-	defer c.keyMu.Unlock()
-	key, ok := c.catalogKeys[id]
-	if !ok {
-		if c.catalogKeys == nil {
-			c.catalogKeys = make(map[string]string, len(c.Doc.SiteSets))
-		}
-		key = c.cats.Fingerprint(set)
-		c.catalogKeys[id] = key
-	}
-	return key
 }

@@ -25,9 +25,10 @@
 //
 // A declared site resolves to a workflow.Site (SiteSpec.site): the preset's
 // row of workflow's table, or workflow.DefaultSite for an inline definition,
-// with the document's overrides applied. Compile builds the catalogs with
-// workflow.Catalogs and each cell seeds Site.Config, so a bare preset plans
-// and runs on exactly the site `pegflow run -site` does.
+// with the document's overrides applied. Compile builds the workflow.World
+// of those sites and every cell hands it to the run path with its site set
+// and seed, so a bare preset plans and runs on exactly the site
+// `pegflow run -site` does.
 //
 // Execution reuses the core facade: every cell, whatever its shape, is one
 // core.EnsembleExperiment — a single workflow is an ensemble of one, a
@@ -39,6 +40,8 @@
 // separate single-site pipeline used to run, whose goldens this keeps). No
 // plan-cache key holds a seed, so a long-running process (pegflow serve)
 // warms up across requests and does not grow with the seeds it is asked
-// for; the catalog fingerprint in the key is computed once per document and
-// site set, by the first cell that is actually simulated.
+// for; the catalog fingerprint in the key is the world's (World.Key),
+// computed once per document and site set by the first cell that is
+// actually simulated — never by Compile, which a request served from the
+// result cache also pays.
 package scenario

@@ -23,8 +23,12 @@ func TestPresetWorldsAgree(t *testing.T) {
   "sites": [{"preset": "sandhills"}, {"preset": "osg"}, {"preset": "cloud"}],
   "workload": {"preset": "paper", "n": [10]}
 }`))
-	if got, want := c.cats.Fingerprint(names), cats.Fingerprint(names); got != want {
+	if got, want := c.world.Key(names), cats.Fingerprint(names); got != want {
 		t.Errorf("a document of bare presets plans on\n%s\nthe paper catalogs on\n%s", got, want)
+	}
+	cfgs, err := c.world.Configs(names, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	models := map[string]platform.Config{
@@ -32,7 +36,7 @@ func TestPresetWorldsAgree(t *testing.T) {
 		"osg":       platform.OSG(0),
 		"cloud":     platform.Cloud(0),
 	}
-	for _, name := range names {
+	for i, name := range names {
 		site, err := cats.Sites.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -41,7 +45,7 @@ func TestPresetWorldsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := c.byName[name].site().Config(0)
+		cfg := cfgs[i]
 		if cfg != preset.Config(0) {
 			t.Errorf("%s: a bare preset in a document runs on %+v, the table's %+v", name, cfg, preset.Config(0))
 		}

@@ -338,22 +338,21 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
 		// Single-site set: any policy resolves every job to the one site.
 		policy = planner.PolicyDataAware
 	}
-	// Mix n into the platform seed so sweep cells draw independent platform
-	// noise, while cells that differ only in policy share it — paired
-	// comparisons.
-	cfgSeed := cell.Seed ^ (uint64(cell.N) * 0x9e3779b97f4a7c15)
 	exp := &core.EnsembleExperiment{
-		Seed:       cell.Seed,
-		Workflows:  c.workflows(),
-		N:          cell.N,
-		Policy:     policy,
-		Sites:      cell.SiteSet,
-		Catalogs:   c.cats,
-		CatalogKey: c.catalogKey(cell.SiteSet),
-		StageIn:    c.stageIn(cell),
-		RetryLimit: c.retries,
-		Cluster:    cell.Cluster.options(),
-		Failover:   cell.Failover,
+		Seed:      cell.Seed,
+		Workflows: c.workflows(),
+		N:         cell.N,
+		Policy:    policy,
+		World:     c.world,
+		Sites:     cell.SiteSet,
+		// Mix n into the platform seed so sweep cells draw independent
+		// platform noise, while cells that differ only in policy share it —
+		// paired comparisons.
+		PlatformSeed: cell.Seed ^ (uint64(cell.N) * 0x9e3779b97f4a7c15),
+		StageIn:      c.stageIn(cell),
+		RetryLimit:   c.retries,
+		Cluster:      cell.Cluster.options(),
+		Failover:     cell.Failover,
 		// Cells are already fanned out across the pool; keep per-cell
 		// planning serial so worker counts never nest.
 		Workers: 1,
@@ -387,9 +386,6 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
 			return cellMetrics{}, err
 		}
 		exp.Faults = script
-	}
-	for _, name := range cell.SiteSet {
-		exp.Platforms = append(exp.Platforms, c.byName[name].site().Config(cfgSeed))
 	}
 	res, err := exp.Run()
 	if err != nil {

@@ -1,6 +1,9 @@
 package des
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // The allocation regression gate (run by CI as `go test -run 'TestAllocs'`):
 // the slab-backed kernel must not allocate in steady state, whether events
@@ -120,5 +123,18 @@ func TestAllocsReservedBurst(t *testing.T) {
 	// wait queue.
 	if allocs > 6 {
 		t.Errorf("reserved burst of %d events and requests made %.0f allocations, want <= 6", n, allocs)
+	}
+}
+
+// TestSlabTypesCarryNoCopy: the leading noCopy field is what makes `go vet`
+// reject a by-value copy of a slab type; dropping it must fail here.
+func TestSlabTypesCarryNoCopy(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*Simulation)(nil)).Elem(),
+		reflect.TypeOf((*Resource)(nil)).Elem(),
+	} {
+		if f := typ.Field(0); f.Type != reflect.TypeOf(noCopy{}) {
+			t.Errorf("%s: first field is %s %s, want the noCopy guard", typ, f.Name, f.Type)
+		}
 	}
 }

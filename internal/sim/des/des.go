@@ -81,14 +81,19 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// noCopy makes `go vet` (copylocks) reject a by-value copy of any struct that
+// holds it: the zero-size guard of this package's slab types.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // Simulation is a discrete-event simulator instance.
 //
 // Copying a Simulation by value aliases the event arena, free list and
-// heap between the copies; pegflow-lint's slabcopy analyzer flags any
-// by-value copy.
-//
-//pegflow:slab
+// heap between the copies; go vet flags any by-value copy.
 type Simulation struct {
+	_       noCopy
 	now     Time
 	events  []event     // slab arena; index = EventID.slot
 	free    int32       // head of the free-slot list threaded through hpos; -1 when empty

@@ -11,11 +11,10 @@ import "math"
 // hold generation-checked Acquisition handles, and steady-state
 // acquire/grant cycles allocate nothing.
 //
-// A by-value copy would alias the request arena and free list; slabcopy
+// A by-value copy would alias the request arena and free list; go vet
 // flags it.
-//
-//pegflow:slab
 type Resource struct {
+	_        noCopy
 	sim      *Simulation
 	capacity int
 	inUse    int

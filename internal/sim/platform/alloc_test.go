@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -199,5 +200,18 @@ func TestFormatNodeNameMatchesSprintf(t *testing.T) {
 	}
 	if per := testing.AllocsPerRun(100, func() { _ = formatNodeName("osg", 42) }); per > 1 {
 		t.Errorf("formatNodeName allocates %.0f times, want the string only", per)
+	}
+}
+
+// TestSlabTypesCarryNoCopy: the leading noCopy field is what makes `go vet`
+// reject a by-value copy of a slab type; dropping it must fail here.
+func TestSlabTypesCarryNoCopy(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*recArena)(nil)).Elem(),
+		reflect.TypeOf((*attemptSlab)(nil)).Elem(),
+	} {
+		if f := typ.Field(0); f.Type != reflect.TypeOf(noCopy{}) {
+			t.Errorf("%s: first field is %s %s, want the noCopy guard", typ, f.Name, f.Type)
+		}
 	}
 }

@@ -147,9 +147,6 @@ func (m *MultiExecutor) Next() engine.Event {
 // instead of calling Next.
 func (m *MultiExecutor) Step() bool { return m.sim.Step() }
 
-// PendingEvents reports the number of delivered-but-unconsumed job events.
-func (m *MultiExecutor) PendingEvents() int { return m.pending.Len() }
-
 // Recycle routes a spent record back to the arena of the site that
 // allocated it. Records carry their allocating site in Site (platform
 // executors never re-site a record), so the pool can route without

@@ -199,6 +199,13 @@ type Executor struct {
 // recChunk is the kickstart-record arena chunk size.
 const recChunk = 256
 
+// noCopy makes `go vet` (copylocks) reject a by-value copy of any struct that
+// holds it: the zero-size guard of this package's slab types.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // recArena hands out *kickstart.Record values from append-only chunks.
 // Handed-out pointers stay valid because a chunk is never regrown — when
 // one fills, the arena starts a fresh chunk. Records returned through
@@ -207,10 +214,9 @@ const recChunk = 256
 // arena at O(in-flight attempts) regardless of attempt count.
 //
 // A by-value copy aliases the open chunk, so both copies would hand out
-// the same record slots; slabcopy flags it.
-//
-//pegflow:slab
+// the same record slots; go vet flags it.
 type recArena struct {
+	_     noCopy
 	chunk []kickstart.Record
 	free  []*kickstart.Record
 	// allocated counts fresh slots ever created (recycled reissues are
@@ -398,10 +404,9 @@ type occupied struct {
 // attemptSlab is the index-addressed, free-listed store of attempt records.
 // It may regrow on alloc, so a *attempt must not be held across a call that
 // can submit; events and the active map hold indices. A by-value copy would
-// alias the records and the free list; slabcopy flags it.
-//
-//pegflow:slab
+// alias the records and the free list; go vet flags it.
 type attemptSlab struct {
+	_    noCopy
 	recs []attempt
 	free int32 // head of the free list threaded through attempt.node; -1 when empty
 }

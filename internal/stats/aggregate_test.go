@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pegflow/internal/kickstart"
+	"pegflow/internal/stats/quantile"
 )
 
 // mkRecord builds a valid record with phase lengths derived from the
@@ -117,7 +118,7 @@ func TestSummarizeRetriesSemantics(t *testing.T) {
 
 // TestAggregateParity runs the same engine-like stream through an exact
 // and an aggregating log and requires identical stats output from every
-// consumer: Summarize, PerTransformation, SiteBreakdown and PerCluster.
+// consumer: Summarize, PerTransformation and PerCluster.
 func TestAggregateParity(t *testing.T) {
 	recs := engineLikeStream(rand.New(rand.NewSource(23)), 500)
 	exact := &kickstart.Log{}
@@ -138,9 +139,6 @@ func TestAggregateParity(t *testing.T) {
 	if pe, pa := PerTransformation(exact), PerTransformation(agg); !reflect.DeepEqual(pe, pa) {
 		t.Fatalf("PerTransformation diverged:\nexact %+v\nagg   %+v", pe, pa)
 	}
-	if be, ba := SiteBreakdown(exact), SiteBreakdown(agg); !reflect.DeepEqual(be, ba) {
-		t.Fatalf("SiteBreakdown diverged:\nexact %+v\nagg   %+v", be, ba)
-	}
 	if ce, ca := PerCluster(exact), PerCluster(agg); !reflect.DeepEqual(ce, ca) {
 		t.Fatalf("PerCluster diverged:\nexact %+v\nagg   %+v", ce, ca)
 	}
@@ -156,16 +154,20 @@ func TestAggregateSketchSmallIsExact(t *testing.T) {
 	appendAll(t, exact, recs)
 	appendAll(t, agg, recs)
 	ps := []float64{5, 50, 95, 99}
-	for name, pair := range map[string][2]QuantileSource{
-		"exec":    {ExecSource(exact), ExecSource(agg)},
-		"waiting": {WaitingSource(exact), WaitingSource(agg)},
+	for name, phase := range map[string]struct {
+		of     func(*kickstart.Record) float64
+		sketch *quantile.Sketch
+	}{
+		"exec":    {(*kickstart.Record).Exec, agg.Aggregates().ExecSketch},
+		"waiting": {(*kickstart.Record).Waiting, agg.Aggregates().WaitSketch},
 	} {
-		if pair[0].Count() != pair[1].Count() {
-			t.Fatalf("%s counts diverged: %d vs %d", name, pair[0].Count(), pair[1].Count())
+		if e, a := int64(len(exact.Successes())), phase.sketch.Count(); e != a {
+			t.Fatalf("%s counts diverged: %d vs %d", name, e, a)
 		}
-		for _, p := range ps {
-			if e, a := pair[0].Quantile(p), pair[1].Quantile(p); e != a {
-				t.Fatalf("%s p%v: exact %v, sketch %v (small streams must be exact)", name, p, e, a)
+		want, got := Percentiles(exact, phase.of, ps...), quantile.Of(phase.sketch, ps...)
+		for i, p := range ps {
+			if want[i] != got[i] {
+				t.Fatalf("%s p%v: exact %v, sketch %v (small streams must be exact)", name, p, want[i], got[i])
 			}
 		}
 	}
@@ -184,11 +186,10 @@ func TestAggregateSketchRankEnvelope(t *testing.T) {
 	for _, r := range exact.Successes() {
 		vals = append(vals, r.Exec())
 	}
-	src := ExecSource(agg)
 	for _, p := range []float64{5, 25, 50, 75, 95} {
 		lo := PercentilesOf(vals, p-5)[0]
 		hi := PercentilesOf(vals, p+5)[0]
-		if got := src.Quantile(p); got < lo || got > hi {
+		if got := quantile.Of(agg.Aggregates().ExecSketch, p)[0]; got < lo || got > hi {
 			t.Fatalf("p%v: sketch %v outside exact rank envelope [%v, %v]", p, got, lo, hi)
 		}
 	}

@@ -8,6 +8,10 @@
 //   - "Download/Install Time": the setup phase spent staging software on
 //     sites without a preinstalled stack (OSG).
 //
-// Aggregations are offered per workflow and per transformation, which is
-// exactly the granularity of the paper's Fig. 4 and Fig. 5.
+// Aggregations are offered per workflow, per transformation and per
+// clustered job (Summarize, PerTransformation, PerCluster), each answering
+// from an aggregating log's folded accumulators or from retained records
+// with identical values. Percentiles of retained values are PercentilesOf
+// (sort a copy, nearest rank); an aggregating log's are read off its
+// sketches with quantile.Of.
 package stats

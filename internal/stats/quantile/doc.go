@@ -1,14 +1,10 @@
 // Package quantile provides the two quantile backends behind pegflow's
-// percentile reporting: an exact nearest-rank source over retained
-// values, and a fixed-size streaming sketch (an extended P² estimator)
-// for runs too large to retain per-attempt values.
-//
-// Both implement Source, so stats tables, scenario percentile columns
-// and fig-5 straggler rows can be fed by either path. The exact source
-// is the default and is byte-identical to the historical
-// sort-and-nearest-rank computation; the sketch is opt-in via the
-// aggregation mode of kickstart.Log and trades a documented rank error
-// (see Sketch) for O(1) memory per metric.
+// percentile reporting: the nearest-rank rule over sorted retained values
+// (NearestRank, which stats.PercentilesOf applies to a sorted copy), and a
+// fixed-size streaming sketch (an extended P² estimator) for runs too large
+// to retain per-attempt values. The exact path is the default; the sketch is
+// opt-in via the aggregation mode of kickstart.Log and trades a documented
+// rank error (see Sketch) for O(1) memory per metric.
 //
 // The package is a leaf: it imports only the standard library, so both
 // internal/kickstart and internal/stats can depend on it without

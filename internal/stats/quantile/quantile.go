@@ -5,20 +5,6 @@ import (
 	"sort"
 )
 
-// Source is a stream of float64 observations that can answer percentile
-// queries. Percentiles are expressed on the 0–100 scale used throughout
-// pegflow. Implementations return 0 for an empty stream and for NaN
-// percentile arguments, and clamp p to [0, 100] — the edge contract of
-// stats.PercentilesOf.
-type Source interface {
-	// Add records one observation.
-	Add(v float64)
-	// Count reports how many observations have been recorded.
-	Count() int64
-	// Quantile returns the p-th percentile (0–100) of the stream.
-	Quantile(p float64) float64
-}
-
 // NearestRank picks the p-th percentile (0–100) from an
 // ascending-sorted slice using the nearest-rank rule. The slice must be
 // non-empty. A NaN p yields 0 rather than an implementation-defined
@@ -43,53 +29,12 @@ func NearestRank(sorted []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// Exact is the retained-values Source: it keeps every observation and
-// answers queries by sorting and applying the nearest-rank rule —
-// byte-identical to the historical stats.PercentilesOf computation.
-type Exact struct {
-	vs     []float64
-	sorted bool
-}
-
-// NewExact returns an empty exact source.
-func NewExact() *Exact { return &Exact{sorted: true} }
-
-// ExactOf returns an exact source over a copy of values. The input
-// slice is not modified.
-func ExactOf(values []float64) *Exact {
-	vs := make([]float64, len(values))
-	copy(vs, values)
-	return &Exact{vs: vs}
-}
-
-// Add records one observation.
-func (e *Exact) Add(v float64) {
-	e.vs = append(e.vs, v)
-	e.sorted = false
-}
-
-// Count reports the number of observations.
-func (e *Exact) Count() int64 { return int64(len(e.vs)) }
-
-// Quantile returns the p-th percentile (0–100, nearest-rank). An empty
-// source yields 0.
-func (e *Exact) Quantile(p float64) float64 {
-	if len(e.vs) == 0 {
-		return 0
-	}
-	if !e.sorted {
-		sort.Float64s(e.vs)
-		e.sorted = true
-	}
-	return NearestRank(e.vs, p)
-}
-
-// Of evaluates a batch of percentiles against one source, in the order
-// given — the Source-generic equivalent of stats.PercentilesOf.
-func Of(src Source, ps ...float64) []float64 {
+// Of evaluates a batch of percentiles (0–100) against one sketch, in the
+// order given.
+func Of(s *Sketch, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = src.Quantile(p)
+		out[i] = s.Quantile(p)
 	}
 	return out
 }
@@ -399,6 +344,3 @@ func invertCDF(knots, cum []float64, target float64) float64 {
 	}
 	return lerpClamped(knots[k-1], knots[k], (target-cum[k-1])/span)
 }
-
-var _ Source = (*Exact)(nil)
-var _ Source = (*Sketch)(nil)

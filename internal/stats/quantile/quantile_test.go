@@ -185,30 +185,6 @@ func TestSketchMonotoneAndEdges(t *testing.T) {
 	}
 }
 
-func TestExactMatchesNearestRank(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	vs := make([]float64, 301)
-	for i := range vs {
-		vs[i] = r.Float64() * 50
-	}
-	e := ExactOf(vs)
-	for _, p := range checkPs {
-		if got, want := e.Quantile(p), exactAt(vs, p); got != want {
-			t.Fatalf("p=%v: Exact %v, nearest-rank %v", p, got, want)
-		}
-	}
-	if e.Count() != 301 {
-		t.Fatalf("count %d", e.Count())
-	}
-	if NewExact().Quantile(50) != 0 {
-		t.Fatalf("empty Exact must yield 0")
-	}
-	got := Of(e, 50, 95)
-	if got[0] != exactAt(vs, 50) || got[1] != exactAt(vs, 95) {
-		t.Fatalf("Of batch mismatch: %v", got)
-	}
-}
-
 func BenchmarkSketchAdd(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	vals := make([]float64, 4096)

@@ -3,6 +3,8 @@ package stats
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"strings"
 
 	"pegflow/internal/kickstart"
@@ -111,42 +113,6 @@ func WriteTimeline(w io.Writer, tl Timeline, maxWidth int) error {
 	return nil
 }
 
-// SiteBreakdown aggregates successful-attempt phase totals per site —
-// useful when a plan spans several sites. Aggregating logs answer from
-// their folded accumulators.
-func SiteBreakdown(log *kickstart.Log) map[string]TaskStats {
-	if agg := log.Aggregates(); agg != nil {
-		out := make(map[string]TaskStats, len(agg.BySite))
-		for site, a := range agg.BySite {
-			ts := accumTaskStats(site, a)
-			// The exact path never fills the straggler columns for site
-			// rows; keep the two paths value-identical.
-			ts.MaxKickstart, ts.MaxWaiting = 0, 0
-			out[site] = ts
-		}
-		return out
-	}
-	out := make(map[string]TaskStats)
-	for _, r := range log.Successes() {
-		ts := out[r.Site]
-		ts.Transformation = r.Site
-		ts.Count++
-		ts.MeanKickstart += r.Exec()
-		ts.MeanWaiting += r.Waiting()
-		ts.MeanSetup += r.Setup()
-		ts.TotalKickstart += r.Exec()
-		out[r.Site] = ts
-	}
-	for site, ts := range out {
-		c := float64(ts.Count)
-		ts.MeanKickstart /= c
-		ts.MeanWaiting /= c
-		ts.MeanSetup /= c
-		out[site] = ts
-	}
-	return out
-}
-
 // Percentile returns the p-th percentile (0-100) of the values produced
 // by f over successful attempts (nearest-rank). An empty log — or one with
 // no successes — yields 0; p is clamped to [0, 100], and a NaN p (a
@@ -173,44 +139,6 @@ func Percentiles(log *kickstart.Log, f func(*kickstart.Record) float64, ps ...fl
 	return PercentilesOf(vs, ps...)
 }
 
-// QuantileSource is the interface shared by the exact and sketch
-// percentile backends (see internal/stats/quantile). Exact sources are
-// the default and reproduce the historical sort-and-nearest-rank
-// output byte for byte; sketches back aggregating logs.
-type QuantileSource = quantile.Source
-
-// QuantilesFrom evaluates a batch of percentiles (0–100) against one
-// source, in the order given.
-func QuantilesFrom(src QuantileSource, ps ...float64) []float64 {
-	return quantile.Of(src, ps...)
-}
-
-// ExecSource returns a quantile source over successful attempts'
-// kickstart (exec) times: the log's streaming sketch when aggregating,
-// otherwise an exact source over the retained records.
-func ExecSource(log *kickstart.Log) QuantileSource {
-	if agg := log.Aggregates(); agg != nil {
-		return agg.ExecSketch
-	}
-	return exactSourceOf(log, (*kickstart.Record).Exec)
-}
-
-// WaitingSource is ExecSource for the waiting phase.
-func WaitingSource(log *kickstart.Log) QuantileSource {
-	if agg := log.Aggregates(); agg != nil {
-		return agg.WaitSketch
-	}
-	return exactSourceOf(log, (*kickstart.Record).Waiting)
-}
-
-func exactSourceOf(log *kickstart.Log, f func(*kickstart.Record) float64) *quantile.Exact {
-	e := quantile.NewExact()
-	for _, r := range log.Successes() {
-		e.Add(f(r))
-	}
-	return e
-}
-
 // PercentilesOf returns the requested percentiles (0-100, nearest-rank)
 // of an arbitrary value set, with the same edge handling as Percentiles:
 // an empty set yields zeros, each p is clamped to [0, 100], and a NaN p
@@ -222,9 +150,10 @@ func PercentilesOf(values []float64, ps ...float64) []float64 {
 	if len(values) == 0 {
 		return out
 	}
-	src := quantile.ExactOf(values)
+	sorted := slices.Clone(values)
+	sort.Float64s(sorted)
 	for i, p := range ps {
-		out[i] = src.Quantile(p)
+		out[i] = quantile.NearestRank(sorted, p)
 	}
 	return out
 }

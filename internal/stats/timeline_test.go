@@ -72,24 +72,6 @@ func TestWriteTimelineRendering(t *testing.T) {
 	}
 }
 
-func TestSiteBreakdown(t *testing.T) {
-	l := buildLog(t,
-		rec("a", "t", 0, 10, 10, 110, kickstart.StatusSuccess, 1),
-		rec("b", "t", 0, 20, 50, 150, kickstart.StatusSuccess, 1),
-	)
-	l.Records()[1].Site = "osg"
-	byer := SiteBreakdown(l)
-	if len(byer) != 2 {
-		t.Fatalf("sites = %d", len(byer))
-	}
-	if byer["test"].MeanKickstart != 100 {
-		t.Errorf("test site kickstart = %v", byer["test"].MeanKickstart)
-	}
-	if byer["osg"].MeanSetup != 30 {
-		t.Errorf("osg setup = %v", byer["osg"].MeanSetup)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	var recs []*kickstart.Record
 	for i := 1; i <= 100; i++ {

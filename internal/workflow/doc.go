@@ -24,11 +24,12 @@
 // one simulated site — its platform model, stage-in bandwidth, whether
 // software is preinstalled and what a job installs when it is not — and the
 // paper's two platforms and the cloud of its future work are the rows of one
-// table (Preset, PaperSites). Catalogs turns a list of sites into the
-// planner's catalogs and Site.Config seeds a site's platform model; the CLI,
-// scenario and core describe their sites as Site values and derive both from
-// them, so what the planner is told about a site cannot drift from what the
-// simulator runs.
+// table (Preset, PaperSites). A World is a set of declared sites plus what a
+// run derives from them: the planner's catalogs, the key plan caches know
+// those catalogs by over a site list (memoized on first use), and the seeded
+// platform models. The CLI, scenario and core describe their sites as Site
+// values and hand the run path a World, so what the planner is told about a
+// site cannot drift from what the simulator runs.
 //
 // Two seed-independent tables are memoized per WorkloadParams — the
 // synthesized clusters and their per-cluster CAP3 seconds under a cost

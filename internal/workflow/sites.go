@@ -2,7 +2,9 @@ package workflow
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"pegflow/internal/catalog"
 	"pegflow/internal/planner"
@@ -18,8 +20,8 @@ const (
 )
 
 // Site declares one simulated execution site. The catalogs planning reads
-// (Catalogs) and the seeded platform model a run executes on (Config) are
-// both derived from it, by every front end.
+// and the seeded platform model a run executes on are both derived from it,
+// by the World it is declared in.
 type Site struct {
 	// Platform is the platform model, seed left zero; its Name is the
 	// site's name, and its Slots and SpeedFactor are the catalog's.
@@ -120,6 +122,71 @@ func (s Site) Config(seed uint64) platform.Config {
 // catalogued is what every site registers: the workflow's transformations
 // and the serial baseline. Never written after initialization.
 var catalogued = append(Transformations(), TrSerial)
+
+// World is a set of declared sites together with everything a run derives
+// from the declarations: the catalogs planning reads, the key the plan cache
+// knows those catalogs by over a site list, and the platform models seeded
+// for one run. Every front end builds one and hands it to the run path whole,
+// so what the planner is told about a site, what its plans are cached under
+// and what the simulator runs cannot drift apart. Safe for concurrent use;
+// the sites must not be written after NewWorld.
+type World struct {
+	sites []Site
+	cats  planner.Catalogs
+
+	mu sync.Mutex
+	//pegflow:guarded mu
+	keys []worldKey
+}
+
+// worldKey is one memoized Key: the ordered site list and its fingerprint.
+type worldKey struct {
+	names []string
+	key   string
+}
+
+// NewWorld validates the declarations and builds their catalogs.
+func NewWorld(sites []Site) (*World, error) {
+	cats, err := Catalogs(sites)
+	if err != nil {
+		return nil, err
+	}
+	return &World{sites: sites, cats: cats}, nil
+}
+
+// Catalogs returns the catalogs built from the declared sites; read-only.
+func (w *World) Catalogs() planner.Catalogs { return w.cats }
+
+// Key returns Catalogs().Fingerprint(names), which plan caches key resolved
+// masters on. It is computed by the first caller per site list and never by
+// NewWorld: a request answered from the result cache builds its world and
+// simulates nothing, so it must not pay for a fingerprint nobody reads.
+func (w *World) Key(names []string) string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for i := range w.keys {
+		if slices.Equal(w.keys[i].names, names) {
+			return w.keys[i].key
+		}
+	}
+	key := w.cats.Fingerprint(names)
+	w.keys = append(w.keys, worldKey{slices.Clone(names), key})
+	return key
+}
+
+// Configs returns the platform models of the named sites, in that order,
+// seeded for one run.
+func (w *World) Configs(names []string, seed uint64) ([]platform.Config, error) {
+	cfgs := make([]platform.Config, len(names))
+	for i, name := range names {
+		j := slices.IndexFunc(w.sites, func(s Site) bool { return s.Platform.Name == name })
+		if j < 0 {
+			return nil, fmt.Errorf("workflow: site %q is not declared in this world", name)
+		}
+		cfgs[i] = w.sites[j].Config(seed)
+	}
+	return cfgs, nil
+}
 
 // Catalogs builds the catalogs of a world of simulated sites: a site entry
 // each, every transformation registered at every site — installed, or as a
