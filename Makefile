@@ -31,7 +31,9 @@ race:
 # attempt path (platform Submit to terminal event, ensemble hold and release)
 # that allocates nothing per attempt, a plan clone and a warm member plan
 # (placement + clone + patch), one-site and two-site, whose allocation counts
-# do not grow with n, a chunk-seconds miss that allocates its result only and
+# do not grow with n, a Cluster call that allocates one string per composite
+# and a fixed count besides, a failover re-site that allocates the job it
+# returns, a chunk-seconds miss that allocates its result only and
 # a hit that allocates nothing, an LRU whose lookups allocate nothing and
 # whose insert is one entry, and the scenario front door: a warm single-site
 # cell within the budget of the pipeline it replaced and flat in n, and a

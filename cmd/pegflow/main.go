@@ -280,9 +280,10 @@ func cmdPlan(args []string) error {
 		return err
 	}
 	plan := spec.Plan
-	fmt.Printf("planned workflow %q for site %q\n", plan.Graph.Name, plan.Site)
+	graph := plan.Graph()
+	fmt.Printf("planned workflow %q for site %q\n", graph.Name, plan.Site)
 	fmt.Printf("  jobs: %d   edges: %d   estimated serial work: %s\n",
-		plan.Graph.Len(), plan.Graph.Edges(), stats.HMS(plan.TotalExecSeconds()))
+		graph.Len(), graph.Edges(), stats.HMS(plan.TotalExecSeconds()))
 	installs, composites, clusteredTasks := 0, 0, 0
 	perSite := make(map[string]int)
 	for _, j := range plan.Jobs() {
@@ -304,7 +305,7 @@ func cmdPlan(args []string) error {
 			fmt.Printf("  jobs at %-12s: %d\n", s, perSite[s])
 		}
 	}
-	cp, err := plan.Graph.CriticalPathLength()
+	cp, err := graph.CriticalPathLength()
 	if err != nil {
 		return err
 	}
@@ -393,7 +394,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	plan, res := spec.Plan, out.Workflows[0].Result
-	if err := stats.WriteSummary(os.Stdout, plan.Graph.Name, stats.Summarize(res.Log, res.Makespan)); err != nil {
+	if err := stats.WriteSummary(os.Stdout, plan.Graph().Name, stats.Summarize(res.Log, res.Makespan)); err != nil {
 		return err
 	}
 	if o.failover {

@@ -53,7 +53,7 @@ func main() {
 	}
 	rescue := res.RescueWorkflow()
 	fmt.Printf("rescue workflow contains %d of %d jobs, e.g. %v\n",
-		len(rescue), plan.Graph.Len(), rescue[:min(3, len(rescue))])
+		len(rescue), plan.Len(), rescue[:min(3, len(rescue))])
 
 	// Resubmit: Pegasus reruns the rescue DAG; with a realistic hazard
 	// and a bigger retry budget the workflow completes.

@@ -97,8 +97,8 @@ func (c *CloneGate) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, pro
 }
 
 // sharedMutation reports whether call invokes a mutating method on a
-// protected value reached through a SharedVia expression — p.Graph.AddJob,
-// p.Graph.Job(id).SetProfile — returning the receiver's type key and the
+// protected value reached through a SharedVia expression — p.Graph().AddJob,
+// p.Graph().Job(id).SetProfile — returning the receiver's type key and the
 // method name. It walks the receiver inward through selections, calls,
 // indexing and dereferences; a value first bound to a local variable is
 // out of its reach, as it is for the field-write rule.

@@ -14,7 +14,7 @@ func badPatchJob(p *planner.Plan) {
 }
 
 func badGraphRename(p *planner.Plan) {
-	p.Graph.Name = "renamed" // want `write to dax\.Workflow\.Name`
+	p.Graph().Name = "renamed" // want `write to dax\.Workflow\.Name`
 }
 
 func badSlabWrite(p *planner.Plan) {
@@ -25,32 +25,32 @@ func badSlabWrite(p *planner.Plan) {
 // mutating methods reached through the plan are findings even on a clone.
 func badGraphGrowth(p *planner.Plan, j *dax.Job) error {
 	q := p.Clone()
-	q.Graph.NewJob("extra", "t")              // want `call to dax\.Workflow\.NewJob through a planner\.Plan`
-	if err := q.Graph.AddJob(j); err != nil { // want `call to dax\.Workflow\.AddJob through a planner\.Plan`
+	q.Graph().NewJob("extra", "t")              // want `call to dax\.Workflow\.NewJob through a planner\.Plan`
+	if err := q.Graph().AddJob(j); err != nil { // want `call to dax\.Workflow\.AddJob through a planner\.Plan`
 		return err
 	}
-	if err := (*p).Graph.InferDependencies(); err != nil { // want `call to dax\.Workflow\.InferDependencies through a planner\.Plan`
+	if err := (*p).Graph().InferDependencies(); err != nil { // want `call to dax\.Workflow\.InferDependencies through a planner\.Plan`
 		return err
 	}
-	return p.Graph.AddDependency("a", "extra") // want `call to dax\.Workflow\.AddDependency through a planner\.Plan`
+	return p.Graph().AddDependency("a", "extra") // want `call to dax\.Workflow\.AddDependency through a planner\.Plan`
 }
 
 func badGraphJobEdit(p *planner.Plan, plans []*planner.Plan) {
-	p.Graph.Job("chunk").SetProfile("pegasus", "runtime", "1") // want `call to dax\.Job\.SetProfile through a planner\.Plan`
-	plans[0].Graph.Job("chunk").AddInput("f", 1)               // want `call to dax\.Job\.AddInput through a planner\.Plan`
-	p.Graph.Jobs()[0].AddOutput("g", 1)                        // want `call to dax\.Job\.AddOutput through a planner\.Plan`
+	p.Graph().Job("chunk").SetProfile("pegasus", "runtime", "1") // want `call to dax\.Job\.SetProfile through a planner\.Plan`
+	plans[0].Graph().Job("chunk").AddInput("f", 1)               // want `call to dax\.Job\.AddInput through a planner\.Plan`
+	p.Graph().Jobs()[0].AddOutput("g", 1)                        // want `call to dax\.Job\.AddOutput through a planner\.Plan`
 }
 
 // goodAbstractBuild mutates a workflow that no plan carries: building an
 // abstract DAX with these methods is their purpose.
 func goodAbstractBuild(p *planner.Plan) *dax.Workflow {
-	w := dax.New(p.Graph.Name)
+	w := dax.New(p.Graph().Name)
 	w.NewJob("a", "t").AddInput("f", 1).SetProfile("pegasus", "runtime", "1")
 	return w
 }
 
 func goodGraphReads(p *planner.Plan) int {
-	return len(p.Graph.Parents("a")) + p.Graph.Job("a").Priority
+	return len(p.Graph().Parents("a")) + p.Graph().Job("a").Priority
 }
 
 func badDaxJobArgs(w *dax.Workflow) {

@@ -107,7 +107,7 @@ func directVariantRun(t *testing.T, e *Experiment, platformName string, n int, v
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.Reserve(plan.Graph.Len())
+	ex.Reserve(plan.Graph().Len())
 	res, err := engine.Run(plan, ex, engine.Options{RetryLimit: e.RetryLimit})
 	if err != nil {
 		t.Fatal(err)

@@ -73,7 +73,7 @@ func planSnapshot(t testing.TB, p *planner.Plan) map[string]any {
 		t.Fatal(err)
 	}
 	out := map[string]any{
-		"name":     p.Graph.Name,
+		"name":     p.Graph().Name,
 		"site":     p.Site,
 		"sites":    append([]string(nil), p.Sites...),
 		"order":    append([]string(nil), idx.Order...),
@@ -89,9 +89,9 @@ func planSnapshot(t testing.TB, p *planner.Plan) map[string]any {
 		j.Args = append([]string(nil), j.Args...)
 		j.Members = append([]planner.Member(nil), j.Members...)
 		out["job/"+id] = j
-		out["graph/"+id] = *p.Graph.Job(id).Clone()
-		out["parents/"+id] = p.Graph.Parents(id)
-		out["children/"+id] = p.Graph.Children(id)
+		out["graph/"+id] = *p.Graph().Job(id).Clone()
+		out["parents/"+id] = p.Graph().Parents(id)
+		out["children/"+id] = p.Graph().Children(id)
 	}
 	return out
 }
@@ -481,7 +481,7 @@ func TestCachedPlanEqualsUncachedPlan(t *testing.T) {
 			e := DefaultExperiment(seed)
 			for _, co := range copts {
 				cached := singleSitePlan(t, e, site, n, co)
-				for _, gj := range cached.Graph.Jobs() {
+				for _, gj := range cached.Graph().Jobs() {
 					if !co.Enabled() && len(gj.Profiles) != 0 {
 						t.Fatalf("%s seed %d: cached graph job %q carries profiles %v", site, seed, gj.ID, gj.Profiles)
 					}

@@ -129,6 +129,8 @@ type Workflow struct {
 	parents map[string]map[string]bool
 	// children maps parent ID → sorted set of child IDs.
 	children map[string]map[string]bool
+	// edges counts the distinct dependency edges, so Edges is a field read.
+	edges int
 }
 
 // New returns an empty workflow with the given name.
@@ -202,6 +204,7 @@ func (w *Workflow) Clone() *Workflow {
 	}
 	out.parents = copyEdges(w.parents)
 	out.children = copyEdges(w.children)
+	out.edges = w.edges
 	return out
 }
 
@@ -223,6 +226,9 @@ func (w *Workflow) AddDependency(parent, child string) error {
 	}
 	if w.children[parent] == nil {
 		w.children[parent] = make(map[string]bool)
+	}
+	if !w.parents[child][parent] {
+		w.edges++
 	}
 	w.parents[child][parent] = true
 	w.children[parent][child] = true
@@ -258,13 +264,7 @@ func (w *Workflow) Leaves() []string {
 }
 
 // Edges returns the number of dependency edges.
-func (w *Workflow) Edges() int {
-	n := 0
-	for _, ps := range w.parents {
-		n += len(ps)
-	}
-	return n
-}
+func (w *Workflow) Edges() int { return w.edges }
 
 // InferDependencies adds edges from every producer of a logical file to
 // every consumer of that file. This is how Pegasus derives structure from

@@ -59,6 +59,13 @@ func FuzzWorkflowOps(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, _ := buildFuzzWorkflow(data)
+		walked := 0
+		for _, j := range w.Jobs() {
+			walked += len(w.Parents(j.ID))
+		}
+		if w.Edges() != walked || w.Clone().Edges() != walked {
+			t.Fatalf("Edges() = %d (clone %d), walking the parents counts %d", w.Edges(), w.Clone().Edges(), walked)
+		}
 		if w.Len() == 0 {
 			if err := w.Validate(); err == nil {
 				t.Fatal("Validate accepted an empty workflow")

@@ -282,7 +282,7 @@ func TestMakespanIsLastEventTime(t *testing.T) {
 func TestRunRejectsCyclicPlan(t *testing.T) {
 	p := diamondPlan(t)
 	// Corrupt the graph with a cycle.
-	if err := p.Graph.AddDependency("D", "A"); err != nil {
+	if err := p.Graph().AddDependency("D", "A"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(p, newFakeExecutor(), Options{}); err == nil {

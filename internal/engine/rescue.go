@@ -22,8 +22,9 @@ func RescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
 	for _, id := range res.Unfinished {
 		unfinished[id] = true
 	}
-	out := dax.New(plan.Graph.Name + "-rescue")
-	for _, j := range plan.Graph.Jobs() {
+	graph := plan.Graph()
+	out := dax.New(graph.Name + "-rescue")
+	for _, j := range graph.Jobs() {
 		if !unfinished[j.ID] {
 			continue
 		}
@@ -32,11 +33,11 @@ func RescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
 			return nil, err
 		}
 	}
-	for _, j := range plan.Graph.Jobs() {
+	for _, j := range graph.Jobs() {
 		if !unfinished[j.ID] {
 			continue
 		}
-		for _, p := range plan.Graph.Parents(j.ID) {
+		for _, p := range graph.Parents(j.ID) {
 			if unfinished[p] {
 				if err := out.AddDependency(p, j.ID); err != nil {
 					return nil, err

@@ -62,8 +62,8 @@ func TestRescueDAXRoundTripsThroughXML(t *testing.T) {
 	if got.Len() != 4 {
 		t.Errorf("rescue of failed root has %d jobs, want all 4", got.Len())
 	}
-	if got.Edges() != p.Graph.Edges() {
-		t.Errorf("edges = %d, want %d", got.Edges(), p.Graph.Edges())
+	if got.Edges() != p.Graph().Edges() {
+		t.Errorf("edges = %d, want %d", got.Edges(), p.Graph().Edges())
 	}
 }
 

@@ -173,8 +173,8 @@ func checkEngineInvariants(t *testing.T, plan *planner.Plan, ex *chaosExecutor, 
 	t.Helper()
 
 	// Partition invariant.
-	all := make(map[string]bool, plan.Graph.Len())
-	for _, j := range plan.Graph.Jobs() {
+	all := make(map[string]bool, plan.Graph().Len())
+	for _, j := range plan.Graph().Jobs() {
 		all[j.ID] = true
 	}
 	seen := make(map[string]bool)
@@ -187,8 +187,8 @@ func checkEngineInvariants(t *testing.T, plan *planner.Plan, ex *chaosExecutor, 
 		}
 		seen[id] = true
 	}
-	if len(seen) != plan.Graph.Len() {
-		t.Errorf("Completed+Unfinished covers %d of %d jobs", len(seen), plan.Graph.Len())
+	if len(seen) != plan.Graph().Len() {
+		t.Errorf("Completed+Unfinished covers %d of %d jobs", len(seen), plan.Graph().Len())
 	}
 
 	// Exact event accounting.
@@ -219,7 +219,7 @@ func checkEngineInvariants(t *testing.T, plan *planner.Plan, ex *chaosExecutor, 
 			t.Errorf("descendant %q of a permanently failed job completed", id)
 			return
 		}
-		for _, c := range plan.Graph.Children(id) {
+		for _, c := range plan.Graph().Children(id) {
 			checkDown(c)
 		}
 	}

@@ -94,7 +94,7 @@ func TestPropertyEngineTermination(t *testing.T) {
 		}
 		var check func(id string) bool
 		check = func(id string) bool {
-			for _, c := range p.Graph.Children(id) {
+			for _, c := range p.Graph().Children(id) {
 				if !unfinished[c] || !check(c) {
 					return false
 				}

@@ -445,7 +445,7 @@ func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error)
 	d := newDriver(p, specs, opts)
 	jobs := 0
 	for _, s := range specs {
-		jobs += s.Plan.Graph.Len()
+		jobs += s.Plan.Len()
 	}
 	p.Reserve(jobs)
 

@@ -146,7 +146,7 @@ func TestEnsembleCompletesAllWorkflows(t *testing.T) {
 		if !w.Result.Success {
 			t.Errorf("workflow %s incomplete: unfinished %v", w.Name, w.Result.Unfinished)
 		}
-		want := specs[i].Plan.Graph.Len()
+		want := specs[i].Plan.Graph().Len()
 		if got := len(w.Result.Completed) + len(w.Result.Unfinished); got != want {
 			t.Errorf("workflow %s: completed+unfinished = %d, want %d jobs", w.Name, got, want)
 		}

@@ -103,8 +103,8 @@ func checkClusterInvariants(t *testing.T, orig, clustered *Plan, opts ClusterOpt
 	}
 
 	// Partition: exactly the original job IDs, each exactly once.
-	if len(groupOf) != orig.Graph.Len() {
-		t.Errorf("clustered plan covers %d of %d original jobs", len(groupOf), orig.Graph.Len())
+	if len(groupOf) != orig.Graph().Len() {
+		t.Errorf("clustered plan covers %d of %d original jobs", len(groupOf), orig.Graph().Len())
 	}
 	for _, j := range orig.Jobs() {
 		if _, ok := groupOf[j.ID]; !ok {
@@ -113,15 +113,15 @@ func checkClusterInvariants(t *testing.T, orig, clustered *Plan, opts ClusterOpt
 	}
 
 	// Dependency preservation.
-	for _, gj := range orig.Graph.Jobs() {
-		for _, parent := range orig.Graph.Parents(gj.ID) {
+	for _, gj := range orig.Graph().Jobs() {
+		for _, parent := range orig.Graph().Parents(gj.ID) {
 			gp, gc := groupOf[parent], groupOf[gj.ID]
 			if gp == gc {
 				t.Errorf("edge %s -> %s folded into one composite %s", parent, gj.ID, gp)
 				continue
 			}
 			found := false
-			for _, pp := range clustered.Graph.Parents(gc) {
+			for _, pp := range clustered.Graph().Parents(gc) {
 				if pp == gp {
 					found = true
 					break
@@ -134,7 +134,7 @@ func checkClusterInvariants(t *testing.T, orig, clustered *Plan, opts ClusterOpt
 		}
 	}
 
-	if _, err := clustered.Graph.TopoSort(); err != nil {
+	if _, err := clustered.Graph().TopoSort(); err != nil {
 		t.Errorf("clustered plan not topologically sortable: %v", err)
 	}
 }
@@ -200,7 +200,7 @@ func TestClusterFanAmortizesInstalls(t *testing.T) {
 	// 10 run_cap3 tasks at one level pack into ceil(10/4) = 3 composites;
 	// split and merge stay solo: 5 executable jobs, 5 installs where the
 	// original paid 12.
-	if got := clustered.Graph.Len(); got != 5 {
+	if got := clustered.Graph().Len(); got != 5 {
 		t.Errorf("clustered plan has %d jobs, want 5", got)
 	}
 	installs := 0
@@ -210,7 +210,7 @@ func TestClusterFanAmortizesInstalls(t *testing.T) {
 		}
 	}
 	if installs != 5 {
-		t.Errorf("clustered plan pays %d installs, want 5 (orig pays %d)", installs, orig.Graph.Len())
+		t.Errorf("clustered plan pays %d installs, want 5 (orig pays %d)", installs, orig.Graph().Len())
 	}
 	composites := 0
 	for _, j := range clustered.Jobs() {
@@ -311,5 +311,79 @@ func TestClusterMultiSitePurity(t *testing.T) {
 	}
 	if bySite["sandhills"] == 0 || bySite["osg"] == 0 {
 		t.Errorf("expected composites at both sites, got %v", bySite)
+	}
+}
+
+// TestClusterFailsLoudly: the two states Cluster refuses to paper over — a
+// composite ID an input job already carries, and an edge inside a composite,
+// which only a broken level computation can produce.
+func TestClusterFailsLoudly(t *testing.T) {
+	cats := testCatalogs(t, "t0")
+	w := dax.New("collide")
+	for _, id := range []string{"a", "b", "cluster_t0_osg_l0_0"} {
+		w.NewJob(id, "t0").SetProfile("pegasus", "runtime", "10")
+	}
+	p, err := New(w, cats, Options{Site: "osg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Cluster(p, ClusterOptions{MaxTasksPerJob: 2}); err == nil || !strings.Contains(err.Error(), "collides") {
+		t.Errorf("composite ID of an existing job: error %v, want a collision", err)
+	}
+
+	w = dax.New("chain")
+	w.NewJob("parent", "t0")
+	w.NewJob("child", "t0")
+	if err := w.AddDependency("parent", "child"); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = New(w, cats, Options{Site: "osg"}); err != nil {
+		t.Fatal(err)
+	}
+	broken := *p.index
+	broken.Levels = [][]int32{{0, 1}}
+	p.index = &broken
+	if _, err := Cluster(p, ClusterOptions{MaxTasksPerJob: 2}); err == nil || !strings.Contains(err.Error(), "folded dependent jobs") {
+		t.Errorf("parent and child on one level: error %v, want the intra-composite edge reported", err)
+	}
+}
+
+var clusterSink *Plan
+
+// TestAllocsCluster pins what a Cluster call allocates (run by CI as `go
+// test -run 'TestAllocs'`): one ID string per composite, plus the pass's
+// arenas and the output plan's index and slab — a count that does not move
+// between a 500-wide and a 5000-wide fan, one site or two.
+func TestAllocsCluster(t *testing.T) {
+	const arenas = 32
+	cats := testCatalogs(t, "split", "run_cap3", "merge")
+	opts := ClusterOptions{MaxTasksPerJob: 16, TargetJobSeconds: 1800}
+	for _, sites := range [][]string{{"osg"}, {"sandhills", "osg"}} {
+		var fixed []float64
+		for _, width := range []int{500, 5000} {
+			plan, err := NewMulti(fanWorkflow(t, width), cats, MultiOptions{Sites: sites})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clustered, err := Cluster(plan, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			composites := 0
+			for i := range clustered.jobs {
+				if len(clustered.jobs[i].Members) > 0 {
+					composites++
+				}
+			}
+			if composites < width/16 {
+				t.Fatalf("width %d: %d composites", width, composites)
+			}
+			got := testing.AllocsPerRun(10, func() { clusterSink, _ = Cluster(plan, opts) })
+			fixed = append(fixed, got-float64(composites))
+		}
+		if fixed[0] != fixed[1] || fixed[0] > arenas {
+			t.Errorf("sites %v: Cluster allocates %v beyond its composites at width 500 and %v at width 5000, want the same and at most %d",
+				sites, fixed[0], fixed[1], arenas)
+		}
 	}
 }

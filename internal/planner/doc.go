@@ -31,16 +31,26 @@
 // Cluster is the one clustering pass — Pegasus's horizontal task clustering
 // (paper §III): on a built plan, small jobs of the same transformation at
 // the same site and DAG level are merged into composite jobs executed on one
-// slot, reducing per-job overhead. It reads job levels and edges from the
-// shared Index.
+// slot, reducing per-job overhead. It works on the index: it reads the input
+// plan's Index (levels, edges, insertion order) and emits the output plan's
+// Index and job slab directly, in positions, building no dax.Workflow and no
+// string but the composite IDs — every clustered sweep cell runs it once per
+// member plan. The Index it writes is what finalize would derive from a
+// graph holding the same jobs and edges (TestClusterEqualsReferenceBuilder
+// keeps the graph-rebuilding pass as the reference).
 //
-// A built Plan is a shared immutable shape — the executable Graph, the
+// A built Plan is a shared immutable shape — the executable graph, the
 // dense topological Index, Sites — plus one flat slab of planned jobs held
 // by value in index order. Plan.Clone copies the slab and shares the rest
 // (two allocations at any size), which is what the plan cache in package
-// core hands to each sweep cell. Nothing outside this package writes a Job
-// field or edits a plan's Graph (the clonegate analyzer enforces it), and
-// the package exports no method that writes a plan's slab: the per-seed
-// patch is inside Resolved.Plan. Assemble builds a plan from a hand-made
-// graph and job list.
+// core hands to each sweep cell. Plan.Graph returns the dax.Workflow view:
+// the graph a planned or assembled plan was built from, and for a clustered
+// plan — whose topology of record is its Index — a view derived on each
+// call from the index, the slab's members and the input plan's graph, for
+// printouts, rescue workflows and tests; a run needs Len, JobAt and Indexed
+// only. Nothing outside this package writes a Job field or edits a plan's
+// graph (the clonegate analyzer enforces it), and the package exports no
+// method that writes a plan's slab: the per-seed patch is inside
+// Resolved.Plan. Assemble builds a plan from a hand-made graph and job
+// list.
 package planner

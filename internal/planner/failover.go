@@ -27,6 +27,10 @@ type Failover struct {
 	// failures, so a site that keeps evicting work drains toward its
 	// healthier peers instead of round-robining back in.
 	failures map[string]int
+	// byTransformation holds the sites each transformation seen so far
+	// resolves at: the catalogs do not change under a run, so a retry costs
+	// a lookup, not a resolution.
+	byTransformation map[string][]Candidate
 }
 
 // NewFailover builds a failover policy over the given site set — normally
@@ -48,7 +52,11 @@ func NewFailover(cats Catalogs, sites []string) (*Failover, error) {
 		}
 		resolved = append(resolved, s)
 	}
-	return &Failover{cats: cats, sites: resolved, failures: make(map[string]int)}, nil
+	return &Failover{
+		cats: cats, sites: resolved,
+		failures:         make(map[string]int),
+		byTransformation: make(map[string][]Candidate),
+	}, nil
 }
 
 // Resite returns a copy of the job re-resolved onto the least-failing
@@ -56,7 +64,11 @@ func NewFailover(cats Catalogs, sites []string) (*Failover, error) {
 // (the engine then retries in place). It matches engine.RetryPolicy.
 func (f *Failover) Resite(job *Job, attempt int, lastSite string, evicted bool) *Job {
 	f.failures[lastSite]++
-	cands := siteCandidates(f.cats, f.sites, job.Transformation)
+	cands, ok := f.byTransformation[job.Transformation]
+	if !ok {
+		cands = siteCandidates(f.cats, f.sites, job.Transformation)
+		f.byTransformation[job.Transformation] = cands
+	}
 	best := -1
 	for i, c := range cands {
 		if c.Site.Name == lastSite {

@@ -7,14 +7,14 @@
 //
 // The Index captures topology only (IDs, edges, degrees) and is immutable
 // after construction, so a cloned plan shares its parent's Index — and its
-// Graph — while owning its own slab of job attributes.
+// graph — while owning its own slab of job attributes. For a clustered plan
+// the Index is the topology of record: Cluster writes one directly and no
+// dax.Workflow stands behind it (Plan.Graph derives one on demand).
 
 package planner
 
 import (
 	"fmt"
-
-	"pegflow/internal/dax"
 )
 
 // Index is the dense-integer view of a plan's DAG. Positions follow the
@@ -39,7 +39,12 @@ type Index struct {
 	// insertion order: dax.Workflow.Levels in positions, computed once so
 	// that Cluster does not re-derive it per cell.
 	Levels [][]int32
-	// edges snapshots Graph.Edges() at build time for staleness detection.
+	// insertion lists the positions in graph insertion order: the order
+	// Plan.Jobs walks, Levels are filled in and Cluster first meets each
+	// output job in.
+	insertion []int32
+	// edges is the number of dependency edges: Graph.Edges() at build time,
+	// for staleness detection.
 	edges int
 }
 
@@ -47,9 +52,9 @@ type Index struct {
 // constructed. A plan's graph is immutable after construction; the job and
 // edge counts are still compared so that a graph edited behind the plan's
 // back is re-validated (and a cycle reported) instead of run on a stale
-// index.
+// index. A clustered plan has no graph to go stale against.
 func (p *Plan) Indexed() (*Index, error) {
-	if p.index == nil || len(p.index.Order) != p.Graph.Len() || p.index.edges != p.Graph.Edges() {
+	if g := p.graph; g != nil && (p.index == nil || len(p.index.Order) != g.Len() || p.index.edges != g.Edges()) {
 		if err := p.finalize(); err != nil {
 			return nil, err
 		}
@@ -63,23 +68,25 @@ func (p *Plan) JobAt(i int32) *Job { return &p.jobs[i] }
 // finalize validates the executable graph (cycle check via TopoSort),
 // builds the dense index and moves the job slab into index order.
 func (p *Plan) finalize() error {
-	order, err := p.Graph.TopoSort()
+	g := p.graph
+	order, err := g.TopoSort()
 	if err != nil {
 		return fmt.Errorf("planner: executable workflow broken: %w", err)
 	}
 	idx := &Index{
-		Order:    order,
-		ByID:     make(map[string]int32, len(order)),
-		Children: make([][]int32, len(order)),
-		Indegree: make([]int32, len(order)),
-		edges:    p.Graph.Edges(),
+		Order:     order,
+		ByID:      make(map[string]int32, len(order)),
+		Children:  make([][]int32, len(order)),
+		Indegree:  make([]int32, len(order)),
+		insertion: make([]int32, 0, len(order)),
+		edges:     g.Edges(),
 	}
 	for i, id := range order {
 		idx.ByID[id] = int32(i)
 	}
 	for i, id := range order {
-		idx.Indegree[i] = int32(len(p.Graph.Parents(id)))
-		kids := p.Graph.Children(id)
+		idx.Indegree[i] = int32(len(g.Parents(id)))
+		kids := g.Children(id)
 		if len(kids) == 0 {
 			continue
 		}
@@ -89,7 +96,10 @@ func (p *Plan) finalize() error {
 		}
 		idx.Children[i] = cs
 	}
-	idx.Levels = levelsOf(idx, p.Graph)
+	for _, j := range g.Jobs() {
+		idx.insertion = append(idx.insertion, idx.ByID[j.ID])
+	}
+	idx.Levels = levelsOf(idx)
 	if err := alignJobs(p.jobs, idx); err != nil {
 		return err
 	}
@@ -97,10 +107,11 @@ func (p *Plan) finalize() error {
 	return nil
 }
 
-// levelsOf computes Index.Levels. Positions are topological, so one forward
-// pass over the adjacency settles every depth; the levels are slices of one
-// backing array, filled in the graph's insertion order.
-func levelsOf(idx *Index, g *dax.Workflow) [][]int32 {
+// levelsOf computes Index.Levels from the adjacency and the insertion order.
+// Positions are topological, so one forward pass over the adjacency settles
+// every depth; the levels are slices of one backing array, filled in the
+// graph's insertion order.
+func levelsOf(idx *Index) [][]int32 {
 	depth := make([]int32, len(idx.Order))
 	var deepest int32
 	for i, kids := range idx.Children {
@@ -123,8 +134,7 @@ func levelsOf(idx *Index, g *dax.Workflow) [][]int32 {
 		levels[d] = flat[len(flat) : len(flat) : len(flat)+int(n)]
 		flat = flat[:len(flat)+int(n)]
 	}
-	for _, j := range g.Jobs() {
-		pos := idx.ByID[j.ID]
+	for _, pos := range idx.insertion {
 		levels[depth[pos]] = append(levels[depth[pos]], pos)
 	}
 	return levels
@@ -160,7 +170,7 @@ func alignJobs(jobs []Job, idx *Index) error {
 	return nil
 }
 
-// Clone returns a plan that shares this plan's immutable shape — Graph,
+// Clone returns a plan that shares this plan's immutable shape — graph,
 // Index, Sites and the backing arrays of every job's Args and Members — and
 // owns a copy of the job slab, so a Job field written through one plan never
 // shows in the other. It costs two allocations and one memmove whatever the

@@ -493,7 +493,7 @@ func (r *Resolved) materialize(cand []int32) (*shape, error) {
 		suffix = "-" + r.siteNames[0]
 	}
 	plan := &Plan{
-		Graph: dax.New(work.Name + suffix),
+		graph: dax.New(work.Name + suffix),
 		Site:  strings.Join(r.siteNames, ","),
 		Sites: r.siteNames,
 		jobs:  make([]Job, 0, len(r.jobs)+len(r.sites)), // +sites: the stage-in jobs
@@ -501,14 +501,14 @@ func (r *Resolved) materialize(cand []int32) (*shape, error) {
 	for k := range r.jobs {
 		aj := work.Job(r.jobs[k].ID)
 		gj := &dax.Job{ID: aj.ID, Transformation: aj.Transformation, Uses: aj.Uses, Priority: aj.Priority}
-		if err := plan.Graph.AddJob(gj); err != nil {
+		if err := plan.graph.AddJob(gj); err != nil {
 			return nil, err
 		}
 	}
 	plan.jobs = append(plan.jobs, r.jobs...)
 	for _, aj := range work.Jobs() {
 		for _, parent := range work.Parents(aj.ID) {
-			if err := plan.Graph.AddDependency(parent, aj.ID); err != nil {
+			if err := plan.graph.AddDependency(parent, aj.ID); err != nil {
 				return nil, err
 			}
 		}
@@ -569,7 +569,7 @@ func (r *Resolved) addStageIn(plan *Plan, cand []int32) error {
 			gj.Uses = append(gj.Uses, dax.Use{LFN: e.lfn, Link: dax.LinkOutput, Size: e.size})
 			totalBytes += e.size
 		}
-		if err := plan.Graph.AddJob(gj); err != nil {
+		if err := plan.graph.AddJob(gj); err != nil {
 			return err
 		}
 		plan.jobs = append(plan.jobs, Job{
@@ -583,7 +583,7 @@ func (r *Resolved) addStageIn(plan *Plan, cand []int32) error {
 			Priority: 1 << 20,
 		})
 		for _, c := range consumers[site] {
-			if err := plan.Graph.AddDependency(id, c); err != nil {
+			if err := plan.graph.AddDependency(id, c); err != nil {
 				return err
 			}
 		}

@@ -167,7 +167,7 @@ func TestNewMultiPerSiteStageIn(t *testing.T) {
 		if !strings.HasPrefix(si.ID, "stage_in_") {
 			t.Errorf("stage-in ID %q", si.ID)
 		}
-		kids := p.Graph.Children(si.ID)
+		kids := p.Graph().Children(si.ID)
 		if len(kids) != 1 {
 			t.Errorf("stage-in %s feeds %v, want exactly its site's consumer", si.ID, kids)
 			continue

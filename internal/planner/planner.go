@@ -50,17 +50,13 @@ type Member struct {
 	ExecSeconds float64
 }
 
-// Plan is an executable workflow bound to its sites. Its shape — Graph, Sites
-// and the topological index — is immutable once the plan is built and shared
-// by every Clone; only the job slab is per plan, and this package exports
-// nothing that writes it. Nothing outside this package may write a Job field
-// through a pointer it was handed, or grow or edit Graph (clonegate enforces
-// both).
+// Plan is an executable workflow bound to its sites. Its shape — the graph,
+// Sites and the topological index — is immutable once the plan is built and
+// shared by every Clone; only the job slab is per plan, and this package
+// exports nothing that writes it. Nothing outside this package may write a
+// Job field through a pointer it was handed, or grow or edit the workflow
+// Graph returns (clonegate enforces both).
 type Plan struct {
-	// Graph holds the executable jobs and their dependencies. Its Job
-	// entries are structural only; per-job planning attributes live in
-	// the planned jobs (Job, JobAt, Jobs).
-	Graph *dax.Workflow
 	// Site is the execution site name; for a plan over several sites, the
 	// comma-joined site list. Per-job sites live in the jobs.
 	Site string
@@ -68,6 +64,13 @@ type Plan struct {
 	// (one entry for New). It is nil for assembled plans.
 	Sites []string
 
+	// graph is the executable graph the plan was built from (Resolved's
+	// materialize, Assemble). A clustered plan has none: Cluster emits an
+	// index and a slab, and Graph derives the dax view from them and source.
+	graph *dax.Workflow
+	// source is, in a clustered plan, the graph of the plan that was
+	// clustered: the jobs its members and its untouched jobs name.
+	source *dax.Workflow
 	// index is the immutable dense-integer topology (see Indexed), built
 	// at plan construction.
 	index *Index
@@ -81,18 +84,66 @@ type Plan struct {
 // per graph job, in any order — as a single-site plan, for callers that
 // bypass catalog resolution. It takes ownership of jobs.
 func Assemble(graph *dax.Workflow, site string, jobs []Job) (*Plan, error) {
-	p := &Plan{Graph: graph, Site: site, jobs: jobs}
+	p := &Plan{graph: graph, Site: site, jobs: jobs}
 	if err := p.finalize(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
+// Graph returns the executable jobs and their dependencies as a workflow.
+// Its Job entries are structural only; per-job planning attributes live in
+// the planned jobs (Job, JobAt, Jobs). A planned or assembled plan returns
+// the graph it was built from; a clustered plan builds the view from its
+// index on every call, so Graph is for printouts, rescue workflows and
+// tests — nothing on a run's path needs it (Len, JobAt, Indexed).
+func (p *Plan) Graph() *dax.Workflow {
+	if p.graph != nil {
+		return p.graph
+	}
+	return p.clusteredGraph()
+}
+
+// clusteredGraph builds the dax view of a clustered plan from its index:
+// the jobs in insertion order — untouched ones as the source graph has them,
+// composites with their members' file usages concatenated — and the index's
+// edges. The graph the pass built for every plan before it worked on the
+// index; now only the callers of Graph pay for it.
+func (p *Plan) clusteredGraph() *dax.Workflow {
+	idx := p.index
+	g := dax.New(p.source.Name + "-clustered")
+	for _, pos := range idx.insertion {
+		j := &p.jobs[pos]
+		gj := &dax.Job{ID: j.ID, Transformation: j.Transformation, Priority: j.Priority}
+		if sj := p.source.Job(j.ID); sj != nil {
+			*gj = *sj
+		} else {
+			for _, m := range j.Members {
+				gj.Uses = append(gj.Uses, p.source.Job(m.TaskID).Uses...)
+			}
+		}
+		if err := g.AddJob(gj); err != nil {
+			panic(err) // the index holds every ID once
+		}
+	}
+	for pos, kids := range idx.Children {
+		for _, c := range kids {
+			if err := g.AddDependency(idx.Order[pos], idx.Order[c]); err != nil {
+				panic(err) // both ends are jobs of the index, and distinct
+			}
+		}
+	}
+	return g
+}
+
+// Len returns the number of executable jobs.
+func (p *Plan) Len() int { return len(p.jobs) }
+
 // Jobs returns the plan's jobs in insertion order.
 func (p *Plan) Jobs() []*Job {
 	out := make([]*Job, 0, len(p.jobs))
-	for _, j := range p.Graph.Jobs() {
-		out = append(out, p.Job(j.ID))
+	for _, pos := range p.index.insertion {
+		out = append(out, &p.jobs[pos])
 	}
 	return out
 }

@@ -25,15 +25,15 @@ func TestStageInCombinesWithClustering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 9 cap3 → 3 clustered + split + merge + stage_in = 6.
-	if p.Graph.Len() != 6 {
-		t.Fatalf("plan jobs = %d: %v", p.Graph.Len(), ids(p))
+	if p.Graph().Len() != 6 {
+		t.Fatalf("plan jobs = %d: %v", p.Graph().Len(), ids(p))
 	}
 	si := p.Job("stage_in_osg")
 	if si == nil || len(si.Members) != 0 {
 		t.Fatalf("stage_in missing or folded: %+v", si)
 	}
 	// stage_in feeds split only (the sole consumer of alignments.out).
-	if kids := p.Graph.Children("stage_in_osg"); len(kids) != 1 || kids[0] != "split" {
+	if kids := p.Graph().Children("stage_in_osg"); len(kids) != 1 || kids[0] != "split" {
 		t.Errorf("stage_in children = %v", kids)
 	}
 	checkClusterInvariants(t, orig, p, ClusterOptions{MaxTasksPerJob: 3})
@@ -72,8 +72,8 @@ func TestClusteredJobInheritsMaxPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Graph.Len() != 1 {
-		t.Fatalf("jobs = %d", p.Graph.Len())
+	if p.Graph().Len() != 1 {
+		t.Fatalf("jobs = %d", p.Graph().Len())
 	}
 	only := p.Jobs()[0]
 	if only.Priority != 30 {
@@ -143,7 +143,7 @@ func checkPlanInvariants(t *testing.T, abstract *dax.Workflow, p *Plan, cats Cat
 	// Dependencies are never inverted: for every abstract edge, the
 	// owners are the same executable job or ordered by a plan edge.
 	pos := make(map[string]int)
-	order, err := p.Graph.TopoSort()
+	order, err := p.Graph().TopoSort()
 	if err != nil {
 		t.Fatalf("plan not acyclic: %v", err)
 	}
@@ -161,7 +161,7 @@ func checkPlanInvariants(t *testing.T, abstract *dax.Workflow, p *Plan, cats Cat
 					parent, aj.ID, po, pos[po], co, pos[co])
 			}
 			found := false
-			for _, c := range p.Graph.Children(po) {
+			for _, c := range p.Graph().Children(po) {
 				if c == co {
 					found = true
 					break

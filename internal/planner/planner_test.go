@@ -64,8 +64,8 @@ func TestPlanSandhillsNoInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Graph.Len() != 6 {
-		t.Fatalf("plan has %d jobs, want 6", p.Graph.Len())
+	if p.Graph().Len() != 6 {
+		t.Fatalf("plan has %d jobs, want 6", p.Graph().Len())
 	}
 	for _, j := range p.Jobs() {
 		if j.NeedsInstall {
@@ -102,10 +102,10 @@ func TestPlanPreservesDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Graph.Parents("merge"); len(got) != 3 {
+	if got := p.Graph().Parents("merge"); len(got) != 3 {
 		t.Errorf("Parents(merge) = %v", got)
 	}
-	if got := p.Graph.Children("split"); len(got) != 3 {
+	if got := p.Graph().Children("split"); len(got) != 3 {
 		t.Errorf("Children(split) = %v", got)
 	}
 }
@@ -180,11 +180,11 @@ func TestStageInSynthesis(t *testing.T) {
 	if want := 1000.0 / 20e6; si.ExecSeconds != want {
 		t.Errorf("ExecSeconds = %v, want %v", si.ExecSeconds, want)
 	}
-	if parents := p.Graph.Parents("split"); len(parents) != 1 || parents[0] != "stage_in_osg" {
+	if parents := p.Graph().Parents("split"); len(parents) != 1 || parents[0] != "stage_in_osg" {
 		t.Errorf("Parents(split) = %v, want [stage_in_osg]", parents)
 	}
 	// Jobs that don't consume external inputs are not children of stage_in.
-	if parents := p.Graph.Parents("merge"); len(parents) != 2 {
+	if parents := p.Graph().Parents("merge"); len(parents) != 2 {
 		t.Errorf("Parents(merge) = %v", parents)
 	}
 }
@@ -232,8 +232,8 @@ func clusterFan(t *testing.T, width int, site string, opts ClusterOptions) (orig
 // An eligibility list that names no job of the plan leaves it as it was.
 func TestClusteringSkipsOtherTransformations(t *testing.T) {
 	orig, p := clusterFan(t, 6, "sandhills", ClusterOptions{MaxTasksPerJob: 2, Transformations: []string{"does_not_exist"}})
-	if p.Graph.Len() != 8 {
-		t.Errorf("plan has %d jobs, want 8 (untouched)", p.Graph.Len())
+	if p.Graph().Len() != 8 {
+		t.Errorf("plan has %d jobs, want 8 (untouched)", p.Graph().Len())
 	}
 	checkClusterInvariants(t, orig, p, ClusterOptions{MaxTasksPerJob: 2})
 	for _, j := range p.Jobs() {
@@ -255,15 +255,15 @@ func TestClusteringPreservesTotalWork(t *testing.T) {
 			t.Errorf("MaxTasksPerJob=%d: total work %v, want %v", size, got, want)
 		}
 		checkClusterInvariants(t, base, p, opts)
-		if size >= width && p.Graph.Len() != 3 {
-			t.Errorf("MaxTasksPerJob=%d: %d jobs, want split, one composite, merge", size, p.Graph.Len())
+		if size >= width && p.Graph().Len() != 3 {
+			t.Errorf("MaxTasksPerJob=%d: %d jobs, want split, one composite, merge", size, p.Graph().Len())
 		}
 	}
 }
 
 func ids(p *Plan) []string {
 	var out []string
-	for _, j := range p.Graph.Jobs() {
+	for _, j := range p.Graph().Jobs() {
 		out = append(out, j.ID)
 	}
 	return out

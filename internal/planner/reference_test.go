@@ -1,7 +1,9 @@
 // The single-site graph builder planner.New had to itself before it became
-// the one-site case of Resolve, kept as the reference New is compared with.
-// The test is external so that it can plan the paper's own workflows
-// (package workflow imports planner).
+// the one-site case of Resolve, kept as the reference New is compared with,
+// and the clustering pass that rebuilt a dax.Workflow per call before
+// Cluster worked on the index, kept as the reference Cluster is compared
+// with. The tests are external so that they can plan the paper's own
+// workflows (package workflow imports planner).
 
 package planner_test
 
@@ -10,6 +12,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"pegflow/internal/catalog"
@@ -189,8 +192,9 @@ func snapshot(t *testing.T, p *planner.Plan) map[string]any {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := p.Graph() // once: a clustered plan derives it per call
 	out := map[string]any{
-		"name": p.Graph.Name, "site": p.Site, "order": idx.Order,
+		"name": g.Name, "site": p.Site, "order": idx.Order,
 		"indegree": idx.Indegree, "children": idx.Children, "levels": idx.Levels,
 	}
 	var inserted []string
@@ -200,8 +204,8 @@ func snapshot(t *testing.T, p *planner.Plan) map[string]any {
 	out["inserted"] = inserted
 	for i, id := range idx.Order {
 		out["job/"+id] = *p.JobAt(int32(i))
-		out["graph/"+id] = *p.Graph.Job(id).Clone()
-		out["parents/"+id] = p.Graph.Parents(id)
+		out["graph/"+id] = *g.Job(id).Clone()
+		out["parents/"+id] = g.Parents(id)
 	}
 	return out
 }
@@ -311,11 +315,305 @@ func TestNewEqualsReferenceBuilder(t *testing.T) {
 					}
 				}
 				if len(want) != len(have) {
-					t.Errorf("%s %s stage-in %v: %d jobs, reference builder %d", name, site, stageIn, got.Graph.Len(), ref.Graph.Len())
+					t.Errorf("%s %s stage-in %v: %d jobs, reference builder %d", name, site, stageIn, got.Graph().Len(), ref.Graph().Len())
 				}
 				for k, v := range want {
 					if !reflect.DeepEqual(v, have[k]) {
 						t.Errorf("%s %s stage-in %v: %s = %+v, reference builder %+v", name, site, stageIn, k, have[k], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceBucket accumulates the members of one composite under
+// construction.
+type referenceBucket struct {
+	id    string
+	site  string
+	tr    string
+	ids   []string
+	exec  float64
+	level int
+}
+
+// referenceCluster is the deleted Cluster body: a map from job ID to output
+// job ID, per-level maps of open buckets keyed by site and transformation, a
+// new dax.Workflow of the output jobs and rewired edges, and Assemble in
+// place of the package-internal finalize (so the result has no Sites).
+func referenceCluster(p *planner.Plan, opts planner.ClusterOptions) (*planner.Plan, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if !opts.Enabled() {
+		return p, nil
+	}
+	eligible := func(j *planner.Job) bool {
+		if j.Transformation == planner.StageInTransformation {
+			return false
+		}
+		// Composites of a previous Cluster pass are left alone.
+		if len(j.Members) > 0 {
+			return false
+		}
+		if len(opts.Transformations) == 0 {
+			return true
+		}
+		for _, tr := range opts.Transformations {
+			if tr == j.Transformation {
+				return true
+			}
+		}
+		return false
+	}
+
+	idx, err := p.Indexed()
+	if err != nil {
+		return nil, fmt.Errorf("planner: clustering: %w", err)
+	}
+	pg := p.Graph()
+
+	// group maps every original job ID to its output job ID (itself when
+	// unclustered, the composite ID otherwise).
+	group := make(map[string]string, pg.Len())
+	var buckets []*referenceBucket
+	byID := make(map[string]*referenceBucket)
+
+	for li, level := range idx.Levels {
+		// Open at most one bucket per (site, transformation) key; close it
+		// when full (member cap) or heavy enough (runtime target).
+		open := make(map[string]*referenceBucket)
+		seq := make(map[string]int)
+		for _, pos := range level {
+			id, j := idx.Order[pos], p.JobAt(pos)
+			if !eligible(j) {
+				group[id] = id
+				continue
+			}
+			if opts.TargetJobSeconds > 0 && j.ExecSeconds >= opts.TargetJobSeconds {
+				group[id] = id
+				continue
+			}
+			key := j.Site + "\x00" + j.Transformation
+			b := open[key]
+			if b == nil {
+				b = &referenceBucket{
+					id: fmt.Sprintf("cluster_%s_%s_l%d_%d",
+						j.Transformation, j.Site, li, seq[key]),
+					site: j.Site, tr: j.Transformation, level: li,
+				}
+				seq[key]++
+				open[key] = b
+				buckets = append(buckets, b)
+				byID[b.id] = b
+			}
+			b.ids = append(b.ids, id)
+			b.exec += j.ExecSeconds
+			group[id] = b.id
+			if (opts.MaxTasksPerJob > 0 && len(b.ids) >= opts.MaxTasksPerJob) ||
+				(opts.TargetJobSeconds > 0 && b.exec >= opts.TargetJobSeconds) {
+				delete(open, key)
+			}
+		}
+	}
+
+	// Unwrap singleton buckets: a composite of one task is just the task.
+	kept := buckets[:0]
+	for _, b := range buckets {
+		if len(b.ids) == 1 {
+			group[b.ids[0]] = b.ids[0]
+			delete(byID, b.id)
+			continue
+		}
+		kept = append(kept, b)
+	}
+	buckets = kept
+
+	folded := 0
+	for _, b := range buckets {
+		folded += len(b.ids)
+	}
+	graph := dax.New(pg.Name + "-clustered")
+	jobs := make([]planner.Job, 0, p.Len()-folded+len(buckets))
+
+	emitted := make(map[string]bool)
+	for _, gj := range pg.Jobs() {
+		gid := group[gj.ID]
+		if emitted[gid] {
+			continue
+		}
+		emitted[gid] = true
+		if gid == gj.ID {
+			cp := *gj
+			if err := graph.AddJob(&cp); err != nil {
+				return nil, err
+			}
+			jobs = append(jobs, *p.Job(gj.ID))
+			continue
+		}
+		b := byID[gid]
+		if pg.Job(b.id) != nil {
+			return nil, fmt.Errorf("planner: clustering: composite ID %q collides with an existing job", b.id)
+		}
+		nj := &dax.Job{ID: b.id, Transformation: b.tr}
+		cj := planner.Job{
+			ID:             b.id,
+			Transformation: b.tr,
+			Site:           b.site,
+			ExecSeconds:    b.exec,
+		}
+		for _, mid := range b.ids {
+			m := p.Job(mid)
+			nj.Uses = append(nj.Uses, pg.Job(mid).Uses...)
+			if m.Priority > cj.Priority {
+				cj.Priority = m.Priority
+			}
+			// All members resolve the same transformation at the same
+			// site, so they share one install decision.
+			cj.NeedsInstall = m.NeedsInstall
+			cj.InstallBytes = m.InstallBytes
+			cj.InputBytes += m.InputBytes
+			cj.OutputBytes += m.OutputBytes
+			cj.Members = append(cj.Members, planner.Member{TaskID: mid, ExecSeconds: m.ExecSeconds})
+		}
+		nj.Priority = cj.Priority
+		if err := graph.AddJob(nj); err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, cj)
+	}
+
+	// Rewire dependencies through the grouping, skipping intra-group
+	// edges. Same-level grouping makes intra-group edges impossible; an
+	// occurrence means the level computation is broken.
+	for pos, kids := range idx.Children {
+		parent := idx.Order[pos]
+		gp := group[parent]
+		for _, c := range kids {
+			child := idx.Order[c]
+			gc := group[child]
+			if gp == gc {
+				return nil, fmt.Errorf(
+					"planner: clustering folded dependent jobs %q -> %q into composite %q",
+					parent, child, gp)
+			}
+			if err := graph.AddDependency(gp, gc); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	out, err := planner.Assemble(graph, p.Site, jobs)
+	if err != nil {
+		return nil, fmt.Errorf("planner: clustered workflow broken: %w", err)
+	}
+	return out, nil
+}
+
+// clusteredSnapshot adds to snapshot what a plan Cluster wrote directly must
+// also get right: the index's ID map and, of the dax view, the job order,
+// the edge count and the critical path.
+func clusteredSnapshot(t *testing.T, p *planner.Plan) map[string]any {
+	t.Helper()
+	out := snapshot(t, p)
+	idx, err := p.Indexed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := p.Graph()
+	cp, err := g.CriticalPathLength()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inserted []string
+	for _, gj := range g.Jobs() {
+		inserted = append(inserted, gj.ID)
+	}
+	out["byID"], out["len"] = idx.ByID, p.Len()
+	out["graph inserted"], out["graph edges"], out["graph critical path"] = inserted, g.Edges(), cp
+	return out
+}
+
+// requireClusterEqualsReference clusters the plan both ways and compares
+// the snapshots, the Sites (which Assemble drops) apart.
+func requireClusterEqualsReference(t *testing.T, label string, p *planner.Plan, opts planner.ClusterOptions) *planner.Plan {
+	t.Helper()
+	ref, err := referenceCluster(p, opts)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	got, err := planner.Cluster(p, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !reflect.DeepEqual(got.Sites, p.Sites) {
+		t.Errorf("%s: Sites = %v, the input's are %v", label, got.Sites, p.Sites)
+	}
+	want, have := clusteredSnapshot(t, ref), clusteredSnapshot(t, got)
+	if len(want) != len(have) {
+		t.Errorf("%s: %d jobs, reference %d", label, got.Len(), ref.Len())
+	}
+	for k, v := range want {
+		if !reflect.DeepEqual(v, have[k]) {
+			t.Errorf("%s: %s = %+v, reference %+v", label, k, have[k], v)
+		}
+	}
+	return got
+}
+
+// TestClusterEqualsReferenceBuilder: over the paper's workflow at four
+// sizes, placed on one site and on two under every policy, with and without
+// stage-in jobs, Cluster gives under each kind of option the plan the
+// graph-rebuilding pass gave — index, slab, insertion order and the dax view
+// derived from them.
+func TestClusterEqualsReferenceBuilder(t *testing.T) {
+	w := workflow.PaperWorkload(42)
+	cats, err := workflow.PaperCatalogs(w, 300, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optsList := []planner.ClusterOptions{
+		{MaxTasksPerJob: 2},
+		{MaxTasksPerJob: 16},
+		{TargetJobSeconds: 600},
+		{TargetJobSeconds: 1800},
+		{MaxTasksPerJob: 8, TargetJobSeconds: 1800},
+		{MaxTasksPerJob: 16, Transformations: []string{workflow.TrRunCAP3, workflow.TrSplit}},
+	}
+	type placement struct {
+		sites  []string
+		policy string
+	}
+	placements := []placement{{sites: []string{"osg"}}, {sites: []string{"sandhills"}}}
+	for _, policy := range planner.PolicyNames() {
+		placements = append(placements, placement{[]string{"sandhills", "osg"}, policy})
+	}
+	for _, n := range []int{1, 10, 500, 2000} {
+		abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range placements {
+			for _, stageIn := range []bool{false, true} {
+				mopts := planner.MultiOptions{Sites: pl.sites, AddStageIn: stageIn}
+				if pl.policy != "" {
+					if mopts.Policy, err = planner.NewPolicy(pl.policy); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plan, err := planner.NewMulti(abstract, cats, mopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, opts := range optsList {
+					label := fmt.Sprintf("n=%d sites=%s policy=%q stage-in=%v %+v",
+						n, strings.Join(pl.sites, ","), pl.policy, stageIn, opts)
+					got := requireClusterEqualsReference(t, label, plan, opts)
+					if n == 10 && opts.MaxTasksPerJob == 2 {
+						// A second pass leaves the first pass's composites
+						// alone, whichever pass made them.
+						requireClusterEqualsReference(t, label+" twice", got, planner.ClusterOptions{MaxTasksPerJob: 3})
 					}
 				}
 			}

@@ -212,7 +212,7 @@ func TestIndexLevelsMatchGraphLevels(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, p := range map[string]*Plan{"New": single, "NewMulti": multi, "Cluster": clustered} {
-			want, err := p.Graph.Levels()
+			want, err := p.Graph().Levels()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,7 +64,7 @@ func referenceRun(t *testing.T, c *Compiled, cell Cell) *engine.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.Reserve(plan.Graph.Len())
+	ex.Reserve(plan.Graph().Len())
 	res, err := engine.Run(plan, ex, engine.Options{RetryLimit: c.retries})
 	if err != nil {
 		t.Fatal(err)

@@ -31,8 +31,8 @@ func clusteredPlan(t *testing.T, site *catalog.Site, installed bool, n, size int
 func TestCompositeJobEmitsPerMemberRecords(t *testing.T) {
 	site := &catalog.Site{Name: "plain", Slots: 4, SpeedFactor: 1}
 	p := clusteredPlan(t, site, false, 3, 3, 100)
-	if p.Graph.Len() != 1 {
-		t.Fatalf("plan has %d jobs, want 1 composite", p.Graph.Len())
+	if p.Graph().Len() != 1 {
+		t.Fatalf("plan has %d jobs, want 1 composite", p.Graph().Len())
 	}
 	cfg := plainConfig(4)
 	cfg.SetupMean = 40 // deterministic: CV 0 makes LogNormalMeanCV return the mean

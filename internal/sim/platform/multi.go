@@ -159,7 +159,7 @@ func (m *MultiExecutor) Recycle(r *kickstart.Record) {
 
 // CheckPlan verifies that every job of the plan targets a pool member.
 func (m *MultiExecutor) CheckPlan(plan *planner.Plan) error {
-	for i, n := int32(0), int32(plan.Graph.Len()); i < n; i++ {
+	for i, n := int32(0), int32(plan.Len()); i < n; i++ {
 		j := plan.JobAt(i)
 		if _, ok := m.sites[j.Site]; !ok {
 			return fmt.Errorf("platform: plan job %q targets site %q, not in pool %v",

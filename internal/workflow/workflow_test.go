@@ -301,8 +301,8 @@ func TestDAXPlansOnBothSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fig. 2 vs Fig. 3: identical shape, install steps only on OSG.
-	if sand.Graph.Len() != osg.Graph.Len() {
-		t.Errorf("plan sizes differ: %d vs %d", sand.Graph.Len(), osg.Graph.Len())
+	if sand.Graph().Len() != osg.Graph().Len() {
+		t.Errorf("plan sizes differ: %d vs %d", sand.Graph().Len(), osg.Graph().Len())
 	}
 	for _, j := range sand.Jobs() {
 		if j.NeedsInstall {
@@ -315,8 +315,8 @@ func TestDAXPlansOnBothSites(t *testing.T) {
 			installCount++
 		}
 	}
-	if installCount != osg.Graph.Len() {
-		t.Errorf("only %d/%d OSG jobs carry install steps", installCount, osg.Graph.Len())
+	if installCount != osg.Graph().Len() {
+		t.Errorf("only %d/%d OSG jobs carry install steps", installCount, osg.Graph().Len())
 	}
 }
 
