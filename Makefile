@@ -25,14 +25,15 @@ test:
 # into a fast stack-dumped failure instead of a hung job.
 race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru
-	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce' ./internal/core ./internal/planner ./internal/workflow
+	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce' ./internal/core ./internal/planner ./internal/workflow
 
 # The allocation gates CI runs: zero-alloc kernel and engine dispatch, an
 # attempt path (platform Submit to terminal event, ensemble hold and release)
 # that allocates nothing per attempt, a plan clone and a warm member plan
 # (placement + clone + patch), one-site and two-site, whose allocation counts
-# do not grow with n, a Cluster call that allocates one string per composite
-# and a fixed count besides, a failover re-site that allocates the job it
+# do not grow with n, a first Plan of a shape (the master's index and slab) at
+# three objects per job or fewer, a Cluster call that allocates one string per
+# composite and a fixed count besides, a failover re-site that allocates the job it
 # returns, a chunk-seconds miss that allocates its result only and
 # a hit that allocates nothing, an LRU whose lookups allocate nothing and
 # whose insert is one entry, and the scenario front door: a warm single-site

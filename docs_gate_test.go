@@ -5,10 +5,13 @@
 package pegflow_test
 
 import (
+	"bytes"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -160,6 +163,35 @@ func TestNoDanglingArtifactReferences(t *testing.T) {
 			if !targets[string(m[1])] {
 				t.Errorf("%s says to run `make %s`, which is not a Makefile target", path, m[1])
 			}
+		}
+	}
+}
+
+// TestNoTrackedBinaries: the repository tracks sources, not what building
+// them leaves behind — no tracked file is an ELF executable or larger than
+// 1 MiB (a 9.8 MB `pegflow` binary rode along in one commit; .gitignore now
+// names the root-level command binaries). Skipped outside a git checkout.
+func TestNoTrackedBinaries(t *testing.T) {
+	out, err := exec.Command("git", "ls-files", "-z").Output()
+	if err != nil {
+		t.Skipf("not a git checkout: %v", err)
+	}
+	for _, name := range strings.Split(strings.TrimRight(string(out), "\x00"), "\x00") {
+		f, err := os.Open(name)
+		if err != nil {
+			continue // tracked but deleted in the working tree
+		}
+		magic := make([]byte, 4)
+		n, _ := io.ReadFull(f, magic)
+		info, err := f.Stat()
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(magic[:n], []byte("\x7fELF")) {
+			t.Errorf("%s is a tracked ELF binary: git rm --cached it and list it in .gitignore", name)
+		} else if info.Size() > 1<<20 {
+			t.Errorf("%s is tracked and %d bytes (> 1 MiB): build outputs and data dumps stay out of the repository", name, info.Size())
 		}
 	}
 }

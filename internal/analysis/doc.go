@@ -22,10 +22,9 @@
 //     uses.
 //   - clonegate: forbids assignments through *planner.Plan, *planner.Job,
 //     *dax.Workflow or *dax.Job outside the defining packages and a
-//     justified whitelist of constructor functions, and mutating dax
-//     method calls on a graph reached through a plan, keeping cached
-//     masters — and the shape every plan clone shares with them —
-//     immutable.
+//     justified whitelist of constructor functions, keeping cached
+//     masters — and the backing arrays every plan clone and derived view
+//     shares with them — immutable.
 //   - escapegate: runs `go build -gcflags=-m` and asserts that a declared
 //     list of hot kernel functions has zero heap escapes outside panic
 //     paths, generalizing the TestAllocs gates to the whole kernel.

@@ -80,9 +80,8 @@ func NewLockHold() *LockHold {
 }
 
 // NewCloneGate returns the production clonegate: the cached plan/DAX
-// types, their defining packages, the audited whitelist of functions that
-// mutate fresh (not cached) values, and the dax methods that may not be
-// called on the graph a plan shares with its clones.
+// types, their defining packages and the audited whitelist of functions that
+// mutate fresh (not cached) values.
 func NewCloneGate() *CloneGate {
 	return &CloneGate{
 		Protected: []string{
@@ -98,11 +97,6 @@ func NewCloneGate() *CloneGate {
 		AllowedFuncs: map[string]string{
 			"pegflow/internal/workflow.BuildDAX":       "constructor: assembles a brand-new abstract DAX; nothing it touches is cached yet",
 			"pegflow/internal/workflow.BuildSerialDAX": "constructor: assembles the serial-baseline DAX from scratch",
-		},
-		SharedVia: "pegflow/internal/planner.Plan",
-		SharedMutators: []string{
-			"AddJob", "NewJob", "AddDependency", "InferDependencies",
-			"SetProfile", "AddInput", "AddOutput",
 		},
 	}
 }

@@ -21,32 +21,16 @@ func badSlabWrite(p *planner.Plan) {
 	p.JobAt(0).Args[0] = "x" // want `write to planner\.Job\.Args`
 }
 
-// The graph a plan carries is shared with its master and every clone:
-// mutating methods reached through the plan are findings even on a clone.
-func badGraphGrowth(p *planner.Plan, j *dax.Job) error {
-	q := p.Clone()
-	q.Graph().NewJob("extra", "t")              // want `call to dax\.Workflow\.NewJob through a planner\.Plan`
-	if err := q.Graph().AddJob(j); err != nil { // want `call to dax\.Workflow\.AddJob through a planner\.Plan`
-		return err
-	}
-	if err := (*p).Graph().InferDependencies(); err != nil { // want `call to dax\.Workflow\.InferDependencies through a planner\.Plan`
-		return err
-	}
-	return p.Graph().AddDependency("a", "extra") // want `call to dax\.Workflow\.AddDependency through a planner\.Plan`
+func badViewUses(p *planner.Plan) {
+	p.Graph().Job("chunk").Uses[0].Size = 1 // want `write to dax\.Job\.Uses`
 }
 
-func badGraphJobEdit(p *planner.Plan, plans []*planner.Plan) {
-	p.Graph().Job("chunk").SetProfile("pegasus", "runtime", "1") // want `call to dax\.Job\.SetProfile through a planner\.Plan`
-	plans[0].Graph().Job("chunk").AddInput("f", 1)               // want `call to dax\.Job\.AddInput through a planner\.Plan`
-	p.Graph().Jobs()[0].AddOutput("g", 1)                        // want `call to dax\.Job\.AddOutput through a planner\.Plan`
-}
-
-// goodAbstractBuild mutates a workflow that no plan carries: building an
-// abstract DAX with these methods is their purpose.
-func goodAbstractBuild(p *planner.Plan) *dax.Workflow {
-	w := dax.New(p.Graph().Name)
-	w.NewJob("a", "t").AddInput("f", 1).SetProfile("pegasus", "runtime", "1")
-	return w
+// goodViewGrowth grows and edits a view Graph derived for it: the view is
+// private to its caller, and these methods append or allocate.
+func goodViewGrowth(p *planner.Plan) (*dax.Workflow, error) {
+	g := p.Graph()
+	g.NewJob("extra", "t").AddInput("f", 1).SetProfile("pegasus", "runtime", "1")
+	return g, g.AddDependency("a", "extra")
 }
 
 func goodGraphReads(p *planner.Plan) int {

@@ -68,10 +68,7 @@ func uncachedExperiment(seed uint64) *Experiment {
 // and the graph's jobs and edges — for deep-equality comparison.
 func planSnapshot(t testing.TB, p *planner.Plan) map[string]any {
 	t.Helper()
-	idx, err := p.Indexed()
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := p.Indexed()
 	out := map[string]any{
 		"name":     p.Graph().Name,
 		"site":     p.Site,
@@ -134,10 +131,7 @@ func uncachedMemberPlan(t testing.TB, e *EnsembleExperiment, i int) *planner.Pla
 // siteVector is where the plan's jobs run, in index order.
 func siteVector(t testing.TB, p *planner.Plan) []string {
 	t.Helper()
-	idx, err := p.Indexed()
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := p.Indexed()
 	out := make([]string, len(idx.Order))
 	for i := range out {
 		out[i] = p.JobAt(int32(i)).Site

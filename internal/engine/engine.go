@@ -265,15 +265,10 @@ type Session struct {
 }
 
 // Start begins executing the plan, submitting every root job to sub. It
-// never fails outright: a plan that cannot run yields a session that is
-// not Active and whose Finish returns the error.
+// cannot fail: a plan's index was validated when the plan was built.
 func Start(plan *planner.Plan, sub Submitter, opts Options) *Session {
 	s := &Session{plan: plan, sub: sub, opts: opts, res: &Result{Log: &kickstart.Log{}}}
-	idx, err := plan.Indexed()
-	if err != nil {
-		s.err = fmt.Errorf("engine: %w", err)
-		return s
-	}
+	idx := plan.Indexed()
 	s.idx = idx
 	n := len(idx.Order)
 	s.indeg = append([]int32(nil), idx.Indegree...)

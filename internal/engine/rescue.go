@@ -13,7 +13,10 @@ import (
 // completed jobs dropped (their outputs already exist) — what Pegasus
 // resubmits after a failure (paper §III: "Pegasus generates a rescue
 // workflow that contains information of the work that remains to be done").
-// It returns an error if the run actually succeeded.
+// Each job carries what replanning it needs from the plan's slab: its
+// arguments and, as a pegasus::runtime profile in the form BuildDAX writes,
+// the runtime estimate this run was planned with (a composite's is its
+// members' sum). It returns an error if the run actually succeeded.
 func RescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
 	if res.Success {
 		return nil, fmt.Errorf("engine: no rescue workflow for a successful run")
@@ -28,8 +31,10 @@ func RescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
 		if !unfinished[j.ID] {
 			continue
 		}
-		cp := *j
-		if err := out.AddJob(&cp); err != nil {
+		pj := plan.Job(j.ID)
+		rj := &dax.Job{ID: j.ID, Transformation: j.Transformation, Priority: j.Priority, Args: pj.Args, Uses: j.Uses}
+		rj.SetProfile("pegasus", "runtime", fmt.Sprintf("%.3f", pj.ExecSeconds))
+		if err := out.AddJob(rj); err != nil {
 			return nil, err
 		}
 	}

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"testing"
 
+	"pegflow/internal/catalog"
 	"pegflow/internal/dax"
 	"pegflow/internal/planner"
 )
@@ -109,5 +112,101 @@ func TestRescueRunnableOnFreshExecutor(t *testing.T) {
 	}
 	if len(res2.Completed) != 2 {
 		t.Errorf("rescue completed %v", res2.Completed)
+	}
+}
+
+// TestRescueDAXKeepsRuntimesAndArgs: a rescue DAX is what `pegflow run -dax`
+// replans, so it must carry what planning reads. On a plain, a stage-in and a
+// clustered plan whose roots fail, the rescue workflow written as XML, read
+// back and planned again gives every job the runtime estimate (in the %.3f
+// form DAX files carry) and the arguments the failed run's slab held — a
+// composite its members' sum.
+func TestRescueDAXKeepsRuntimesAndArgs(t *testing.T) {
+	w := dax.New("fan")
+	split := w.NewJob("split", "split").AddInput("reads.fasta", 2_500_000).AddOutput("chunks", 10)
+	split.SetProfile("pegasus", "runtime", "60.125")
+	split.Args = []string{"-n", "4", "reads.fasta"}
+	w.NewJob("merge", "merge").AddOutput("assembly", 70).SetProfile("pegasus", "runtime", "30.5")
+	for i, id := range []string{"chunk_0", "chunk_1", "chunk_2", "chunk_3"} {
+		j := w.NewJob(id, "run_cap3").AddInput("chunks", 10).AddOutput("joined_"+id, 7)
+		j.SetProfile("pegasus", "runtime", []string{"100.001", "20.25", "3.875", "4000"}[i])
+		j.Args = []string{"chunks", id}
+		w.Job("merge").AddInput("joined_"+id, 7)
+		for _, e := range [][2]string{{"split", id}, {id, "merge"}} {
+			if err := w.AddDependency(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sc := catalog.NewSiteCatalog()
+	if err := sc.Add(&catalog.Site{Name: "test", Slots: 8, SpeedFactor: 1, SharedSoftware: true, StageInMBps: 100}); err != nil {
+		t.Fatal(err)
+	}
+	tc := catalog.NewTransformationCatalog()
+	for _, tr := range []string{"split", "run_cap3", "merge", planner.StageInTransformation} {
+		if err := tc.Add(&catalog.Transformation{Name: tr, Site: "test", Installed: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cats := planner.Catalogs{Sites: sc, Transformations: tc, Replicas: catalog.NewReplicaCatalog()}
+	if err := cats.Replicas.Add("reads.fasta", catalog.Replica{Site: "local", PFN: "/d/reads.fasta"}); err != nil {
+		t.Fatal(err)
+	}
+
+	plain, err := planner.New(w, cats, planner.Options{Site: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := planner.New(w, cats, planner.Options{Site: "test", AddStageIn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, err := planner.Cluster(staged, planner.ClusterOptions{MaxTasksPerJob: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if staged.Job("stage_in_test") == nil || clustered.Len() != staged.Len()-2 {
+		t.Fatalf("fixtures: stage-in job %v, %d clustered jobs of %d", staged.Job("stage_in_test"), clustered.Len(), staged.Len())
+	}
+	for name, p := range map[string]*planner.Plan{"plain": plain, "stage-in": staged, "clustered": clustered} {
+		ex := newFakeExecutor()
+		idx := p.Indexed()
+		for pos, n := range idx.Indegree {
+			if n == 0 {
+				ex.failures[idx.Order[pos]] = 10
+			}
+		}
+		res, err := Run(p, ex, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteRescue(&buf, p, res); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rescue, err := dax.ReadXML(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		replanned, err := planner.New(rescue, cats, planner.Options{Site: "test"})
+		if err != nil {
+			t.Fatalf("%s: replanning the rescue DAX: %v", name, err)
+		}
+		if replanned.Len() != p.Len() {
+			t.Errorf("%s: rescue of failed roots has %d jobs, want all %d", name, replanned.Len(), p.Len())
+		}
+		for _, had := range p.Jobs() {
+			got := replanned.Job(had.ID)
+			if got == nil {
+				t.Errorf("%s: %s missing from the replanned rescue", name, had.ID)
+				continue
+			}
+			if had.ExecSeconds == 0 || math.Abs(got.ExecSeconds-had.ExecSeconds) > 0.0005 {
+				t.Errorf("%s: %s replans with ExecSeconds %v, the failed run had %v", name, had.ID, got.ExecSeconds, had.ExecSeconds)
+			}
+			if len(had.Args)+len(got.Args) > 0 && !reflect.DeepEqual(got.Args, had.Args) {
+				t.Errorf("%s: %s replans with Args %v, the failed run had %v", name, had.ID, got.Args, had.Args)
+			}
+		}
 	}
 }

@@ -25,8 +25,6 @@ type Spec struct {
 	Priority int
 	// RetryLimit is the per-job retry budget (engine.Options.RetryLimit).
 	RetryLimit int
-	// MaxActive caps this member's own jobs in flight (0 = unlimited).
-	MaxActive int
 	// Retry, when set, re-targets this member's retries (cross-site
 	// failover). Each member needs its own policy instance: the policy
 	// carries adaptive per-run state.
@@ -143,8 +141,8 @@ type WorkflowSource struct {
 	Name string
 	// Abstract is the workflow to plan.
 	Abstract *dax.Workflow
-	// Priority, RetryLimit and MaxActive carry over to the Spec.
-	Priority, RetryLimit, MaxActive int
+	// Priority and RetryLimit carry over to the Spec.
+	Priority, RetryLimit int
 }
 
 // PlanOptions configures PlanAll.
@@ -179,8 +177,8 @@ type ResolvedSource struct {
 	// planner.Resolved.Plan takes them.
 	Pos     []int32
 	Seconds []float64
-	// Priority, RetryLimit and MaxActive carry over to the Spec.
-	Priority, RetryLimit, MaxActive int
+	// Priority and RetryLimit carry over to the Spec.
+	Priority, RetryLimit int
 }
 
 // PlanAll maps every source onto the target sites under a fresh instance
@@ -203,7 +201,6 @@ func PlanAll(srcs []WorkflowSource, cats planner.Catalogs, opts PlanOptions) ([]
 			Master:     r,
 			Priority:   srcs[i].Priority,
 			RetryLimit: srcs[i].RetryLimit,
-			MaxActive:  srcs[i].MaxActive,
 		}, cats, opts)
 		return err
 	})
@@ -238,7 +235,6 @@ func PlanMember(src ResolvedSource, cats planner.Catalogs, opts PlanOptions) (Sp
 		Plan:       p,
 		Priority:   src.Priority,
 		RetryLimit: src.RetryLimit,
-		MaxActive:  src.MaxActive,
 	}
 	if opts.Failover {
 		fo, err := planner.NewFailover(cats, opts.Sites)
@@ -457,7 +453,6 @@ func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error)
 	for w := range specs {
 		sessions[w] = engine.Start(specs[w].Plan, &member{d: d, wf: w}, engine.Options{
 			RetryLimit: specs[w].RetryLimit,
-			MaxActive:  specs[w].MaxActive,
 			Retry:      specs[w].Retry,
 			Backoff:    specs[w].Backoff,
 			Aggregate:  opts.Aggregate,

@@ -33,10 +33,7 @@ func slabSnapshot(t *testing.T, p *Plan) map[string]any {
 		"site":  p.Site,
 		"sites": append([]string(nil), p.Sites...),
 	}
-	idx, err := p.Indexed()
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := p.Indexed()
 	out["order"] = append([]string(nil), idx.Order...)
 	for i, id := range idx.Order {
 		j := *p.JobAt(int32(i))
@@ -74,10 +71,10 @@ func mutate(t *testing.T, p *Plan, r *rand.Rand) {
 }
 
 // TestPlanCloneDeeplyIndependent is the clone property test: a clone
-// reproduces the original and shares its shape (graph, index, sites); for
+// reproduces the original and shares its shape (index, origin, sites); for
 // many random edit sequences over every Job field, editing the clone never
 // changes the original and editing the original never changes the clone;
-// and the shared graph and topology read the same after both sides' edits.
+// and the shared topology reads the same after both sides' edits.
 func TestPlanCloneDeeplyIndependent(t *testing.T) {
 	cats := testCatalogs(t, "split", "run_cap3", "merge")
 	r := rand.New(rand.NewSource(7))
@@ -99,18 +96,18 @@ func TestPlanCloneDeeplyIndependent(t *testing.T) {
 		if !reflect.DeepEqual(before, snapshot(t, clone)) {
 			t.Fatalf("round %d: clone does not reproduce the original", round)
 		}
-		if clone.graph != plan.graph || clone.source != plan.source || clone.index != plan.index {
+		if clone.origin != plan.origin || clone.index != plan.index {
 			t.Fatalf("round %d: clone does not share the plan's shape", round)
 		}
 		if &clone.jobs[0] == &plan.jobs[0] {
 			t.Fatalf("round %d: clone shares the job slab", round)
 		}
-		// A clustered plan's graph is a view Graph derives from the index,
-		// the source graph — both shared, compared by pointer above — and
-		// the slab's IDs and Members, which the edits below scribble on as
-		// nothing outside this test does: once edited it is not read again.
+		// A composite in the view Graph derives takes its transformation,
+		// priority and members from the slab, which the edits below scribble
+		// on as nothing outside this test does: once edited, a clustered
+		// plan's view is not read again.
 		snapshot := snapshot
-		if plan.graph == nil {
+		if plan.clustered > 0 {
 			snapshot = slabSnapshot
 			before = slabSnapshot(t, plan)
 		}
@@ -130,7 +127,7 @@ func TestPlanCloneDeeplyIndependent(t *testing.T) {
 			t.Fatalf("round %d: mutating the original changed the clone", round)
 		}
 
-		// Graph and topology are shared, and Job edits leave them alone.
+		// The topology is shared, and Job edits leave it and the view alone.
 		after := snapshot(t, plan)
 		for k, v := range before {
 			if strings.HasPrefix(k, "job/") {
@@ -183,10 +180,7 @@ func TestSlabFollowsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, p := range map[string]*Plan{"New": single, "NewMulti": multi, "Cluster": clustered} {
-		idx, err := p.Indexed()
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := p.Indexed()
 		if len(p.jobs) != len(idx.Order) {
 			t.Fatalf("%s: %d slab jobs for %d positions", name, len(p.jobs), len(idx.Order))
 		}

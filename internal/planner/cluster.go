@@ -11,9 +11,9 @@
 // invert or cycle the DAG.
 //
 // The pass reads the input plan's Index and writes the output plan's Index
-// and job slab, all in positions: no dax.Workflow is built (Plan.Graph
-// derives one for whoever asks) and the only strings made are the composite
-// IDs. Every sweep cell that clusters runs it once per member plan.
+// (through buildIndex, as every plan constructor does) and job slab, all in
+// positions: the only strings made are the composite IDs. Every sweep cell
+// that clusters runs it once per member plan.
 
 package planner
 
@@ -92,6 +92,9 @@ type clusterBucket struct {
 // position in the input index, output jobs by a number in the insertion
 // order of the clustered graph, until buildIndex gives them positions.
 type clustering struct {
+	// edgeList holds the output jobs' IDs and, once rewire has run, their
+	// edges: what buildIndex takes.
+	edgeList
 	p   *Plan
 	idx *Index
 	// group maps an input position to its bucket (-1: stays as it is) and,
@@ -106,12 +109,6 @@ type clustering struct {
 	// from maps an output job to the input position it copies, or to
 	// ^bucket for a composite.
 	from []int32
-	// ids are the output jobs' IDs.
-	ids []string
-	// kids holds the output jobs' children, those of job o ending at end[o]
-	// where those of o+1 begin, each run in sorted-ID order; indegree counts
-	// the parents.
-	kids, end, indegree []int32
 }
 
 // Cluster merges same-transformation, same-site, same-level jobs of the
@@ -127,13 +124,7 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 	if !opts.Enabled() {
 		return p, nil
 	}
-	// The plan's index already holds the levels and the edges; a plan whose
-	// graph was edited behind its back is re-indexed (and a cycle reported).
-	idx, err := p.Indexed()
-	if err != nil {
-		return nil, fmt.Errorf("planner: clustering: %w", err)
-	}
-	c := &clustering{p: p, idx: idx}
+	c := &clustering{p: p, idx: p.index}
 	c.bucketJobs(opts)
 	c.layOutMembers()
 	c.numberOutputs()
@@ -143,16 +134,17 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 	if err := c.rewire(); err != nil {
 		return nil, err
 	}
-	out, err := c.buildIndex()
+	out, err := buildIndex(&c.edgeList)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("planner: clustered workflow broken: %w", err)
 	}
 	return &Plan{
-		Site:   p.Site,
-		Sites:  p.Sites,
-		source: p.Graph(),
-		index:  out,
-		jobs:   c.buildJobs(out),
+		Site:      p.Site,
+		Sites:     p.Sites,
+		origin:    p.origin,
+		clustered: p.clustered + 1,
+		index:     out,
+		jobs:      c.buildJobs(out),
 	}, nil
 }
 
@@ -361,71 +353,6 @@ func (c *clustering) walkEdges(stamp []int32, base int32, visit func(o, oc int32
 		}
 	}
 	return nil
-}
-
-// children returns output job o's run of kids.
-func (c *clustering) children(o int32) []int32 {
-	if o == 0 {
-		return c.kids[:c.end[0]]
-	}
-	return c.kids[c.end[o-1]:c.end[o]]
-}
-
-// buildIndex orders the output jobs and writes their Index: what finalize
-// derives from a dax.Workflow holding the same jobs and edges.
-func (c *clustering) buildIndex() (*Index, error) {
-	m := len(c.from)
-	// Kahn's algorithm as dax.Workflow.TopoSort runs it: roots in insertion
-	// order, children released in sorted-ID order. order doubles as the
-	// ready queue.
-	order := make([]int32, 0, m)
-	waiting := slices.Clone(c.indegree)
-	for o, n := range waiting {
-		if n == 0 {
-			order = append(order, int32(o))
-		}
-	}
-	for head := 0; head < len(order); head++ {
-		for _, oc := range c.children(order[head]) {
-			if waiting[oc]--; waiting[oc] == 0 {
-				order = append(order, oc)
-			}
-		}
-	}
-	if len(order) != m {
-		return nil, fmt.Errorf("planner: clustered workflow broken: cycle (%d of %d jobs orderable)", len(order), m)
-	}
-
-	idx := &Index{
-		Order:     make([]string, m),
-		ByID:      make(map[string]int32, m),
-		Children:  make([][]int32, m),
-		Indegree:  make([]int32, m),
-		insertion: make([]int32, m),
-		edges:     len(c.kids),
-	}
-	for i, o := range order {
-		idx.insertion[o] = int32(i)
-	}
-	for i, o := range order {
-		id := c.ids[o]
-		if _, dup := idx.ByID[id]; dup {
-			return nil, fmt.Errorf("planner: clustering: composite ID %q names two composites", id)
-		}
-		idx.Order[i] = id
-		idx.ByID[id] = int32(i)
-		idx.Indegree[i] = c.indegree[o]
-		// The children become positions where they lie; the order within a
-		// run is already the sorted-ID order an Index promises.
-		if kids := c.children(o); len(kids) > 0 {
-			for k, oc := range kids {
-				kids[k] = idx.insertion[oc]
-			}
-			idx.Children[i] = kids[:len(kids):len(kids)]
-		}
-	}
-	idx.Levels = levelsOf(idx)
-	return idx, nil
 }
 
 // buildJobs writes the clustered plan's slab in the order of its index:

@@ -107,10 +107,7 @@ func FuzzCluster(f *testing.F) {
 		}
 		got := requireClusterEqualsReference(t, fmt.Sprintf("seed %d %+v", seed, opts), p, opts)
 
-		in, err := p.Indexed()
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := p.Indexed()
 		level := make(map[string]int, p.Len())
 		for li, l := range in.Levels {
 			for _, pos := range l {
@@ -165,10 +162,7 @@ func FuzzCluster(f *testing.F) {
 				len(seen), p.Len(), inBytes, wantIn, outBytes, wantOut)
 		}
 
-		idx, err := got.Indexed()
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx := got.Indexed()
 		indegree := make([]int32, len(idx.Order))
 		for pos, kids := range idx.Children {
 			for _, c := range kids {

@@ -18,39 +18,43 @@
 // Resolved.Plan places the jobs under a policy (or, when no job has a
 // choice of site — any one-site list — without consulting one), with
 // runtime estimates the caller may override by position, and clones the
-// executable graph for the placement's stage-in signature (which sites
-// stage external inputs, feeding whom: the only thing about a placement that
-// changes the graph), materializing and memoizing it on first use, then
-// writes each job's site, runtime and install fields at its recorded slab
-// position. Install-step injection happens there: at sites without a shared
+// master plan for the placement's stage-in signature (which sites stage
+// external inputs, feeding whom: the only thing about a placement that
+// changes the topology), materializing and memoizing it on first use, then
+// writes each job's site, runtime and install fields at its slab position.
+// Install-step injection happens there: at sites without a shared
 // software stack (the OSG case in the paper, Fig. 3), jobs whose
 // transformation is not preinstalled gain a download/install setup phase.
-// One function, Resolved.materialize, turns resolved jobs into a graph and
-// synthesizes the stage-in jobs, one per site ("stage_in_<site>").
+// One function, Resolved.materialize, turns resolved jobs into a master —
+// their IDs and the abstract workflow's edges as arrays — and synthesizes
+// the stage-in jobs, one per site ("stage_in_<site>").
 //
 // Cluster is the one clustering pass — Pegasus's horizontal task clustering
 // (paper §III): on a built plan, small jobs of the same transformation at
 // the same site and DAG level are merged into composite jobs executed on one
 // slot, reducing per-job overhead. It works on the index: it reads the input
 // plan's Index (levels, edges, insertion order) and emits the output plan's
-// Index and job slab directly, in positions, building no dax.Workflow and no
-// string but the composite IDs — every clustered sweep cell runs it once per
-// member plan. The Index it writes is what finalize would derive from a
-// graph holding the same jobs and edges (TestClusterEqualsReferenceBuilder
-// keeps the graph-rebuilding pass as the reference).
+// edges and job slab directly, in positions, making no string but the
+// composite IDs — every clustered sweep cell runs it once per member plan
+// (TestClusterEqualsReferenceBuilder keeps the graph-rebuilding pass as the
+// reference).
 //
-// A built Plan is a shared immutable shape — the executable graph, the
-// dense topological Index, Sites — plus one flat slab of planned jobs held
-// by value in index order. Plan.Clone copies the slab and shares the rest
-// (two allocations at any size), which is what the plan cache in package
-// core hands to each sweep cell. Plan.Graph returns the dax.Workflow view:
-// the graph a planned or assembled plan was built from, and for a clustered
-// plan — whose topology of record is its Index — a view derived on each
-// call from the index, the slab's members and the input plan's graph, for
-// printouts, rescue workflows and tests; a run needs Len, JobAt and Indexed
-// only. Nothing outside this package writes a Job field or edits a plan's
-// graph (the clonegate analyzer enforces it), and the package exports no
-// method that writes a plan's slab: the per-seed patch is inside
-// Resolved.Plan. Assemble builds a plan from a hand-made graph and job
-// list.
+// A built Plan is a shared immutable shape — the dense topological Index,
+// Sites — plus one flat slab of planned jobs held by value in index order:
+// index and slab are the only topology a plan holds, and no executable
+// dax.Workflow is ever stored. One function, buildIndex, makes every Index —
+// materialize, Assemble and Cluster each hand it job IDs in insertion order,
+// a children arena and indegrees, and it runs Kahn's algorithm as
+// dax.Workflow.TopoSort does and refuses a cycle. Plan.Clone copies the slab
+// and shares the rest (two allocations at any size), which is what the plan
+// cache in package core hands to each sweep cell. Plan.Graph derives the
+// dax.Workflow view on every call, for any plan the same way: jobs in
+// insertion order with their file usages taken from the abstract workflow
+// the plan was resolved from (a composite's are its members'), edges from
+// the Index. The view is private to its caller — for printouts, rescue
+// workflows and tests; a run needs Len, JobAt and Indexed only. Nothing
+// outside this package writes a Job field (the clonegate analyzer enforces
+// it), and the package exports no method that writes a plan's slab: the
+// per-seed patch is inside Resolved.Plan. Assemble builds a plan from a
+// hand-made graph and job list, copying the graph's edges into an Index.
 package planner

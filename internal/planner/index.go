@@ -5,11 +5,13 @@
 // indegrees precomputed once — so the engine's hot loop runs on
 // index-addressed slices with a single map lookup per executor event.
 //
-// The Index captures topology only (IDs, edges, degrees) and is immutable
-// after construction, so a cloned plan shares its parent's Index — and its
-// graph — while owning its own slab of job attributes. For a clustered plan
-// the Index is the topology of record: Cluster writes one directly and no
-// dax.Workflow stands behind it (Plan.Graph derives one on demand).
+// The Index is the plan's topology of record — IDs, edges, degrees, levels,
+// insertion order — and the only one: no dax.Workflow stands behind it
+// (Plan.Graph derives one for whoever asks). It is immutable after
+// construction, so a cloned plan shares its parent's Index while owning its
+// own slab of job attributes. buildIndex is the one function that makes one;
+// Resolved.materialize, Assemble and Cluster each hand it their jobs and
+// edges as arrays.
 
 package planner
 
@@ -43,68 +45,92 @@ type Index struct {
 	// Plan.Jobs walks, Levels are filled in and Cluster first meets each
 	// output job in.
 	insertion []int32
-	// edges is the number of dependency edges: Graph.Edges() at build time,
-	// for staleness detection.
-	edges int
 }
 
 // Indexed returns the plan's dense index, built when the plan was
-// constructed. A plan's graph is immutable after construction; the job and
-// edge counts are still compared so that a graph edited behind the plan's
-// back is re-validated (and a cycle reported) instead of run on a stale
-// index. A clustered plan has no graph to go stale against.
-func (p *Plan) Indexed() (*Index, error) {
-	if g := p.graph; g != nil && (p.index == nil || len(p.index.Order) != g.Len() || p.index.edges != g.Edges()) {
-		if err := p.finalize(); err != nil {
-			return nil, err
-		}
-	}
-	return p.index, nil
-}
+// constructed.
+func (p *Plan) Indexed() *Index { return p.index }
 
 // JobAt returns the planned job at topological position i of the index.
 func (p *Plan) JobAt(i int32) *Job { return &p.jobs[i] }
 
-// finalize validates the executable graph (cycle check via TopoSort),
-// builds the dense index and moves the job slab into index order.
-func (p *Plan) finalize() error {
-	g := p.graph
-	order, err := g.TopoSort()
-	if err != nil {
-		return fmt.Errorf("planner: executable workflow broken: %w", err)
+// edgeList is a DAG handed to buildIndex as arrays. Jobs are named by their
+// number in insertion order; the children of job o are kids[end[o-1]:end[o]]
+// (from 0 for the first), each run in sorted-ID order.
+type edgeList struct {
+	// ids are the job IDs in insertion order.
+	ids []string
+	// kids is the children arena and end where each job's run stops.
+	kids, end []int32
+	// indegree counts each job's parents.
+	indegree []int32
+}
+
+// children returns job o's run of kids.
+func (e *edgeList) children(o int32) []int32 {
+	if o == 0 {
+		return e.kids[:e.end[0]]
 	}
+	return e.kids[e.end[o-1]:e.end[o]]
+}
+
+// buildIndex orders the jobs and writes their Index: what a dax.Workflow
+// holding the same jobs, inserted in the same order, and the same edges gives
+// through TopoSort, Children, Parents and Levels. It refuses a cycle and an
+// ID that names two jobs. The Index's Children are cut from e.kids, which
+// buildIndex rewrites in place; e is spent afterwards.
+func buildIndex(e *edgeList) (*Index, error) {
+	m := len(e.ids)
+	// Kahn's algorithm as dax.Workflow.TopoSort runs it: roots in insertion
+	// order, children released in sorted-ID order. order doubles as the
+	// ready queue.
+	order := make([]int32, 0, m)
+	waiting := append([]int32(nil), e.indegree...)
+	for o, n := range waiting {
+		if n == 0 {
+			order = append(order, int32(o))
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		for _, oc := range e.children(order[head]) {
+			if waiting[oc]--; waiting[oc] == 0 {
+				order = append(order, oc)
+			}
+		}
+	}
+	if len(order) != m {
+		return nil, fmt.Errorf("cycle (%d of %d jobs orderable)", len(order), m)
+	}
+
 	idx := &Index{
-		Order:     order,
-		ByID:      make(map[string]int32, len(order)),
-		Children:  make([][]int32, len(order)),
-		Indegree:  make([]int32, len(order)),
-		insertion: make([]int32, 0, len(order)),
-		edges:     g.Edges(),
+		Order:     make([]string, m),
+		ByID:      make(map[string]int32, m),
+		Children:  make([][]int32, m),
+		Indegree:  make([]int32, m),
+		insertion: make([]int32, m),
 	}
-	for i, id := range order {
+	for i, o := range order {
+		idx.insertion[o] = int32(i)
+	}
+	for i, o := range order {
+		id := e.ids[o]
+		if _, dup := idx.ByID[id]; dup {
+			return nil, fmt.Errorf("job ID %q names two jobs", id)
+		}
+		idx.Order[i] = id
 		idx.ByID[id] = int32(i)
-	}
-	for i, id := range order {
-		idx.Indegree[i] = int32(len(g.Parents(id)))
-		kids := g.Children(id)
-		if len(kids) == 0 {
-			continue
+		idx.Indegree[i] = e.indegree[o]
+		// The children become positions where they lie; the order within a
+		// run is already the sorted-ID order an Index promises.
+		if kids := e.children(o); len(kids) > 0 {
+			for k, oc := range kids {
+				kids[k] = idx.insertion[oc]
+			}
+			idx.Children[i] = kids[:len(kids):len(kids)]
 		}
-		cs := make([]int32, len(kids))
-		for k, c := range kids {
-			cs[k] = idx.ByID[c]
-		}
-		idx.Children[i] = cs
-	}
-	for _, j := range g.Jobs() {
-		idx.insertion = append(idx.insertion, idx.ByID[j.ID])
 	}
 	idx.Levels = levelsOf(idx)
-	if err := alignJobs(p.jobs, idx); err != nil {
-		return err
-	}
-	p.index = idx
-	return nil
+	return idx, nil
 }
 
 // levelsOf computes Index.Levels from the adjacency and the insertion order.
@@ -170,8 +196,8 @@ func alignJobs(jobs []Job, idx *Index) error {
 	return nil
 }
 
-// Clone returns a plan that shares this plan's immutable shape — graph,
-// Index, Sites and the backing arrays of every job's Args and Members — and
+// Clone returns a plan that shares this plan's immutable shape — Index,
+// Sites, origin and the backing arrays of every job's Args and Members — and
 // owns a copy of the job slab, so a Job field written through one plan never
 // shows in the other. It costs two allocations and one memmove whatever the
 // plan's size: the per-retrieval step of the plan cache.

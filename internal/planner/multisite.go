@@ -13,6 +13,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -217,7 +218,7 @@ func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, 
 // shape (the multi-site plan cache in package core keeps one per shape).
 type Resolved struct {
 	// Materialized, when set before the first Plan call, is called once
-	// per executable graph Plan builds (a memo miss).
+	// per master plan Plan builds (a memo miss).
 	Materialized func()
 
 	work      *dax.Workflow
@@ -235,26 +236,22 @@ type Resolved struct {
 	// consumers are the jobs reading external inputs, in workflow insertion
 	// order (none without AddStageIn). Where they are placed is the stage-in
 	// signature: the only thing about a placement that changes the
-	// executable graph.
+	// topology.
 	consumers []externalConsumer
 
 	mu sync.Mutex
+	// shapes memoizes, per stage-in signature, the master plan every
+	// placement with that signature is cloned from. A master inserts the
+	// resolved jobs first and in topological order, so the job at topological
+	// position k sits at slab position index.insertion[k].
 	//pegflow:guarded mu
-	shapes map[string]*shape
+	shapes map[string]*Plan
 }
 
 // externalConsumer is a job with inputs no job of the workflow produces.
 type externalConsumer struct {
 	pos    int32
 	inputs []dax.Use
-}
-
-// shape is one materialized executable graph of a Resolved: the master plan
-// every placement with the same stage-in signature is cloned from, and the
-// slab position of each topological position of the Resolved.
-type shape struct {
-	plan *Plan
-	slab []int32
 }
 
 // Resolve performs the runtime-independent part of planning: validation,
@@ -293,7 +290,7 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 		jobs:      make([]Job, 0, len(order)),
 		cands:     make([][]Candidate, 0, len(order)),
 		pos:       make(map[string]int32, len(order)),
-		shapes:    make(map[string]*shape),
+		shapes:    make(map[string]*Plan),
 	}
 	byTransformation := make(map[string][]Candidate)
 	for k, id := range order {
@@ -389,13 +386,13 @@ func (r *Resolved) Plan(policy SitePolicy, pos []int32, seconds []float64) (*Pla
 			return nil, err
 		}
 	}
-	sh, err := r.shapeFor(cand)
+	master, err := r.shapeFor(cand)
 	if err != nil {
 		return nil, err
 	}
-	plan := sh.plan.Clone()
+	plan, slab := master.Clone(), master.index.insertion
 	for k := range r.jobs {
-		j := &plan.jobs[sh.slab[k]]
+		j := &plan.jobs[slab[k]]
 		chosen := r.chosen(cand, int32(k))
 		j.Site = chosen.Site.Name
 		if !chosen.Entry.Installed {
@@ -404,7 +401,7 @@ func (r *Resolved) Plan(policy SitePolicy, pos []int32, seconds []float64) (*Pla
 		}
 	}
 	for k, p := range pos {
-		plan.jobs[sh.slab[p]].ExecSeconds = seconds[k]
+		plan.jobs[slab[p]].ExecSeconds = seconds[k]
 	}
 	return plan, nil
 }
@@ -453,9 +450,9 @@ func (r *Resolved) chosen(cand []int32, k int32) Candidate {
 	return r.cands[k][cand[k]]
 }
 
-// shapeFor returns the memoized shape for the placement's stage-in
+// shapeFor returns the memoized master plan for the placement's stage-in
 // signature, materializing it on first use.
-func (r *Resolved) shapeFor(cand []int32) (*shape, error) {
+func (r *Resolved) shapeFor(cand []int32) (*Plan, error) {
 	var buf [32]byte
 	sig := buf[:0]
 	for _, c := range r.consumers {
@@ -468,125 +465,147 @@ func (r *Resolved) shapeFor(cand []int32) (*shape, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sh := r.shapes[string(sig)]; sh != nil {
-		return sh, nil
+	if master := r.shapes[string(sig)]; master != nil {
+		return master, nil
 	}
-	sh, err := r.materialize(cand)
+	master, err := r.materialize(cand)
 	if err != nil {
 		return nil, err
 	}
-	r.shapes[string(sig)] = sh
+	r.shapes[string(sig)] = master
 	if r.Materialized != nil {
 		r.Materialized()
 	}
-	return sh, nil
+	return master, nil
 }
 
-// materialize builds the executable graph of a placement: one graph job per
-// resolved job, the workflow's edges, the stage-in jobs the placement's
-// signature calls for, and the index. The master's resolved jobs carry no
-// placement of their own; Plan writes one into every clone.
-func (r *Resolved) materialize(cand []int32) (*shape, error) {
-	work := r.work
+// materialize builds the master plan of a placement, index and slab: the
+// resolved jobs in topological order with the workflow's edges, then the
+// stage-in jobs the placement's signature calls for, each feeding its
+// consumers. The master's resolved jobs carry no placement of their own; Plan
+// writes one into every clone.
+func (r *Resolved) materialize(cand []int32) (*Plan, error) {
+	staged := r.stageIn(cand)
+	m := len(r.jobs) + len(staged)
+	edges := r.work.Edges()
+	for _, st := range staged {
+		edges += len(st.consumers)
+	}
+	e := &edgeList{
+		ids:      make([]string, 0, m),
+		kids:     make([]int32, 0, edges),
+		end:      make([]int32, 0, m),
+		indegree: make([]int32, m),
+	}
+	feed := func(id string, children []int32) {
+		e.ids = append(e.ids, id)
+		e.kids = append(e.kids, children...)
+		e.end = append(e.end, int32(len(e.kids)))
+		for _, c := range children {
+			e.indegree[c]++
+		}
+	}
+	jobs := make([]Job, len(r.jobs), m)
+	copy(jobs, r.jobs)
+	// A resolved job's number in insertion order is its topological position
+	// in the workflow, so r.pos maps an edge's ends.
+	var children []int32
+	for k := range r.jobs {
+		children = children[:0]
+		for _, c := range r.work.Children(r.jobs[k].ID) {
+			children = append(children, r.pos[c])
+		}
+		feed(r.jobs[k].ID, children)
+	}
 	suffix := "-multi"
 	if len(r.siteNames) == 1 {
 		suffix = "-" + r.siteNames[0]
 	}
-	plan := &Plan{
-		graph: dax.New(work.Name + suffix),
-		Site:  strings.Join(r.siteNames, ","),
-		Sites: r.siteNames,
-		jobs:  make([]Job, 0, len(r.jobs)+len(r.sites)), // +sites: the stage-in jobs
+	o := &origin{name: r.work.Name + suffix, work: r.work}
+	if len(staged) > 0 {
+		o.extra = make(map[string]*dax.Job, len(staged))
 	}
-	for k := range r.jobs {
-		aj := work.Job(r.jobs[k].ID)
-		gj := &dax.Job{ID: aj.ID, Transformation: aj.Transformation, Uses: aj.Uses, Priority: aj.Priority}
-		if err := plan.graph.AddJob(gj); err != nil {
-			return nil, err
-		}
+	for _, st := range staged {
+		feed(st.job.ID, st.consumers)
+		jobs = append(jobs, st.job)
+		o.extra[st.job.ID] = st.view
 	}
-	plan.jobs = append(plan.jobs, r.jobs...)
-	for _, aj := range work.Jobs() {
-		for _, parent := range work.Parents(aj.ID) {
-			if err := plan.graph.AddDependency(parent, aj.ID); err != nil {
-				return nil, err
-			}
-		}
+	idx, err := buildIndex(e)
+	if err != nil {
+		return nil, fmt.Errorf("planner: executable workflow broken: %w", err)
 	}
-	if err := r.addStageIn(plan, cand); err != nil {
+	if err := alignJobs(jobs, idx); err != nil {
 		return nil, err
 	}
-	if err := plan.finalize(); err != nil {
-		return nil, err
-	}
-	slab := make([]int32, len(r.jobs))
-	for k := range r.jobs {
-		slab[k] = plan.index.ByID[r.jobs[k].ID]
-	}
-	return &shape{plan: plan, slab: slab}, nil
+	return &Plan{Site: strings.Join(r.siteNames, ","), Sites: r.siteNames, origin: o, index: idx, jobs: jobs}, nil
 }
 
-// addStageIn synthesizes one stage-in job per site that consumes external
+// stagedIn is one synthesized stage-in job: the planned job, the job Graph
+// shows for it (the staged files as its outputs), and its consumers'
+// topological positions in sorted-ID order.
+type stagedIn struct {
+	job       Job
+	view      *dax.Job
+	consumers []int32
+}
+
+// stageIn synthesizes one stage-in job per site that consumes external
 // inputs under the placement, transferring every external input consumed at
-// that site and feeding its consumers there.
-func (r *Resolved) addStageIn(plan *Plan, cand []int32) error {
-	type ext struct {
-		lfn  string
-		size int64
-	}
+// that site and feeding its consumers there; the jobs come in site-name
+// order.
+func (r *Resolved) stageIn(cand []int32) []stagedIn {
 	// Per site: the external inputs staged there and their consumers.
-	externals := make(map[string][]ext)
-	consumers := make(map[string][]string) // site → consumer job IDs
-	entries := make(map[string]*catalog.Site)
-	seen := make(map[string]map[string]bool)
+	type siteStage struct {
+		entry     *catalog.Site
+		seen      map[string]bool
+		uses      []dax.Use
+		consumers []int32
+	}
+	stages := make(map[string]*siteStage)
 	for _, c := range r.consumers {
 		entry := r.chosen(cand, c.pos).Site
-		site := entry.Name
-		entries[site] = entry
-		consumers[site] = append(consumers[site], r.jobs[c.pos].ID)
-		if seen[site] == nil {
-			seen[site] = make(map[string]bool)
+		st := stages[entry.Name]
+		if st == nil {
+			st = &siteStage{entry: entry, seen: make(map[string]bool)}
+			stages[entry.Name] = st
 		}
+		st.consumers = append(st.consumers, c.pos)
 		for _, u := range c.inputs {
-			if !seen[site][u.LFN] {
-				seen[site][u.LFN] = true
-				externals[site] = append(externals[site], ext{u.LFN, u.Size})
+			if !st.seen[u.LFN] {
+				st.seen[u.LFN] = true
+				st.uses = append(st.uses, dax.Use{LFN: u.LFN, Link: dax.LinkOutput, Size: u.Size})
 			}
 		}
 	}
-	siteNames := make([]string, 0, len(externals))
-	for s := range externals {
+	siteNames := make([]string, 0, len(stages))
+	for s := range stages {
 		siteNames = append(siteNames, s)
 	}
 	sort.Strings(siteNames)
+	out := make([]stagedIn, 0, len(siteNames))
 	for _, site := range siteNames {
-		exts := externals[site]
-		sort.Slice(exts, func(i, j int) bool { return exts[i].lfn < exts[j].lfn })
-		id := "stage_in_" + site
-		gj := &dax.Job{ID: id, Transformation: StageInTransformation}
+		st := stages[site]
+		sort.Slice(st.uses, func(i, j int) bool { return st.uses[i].LFN < st.uses[j].LFN })
+		slices.SortFunc(st.consumers, func(a, b int32) int { return strings.Compare(r.jobs[a].ID, r.jobs[b].ID) })
 		var totalBytes int64
-		for _, e := range exts {
-			gj.Uses = append(gj.Uses, dax.Use{LFN: e.lfn, Link: dax.LinkOutput, Size: e.size})
-			totalBytes += e.size
+		for _, u := range st.uses {
+			totalBytes += u.Size
 		}
-		if err := plan.graph.AddJob(gj); err != nil {
-			return err
-		}
-		plan.jobs = append(plan.jobs, Job{
-			ID:             id,
-			Transformation: StageInTransformation,
-			Site:           site,
-			ExecSeconds:    float64(totalBytes) / (stageInMBps(entries[site]) * 1e6),
-			OutputBytes:    totalBytes,
-			// Stage-in never needs installs and gets top priority so
-			// transfers start immediately.
-			Priority: 1 << 20,
+		id := "stage_in_" + site
+		out = append(out, stagedIn{
+			job: Job{
+				ID:             id,
+				Transformation: StageInTransformation,
+				Site:           site,
+				ExecSeconds:    float64(totalBytes) / (stageInMBps(st.entry) * 1e6),
+				OutputBytes:    totalBytes,
+				// Stage-in never needs installs and gets top priority so
+				// transfers start immediately.
+				Priority: 1 << 20,
+			},
+			view:      &dax.Job{ID: id, Transformation: StageInTransformation, Uses: st.uses},
+			consumers: st.consumers,
 		})
-		for _, c := range consumers[site] {
-			if err := plan.graph.AddDependency(id, c); err != nil {
-				return err
-			}
-		}
 	}
-	return nil
+	return out
 }

@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"pegflow/internal/catalog"
 	"pegflow/internal/dax"
@@ -50,12 +51,12 @@ type Member struct {
 	ExecSeconds float64
 }
 
-// Plan is an executable workflow bound to its sites. Its shape — the graph,
-// Sites and the topological index — is immutable once the plan is built and
+// Plan is an executable workflow bound to its sites: a topological Index and
+// a slab of planned jobs in index order — nothing else holds its topology.
+// The shape (Index, Sites, origin) is immutable once the plan is built and
 // shared by every Clone; only the job slab is per plan, and this package
 // exports nothing that writes it. Nothing outside this package may write a
-// Job field through a pointer it was handed, or grow or edit the workflow
-// Graph returns (clonegate enforces both).
+// Job field through a pointer it was handed (clonegate enforces it).
 type Plan struct {
 	// Site is the execution site name; for a plan over several sites, the
 	// comma-joined site list. Per-job sites live in the jobs.
@@ -64,62 +65,102 @@ type Plan struct {
 	// (one entry for New). It is nil for assembled plans.
 	Sites []string
 
-	// graph is the executable graph the plan was built from (Resolved's
-	// materialize, Assemble). A clustered plan has none: Cluster emits an
-	// index and a slab, and Graph derives the dax view from them and source.
-	graph *dax.Workflow
-	// source is, in a clustered plan, the graph of the plan that was
-	// clustered: the jobs its members and its untouched jobs name.
-	source *dax.Workflow
+	// origin is what Graph shows beyond index and slab. A clustered plan
+	// shares its input plan's: Cluster renames no job it keeps.
+	origin *origin
+	// clustered counts the Cluster passes behind the plan; Graph's name
+	// carries one "-clustered" for each.
+	clustered int
 	// index is the immutable dense-integer topology (see Indexed), built
 	// at plan construction.
 	index *Index
 	// jobs holds the planned jobs by value, jobs[i] being the job at
-	// index.Order[i]. Constructors append in graph insertion order and
-	// finalize permutes the slab into index order in place.
+	// index.Order[i].
 	jobs []Job
+}
+
+// origin is the part of a plan's dax view that neither index nor slab holds:
+// the workflow's name and, per job, the file usages and the priority the
+// executable graph shows. It is immutable and shared — by the clones of a
+// plan and by the plans clustered from it.
+type origin struct {
+	name string
+	// work is the abstract workflow the plan was resolved from, whose jobs
+	// the executable jobs of the same ID mirror. Nil for an assembled plan.
+	work *dax.Workflow
+	// extra holds the jobs work does not: the synthesized stage-in jobs, or
+	// every job of the graph Assemble was handed.
+	extra map[string]*dax.Job
+}
+
+// job returns the job the view's job of that ID mirrors; nil for a composite,
+// which mirrors its members.
+func (o *origin) job(id string) *dax.Job {
+	if j := o.extra[id]; j != nil {
+		return j
+	}
+	if o.work == nil {
+		return nil
+	}
+	return o.work.Job(id)
 }
 
 // Assemble wraps a hand-built executable graph and its planned jobs — one
 // per graph job, in any order — as a single-site plan, for callers that
-// bypass catalog resolution. It takes ownership of jobs.
+// bypass catalog resolution. It takes ownership of jobs; of the graph it
+// keeps the jobs, whose edges it has copied into the plan's index, so a
+// cyclic graph is refused here and a later edit of the graph reaches no run.
 func Assemble(graph *dax.Workflow, site string, jobs []Job) (*Plan, error) {
-	p := &Plan{graph: graph, Site: site, jobs: jobs}
-	if err := p.finalize(); err != nil {
+	gjobs := graph.Jobs()
+	e := &edgeList{
+		ids:      make([]string, len(gjobs)),
+		kids:     make([]int32, 0, graph.Edges()),
+		end:      make([]int32, len(gjobs)),
+		indegree: make([]int32, len(gjobs)),
+	}
+	number := make(map[string]int32, len(gjobs))
+	extra := make(map[string]*dax.Job, len(gjobs))
+	for o, gj := range gjobs {
+		e.ids[o], number[gj.ID], extra[gj.ID] = gj.ID, int32(o), gj
+	}
+	for o, id := range e.ids {
+		for _, c := range graph.Children(id) {
+			e.kids = append(e.kids, number[c])
+			e.indegree[number[c]]++
+		}
+		e.end[o] = int32(len(e.kids))
+	}
+	idx, err := buildIndex(e)
+	if err != nil {
+		return nil, fmt.Errorf("planner: executable workflow broken: %w", err)
+	}
+	if err := alignJobs(jobs, idx); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &Plan{Site: site, origin: &origin{name: graph.Name, extra: extra}, index: idx, jobs: jobs}, nil
 }
 
-// Graph returns the executable jobs and their dependencies as a workflow.
-// Its Job entries are structural only; per-job planning attributes live in
-// the planned jobs (Job, JobAt, Jobs). A planned or assembled plan returns
-// the graph it was built from; a clustered plan builds the view from its
-// index on every call, so Graph is for printouts, rescue workflows and
-// tests — nothing on a run's path needs it (Len, JobAt, Indexed).
+// Graph returns the executable jobs and their dependencies as a workflow: a
+// view built from the index on every call and private to the caller, so
+// Graph is for printouts, rescue workflows and tests — nothing on a run's
+// path needs it (Len, JobAt, Indexed). Its jobs are structural only (ID,
+// transformation, priority, file usages — a composite's are its members',
+// concatenated); per-job planning attributes live in the planned jobs (Job,
+// JobAt, Jobs). The Uses slices alias the abstract workflow's backing arrays,
+// clipped so that an append copies; their elements are not the caller's to
+// write.
 func (p *Plan) Graph() *dax.Workflow {
-	if p.graph != nil {
-		return p.graph
-	}
-	return p.clusteredGraph()
-}
-
-// clusteredGraph builds the dax view of a clustered plan from its index:
-// the jobs in insertion order — untouched ones as the source graph has them,
-// composites with their members' file usages concatenated — and the index's
-// edges. The graph the pass built for every plan before it worked on the
-// index; now only the callers of Graph pay for it.
-func (p *Plan) clusteredGraph() *dax.Workflow {
-	idx := p.index
-	g := dax.New(p.source.Name + "-clustered")
+	idx, o := p.index, p.origin
+	g := dax.New(o.name + strings.Repeat("-clustered", p.clustered))
 	for _, pos := range idx.insertion {
 		j := &p.jobs[pos]
-		gj := &dax.Job{ID: j.ID, Transformation: j.Transformation, Priority: j.Priority}
-		if sj := p.source.Job(j.ID); sj != nil {
-			*gj = *sj
+		gj := &dax.Job{ID: idx.Order[pos], Transformation: j.Transformation, Priority: j.Priority}
+		if src := o.job(gj.ID); src != nil {
+			gj.Transformation, gj.Priority = src.Transformation, src.Priority
+			gj.Uses = src.Uses[:len(src.Uses):len(src.Uses)]
 		} else {
 			for _, m := range j.Members {
-				gj.Uses = append(gj.Uses, p.source.Job(m.TaskID).Uses...)
+				gj.Uses = append(gj.Uses, o.job(m.TaskID).Uses...)
 			}
 		}
 		if err := g.AddJob(gj); err != nil {

@@ -188,10 +188,7 @@ func referenceAddStageIn(graph *dax.Workflow, jobs []planner.Job, work *dax.Work
 // Assemble).
 func snapshot(t *testing.T, p *planner.Plan) map[string]any {
 	t.Helper()
-	idx, err := p.Indexed()
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := p.Indexed()
 	g := p.Graph() // once: a clustered plan derives it per call
 	out := map[string]any{
 		"name": g.Name, "site": p.Site, "order": idx.Order,
@@ -368,10 +365,7 @@ func referenceCluster(p *planner.Plan, opts planner.ClusterOptions) (*planner.Pl
 		return false
 	}
 
-	idx, err := p.Indexed()
-	if err != nil {
-		return nil, fmt.Errorf("planner: clustering: %w", err)
-	}
+	idx := p.Indexed()
 	pg := p.Graph()
 
 	// group maps every original job ID to its output job ID (itself when
@@ -517,10 +511,7 @@ func referenceCluster(p *planner.Plan, opts planner.ClusterOptions) (*planner.Pl
 func clusteredSnapshot(t *testing.T, p *planner.Plan) map[string]any {
 	t.Helper()
 	out := snapshot(t, p)
-	idx, err := p.Indexed()
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx := p.Indexed()
 	g := p.Graph()
 	cp, err := g.CriticalPathLength()
 	if err != nil {

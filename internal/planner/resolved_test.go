@@ -119,9 +119,9 @@ func resolvedSnapshot(t *testing.T, r *Resolved) map[string]any {
 		"jobs":  append([]Job(nil), r.jobs...),
 		"sites": append([]string(nil), r.siteNames...),
 	}
-	for sig, sh := range r.shapes {
-		out["shape/"+sig] = snapshot(t, sh.plan)
-		out["slab/"+sig] = append([]int32(nil), sh.slab...)
+	for sig, master := range r.shapes {
+		out["shape/"+sig] = snapshot(t, master)
+		out["slab/"+sig] = append([]int32(nil), master.index.insertion...)
 	}
 	return out
 }
@@ -194,7 +194,7 @@ func TestResolvedUnchangedByConcurrentPlans(t *testing.T) {
 	}
 }
 
-// TestIndexLevelsMatchGraphLevels: the levels finalize records are
+// TestIndexLevelsMatchGraphLevels: the levels buildIndex records are
 // dax.Workflow.Levels position for position, for every constructor.
 func TestIndexLevelsMatchGraphLevels(t *testing.T) {
 	for dag := uint64(1); dag <= 6; dag++ {
@@ -216,10 +216,7 @@ func TestIndexLevelsMatchGraphLevels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := p.Indexed()
-			if err != nil {
-				t.Fatal(err)
-			}
+			idx := p.Indexed()
 			got := make([][]string, len(idx.Levels))
 			for d, level := range idx.Levels {
 				for _, pos := range level {
@@ -228,6 +225,43 @@ func TestIndexLevelsMatchGraphLevels(t *testing.T) {
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("dag %d %s: index levels %v, graph levels %v", dag, name, got, want)
+			}
+		}
+	}
+}
+
+// TestAllocsMaterialize pins what the first Plan of a shape costs (run by CI
+// as `go test -run 'TestAllocs'`): the master's index and slab are written
+// from the Resolved's arrays, so per job it allocates the abstract
+// workflow's sorted child list and little else — three objects at most, at
+// n = 2,000 and at n = 20,000, with and without the stage-in job. (Building
+// the master through a dax.Workflow first cost about ten.)
+func TestAllocsMaterialize(t *testing.T) {
+	const runs = 3
+	cats := testCatalogs(t, "split", "run_cap3", "merge")
+	if err := cats.Replicas.Add("alignments.out", catalog.Replica{Site: "local", PFN: "/d/a"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, stageIn := range []bool{false, true} {
+		for _, width := range []int{2000, 20000} {
+			w := fanWorkflow(t, width)
+			// One fresh Resolved per measured call and one for the warm-up.
+			fresh := make([]*Resolved, runs+1)
+			for i := range fresh {
+				var err error
+				if fresh[i], err = Resolve(w, cats, MultiOptions{Sites: []string{"osg"}, AddStageIn: stageIn}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := 0
+			got := testing.AllocsPerRun(runs, func() {
+				cloneSink, _ = fresh[next].Plan(nil, nil, nil)
+				next++
+			})
+			if jobs := cloneSink.Len(); got > 3*float64(jobs) {
+				t.Errorf("stage-in %v, %d jobs: the first Plan allocates %.0f objects, want at most 3 per job", stageIn, jobs, got)
+			} else {
+				t.Logf("stage-in %v, %d jobs: %.2f objects per job", stageIn, jobs, got/float64(jobs))
 			}
 		}
 	}
