@@ -25,7 +25,7 @@ test:
 # into a fast stack-dumped failure instead of a hung job.
 race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru
-	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce' ./internal/core ./internal/planner ./internal/workflow
+	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce|TestFirstRetrievalBuildsOnce' ./internal/core ./internal/planner ./internal/workflow
 
 # The allocation gates CI runs: zero-alloc kernel and engine dispatch, an
 # attempt path (platform Submit to terminal event, ensemble hold and release)
@@ -39,8 +39,9 @@ race:
 # whose insert is one entry, and the scenario front door: a warm single-site
 # cell within the budget of the pipeline it replaced and flat in n, and a
 # Compile that computes nothing a cache-hit request does not need.
+# TestShapeCache*: shape-cache charges within 2× of the heap; budget ≥ 4× big_run's shape.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario
+	$(GO) test -run 'TestAllocs|TestShapeCache' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
 # through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the

@@ -394,7 +394,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	plan, res := spec.Plan, out.Workflows[0].Result
-	if err := stats.WriteSummary(os.Stdout, plan.Graph().Name, stats.Summarize(res.Log, res.Makespan)); err != nil {
+	if err := stats.WriteSummary(os.Stdout, plan.Name(), stats.Summarize(res.Log, res.Makespan)); err != nil {
 		return err
 	}
 	if o.failover {

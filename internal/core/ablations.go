@@ -27,7 +27,7 @@ type Variant struct {
 // the given variant applied.
 func (e *Experiment) RunVariant(platformName string, n int, v Variant) (*RunResult, error) {
 	// The edited declaration's world fingerprints to its own plan-cache key.
-	sites := workflow.PaperSites(e.SandhillsSlots, e.OSGSlots)
+	sites := workflow.PaperSites(0, 0)
 	for i := range sites {
 		if s := &sites[i]; s.Platform.Name == platformName {
 			if v.DisablePreemption {

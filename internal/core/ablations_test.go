@@ -80,7 +80,7 @@ func TestVariantDisablePreemptionStopsEvictions(t *testing.T) {
 func directVariantRun(t *testing.T, e *Experiment, platformName string, n int, v Variant) *engine.Result {
 	t.Helper()
 	var cfg platform.Config
-	for _, s := range workflow.PaperSites(e.SandhillsSlots, e.OSGSlots) {
+	for _, s := range workflow.PaperSites(0, 0) {
 		if s.Platform.Name == platformName {
 			cfg = s.Config(e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15))
 		}
@@ -92,7 +92,7 @@ func directVariantRun(t *testing.T, e *Experiment, platformName string, n int, v
 	if err != nil {
 		t.Fatal(err)
 	}
-	cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
+	cats, err := workflow.PaperCatalogs(e.Workload, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

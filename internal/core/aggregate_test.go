@@ -12,10 +12,8 @@ import (
 // (exact and aggregated) per test.
 func smallExperiment(seed uint64, aggregate bool) *Experiment {
 	return &Experiment{
-		Seed:           seed,
-		SandhillsSlots: 50,
-		OSGSlots:       100,
-		RetryLimit:     5,
+		Seed:       seed,
+		RetryLimit: 5,
 		Workload: workflow.CustomWorkload(workflow.WorkloadParams{
 			NumClusters:    800,
 			MaxClusterSize: 120,

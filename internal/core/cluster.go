@@ -24,7 +24,7 @@ import (
 // identical to RunWorkflow, so a run with disabled options reproduces
 // RunWorkflow exactly and sweeps compare like with like.
 func (e *Experiment) RunClustered(platformName string, n int, copts planner.ClusterOptions) (*RunResult, error) {
-	world, err := e.paperWorld()
+	world, err := paperWorld()
 	if err != nil {
 		return nil, err
 	}

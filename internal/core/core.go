@@ -26,11 +26,6 @@ var ExtendedPlatforms = []string{"sandhills", "osg", "cloud"}
 type Experiment struct {
 	// Seed drives every stochastic component.
 	Seed uint64
-	// SandhillsSlots resizes the campus-cluster allocation the workflow
-	// got, and OSGSlots the opportunistic pool; zero keeps the slot count
-	// of workflow's preset.
-	SandhillsSlots int
-	OSGSlots       int
 	// RetryLimit is the DAGMan retry budget per job.
 	RetryLimit int
 	// Workload is the dataset; defaults to the paper-scale synthetic
@@ -46,12 +41,6 @@ type Experiment struct {
 	// per-transformation tables are unaffected; consumers that need raw
 	// records (timelines, log export) must run exact.
 	Aggregate bool
-
-	// The paper's world at this experiment's slot counts: built by the first
-	// run, so SandhillsSlots and OSGSlots must not change after it.
-	worldOnce sync.Once
-	world     *workflow.World
-	worldErr  error
 }
 
 // DefaultExperiment returns the paper-scale configuration.
@@ -80,14 +69,12 @@ type RunResult struct {
 // WallTime returns the workflow wall time in seconds.
 func (r *RunResult) WallTime() float64 { return r.Summary.WallTime }
 
-// paperWorld returns the world of the built-in sites at this experiment's
-// slot counts.
-func (e *Experiment) paperWorld() (*workflow.World, error) {
-	e.worldOnce.Do(func() {
-		e.world, e.worldErr = workflow.NewWorld(workflow.PaperSites(e.SandhillsSlots, e.OSGSlots))
-	})
-	return e.world, e.worldErr
-}
+// paperWorld is the world of the built-in sites at their preset slot counts,
+// which every Experiment runs on: built once per process, so its plan-cache
+// keys are too.
+var paperWorld = sync.OnceValues(func() (*workflow.World, error) {
+	return workflow.NewWorld(workflow.PaperSites(0, 0))
+})
 
 // RunWorkflow executes the blast2cap3 workflow with n cluster chunks on
 // the named platform and returns its statistics.
@@ -147,7 +134,7 @@ func newRunResult(platformName string, n int, res *engine.Result) *RunResult {
 // one-job plan is built directly and run on a bare engine: the only caller
 // of engine.Run in this package.
 func (e *Experiment) RunSerial() (*RunResult, error) {
-	world, err := e.paperWorld()
+	world, err := paperWorld()
 	if err != nil {
 		return nil, err
 	}

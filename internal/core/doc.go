@@ -14,8 +14,8 @@
 // pool; a single workflow is an ensemble of one and a single site a pool of
 // one, so Experiment (RunWorkflow, RunClustered, RunAll, the Monte Carlo and
 // cluster sweeps, the ablations) is a thin adapter: the workflow.World of
-// workflow's table of built-in sites (workflow.PaperSites at the
-// experiment's slot counts, built once per Experiment), a one-member
+// workflow's table of built-in sites (workflow.PaperSites at the preset
+// slot counts, built once per process), a one-member
 // EnsembleExperiment on one site of it planned without stage-in jobs, and
 // the member's outcome as a RunResult. An EnsembleExperiment owns no
 // catalogs, platform models or catalog fingerprint: it names a World, the
@@ -30,12 +30,12 @@
 // observable the former single-site pipeline differed in.
 //
 // Three process-wide caches make sweeps cheap without changing a single
-// output byte (asserted byte-for-byte in tests). A workload seed moves
-// nothing but the run_cap3 runtime estimates, which are written per
-// retrieval, so no plan or DAX key holds a seed: those entries follow
-// distinct shapes, and a seed never seen before plans as warm as a repeated
-// one. The runtime estimates themselves are the third cache, the only one
-// keyed on a seed and therefore the only one with a byte budget.
+// output byte (asserted byte-for-byte in tests). All three are internal/lru
+// caches with a constant byte budget. A workload seed moves nothing but the
+// run_cap3 runtime estimates, which are written per retrieval, so no plan
+// or DAX key holds a seed: those entries follow distinct shapes, and a seed
+// never seen before plans as warm as a repeated one. The runtime estimates
+// themselves are the third cache, the only one keyed on a seed.
 //
 //   - the plan cache (ensemble.go) keeps one planner.Resolved master per
 //     (workload fingerprint, n, StageIn, fingerprint of the catalog fields
@@ -44,14 +44,20 @@
 //     is workflow.World.Key, computed once per world and site list. A
 //     member plan is the seed's ChunkSeconds plus
 //     Resolved.Plan: a placement pass under the cell's policy (none when no
-//     job has a choice of site), a Clone of the master graph memoized for
-//     that placement's stage-in signature (the master's graph and index
-//     shared, its job slab copied: a constant number of allocations at any
-//     n), and one patch of site, install and runtime fields; it equals
+//     job has a choice of site), a Clone of the master plan memoized for
+//     that placement's stage-in signature (the master's index shared, its
+//     job slab copied: a constant number of allocations at any n), and one
+//     patch of site, install and runtime fields; it equals
 //     planner.NewMulti on the member's own BuildDAX, and on one site
 //     planner.New;
 //   - the member-DAX cache (ensemble.go) holds the abstract workflow per
 //     (workload fingerprint, n) that those masters are resolved from;
+//     it and the plan cache charge an entry from its key's n at measured
+//     per-chunk constants against shapeCacheBytes each (plancache.go), a
+//     budget no benchmark, test or example reaches, on one shard; each
+//     entry builds itself once under a sync.Once, and nothing pins it — a
+//     cell holds its master by pointer, so an eviction only costs the next
+//     cell of that shape a rebuild;
 //   - the chunk-seconds cache (plancache.go) holds the rounded run_cap3
 //     runtimes per (workload params, cost model, seed, n) in an
 //     internal/lru cache of 32 MiB (a constant). The runtimes depend on
@@ -63,8 +69,9 @@
 //     workloads bypass it; past the budget the least recently used entries
 //     go, and the cost falls back to the uncached one.
 //
-// PlanCacheStats exposes build/retrieval counters and the chunk-seconds
-// cache's hits, misses, evictions and bytes (surfaced by `pegflow serve`'s
+// PlanCacheStats exposes build/retrieval counters, the shape caches' bytes
+// and evictions, and the chunk-seconds cache's hits, misses, evictions and
+// bytes (surfaced by `pegflow serve`'s
 // health endpoint); ResetPlanCache drops every entry of all three, for
 // tests and benchmarks that want a cold cache.
 //

@@ -14,6 +14,7 @@ import (
 	"pegflow/internal/engine"
 	"pegflow/internal/ensemble"
 	"pegflow/internal/fault"
+	"pegflow/internal/lru"
 	"pegflow/internal/planner"
 	"pegflow/internal/pool"
 	"pegflow/internal/sim/platform"
@@ -107,23 +108,25 @@ type memberDAXKey struct {
 	alignmentBytes   int64
 }
 
+// cachedDAX is one member-DAX cache entry, built once under the sync.Once by
+// whichever caller first runs it.
 type cachedDAX struct {
 	once sync.Once
 	wf   *dax.Workflow
 	err  error
 }
 
-// hash picks the key's cache shard (see shardedMap in plancache.go).
-func (k memberDAXKey) hash() uint64 {
-	return hashFields([]string{k.name}, []uint64{uint64(k.n)})
+// charge is the entry's share of shapeCacheBytes (see plancache.go).
+func (k memberDAXKey) charge(*cachedDAX) int64 {
+	return daxBytesPerChunk*int64(k.n) + shapeEntryBytes
 }
 
-var memberDAXCache shardedMap[memberDAXKey, cachedDAX]
+var memberDAXCache = lru.New(shapeCacheBytes, 1, oneShard[memberDAXKey], memberDAXKey.charge)
 
 // memberDAX serves the shape's abstract master, built from whichever seed
 // asked first. The master is shared and read-only.
 func memberDAX(key memberDAXKey, w workflow.Workload) (*dax.Workflow, error) {
-	entry := memberDAXCache.entry(key.hash(), key)
+	entry := entryOf(memberDAXCache, key)
 	entry.once.Do(func() {
 		daxBuilds.Add(1)
 		entry.wf, entry.err = workflow.BuildDAX(workflow.BuilderConfig{N: key.n, Workload: w})
@@ -146,13 +149,14 @@ type multiPlanKey struct {
 	catalogs string
 }
 
-func (k multiPlanKey) hash() uint64 {
-	return hashFields([]string{k.dax.name, k.catalogs}, []uint64{uint64(k.dax.n)})
+// charge is the entry's share of shapeCacheBytes (see plancache.go).
+func (k multiPlanKey) charge(*cachedMultiPlan) int64 {
+	return masterBytesPerChunk*int64(k.dax.n) + shapeEntryBytes
 }
 
 // cachedMultiPlan is one multi-site cache entry; the master is resolved
 // once under the sync.Once and only read afterwards (its memo of
-// materialized graphs is its own, guarded business).
+// materialized master plans is its own, guarded business).
 type cachedMultiPlan struct {
 	once   sync.Once
 	master *planner.Resolved
@@ -162,7 +166,7 @@ type cachedMultiPlan struct {
 	err      error
 }
 
-var multiPlanCache shardedMap[multiPlanKey, cachedMultiPlan]
+var multiPlanCache = lru.New(shapeCacheBytes, 1, oneShard[multiPlanKey], multiPlanKey.charge)
 
 // memberSource resolves member i: for a synthesized workload the shape's
 // cached master plus this seed's chunk runtimes, rounded as the DAX runtime
@@ -197,7 +201,7 @@ func (e *EnsembleExperiment) memberSource(i int, catalogs string) (ensemble.Reso
 		stageIn:  mopts.AddStageIn,
 		catalogs: catalogs,
 	}
-	entry := multiPlanCache.entry(key.hash(), key)
+	entry := entryOf(multiPlanCache, key)
 	entry.once.Do(func() {
 		planBuilds.Add(1)
 		entry.err = entry.build(key.dax, w, e.World.Catalogs(), mopts)

@@ -38,7 +38,7 @@ func memberPlans(t testing.TB, e *EnsembleExperiment) []ensemble.Spec {
 // with n chunks as an ensemble of one on the named paper platform.
 func singleSite(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *EnsembleExperiment {
 	t.Helper()
-	world, err := e.paperWorld()
+	world, err := paperWorld()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestMultiPlanCacheHoldsNoSeed(t *testing.T) {
 	if got := warm.MemberDAXBuilds - start.MemberDAXBuilds; got != 1 {
 		t.Errorf("warm-up cell built %d member DAXes, want 1", got)
 	}
-	daxEntries, planEntries := memberDAXCache.Len(), multiPlanCache.Len()
+	daxEntries, planEntries := memberDAXCache.Stats().Entries, multiPlanCache.Stats().Entries
 	if daxEntries != 1 || planEntries != 1 {
 		t.Errorf("after the warm-up cell: %d DAX and %d multi-plan entries, want 1 and 1", daxEntries, planEntries)
 	}
@@ -241,7 +241,7 @@ func TestMultiPlanCacheHoldsNoSeed(t *testing.T) {
 	if got := end.PlanRetrievals - warm.PlanRetrievals; got != 64*2 {
 		t.Errorf("64 two-member cells retrieved %d plans, want 128", got)
 	}
-	if d, p := memberDAXCache.Len(), multiPlanCache.Len(); d != daxEntries || p != planEntries {
+	if d, p := memberDAXCache.Stats().Entries, multiPlanCache.Stats().Entries; d != daxEntries || p != planEntries {
 		t.Errorf("cache entries grew with seeds: DAX %d → %d, multi-plan %d → %d", daxEntries, d, planEntries, p)
 	}
 }
@@ -263,7 +263,7 @@ func TestMultiPlanCacheKeysOnCatalogContent(t *testing.T) {
 	}
 	build(nil)
 	build(nil) // fresh catalogs, same content
-	if got := multiPlanCache.Len(); got != 1 {
+	if got := multiPlanCache.Stats().Entries; got != 1 {
 		t.Errorf("two experiments with equal catalogs hold %d masters, want 1", got)
 	}
 	build(func(e *EnsembleExperiment) {
@@ -275,10 +275,10 @@ func TestMultiPlanCacheKeysOnCatalogContent(t *testing.T) {
 		s.StageInMBps = 10
 	})
 	build(func(e *EnsembleExperiment) { e.Sites = []string{"slow", "fast"} })
-	if got := multiPlanCache.Len(); got != 3 {
+	if got := multiPlanCache.Stats().Entries; got != 3 {
 		t.Errorf("a changed bandwidth and a reordered site list give %d masters, want 3", got)
 	}
-	if got := memberDAXCache.Len(); got != 1 {
+	if got := memberDAXCache.Stats().Entries; got != 1 {
 		t.Errorf("%d member DAXes, want the one all three masters were resolved from", got)
 	}
 }
@@ -375,16 +375,16 @@ func TestPlanCacheBuildsOncePerShape(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		singleSitePlan(t, DefaultExperiment(seed), "sandhills", 50, none)
 	}
-	if got := multiPlanCache.Len(); got != 1 {
+	if got := multiPlanCache.Stats().Entries; got != 1 {
 		t.Errorf("cache entries after 8 seeds of one shape = %d, want 1", got)
 	}
 	e := DefaultExperiment(0)
 	singleSitePlan(t, e, "osg", 50, none)
 	singleSitePlan(t, e, "sandhills", 60, none)
-	if got := multiPlanCache.Len(); got != 3 {
+	if got := multiPlanCache.Stats().Entries; got != 3 {
 		t.Errorf("cache entries after two more shapes = %d, want 3", got)
 	}
-	if got := memberDAXCache.Len(); got != 2 {
+	if got := memberDAXCache.Stats().Entries; got != 2 {
 		t.Errorf("%d member DAXes, want one per n", got)
 	}
 
@@ -442,7 +442,7 @@ func TestPlanCacheSpeedup(t *testing.T) {
 // TestNewEqualsReferenceBuilder), then the clustering pass.
 func singleSiteReference(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *planner.Plan {
 	t.Helper()
-	cats, err := workflow.PaperCatalogs(e.Workload, e.SandhillsSlots, e.OSGSlots)
+	cats, err := workflow.PaperCatalogs(e.Workload, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestCachedPlanEqualsUncachedPlan(t *testing.T) {
 				}
 			}
 		}
-		if got := multiPlanCache.Len(); got != 1 {
+		if got := multiPlanCache.Stats().Entries; got != 1 {
 			t.Errorf("%s: %d masters, want the one seed 7 resolved", site, got)
 		}
 	}
@@ -508,7 +508,7 @@ func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 	const n = 80
 	builder := DefaultExperiment(100)
 	before := planSnapshot(t, singleSitePlan(t, builder, "osg", n, planner.ClusterOptions{}))
-	if got := multiPlanCache.Len(); got != 1 {
+	if got := multiPlanCache.Stats().Entries; got != 1 {
 		t.Fatalf("%d masters, want 1", got)
 	}
 
@@ -550,7 +550,7 @@ func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 	if d := diffSnapshots(before, planSnapshot(t, singleSitePlan(t, builder, "osg", n, planner.ClusterOptions{}))); d != "" {
 		t.Errorf("master changed under concurrent cells at %s", d)
 	}
-	if got := multiPlanCache.Len(); got != 1 {
+	if got := multiPlanCache.Stats().Entries; got != 1 {
 		t.Errorf("%d masters after the cells, want 1", got)
 	}
 	for g := range shared {

@@ -1,104 +1,54 @@
-// Shared cache machinery: the sharded map under the plan and member-DAX
-// caches (ensemble.go), their counters, and the chunk-seconds cache. The
-// only seed-dependent part of a plan is the set of run_cap3 chunk runtimes
-// (the seed drives nothing but the cluster→chunk assignment permutation);
-// they depend on the seed and n but not on the site, so the chunk-seconds
-// cache keeps each (workload, cost model, seed, n)'s slice — rounded exactly
-// as the "%.3f" DAX runtime profiles round them — in a byte-bounded LRU that
-// every member plan reads through roundedChunkSeconds.
+// Shared cache machinery: the budget and charges of the plan and member-DAX
+// caches (ensemble.go), their counters, and the chunk-seconds cache. All
+// three are internal/lru caches. The only seed-dependent part of a plan is
+// the set of run_cap3 chunk runtimes (the seed drives nothing but the
+// cluster→chunk assignment permutation); they depend on the seed and n but
+// not on the site, so the chunk-seconds cache keeps each (workload, cost
+// model, seed, n)'s slice — rounded exactly as the "%.3f" DAX runtime
+// profiles round them — in a byte-bounded LRU that every member plan reads
+// through roundedChunkSeconds.
 
 package core
 
 import (
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"pegflow/internal/lru"
 	"pegflow/internal/workflow"
 )
 
-// cacheShards spreads the plan and member-DAX caches across independently
-// locked shards, selected by a fingerprint hash of the key, so concurrent
-// mixed-document traffic (the serve tier's steady state) does not contend
-// on one map's lock.
-const cacheShards = 16
+// shapeCacheBytes is the budget of each shape cache (plan and member DAX):
+// 1 GiB is over 4× the charge of big_run's n = 10^5 shape in either (≈ 171
+// MiB of abstract DAX, ≈ 49 MiB of master), so no benchmark workload, test
+// or example evicts. It is a constant, not an option. A cell holds its
+// master by pointer, so an eviction costs the next cell of that shape a
+// rebuild and never takes a master from under a running one.
+const shapeCacheBytes = 1 << 30
 
-// shardedMap is a fixed-size array of mutex-guarded maps from keys to
-// entries that build themselves once; callers route each key to a shard with
-// a hash they compute from the key's identity fields. A plain mutex+map
-// beats sync.Map here: entry is the only hot operation, each call is one
-// short critical section that allocates nothing on a hit, and the guarded
-// state is visible to the guardfield analyzer. Heavy lifting (resolving a
-// master) happens outside the lock via the entry's sync.Once.
-type shardedMap[K comparable, E any] struct {
-	shards [cacheShards]mapShard[K, E]
-}
+// The shape caches charge an entry from its key: the chunk count times the
+// post-GC heap an entry was measured to hold per chunk — the abstract DAX
+// 1.65–1.75 KiB, a master (Resolved, its first materialized shape and the
+// chunk positions) 0.45–0.51 KiB — plus a fixed part for the five jobs
+// around the chunks and the entry itself (TestShapeCacheChargeMatchesHeap).
+const (
+	daxBytesPerChunk    = 1792
+	masterBytesPerChunk = 512
+	shapeEntryBytes     = 16 << 10
+)
 
-// mapShard is one independently locked slice of a shardedMap.
-type mapShard[K comparable, E any] struct {
-	mu sync.Mutex
-	//pegflow:guarded mu
-	m map[K]*E
-}
+// At most one shape-cache lookup happens per member per cell (≈ 5k/s on
+// the busiest workload), so one shard serves: the key needs no hash.
+func oneShard[K any](K) uint64 { return 0 }
 
-// entry returns the entry stored under key, a zero E on first sight.
-func (m *shardedMap[K, E]) entry(hash uint64, key K) *E {
-	sh := &m.shards[hash%cacheShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.m[key]
-	if !ok {
-		if sh.m == nil {
-			sh.m = make(map[K]*E)
-		}
-		e = new(E)
-		sh.m[key] = e
+// entryOf returns the build-once entry resident under k in a shape cache,
+// putting a fresh one on a miss. Racing first callers all Put, and each
+// gets back the one entry that won, so its Once builds the shape once.
+func entryOf[K comparable, E any](c *lru.Cache[K, *E], k K) *E {
+	if e, ok := c.Get(k); ok {
+		return e
 	}
-	return e
-}
-
-// Len counts entries across all shards (cache introspection; the
-// warm-cache tests assert entry counts with it).
-func (m *shardedMap[K, E]) Len() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Clear drops every entry from every shard.
-func (m *shardedMap[K, E]) Clear() {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		sh.m = nil
-		sh.mu.Unlock()
-	}
-}
-
-// hashFields is FNV-1a over a mix of strings and integers — the shard
-// selector for cache keys, computed once per member plan and therefore
-// spelled out rather than run through a heap-allocated hash.Hash64.
-func hashFields(strs []string, ints []uint64) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, s := range strs {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
-		h *= prime64 // a zero separator byte: ("ab","c") != ("a","bc")
-	}
-	for _, v := range ints {
-		for shift := 0; shift < 64; shift += 8 {
-			h = (h ^ (v >> shift & 0xff)) * prime64
-		}
-	}
-	return h
+	return c.Put(k, new(E))
 }
 
 // Cache telemetry: masters built vs. cache retrievals served. The
@@ -127,6 +77,13 @@ type CacheStats struct {
 	// ensemble member-DAX cache, which multi-site masters are resolved from.
 	MemberDAXBuilds     uint64 `json:"member_dax_builds"`
 	MemberDAXRetrievals uint64 `json:"member_dax_retrievals"`
+	// PlanBytes and MemberDAXBytes are the two shape caches' current charge
+	// against shapeCacheBytes each; the evictions count entries dropped to
+	// stay inside it.
+	PlanBytes          int64  `json:"plan_bytes"`
+	PlanEvictions      uint64 `json:"plan_evictions"`
+	MemberDAXBytes     int64  `json:"member_dax_bytes"`
+	MemberDAXEvictions uint64 `json:"member_dax_evictions"`
 	// ChunkHits, ChunkMisses and ChunkEvictions count lookups of a (workload,
 	// cost model, seed, n)'s rounded chunk runtimes in the chunk-seconds
 	// cache; ChunkBytes is its current charge against chunkCacheBytes.
@@ -138,13 +95,17 @@ type CacheStats struct {
 
 // PlanCacheStats returns the current cache counters.
 func PlanCacheStats() CacheStats {
-	chunk := chunkCache.Stats()
+	plans, daxes, chunk := multiPlanCache.Stats(), memberDAXCache.Stats(), chunkCache.Stats()
 	return CacheStats{
 		PlanBuilds:          planBuilds.Load(),
 		PlanRetrievals:      planRetrievals.Load(),
 		PlanShapes:          planShapes.Load(),
 		MemberDAXBuilds:     daxBuilds.Load(),
 		MemberDAXRetrievals: daxRetrievals.Load(),
+		PlanBytes:           plans.Bytes,
+		PlanEvictions:       plans.Evictions,
+		MemberDAXBytes:      daxes.Bytes,
+		MemberDAXEvictions:  daxes.Evictions,
 		ChunkHits:           chunk.Hits,
 		ChunkMisses:         chunk.Misses,
 		ChunkEvictions:      chunk.Evictions,
@@ -153,10 +114,10 @@ func PlanCacheStats() CacheStats {
 }
 
 // ResetPlanCache drops every resolved master, member DAX and chunk-seconds
-// entry. Tests and benchmarks use it for a cold
-// cache. No plan or DAX key holds a seed, so those entry counts grow with
-// distinct shapes, never with seeds; the chunk-seconds cache, whose key does
-// hold one, is bounded by chunkCacheBytes instead.
+// entry. Tests and benchmarks use it for a cold cache. No plan or DAX key
+// holds a seed, so those entry counts grow with distinct shapes, never with
+// seeds, up to shapeCacheBytes; the chunk-seconds cache, whose key does hold
+// one, is bounded by chunkCacheBytes.
 func ResetPlanCache() {
 	multiPlanCache.Clear()
 	memberDAXCache.Clear()

@@ -3,9 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
+	"pegflow/internal/planner"
 	"pegflow/internal/workflow"
 )
 
@@ -82,4 +85,112 @@ func FuzzRoundMillis(f *testing.F) {
 		}
 		checkRoundMillis(t, math.Abs(x))
 	})
+}
+
+// heapAfterGC is the live heap once two collections have run.
+func heapAfterGC() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestShapeCacheChargeMatchesHeap: the shape caches charge an entry from
+// its key, and the charge is within 2× of the post-GC heap the entry
+// holds, at n = 2,000 and 20,000, for a one-site and a two-site master. On
+// a cold cache, a one-site cell builds the shape's DAX and a master; a cell
+// on the other paper site then builds a master alone, and a two-site cell
+// another, so the first delta less the second is the DAX.
+func TestShapeCacheChargeMatchesHeap(t *testing.T) {
+	defer ResetPlanCache()
+	none := planner.ClusterOptions{}
+	for _, n := range []int{2000, 20000} {
+		ResetPlanCache()
+		e := DefaultExperiment(42)
+		if _, err := roundedChunkSeconds(workflow.DefaultCostModel(), e.Workload, n); err != nil {
+			t.Fatal(err) // warms the chunk and workload caches out of the measurement
+		}
+		pair, err := PaperEnsemble(42, 1, n, planner.PolicyDataAware)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair.MemberWorkload = func(int) workflow.Workload { return e.Workload }
+		cells := []*EnsembleExperiment{singleSite(t, e, "osg", n, none), singleSite(t, e, "sandhills", n, none), pair}
+		var heap, charge [3]int64
+		for i, cell := range cells {
+			st, h := PlanCacheStats(), heapAfterGC()
+			memberPlans(t, cell)
+			end := PlanCacheStats()
+			heap[i] = heapAfterGC() - h
+			charge[i] = end.PlanBytes - st.PlanBytes + end.MemberDAXBytes - st.MemberDAXBytes
+		}
+		for _, c := range []struct {
+			what          string
+			heap, charged int64
+		}{
+			{"abstract DAX", heap[0] - heap[1], charge[0] - charge[1]},
+			{"one-site master", heap[1], charge[1]},
+			{"two-site master", heap[2], charge[2]},
+		} {
+			t.Logf("n=%d %s: charged %d B (%.0f B/chunk), holds %d B (%.0f B/chunk)",
+				n, c.what, c.charged, float64(c.charged)/float64(n), c.heap, float64(c.heap)/float64(n))
+			if c.charged > 2*c.heap || c.heap > 2*c.charged {
+				t.Errorf("n=%d %s: charged %d B, holds %d B: not within 2×", n, c.what, c.charged, c.heap)
+			}
+		}
+	}
+}
+
+// TestShapeCacheHoldsBigRun: each shape cache's budget holds big_run's
+// n = 10^5 shape four times over, so no benchmark workload evicts.
+func TestShapeCacheHoldsBigRun(t *testing.T) {
+	const bigRunN = 100000
+	dk := memberDAXKey{n: bigRunN}
+	for _, c := range []struct {
+		cache  string
+		charge int64
+	}{
+		{"member-DAX", dk.charge(nil)},
+		{"plan", multiPlanKey{dax: dk}.charge(nil)},
+	} {
+		if 4*c.charge > shapeCacheBytes {
+			t.Errorf("%s cache: 4 × %d B at n=%d exceeds the %d B budget", c.cache, c.charge, bigRunN, shapeCacheBytes)
+		}
+	}
+}
+
+// TestFirstRetrievalBuildsOnce: eight cells racing the first retrieval of
+// a shape — whether they meet in the cache (a miss each, and every Put
+// returning the entry that won: internal/lru's TestDuplicatePutKeepsIncumbent)
+// or in the entry's Once — build the shape's DAX and master once each. CI
+// runs this under -race -count=10.
+func TestFirstRetrievalBuildsOnce(t *testing.T) {
+	ResetPlanCache()
+	defer ResetPlanCache()
+	before := PlanCacheStats()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(e *EnsembleExperiment) {
+			defer wg.Done()
+			<-start
+			if _, err := e.plan(); err != nil {
+				t.Error(err)
+			}
+		}(singleSite(t, DefaultExperiment(uint64(200+g)), "osg", 40, planner.ClusterOptions{}))
+	}
+	close(start)
+	wg.Wait()
+	after := PlanCacheStats()
+	if got := after.PlanBuilds - before.PlanBuilds; got != 1 {
+		t.Errorf("8 racing first retrievals resolved %d masters, want 1", got)
+	}
+	if got := after.MemberDAXBuilds - before.MemberDAXBuilds; got != 1 {
+		t.Errorf("8 racing first retrievals built %d member DAXes, want 1", got)
+	}
+	if got := after.PlanRetrievals - before.PlanRetrievals; got != 8 {
+		t.Errorf("8 cells retrieved %d plans, want 8", got)
+	}
 }

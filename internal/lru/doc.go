@@ -11,11 +11,14 @@
 // value larger than a shard's whole budget is refused rather than
 // emptying the shard for an entry that still would not fit; a second Put
 // of a resident key keeps the incumbent, because every user caches a pure
-// function of the key. Hit, miss and eviction counts are monotone; entry
-// and byte counts describe current occupancy.
+// function of the key or an entry that builds one once. Put returns what
+// is resident under the key afterwards — the incumbent, or the value put
+// (uncached, if refused) — so racing first callers of a build-once entry
+// all get the one that won. Hit, miss and eviction counts are monotone;
+// entry and byte counts describe current occupancy.
 //
 // Users: the serve tier's cell-result cache (internal/server/resultcache),
-// the per-seed chunk-runtime cache (internal/core) and the two workload
-// memo tables (internal/workflow). The plan and DAX caches in
-// internal/core are not on it yet (ROADMAP item 1).
+// the per-seed chunk-runtime cache, the plan cache and the member-DAX
+// cache (internal/core), and the two workload memo tables
+// (internal/workflow). Every process-wide cache under internal/ is one.
 package lru

@@ -112,23 +112,25 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 }
 
 // Put stores v under k, evicting least-recently-used entries from the
-// key's shard until the shard fits its byte budget. A value too large for
-// the shard budget is not stored. The cache keeps a reference to v:
-// callers must not modify it after Put.
-func (c *Cache[K, V]) Put(k K, v V) {
+// key's shard until the shard fits its byte budget, and returns the value
+// resident under k after the call: the incumbent if k was already cached,
+// else v — stored, or, when too large for the shard budget, refused and
+// returned uncached. The cache keeps a reference to v: callers must not
+// modify it after Put.
+func (c *Cache[K, V]) Put(k K, v V) V {
 	size := c.size(k, v)
 	s := c.shardFor(k)
 	if size > s.maxBytes {
-		return
+		return v
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[k]; ok {
 		// Concurrent misses on one key race to Put; every user caches a
-		// pure function of the key, so the values are equal: refresh
-		// recency and keep the incumbent.
+		// pure function of the key, or an entry that builds one once, so
+		// the incumbent serves: refresh its recency and hand it back.
 		s.moveToFront(e)
-		return
+		return e.value
 	}
 	e := &entry[K, V]{key: k, value: v}
 	s.entries[k] = e
@@ -143,6 +145,7 @@ func (c *Cache[K, V]) Put(k K, v V) {
 	}
 	s.count.Store(int64(len(s.entries)))
 	s.curBytes.Store(s.bytes)
+	return v
 }
 
 // Clear drops every entry. Counters keep counting: a cleared entry is not

@@ -100,17 +100,32 @@ func TestOversizedValueRefused(t *testing.T) {
 	}
 }
 
+// Put returns what is resident under the key after the call: the value it
+// stored, the incumbent it kept, or — for a value too large to keep — the
+// value itself, uncached.
 func TestDuplicatePutKeepsIncumbent(t *testing.T) {
 	c := intCache(1<<20, 1)
 	first, second := []byte("first"), []byte("second, and longer")
-	c.Put(7, first)
-	c.Put(7, second)
+	if got := c.Put(7, first); &got[0] != &first[0] {
+		t.Errorf("first Put returned %q, want the value it stored", got)
+	}
+	if got := c.Put(7, second); &got[0] != &first[0] {
+		t.Errorf("second Put returned %q, want the incumbent", got)
+	}
 	got, _ := c.Get(7)
 	if string(got) != "first" {
 		t.Errorf("second Put replaced the incumbent: got %q", got)
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Bytes != int64(len(first))+16 {
 		t.Errorf("duplicate Put changed occupancy: %+v", st)
+	}
+
+	huge := make([]byte, 1<<20)
+	if got := c.Put(8, huge); len(got) != len(huge) || &got[0] != &huge[0] {
+		t.Errorf("refused Put returned a %d-byte value, want the refused value itself", len(got))
+	}
+	if _, ok := c.Get(8); ok {
+		t.Error("a value larger than the budget was cached")
 	}
 }
 

@@ -151,7 +151,7 @@ func Assemble(graph *dax.Workflow, site string, jobs []Job) (*Plan, error) {
 // write.
 func (p *Plan) Graph() *dax.Workflow {
 	idx, o := p.index, p.origin
-	g := dax.New(o.name + strings.Repeat("-clustered", p.clustered))
+	g := dax.New(p.Name())
 	for _, pos := range idx.insertion {
 		j := &p.jobs[pos]
 		gj := &dax.Job{ID: idx.Order[pos], Transformation: j.Transformation, Priority: j.Priority}
@@ -175,6 +175,22 @@ func (p *Plan) Graph() *dax.Workflow {
 		}
 	}
 	return g
+}
+
+// Name returns the name Graph's view carries — the workflow's, with one
+// "-clustered" per Cluster pass — without building the view: at most one
+// allocation at any n.
+func (p *Plan) Name() string {
+	if p.clustered == 0 {
+		return p.origin.name
+	}
+	var b strings.Builder
+	b.Grow(len(p.origin.name) + p.clustered*len("-clustered"))
+	b.WriteString(p.origin.name)
+	for range p.clustered {
+		b.WriteString("-clustered")
+	}
+	return b.String()
 }
 
 // Len returns the number of executable jobs.

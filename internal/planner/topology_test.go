@@ -88,6 +88,66 @@ func TestPlanHasOneTopology(t *testing.T) {
 	}
 }
 
+// namedPlans are a planned, a multi-site, a twice-clustered and an assembled
+// plan over a fan of the given width.
+func namedPlans(t *testing.T, width int) map[string]*Plan {
+	t.Helper()
+	cats := testCatalogs(t, "split", "run_cap3", "merge")
+	planned, err := New(fanWorkflow(t, width), cats, Options{Site: "osg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := NewMulti(fanWorkflow(t, width), cats, MultiOptions{Sites: []string{"sandhills", "osg"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered := planned
+	for range 2 {
+		if clustered, err = Cluster(clustered, ClusterOptions{MaxTasksPerJob: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handBuilt := fanWorkflow(t, width)
+	var jobs []Job
+	for _, gj := range handBuilt.Jobs() {
+		jobs = append(jobs, Job{ID: gj.ID, Transformation: gj.Transformation, Site: "osg"})
+	}
+	assembled, err := Assemble(handBuilt, "osg", jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Plan{"planned": planned, "multi-site": multi, "clustered twice": clustered, "assembled": assembled}
+}
+
+var nameSink string
+
+// TestPlanNameMatchesGraph: Name is the name of the Graph view, and costs
+// at most one allocation whatever the plan's size — `pegflow run` prints it
+// for plans whose view would cost O(n).
+func TestPlanNameMatchesGraph(t *testing.T) {
+	for name, p := range namedPlans(t, 6) {
+		if got, want := p.Name(), p.Graph().Name; got != want {
+			t.Errorf("%s: Name() = %q, Graph().Name = %q", name, got, want)
+		}
+	}
+	if got := namedPlans(t, 6)["clustered twice"].Name(); got != "fan-osg-clustered-clustered" {
+		t.Errorf("twice-clustered plan is named %q", got)
+	}
+	allocs := map[int]float64{}
+	for _, width := range []int{2000, 20000} {
+		for name, p := range namedPlans(t, width) {
+			got := testing.AllocsPerRun(20, func() { nameSink = p.Name() })
+			if got > 1 {
+				t.Errorf("%s, width %d: Name allocates %v times, want at most 1", name, width, got)
+			}
+			allocs[width] += got
+		}
+	}
+	if allocs[2000] != allocs[20000] {
+		t.Errorf("Name's allocations grow with the plan: %v at width 2000, %v at 20000", allocs[2000], allocs[20000])
+	}
+}
+
 // workflowSnapshot deep-copies everything observable about a workflow.
 func workflowSnapshot(w *dax.Workflow) map[string]any {
 	out := map[string]any{"name": w.Name, "edges": w.Edges()}

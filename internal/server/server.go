@@ -122,10 +122,11 @@ func (s *Server) refuseIfDraining(w http.ResponseWriter) bool {
 	return true
 }
 
-// readScenario reads, parses and compiles the request body. The body is
-// capped with http.MaxBytesReader, so an oversized upload is cut off at
-// the transport (413, connection close) instead of being drained.
-func (s *Server) readScenario(w http.ResponseWriter, r *http.Request) (*scenario.Compiled, bool) {
+// readBody reads the request body, the scenario document of both POST
+// endpoints, or writes the error response. The body is capped with
+// http.MaxBytesReader, so an oversized upload is cut off at the transport
+// (413, connection close) instead of being drained.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxScenarioBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -133,8 +134,17 @@ func (s *Server) readScenario(w http.ResponseWriter, r *http.Request) (*scenario
 			s.httpError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("scenario document exceeds %d bytes", MaxScenarioBytes))
 		} else {
-			s.httpError(w, http.StatusBadRequest, fmt.Sprintf("reading request: %v", err))
+			s.httpError(w, http.StatusBadRequest, fmt.Sprintf("unreadable scenario document: %v", err))
 		}
+		return nil, false
+	}
+	return body, true
+}
+
+// readScenario reads, parses and compiles the request body.
+func (s *Server) readScenario(w http.ResponseWriter, r *http.Request) (*scenario.Compiled, bool) {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return nil, false
 	}
 	doc, err := scenario.Parse("request", body)
@@ -282,15 +292,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if s.refuseIfDraining(w) {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxScenarioBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("scenario document exceeds %d bytes", MaxScenarioBytes))
-		} else {
-			s.httpError(w, http.StatusBadRequest, "unreadable scenario document")
-		}
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	resp := CheckResponse{}

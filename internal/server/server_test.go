@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"pegflow/internal/core"
@@ -426,6 +428,34 @@ func TestOversizedUploadRejected(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s oversized upload = %d %s, want 413", path, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestBodyErrorsAgreeAcrossEndpoints: run and check read their document
+// through one reader, so an oversized document and a body whose read fails
+// get the same status and the same error body from both.
+func TestBodyErrorsAgreeAcrossEndpoints(t *testing.T) {
+	srv := New(Options{Workers: 1, CacheBytes: -1})
+	for _, tc := range []struct {
+		name   string
+		body   func() io.Reader
+		status int
+	}{
+		{"oversized", func() io.Reader { return strings.NewReader(strings.Repeat("x", MaxScenarioBytes+16)) }, http.StatusRequestEntityTooLarge},
+		{"failed read", func() io.Reader { return iotest.ErrReader(errors.New("connection reset")) }, http.StatusBadRequest},
+	} {
+		var bodies []string
+		for _, path := range []string{"/v1/scenarios/run", "/v1/scenarios/check"} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, tc.body()))
+			if rec.Code != tc.status {
+				t.Errorf("%s %s: status %d, want %d", tc.name, path, rec.Code, tc.status)
+			}
+			bodies = append(bodies, rec.Body.String())
+		}
+		if bodies[0] != bodies[1] {
+			t.Errorf("%s: run and check disagree:\n%s\n%s", tc.name, bodies[0], bodies[1])
 		}
 	}
 }
