@@ -21,10 +21,11 @@ test:
 	$(GO) test -vet=all ./...
 
 # The stress variant CI runs on the concurrency-heavy packages. The
-# timeout turns a deadlock (the bug class lockhold/pairpath exist for)
-# into a fast stack-dumped failure instead of a hung job.
+# timeout turns a deadlock — a lock-owning type's method blocking on
+# another lock or a channel, or a gate token never returned — into a fast
+# stack-dumped failure instead of a hung job.
 race:
-	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru
+	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru ./internal/pool
 	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce|TestFirstRetrievalBuildsOnce' ./internal/core ./internal/planner ./internal/workflow
 
 # The allocation gates CI runs: zero-alloc kernel and engine dispatch, an

@@ -22,6 +22,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pegflow/internal/server"
@@ -188,10 +189,9 @@ func runPhase(client *http.Client, baseURL, name string, doc func(int) string, o
 		return phaseReport{}, fmt.Errorf("%s: healthz before: %w", name, err)
 	}
 
+	// Each request writes its own latency slot; the counts are atomic.
 	latencies := make([]float64, o.requests)
-	errCount := 0
-	retried := 0
-	var mu sync.Mutex
+	var errCount, retried atomic.Int64
 	var wg sync.WaitGroup
 	work := make(chan int)
 	chaosStop := make(chan struct{})
@@ -208,17 +208,11 @@ func runPhase(client *http.Client, baseURL, name string, doc func(int) string, o
 			for i := range work {
 				t0 := time.Now()
 				retries, err := post(client, baseURL, doc(i), rng)
-				ms := float64(time.Since(t0)) / float64(time.Millisecond)
-				mu.Lock()
-				latencies[i] = ms
-				retried += retries
-				if err != nil {
-					errCount++
-					if errCount <= 3 {
-						fmt.Fprintf(os.Stderr, "loadgen: %s request %d: %v\n", name, i, err)
-					}
+				latencies[i] = float64(time.Since(t0)) / float64(time.Millisecond)
+				retried.Add(int64(retries))
+				if err != nil && errCount.Add(1) <= 3 {
+					fmt.Fprintf(os.Stderr, "loadgen: %s request %d: %v\n", name, i, err)
 				}
-				mu.Unlock()
 			}
 		}(c)
 	}
@@ -257,8 +251,8 @@ func runPhase(client *http.Client, baseURL, name string, doc func(int) string, o
 	pr := phaseReport{
 		Name:          name,
 		Requests:      o.requests,
-		Errors:        errCount,
-		Retried429:    retried,
+		Errors:        int(errCount.Load()),
+		Retried429:    int(retried.Load()),
 		ChaosRequests: chaosRequests,
 		Chaos5xx:      chaos5xx,
 		ElapsedS:      elapsed.Seconds(),

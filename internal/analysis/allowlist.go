@@ -101,12 +101,24 @@ func (al *Allowlist) permits(f Finding) bool {
 
 // unused returns a finding per entry that never matched, restricted to
 // analyzers that actually ran (disabling an analyzer must not flag its
-// entries as stale).
+// entries as stale), and one per entry naming an analyzer that is neither
+// in the production suite nor among those that ran: such an entry can never
+// match, so a typo or a deleted analyzer must not be accepted silently.
 func (al *Allowlist) unused(enabled map[string]bool) []Finding {
+	known := map[string]bool{}
+	for _, a := range Analyzers() {
+		known[a.Name()] = true
+	}
 	var out []Finding
 	for _, e := range al.Entries {
-		if e.used || !enabled[e.Analyzer] {
+		var msg string
+		switch {
+		case !known[e.Analyzer] && !enabled[e.Analyzer]:
+			msg = fmt.Sprintf("allowlist entry names unknown analyzer %q", e.Analyzer)
+		case e.used || !enabled[e.Analyzer]:
 			continue
+		default:
+			msg = fmt.Sprintf("stale allowlist entry: no %s finding matches %s %s", e.Analyzer, e.File, e.Key)
 		}
 		out = append(out, Finding{
 			Analyzer: "allowlist",
@@ -114,7 +126,7 @@ func (al *Allowlist) unused(enabled map[string]bool) []Finding {
 			Line:     e.line,
 			Col:      1,
 			Key:      e.Analyzer + "/" + e.Key,
-			Message:  fmt.Sprintf("stale allowlist entry: no %s finding matches %s %s", e.Analyzer, e.File, e.Key),
+			Message:  msg,
 		})
 	}
 	return out

@@ -10,7 +10,7 @@ import (
 // *types.Func for ordinary and method calls, a *types.Builtin for
 // builtins, nil for indirect calls through variables. A method reached
 // through an instantiated generic type resolves to its declaration, which
-// is what annotations and configured names are recorded against.
+// is what configured names are recorded against.
 func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -62,6 +62,17 @@ func funcDisplayName(fd *ast.FuncDecl) string {
 			return fd.Name.Name
 		}
 	}
+}
+
+// selectHasDefault reports whether the select has a default case, which
+// makes it a poll rather than a blocking wait.
+func selectHasDefault(sel *ast.SelectStmt) bool {
+	for _, cl := range sel.Body.List {
+		if cl.(*ast.CommClause).Comm == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // enclosingFuncDecl returns the function declaration whose body spans pos,

@@ -3,12 +3,11 @@
 // select, goto and panic edges — plus a generic forward-dataflow driver
 // for computing per-block reaching facts to a fixpoint.
 //
-// It is the foundation the concurrency-invariant analyzers (guardfield,
-// pairpath, lockhold) stand on: they phrase "the mutex is held on every
-// path to this access" and "every acquire reaches a release on all
-// non-panic paths" as dataflow over these graphs. The package is pure
-// syntax — it never consults go/types — so it stays reusable for any
-// statement-level path property.
+// No analyzer in the suite imports it: the lock-discipline analyzers it was
+// built for ("the mutex is held on every path to this access", "every
+// acquire reaches a release on all non-panic paths") were replaced by types
+// that own their locks. The package is pure syntax — it never consults
+// go/types — so it serves any statement-level path property.
 //
 // Two modeling decisions matter to clients:
 //
@@ -19,8 +18,8 @@
 //     Walking every node of every block therefore visits each
 //     expression exactly once.
 //   - defer carries no special edges. A DeferStmt appears as an
-//     ordinary node at its registration point; analyzers that care
-//     (pairpath) treat registering a releasing defer as the release,
+//     ordinary node at its registration point; an analyzer that cares
+//     treats registering a releasing defer as the release,
 //     because from that point on the release runs on every exit,
 //     panics included.
 //

@@ -188,15 +188,6 @@ func (c *CtxFlow) selectHasDoneCase(pkg *Package, sel *ast.SelectStmt) bool {
 	return false
 }
 
-func selectHasDefault(sel *ast.SelectStmt) bool {
-	for _, cl := range sel.Body.List {
-		if cl.(*ast.CommClause).Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // walkFunc visits every node of one function body without entering
 // nested function literals (they are checked as their own functions).
 func walkFunc(body *ast.BlockStmt, visit func(ast.Node)) {

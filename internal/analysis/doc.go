@@ -2,8 +2,8 @@
 // the mechanical enforcement of the invariants every PR so far has
 // defended by hand: byte-identical output across worker counts
 // (determinism), clone-before-mutate on cached plan/DAX masters, a
-// zero-allocation simulation kernel, and the serve tier's locking
-// discipline.
+// zero-allocation simulation kernel, and cancelable waits on the serve
+// tier's request path.
 //
 // The package is built purely on the standard library (go/parser,
 // go/types, and a `go list`-driven package loader) so the module keeps its
@@ -29,8 +29,13 @@
 //     list of hot kernel functions has zero heap escapes outside panic
 //     paths, generalizing the TestAllocs gates to the whole kernel.
 //
-// Four more — guardfield, pairpath, ctxflow, lockhold (markers.go) — check
-// the concurrency annotations over a shared control-flow graph (cfg).
+// A fifth, ctxflow, guards the last: a request-path function that receives
+// a context threads it, and every blocking wait there can observe its
+// cancellation.
+//
+// Lock discipline has no analyzer: every lock site is a small type that owns
+// its mutex and takes it, with a deferred unlock, in each of its methods
+// (docs/LINTING.md lists the sites and what checks them).
 //
 // The cmd/pegflow-lint binary drives the suite; docs/LINTING.md documents
 // each analyzer, the invariant it guards, and the allowlist workflow.

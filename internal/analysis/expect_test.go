@@ -122,25 +122,9 @@ func TestCloneGateFixture(t *testing.T) {
 	runFixture(t, a, fixturePath("clonegate"))
 }
 
-func TestGuardFieldFixture(t *testing.T) {
-	runFixture(t, &GuardField{}, fixturePath("guardfield"))
-}
-
-func TestPairPathFixture(t *testing.T) {
-	runFixture(t, &PairPath{}, fixturePath("pairpath"))
-}
-
 func TestCtxFlowFixture(t *testing.T) {
 	a := &CtxFlow{Packages: []string{"pegflow/internal/analysis/testdata/src/ctxflow/..."}}
 	runFixture(t, a, fixturePath("ctxflow"))
-}
-
-func TestLockHoldFixture(t *testing.T) {
-	a := &LockHold{
-		Packages:      []string{"pegflow/internal/analysis/testdata/src/lockhold/..."},
-		BlockingCalls: []string{"pegflow/internal/analysis/testdata/src/lockhold/a.simulate"},
-	}
-	runFixture(t, a, fixturePath("lockhold"))
 }
 
 // TestFixturesAreOutsideRepoLintScope pins the property the self-check

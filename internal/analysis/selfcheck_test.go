@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -113,5 +115,42 @@ func TestAllowlistMatchingAndStaleness(t *testing.T) {
 	}
 	if got := al.unused(map[string]bool{"detrange": true}); len(got) != 0 {
 		t.Fatalf("stale reporting fired for a disabled analyzer: %v", got)
+	}
+}
+
+// silentAnalyzer reports nothing: a suite member whose name is all that
+// matters.
+type silentAnalyzer string
+
+func (a silentAnalyzer) Name() string { return string(a) }
+func (silentAnalyzer) Doc() string    { return "reports nothing" }
+func (silentAnalyzer) Run(*Program, func(token.Position, string, string)) error {
+	return nil
+}
+
+// TestAllowlistUnknownAnalyzer: an entry naming an analyzer that does not
+// exist — a typo, or one since deleted — is a finding even though that
+// analyzer did not run, while an entry for a real analyzer left out of the
+// run (-disable) stays silent.
+func TestAllowlistUnknownAnalyzer(t *testing.T) {
+	al := &Allowlist{Path: "lint.allow", Entries: []*AllowEntry{
+		{Analyzer: "detsource", File: "internal/engine/local.go", Key: "time.Now", Justification: "disabled, not unknown", line: 1},
+		{Analyzer: "lockhld", File: "internal/scenario/run.go", Key: "emit", Justification: "typo", line: 2},
+		{Analyzer: "slabcopy", File: "internal/engine/queue.go", Key: "readyQueue", Justification: "deleted analyzer", line: 3},
+	}}
+	suite := &Suite{Analyzers: []Analyzer{silentAnalyzer("detrange")}, Allow: al}
+	findings, err := suite.Run(&Program{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []int
+	for _, f := range findings {
+		if f.Analyzer != "allowlist" || !strings.Contains(f.Message, "unknown analyzer") {
+			t.Errorf("unexpected finding: %s", f)
+		}
+		lines = append(lines, f.Line)
+	}
+	if !slices.Equal(lines, []int{2, 3}) {
+		t.Errorf("findings on allowlist lines %v, want 2 and 3 (the typo and the deleted analyzer)", lines)
 	}
 }

@@ -38,47 +38,6 @@ var RequestPathPackages = []string{
 	"pegflow/internal/scenario",
 }
 
-// LockHoldPackages are the packages holding request-path mutexes (cache
-// shards, output serialization, progress, first-error collection).
-// lockhold runs here.
-var LockHoldPackages = []string{
-	"pegflow/internal/server/...",
-	"pegflow/internal/scenario",
-	"pegflow/internal/core",
-	"pegflow/internal/pool",
-}
-
-// NewLockHold returns the production lockhold: the serve-tier lock
-// packages plus the calls that are blocking by fiat — cell-simulation
-// entry points (seconds of DES work per call) and stdlib network/file
-// I/O, none of which may run inside a critical section.
-func NewLockHold() *LockHold {
-	return &LockHold{
-		Packages: LockHoldPackages,
-		BlockingCalls: []string{
-			// Simulation entry points.
-			"pegflow/internal/core.Experiment.RunWorkflow",
-			"pegflow/internal/core.Experiment.RunSerial",
-			"pegflow/internal/core.Experiment.RunClustered",
-			"pegflow/internal/core.Experiment.RunVariant",
-			"pegflow/internal/core.Experiment.RunAll",
-			"pegflow/internal/core.EnsembleExperiment.Run",
-			"pegflow/internal/core.MonteCarloSweep",
-			// Network and file I/O on the serve tier.
-			"net/http.Client.Do",
-			"net/http.Client.Get",
-			"net/http.Client.Post",
-			"net/http.ResponseWriter.Write",
-			"net/http.Flusher.Flush",
-			"io.Copy",
-			"os.ReadFile",
-			"os.WriteFile",
-			"os.Open",
-			"os.Create",
-		},
-	}
-}
-
 // NewCloneGate returns the production clonegate: the cached plan/DAX
 // types, their defining packages and the audited whitelist of functions that
 // mutate fresh (not cached) values.
@@ -157,10 +116,7 @@ func Analyzers() []Analyzer {
 		&DetSource{Packages: SimBoundaryPackages},
 		NewCloneGate(),
 		NewEscapeGate(),
-		&GuardField{},
-		&PairPath{},
 		&CtxFlow{Packages: RequestPathPackages},
-		NewLockHold(),
 	}
 }
 

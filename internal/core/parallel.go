@@ -30,9 +30,28 @@ type SweepOptions struct {
 	Workers int
 	// Progress, when non-nil, is called after each completed grid cell
 	// with the number of finished cells and the total. Calls are
-	// serialized, but their order follows completion, not cell order.
-	//pegflow:blocking
+	// serialized, but their order follows completion, not cell order. Each
+	// call runs under the sweep's progress lock, so a slow Progress holds up
+	// every worker finishing a cell meanwhile.
 	Progress func(done, total int)
+}
+
+// progress counts a sweep's finished cells and reports each to fn, one call
+// at a time: fn runs under the lock, which is what serializes it.
+type progress struct {
+	mu          sync.Mutex
+	fn          func(done, total int)
+	done, total int
+}
+
+// tick counts one finished cell.
+func (p *progress) tick() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.done++
+	if p.fn != nil {
+		p.fn(p.done, p.total)
+	}
 }
 
 // sweepCell is the raw outcome of one (rep, platform, n) simulation.
@@ -66,17 +85,7 @@ func MonteCarloSweep(baseSeed uint64, runs int, opts SweepOptions) (*Sweep, erro
 	serialWalls := make([]float64, runs)
 	cells := make([]sweepCell, runs*len(platforms)*len(nValues))
 
-	var progressMu sync.Mutex
-	done := 0
-	tick := func() {
-		if opts.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		done++
-		opts.Progress(done, total)
-		progressMu.Unlock()
-	}
+	prog := &progress{fn: opts.Progress, total: total}
 
 	err := pool.ForEach(opts.Workers, total, func(i int) error {
 		rep, k := i/perRep, i%perRep
@@ -87,7 +96,7 @@ func MonteCarloSweep(baseSeed uint64, runs int, opts SweepOptions) (*Sweep, erro
 				return err
 			}
 			serialWalls[rep] = ser.WallTime()
-			tick()
+			prog.tick()
 			return nil
 		}
 		j := k - 1
@@ -100,7 +109,7 @@ func MonteCarloSweep(baseSeed uint64, runs int, opts SweepOptions) (*Sweep, erro
 			wall:      res.WallTime(),
 			evictions: res.Result.Evictions,
 		}
-		tick()
+		prog.tick()
 		return nil
 	})
 	if err != nil {

@@ -4,9 +4,10 @@
 // a shard, and the charge an entry makes against the byte budget — and
 // gets Get, Put, Clear and Stats.
 //
-// Each shard owns 1/Nth of the budget, one mutex, one map and one
-// intrusive recency list; the map, the list and the byte count change
-// together under that mutex (//pegflow:guarded, checked by guardfield).
+// Each shard owns 1/Nth of the budget, one mutex and one list: a map, an
+// intrusive recency list and a byte count that change together. The list
+// is not safe for concurrent use; the shard's get, put and clear are the
+// only code that touches it, and each holds the mutex throughout.
 // Put evicts from the tail of the key's shard until the shard fits; a
 // value larger than a shard's whole budget is refused rather than
 // emptying the shard for an entry that still would not fit; a second Put

@@ -15,29 +15,31 @@ const DefaultShards = 16
 type entry[K comparable, V any] struct {
 	key        K
 	value      V
-	prev, next *entry[K, V] // LRU list: head = most recent, tail = eviction victim
+	prev, next *entry[K, V]
 }
 
-// shard is one independently locked slice of the cache. The map, the
-// LRU list and the byte accounting form one invariant (every entry is
-// in both structures and counted exactly once), so they share a guard;
-// maxBytes is immutable after construction and the atomics are
-// lock-free telemetry.
+// shard is one independently locked slice of the cache: a mutex and the
+// list it serializes. get, put and clear are the only code that touches the
+// list, and each holds the mutex for its whole body. maxBytes is immutable
+// after construction and the atomics are lock-free telemetry.
 type shard[K comparable, V any] struct {
-	mu sync.Mutex
-	//pegflow:guarded mu
-	entries map[K]*entry[K, V]
-	//pegflow:guarded mu
-	head *entry[K, V]
-	//pegflow:guarded mu
-	tail *entry[K, V]
-	//pegflow:guarded mu
-	bytes    int64
+	mu       sync.Mutex
+	list     list[K, V]
 	maxBytes int64
 
 	evictions atomic.Uint64
 	count     atomic.Int64
 	curBytes  atomic.Int64
+}
+
+// list is a shard's map, recency list and byte count. They form one
+// invariant — every entry is in both structures and charged exactly once —
+// and list is not safe for concurrent use: only its shard's locked methods
+// call it. The zero list is empty.
+type list[K comparable, V any] struct {
+	entries    map[K]*entry[K, V]
+	head, tail *entry[K, V] // head = most recent, tail = eviction victim
+	bytes      int64
 }
 
 // Cache is a sharded, byte-bounded, least-recently-used map. It is safe
@@ -83,7 +85,7 @@ func New[K comparable, V any](maxBytes int64, shards int, hash func(K) uint64, s
 		per = 1
 	}
 	for i := range c.shards {
-		c.shards[i] = &shard[K, V]{entries: make(map[K]*entry[K, V]), maxBytes: per}
+		c.shards[i] = &shard[K, V]{maxBytes: per}
 	}
 	return c
 }
@@ -95,20 +97,13 @@ func (c *Cache[K, V]) shardFor(k K) *shard[K, V] {
 // Get returns the value cached under k and refreshes its recency. The
 // returned value is shared with the cache: callers must not modify it.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.entries[k]
+	v, ok := c.shardFor(k).get(k)
 	if ok {
-		s.moveToFront(e)
-	}
-	s.mu.Unlock()
-	if !ok {
+		c.hits.Add(1)
+	} else {
 		c.misses.Add(1)
-		var zero V
-		return zero, false
 	}
-	c.hits.Add(1)
-	return e.value, true
+	return v, ok
 }
 
 // Put stores v under k, evicting least-recently-used entries from the
@@ -123,41 +118,14 @@ func (c *Cache[K, V]) Put(k K, v V) V {
 	if size > s.maxBytes {
 		return v
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[k]; ok {
-		// Concurrent misses on one key race to Put; every user caches a
-		// pure function of the key, or an entry that builds one once, so
-		// the incumbent serves: refresh its recency and hand it back.
-		s.moveToFront(e)
-		return e.value
-	}
-	e := &entry[K, V]{key: k, value: v}
-	s.entries[k] = e
-	s.pushFront(e)
-	s.bytes += size
-	for s.bytes > s.maxBytes && s.tail != nil && s.tail != e {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.key)
-		s.bytes -= c.size(victim.key, victim.value)
-		s.evictions.Add(1)
-	}
-	s.count.Store(int64(len(s.entries)))
-	s.curBytes.Store(s.bytes)
-	return v
+	return s.put(k, v, size, c.size)
 }
 
 // Clear drops every entry. Counters keep counting: a cleared entry is not
 // an eviction.
 func (c *Cache[K, V]) Clear() {
 	for _, s := range c.shards {
-		s.mu.Lock()
-		s.entries = make(map[K]*entry[K, V])
-		s.head, s.tail, s.bytes = nil, nil, 0
-		s.count.Store(0)
-		s.curBytes.Store(0)
-		s.mu.Unlock()
+		s.clear()
 	}
 }
 
@@ -176,45 +144,98 @@ func (c *Cache[K, V]) Stats() Stats {
 	return st
 }
 
-// moveToFront marks e most-recently-used. Caller holds s.mu.
-//
-//pegflow:holds mu
-func (s *shard[K, V]) moveToFront(e *entry[K, V]) {
-	if s.head == e {
+// get returns the value under k and marks it most-recently-used.
+func (s *shard[K, V]) get(k K) (V, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.list.entries[k]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	s.list.moveToFront(e)
+	return e.value, true
+}
+
+// put stores v, charged size, under k unless k is resident, evicts from
+// the tail until the shard fits, and returns the value resident under k.
+// size must not exceed maxBytes; charge prices the victims.
+func (s *shard[K, V]) put(k K, v V, size int64, charge func(K, V) int64) V {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.list.entries[k]; ok {
+		// Concurrent misses on one key race to Put; every user caches a
+		// pure function of the key, or an entry that builds one once, so
+		// the incumbent serves: refresh its recency and hand it back.
+		s.list.moveToFront(e)
+		return e.value
+	}
+	if s.list.entries == nil {
+		s.list.entries = make(map[K]*entry[K, V])
+	}
+	e := &entry[K, V]{key: k, value: v}
+	s.list.entries[k] = e
+	s.list.pushFront(e)
+	s.list.bytes += size
+	for s.list.bytes > s.maxBytes && s.list.tail != e {
+		s.list.evict(charge)
+		s.evictions.Add(1)
+	}
+	s.count.Store(int64(len(s.list.entries)))
+	s.curBytes.Store(s.list.bytes)
+	return v
+}
+
+// clear empties the shard.
+func (s *shard[K, V]) clear() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.list = list[K, V]{}
+	s.count.Store(0)
+	s.curBytes.Store(0)
+}
+
+// moveToFront marks e most-recently-used.
+func (l *list[K, V]) moveToFront(e *entry[K, V]) {
+	if l.head == e {
 		return
 	}
-	s.unlink(e)
-	s.pushFront(e)
+	l.unlink(e)
+	l.pushFront(e)
 }
 
-// pushFront links e at the head. Caller holds s.mu.
-//
-//pegflow:holds mu
-func (s *shard[K, V]) pushFront(e *entry[K, V]) {
+// pushFront links e at the head.
+func (l *list[K, V]) pushFront(e *entry[K, V]) {
 	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+	e.next = l.head
+	if l.head != nil {
+		l.head.prev = e
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	l.head = e
+	if l.tail == nil {
+		l.tail = e
 	}
 }
 
-// unlink removes e from the list. Caller holds s.mu.
-//
-//pegflow:holds mu
-func (s *shard[K, V]) unlink(e *entry[K, V]) {
+// unlink removes e from the recency list.
+func (l *list[K, V]) unlink(e *entry[K, V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
-		s.head = e.next
+		l.head = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	} else {
-		s.tail = e.prev
+		l.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
+}
+
+// evict drops the least-recently-used entry, which charge prices.
+func (l *list[K, V]) evict(charge func(K, V) int64) {
+	victim := l.tail
+	l.unlink(victim)
+	delete(l.entries, victim.key)
+	l.bytes -= charge(victim.key, victim.value)
 }

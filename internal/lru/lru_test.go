@@ -1,6 +1,8 @@
 package lru
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 )
@@ -146,6 +148,70 @@ func TestClearDropsEntriesKeepsCounters(t *testing.T) {
 	if st := c.Stats(); st.Entries != 1 || st.Bytes != 26 {
 		t.Errorf("stats after refill = %+v", st)
 	}
+}
+
+// TestListInvariantUnderRandomOps drives seeded random Put/Get/Clear
+// sequences, with values large enough that most inserts evict, and checks
+// the invariant every shard's list keeps after each op: the map and the
+// recency list hold the same entries, linked consistently both ways, and
+// the byte count is the sum of their charges — all matching the lock-free
+// counters Stats reads.
+func TestListInvariantUnderRandomOps(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		rng := rand.New(rand.NewPCG(26, uint64(shards)))
+		c := intCache(2048, shards)
+		for op := 0; op < 5000; op++ {
+			k := rng.IntN(64)
+			switch r := rng.IntN(100); {
+			case r < 60:
+				c.Put(k, make([]byte, rng.IntN(600)))
+			case r < 98:
+				c.Get(k)
+			default:
+				c.Clear()
+			}
+			for i, s := range c.shards {
+				if err := checkList(s, c.size); err != nil {
+					t.Fatalf("shards=%d op %d shard %d: %v", shards, op, i, err)
+				}
+			}
+		}
+		if st := c.Stats(); st.Evictions == 0 || st.Hits == 0 {
+			t.Errorf("shards=%d: random ops neither evicted nor hit: %+v", shards, st)
+		}
+	}
+}
+
+// checkList verifies one shard's list against its map and counters.
+func checkList(s *shard[int, []byte], charge func(int, []byte) int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := &s.list
+	n, bytes := 0, int64(0)
+	var prev *entry[int, []byte]
+	for e := l.head; e != nil; prev, e = e, e.next {
+		if n++; n > len(l.entries) {
+			return fmt.Errorf("list is longer than the %d-entry map", len(l.entries))
+		}
+		if e.prev != prev {
+			return fmt.Errorf("key %d: prev link does not point at its predecessor", e.key)
+		}
+		if l.entries[e.key] != e {
+			return fmt.Errorf("key %d: listed entry is not the map's", e.key)
+		}
+		bytes += charge(e.key, e.value)
+	}
+	switch {
+	case l.tail != prev:
+		return fmt.Errorf("tail is not the last listed entry")
+	case n != len(l.entries) || int64(n) != s.count.Load():
+		return fmt.Errorf("%d listed, %d mapped, count %d", n, len(l.entries), s.count.Load())
+	case bytes != l.bytes || bytes != s.curBytes.Load():
+		return fmt.Errorf("charges sum to %d, bytes %d, curBytes %d", bytes, l.bytes, s.curBytes.Load())
+	case l.bytes > s.maxBytes:
+		return fmt.Errorf("%d bytes resident over a %d budget", l.bytes, s.maxBytes)
+	}
+	return nil
 }
 
 // TestConcurrentGetPut hammers a small cache from many goroutines (run

@@ -239,13 +239,36 @@ type Resolved struct {
 	// topology.
 	consumers []externalConsumer
 
-	mu sync.Mutex
-	// shapes memoizes, per stage-in signature, the master plan every
-	// placement with that signature is cloned from. A master inserts the
-	// resolved jobs first and in topological order, so the job at topological
-	// position k sits at slab position index.insertion[k].
-	//pegflow:guarded mu
+	shapeMemo
+}
+
+// shapeMemo memoizes, per stage-in signature, the master plan every
+// placement with that signature is cloned from. A master inserts the
+// resolved jobs first and in topological order, so the job at topological
+// position k sits at slab position index.insertion[k].
+type shapeMemo struct {
+	mu     sync.Mutex
 	shapes map[string]*Plan
+}
+
+// get returns the master memoized under sig, calling build on first use.
+// build runs under the lock, so concurrent first callers of a signature
+// build it once; a failed build memoizes nothing.
+func (m *shapeMemo) get(sig []byte, build func() (*Plan, error)) (*Plan, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if master := m.shapes[string(sig)]; master != nil {
+		return master, nil
+	}
+	master, err := build()
+	if err != nil {
+		return nil, err
+	}
+	if m.shapes == nil {
+		m.shapes = make(map[string]*Plan)
+	}
+	m.shapes[string(sig)] = master
+	return master, nil
 }
 
 // externalConsumer is a job with inputs no job of the workflow produces.
@@ -290,7 +313,6 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 		jobs:      make([]Job, 0, len(order)),
 		cands:     make([][]Candidate, 0, len(order)),
 		pos:       make(map[string]int32, len(order)),
-		shapes:    make(map[string]*Plan),
 	}
 	byTransformation := make(map[string][]Candidate)
 	for k, id := range order {
@@ -463,20 +485,13 @@ func (r *Resolved) shapeFor(cand []int32) (*Plan, error) {
 			}
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if master := r.shapes[string(sig)]; master != nil {
-		return master, nil
-	}
-	master, err := r.materialize(cand)
-	if err != nil {
-		return nil, err
-	}
-	r.shapes[string(sig)] = master
-	if r.Materialized != nil {
-		r.Materialized()
-	}
-	return master, nil
+	return r.shapeMemo.get(sig, func() (*Plan, error) {
+		master, err := r.materialize(cand)
+		if err == nil && r.Materialized != nil {
+			r.Materialized()
+		}
+		return master, err
+	})
 }
 
 // materialize builds the master plan of a placement, index and slab: the

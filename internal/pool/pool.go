@@ -8,9 +8,9 @@ import (
 
 // ForEach runs fn(0) … fn(n-1) across at most `workers` goroutines
 // (workers <= 0 means runtime.NumCPU()). It waits for all started tasks,
-// and returns the error of the lowest-numbered failed task. After the
-// first failure no new tasks are started, but fn is otherwise invoked
-// exactly once per index.
+// and returns the error of the lowest-numbered failed task. Once a task
+// has failed, workers claim no further indexes (a worker already past its
+// check may start one more); every index claimed runs exactly once.
 func ForEach(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -30,44 +30,44 @@ func ForEach(workers, n int, fn func(i int) error) error {
 		return nil
 	}
 
+	// Each worker records its failure, if any, in its own slot, and wg.Wait
+	// orders every slot write before the scan, so no lock is needed. A
+	// worker checks for failure before claiming an index, never after:
+	// every claimed index runs, and since indexes are claimed in order,
+	// every index below a failed one runs too.
+	type failure struct {
+		i   int
+		err error
+	}
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
 		wg     sync.WaitGroup
-
-		mu sync.Mutex
-		//pegflow:guarded mu
-		firstIdx = -1
-		//pegflow:guarded mu
-		firstErr error
+		slots  = make([]failure, workers)
 	)
-	for w := 0; w < workers; w++ {
+	for w := range slots {
 		wg.Add(1)
-		go func() {
+		go func(slot *failure) {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
+				if i >= n {
 					return
 				}
 				if err := fn(i); err != nil {
 					failed.Store(true)
-					mu.Lock()
-					if firstIdx < 0 || i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					mu.Unlock()
+					*slot = failure{i, err}
 					return
 				}
 			}
-		}()
+		}(&slots[w])
 	}
 	wg.Wait()
-	// All workers are done, but take the lock anyway: the happens-before
-	// edge is wg.Wait, and the lock keeps the guarded-access discipline
-	// mechanical (guardfield checks it) at the cost of one uncontended
-	// lock per ForEach.
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
+	first := failure{i: n}
+	for _, f := range slots {
+		if f.err != nil && f.i < first.i {
+			first = f
+		}
+	}
+	return first.err
 }

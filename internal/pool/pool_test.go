@@ -30,18 +30,28 @@ func TestForEachZeroTasks(t *testing.T) {
 	}
 }
 
+// Indexes are claimed in order and every claimed index runs, so the lowest
+// failing index always runs, however many higher ones fail concurrently;
+// the reported error is its. Every index ≥ 7 failing puts eight workers'
+// failures in a race for the report, so the case repeats.
 func TestForEachReturnsLowestFailedIndex(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 50, func(i int) error {
-			if i == 7 || i == 30 {
-				return fmt.Errorf("task %d failed", i)
+	cases := map[string]func(i int) bool{
+		"7 and 30 fail":    func(i int) bool { return i == 7 || i == 30 },
+		"every i>=7 fails": func(i int) bool { return i >= 7 },
+	}
+	for name, fails := range cases {
+		for _, workers := range []int{1, 4, 8} {
+			for rep := 0; rep < 50; rep++ {
+				err := ForEach(workers, 50, func(i int) error {
+					if fails(i) {
+						return fmt.Errorf("task %d failed", i)
+					}
+					return nil
+				})
+				if err == nil || err.Error() != "task 7 failed" {
+					t.Fatalf("%s, workers=%d, rep %d: err = %v, want task 7", name, workers, rep, err)
+				}
 			}
-			return nil
-		})
-		// Indexes are claimed in order, so task 7 always runs; even if 30
-		// also fails, the reported error is the lowest-numbered failure.
-		if err == nil || err.Error() != "task 7 failed" {
-			t.Errorf("workers=%d: err = %v, want task 7", workers, err)
 		}
 	}
 }

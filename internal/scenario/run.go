@@ -44,8 +44,8 @@ type RunOptions struct {
 	// hits skip it). The server installs a process-wide semaphore here so
 	// concurrent requests share one bounded simulation pool. A gate that
 	// returns an error — the context canceled while waiting for capacity
-	// — aborts the run without executing the cell.
-	//pegflow:blocking
+	// — aborts the run without executing the cell. Gate may block; Run
+	// calls it from a worker holding no lock.
 	Gate func(ctx context.Context, run func()) error
 	// Cache, when set, serves cells addressed by (Fingerprint, index)
 	// without simulating them and stores fresh lines after simulation.
@@ -55,7 +55,8 @@ type RunOptions struct {
 	// first, then cells in grid order, then the footer. The server
 	// streams these to the client. An OnLine error aborts the run: no
 	// further lines are delivered or simulated and Run returns the error.
-	//pegflow:blocking
+	// Calls are serialized: each runs under the run's output lock, so a
+	// slow OnLine (a slow client) throttles the workers, by design.
 	OnLine func(line []byte) error
 }
 
@@ -100,17 +101,8 @@ func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var mu sync.Mutex // guards lines, pending, next and emitErr
-	var lines [][]byte
-	var emitErr error
-	emit := func(line []byte) {
-		lines = append(lines, line)
-		if opts.OnLine != nil && emitErr == nil {
-			if err := opts.OnLine(line); err != nil {
-				emitErr = fmt.Errorf("scenario: emitting line: %w", err)
-			}
-		}
-	}
+	// Output line 0 is the header, cell i is line i+1, the footer is last.
+	out := &emitter{onLine: opts.OnLine, lines: make([][]byte, len(c.Cells)+2)}
 
 	head, err := json.Marshal(Header{
 		Scenario:    c.Doc.Name,
@@ -121,13 +113,10 @@ func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	emit(head)
-	if emitErr != nil {
-		return nil, emitErr
+	if err := out.deliver(0, head); err != nil {
+		return nil, err
 	}
 
-	pending := make(map[int][]byte, len(c.Cells))
-	next := 0
 	err = pool.ForEach(opts.Workers, len(c.Cells), func(i int) (retErr error) {
 		// One poisoned cell must not take down the process (a server may
 		// be streaming many other requests): convert the panic into a
@@ -141,11 +130,8 @@ func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return fmt.Errorf("scenario: canceled before cell %d: %w", i, ctxErr)
 		}
-		mu.Lock()
-		aborted := emitErr
-		mu.Unlock()
-		if aborted != nil {
-			return aborted
+		if err := out.failed(); err != nil {
+			return err
 		}
 		var line []byte
 		if opts.Cache != nil {
@@ -168,20 +154,8 @@ func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 				opts.Cache.Put(c.Fingerprint, i, line)
 			}
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		pending[i] = line
-		for {
-			l, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			emit(l)
-			next++
-		}
 		// A failed OnLine write (client gone) aborts remaining dispatch.
-		return emitErr
+		return out.deliver(i+1, line)
 	})
 	if err != nil {
 		return nil, err
@@ -191,11 +165,53 @@ func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	emit(foot)
-	if emitErr != nil {
-		return nil, emitErr
+	if err := out.deliver(len(c.Cells)+1, foot); err != nil {
+		return nil, err
 	}
-	return lines, nil
+	return out.all(), nil
+}
+
+// emitter puts a run's output lines in order: cells finish in any order,
+// and each line waits in its slot until every earlier one has been passed
+// to onLine. onLine runs under the lock — that is what keeps its calls
+// serialized and in order — so a slow client throttles the workers
+// delivering to it, by design.
+type emitter struct {
+	mu     sync.Mutex
+	onLine func([]byte) error
+	lines  [][]byte // by output line; nil until delivered
+	next   int      // the first line not yet passed to onLine
+	err    error    // the first onLine failure
+}
+
+// failed returns the first onLine failure, if any.
+func (e *emitter) failed() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.err
+}
+
+// deliver stores output line i and passes every line now in order to
+// onLine, stopping at the first failure, which it returns.
+func (e *emitter) deliver(i int, line []byte) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.lines[i] = line
+	for ; e.err == nil && e.next < len(e.lines) && e.lines[e.next] != nil; e.next++ {
+		if e.onLine != nil {
+			if err := e.onLine(e.lines[e.next]); err != nil {
+				e.err = fmt.Errorf("scenario: emitting line: %w", err)
+			}
+		}
+	}
+	return e.err
+}
+
+// all returns every output line, in order.
+func (e *emitter) all() [][]byte {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.lines
 }
 
 // cellLine runs one cell and renders its row as compact JSON. Rows are

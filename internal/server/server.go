@@ -52,11 +52,11 @@ type Server struct {
 	mux  *http.ServeMux
 	// cellGate is the process-wide simulation semaphore (one token per
 	// worker); requests is the in-flight admission semaphore. Both are
-	// token pools: a send acquires a slot, a receive returns it, and
-	// pairpath checks that no path leaks one.
-	//pegflow:token
+	// token pools: a send acquires a slot, a receive returns it. Each
+	// acquire (handleRun, gateCell) is followed at once by the defer that
+	// returns the token, so every path out of the acquiring function,
+	// panics included, releases it.
 	cellGate chan struct{}
-	//pegflow:token
 	requests chan struct{}
 	results  *resultcache.Cache
 	aborted  atomic.Uint64 // NDJSON streams cut short by client disconnect

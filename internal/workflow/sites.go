@@ -133,9 +133,12 @@ var catalogued = append(Transformations(), TrSerial)
 type World struct {
 	sites []Site
 	cats  planner.Catalogs
+	keyMemo
+}
 
-	mu sync.Mutex
-	//pegflow:guarded mu
+// keyMemo is a World's memo of Key by ordered site list.
+type keyMemo struct {
+	mu   sync.Mutex
 	keys []worldKey
 }
 
@@ -143,6 +146,21 @@ type World struct {
 type worldKey struct {
 	names []string
 	key   string
+}
+
+// get returns the key memoized for names, calling build on first use.
+// build runs under the lock, so concurrent first callers build it once.
+func (m *keyMemo) get(names []string, build func() string) string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.keys {
+		if slices.Equal(m.keys[i].names, names) {
+			return m.keys[i].key
+		}
+	}
+	key := build()
+	m.keys = append(m.keys, worldKey{slices.Clone(names), key})
+	return key
 }
 
 // NewWorld validates the declarations and builds their catalogs.
@@ -162,16 +180,7 @@ func (w *World) Catalogs() planner.Catalogs { return w.cats }
 // NewWorld: a request answered from the result cache builds its world and
 // simulates nothing, so it must not pay for a fingerprint nobody reads.
 func (w *World) Key(names []string) string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for i := range w.keys {
-		if slices.Equal(w.keys[i].names, names) {
-			return w.keys[i].key
-		}
-	}
-	key := w.cats.Fingerprint(names)
-	w.keys = append(w.keys, worldKey{slices.Clone(names), key})
-	return key
+	return w.keyMemo.get(names, func() string { return w.cats.Fingerprint(names) })
 }
 
 // Configs returns the platform models of the named sites, in that order,
