@@ -26,14 +26,15 @@ test:
 # stack-dumped failure instead of a hung job.
 race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru ./internal/pool
-	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce|TestFirstRetrievalBuildsOnce' ./internal/core ./internal/planner ./internal/workflow
+	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce|TestFirstRetrievalBuildsOnce|TestConcurrentReadersShareOneTopology' ./internal/core ./internal/planner ./internal/workflow ./internal/dax
 
 # The allocation gates CI runs: zero-alloc kernel and engine dispatch, an
 # attempt path (platform Submit to terminal event, ensemble hold and release)
 # that allocates nothing per attempt, a plan clone and a warm member plan
 # (placement + clone + patch), one-site and two-site, whose allocation counts
-# do not grow with n, a first Plan of a shape (the master's index and slab) at
-# three objects per job or fewer, a Cluster call that allocates one string per
+# do not grow with n, a cold BuildDAX at twelve objects per chunk or fewer, a
+# first Plan of a shape (the master's index and slab) at a tenth of an object
+# per job or fewer, a Cluster call that allocates one string per
 # composite and a fixed count besides, a failover re-site that allocates the job it
 # returns, a chunk-seconds miss that allocates its result only and
 # a hit that allocates nothing, an LRU whose lookups allocate nothing and

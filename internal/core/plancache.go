@@ -19,7 +19,7 @@ import (
 )
 
 // shapeCacheBytes is the budget of each shape cache (plan and member DAX):
-// 1 GiB is over 4× the charge of big_run's n = 10^5 shape in either (≈ 171
+// 1 GiB is over 4× the charge of big_run's n = 10^5 shape in either (≈ 89
 // MiB of abstract DAX, ≈ 49 MiB of master), so no benchmark workload, test
 // or example evicts. It is a constant, not an option. A cell holds its
 // master by pointer, so an eviction costs the next cell of that shape a
@@ -28,11 +28,12 @@ const shapeCacheBytes = 1 << 30
 
 // The shape caches charge an entry from its key: the chunk count times the
 // post-GC heap an entry was measured to hold per chunk — the abstract DAX
-// 1.65–1.75 KiB, a master (Resolved, its first materialized shape and the
-// chunk positions) 0.45–0.51 KiB — plus a fixed part for the five jobs
-// around the chunks and the entry itself (TestShapeCacheChargeMatchesHeap).
+// with its derived topology 0.88–0.90 KiB, a master (Resolved, its first
+// materialized shape and the chunk positions) 0.42–0.44 KiB — plus a fixed
+// part for the five jobs around the chunks and the entry itself
+// (TestShapeCacheChargeMatchesHeap).
 const (
-	daxBytesPerChunk    = 1792
+	daxBytesPerChunk    = 928
 	masterBytesPerChunk = 512
 	shapeEntryBytes     = 16 << 10
 )

@@ -62,7 +62,7 @@ type xmlParent struct {
 // WriteXML serializes the workflow as a DAX document.
 func (w *Workflow) WriteXML(out io.Writer) error {
 	doc := xmlADAG{Name: w.Name}
-	for _, j := range w.Jobs() {
+	for _, j := range w.jobs {
 		xj := xmlJob{
 			ID:        j.ID,
 			Name:      j.Transformation,
@@ -90,14 +90,15 @@ func (w *Workflow) WriteXML(out io.Writer) error {
 		}
 		doc.Jobs = append(doc.Jobs, xj)
 	}
-	for _, id := range w.order {
-		ps := w.Parents(id)
+	t := w.topology()
+	for k, j := range w.jobs {
+		ps := t.parents(int32(k))
 		if len(ps) == 0 {
 			continue
 		}
-		c := xmlChild{Ref: id}
-		for _, p := range ps {
-			c.Parents = append(c.Parents, xmlParent{Ref: p})
+		c := xmlChild{Ref: j.ID, Parents: make([]xmlParent, len(ps))}
+		for i, p := range ps {
+			c.Parents[i] = xmlParent{Ref: w.jobs[p].ID}
 		}
 		doc.Childs = append(doc.Childs, c)
 	}

@@ -221,7 +221,11 @@ type Resolved struct {
 	// per master plan Plan builds (a memo miss).
 	Materialized func()
 
-	work      *dax.Workflow
+	work *dax.Workflow
+	// dense is work by job number, as validated; pos[o] is the topological
+	// position of abstract job number o, the inverse of dense.Order().
+	dense     dax.Dense
+	pos       []int32
 	siteNames []string
 	sites     []*catalog.Site
 	// jobs[k] is the job at topological position k with its placement
@@ -232,7 +236,6 @@ type Resolved struct {
 	// choice records that some job has more than one candidate. Without
 	// one, every placement is the same and no policy is consulted.
 	choice bool
-	pos    map[string]int32
 	// consumers are the jobs reading external inputs, in workflow insertion
 	// order (none without AddStageIn). Where they are placed is the stage-in
 	// signature: the only thing about a placement that changes the
@@ -285,7 +288,7 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 	// Jobs are kept in topological order so load-based policies see them
 	// roughly in execution order; the order is deterministic (Kahn's
 	// algorithm with insertion-order tie-breaking).
-	order, err := abstract.ValidOrder()
+	dense, err := abstract.Dense()
 	if err != nil {
 		return nil, fmt.Errorf("planner: invalid abstract workflow: %w", err)
 	}
@@ -306,17 +309,19 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 		sites = append(sites, s)
 	}
 
+	order := dense.Order()
 	r := &Resolved{
 		work:      abstract,
+		dense:     dense,
+		pos:       make([]int32, len(order)),
 		siteNames: append([]string(nil), opts.Sites...),
 		sites:     sites,
 		jobs:      make([]Job, 0, len(order)),
 		cands:     make([][]Candidate, 0, len(order)),
-		pos:       make(map[string]int32, len(order)),
 	}
 	byTransformation := make(map[string][]Candidate)
-	for k, id := range order {
-		aj := abstract.Job(id)
+	for k, o := range order {
+		aj := dense.Job(o)
 		pj, err := jobAttributes(aj)
 		if err != nil {
 			return nil, err
@@ -336,7 +341,7 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 		r.jobs = append(r.jobs, pj)
 		r.cands = append(r.cands, cands)
 		r.choice = r.choice || len(cands) > 1
-		r.pos[id] = int32(k)
+		r.pos[o] = int32(k)
 	}
 	if opts.AddStageIn {
 		if err := r.findExternalConsumers(cats); err != nil {
@@ -350,12 +355,15 @@ func Resolve(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Resolve
 // inputs must have a registered replica.
 func (r *Resolved) findExternalConsumers(cats Catalogs) error {
 	produced := make(map[string]bool)
-	for _, j := range r.work.Jobs() {
-		for _, lfn := range j.Outputs() {
-			produced[lfn] = true
+	for o := range r.pos {
+		for _, u := range r.dense.Job(int32(o)).Uses {
+			if u.Link == dax.LinkOutput {
+				produced[u.LFN] = true
+			}
 		}
 	}
-	for _, j := range r.work.Jobs() {
+	for o, pos := range r.pos {
+		j := r.dense.Job(int32(o))
 		var inputs []dax.Use
 		for _, u := range j.Uses {
 			if u.Link != dax.LinkInput || produced[u.LFN] {
@@ -367,7 +375,7 @@ func (r *Resolved) findExternalConsumers(cats Catalogs) error {
 			inputs = append(inputs, u)
 		}
 		if len(inputs) > 0 {
-			r.consumers = append(r.consumers, externalConsumer{pos: r.pos[j.ID], inputs: inputs})
+			r.consumers = append(r.consumers, externalConsumer{pos: pos, inputs: inputs})
 		}
 	}
 	return nil
@@ -376,8 +384,11 @@ func (r *Resolved) findExternalConsumers(cats Catalogs) error {
 // Position returns the topological position of the job, the index Plan's
 // runtime overrides are addressed by.
 func (r *Resolved) Position(id string) (int32, bool) {
-	pos, ok := r.pos[id]
-	return pos, ok
+	o, ok := r.dense.Number(id)
+	if !ok {
+		return 0, false
+	}
+	return r.pos[o], true
 }
 
 // Plan places every job under the policy (nil means round-robin) and returns
@@ -525,9 +536,9 @@ func (r *Resolved) materialize(cand []int32) (*Plan, error) {
 	// A resolved job's number in insertion order is its topological position
 	// in the workflow, so r.pos maps an edge's ends.
 	var children []int32
-	for k := range r.jobs {
+	for k, o := range r.dense.Order() {
 		children = children[:0]
-		for _, c := range r.work.Children(r.jobs[k].ID) {
+		for _, c := range r.dense.Children(o) {
 			children = append(children, r.pos[c])
 		}
 		feed(r.jobs[k].ID, children)

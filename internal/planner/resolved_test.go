@@ -232,10 +232,11 @@ func TestIndexLevelsMatchGraphLevels(t *testing.T) {
 
 // TestAllocsMaterialize pins what the first Plan of a shape costs (run by CI
 // as `go test -run 'TestAllocs'`): the master's index and slab are written
-// from the Resolved's arrays, so per job it allocates the abstract
-// workflow's sorted child list and little else — three objects at most, at
+// from the Resolved's arrays and the abstract workflow's children are read by
+// number, so nothing is allocated per job — at most 0.1 objects per job, at
 // n = 2,000 and at n = 20,000, with and without the stage-in job. (Building
-// the master through a dax.Workflow first cost about ten.)
+// the master through a dax.Workflow first cost about ten; reading each job's
+// children as a sorted []string of IDs, one.)
 func TestAllocsMaterialize(t *testing.T) {
 	const runs = 3
 	cats := testCatalogs(t, "split", "run_cap3", "merge")
@@ -258,8 +259,8 @@ func TestAllocsMaterialize(t *testing.T) {
 				cloneSink, _ = fresh[next].Plan(nil, nil, nil)
 				next++
 			})
-			if jobs := cloneSink.Len(); got > 3*float64(jobs) {
-				t.Errorf("stage-in %v, %d jobs: the first Plan allocates %.0f objects, want at most 3 per job", stageIn, jobs, got)
+			if jobs := cloneSink.Len(); got > 0.1*float64(jobs) {
+				t.Errorf("stage-in %v, %d jobs: the first Plan allocates %.0f objects, want at most 0.1 per job", stageIn, jobs, got)
 			} else {
 				t.Logf("stage-in %v, %d jobs: %.2f objects per job", stageIn, jobs, got/float64(jobs))
 			}

@@ -1,8 +1,10 @@
 package workflow
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"pegflow/internal/dax"
@@ -348,13 +350,36 @@ type BuilderConfig struct {
 
 // ChunkJobID returns the executable job ID of the i-th (0-based) run_cap3
 // chunk of an n-way split — the naming contract shared by the DAX builder
-// and the plan cache's per-seed runtime patching (internal/core).
-func ChunkJobID(i int) string { return fmt.Sprintf("run_cap3_%04d", i+1) }
+// and the plan cache's per-seed runtime patching (internal/core): i+1
+// zero-padded to four digits, as "run_cap3_%04d" formats it.
+func ChunkJobID(i int) string {
+	var buf [32]byte
+	b := append(buf[:0], "run_cap3_"...)
+	for pad := 1000; pad > 1 && pad > i+1; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i+1), 10))
+}
+
+// numbered returns prefix, k and suffix as one string.
+func numbered(prefix string, k int, suffix string) string {
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], prefix...), int64(k), 10)
+	return string(append(b, suffix...))
+}
+
+// runtimeKey is where a job's "pegasus::runtime" profile sits in
+// dax.Job.Profiles.
+const runtimeKey = "pegasus::runtime"
+
+// formatRuntime renders a runtime estimate as the DAX's runtime profiles
+// carry it, "%.3f".
+func formatRuntime(seconds float64) string { return strconv.FormatFloat(seconds, 'f', 3, 64) }
 
 // BuildDAX constructs the abstract blast2cap3 workflow for n chunks.
 func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 	if cfg.N <= 0 {
-		return nil, fmt.Errorf("workflow: cluster count n must be positive, got %d", cfg.N)
+		return nil, errors.New("workflow: cluster count n must be positive, got " + strconv.Itoa(cfg.N))
 	}
 	w := cfg.Workload
 	cost := cfg.Cost
@@ -362,12 +387,13 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 		cost = DefaultCostModel()
 	}
 	simulated := len(w.Clusters) > 0
+	n := strconv.Itoa(cfg.N)
 
-	wf := dax.New(fmt.Sprintf("blast2cap3-n%d", cfg.N))
+	wf := dax.New("blast2cap3-n" + n)
 
 	setRuntime := func(j *dax.Job, seconds float64) {
 		if simulated {
-			j.SetProfile("pegasus", "runtime", fmt.Sprintf("%.3f", seconds))
+			j.Profiles = map[string]string{runtimeKey: formatRuntime(seconds)}
 		}
 	}
 
@@ -383,10 +409,11 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 	la.Args = []string{"alignments.out", "alignments_list.txt"}
 	setRuntime(la, cost.scanSeconds(w.AlignmentBytes))
 
-	sp := wf.NewJob("split", TrSplit).
-		AddInput("alignments.out", w.AlignmentBytes).
+	sp := wf.NewJob("split", TrSplit)
+	sp.Uses = make([]dax.Use, 0, 2+cfg.N)
+	sp.AddInput("alignments.out", w.AlignmentBytes).
 		AddInput("alignments_list.txt", w.AlignmentBytes/16)
-	sp.Args = []string{"-n", fmt.Sprint(cfg.N), "alignments.out"}
+	sp.Args = []string{"-n", n, "alignments.out"}
 	setRuntime(sp, cost.scanSeconds(w.AlignmentBytes)+cost.SplitPerChunk*float64(cfg.N))
 	if err := wf.AddDependency("create_list_alignments", "split"); err != nil {
 		return nil, err
@@ -405,13 +432,17 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 	if cfg.N > 0 {
 		chunkBytes = w.AlignmentBytes / int64(cfg.N)
 	}
+	// The merge job reads back each chunk's ID and joined file.
+	ids, joined := make([]string, cfg.N), make([]string, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		proteinLFN := fmt.Sprintf("protein_%d.txt", i+1)
-		joinedLFN := fmt.Sprintf("joined_%d.fasta", i+1)
+		proteinLFN := numbered("protein_", i+1, ".txt")
+		joinedLFN := numbered("joined_", i+1, ".fasta")
 		sp.AddOutput(proteinLFN, chunkBytes)
 		id := ChunkJobID(i)
-		rc := wf.NewJob(id, TrRunCAP3).
-			AddInput("transcripts_dict.txt", w.TranscriptBytes/8).
+		ids[i], joined[i] = id, joinedLFN
+		rc := wf.NewJob(id, TrRunCAP3)
+		rc.Uses = make([]dax.Use, 0, 3)
+		rc.AddInput("transcripts_dict.txt", w.TranscriptBytes/8).
 			AddInput(proteinLFN, chunkBytes).
 			AddOutput(joinedLFN, chunkBytes/2)
 		rc.Args = []string{"transcripts_dict.txt", proteinLFN, joinedLFN}
@@ -426,12 +457,14 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 		}
 	}
 
-	mg := wf.NewJob("merge", TrMerge).AddOutput("joined_all.fasta", w.TranscriptBytes/4)
-	mg.Args = []string{"-n", fmt.Sprint(cfg.N), "joined_all.fasta"}
+	mg := wf.NewJob("merge", TrMerge)
+	mg.Uses = make([]dax.Use, 0, 1+cfg.N)
+	mg.AddOutput("joined_all.fasta", w.TranscriptBytes/4)
+	mg.Args = []string{"-n", n, "joined_all.fasta"}
 	setRuntime(mg, cost.TaskBase+cost.MergePerFile*float64(cfg.N))
-	for i := 0; i < cfg.N; i++ {
-		mg.AddInput(fmt.Sprintf("joined_%d.fasta", i+1), chunkBytes/2)
-		if err := wf.AddDependency(ChunkJobID(i), "merge"); err != nil {
+	for i, id := range ids {
+		mg.AddInput(joined[i], chunkBytes/2)
+		if err := wf.AddDependency(id, "merge"); err != nil {
 			return nil, err
 		}
 	}
@@ -468,7 +501,7 @@ func BuildSerialDAX(w Workload, cost CostModel) (*dax.Workflow, error) {
 		AddOutput("final_assembly.fasta", w.TranscriptBytes/2)
 	j.Args = []string{"transcripts.fasta", "alignments.out"}
 	if len(w.Clusters) > 0 {
-		j.SetProfile("pegasus", "runtime", fmt.Sprintf("%.3f", cost.SerialSeconds(w)))
+		j.Profiles = map[string]string{runtimeKey: formatRuntime(cost.SerialSeconds(w))}
 	}
 	if err := wf.Validate(); err != nil {
 		return nil, err

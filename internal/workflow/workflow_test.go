@@ -223,6 +223,40 @@ func TestBuildDAXRejectsBadN(t *testing.T) {
 	}
 }
 
+// TestChunkJobIDMatchesSprintf: ChunkJobID writes the ID with strconv, byte
+// for byte what "run_cap3_%04d" formats, padded and past the padding.
+func TestChunkJobIDMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 8, 9998, 9999, 99999, 1000000} {
+		if got, want := ChunkJobID(i), fmt.Sprintf("run_cap3_%04d", i+1); got != want {
+			t.Errorf("ChunkJobID(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestAllocsBuildDAX (run by CI as `go test -run 'TestAllocs'`) pins what a
+// cold BuildDAX allocates per chunk — the chunk's job, ID, two file names,
+// usages, arguments and runtime profile, and its share of the job table, the
+// edge list and the topology Validate derives: at most 12 objects at n =
+// 2,000 and at n = 20,000. (With the graph in maps of maps and every name
+// formatted through fmt, it cost 25.)
+func TestAllocsBuildDAX(t *testing.T) {
+	w := PaperWorkload(42)
+	for _, n := range []int{2000, 20000} {
+		cfg := BuilderConfig{N: n, Workload: w}
+		build := func() {
+			if _, err := BuildDAX(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build() // fills the workload's memo tables
+		if per := testing.AllocsPerRun(3, build) / float64(n); per > 12 {
+			t.Errorf("n=%d: BuildDAX allocates %.2f objects per chunk, want at most 12", n, per)
+		} else {
+			t.Logf("n=%d: %.2f objects per chunk", n, per)
+		}
+	}
+}
+
 func TestBuildSerialDAX(t *testing.T) {
 	w := PaperWorkload(42)
 	wf, err := BuildSerialDAX(w, DefaultCostModel())
