@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pegflow/internal/core"
+	"pegflow/internal/ensemble"
+	"pegflow/internal/planner"
 	"pegflow/internal/workflow"
 )
 
@@ -62,6 +66,147 @@ func TestEveryFrontEndKnowsEveryPreset(t *testing.T) {
 			t.Errorf("%s accepts the unknown site \"condor\"", fe.name)
 		} else if !strings.Contains(err.Error(), `"condor"`) || !strings.Contains(err.Error(), known) {
 			t.Errorf("%s: error %q does not name \"condor\" and list %s", fe.name, err, known)
+		}
+	}
+}
+
+// TestEveryFrontEndAgreesOnStageIn: whether a plan carries stage-in jobs is
+// ensemble.StageIn of its site set, whichever front end built it. Four front
+// ends plan the same workflow — the paper workload at n = 8, seed 42 — on
+// the same preset sites under the same policy, and must plan the same number
+// of stage_in_* jobs: none on one site, failover or not, some on two. The
+// plan front ends and the ensemble member expose their jobs; a scenario row
+// reports only its job count, so there the stage-in jobs are the jobs beyond
+// the abstract workflow's.
+func TestEveryFrontEndAgreesOnStageIn(t *testing.T) {
+	const n, seed = 8, 42
+	dax := daxFixture(t)
+	abstract, err := loadDAX(dax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// planned parses args as `pegflow run` does (plan's flags plus
+	// -failover) and plans as plan and run both do.
+	planned := func(args ...string) (int, error) {
+		fs, o := runFlags()
+		if err := fs.Parse(append([]string{"-dax", dax}, args...)); err != nil {
+			return 0, err
+		}
+		spec, _, err := o.plan(o.failover)
+		if err != nil {
+			return 0, err
+		}
+		count := 0
+		for _, j := range spec.Plan.Jobs() {
+			if j.Transformation == planner.StageInTransformation {
+				count++
+			}
+		}
+		return count, nil
+	}
+	frontEnds := []struct {
+		name string
+		// stageIns returns the stage-in jobs of the member planned across
+		// sites; ok is false where the front end cannot express the set.
+		stageIns func(sites []string, failover bool) (count int, ok bool, err error)
+	}{
+		{"plan -site", func(sites []string, failover bool) (int, bool, error) {
+			if len(sites) != 1 {
+				return 0, false, nil
+			}
+			count, err := planned(fmt.Sprintf("-failover=%t", failover), "-site", sites[0])
+			return count, true, err
+		}},
+		{"plan -sites", func(sites []string, failover bool) (int, bool, error) {
+			count, err := planned(fmt.Sprintf("-failover=%t", failover), "-sites", strings.Join(sites, ","))
+			return count, true, err
+		}},
+		{"ensemble member", func(sites []string, failover bool) (int, bool, error) {
+			declared, err := workflow.PresetSites(sites)
+			if err != nil {
+				return 0, true, err
+			}
+			exp := &core.EnsembleExperiment{
+				Seed: seed, Workflows: 1, N: n, Policy: planner.PolicyDataAware,
+				RetryLimit: 5, Failover: failover,
+				MemberWorkload: func(int) workflow.Workload { return workflow.PaperWorkload(seed) },
+			}
+			if err := exp.Over(declared); err != nil {
+				return 0, true, err
+			}
+			res, err := exp.Run()
+			if err != nil {
+				return 0, true, err
+			}
+			ran := map[string]bool{}
+			for _, r := range res.Workflows[0].Result.Log.Successes() {
+				if r.Transformation == planner.StageInTransformation {
+					ran[r.JobID] = true
+				}
+			}
+			return len(ran), true, nil
+		}},
+		{"scenario cell", func(sites []string, failover bool) (int, bool, error) {
+			if len(sites) == 1 && failover {
+				return 0, false, nil // a document refuses failover on one site
+			}
+			presets := make([]string, len(sites))
+			for i, s := range sites {
+				presets[i] = fmt.Sprintf(`{"preset": %q}`, s)
+			}
+			set, _ := json.Marshal(sites)
+			policies := "" // a one-site set takes no site policy
+			if len(sites) > 1 {
+				policies = fmt.Sprintf(`"policies": {"site": [%q], "failover": [%t]},`, planner.PolicyDataAware, failover)
+			}
+			doc := fmt.Sprintf(`{"version": 1, "name": "stage-in", "sites": [%s], "site_sets": [%s], %s
+  "workload": {"preset": "paper", "n": [%d], "seeds": [%d]}, "outputs": {"fields": ["jobs"]}}`,
+				strings.Join(presets, ", "), set, policies, n, seed)
+			path := filepath.Join(t.TempDir(), "stage-in.json")
+			if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+				return 0, true, err
+			}
+			out, err := runQuiet(t, cmdScenarioRun, []string{path})
+			if err != nil {
+				return 0, true, err
+			}
+			var row struct{ Jobs int }
+			if err := json.Unmarshal([]byte(strings.Split(out, "\n")[1]), &row); err != nil {
+				return 0, true, err
+			}
+			return row.Jobs - abstract.Len(), true, nil
+		}},
+	}
+	for _, tc := range []struct {
+		sites    []string
+		failover bool
+	}{
+		{[]string{"osg"}, false},
+		{[]string{"osg"}, true},
+		{[]string{"sandhills", "osg"}, false},
+		{[]string{"sandhills", "osg"}, true},
+	} {
+		want := ensemble.StageIn(tc.sites)
+		first, firstName := -1, ""
+		for _, fe := range frontEnds {
+			count, ok, err := fe.stageIns(tc.sites, tc.failover)
+			if err != nil {
+				t.Fatalf("%s on %v (failover %v): %v", fe.name, tc.sites, tc.failover, err)
+			}
+			if !ok {
+				continue
+			}
+			t.Logf("%s on %v (failover %v): %d stage-in jobs", fe.name, tc.sites, tc.failover, count)
+			if (count > 0) != want {
+				t.Errorf("%s on %v (failover %v): %d stage-in jobs, but the rule says stage-in %v",
+					fe.name, tc.sites, tc.failover, count, want)
+			}
+			if first < 0 {
+				first, firstName = count, fe.name
+			} else if count != first {
+				t.Errorf("on %v (failover %v): %s plans %d stage-in jobs, %s %d",
+					tc.sites, tc.failover, fe.name, count, firstName, first)
+			}
 		}
 	}
 }

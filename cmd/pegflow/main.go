@@ -246,13 +246,10 @@ func (o *planOpts) plan(failover bool) (ensemble.Spec, *workflow.World, error) {
 		return ensemble.Spec{}, nil, err
 	}
 	specs, err := ensemble.PlanAll([]ensemble.WorkflowSource{{Name: o.dax, Abstract: wf}}, world.Catalogs(), ensemble.PlanOptions{
-		Sites:  names,
-		Policy: o.policy,
-		// The catalogs register replicas for both external inputs, so
-		// multi-site plans stage them in once per site.
-		AddStageIn: o.sites != "",
-		Cluster:    planner.ClusterOptions{MaxTasksPerJob: o.cluster, TargetJobSeconds: o.clusterSeconds},
-		Failover:   failover,
+		Sites:    names,
+		Policy:   o.policy,
+		Cluster:  planner.ClusterOptions{MaxTasksPerJob: o.cluster, TargetJobSeconds: o.clusterSeconds},
+		Failover: failover,
 	})
 	if err != nil {
 		return ensemble.Spec{}, nil, err

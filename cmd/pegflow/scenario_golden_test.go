@@ -69,7 +69,18 @@ func TestGoldenScenarioAggregateScale(t *testing.T) {
 	}
 }
 
+// TestGoldenScenarioCheck pins `scenario check` on paper.json and runs it on
+// every other checked-in document, so one the compiler refuses fails here
+// even before it has a golden of its own.
 func TestGoldenScenarioCheck(t *testing.T) {
-	out := captureStdout(t, cmdScenarioCheck, []string{scenarioPath("paper.json")})
-	checkGolden(t, "scenario_check_paper", out)
+	docs, err := filepath.Glob(scenarioPath("*.json"))
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("no example scenarios (%v)", err)
+	}
+	for _, path := range docs {
+		out := captureStdout(t, cmdScenarioCheck, []string{path})
+		if filepath.Base(path) == "paper.json" {
+			checkGolden(t, "scenario_check_paper", out)
+		}
+	}
 }

@@ -84,24 +84,30 @@ func (e *Experiment) RunWorkflow(platformName string, n int) (*RunResult, error)
 	return e.RunClustered(platformName, n, planner.ClusterOptions{})
 }
 
+// PlatformSeed mixes the chunk count n into seed, so the cells of an n-sweep
+// draw independent platform noise while cells that differ only in policy
+// share it. Experiment and every scenario cell seed their platforms with it,
+// which is what lets a scenario reproduce an Experiment.
+func PlatformSeed(seed uint64, n int) uint64 {
+	return seed ^ (uint64(n) * 0x9e3779b97f4a7c15)
+}
+
 // onSite expresses a run of workload w with n chunks on one site of the
-// world as an ensemble of one member on a pool of one site, planned without
-// stage-in jobs (the paper's inputs are in place on both platforms). It is
-// how every single-site experiment reaches the run path the scenario cells
-// use; the member plan equals planner.New(BuildDAX(w, n)) on that site,
-// clustered.
+// world as an ensemble of one member on a pool of one site, so by
+// ensemble.StageIn it plans no stage-in jobs (the paper's inputs are in
+// place on both platforms). It is how every single-site experiment reaches
+// the run path the scenario cells use; the member plan equals
+// planner.New(BuildDAX(w, n)) on that site, clustered.
 func (e *Experiment) onSite(world *workflow.World, site string, n int, w workflow.Workload, copts planner.ClusterOptions) *EnsembleExperiment {
 	return &EnsembleExperiment{
 		Seed:      e.Seed,
 		Workflows: 1,
 		N:         n,
 		// One candidate site per job: the policy has nothing to choose.
-		Policy: planner.PolicyRoundRobin,
-		Sites:  []string{site},
-		World:  world,
-		// n is mixed into the seed so sweep cells draw independent platform
-		// noise.
-		PlatformSeed:   e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15),
+		Policy:         planner.PolicyRoundRobin,
+		Sites:          []string{site},
+		World:          world,
+		PlatformSeed:   PlatformSeed(e.Seed, n),
 		RetryLimit:     e.RetryLimit,
 		Cluster:        copts,
 		Workers:        1,

@@ -16,18 +16,18 @@
 // cluster sweeps, the ablations) is a thin adapter: the workflow.World of
 // workflow's table of built-in sites (workflow.PaperSites at the preset
 // slot counts, built once per process), a one-member
-// EnsembleExperiment on one site of it planned without stage-in jobs, and
-// the member's outcome as a RunResult. An EnsembleExperiment owns no
-// catalogs, platform models or catalog fingerprint: it names a World, the
-// Sites of it to plan across and a PlatformSeed, and asks the world for all
-// three. Run is the only function here that builds a pool and drives member
-// engines; RunVariant hands the same path the world of an edited site
-// declaration (preinstalled, or without the eviction hazard) or another
-// workload, and RunSerial (a one-job DAX) alone plans directly and calls
-// engine.Run, which is also the reference the equality tests compare the
-// one path against. Whether plans carry stage-in jobs
-// (EnsembleExperiment.StageIn) is an explicit input: it is the one
-// observable the former single-site pipeline differed in.
+// EnsembleExperiment on one site of it, and the member's outcome as a
+// RunResult. An EnsembleExperiment owns no catalogs, platform models or
+// catalog fingerprint: it names a World, the Sites of it to plan across and
+// a PlatformSeed, and asks the world for all three. Run is the only
+// function here that builds a pool and drives member engines; RunVariant
+// hands the same path the world of an edited site declaration
+// (preinstalled, or without the eviction hazard) or another workload, and
+// RunSerial (a one-job DAX) alone plans directly and calls engine.Run,
+// which is also the reference the equality tests compare the one path
+// against. Whether member plans carry stage-in jobs is ensemble.StageIn of
+// Sites, the rule every front end shares, so a one-site experiment plans
+// none.
 //
 // Three process-wide caches make sweeps cheap without changing a single
 // output byte (asserted byte-for-byte in tests). All three are internal/lru
@@ -38,7 +38,7 @@
 // themselves are the third cache, the only one keyed on a seed.
 //
 //   - the plan cache (ensemble.go) keeps one planner.Resolved master per
-//     (workload fingerprint, n, StageIn, fingerprint of the catalog fields
+//     (workload fingerprint, n, stage-in, fingerprint of the catalog fields
 //     planning reads over the ordered site list) — content, not pointers,
 //     because every scenario compile builds fresh catalogs; the fingerprint
 //     is workflow.World.Key, computed once per world and site list. A

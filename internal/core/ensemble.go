@@ -41,9 +41,6 @@ type EnsembleExperiment struct {
 	Sites []string
 	// PlatformSeed seeds every site's platform model.
 	PlatformSeed uint64
-	// StageIn plans one synthesized stage-in job per site that consumes
-	// the workflow's external inputs.
-	StageIn bool
 	// MaxInFlight is the ensemble-wide job throttle (0 = unlimited).
 	MaxInFlight int
 	// RetryLimit is the per-job retry budget.
@@ -139,7 +136,8 @@ func memberDAX(key memberDAXKey, w workflow.Workload) (*dax.Workflow, error) {
 }
 
 // multiPlanKey is the content key of a resolved multi-site master: the
-// member shape, whether stage-in jobs are planned, and the fingerprint of
+// member shape, whether stage-in jobs are planned (ensemble.StageIn of the
+// experiment's sites), and the fingerprint of
 // what planning reads from the catalogs (which covers the ordered site
 // list). It holds no seed, and no policy either:
 // placement is per retrieval.
@@ -180,7 +178,7 @@ func (e *EnsembleExperiment) memberSource(i int, catalogs string) (ensemble.Reso
 		RetryLimit: e.RetryLimit,
 	}
 	w := e.memberWorkload(i)
-	mopts := planner.MultiOptions{Sites: e.Sites, AddStageIn: e.StageIn}
+	mopts := planner.MultiOptions{Sites: e.Sites, AddStageIn: ensemble.StageIn(e.Sites)}
 	if !cacheable(w) {
 		abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: e.N, Workload: w})
 		if err != nil {
@@ -305,14 +303,13 @@ func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 }
 
 // Over points the experiment at a world of declared sites: planned across
-// all of them in order, with stage-in jobs, and run on their platform models
-// seeded with e.Seed.
+// all of them in order and run on their platform models seeded with e.Seed.
 func (e *EnsembleExperiment) Over(sites []workflow.Site) error {
 	var err error
 	if e.World, err = workflow.NewWorld(sites); err != nil {
 		return err
 	}
-	e.StageIn, e.PlatformSeed = true, e.Seed
+	e.PlatformSeed = e.Seed
 	for _, s := range sites {
 		e.Sites = append(e.Sites, s.Platform.Name)
 	}

@@ -151,8 +151,9 @@ type PlanOptions struct {
 	Sites []string
 	// Policy is the site-selection policy name (planner.PolicyNames).
 	Policy string
-	// AddStageIn synthesizes per-site stage-in jobs for external inputs
-	// (requires replicas to be registered for them).
+	// Deprecated: PlanAll ignores AddStageIn and plans stage-in jobs iff
+	// StageIn(Sites). The field stays only so that callers which still set
+	// it compile.
 	AddStageIn bool
 	// Cluster, when enabled, runs the post-planning clustering pass on
 	// every member plan (planner.Cluster).
@@ -163,6 +164,16 @@ type PlanOptions struct {
 	Failover bool
 	// Workers bounds planning parallelism (<= 0 means all CPUs).
 	Workers int
+}
+
+// StageIn is the one rule for whether a plan carries stage-in jobs (per-site
+// jobs that transfer the workflow's external inputs, whose replicas the
+// catalogs must register): it does iff it can place work on more than one
+// site. A one-site plan finds its inputs in place, as the paper's runs on
+// Sandhills and on OSG did — with failover on too, since one site has no
+// sibling to fail over to.
+func StageIn(sites []string) bool {
+	return len(sites) > 1
 }
 
 // ResolvedSource is an ensemble member whose seed-independent planning is
@@ -191,7 +202,7 @@ func PlanAll(srcs []WorkflowSource, cats planner.Catalogs, opts PlanOptions) ([]
 	err := pool.ForEach(opts.Workers, len(srcs), func(i int) error {
 		r, err := planner.Resolve(srcs[i].Abstract, cats, planner.MultiOptions{
 			Sites:      opts.Sites,
-			AddStageIn: opts.AddStageIn,
+			AddStageIn: StageIn(opts.Sites),
 		})
 		if err != nil {
 			return fmt.Errorf("ensemble: planning %q: %w", srcs[i].Name, err)
@@ -214,8 +225,8 @@ func PlanAll(srcs []WorkflowSource, cats planner.Catalogs, opts PlanOptions) ([]
 // runs only the per-member work — placement under a fresh policy,
 // clustering, failover — so nothing it does is proportional to building a
 // graph once the master's shapes are materialized. opts.Sites must be the
-// site list the master was resolved with; opts.AddStageIn is the master's
-// already, and opts.Workers is the caller's business.
+// site list the master was resolved with, with AddStageIn from
+// StageIn(opts.Sites); opts.Workers is the caller's business.
 func PlanMember(src ResolvedSource, cats planner.Catalogs, opts PlanOptions) (Spec, error) {
 	pol, err := planner.NewPolicy(opts.Policy)
 	if err != nil {

@@ -38,7 +38,6 @@ type Compiled struct {
 
 	world   *workflow.World
 	params  workflow.WorkloadParams
-	byName  map[string]*SiteSpec
 	retries int
 }
 
@@ -54,11 +53,7 @@ func Compile(d *Doc) (*Compiled, error) {
 	c := &Compiled{
 		Doc:     d,
 		params:  d.params(),
-		byName:  make(map[string]*SiteSpec, len(d.Sites)),
 		retries: *d.Retries,
-	}
-	for i := range d.Sites {
-		c.byName[d.Sites[i].Name] = &d.Sites[i]
 	}
 	sites := make([]workflow.Site, len(d.Sites))
 	for i := range d.Sites {
@@ -143,31 +138,4 @@ func (s *SiteSpec) site() workflow.Site {
 		site.InstallBytes, site.CAP3Bytes = int64(*s.InstallMB*(1<<20)), 0
 	}
 	return site
-}
-
-// stageIn reports whether the cell's plans carry the synthesized stage-in
-// jobs. They do, except for one workflow on one untouched built-in preset
-// (a slots override aside, which cloud may not have either) with no
-// failover, fault or backoff in the document: those cells used to run on a separate
-// single-site pipeline whose plans had no stage-in job, and the distinction
-// is the one observable thing that pipeline left behind. Changing this
-// truth table changes the checked-in goldens.
-func (c *Compiled) stageIn(cell Cell) bool {
-	if c.Doc.Ensemble != nil || len(cell.SiteSet) != 1 || cell.Failover ||
-		len(c.Doc.Faults) > 0 || c.Doc.RetryBackoff != nil {
-		return true
-	}
-	s := c.byName[cell.SiteSet[0]]
-	if s.Preset == "" || s.Name != s.Preset {
-		return true
-	}
-	if s.Preset == "cloud" && s.Slots != nil {
-		return true
-	}
-	// Any override beyond slots leaves the preset's calibration.
-	return s.SpeedFactor != nil || s.SpeedJitter != nil || s.SubmitInterval != nil ||
-		s.DispatchMean != nil || s.DispatchCV != nil || s.SetupMean != nil ||
-		s.SetupCV != nil || s.SetupMBps != nil || s.EvictionRate != nil ||
-		s.InitialSlots != nil || s.SlotRampSeconds != nil ||
-		s.Preinstalled != nil || s.InstallMB != nil || s.StageInMBps != nil
 }

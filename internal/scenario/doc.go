@@ -33,14 +33,12 @@
 // Execution reuses the core facade: every cell, whatever its shape, is one
 // core.EnsembleExperiment — a single workflow is an ensemble of one, a
 // single site a pool of one — and hits core's plan cache (resolved masters
-// placed, cloned and patched per seed and policy). The one thing a cell's
-// shape decides about its plans is whether they carry stage-in jobs
-// (Compiled.stageIn: not for one workflow on one untouched built-in preset
-// in a document without ensemble, fault, backoff or failover — the cells a
-// separate single-site pipeline used to run, whose goldens this keeps). No
-// plan-cache key holds a seed, so a long-running process (pegflow serve)
-// warms up across requests and does not grow with the seeds it is asked
-// for; the catalog fingerprint in the key is the world's (World.Key),
+// placed, cloned and patched per seed and policy). Whether a cell's plans
+// carry stage-in jobs follows from its site set alone (ensemble.StageIn),
+// as for every other front end. No plan-cache key holds a seed, so a
+// long-running process (pegflow serve) warms up across requests and does
+// not grow with the seeds it is asked for; the catalog fingerprint in the
+// key is the world's (World.Key),
 // computed once per document and site set by the first cell that is
 // actually simulated — never by Compile, which a request served from the
 // result cache also pays.

@@ -361,11 +361,9 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
 		Policy:    policy,
 		World:     c.world,
 		Sites:     cell.SiteSet,
-		// Mix n into the platform seed so sweep cells draw independent
-		// platform noise, while cells that differ only in policy share it —
-		// paired comparisons.
-		PlatformSeed: cell.Seed ^ (uint64(cell.N) * 0x9e3779b97f4a7c15),
-		StageIn:      c.stageIn(cell),
+		// Cells that differ only in policy share platform noise: paired
+		// comparisons.
+		PlatformSeed: core.PlatformSeed(cell.Seed, cell.N),
 		RetryLimit:   c.retries,
 		Cluster:      cell.Cluster.options(),
 		Failover:     cell.Failover,

@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"pegflow/internal/ensemble"
 )
 
 // minimal is a small, fast, valid scenario exercising both execution
@@ -214,71 +216,92 @@ func TestCompileExpandsGridInOrder(t *testing.T) {
 		if cell.Index != i || cell.SiteSet[0] != w.site || cell.N != w.n {
 			t.Errorf("cell %d = %+v, want site %s n %d", i, cell, w.site, w.n)
 		}
-		if c.stageIn(cell) {
-			t.Errorf("cell %d: one workflow on the untouched %s preset plans without stage-in jobs", i, w.site)
+		if ensemble.StageIn(cell.SiteSet) {
+			t.Errorf("cell %d: one workflow on the %s preset plans stage-in jobs", i, w.site)
 		}
 	}
 }
 
-// TestStageInPredicate pins the truth table of the one plan input the merged
-// run path takes from the document's shape: only one workflow on one
-// untouched built-in preset — no failover, fault or backoff anywhere in the
-// document — plans without stage-in jobs. Every row that flips changes a
-// golden.
+// TestStageInPredicate pins the one stage-in rule, ensemble.StageIn, on the
+// document shapes that used to decide it: a cell's plans carry stage-in jobs
+// iff the cell can place work on more than one site. Nothing else in the
+// document moves a one-site cell's plan — not an overridden, renamed or
+// inline site, cloud with slots, an ensemble block, a fault or a backoff —
+// so every one-site row runs as many jobs per workflow as the pristine
+// preset, and every two-site row, failover on or off, runs more.
 func TestStageInPredicate(t *testing.T) {
 	const workload = `"workload": {"params": {"num_clusters": 100, "max_cluster_size": 40, "size_exponent": 0.5, "mean_read_len": 800}, "n": [4]}`
 	cases := []struct {
 		name string
 		doc  string // the document's members besides version, name and workload
-		want []bool // stageIn per cell, in grid order
+		want []bool // stage-in per cell, in grid order
 	}{
 		{"pristine, overridden and multi-site sets", `
   "sites": [{"preset": "sandhills", "slots": 16},
             {"name": "osg-slow", "preset": "osg", "slots": 16, "speed_factor": 2.0}],
   "site_sets": [["sandhills"], ["osg-slow"], ["sandhills", "osg-slow"]]`,
-			[]bool{false, true, true}},
+			[]bool{false, false, true}},
 		{"renamed preset", `
   "sites": [{"name": "campus", "preset": "sandhills"}]`,
-			[]bool{true}},
+			[]bool{false}},
 		{"inline site", `
   "sites": [{"name": "lab", "slots": 8, "speed_factor": 1.0}]`,
-			[]bool{true}},
+			[]bool{false}},
 		{"cloud, with and without slots", `
   "sites": [{"preset": "cloud"}, {"name": "cloud-big", "preset": "cloud", "slots": 900}],
   "site_sets": [["cloud"], ["cloud-big"]]`,
-			[]bool{false, true}},
+			[]bool{false, false}},
 		{"cloud with slots under its own name", `
   "sites": [{"preset": "cloud", "slots": 900}]`,
-			[]bool{true}},
+			[]bool{false}},
 		{"ensemble block", `
   "sites": [{"preset": "osg"}],
   "ensemble": {"workflows": 2}`,
-			[]bool{true}},
+			[]bool{false}},
 		{"fault on another site", `
   "sites": [{"preset": "sandhills"}, {"preset": "osg"}],
   "site_sets": [["sandhills"], ["osg"]],
   "faults": [{"type": "outage", "site": "osg", "at": 100, "duration": 50}]`,
-			[]bool{true, true}},
+			[]bool{false, false}},
 		{"retry_backoff", `
   "sites": [{"preset": "osg"}],
   "retry_backoff": {"base_s": 30, "cap_s": 600}`,
-			[]bool{true}},
+			[]bool{false}},
 		{"failover cells", `
   "sites": [{"preset": "sandhills"}, {"preset": "osg"}],
   "site_sets": [["sandhills", "osg"]],
   "policies": {"site": ["data-aware"], "failover": [false, true]}`,
 			[]bool{true, true}},
 	}
-	for _, tc := range cases {
+	pristineJobs := 0 // per workflow, from the first row's first cell
+	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := compileSource(t, "edge.json", []byte(`{"version": 1, "name": "edge", `+workload+`,`+tc.doc+`}`))
 			if len(c.Cells) != len(tc.want) {
 				t.Fatalf("cells = %d, want %d", len(c.Cells), len(tc.want))
 			}
 			for i, cell := range c.Cells {
-				if got := c.stageIn(cell); got != tc.want[i] {
-					t.Errorf("cell %d (sites %v, failover %v): stageIn = %v, want %v",
-						i, cell.SiteSet, cell.Failover, got, tc.want[i])
+				stageIn := ensemble.StageIn(cell.SiteSet)
+				if stageIn != tc.want[i] {
+					t.Errorf("cell %d (sites %v, failover %v): stage-in = %v, want %v",
+						i, cell.SiteSet, cell.Failover, stageIn, tc.want[i])
+				}
+				m, err := c.simulate(cell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs := m.jobs / c.workflows()
+				switch {
+				case ci == 0 && i == 0:
+					pristineJobs = jobs
+				case pristineJobs == 0:
+					t.Fatal("the pristine row did not run")
+				case stageIn && jobs <= pristineJobs:
+					t.Errorf("cell %d (sites %v, failover %v): %d jobs per workflow, want more than the pristine row's %d",
+						i, cell.SiteSet, cell.Failover, jobs, pristineJobs)
+				case !stageIn && jobs != pristineJobs:
+					t.Errorf("cell %d (sites %v): %d jobs per workflow, want the pristine row's %d",
+						i, cell.SiteSet, jobs, pristineJobs)
 				}
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pegflow/internal/engine"
+	"pegflow/internal/ensemble"
 	"pegflow/internal/planner"
 	"pegflow/internal/sim/platform"
 	"pegflow/internal/stats"
@@ -87,7 +88,7 @@ func TestSingleSiteCellEqualsEngineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cell := range c.Cells {
-		if c.stageIn(cell) {
+		if ensemble.StageIn(cell.SiteSet) {
 			t.Fatalf("cell %d plans with stage-in: not a cell the single-site pipeline ran", i)
 		}
 		var row map[string]any
