@@ -86,8 +86,9 @@ func (e *Experiment) RunWorkflow(platformName string, n int) (*RunResult, error)
 
 // PlatformSeed mixes the chunk count n into seed, so the cells of an n-sweep
 // draw independent platform noise while cells that differ only in policy
-// share it. Experiment and every scenario cell seed their platforms with it,
-// which is what lets a scenario reproduce an Experiment.
+// share it. It is the only platform seed EnsembleExperiment.Run uses, so
+// every front end that reaches it (Experiment, scenario cells, pegflow
+// ensemble) seeds a (seed, n) run alike.
 func PlatformSeed(seed uint64, n int) uint64 {
 	return seed ^ (uint64(n) * 0x9e3779b97f4a7c15)
 }
@@ -107,7 +108,6 @@ func (e *Experiment) onSite(world *workflow.World, site string, n int, w workflo
 		Policy:         planner.PolicyRoundRobin,
 		Sites:          []string{site},
 		World:          world,
-		PlatformSeed:   PlatformSeed(e.Seed, n),
 		RetryLimit:     e.RetryLimit,
 		Cluster:        copts,
 		Workers:        1,

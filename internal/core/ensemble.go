@@ -39,8 +39,6 @@ type EnsembleExperiment struct {
 	World *workflow.World
 	// Sites names the sites of World to plan across and pool, in order.
 	Sites []string
-	// PlatformSeed seeds every site's platform model.
-	PlatformSeed uint64
 	// MaxInFlight is the ensemble-wide job throttle (0 = unlimited).
 	MaxInFlight int
 	// RetryLimit is the per-job retry budget.
@@ -272,7 +270,8 @@ func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
 	return specs, nil
 }
 
-// Run plans all members across the worker pool and executes the ensemble;
+// Run plans all members across the worker pool and executes the ensemble on
+// the sites' platform models seeded with PlatformSeed(e.Seed, e.N);
 // Result.Report(e.Policy) renders the outcome as a report. It is the one
 // place in this package that builds a platform pool and drives member
 // engines over it: every experiment, single-site ones included
@@ -288,7 +287,7 @@ func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 				rng.New(e.Seed).Derive("backoff/"+specs[i].Name))
 		}
 	}
-	cfgs, err := e.World.Configs(e.Sites, e.PlatformSeed)
+	cfgs, err := e.World.Configs(e.Sites, PlatformSeed(e.Seed, e.N))
 	if err != nil {
 		return nil, err
 	}
@@ -302,14 +301,13 @@ func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 	return ensemble.Run(p, specs, ensemble.Options{MaxInFlight: e.MaxInFlight, Aggregate: e.Aggregate})
 }
 
-// Over points the experiment at a world of declared sites: planned across
-// all of them in order and run on their platform models seeded with e.Seed.
+// Over points the experiment at a world of declared sites, planned across
+// all of them in order.
 func (e *EnsembleExperiment) Over(sites []workflow.Site) error {
 	var err error
 	if e.World, err = workflow.NewWorld(sites); err != nil {
 		return err
 	}
-	e.PlatformSeed = e.Seed
 	for _, s := range sites {
 		e.Sites = append(e.Sites, s.Platform.Name)
 	}

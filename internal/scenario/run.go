@@ -355,18 +355,15 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
 		policy = planner.PolicyDataAware
 	}
 	exp := &core.EnsembleExperiment{
-		Seed:      cell.Seed,
-		Workflows: c.workflows(),
-		N:         cell.N,
-		Policy:    policy,
-		World:     c.world,
-		Sites:     cell.SiteSet,
-		// Cells that differ only in policy share platform noise: paired
-		// comparisons.
-		PlatformSeed: core.PlatformSeed(cell.Seed, cell.N),
-		RetryLimit:   c.retries,
-		Cluster:      cell.Cluster.options(),
-		Failover:     cell.Failover,
+		Seed:       cell.Seed,
+		Workflows:  c.workflows(),
+		N:          cell.N,
+		Policy:     policy,
+		World:      c.world,
+		Sites:      cell.SiteSet,
+		RetryLimit: c.retries,
+		Cluster:    cell.Cluster.options(),
+		Failover:   cell.Failover,
 		// Cells are already fanned out across the pool; keep per-cell
 		// planning serial so worker counts never nest.
 		Workers: 1,
