@@ -2,7 +2,8 @@
 // al., IPDPSW 2014): Fig. 4 (workflow wall time on Sandhills vs OSG for
 // n ∈ {10,100,300,500} plus the serial baseline), Fig. 5 (per-task
 // Kickstart / Waiting / Download-Install breakdowns), the inline headline
-// numbers, and the ablations listed in DESIGN.md.
+// numbers, and the ablations listed in DESIGN.md. -fig seeds and -fig
+// ensemble run the scenario documents under examples/scenarios/figures.
 //
 // Usage:
 //
@@ -12,22 +13,28 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"text/tabwriter"
 
+	"pegflow/examples/scenarios/figures"
 	"pegflow/internal/core"
 	"pegflow/internal/kickstart"
 	"pegflow/internal/planner"
+	"pegflow/internal/scenario"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
 
 var workers = flag.Int("workers", runtime.NumCPU(),
-	"concurrent simulations for the evaluation grid and the seed sweep (results are identical for any value)")
+	"concurrent simulations for the evaluation grid and the figure documents' cells (results are identical for any value)")
 
 func main() {
 	seed := flag.Uint64("seed", 42, "experiment seed (42 is the canonical reproduction)")
@@ -271,80 +278,226 @@ func ablations(e *core.Experiment) error {
 	return nil
 }
 
-// seedsSweep quantifies run-to-run variability over 10 seeds (paper
-// §VI.A: results "may vary for every new run due to the availability of
-// the current resources").
-func seedsSweep(base uint64) error {
-	fmt.Println("== Seed sweep: wall-time distribution over 10 seeds ==")
-	sw, err := core.MonteCarloSweep(base, 10, core.SweepOptions{
-		Workers: *workers,
-		Progress: func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rsweep: %d/%d cells", done, total)
-		},
-	})
-	fmt.Fprintln(os.Stderr)
+// canonicalSeed is the seed the figure documents are written at: -seed N
+// shifts each of their seeds by N - canonicalSeed, so the default runs them
+// exactly as checked in.
+const canonicalSeed = 42
+
+// figureRow is the part of a scenario cell row the figures render.
+type figureRow struct {
+	N                    int     `json:"n"`
+	Policy               string  `json:"policy"`
+	Makespan             float64 `json:"makespan_s"`
+	MeanWorkflowMakespan float64 `json:"mean_workflow_makespan_s"`
+	Retries              int     `json:"retries"`
+	Evictions            int     `json:"evictions"`
+	Failovers            int     `json:"failovers"`
+}
+
+// runFigure runs the embedded figure document name with its seeds shifted
+// for seed, and returns the document and its cell rows in grid order.
+func runFigure(name string, seed uint64) (*scenario.Doc, []figureRow, error) {
+	data, err := figures.FS.ReadFile(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	doc, err := scenario.Parse(name, data)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range doc.Workload.Seeds {
+		doc.Workload.Seeds[i] += seed - canonicalSeed
+	}
+	c, err := scenario.Compile(doc)
+	if err != nil {
+		return nil, nil, err
+	}
+	lines, err := c.Run(scenario.RunOptions{Workers: *workers})
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := make([]figureRow, len(c.Cells))
+	for i := range rows {
+		// Line 0 is the header, cell i is line i+1.
+		if err := json.Unmarshal(lines[i+1], &rows[i]); err != nil {
+			return nil, nil, fmt.Errorf("%s: cell %d: %w", name, i, err)
+		}
+	}
+	return doc, rows, nil
+}
+
+// spread summarizes a figure cell's values over its seeds.
+type spread struct {
+	mean, stddev, min, median, max float64
+}
+
+// spreadOf summarizes vals (at least one): the mean sums them in the order
+// given, the standard deviation is the sample one.
+func spreadOf(vals []float64) spread {
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	k := len(sorted)
+	s := spread{min: sorted[0], max: sorted[k-1], median: sorted[k/2]}
+	if k%2 == 0 {
+		s.median = (sorted[k/2-1] + sorted[k/2]) / 2
+	}
+	var sum, sumsq float64
+	for _, v := range vals {
+		sum += v
+	}
+	s.mean = sum / float64(k)
+	for _, v := range vals {
+		sumsq += (v - s.mean) * (v - s.mean)
+	}
+	if k > 1 {
+		s.stddev = math.Sqrt(sumsq / float64(k-1))
+	}
+	return s
+}
+
+// cv returns the coefficient of variation (stddev/mean).
+func (s spread) cv() float64 {
+	if s.mean == 0 {
+		return 0
+	}
+	return s.stddev / s.mean
+}
+
+// seedSweep is -fig seeds: the serial baseline and every (site, n) cell of
+// seeds.json, summarized over the document's seeds.
+type seedSweep struct {
+	seeds  []uint64
+	serial spread
+	cells  []seedCell
+	sites  []string // in document order
+	// optimal counts, per site, how often each n was a seed's fastest (the
+	// paper's "optimum at 300" as a distribution).
+	optimal map[string]map[int]int
+}
+
+// seedCell is one (site, n) cell of the seed sweep.
+type seedCell struct {
+	site      string
+	n         int
+	walls     spread
+	evictions int
+}
+
+// runSeedSweep runs seeds.json and the serial baseline at each of its seeds.
+func runSeedSweep(seed uint64) (*seedSweep, error) {
+	doc, rows, err := runFigure("seeds.json", seed)
+	if err != nil {
+		return nil, err
+	}
+	seeds := doc.Workload.Seeds
+	sw := &seedSweep{seeds: seeds, optimal: make(map[string]map[int]int)}
+	serial := make([]float64, len(seeds))
+	for i, s := range seeds {
+		r, err := core.DefaultExperiment(s).RunSerial()
+		if err != nil {
+			return nil, err
+		}
+		serial[i] = r.WallTime()
+	}
+	sw.serial = spreadOf(serial)
+	// Rows come in grid order, site set then n then seed, one per seed and
+	// n of each set; a seed's tie keeps the n listed first.
+	if len(rows) != len(doc.SiteSets)*len(doc.Workload.N)*len(seeds) {
+		return nil, fmt.Errorf("seeds.json: %d cells, want one per site set, n and seed", len(rows))
+	}
+	for _, set := range doc.SiteSets {
+		site := strings.Join(set, "+")
+		fastest := make([]figureRow, len(seeds))
+		for range doc.Workload.N {
+			cell := seedCell{site: site, n: rows[0].N}
+			walls := make([]float64, len(seeds))
+			for i, r := range rows[:len(seeds)] {
+				walls[i] = r.Makespan
+				cell.evictions += r.Evictions
+				if fastest[i].N == 0 || r.Makespan < fastest[i].Makespan {
+					fastest[i] = r
+				}
+			}
+			cell.walls, rows = spreadOf(walls), rows[len(seeds):]
+			sw.cells = append(sw.cells, cell)
+		}
+		sw.sites, sw.optimal[site] = append(sw.sites, site), make(map[int]int)
+		for _, r := range fastest {
+			sw.optimal[site][r.N]++
+		}
+	}
+	return sw, nil
+}
+
+// seedsSweep quantifies run-to-run variability over the seeds of seeds.json
+// (paper §VI.A: results "may vary for every new run due to the availability
+// of the current resources").
+func seedsSweep(seed uint64) error {
+	sw, err := runSeedSweep(seed)
 	if err != nil {
 		return err
 	}
+	fmt.Printf("== Seed sweep: wall-time distribution over %d seeds ==\n", len(sw.seeds))
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "CELL\tMEAN (s)\tSTDDEV\tCV\tMIN\tMEDIAN\tMAX\tEVICTIONS")
+	s := sw.serial
 	fmt.Fprintf(tw, "serial\t%.0f\t%.0f\t%.3f\t%.0f\t%.0f\t%.0f\t0\n",
-		sw.Serial.Mean, sw.Serial.Stddev, sw.Serial.CV(), sw.Serial.Min, sw.Serial.Median, sw.Serial.Max)
-	for _, p := range core.Platforms {
-		for _, n := range core.PaperNValues {
-			c := sw.Cells[p][n]
-			fmt.Fprintf(tw, "%s n=%d\t%.0f\t%.0f\t%.3f\t%.0f\t%.0f\t%.0f\t%d\n",
-				p, n, c.Mean, c.Stddev, c.CV(), c.Min, c.Median, c.Max, c.Evictions)
-		}
+		s.mean, s.stddev, s.cv(), s.min, s.median, s.max)
+	for _, c := range sw.cells {
+		w := c.walls
+		fmt.Fprintf(tw, "%s n=%d\t%.0f\t%.0f\t%.3f\t%.0f\t%.0f\t%.0f\t%d\n",
+			c.site, c.n, w.mean, w.stddev, w.cv(), w.min, w.median, w.max, c.evictions)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Println("\noptimal n per platform (count over 10 seeds):")
-	for _, p := range core.Platforms {
-		fmt.Printf("  %-10s %v\n", p, sw.OptimalNCounts[p])
+	fmt.Printf("\noptimal n per platform (count over %d seeds):\n", len(sw.seeds))
+	for _, site := range sw.sites {
+		fmt.Printf("  %-10s %v\n", site, sw.optimal[site])
 	}
 	fmt.Println()
 	return nil
 }
 
-// ensembleSweep compares site-selection policies for an 8-workflow
-// ensemble over 5 seeds on the heterogeneous bench fixture — the
-// multi-site/ensemble extension of the paper's platform comparison — and
-// repeats the comparison with task clustering + cross-site failover
-// enabled (the scheduling subsystem's ensemble-level effect).
-func ensembleSweep(base uint64) error {
-	fmt.Println("== Ensemble: site-selection policies, 8 workflows x 2 sites, 5 seeds ==")
-	const runs = 5
-	plain := func(seed uint64, policy string) (*core.EnsembleExperiment, error) {
-		return core.HeteroBenchEnsemble(seed, 8, 24, policy)
-	}
-	clustered := func(seed uint64, policy string) (*core.EnsembleExperiment, error) {
-		e, err := core.HeteroBenchEnsemble(seed, 8, 24, policy)
-		if err != nil {
-			return nil, err
-		}
-		e.Cluster = planner.ClusterOptions{MaxTasksPerJob: 4}
-		e.Failover = true
-		return e, nil
-	}
+// ensembleFigures are -fig ensemble's documents, in table order, and the
+// suffix that marks their rows.
+var ensembleFigures = []struct{ name, suffix string }{
+	{"ensemble.json", ""},
+	{"ensemble-cluster4-failover.json", " +cluster4/failover"},
+}
+
+// ensembleSweep compares site-selection policies for an ensemble over a
+// heterogeneous pair of sites — the multi-site/ensemble extension of the
+// paper's platform comparison — plain and with task clustering + cross-site
+// failover enabled (the scheduling subsystem's ensemble-level effect). A
+// row summarizes one policy of a document over its seeds.
+func ensembleSweep(seed uint64) error {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "POLICY\tMEAN MAKESPAN (s)\tMIN\tMAX\tMEAN WF MAKESPAN (s)\tRETRIES\tEVICTIONS\tFAILOVERS")
-	for _, v := range []struct {
-		suffix string
-		build  func(uint64, string) (*core.EnsembleExperiment, error)
-	}{
-		{"", plain},
-		{" +cluster4/failover", clustered},
-	} {
-		comp, err := core.ComparePolicies(base, runs, nil, *workers, v.build)
+	for i, fig := range ensembleFigures {
+		doc, rows, err := runFigure(fig.name, seed)
 		if err != nil {
 			return err
 		}
-		for _, ps := range comp {
-			fmt.Fprintf(tw, "%s%s\t%.0f\t%.0f\t%.0f\t%.0f\t%d\t%d\t%d\n",
-				ps.Policy, v.suffix, ps.MeanMakespan, ps.MinMakespan, ps.MaxMakespan,
-				ps.MeanWorkflowMakespan, ps.TotalRetries, ps.TotalEvictions, ps.TotalFailovers)
+		if i == 0 {
+			fmt.Printf("== Ensemble: site-selection policies, %d workflows x %d sites, %d seeds ==\n",
+				doc.Ensemble.Workflows, len(doc.Sites), len(doc.Workload.Seeds))
+		}
+		for _, policy := range doc.Policies.Site {
+			var makespans, wfMakespans []float64
+			var retries, evictions, failovers int
+			for _, r := range rows {
+				if r.Policy == policy {
+					makespans = append(makespans, r.Makespan)
+					wfMakespans = append(wfMakespans, r.MeanWorkflowMakespan)
+					retries += r.Retries
+					evictions += r.Evictions
+					failovers += r.Failovers
+				}
+			}
+			m := spreadOf(makespans)
+			fmt.Fprintf(tw, "%s%s\t%.0f\t%.0f\t%.0f\t%.0f\t%d\t%d\t%d\n", policy, fig.suffix,
+				m.mean, m.min, m.max, spreadOf(wfMakespans).mean, retries, evictions, failovers)
 		}
 	}
 	if err := tw.Flush(); err != nil {

@@ -11,6 +11,7 @@ import (
 	"pegflow/internal/core"
 	"pegflow/internal/ensemble"
 	"pegflow/internal/planner"
+	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
 
@@ -207,6 +208,87 @@ func TestEveryFrontEndAgreesOnStageIn(t *testing.T) {
 				t.Errorf("on %v (failover %v): %s plans %d stage-in jobs, %s %d",
 					tc.sites, tc.failover, fe.name, count, firstName, first)
 			}
+		}
+	}
+}
+
+// TestEnsembleFrontEndsAgree: `pegflow ensemble` and the scenario document
+// declaring the same ensemble run one simulation — the same member
+// workloads, plans and platform seed — so they report the same makespan,
+// mean workflow makespan, retries, evictions and failovers, plain and with
+// clustering and failover on.
+func TestEnsembleFrontEndsAgree(t *testing.T) {
+	const workflows, n, seed = 6, 8, 42
+	type totals struct {
+		Makespan             float64
+		MeanWorkflowMakespan float64
+		Retries              int
+		Evictions            int
+		Failovers            int
+	}
+	for _, tc := range []struct {
+		name     string
+		flags    []string
+		policies string
+	}{
+		{"plain", nil, `{"site": ["data-aware"]}`},
+		{"cluster4-failover", []string{"-cluster", "4", "-failover"},
+			`{"site": ["data-aware"], "cluster": [{"max_tasks": 4}], "failover": [true]}`},
+	} {
+		args := append([]string{
+			"-workflows", fmt.Sprint(workflows), "-n", fmt.Sprint(n), "-sites", "sandhills,osg",
+			"-policy", planner.PolicyDataAware, "-seed", fmt.Sprint(seed), "-json",
+		}, tc.flags...)
+		var report stats.EnsembleReport
+		if err := json.Unmarshal([]byte(captureStdout(t, cmdEnsemble, args)), &report); err != nil {
+			t.Fatal(err)
+		}
+		cli := totals{report.Makespan, report.MeanWorkflowMakespan,
+			report.TotalRetries, report.TotalEvictions, report.TotalFailovers}
+
+		// The CLI's member workload: core's reduced-scale default.
+		doc := fmt.Sprintf(`{"version": 1, "name": "ensemble-%s",
+  "sites": [{"preset": "sandhills"}, {"preset": "osg"}], "policies": %s,
+  "workload": {"params": {"num_clusters": 2000, "max_cluster_size": 200, "size_exponent": 0.5, "mean_read_len": 1200},
+               "n": [%d], "seeds": [%d]},
+  "ensemble": {"workflows": %d}, "retries": 5}`, tc.name, tc.policies, n, seed, workflows)
+		path := filepath.Join(t.TempDir(), "ensemble.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var row struct {
+			Makespan             float64 `json:"makespan_s"`
+			MeanWorkflowMakespan float64 `json:"mean_workflow_makespan_s"`
+			Retries, Evictions   int
+			Failovers            int
+		}
+		out := captureStdout(t, cmdScenarioRun, []string{path})
+		if err := json.Unmarshal([]byte(strings.Split(out, "\n")[1]), &row); err != nil {
+			t.Fatal(err)
+		}
+		cell := totals{row.Makespan, row.MeanWorkflowMakespan, row.Retries, row.Evictions, row.Failovers}
+		t.Logf("%s: %+v", tc.name, cli)
+		if cli != cell {
+			t.Errorf("%s: pegflow ensemble reports %+v, the scenario cell %+v", tc.name, cli, cell)
+		}
+	}
+}
+
+// TestEveryFrontEndRefusesNegativeRetries: `pegflow run -retries -1` and
+// `pegflow ensemble -retries -1` are refused, as a document's "retries": -1
+// is, instead of running with no retries.
+func TestEveryFrontEndRefusesNegativeRetries(t *testing.T) {
+	dax := daxFixture(t)
+	for _, fe := range []struct {
+		name string
+		cmd  func([]string) error
+		args []string
+	}{
+		{"run", cmdRun, []string{"-dax", dax, "-site", "osg", "-retries", "-1"}},
+		{"ensemble", cmdEnsemble, []string{"-workflows", "2", "-n", "4", "-retries", "-1"}},
+	} {
+		if _, err := runQuiet(t, fe.cmd, fe.args); err == nil || !strings.Contains(err.Error(), "negative retry limit") {
+			t.Errorf("pegflow %s -retries -1: error %v, want a negative retry limit refused", fe.name, err)
 		}
 	}
 }

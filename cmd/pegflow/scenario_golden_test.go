@@ -70,13 +70,19 @@ func TestGoldenScenarioAggregateScale(t *testing.T) {
 }
 
 // TestGoldenScenarioCheck pins `scenario check` on paper.json and runs it on
-// every other checked-in document, so one the compiler refuses fails here
-// even before it has a golden of its own.
+// every other checked-in document, the figure documents under figures/
+// included, so one the compiler refuses fails here even before it has a
+// golden of its own.
 func TestGoldenScenarioCheck(t *testing.T) {
 	docs, err := filepath.Glob(scenarioPath("*.json"))
 	if err != nil || len(docs) == 0 {
 		t.Fatalf("no example scenarios (%v)", err)
 	}
+	figures, err := filepath.Glob(scenarioPath("figures/*.json"))
+	if err != nil || len(figures) == 0 {
+		t.Fatalf("no figure documents (%v)", err)
+	}
+	docs = append(docs, figures...)
 	for _, path := range docs {
 		out := captureStdout(t, cmdScenarioCheck, []string{path})
 		if filepath.Base(path) == "paper.json" {

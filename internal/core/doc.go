@@ -3,23 +3,25 @@
 // the paper's experiments (build → plan → run → statistics), so that one
 // call reproduces one bar of Fig. 4 or one panel of Fig. 5.
 //
-// Beyond the reproduction grid (Experiment, RunAll, MonteCarloSweep) the
-// package hosts the post-paper experiment axes: the cluster-size sweep
-// (ClusterSweep), ensemble experiments comparing site-selection policies
-// over a shared platform pool (EnsembleExperiment, ComparePolicies), and
-// the ablations of DESIGN.md.
+// Beyond the reproduction grid (Experiment, RunAll) the package hosts the
+// post-paper experiment axes: the cluster-size sweep (ClusterSweep),
+// ensemble experiments over a shared platform pool (EnsembleExperiment), and
+// the ablations of DESIGN.md. The seed sweep and the policy comparison are
+// scenario documents (examples/scenarios/figures), not code here.
 //
 // There is one run path. EnsembleExperiment.Run plans N member workflows
 // across a site set under a policy and executes them on a shared platform
 // pool; a single workflow is an ensemble of one and a single site a pool of
-// one, so Experiment (RunWorkflow, RunClustered, RunAll, the Monte Carlo and
-// cluster sweeps, the ablations) is a thin adapter: the workflow.World of
+// one, so Experiment (RunWorkflow, RunClustered, RunAll, the cluster sweep,
+// the ablations) is a thin adapter: the workflow.World of
 // workflow's table of built-in sites (workflow.PaperSites at the preset
 // slot counts, built once per process), a one-member
 // EnsembleExperiment on one site of it, and the member's outcome as a
 // RunResult. An EnsembleExperiment owns no catalogs, platform models or
-// catalog fingerprint: it names a World, the Sites of it to plan across and
-// a PlatformSeed, and asks the world for all three. Run is the only
+// catalog fingerprint: it names a World and the Sites of it to plan across,
+// and asks the world for all three. Its platforms are seeded with
+// PlatformSeed(Seed, N), which nothing can override, so any front end that
+// runs a (seed, n) ensemble runs the same one. Run is the only
 // function here that builds a pool and drives member engines; RunVariant
 // hands the same path the world of an edited site declaration
 // (preinstalled, or without the eviction hazard) or another workload, and

@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"pegflow/internal/dax"
@@ -19,14 +18,14 @@ import (
 	"pegflow/internal/pool"
 	"pegflow/internal/sim/platform"
 	"pegflow/internal/sim/rng"
-	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
 
 // EnsembleExperiment configures one ensemble run: N member workflows
 // planned across a site set under a policy, executed on a shared pool.
 type EnsembleExperiment struct {
-	// Seed drives workload synthesis and retry-backoff jitter.
+	// Seed drives workload synthesis and retry-backoff jitter, and with N
+	// seeds the platform models (PlatformSeed).
 	Seed uint64
 	// Workflows is the member count.
 	Workflows int
@@ -312,108 +311,4 @@ func (e *EnsembleExperiment) Over(sites []workflow.Site) error {
 		e.Sites = append(e.Sites, s.Platform.Name)
 	}
 	return nil
-}
-
-// HeteroBenchEnsemble is the policy benchmark fixture: a "fast" site with
-// preinstalled software and a "slow" site whose nodes run 3x slower and
-// must download a 150 MB stack per job. Round-robin spreads work evenly
-// and pays the slow site's penalty on half the jobs; a data- or
-// runtime-aware policy should beat it.
-func HeteroBenchEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExperiment, error) {
-	e := &EnsembleExperiment{Seed: seed, Workflows: workflows, N: n, Policy: policy, RetryLimit: 3}
-	return e, e.Over([]workflow.Site{
-		{
-			Platform: platform.Config{
-				Name: "fast", Slots: 32, SubmitInterval: 0.2,
-				DispatchMean: 5, DispatchCV: 0.3,
-				SpeedFactor: 1.0, SpeedJitter: 0.05,
-			},
-			StageInMBps: 200, Preinstalled: true,
-		},
-		{
-			Platform: platform.Config{
-				Name: "slow", Slots: 32, SubmitInterval: 0.3,
-				DispatchMean: 60, DispatchCV: 0.8,
-				SpeedFactor: 3.0, SpeedJitter: 0.2,
-				SetupMean: 120, SetupCV: 0.5, SetupBytesPerSec: 5e6,
-			},
-			StageInMBps: 20, InstallBytes: 150 << 20,
-		},
-	})
-}
-
-// PolicyStats summarizes one policy over a multi-seed ensemble sweep.
-type PolicyStats struct {
-	// Policy is the site-selection policy name.
-	Policy string
-	// Runs is the number of seeds aggregated.
-	Runs int
-	// MeanMakespan, MinMakespan and MaxMakespan summarize ensemble wall
-	// times across seeds.
-	MeanMakespan, MinMakespan, MaxMakespan float64
-	// MeanWorkflowMakespan averages member completion times across
-	// seeds and members.
-	MeanWorkflowMakespan float64
-	// TotalRetries, TotalEvictions and TotalFailovers sum across seeds.
-	TotalRetries, TotalEvictions, TotalFailovers int
-}
-
-// ComparePolicies runs `runs` seeded ensembles per policy over the PR-1
-// worker pool and aggregates — the Monte Carlo comparison of
-// site-selection policies. build constructs the experiment for one
-// (seed, policy) cell; the sweep forces per-cell Workers to 1 since the
-// grid itself is parallel. Output is identical for any worker count.
-func ComparePolicies(baseSeed uint64, runs int, policies []string, workers int,
-	build func(seed uint64, policy string) (*EnsembleExperiment, error)) ([]PolicyStats, error) {
-	if runs <= 0 {
-		return nil, fmt.Errorf("core: non-positive run count %d", runs)
-	}
-	if len(policies) == 0 {
-		policies = planner.PolicyNames()
-	}
-	type cell struct {
-		report *stats.EnsembleReport
-	}
-	cells := make([]cell, len(policies)*runs)
-	err := pool.ForEach(workers, len(cells), func(i int) error {
-		pi, rep := i/runs, i%runs
-		e, err := build(baseSeed+uint64(rep), policies[pi])
-		if err != nil {
-			return err
-		}
-		e.Workers = 1
-		res, err := e.Run()
-		if err != nil {
-			return fmt.Errorf("core: policy %s seed %d: %w", policies[pi], baseSeed+uint64(rep), err)
-		}
-		cells[i] = cell{report: res.Report(e.Policy)}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]PolicyStats, len(policies))
-	for pi, policy := range policies {
-		ps := PolicyStats{Policy: policy, Runs: runs, MinMakespan: math.Inf(1)}
-		var sum, wfSum float64
-		for rep := 0; rep < runs; rep++ {
-			r := cells[pi*runs+rep].report
-			sum += r.Makespan
-			wfSum += r.MeanWorkflowMakespan
-			if r.Makespan < ps.MinMakespan {
-				ps.MinMakespan = r.Makespan
-			}
-			if r.Makespan > ps.MaxMakespan {
-				ps.MaxMakespan = r.Makespan
-			}
-			ps.TotalRetries += r.TotalRetries
-			ps.TotalEvictions += r.TotalEvictions
-			ps.TotalFailovers += r.TotalFailovers
-		}
-		ps.MeanMakespan = sum / float64(runs)
-		ps.MeanWorkflowMakespan = wfSum / float64(runs)
-		out[pi] = ps
-	}
-	return out, nil
 }

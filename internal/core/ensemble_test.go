@@ -26,51 +26,6 @@ func runReport(t testing.TB, e *EnsembleExperiment) *stats.EnsembleReport {
 	return res.Report(e.Policy)
 }
 
-// Acceptance: on the heterogeneous bench fixture, the data-aware policy
-// beats round-robin ensemble makespan.
-func TestDataAwareBeatsRoundRobin(t *testing.T) {
-	rr := runReport(t, heteroExperiment(t, 42, planner.PolicyRoundRobin))
-	da := runReport(t, heteroExperiment(t, 42, planner.PolicyDataAware))
-	if da.Makespan >= rr.Makespan {
-		t.Errorf("data-aware makespan %.0f s not better than round-robin %.0f s",
-			da.Makespan, rr.Makespan)
-	}
-	t.Logf("round-robin %.0f s, data-aware %.0f s (%.1f%% faster)",
-		rr.Makespan, da.Makespan, 100*(rr.Makespan-da.Makespan)/rr.Makespan)
-}
-
-// The policy sweep is deterministic for any worker count and preserves
-// the data-aware advantage in the means.
-func TestComparePoliciesDeterministicAcrossWorkers(t *testing.T) {
-	build := func(seed uint64, policy string) (*EnsembleExperiment, error) {
-		return HeteroBenchEnsemble(seed, 4, 12, policy)
-	}
-	serial, err := ComparePolicies(42, 3, nil, 1, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ComparePolicies(42, 3, nil, 8, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(planner.PolicyNames()) {
-		t.Fatalf("policy stats = %d, want %d", len(serial), len(planner.PolicyNames()))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("policy %s: serial %+v != parallel %+v", serial[i].Policy, serial[i], parallel[i])
-		}
-	}
-	byName := map[string]PolicyStats{}
-	for _, ps := range serial {
-		byName[ps.Policy] = ps
-	}
-	if da, rr := byName[planner.PolicyDataAware], byName[planner.PolicyRoundRobin]; da.MeanMakespan >= rr.MeanMakespan {
-		t.Errorf("mean data-aware makespan %.0f s not better than round-robin %.0f s",
-			da.MeanMakespan, rr.MeanMakespan)
-	}
-}
-
 // The paper-world ensemble (Sandhills + OSG) runs to completion and its
 // JSON report is reproducible.
 func TestPaperEnsembleReproducible(t *testing.T) {

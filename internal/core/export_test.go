@@ -1,6 +1,9 @@
 package core
 
-import "pegflow/internal/workflow"
+import (
+	"pegflow/internal/sim/platform"
+	"pegflow/internal/workflow"
+)
 
 // PaperEnsemble is the tests' ensemble over the paper's two-site world
 // (Sandhills + OSG).
@@ -11,6 +14,33 @@ func PaperEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExper
 	}
 	e := &EnsembleExperiment{Seed: seed, Workflows: workflows, N: n, Policy: policy, RetryLimit: 5}
 	return e, e.Over(sites)
+}
+
+// HeteroBenchEnsemble is the tests' two-site fixture where the cost policies
+// split work by runtime: a "fast" site with preinstalled software and a
+// "slow" site whose nodes run 3x slower and must download a 150 MB stack per
+// job (the sites of examples/scenarios/figures/ensemble.json).
+func HeteroBenchEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExperiment, error) {
+	e := &EnsembleExperiment{Seed: seed, Workflows: workflows, N: n, Policy: policy, RetryLimit: 3}
+	return e, e.Over([]workflow.Site{
+		{
+			Platform: platform.Config{
+				Name: "fast", Slots: 32, SubmitInterval: 0.2,
+				DispatchMean: 5, DispatchCV: 0.3,
+				SpeedFactor: 1.0, SpeedJitter: 0.05,
+			},
+			StageInMBps: 200, Preinstalled: true,
+		},
+		{
+			Platform: platform.Config{
+				Name: "slow", Slots: 32, SubmitInterval: 0.3,
+				DispatchMean: 60, DispatchCV: 0.8,
+				SpeedFactor: 3.0, SpeedJitter: 0.2,
+				SetupMean: 120, SetupCV: 0.5, SetupBytesPerSec: 5e6,
+			},
+			StageInMBps: 20, InstallBytes: 150 << 20,
+		},
+	})
 }
 
 // SetChunkCacheBytes replaces the chunk-seconds cache with an empty one

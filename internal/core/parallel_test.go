@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -89,36 +86,6 @@ func TestForEachTaskEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMonteCarloParallelSerialEquivalence is the tentpole guarantee: the
-// sweep output is bit-for-bit identical no matter how many workers run it.
-func TestMonteCarloParallelSerialEquivalence(t *testing.T) {
-	opts := SweepOptions{NValues: []int{10, 100}}
-	opts.Workers = 1
-	serial, err := MonteCarloSweep(canonicalSeed, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 8
-	parallel, err := MonteCarloSweep(canonicalSeed, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("sweeps differ:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-	sj, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := json.Marshal(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sj, pj) {
-		t.Errorf("serialized sweeps not byte-identical:\nserial:   %s\nparallel: %s", sj, pj)
-	}
-}
-
 func TestRunAllParallelSerialEquivalence(t *testing.T) {
 	se := DefaultExperiment(canonicalSeed)
 	se.Workers = 1
@@ -151,46 +118,5 @@ func TestRunAllParallelSerialEquivalence(t *testing.T) {
 				t.Errorf("%s n=%d retries/evictions differ", pf, n)
 			}
 		}
-	}
-}
-
-func TestSweepProgress(t *testing.T) {
-	var mu sync.Mutex
-	var seen []int
-	wantTotal := 3 * (1 + 2*1) // 3 reps × (serial + 2 platforms × 1 n)
-	_, err := MonteCarloSweep(canonicalSeed, 3, SweepOptions{
-		NValues: []int{10},
-		Workers: 4,
-		Progress: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if total != wantTotal {
-				t.Errorf("total = %d, want %d", total, wantTotal)
-			}
-			seen = append(seen, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != wantTotal {
-		t.Fatalf("progress called %d times, want %d", len(seen), wantTotal)
-	}
-	for i, d := range seen {
-		if d != i+1 {
-			t.Fatalf("progress done sequence %v not monotonic", seen)
-		}
-	}
-}
-
-func TestMonteCarloSweepValidation(t *testing.T) {
-	if _, err := MonteCarloSweep(1, 0, SweepOptions{}); err == nil {
-		t.Error("zero runs accepted")
-	}
-	_, err := MonteCarloSweep(1, 1, SweepOptions{
-		Platforms: []string{"mainframe"}, NValues: []int{10}, Workers: 4,
-	})
-	if err == nil {
-		t.Error("unknown platform accepted")
 	}
 }

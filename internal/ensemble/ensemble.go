@@ -23,7 +23,8 @@ type Spec struct {
 	// Priority orders held jobs across members when the global throttle
 	// is saturated; higher releases first.
 	Priority int
-	// RetryLimit is the per-job retry budget (engine.Options.RetryLimit).
+	// RetryLimit is the per-job retry budget (engine.Options.RetryLimit);
+	// Run refuses a negative one.
 	RetryLimit int
 	// Retry, when set, re-targets this member's retries (cross-site
 	// failover). Each member needs its own policy instance: the policy
@@ -441,6 +442,9 @@ func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error)
 			return nil, fmt.Errorf("ensemble: duplicate workflow name %q", s.Name)
 		}
 		names[s.Name] = true
+		if s.RetryLimit < 0 {
+			return nil, fmt.Errorf("ensemble: workflow %q: negative retry limit %d", s.Name, s.RetryLimit)
+		}
 		if err := p.CheckPlan(s.Plan); err != nil {
 			return nil, fmt.Errorf("ensemble: workflow %q: %w", s.Name, err)
 		}
