@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint lint-fixtures test race allocs bench bench-quick bench-micro fmt vet clean
+.PHONY: all build lint lint-fixtures test race allocs bench bench-quick bench-micro figures fmt vet clean
 
 all: build vet lint test
 
@@ -57,6 +57,12 @@ bench-quick:
 # Kernel, engine and queue microbenchmarks, for measuring while you work.
 bench-micro:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/sim/des ./internal/engine ./internal/fifo
+
+# Rewrites the experiments figure goldens (cmd/experiments/testdata) and
+# BENCH_cluster.json from the current tree; review the diff before committing.
+figures:
+	$(GO) test -count=1 -run TestFigureGoldens ./cmd/experiments -update
+	$(GO) run ./cmd/experiments -fig cluster -bench-out BENCH_cluster.json > /dev/null
 
 fmt:
 	gofmt -l -w .

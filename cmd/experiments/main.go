@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -59,7 +60,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	err := run(*fig, *seed, *benchOut)
+	err := run(os.Stdout, *fig, *seed, *benchOut)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -73,33 +74,33 @@ func main() {
 	}
 }
 
-func run(fig string, seed uint64, benchOut string) error {
+func run(w io.Writer, fig string, seed uint64, benchOut string) error {
 	e := core.DefaultExperiment(seed)
 	e.Workers = *workers
 	switch fig {
 	case "4":
-		return fig4(e)
+		return fig4(w, e)
 	case "5":
-		return fig5(e)
+		return fig5(w, e)
 	case "ablations":
-		return ablations(e)
+		return ablations(w, e)
 	case "cloud":
-		return cloud(e)
+		return cloud(w, e)
 	case "seeds":
-		return seedsSweep(seed)
+		return seedsSweep(w, seed)
 	case "ensemble":
-		return ensembleSweep(seed)
+		return ensembleSweep(w, seed)
 	case "cluster":
-		return clusterSweep(seed, benchOut)
+		return clusterSweep(w, seed, benchOut)
 	case "all":
 		for _, f := range []func() error{
-			func() error { return fig4(e) },
-			func() error { return fig5(e) },
-			func() error { return ablations(e) },
-			func() error { return cloud(e) },
-			func() error { return seedsSweep(seed) },
-			func() error { return ensembleSweep(seed) },
-			func() error { return clusterSweep(seed, benchOut) },
+			func() error { return fig4(w, e) },
+			func() error { return fig5(w, e) },
+			func() error { return ablations(w, e) },
+			func() error { return cloud(w, e) },
+			func() error { return seedsSweep(w, seed) },
+			func() error { return ensembleSweep(w, seed) },
+			func() error { return clusterSweep(w, seed, benchOut) },
 		} {
 			if err := f(); err != nil {
 				return err
@@ -129,13 +130,13 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func fig4(e *core.Experiment) error {
-	fmt.Println("== Figure 4: workflow wall time, Sandhills vs OSG ==")
+func fig4(w io.Writer, e *core.Experiment) error {
+	fmt.Fprintln(w, "== Figure 4: workflow wall time, Sandhills vs OSG ==")
 	all, err := e.RunAll()
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "RUN\tWALL TIME (s)\tWALL TIME\tRETRIES\tEVICTIONS")
 	fmt.Fprintf(tw, "serial (1 core)\t%.0f\t%s\t0\t0\n",
 		all.Serial.WallTime(), stats.HMS(all.Serial.WallTime()))
@@ -151,16 +152,16 @@ func fig4(e *core.Experiment) error {
 		return err
 	}
 
-	fmt.Println("\n-- headline numbers --")
+	fmt.Fprintln(w, "\n-- headline numbers --")
 	serial := all.Serial.WallTime()
 	best := all.BestWorkflowWallTime()
-	fmt.Printf("serial baseline              : %s (paper: 100 hours)\n", stats.HMS(serial))
-	fmt.Printf("best workflow                : %s\n", stats.HMS(best))
-	fmt.Printf("reduction serial->workflow   : %.1f%% (paper: >95%%)\n",
+	fmt.Fprintf(w, "serial baseline              : %s (paper: 100 hours)\n", stats.HMS(serial))
+	fmt.Fprintf(w, "best workflow                : %s\n", stats.HMS(best))
+	fmt.Fprintf(w, "reduction serial->workflow   : %.1f%% (paper: >95%%)\n",
 		100*stats.Reduction(serial, best))
 	s := all.Runs["sandhills"]
-	fmt.Printf("sandhills n=10               : %.0f s (paper: 41,593 s)\n", s[10].WallTime())
-	fmt.Printf("improvement n=10 -> n=100    : %.1f%% (paper: ~80%%)\n",
+	fmt.Fprintf(w, "sandhills n=10               : %.0f s (paper: 41,593 s)\n", s[10].WallTime())
+	fmt.Fprintf(w, "improvement n=10 -> n=100    : %.1f%% (paper: ~80%%)\n",
 		100*stats.Reduction(s[10].WallTime(), s[100].WallTime()))
 	bestN, bestW := 0, -1.0
 	for _, n := range core.PaperNValues {
@@ -168,21 +169,21 @@ func fig4(e *core.Experiment) error {
 			bestN, bestW = n, s[n].WallTime()
 		}
 	}
-	fmt.Printf("optimal n on sandhills       : %d (paper: 300)\n\n", bestN)
+	fmt.Fprintf(w, "optimal n on sandhills       : %d (paper: 300)\n\n", bestN)
 	return nil
 }
 
-func fig5(e *core.Experiment) error {
-	fmt.Println("== Figure 5: per-task running time breakdown ==")
+func fig5(w io.Writer, e *core.Experiment) error {
+	fmt.Fprintln(w, "== Figure 5: per-task running time breakdown ==")
 	for _, n := range core.PaperNValues {
-		fmt.Printf("\n-- n = %d --\n", n)
+		fmt.Fprintf(w, "\n-- n = %d --\n", n)
 		for _, p := range core.Platforms {
 			r, err := e.RunWorkflow(p, n)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("[%s]  wall time %s\n", p, stats.HMS(r.WallTime()))
-			if err := stats.WritePerTransformation(os.Stdout, r.PerTask); err != nil {
+			fmt.Fprintf(w, "[%s]  wall time %s\n", p, stats.HMS(r.WallTime()))
+			if err := stats.WritePerTransformation(w, r.PerTask); err != nil {
 				return err
 			}
 			// Straggler profile: one batch call extracts and sorts each
@@ -191,17 +192,17 @@ func fig5(e *core.Experiment) error {
 				func(rec *kickstart.Record) float64 { return rec.Waiting() }, 50, 90, 99)
 			exec := stats.Percentiles(r.Result.Log,
 				func(rec *kickstart.Record) float64 { return rec.Exec() }, 50, 90, 99)
-			fmt.Printf("waiting p50/p90/p99: %.0f/%.0f/%.0f s   kickstart p50/p90/p99: %.0f/%.0f/%.0f s\n",
+			fmt.Fprintf(w, "waiting p50/p90/p99: %.0f/%.0f/%.0f s   kickstart p50/p90/p99: %.0f/%.0f/%.0f s\n",
 				wait[0], wait[1], wait[2], exec[0], exec[1], exec[2])
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
-func ablations(e *core.Experiment) error {
-	fmt.Println("== Ablations (DESIGN.md A1-A4) ==")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func ablations(w io.Writer, e *core.Experiment) error {
+	fmt.Fprintln(w, "== Ablations (DESIGN.md A1-A4) ==")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "ABLATION\tCONFIG\tWALL TIME (s)\tNOTE")
 
 	base, err := e.RunWorkflow("osg", 300)
@@ -272,9 +273,9 @@ func ablations(e *core.Experiment) error {
 		return err
 	}
 
-	fmt.Println("\n-- serial work check (cost model vs workload) --")
+	fmt.Fprintln(w, "\n-- serial work check (cost model vs workload) --")
 	cm := workflow.DefaultCostModel()
-	fmt.Printf("serial blast2cap3 estimate: %s\n\n", stats.HMS(cm.SerialSeconds(e.Workload)))
+	fmt.Fprintf(w, "serial blast2cap3 estimate: %s\n\n", stats.HMS(cm.SerialSeconds(e.Workload)))
 	return nil
 }
 
@@ -432,13 +433,13 @@ func runSeedSweep(seed uint64) (*seedSweep, error) {
 // seedsSweep quantifies run-to-run variability over the seeds of seeds.json
 // (paper §VI.A: results "may vary for every new run due to the availability
 // of the current resources").
-func seedsSweep(seed uint64) error {
+func seedsSweep(w io.Writer, seed uint64) error {
 	sw, err := runSeedSweep(seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== Seed sweep: wall-time distribution over %d seeds ==\n", len(sw.seeds))
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "== Seed sweep: wall-time distribution over %d seeds ==\n", len(sw.seeds))
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "CELL\tMEAN (s)\tSTDDEV\tCV\tMIN\tMEDIAN\tMAX\tEVICTIONS")
 	s := sw.serial
 	fmt.Fprintf(tw, "serial\t%.0f\t%.0f\t%.3f\t%.0f\t%.0f\t%.0f\t0\n",
@@ -451,11 +452,11 @@ func seedsSweep(seed uint64) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("\noptimal n per platform (count over %d seeds):\n", len(sw.seeds))
+	fmt.Fprintf(w, "\noptimal n per platform (count over %d seeds):\n", len(sw.seeds))
 	for _, site := range sw.sites {
-		fmt.Printf("  %-10s %v\n", site, sw.optimal[site])
+		fmt.Fprintf(w, "  %-10s %v\n", site, sw.optimal[site])
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
@@ -471,8 +472,8 @@ var ensembleFigures = []struct{ name, suffix string }{
 // paper's platform comparison — plain and with task clustering + cross-site
 // failover enabled (the scheduling subsystem's ensemble-level effect). A
 // row summarizes one policy of a document over its seeds.
-func ensembleSweep(seed uint64) error {
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func ensembleSweep(w io.Writer, seed uint64) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "POLICY\tMEAN MAKESPAN (s)\tMIN\tMAX\tMEAN WF MAKESPAN (s)\tRETRIES\tEVICTIONS\tFAILOVERS")
 	for i, fig := range ensembleFigures {
 		doc, rows, err := runFigure(fig.name, seed)
@@ -480,7 +481,7 @@ func ensembleSweep(seed uint64) error {
 			return err
 		}
 		if i == 0 {
-			fmt.Printf("== Ensemble: site-selection policies, %d workflows x %d sites, %d seeds ==\n",
+			fmt.Fprintf(w, "== Ensemble: site-selection policies, %d workflows x %d sites, %d seeds ==\n",
 				doc.Ensemble.Workflows, len(doc.Sites), len(doc.Workload.Seeds))
 		}
 		for _, policy := range doc.Policies.Site {
@@ -503,7 +504,7 @@ func ensembleSweep(seed uint64) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
@@ -512,14 +513,14 @@ func ensembleSweep(seed uint64) error {
 // beyond both slot pools), how much makespan does bundling tasks into
 // composite grid jobs buy on the overhead-dominated OSG vs the dedicated
 // campus cluster?
-func clusterSweep(seed uint64, benchOut string) error {
+func clusterSweep(w io.Writer, seed uint64, benchOut string) error {
 	n := core.DefaultClusterSweepN
-	fmt.Printf("== Cluster-size sweep: n=%d, Sandhills vs OSG ==\n", n)
+	fmt.Fprintf(w, "== Cluster-size sweep: n=%d, Sandhills vs OSG ==\n", n)
 	points, err := core.ClusterSweep(seed, n, nil, nil, *workers)
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "PLATFORM\tCLUSTERING\tGRID JOBS\tWALL TIME (s)\tREDUCTION\tWAIT/TASK (s)\tINSTALL/TASK (s)")
 	for _, p := range points {
 		label := "off"
@@ -535,7 +536,7 @@ func clusterSweep(seed uint64, benchOut string) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if benchOut == "" {
 		return nil
 	}
@@ -551,15 +552,15 @@ func clusterSweep(seed uint64, benchOut string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("cluster sweep written to %s\n\n", benchOut)
+	fmt.Fprintf(w, "cluster sweep written to %s\n\n", benchOut)
 	return nil
 }
 
 // cloud runs the three-platform comparison of the paper's future work
 // (§VII) and prints an execution timeline per platform at n=300.
-func cloud(e *core.Experiment) error {
-	fmt.Println("== Future work (paper §VII): cloud as a third platform ==")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func cloud(w io.Writer, e *core.Experiment) error {
+	fmt.Fprintln(w, "== Future work (paper §VII): cloud as a third platform ==")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "PLATFORM\tN\tWALL TIME (s)\tWALL TIME\tEVICTIONS")
 	results := map[string]*core.RunResult{}
 	for _, p := range core.ExtendedPlatforms {
@@ -579,12 +580,12 @@ func cloud(e *core.Experiment) error {
 		return err
 	}
 	for _, p := range core.ExtendedPlatforms {
-		fmt.Printf("\n-- execution timeline, %s n=300 --\n", p)
+		fmt.Fprintf(w, "\n-- execution timeline, %s n=300 --\n", p)
 		tl := stats.BuildTimeline(results[p].Result.Log, 16)
-		if err := stats.WriteTimeline(os.Stdout, tl, 56); err != nil {
+		if err := stats.WriteTimeline(w, tl, 56); err != nil {
 			return err
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
