@@ -2,8 +2,10 @@
 // al., IPDPSW 2014): Fig. 4 (workflow wall time on Sandhills vs OSG for
 // n ∈ {10,100,300,500} plus the serial baseline), Fig. 5 (per-task
 // Kickstart / Waiting / Download-Install breakdowns), the inline headline
-// numbers, and the ablations listed in DESIGN.md. -fig seeds and -fig
-// ensemble run the scenario documents under examples/scenarios/figures.
+// numbers, the ablations listed in DESIGN.md, and the post-paper axes
+// (cloud, seed sweep, ensemble policies, cluster-size sweep). Every figure
+// runs scenario documents under examples/scenarios/figures and renders
+// their rows; `pegflow scenario run` prints the same rows.
 //
 // Usage:
 //
@@ -27,15 +29,13 @@ import (
 
 	"pegflow/examples/scenarios/figures"
 	"pegflow/internal/core"
-	"pegflow/internal/kickstart"
-	"pegflow/internal/planner"
 	"pegflow/internal/scenario"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
 
 var workers = flag.Int("workers", runtime.NumCPU(),
-	"concurrent simulations for the evaluation grid and the figure documents' cells (results are identical for any value)")
+	"concurrent simulations for the figure documents' cells (results are identical for any value)")
 
 func main() {
 	seed := flag.Uint64("seed", 42, "experiment seed (42 is the canonical reproduction)")
@@ -74,42 +74,33 @@ func main() {
 	}
 }
 
+// run writes figure fig ("all": every figure, in order) at seed to w.
 func run(w io.Writer, fig string, seed uint64, benchOut string) error {
-	e := core.DefaultExperiment(seed)
-	e.Workers = *workers
-	switch fig {
-	case "4":
-		return fig4(w, e)
-	case "5":
-		return fig5(w, e)
-	case "ablations":
-		return ablations(w, e)
-	case "cloud":
-		return cloud(w, e)
-	case "seeds":
-		return seedsSweep(w, seed)
-	case "ensemble":
-		return ensembleSweep(w, seed)
-	case "cluster":
-		return clusterSweep(w, seed, benchOut)
-	case "all":
-		for _, f := range []func() error{
-			func() error { return fig4(w, e) },
-			func() error { return fig5(w, e) },
-			func() error { return ablations(w, e) },
-			func() error { return cloud(w, e) },
-			func() error { return seedsSweep(w, seed) },
-			func() error { return ensembleSweep(w, seed) },
-			func() error { return clusterSweep(w, seed, benchOut) },
-		} {
-			if err := f(); err != nil {
+	figs := []struct {
+		name string
+		run  func() error
+	}{
+		{"4", func() error { return fig4(w, seed) }},
+		{"5", func() error { return fig5(w, seed) }},
+		{"ablations", func() error { return ablations(w, seed) }},
+		{"cloud", func() error { return cloud(w, seed) }},
+		{"seeds", func() error { return seedsSweep(w, seed) }},
+		{"ensemble", func() error { return ensembleSweep(w, seed) }},
+		{"cluster", func() error { return clusterSweep(w, seed, benchOut) }},
+	}
+	ran := false
+	for _, f := range figs {
+		if fig == "all" || fig == f.name {
+			ran = true
+			if err := f.run(); err != nil {
 				return err
 			}
 		}
-		return nil
-	default:
+	}
+	if !ran {
 		return fmt.Errorf("unknown -fig %q", fig)
 	}
+	return nil
 }
 
 func writeMemProfile(path string) error {
@@ -130,22 +121,27 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func fig4(w io.Writer, e *core.Experiment) error {
+// fig4 renders paper-grid.json's wall times beside the serial baseline.
+func fig4(w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "== Figure 4: workflow wall time, Sandhills vs OSG ==")
-	all, err := e.RunAll()
+	_, rows, err := runFigure("paper-grid.json", seed)
 	if err != nil {
 		return err
 	}
+	ser, err := core.DefaultExperiment(seed).RunSerial()
+	if err != nil {
+		return err
+	}
+	serial := ser.WallTime()
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "RUN\tWALL TIME (s)\tWALL TIME\tRETRIES\tEVICTIONS")
-	fmt.Fprintf(tw, "serial (1 core)\t%.0f\t%s\t0\t0\n",
-		all.Serial.WallTime(), stats.HMS(all.Serial.WallTime()))
-	for _, p := range core.Platforms {
-		for _, n := range core.PaperNValues {
-			r := all.Runs[p][n]
-			fmt.Fprintf(tw, "%s n=%d\t%.0f\t%s\t%d\t%d\n",
-				p, n, r.WallTime(), stats.HMS(r.WallTime()),
-				r.Result.Retries, r.Result.Evictions)
+	fmt.Fprintf(tw, "serial (1 core)\t%.0f\t%s\t0\t0\n", serial, stats.HMS(serial))
+	best := -1.0
+	for _, r := range rows {
+		fmt.Fprintf(tw, "%s n=%d\t%.0f\t%s\t%d\t%d\n",
+			r.site(), r.N, r.Makespan, stats.HMS(r.Makespan), r.Retries, r.Evictions)
+		if best < 0 || r.Makespan < best {
+			best = r.Makespan
 		}
 	}
 	if err := tw.Flush(); err != nil {
@@ -153,129 +149,141 @@ func fig4(w io.Writer, e *core.Experiment) error {
 	}
 
 	fmt.Fprintln(w, "\n-- headline numbers --")
-	serial := all.Serial.WallTime()
-	best := all.BestWorkflowWallTime()
 	fmt.Fprintf(w, "serial baseline              : %s (paper: 100 hours)\n", stats.HMS(serial))
 	fmt.Fprintf(w, "best workflow                : %s\n", stats.HMS(best))
 	fmt.Fprintf(w, "reduction serial->workflow   : %.1f%% (paper: >95%%)\n",
 		100*stats.Reduction(serial, best))
-	s := all.Runs["sandhills"]
-	fmt.Fprintf(w, "sandhills n=10               : %.0f s (paper: 41,593 s)\n", s[10].WallTime())
+	s10, err := rowAt(rows, "sandhills", 10)
+	if err != nil {
+		return err
+	}
+	s100, err := rowAt(rows, "sandhills", 100)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "sandhills n=10               : %.0f s (paper: 41,593 s)\n", s10.Makespan)
 	fmt.Fprintf(w, "improvement n=10 -> n=100    : %.1f%% (paper: ~80%%)\n",
-		100*stats.Reduction(s[10].WallTime(), s[100].WallTime()))
-	bestN, bestW := 0, -1.0
-	for _, n := range core.PaperNValues {
-		if bestW < 0 || s[n].WallTime() < bestW {
-			bestN, bestW = n, s[n].WallTime()
+		100*stats.Reduction(s10.Makespan, s100.Makespan))
+	var fastest figureRow
+	for _, r := range rows {
+		if r.site() == "sandhills" && (fastest.N == 0 || r.Makespan < fastest.Makespan) {
+			fastest = r
 		}
 	}
-	fmt.Fprintf(w, "optimal n on sandhills       : %d (paper: 300)\n\n", bestN)
+	fmt.Fprintf(w, "optimal n on sandhills       : %d (paper: 300)\n\n", fastest.N)
 	return nil
 }
 
-func fig5(w io.Writer, e *core.Experiment) error {
+// fig5 renders paper-grid.json's per-transformation tables and straggler
+// percentiles, n by n.
+func fig5(w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "== Figure 5: per-task running time breakdown ==")
-	for _, n := range core.PaperNValues {
+	doc, rows, err := runFigure("paper-grid.json", seed)
+	if err != nil {
+		return err
+	}
+	// Rows come site set by site set, n by n within each.
+	ns := doc.Workload.N
+	for ni, n := range ns {
 		fmt.Fprintf(w, "\n-- n = %d --\n", n)
-		for _, p := range core.Platforms {
-			r, err := e.RunWorkflow(p, n)
-			if err != nil {
+		for si := range doc.SiteSets {
+			r := rows[si*len(ns)+ni]
+			fmt.Fprintf(w, "[%s]  wall time %s\n", r.site(), stats.HMS(r.Makespan))
+			if err := stats.WritePerTransformation(w, r.PerTransformation[0]); err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "[%s]  wall time %s\n", p, stats.HMS(r.WallTime()))
-			if err := stats.WritePerTransformation(w, r.PerTask); err != nil {
-				return err
-			}
-			// Straggler profile: one batch call extracts and sorts each
-			// metric once for all three quantiles.
-			wait := stats.Percentiles(r.Result.Log,
-				func(rec *kickstart.Record) float64 { return rec.Waiting() }, 50, 90, 99)
-			exec := stats.Percentiles(r.Result.Log,
-				func(rec *kickstart.Record) float64 { return rec.Exec() }, 50, 90, 99)
 			fmt.Fprintf(w, "waiting p50/p90/p99: %.0f/%.0f/%.0f s   kickstart p50/p90/p99: %.0f/%.0f/%.0f s\n",
-				wait[0], wait[1], wait[2], exec[0], exec[1], exec[2])
+				r.WaitingP50, r.WaitingP90, r.WaitingP99, r.KickstartP50, r.KickstartP90, r.KickstartP99)
 		}
 	}
 	fmt.Fprintln(w)
 	return nil
 }
 
-func ablations(w io.Writer, e *core.Experiment) error {
+// a4Figures are A4's documents, one per size exponent.
+var a4Figures = []string{"a4-skew-0.25.json", "a4-skew-0.5.json", "a4-skew-1.0.json"}
+
+// ablations renders DESIGN.md's A1-A4 from their documents.
+func ablations(w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "== Ablations (DESIGN.md A1-A4) ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "ABLATION\tCONFIG\tWALL TIME (s)\tNOTE")
 
-	base, err := e.RunWorkflow("osg", 300)
+	_, grid, err := runFigure("paper-grid.json", seed)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(tw, "A1 install step\tosg n=300 (baseline)\t%.0f\tevery task downloads+installs\n", base.WallTime())
-	pre, err := e.RunVariant("osg", 300, core.Variant{PreinstallOSG: true})
+	base, err := rowAt(grid, "osg", 300)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(tw, "A1 install step\tosg n=300 preinstalled\t%.0f\tpaper's future work: shared software on OSG\n", pre.WallTime())
+	fmt.Fprintf(tw, "A1 install step\tosg n=300 (baseline)\t%.0f\tevery task downloads+installs\n", base.Makespan)
+	_, pre, err := runFigure("a1-preinstalled.json", seed)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(tw, "A1 install step\t%s n=%d preinstalled\t%.0f\tpaper's future work: shared software on OSG\n",
+		pre[0].site(), pre[0].N, pre[0].Makespan)
 
 	// A2 averages over seeds at n=10, where an eviction forces a ~10-hour
 	// task to rerun and single-seed noise would mask the effect.
-	var withEv, withoutEv float64
-	var evictions int
-	const a2Seeds = 5
-	for s := uint64(0); s < a2Seeds; s++ {
-		e2 := core.DefaultExperiment(e.Seed + s)
-		a, err := e2.RunWorkflow("osg", 10)
-		if err != nil {
-			return err
-		}
-		b, err := e2.RunVariant("osg", 10, core.Variant{DisablePreemption: true})
-		if err != nil {
-			return err
-		}
-		withEv += a.WallTime() / a2Seeds
-		withoutEv += b.WallTime() / a2Seeds
-		evictions += a.Result.Evictions
+	_, withEv, err := runFigure("a2-evictions.json", seed)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(tw, "A2 preemption\tosg n=10 with eviction (mean of %d seeds)\t%.0f\t%d evictions total\n",
-		a2Seeds, withEv, evictions)
-	fmt.Fprintf(tw, "A2 preemption\tosg n=10 no eviction (mean of %d seeds)\t%.0f\t\n",
-		a2Seeds, withoutEv)
+	_, withoutEv, err := runFigure("a2-no-evictions.json", seed)
+	if err != nil {
+		return err
+	}
+	k := float64(len(withEv))
+	var meanWith, meanWithout float64
+	var evictions int
+	for i := range withEv {
+		meanWith += withEv[i].Makespan / k
+		meanWithout += withoutEv[i].Makespan / k
+		evictions += withEv[i].Evictions
+	}
+	fmt.Fprintf(tw, "A2 preemption\t%s n=%d with eviction (mean of %d seeds)\t%.0f\t%d evictions total\n",
+		withEv[0].site(), withEv[0].N, len(withEv), meanWith, evictions)
+	fmt.Fprintf(tw, "A2 preemption\t%s n=%d no eviction (mean of %d seeds)\t%.0f\t\n",
+		withoutEv[0].site(), withoutEv[0].N, len(withoutEv), meanWithout)
 
-	for _, cs := range []int{1, 4, 16} {
-		r, err := e.RunClustered("sandhills", 500, planner.ClusterOptions{
-			MaxTasksPerJob: cs, Transformations: []string{workflow.TrRunCAP3},
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "A3 task clustering\tsandhills n=500 factor %d\t%.0f\t%d jobs\n",
-			cs, r.WallTime(), len(r.Result.Completed)+len(r.Result.Unfinished))
+	_, a3, err := runFigure("a3-clustering.json", seed)
+	if err != nil {
+		return err
+	}
+	for _, r := range a3 {
+		fmt.Fprintf(tw, "A3 task clustering\t%s n=%d factor %d\t%.0f\t%d jobs\n",
+			r.site(), r.N, r.ClusterMaxTasks, r.Makespan, r.GridJobs)
 	}
 
 	// A4: the plateau tracks the largest cluster's CAP3 time (the
 	// unsplittable makespan floor), whatever the total work is.
-	for _, sx := range []float64{0.25, 0.5, 1.0} {
-		r, err := e.RunVariant("sandhills", 300, core.Variant{SizeExponent: sx})
+	cm := workflow.DefaultCostModel()
+	for _, name := range a4Figures {
+		doc, rows, err := runFigure(name, seed)
 		if err != nil {
 			return err
 		}
-		w := workflow.CustomWorkload(workflow.WorkloadParams{
-			NumClusters: 40000, MaxClusterSize: 600, SizeExponent: sx, MeanReadLen: 1500,
-		}, e.Seed)
-		cm := workflow.DefaultCostModel()
-		floor := cm.ClusterSeconds(w.Clusters[0])
-		note := fmt.Sprintf("largest-cluster floor %.0f s, wall/floor %.2f", floor, r.WallTime()/floor)
-		if sx == 0.5 {
+		r, p := rows[0], doc.Workload.Params
+		wl := workflow.CustomWorkload(workflow.WorkloadParams{
+			NumClusters: p.NumClusters, MaxClusterSize: p.MaxClusterSize,
+			SizeExponent: p.SizeExponent, MeanReadLen: p.MeanReadLen,
+		}, r.Seed)
+		floor := cm.ClusterSeconds(wl.Clusters[0])
+		note := fmt.Sprintf("largest-cluster floor %.0f s, wall/floor %.2f", floor, r.Makespan/floor)
+		if p.SizeExponent == 0.5 {
 			note += " (paper workload)"
 		}
-		fmt.Fprintf(tw, "A4 cluster skew\tsandhills n=300 exponent %.2f\t%.0f\t%s\n", sx, r.WallTime(), note)
+		fmt.Fprintf(tw, "A4 cluster skew\t%s n=%d exponent %.2f\t%.0f\t%s\n",
+			r.site(), r.N, p.SizeExponent, r.Makespan, note)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 
 	fmt.Fprintln(w, "\n-- serial work check (cost model vs workload) --")
-	cm := workflow.DefaultCostModel()
-	fmt.Fprintf(w, "serial blast2cap3 estimate: %s\n\n", stats.HMS(cm.SerialSeconds(e.Workload)))
+	fmt.Fprintf(w, "serial blast2cap3 estimate: %s\n\n", stats.HMS(cm.SerialSeconds(workflow.PaperWorkload(seed))))
 	return nil
 }
 
@@ -286,13 +294,51 @@ const canonicalSeed = 42
 
 // figureRow is the part of a scenario cell row the figures render.
 type figureRow struct {
-	N                    int     `json:"n"`
-	Policy               string  `json:"policy"`
-	Makespan             float64 `json:"makespan_s"`
-	MeanWorkflowMakespan float64 `json:"mean_workflow_makespan_s"`
-	Retries              int     `json:"retries"`
-	Evictions            int     `json:"evictions"`
-	Failovers            int     `json:"failovers"`
+	Sites                []string `json:"sites"`
+	N                    int      `json:"n"`
+	Seed                 uint64   `json:"seed"`
+	Policy               string   `json:"policy"`
+	ClusterMaxTasks      int      `json:"cluster_max_tasks"`
+	ClusterTarget        float64  `json:"cluster_target_s"`
+	Makespan             float64  `json:"makespan_s"`
+	MeanWorkflowMakespan float64  `json:"mean_workflow_makespan_s"`
+	CumulativeKickstart  float64  `json:"cumulative_kickstart_s"`
+	Jobs                 int      `json:"jobs"`
+	GridJobs             int      `json:"grid_jobs"`
+	Retries              int      `json:"retries"`
+	Evictions            int      `json:"evictions"`
+	Failovers            int      `json:"failovers"`
+	// PerTransformation holds one table per member workflow.
+	PerTransformation [][]stats.TaskStats `json:"per_transformation"`
+	KickstartP50      float64             `json:"kickstart_p50"`
+	KickstartP90      float64             `json:"kickstart_p90"`
+	KickstartP99      float64             `json:"kickstart_p99"`
+	WaitingP50        float64             `json:"waiting_p50"`
+	WaitingP90        float64             `json:"waiting_p90"`
+	WaitingP99        float64             `json:"waiting_p99"`
+}
+
+// site names the row's site set as the figures print it.
+func (r *figureRow) site() string { return strings.Join(r.Sites, "+") }
+
+// task returns the row's first member's statistics for transformation tr.
+func (r *figureRow) task(tr string) stats.TaskStats {
+	for _, ts := range r.PerTransformation[0] {
+		if ts.Transformation == tr {
+			return ts
+		}
+	}
+	return stats.TaskStats{Transformation: tr}
+}
+
+// rowAt returns the first row of rows on site at n.
+func rowAt(rows []figureRow, site string, n int) (figureRow, error) {
+	for _, r := range rows {
+		if r.site() == site && r.N == n {
+			return r, nil
+		}
+	}
+	return figureRow{}, fmt.Errorf("no %s n=%d cell", site, n)
 }
 
 // runFigure runs the embedded figure document name with its seeds shifted
@@ -508,21 +554,68 @@ func ensembleSweep(w io.Writer, seed uint64) error {
 	return nil
 }
 
-// clusterSweep runs the cluster-size sweep — the new experiment axis the
-// clustering subsystem opens: at fine decomposition (n=2000, tasks well
-// beyond both slot pools), how much makespan does bundling tasks into
-// composite grid jobs buy on the overhead-dominated OSG vs the dedicated
-// campus cluster?
+// clusterPoint is one cell of the cluster-size sweep in BENCH_cluster.json.
+type clusterPoint struct {
+	// Platform is the simulated platform the cell ran on.
+	Platform string `json:"platform"`
+	// MaxTasksPerJob and TargetJobSeconds echo the clustering options of
+	// the cell (both zero for the unclustered baseline).
+	MaxTasksPerJob   int     `json:"max_tasks_per_job,omitempty"`
+	TargetJobSeconds float64 `json:"target_job_seconds,omitempty"`
+	// GridJobs is the number of jobs DAGMan ran after clustering.
+	GridJobs int `json:"grid_jobs"`
+	// Makespan is the workflow wall time in simulated seconds.
+	Makespan float64 `json:"makespan_s"`
+	// ReductionPct is the makespan reduction vs. the platform's
+	// unclustered baseline, in percent (negative = clustering hurt).
+	ReductionPct float64 `json:"reduction_pct"`
+	// MeanWaiting and MeanSetup are the run_cap3 per-task phase means —
+	// the overhead clustering amortizes.
+	MeanWaiting float64 `json:"mean_waiting_s"`
+	MeanSetup   float64 `json:"mean_install_s"`
+	// Retries and Evictions echo the engine counters.
+	Retries   int `json:"retries"`
+	Evictions int `json:"evictions"`
+}
+
+// clusterBench is BENCH_cluster.json, the sweep's perf-trajectory artifact.
+type clusterBench struct {
+	Experiment string         `json:"experiment"`
+	Seed       uint64         `json:"seed"`
+	N          int            `json:"n"`
+	Points     []clusterPoint `json:"points"`
+}
+
+// clusterSweep renders cluster.json — the axis the clustering subsystem
+// opens: at fine decomposition (tasks well beyond both slot pools), how
+// much makespan does bundling tasks into composite grid jobs buy on the
+// overhead-dominated OSG vs the dedicated campus cluster? Each platform's
+// first clustering option is its unclustered baseline.
 func clusterSweep(w io.Writer, seed uint64, benchOut string) error {
-	n := core.DefaultClusterSweepN
-	fmt.Fprintf(w, "== Cluster-size sweep: n=%d, Sandhills vs OSG ==\n", n)
-	points, err := core.ClusterSweep(seed, n, nil, nil, *workers)
+	doc, rows, err := runFigure("cluster.json", seed)
 	if err != nil {
 		return err
 	}
+	bench := clusterBench{Experiment: doc.Name, Seed: doc.Workload.Seeds[0], N: doc.Workload.N[0]}
+	fmt.Fprintf(w, "== Cluster-size sweep: n=%d, Sandhills vs OSG ==\n", bench.N)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "PLATFORM\tCLUSTERING\tGRID JOBS\tWALL TIME (s)\tREDUCTION\tWAIT/TASK (s)\tINSTALL/TASK (s)")
-	for _, p := range points {
+	perSite := len(rows) / len(doc.SiteSets)
+	for i, r := range rows {
+		cap3 := r.task(workflow.TrRunCAP3)
+		p := clusterPoint{
+			Platform:         r.site(),
+			MaxTasksPerJob:   r.ClusterMaxTasks,
+			TargetJobSeconds: r.ClusterTarget,
+			GridJobs:         r.GridJobs,
+			Makespan:         r.Makespan,
+			ReductionPct:     100 * stats.Reduction(rows[i-i%perSite].Makespan, r.Makespan),
+			MeanWaiting:      cap3.MeanWaiting,
+			MeanSetup:        cap3.MeanSetup,
+			Retries:          r.Retries,
+			Evictions:        r.Evictions,
+		}
+		bench.Points = append(bench.Points, p)
 		label := "off"
 		switch {
 		case p.MaxTasksPerJob > 0:
@@ -544,8 +637,9 @@ func clusterSweep(w io.Writer, seed uint64, benchOut string) error {
 	if err != nil {
 		return err
 	}
-	bench := &core.ClusterBench{Experiment: "cluster-size-sweep", Seed: seed, N: n, Points: points}
-	if err := bench.WriteJSON(f); err != nil {
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&bench); err != nil {
 		f.Close()
 		return err
 	}
@@ -556,33 +650,34 @@ func clusterSweep(w io.Writer, seed uint64, benchOut string) error {
 	return nil
 }
 
-// cloud runs the three-platform comparison of the paper's future work
-// (§VII) and prints an execution timeline per platform at n=300.
-func cloud(w io.Writer, e *core.Experiment) error {
+// cloud renders cloud.json, the three-platform comparison of the paper's
+// future work (§VII), and an execution timeline per platform at n=300,
+// drawn from a run beside the document since rows hold no attempt records.
+func cloud(w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "== Future work (paper §VII): cloud as a third platform ==")
+	_, rows, err := runFigure("cloud.json", seed)
+	if err != nil {
+		return err
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "PLATFORM\tN\tWALL TIME (s)\tWALL TIME\tEVICTIONS")
-	results := map[string]*core.RunResult{}
-	for _, p := range core.ExtendedPlatforms {
-		for _, n := range core.PaperNValues {
-			r, err := e.RunWorkflow(p, n)
-			if err != nil {
-				return err
-			}
-			if n == 300 {
-				results[p] = r
-			}
-			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%s\t%d\n",
-				p, n, r.WallTime(), stats.HMS(r.WallTime()), r.Result.Evictions)
-		}
+	for _, r := range rows {
+		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%s\t%d\n",
+			r.site(), r.N, r.Makespan, stats.HMS(r.Makespan), r.Evictions)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	for _, p := range core.ExtendedPlatforms {
-		fmt.Fprintf(w, "\n-- execution timeline, %s n=300 --\n", p)
-		tl := stats.BuildTimeline(results[p].Result.Log, 16)
-		if err := stats.WriteTimeline(w, tl, 56); err != nil {
+	for _, r := range rows {
+		if r.N != 300 {
+			continue
+		}
+		fmt.Fprintf(w, "\n-- execution timeline, %s n=%d --\n", r.site(), r.N)
+		run, err := core.DefaultExperiment(r.Seed).RunWorkflow(r.site(), r.N)
+		if err != nil {
+			return err
+		}
+		if err := stats.WriteTimeline(w, stats.BuildTimeline(run.Result.Log, 16), 56); err != nil {
 			return err
 		}
 	}

@@ -1,8 +1,8 @@
-// Package figures embeds the scenario documents behind the experiments
-// figures that are documents (-fig seeds and -fig ensemble), so the command
-// runs them from any directory. Each is an ordinary scenario document:
-// `pegflow scenario run examples/scenarios/figures/seeds.json` prints the
-// rows the figure is rendered from.
+// Package figures embeds the scenario documents behind every experiments
+// figure, so the command runs them from any directory. Each is an ordinary
+// scenario document: `pegflow scenario run
+// examples/scenarios/figures/paper-grid.json` prints the rows Fig. 4 and
+// Fig. 5 are rendered from.
 package figures
 
 import "embed"

@@ -68,11 +68,11 @@ func TestAggregateRunParity(t *testing.T) {
 // the engine must fold and recycle identically to the retained path.
 func TestAggregateClusteredRunParity(t *testing.T) {
 	copts := planner.ClusterOptions{MaxTasksPerJob: 8}
-	exact, err := smallExperiment(7, false).RunClustered("osg", 60, copts)
+	exact, err := runClustered(smallExperiment(7, false), "osg", 60, copts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := smallExperiment(7, true).RunClustered("osg", 60, copts)
+	agg, err := runClustered(smallExperiment(7, true), "osg", 60, copts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,6 @@ var PaperNValues = []int{10, 100, 300, 500}
 // Platforms are the two execution platforms compared in the paper.
 var Platforms = []string{"sandhills", "osg"}
 
-// ExtendedPlatforms adds the cloud platform of the paper's future work
-// (§VII) to the comparison grid.
-var ExtendedPlatforms = []string{"sandhills", "osg", "cloud"}
-
 // Experiment configures a reproduction run.
 type Experiment struct {
 	// Seed drives every stochastic component.
@@ -79,9 +75,11 @@ var paperWorld = sync.OnceValues(func() (*workflow.World, error) {
 // RunWorkflow executes the blast2cap3 workflow with n cluster chunks on
 // the named platform and returns its statistics.
 func (e *Experiment) RunWorkflow(platformName string, n int) (*RunResult, error) {
-	// Disabled clustering options leave the plan untouched, so this is
-	// exactly the unclustered pipeline.
-	return e.RunClustered(platformName, n, planner.ClusterOptions{})
+	world, err := paperWorld()
+	if err != nil {
+		return nil, err
+	}
+	return e.runOnSite(world, platformName, n, e.Workload, planner.ClusterOptions{})
 }
 
 // PlatformSeed mixes the chunk count n into seed, so the cells of an n-sweep

@@ -1,35 +1,33 @@
 // Package core is the high-level facade of pegflow: it wires workload,
 // workflow construction, planning, platform simulation and statistics into
-// the paper's experiments (build → plan → run → statistics), so that one
-// call reproduces one bar of Fig. 4 or one panel of Fig. 5.
+// runs of the blast2cap3 workflow (build → plan → run → statistics).
 //
-// Beyond the reproduction grid (Experiment, RunAll) the package hosts the
-// post-paper experiment axes: the cluster-size sweep (ClusterSweep),
-// ensemble experiments over a shared platform pool (EnsembleExperiment), and
-// the ablations of DESIGN.md. The seed sweep and the policy comparison are
-// scenario documents (examples/scenarios/figures), not code here.
+// Experiment runs the paper's reproduction grid (RunWorkflow, RunSerial,
+// RunAll), and EnsembleExperiment runs ensembles over a shared platform
+// pool. The figures of cmd/experiments — Fig. 4 and Fig. 5, the ablations
+// of DESIGN.md, the cloud comparison and the cluster-size, seed and policy
+// sweeps — are scenario documents (examples/scenarios/figures) compiled by
+// package scenario onto EnsembleExperiment, not code here; experiments
+// calls this package only for the serial baseline (RunSerial) and the
+// cloud figure's timelines (RunWorkflow).
 //
 // There is one run path. EnsembleExperiment.Run plans N member workflows
 // across a site set under a policy and executes them on a shared platform
 // pool; a single workflow is an ensemble of one and a single site a pool of
-// one, so Experiment (RunWorkflow, RunClustered, RunAll, the cluster sweep,
-// the ablations) is a thin adapter: the workflow.World of
-// workflow's table of built-in sites (workflow.PaperSites at the preset
-// slot counts, built once per process), a one-member
+// one, so Experiment (RunWorkflow, RunAll) is a thin adapter: the
+// workflow.World of workflow's table of built-in sites (workflow.PaperSites
+// at the preset slot counts, built once per process), a one-member
 // EnsembleExperiment on one site of it, and the member's outcome as a
 // RunResult. An EnsembleExperiment owns no catalogs, platform models or
 // catalog fingerprint: it names a World and the Sites of it to plan across,
 // and asks the world for all three. Its platforms are seeded with
 // PlatformSeed(Seed, N), which nothing can override, so any front end that
-// runs a (seed, n) ensemble runs the same one. Run is the only
-// function here that builds a pool and drives member engines; RunVariant
-// hands the same path the world of an edited site declaration
-// (preinstalled, or without the eviction hazard) or another workload, and
-// RunSerial (a one-job DAX) alone plans directly and calls engine.Run,
-// which is also the reference the equality tests compare the one path
-// against. Whether member plans carry stage-in jobs is ensemble.StageIn of
-// Sites, the rule every front end shares, so a one-site experiment plans
-// none.
+// runs a (seed, n) ensemble runs the same one. Run is the only function
+// here that builds a pool and drives member engines; RunSerial (a one-job
+// DAX) alone plans directly and calls engine.Run, which is also the
+// reference the equality tests compare the one path against. Whether
+// member plans carry stage-in jobs is ensemble.StageIn of Sites, the rule
+// every front end shares, so a one-site experiment plans none.
 //
 // Three process-wide caches make sweeps cheap without changing a single
 // output byte (asserted byte-for-byte in tests). All three are internal/lru

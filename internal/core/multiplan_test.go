@@ -34,8 +34,18 @@ func memberPlans(t testing.TB, e *EnsembleExperiment) []ensemble.Spec {
 	return specs
 }
 
-// singleSite is what Experiment.RunClustered runs: the experiment's workload
-// with n chunks as an ensemble of one on the named paper platform.
+// runClustered is RunWorkflow with the clustering pass applied: the
+// experiment's workload with n chunks as an ensemble of one on the named
+// paper platform, clustered by copts.
+func runClustered(e *Experiment, site string, n int, copts planner.ClusterOptions) (*RunResult, error) {
+	world, err := paperWorld()
+	if err != nil {
+		return nil, err
+	}
+	return e.runOnSite(world, site, n, e.Workload, copts)
+}
+
+// singleSite is the ensemble runClustered runs.
 func singleSite(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *EnsembleExperiment {
 	t.Helper()
 	world, err := paperWorld()
@@ -341,11 +351,11 @@ func TestPlanCacheByteIdentical(t *testing.T) {
 		for _, p := range []string{"sandhills", "osg"} {
 			for _, n := range []int{10, 100} {
 				for _, co := range copts {
-					cached, err := DefaultExperiment(seed).RunClustered(p, n, co)
+					cached, err := runClustered(DefaultExperiment(seed), p, n, co)
 					if err != nil {
 						t.Fatal(err)
 					}
-					direct, err := uncachedExperiment(seed).RunClustered(p, n, co)
+					direct, err := runClustered(uncachedExperiment(seed), p, n, co)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -468,7 +478,7 @@ func singleSiteReference(t testing.TB, e *Experiment, site string, n int, copts 
 func TestCachedPlanEqualsUncachedPlan(t *testing.T) {
 	const n = 60
 	copts := []planner.ClusterOptions{{}, {MaxTasksPerJob: 4}, {TargetJobSeconds: 1800}}
-	for _, site := range ExtendedPlatforms {
+	for _, site := range workflow.PresetNames() {
 		ResetPlanCache()
 		singleSitePlan(t, DefaultExperiment(7), site, n, planner.ClusterOptions{})
 		for _, seed := range []uint64{8, 42} {
@@ -531,7 +541,7 @@ func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
-				res, err := DefaultExperiment(uint64(101+g)).RunClustered("osg", n, copts[(g+rep)%len(copts)])
+				res, err := runClustered(DefaultExperiment(uint64(101+g)), "osg", n, copts[(g+rep)%len(copts)])
 				if err != nil {
 					t.Error(err)
 					return
@@ -560,7 +570,7 @@ func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 	}
 	// Each cell saw its own seed's runtimes, not a neighbour's patch.
 	for g, got := range makespans {
-		res, err := uncachedExperiment(uint64(101+g)).RunClustered("osg", n, copts[g%len(copts)])
+		res, err := runClustered(uncachedExperiment(uint64(101+g)), "osg", n, copts[g%len(copts)])
 		if err != nil {
 			t.Fatal(err)
 		}

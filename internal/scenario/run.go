@@ -228,7 +228,7 @@ func (c *Compiled) cellLine(cell Cell) ([]byte, error) {
 type cellMetrics struct {
 	makespan, meanWorkflowMakespan, cumulativeKickstart     float64
 	jobs, attempts, retries, evictions, failovers, backoffs int
-	outages                                                 int
+	outages, gridJobs                                       int
 	downtimeSeconds                                         float64
 	success                                                 bool
 	logs                                                    []*kickstart.Log
@@ -274,7 +274,18 @@ func (c *Compiled) runCell(cell Cell) (map[string]any, error) {
 		"success":                  m.success,
 	}
 	for _, f := range c.Doc.Outputs.Fields {
-		row[f] = metrics[f]
+		switch f {
+		case "grid_jobs":
+			row[f] = m.gridJobs
+		case "per_transformation":
+			tables := make([][]stats.TaskStats, len(m.logs))
+			for i, lg := range m.logs {
+				tables[i] = stats.PerTransformation(lg)
+			}
+			row[f] = tables
+		default:
+			row[f] = metrics[f]
+		}
 	}
 
 	if ps := c.Doc.Outputs.Percentiles; len(ps) > 0 {
@@ -414,6 +425,7 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
 		m.meanWorkflowMakespan += r.Makespan
 		m.cumulativeKickstart += sum.CumulativeKickstart
 		m.jobs += sum.Jobs
+		m.gridJobs += len(r.Completed) + len(r.Unfinished)
 		m.attempts += sum.Attempts
 		m.retries += r.Retries
 		m.evictions += r.Evictions

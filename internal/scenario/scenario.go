@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"pegflow/internal/fault"
@@ -135,8 +136,10 @@ type EnsembleSpec struct {
 
 // OutputSpec selects what each cell row reports.
 type OutputSpec struct {
-	// Fields filters the metric fields of each cell row; empty keeps all.
-	// Identity fields (cell, n, seed, sites, …) are always present.
+	// Fields filters the metric fields of each cell row; empty keeps all of
+	// MetricFields, and the opt-in grid_jobs and per_transformation appear
+	// only when named. Identity fields (cell, n, seed, sites, …) are always
+	// present.
 	Fields []string `json:"fields,omitempty"`
 	// Percentiles adds kickstart_p<p> and waiting_p<p> per-attempt
 	// percentile fields (values in [0, 100]).
@@ -197,7 +200,8 @@ type Doc struct {
 	Outputs OutputSpec `json:"outputs,omitempty"`
 }
 
-// MetricFields lists the metric field names Outputs.Fields may select.
+// MetricFields lists the metric field names of a row whose document
+// selects none: every field but the opt-in ones (optInFields).
 func MetricFields() []string {
 	return []string{
 		"makespan_s", "mean_workflow_makespan_s", "cumulative_kickstart_s",
@@ -205,6 +209,14 @@ func MetricFields() []string {
 		"outages", "downtime_s", "success",
 	}
 }
+
+// optInFields are the fields Outputs.Fields may select beyond
+// MetricFields; a row carries one only when its document names it.
+// grid_jobs counts the jobs DAGMan ran — a clustered composite once, where
+// jobs counts each of its member tasks — and per_transformation holds each
+// member's stats.PerTransformation table, in member order, computed only
+// when selected.
+var optInFields = []string{"grid_jobs", "per_transformation"}
 
 // Load reads and validates a scenario file.
 func Load(path string) (*Doc, error) {
@@ -592,14 +604,11 @@ func (d *Doc) validateFaults(ef func(path, format string, args ...any), siteName
 }
 
 func (d *Doc) validateOutputs(ef func(path, format string, args ...any)) {
-	known := make(map[string]bool)
-	for _, f := range MetricFields() {
-		known[f] = true
-	}
+	selectable := append(MetricFields(), optInFields...)
 	for i, f := range d.Outputs.Fields {
-		if !known[f] {
+		if !slices.Contains(selectable, f) {
 			ef(fmt.Sprintf("outputs.fields[%d]", i), "unknown field %q (have %s)",
-				f, strings.Join(MetricFields(), ", "))
+				f, strings.Join(selectable, ", "))
 		}
 	}
 	for i, p := range d.Outputs.Percentiles {

@@ -83,17 +83,20 @@ func Summarize(log *kickstart.Log, makespan float64) Summary {
 // attempts — one row of the paper's Fig. 5.
 type TaskStats struct {
 	// Transformation is the logical executable name.
-	Transformation string
+	Transformation string `json:"transformation"`
 	// Count is the number of successful attempts aggregated.
-	Count int
+	Count int `json:"count"`
 	// MeanKickstart, MeanWaiting and MeanSetup are phase means in
 	// seconds ("Kickstart Time", "Waiting Time", "Download/Install
 	// Time").
-	MeanKickstart, MeanWaiting, MeanSetup float64
+	MeanKickstart float64 `json:"mean_kickstart_s"`
+	MeanWaiting   float64 `json:"mean_waiting_s"`
+	MeanSetup     float64 `json:"mean_install_s"`
 	// MaxKickstart and MaxWaiting expose stragglers.
-	MaxKickstart, MaxWaiting float64
+	MaxKickstart float64 `json:"max_kickstart_s"`
+	MaxWaiting   float64 `json:"max_waiting_s"`
 	// TotalKickstart sums execution seconds.
-	TotalKickstart float64
+	TotalKickstart float64 `json:"total_kickstart_s"`
 }
 
 // PerTransformation aggregates successful attempts by transformation,
