@@ -40,10 +40,12 @@ race:
 # a hit that allocates nothing, an LRU whose lookups allocate nothing and
 # whose insert is one entry, and the scenario front door: a warm single-site
 # cell within the budget of the pipeline it replaced and flat in n, and a
-# Compile that computes nothing a cache-hit request does not need.
+# Compile that computes nothing a cache-hit request does not need; a
+# steady-state aggregating-log fold and a Summarize of an exact log that
+# allocate nothing.
 # TestShapeCache*: shape-cache charges within 2× of the heap; budget ≥ 4× big_run's shape.
 allocs:
-	$(GO) test -run 'TestAllocs|TestShapeCache' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario
+	$(GO) test -run 'TestAllocs|TestShapeCache' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario ./internal/stats
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
 # through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the

@@ -1,10 +1,63 @@
 package kickstart
 
 import (
-	"sort"
-
 	"pegflow/internal/stats/quantile"
 )
+
+// Tally is the running count every Log keeps on Append, in both modes:
+// the fixed-size state behind the workflow summary.
+type Tally struct {
+	// Attempts counts all appended records; Successes, Failed and Evicted
+	// split them by status.
+	Attempts, Successes, Failed, Evicted int
+	// CumulativeTotal and CumulativeExec sum Total() and Exec() over
+	// successful attempts.
+	CumulativeTotal, CumulativeExec float64
+
+	// unfinished holds the grid jobs (see gridJob) that have failed and
+	// not succeeded since. A later success deletes the entry, so the
+	// map's size is bounded by concurrently-failing jobs plus jobs that
+	// never finish — not by total attempts. It is created on the first
+	// failure.
+	unfinished map[string]struct{}
+}
+
+// gridJob keys the dispatch a record belongs to: the composite job for a
+// clustered attempt — whose failure records carry the composite's ID and
+// whose successes carry each member task's — and the job itself
+// otherwise.
+func gridJob(r *Record) string {
+	if r.ClusterID != "" {
+		return r.ClusterID
+	}
+	return r.JobID
+}
+
+func (t *Tally) fold(r *Record) {
+	t.Attempts++
+	switch r.Status {
+	case StatusSuccess:
+		t.Successes++
+		t.CumulativeTotal += r.Total()
+		t.CumulativeExec += r.Exec()
+		delete(t.unfinished, gridJob(r))
+		return
+	case StatusEvicted:
+		t.Evicted++
+	default:
+		t.Failed++
+	}
+	if t.unfinished == nil {
+		t.unfinished = make(map[string]struct{})
+	}
+	t.unfinished[gridJob(r)] = struct{}{}
+}
+
+// Retries counts the failed and evicted attempts that another attempt of
+// the same grid job followed: every failure except the last of each grid
+// job that has not succeeded. Under the engine's record invariants this
+// is the number of re-submissions.
+func (t Tally) Retries() int { return t.Failed + t.Evicted - len(t.unfinished) }
 
 // PhaseAccum accumulates the phase timings of successful attempts for
 // one grouping key (a transformation or a site). Means are derived by
@@ -33,6 +86,17 @@ func (a *PhaseAccum) fold(r *Record) {
 	}
 }
 
+// foldTransformation folds a successful attempt into its
+// transformation's accumulator.
+func foldTransformation(m map[string]*PhaseAccum, r *Record) {
+	tr := m[r.Transformation]
+	if tr == nil {
+		tr = &PhaseAccum{}
+		m[r.Transformation] = tr
+	}
+	tr.fold(r)
+}
+
 // ClusterAccum accumulates the records of one composite (clustered)
 // grid job, mirroring the fields of stats.ClusterStats.
 type ClusterAccum struct {
@@ -54,82 +118,15 @@ type ClusterAccum struct {
 	sawFirstMember bool
 }
 
-// Aggregates is the folded view of a Log in aggregation mode: the
-// fixed-size state every stats consumer (Summarize, PerTransformation,
-// PerCluster, percentile columns) needs, with streaming sketches in place of
-// retained per-attempt values.
-type Aggregates struct {
-	// Attempts counts all folded records; Successes, Failed and Evicted
-	// split them by status.
-	Attempts, Successes, Failed, Evicted int
-	// CumulativeTotal and CumulativeExec sum Total() and Exec() over
-	// successful attempts.
-	CumulativeTotal, CumulativeExec float64
-	// ByTransformation accumulates successful-attempt phase timings keyed
-	// by transformation.
-	ByTransformation map[string]*PhaseAccum
-	// ByCluster accumulates composite-job records keyed by ClusterID.
-	ByCluster map[string]*ClusterAccum
-	// ExecSketch and WaitSketch stream successful attempts' exec and
-	// waiting times for percentile queries.
-	ExecSketch, WaitSketch *quantile.Sketch
-
-	// unfinished tracks jobs that have failed and not (yet) succeeded.
-	// Entries are deleted when the job later succeeds, so the map's
-	// size is bounded by concurrently-failing jobs plus jobs that never
-	// finish — not by total attempts.
-	unfinished map[string]struct{}
-}
-
-func newAggregates() *Aggregates {
-	return &Aggregates{
-		ByTransformation: make(map[string]*PhaseAccum),
-		ByCluster:        make(map[string]*ClusterAccum),
-		ExecSketch:       quantile.NewSketch(),
-		WaitSketch:       quantile.NewSketch(),
-		unfinished:       make(map[string]struct{}),
-	}
-}
-
-// fold absorbs one record. It allocates only when a new grouping key
-// first appears; the steady-state path is allocation-free (pinned by
-// TestAggregateFoldAllocs in internal/stats).
-func (a *Aggregates) fold(r *Record) {
-	a.Attempts++
-	switch r.Status {
-	case StatusSuccess:
-		a.Successes++
-		a.CumulativeTotal += r.Total()
-		a.CumulativeExec += r.Exec()
-		delete(a.unfinished, r.JobID)
-		tr := a.ByTransformation[r.Transformation]
-		if tr == nil {
-			tr = &PhaseAccum{}
-			a.ByTransformation[r.Transformation] = tr
-		}
-		tr.fold(r)
-		a.ExecSketch.Add(r.Exec())
-		a.WaitSketch.Add(r.Waiting())
-	case StatusEvicted:
-		a.Evicted++
-		a.unfinished[r.JobID] = struct{}{}
-	default:
-		a.Failed++
-		a.unfinished[r.JobID] = struct{}{}
-	}
-	if r.ClusterID != "" {
-		a.foldCluster(r)
-	}
-}
-
-// foldCluster mirrors stats.PerCluster's per-record accounting.
-func (a *Aggregates) foldCluster(r *Record) {
-	ca := a.ByCluster[r.ClusterID]
+// foldCluster folds a clustered record into its composite's accumulator.
+func foldCluster(m map[string]*ClusterAccum, r *Record) {
+	ca := m[r.ClusterID]
 	if ca == nil {
 		ca = &ClusterAccum{Site: r.Site, Transformation: r.Transformation}
-		a.ByCluster[r.ClusterID] = ca
+		m[r.ClusterID] = ca
 	}
 	if r.Status != StatusSuccess {
+		// Composite-level failure record: the whole bundle died.
 		ca.Attempts++
 		if r.Status == StatusEvicted {
 			ca.Evictions++
@@ -139,6 +136,9 @@ func (a *Aggregates) foldCluster(r *Record) {
 	ca.Tasks++
 	ca.ExecSeconds += r.Exec()
 	ca.SetupSeconds += r.Setup()
+	// The successful landing's overhead is the first member's wait; later
+	// members' waiting phases overlap sibling execution. The composite's
+	// final site is wherever it succeeded (failover may have moved it).
 	if !ca.sawFirstMember {
 		ca.sawFirstMember = true
 		ca.WaitSeconds = r.Waiting()
@@ -147,22 +147,38 @@ func (a *Aggregates) foldCluster(r *Record) {
 	}
 }
 
-// SucceededJobs reports the number of distinct jobs that succeeded.
-// Under the engine invariant (one success per job) this is the success
-// count.
-func (a *Aggregates) SucceededJobs() int { return a.Successes }
+// Aggregates is what an aggregating Log keeps in place of its records:
+// the per-transformation and per-cluster tables (read through
+// Log.ByTransformation and Log.ByCluster) and streaming sketches of
+// successful attempts' exec and waiting times for percentile queries.
+type Aggregates struct {
+	// ExecSketch and WaitSketch stream successful attempts' exec and
+	// waiting times.
+	ExecSketch, WaitSketch *quantile.Sketch
 
-// UnfinishedJobs reports the number of distinct jobs that failed at
-// least once and never succeeded.
-func (a *Aggregates) UnfinishedJobs() int { return len(a.unfinished) }
+	byTransformation map[string]*PhaseAccum
+	byCluster        map[string]*ClusterAccum
+}
 
-// ClusterIDs returns the composite-job IDs seen, sorted — the
-// deterministic iteration order for ByCluster.
-func (a *Aggregates) ClusterIDs() []string {
-	ids := make([]string, 0, len(a.ByCluster))
-	for id := range a.ByCluster {
-		ids = append(ids, id)
+func newAggregates() *Aggregates {
+	return &Aggregates{
+		ExecSketch:       quantile.NewSketch(),
+		WaitSketch:       quantile.NewSketch(),
+		byTransformation: make(map[string]*PhaseAccum),
+		byCluster:        make(map[string]*ClusterAccum),
 	}
-	sort.Strings(ids)
-	return ids
+}
+
+// fold absorbs one record. It allocates only when a new grouping key
+// first appears; the steady-state path is allocation-free (pinned by
+// TestAllocsAggregateFold in internal/stats).
+func (a *Aggregates) fold(r *Record) {
+	if r.Status == StatusSuccess {
+		foldTransformation(a.byTransformation, r)
+		a.ExecSketch.Add(r.Exec())
+		a.WaitSketch.Add(r.Waiting())
+	}
+	if r.ClusterID != "" {
+		foldCluster(a.byCluster, r)
+	}
 }

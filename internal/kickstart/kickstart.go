@@ -1,6 +1,8 @@
 package kickstart
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -99,20 +101,19 @@ func (r *Record) Validate() error {
 
 // Log is an append-only collection of attempt records for one workflow run.
 //
-// A Log normally retains every record. SetAggregate switches it to
-// aggregation mode, where Append folds each record into fixed-size
-// accumulators and quantile sketches instead of retaining it — the
-// memory-flat path for million-job runs. Aggregation assumes the
-// engine's record invariants (each job succeeds at most once, and never
-// fails after succeeding); logs parsed back from JSON are always exact.
+// Every Log keeps a running Tally on Append. A Log normally retains every
+// record as well; SetAggregate switches it to aggregation mode, where
+// Append folds each record into the per-transformation and per-cluster
+// tables and quantile sketches of its Aggregates instead of retaining it —
+// the memory-flat path for million-job runs. An exact log folds the same
+// tables from its records on demand. The tally's retry count assumes the
+// engine's record invariants (each job succeeds at most once, and a grid
+// job never fails after succeeding); ReadJSON refuses a log that breaks
+// them.
 type Log struct {
-	records  []*Record
-	appended int
-	agg      *Aggregates
-	// onRecords, when non-nil, observes every Records call. Tests use it
-	// to pin single-pass consumers (stats.Summarize must not walk the
-	// log twice).
-	onRecords func()
+	records []*Record
+	tally   Tally
+	agg     *Aggregates
 }
 
 // SetAggregate switches the log to aggregation mode. It must be called
@@ -132,10 +133,8 @@ func (l *Log) SetAggregate() {
 // an exact log.
 func (l *Log) Aggregates() *Aggregates { return l.agg }
 
-// ObserveRecords installs fn to be invoked on every Records call — a
-// test seam for asserting how many passes a consumer makes over the
-// log.
-func (l *Log) ObserveRecords(fn func()) { l.onRecords = fn }
+// Tally returns the log's running counts.
+func (l *Log) Tally() Tally { return l.tally }
 
 // Append adds a record after validating it. In aggregation mode the
 // record is folded and not retained; the caller keeps ownership and may
@@ -144,7 +143,7 @@ func (l *Log) Append(r *Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	l.appended++
+	l.tally.fold(r)
 	if l.agg != nil {
 		l.agg.fold(r)
 		return nil
@@ -153,18 +152,45 @@ func (l *Log) Append(r *Record) error {
 	return nil
 }
 
+// ByTransformation returns successful attempts' phase timings keyed by
+// transformation: the table an aggregating log folded on Append, or one
+// folded now from an exact log's records. Callers must not modify it.
+func (l *Log) ByTransformation() map[string]*PhaseAccum {
+	if l.agg != nil {
+		return l.agg.byTransformation
+	}
+	m := make(map[string]*PhaseAccum)
+	for _, r := range l.records {
+		if r.Status == StatusSuccess {
+			foldTransformation(m, r)
+		}
+	}
+	return m
+}
+
+// ByCluster returns the composite-job accumulators keyed by ClusterID,
+// folded on Append or from the records on demand as ByTransformation's
+// table is. Callers must not modify it.
+func (l *Log) ByCluster() map[string]*ClusterAccum {
+	if l.agg != nil {
+		return l.agg.byCluster
+	}
+	m := make(map[string]*ClusterAccum)
+	for _, r := range l.records {
+		if r.ClusterID != "" {
+			foldCluster(m, r)
+		}
+	}
+	return m
+}
+
 // Records returns all records in append order. An aggregating log
 // retains none and returns nil.
-func (l *Log) Records() []*Record {
-	if l.onRecords != nil {
-		l.onRecords()
-	}
-	return l.records
-}
+func (l *Log) Records() []*Record { return l.records }
 
 // Len returns the number of records appended, whether or not they were
 // retained.
-func (l *Log) Len() int { return l.appended }
+func (l *Log) Len() int { return l.tally.Attempts }
 
 // Successes returns only the records of successful attempts.
 func (l *Log) Successes() []*Record {
@@ -199,19 +225,40 @@ func (l *Log) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON parses a JSON-lines log.
+// ReadJSON parses a JSON-lines log, one record per line; blank lines are
+// skipped. Besides each record's own validity it checks the engine's
+// record invariants the tally relies on, refusing a log in which a job
+// succeeds twice or a grid job fails after it succeeded.
 func ReadJSON(r io.Reader) (*Log, error) {
-	dec := json.NewDecoder(r)
+	br := bufio.NewReader(r)
 	l := &Log{}
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			return l, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("kickstart: parsing log: %w", err)
+	succeeded := make(map[string]bool)     // by JobID
+	gridSucceeded := make(map[string]bool) // by gridJob
+	for line := 1; ; line++ {
+		b, err := br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("kickstart: reading log: %w", err)
 		}
-		if err := l.Append(&rec); err != nil {
-			return nil, err
+		if len(bytes.TrimSpace(b)) > 0 {
+			rec := &Record{}
+			if err := json.Unmarshal(b, rec); err != nil {
+				return nil, fmt.Errorf("kickstart: parsing log line %d: %w", line, err)
+			}
+			if err := l.Append(rec); err != nil {
+				return nil, fmt.Errorf("line %d: %w", line, err)
+			}
+			if rec.Status == StatusSuccess {
+				if succeeded[rec.JobID] {
+					return nil, fmt.Errorf("kickstart: line %d: job %s succeeded twice", line, rec.JobID)
+				}
+				succeeded[rec.JobID] = true
+				gridSucceeded[gridJob(rec)] = true
+			} else if gridSucceeded[gridJob(rec)] {
+				return nil, fmt.Errorf("kickstart: line %d: job %s failed after it succeeded", line, gridJob(rec))
+			}
+		}
+		if err == io.EOF {
+			return l, nil
 		}
 	}
 }

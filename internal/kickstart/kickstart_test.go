@@ -2,7 +2,9 @@ package kickstart
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +140,50 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewBufferString("{not json")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// readLog writes recs as a JSON-lines log and parses it back.
+func readLog(t *testing.T, recs ...*Record) (*Log, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, r := range recs {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ReadJSON(&buf)
+}
+
+func TestReadJSONRejectsDoubleSuccess(t *testing.T) {
+	other := sample()
+	other.JobID = "merge"
+	_, err := readLog(t, sample(), other, sample())
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "run_cap3_007") {
+		t.Fatalf("second success of a job: err = %v, want one naming run_cap3_007 and line 3", err)
+	}
+}
+
+func TestReadJSONRejectsFailureAfterSuccess(t *testing.T) {
+	// A composite's failure record carries its own ID; its landing's
+	// records carry each member's, so the grid job is the ClusterID.
+	member := sample()
+	member.ClusterID = "merged_run_cap3_0"
+	bundle := sample()
+	bundle.JobID, bundle.ClusterID = "merged_run_cap3_0", "merged_run_cap3_0"
+	bundle.Attempt, bundle.Status = 2, StatusEvicted
+	_, err := readLog(t, member, bundle)
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "merged_run_cap3_0") {
+		t.Fatalf("failure after success: err = %v, want one naming merged_run_cap3_0 and line 2", err)
+	}
+	// Failures before the landing are the ordinary retry pattern.
+	l, err := readLog(t, bundle, member)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Tally().Retries(); got != 1 {
+		t.Errorf("evicted bundle then landed: Retries = %d, want 1", got)
 	}
 }
 

@@ -73,25 +73,38 @@ func appendAll(t *testing.T, l *kickstart.Log, recs []*kickstart.Record) {
 	}
 }
 
-// TestSummarizeSinglePass pins the satellite fix: Summarize must walk
-// the record list exactly once. The observer makes a second Records
-// call a test failure, i.e. the log forbids re-iteration.
-func TestSummarizeSinglePass(t *testing.T) {
+// TestAllocsSummarize: Summarize reads the log's running tally, so on an
+// exact log it allocates nothing however many records the log retains.
+func TestAllocsSummarize(t *testing.T) {
 	log := &kickstart.Log{}
-	appendAll(t, log, engineLikeStream(rand.New(rand.NewSource(11)), 200))
-	walks := 0
-	log.ObserveRecords(func() {
-		walks++
-		if walks > 1 {
-			t.Fatalf("Summarize walked log.Records() %d times; must be single-pass", walks)
-		}
-	})
-	s := Summarize(log, 1000)
-	if walks != 1 {
-		t.Fatalf("Summarize made %d Records passes, want 1", walks)
+	appendAll(t, log, engineLikeStream(rand.New(rand.NewSource(11)), 500))
+	var s Summary
+	if avg := testing.AllocsPerRun(100, func() { s = Summarize(log, 1000) }); avg != 0 {
+		t.Errorf("Summarize allocates %.1f objects, want 0", avg)
 	}
-	if s.Attempts != log.Len() || s.Jobs == 0 || s.Failures == 0 {
+	if s.Attempts != log.Len() || s.Jobs == 0 || s.Failures == 0 || s.Retries == 0 {
 		t.Fatalf("implausible summary: %+v", s)
+	}
+}
+
+// TestSummarizeRetriesCompositeLanded: a composite job's failure records
+// carry the composite's ID and its landing's records each member task's,
+// so a bundle evicted once and then landed is one retry, not an
+// unfinished job.
+func TestSummarizeRetriesCompositeLanded(t *testing.T) {
+	for _, aggregate := range []bool{false, true} {
+		log := &kickstart.Log{}
+		if aggregate {
+			log.SetAggregate()
+		}
+		appendAll(t, log, []*kickstart.Record{
+			mkRecord("merged_0", "run_cap3", "osg", "merged_0", 1, kickstart.StatusEvicted, 0, 1, 1, 1),
+			mkRecord("task_a", "run_cap3", "osg", "merged_0", 2, kickstart.StatusSuccess, 5, 1, 1, 1),
+			mkRecord("task_b", "run_cap3", "osg", "merged_0", 2, kickstart.StatusSuccess, 5, 1, 1, 1),
+		})
+		if s := Summarize(log, 100); s.Jobs != 2 || s.Attempts != 3 || s.Failures != 1 || s.Retries != 1 {
+			t.Errorf("aggregate=%v: summary %+v, want Jobs=2 Attempts=3 Failures=1 Retries=1", aggregate, s)
+		}
 	}
 }
 
@@ -161,10 +174,14 @@ func TestAggregateSketchSmallIsExact(t *testing.T) {
 		"exec":    {(*kickstart.Record).Exec, agg.Aggregates().ExecSketch},
 		"waiting": {(*kickstart.Record).Waiting, agg.Aggregates().WaitSketch},
 	} {
-		if e, a := int64(len(exact.Successes())), phase.sketch.Count(); e != a {
+		var vals []float64
+		for _, r := range exact.Successes() {
+			vals = append(vals, phase.of(r))
+		}
+		if e, a := int64(len(vals)), phase.sketch.Count(); e != a {
 			t.Fatalf("%s counts diverged: %d vs %d", name, e, a)
 		}
-		want, got := Percentiles(exact, phase.of, ps...), quantile.Of(phase.sketch, ps...)
+		want, got := PercentilesOf(vals, ps...), quantile.Of(phase.sketch, ps...)
 		for i, p := range ps {
 			if want[i] != got[i] {
 				t.Fatalf("%s p%v: exact %v, sketch %v (small streams must be exact)", name, p, want[i], got[i])
@@ -195,9 +212,9 @@ func TestAggregateSketchRankEnvelope(t *testing.T) {
 	}
 }
 
-// TestAggregateFoldAllocs is the satellite allocation gate: once every
+// TestAllocsAggregateFold is the aggregation allocation gate: once every
 // grouping key has been seen, folding a record must not allocate.
-func TestAggregateFoldAllocs(t *testing.T) {
+func TestAllocsAggregateFold(t *testing.T) {
 	log := &kickstart.Log{}
 	log.SetAggregate()
 	succ := mkRecord("steady", "run_cap3", "osg", "merged_01", 1, kickstart.StatusSuccess, 10, 50, 20, 300)

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 
 	"pegflow/internal/kickstart"
@@ -37,69 +36,23 @@ type ClusterStats struct {
 }
 
 // PerCluster aggregates records that carry a ClusterID, sorted by
-// ClusterID. Logs from unclustered runs yield an empty slice;
-// aggregating logs answer from their folded accumulators.
+// ClusterID. Logs from unclustered runs yield an empty slice.
 func PerCluster(log *kickstart.Log) []ClusterStats {
-	if agg := log.Aggregates(); agg != nil {
-		ids := agg.ClusterIDs()
-		out := make([]ClusterStats, 0, len(ids))
-		for _, id := range ids {
-			ca := agg.ByCluster[id]
-			out = append(out, ClusterStats{
-				ClusterID:      id,
-				Site:           ca.Site,
-				Transformation: ca.Transformation,
-				Tasks:          ca.Tasks,
-				Attempts:       ca.Attempts,
-				Evictions:      ca.Evictions,
-				ExecSeconds:    ca.ExecSeconds,
-				SetupSeconds:   ca.SetupSeconds,
-				WaitSeconds:    ca.WaitSeconds,
-			})
-		}
-		return out
-	}
-	byID := make(map[string]*ClusterStats)
-	firstWait := make(map[string]bool)
-	for _, r := range log.Records() {
-		if r.ClusterID == "" {
-			continue
-		}
-		cs := byID[r.ClusterID]
-		if cs == nil {
-			cs = &ClusterStats{ClusterID: r.ClusterID, Site: r.Site, Transformation: r.Transformation}
-			byID[r.ClusterID] = cs
-		}
-		if r.Status != kickstart.StatusSuccess {
-			// Composite-level failure record: the whole bundle died.
-			cs.Attempts++
-			if r.Status == kickstart.StatusEvicted {
-				cs.Evictions++
-			}
-			continue
-		}
-		cs.Tasks++
-		cs.ExecSeconds += r.Exec()
-		cs.SetupSeconds += r.Setup()
-		// The successful landing's overhead is the first member's wait;
-		// later members' waiting phases overlap sibling execution. The
-		// final site/node of the composite is wherever it succeeded
-		// (failover may have moved it).
-		if !firstWait[r.ClusterID] {
-			firstWait[r.ClusterID] = true
-			cs.WaitSeconds = r.Waiting()
-			cs.Site = r.Site
-			cs.Attempts++
-		}
-	}
-	ids := make([]string, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]ClusterStats, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, *byID[id])
+	m := log.ByCluster()
+	out := make([]ClusterStats, 0, len(m))
+	for _, id := range sortedKeys(m) {
+		ca := m[id]
+		out = append(out, ClusterStats{
+			ClusterID:      id,
+			Site:           ca.Site,
+			Transformation: ca.Transformation,
+			Tasks:          ca.Tasks,
+			Attempts:       ca.Attempts,
+			Evictions:      ca.Evictions,
+			ExecSeconds:    ca.ExecSeconds,
+			SetupSeconds:   ca.SetupSeconds,
+			WaitSeconds:    ca.WaitSeconds,
+		})
 	}
 	return out
 }

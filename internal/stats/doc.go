@@ -9,9 +9,12 @@
 //     sites without a preinstalled stack (OSG).
 //
 // Aggregations are offered per workflow, per transformation and per
-// clustered job (Summarize, PerTransformation, PerCluster), each answering
-// from an aggregating log's folded accumulators or from retained records
-// with identical values. Percentiles of retained values are PercentilesOf
-// (sort a copy, nearest rank); an aggregating log's are read off its
-// sketches with quantile.Of.
+// clustered job (Summarize, PerTransformation, PerCluster). None walks
+// records: Summarize reads the log's running kickstart.Tally, and the
+// other two read the tables Log.ByTransformation and Log.ByCluster fold
+// — on Append for an aggregating log, on demand for an exact one —
+// through one per-record fold, so both modes report identical values.
+// Percentiles are the one mode difference: an exact log's are
+// PercentilesOf its retained values (sort a copy, nearest rank), an
+// aggregating log's are read off its sketches with quantile.Of.
 package stats

@@ -29,14 +29,23 @@ func mkLog(t *testing.T, rows [][4]float64, statuses []kickstart.Status) *kickst
 	return log
 }
 
+// successExecs returns the exec times of a log's successful attempts —
+// the value set a percentile column summarizes.
+func successExecs(log *kickstart.Log) []float64 {
+	var vs []float64
+	for _, r := range log.Successes() {
+		vs = append(vs, r.Exec())
+	}
+	return vs
+}
+
 func TestPercentileEdgeCases(t *testing.T) {
-	exec := func(r *kickstart.Record) float64 { return r.Exec() }
 	// Five successes with exec times 10, 20, 30, 40, 50.
 	var rows [][4]float64
 	for i := 1; i <= 5; i++ {
 		rows = append(rows, [4]float64{0, 0, 0, float64(10 * i)})
 	}
-	log := mkLog(t, rows, nil)
+	vals := successExecs(mkLog(t, rows, nil))
 
 	cases := []struct {
 		name string
@@ -56,27 +65,27 @@ func TestPercentileEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := Percentile(log, c.p, exec); got != c.want {
-				t.Errorf("Percentile(p=%v) = %v, want %v", c.p, got, c.want)
+			if got := PercentilesOf(vals, c.p)[0]; got != c.want {
+				t.Errorf("PercentilesOf(p=%v) = %v, want %v", c.p, got, c.want)
 			}
 		})
 	}
 
 	t.Run("empty_log", func(t *testing.T) {
-		if got := Percentile(&kickstart.Log{}, 50, exec); got != 0 {
+		if got := PercentilesOf(successExecs(&kickstart.Log{}), 50)[0]; got != 0 {
 			t.Errorf("empty log percentile = %v, want 0", got)
 		}
 	})
 	t.Run("failures_only", func(t *testing.T) {
 		failed := mkLog(t, [][4]float64{{0, 1, 2, 3}}, []kickstart.Status{kickstart.StatusFailed})
-		if got := Percentile(failed, 50, exec); got != 0 {
+		if got := PercentilesOf(successExecs(failed), 50)[0]; got != 0 {
 			t.Errorf("failures-only percentile = %v, want 0", got)
 		}
 	})
 	t.Run("single_success", func(t *testing.T) {
-		one := mkLog(t, [][4]float64{{0, 0, 0, 7}}, nil)
+		one := successExecs(mkLog(t, [][4]float64{{0, 0, 0, 7}}, nil))
 		for _, p := range []float64{0, 1, 50, 99, 100} {
-			if got := Percentile(one, p, exec); got != 7 {
+			if got := PercentilesOf(one, p)[0]; got != 7 {
 				t.Errorf("single-record percentile(p=%v) = %v, want 7", p, got)
 			}
 		}

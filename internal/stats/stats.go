@@ -19,64 +19,31 @@ type Summary struct {
 	CumulativeJobWallTime float64
 	// CumulativeKickstart sums execution time over successful attempts.
 	CumulativeKickstart float64
-	// Jobs is the number of distinct jobs that succeeded.
+	// Jobs is the number of jobs that succeeded (each succeeds once).
 	Jobs int
 	// Attempts is the total number of attempts, including failures.
 	Attempts int
 	// Failures counts non-success attempts.
 	Failures int
-	// Retries counts attempts beyond the first per job.
+	// Retries counts failures another attempt of the same grid job
+	// followed — the engine's re-submissions (kickstart.Tally.Retries).
 	Retries int
 }
 
-// Summarize computes workflow-level statistics from a log and the
-// engine-reported makespan. It consumes the log in a single pass —
-// aggregating logs retain no records, so there is nothing to walk
-// twice — reading folded accumulators directly when the log is in
-// aggregation mode.
+// Summarize computes workflow-level statistics from a log's running
+// tally and the engine-reported makespan, in either log mode and without
+// walking records.
 func Summarize(log *kickstart.Log, makespan float64) Summary {
-	if agg := log.Aggregates(); agg != nil {
-		s := Summary{
-			WallTime:              makespan,
-			CumulativeJobWallTime: agg.CumulativeTotal,
-			CumulativeKickstart:   agg.CumulativeExec,
-			Jobs:                  agg.SucceededJobs(),
-			Attempts:              agg.Attempts,
-			Failures:              agg.Failed + agg.Evicted,
-		}
-		s.Retries = s.Attempts - s.Jobs - agg.UnfinishedJobs()
-		if s.Retries < 0 {
-			s.Retries = 0
-		}
-		return s
+	t := log.Tally()
+	return Summary{
+		WallTime:              makespan,
+		CumulativeJobWallTime: t.CumulativeTotal,
+		CumulativeKickstart:   t.CumulativeExec,
+		Jobs:                  t.Successes,
+		Attempts:              t.Attempts,
+		Failures:              t.Failed + t.Evicted,
+		Retries:               t.Retries(),
 	}
-	s := Summary{WallTime: makespan, Attempts: log.Len()}
-	succeeded := make(map[string]bool)
-	// failedOnly holds jobs with a non-success record and no success so
-	// far; a later success deletes the entry, so after the pass it is
-	// exactly the never-succeeded job set.
-	failedOnly := make(map[string]bool)
-	for _, r := range log.Records() {
-		if r.Status != kickstart.StatusSuccess {
-			s.Failures++
-			if !succeeded[r.JobID] {
-				failedOnly[r.JobID] = true
-			}
-			continue
-		}
-		s.CumulativeJobWallTime += r.Total()
-		s.CumulativeKickstart += r.Exec()
-		if !succeeded[r.JobID] {
-			succeeded[r.JobID] = true
-			s.Jobs++
-			delete(failedOnly, r.JobID)
-		}
-	}
-	s.Retries = s.Attempts - s.Jobs - len(failedOnly)
-	if s.Retries < 0 {
-		s.Retries = 0
-	}
-	return s
 }
 
 // TaskStats aggregates per-transformation phase timings over successful
@@ -100,78 +67,37 @@ type TaskStats struct {
 }
 
 // PerTransformation aggregates successful attempts by transformation,
-// sorted by transformation name. Aggregating logs answer from their
-// folded accumulators.
+// sorted by transformation name: sums accumulated in record order, means
+// derived by one division.
 func PerTransformation(log *kickstart.Log) []TaskStats {
-	if agg := log.Aggregates(); agg != nil {
-		return accumRows(agg.ByTransformation)
-	}
-	byTr := make(map[string]*TaskStats)
-	for _, r := range log.Successes() {
-		ts := byTr[r.Transformation]
-		if ts == nil {
-			ts = &TaskStats{Transformation: r.Transformation}
-			byTr[r.Transformation] = ts
-		}
-		ts.Count++
-		ts.MeanKickstart += r.Exec()
-		ts.MeanWaiting += r.Waiting()
-		ts.MeanSetup += r.Setup()
-		ts.TotalKickstart += r.Exec()
-		if r.Exec() > ts.MaxKickstart {
-			ts.MaxKickstart = r.Exec()
-		}
-		if r.Waiting() > ts.MaxWaiting {
-			ts.MaxWaiting = r.Waiting()
-		}
-	}
-	names := make([]string, 0, len(byTr))
-	for n := range byTr {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]TaskStats, 0, len(names))
-	for _, n := range names {
-		ts := byTr[n]
-		c := float64(ts.Count)
-		ts.MeanKickstart /= c
-		ts.MeanWaiting /= c
-		ts.MeanSetup /= c
-		out = append(out, *ts)
+	m := log.ByTransformation()
+	out := make([]TaskStats, 0, len(m))
+	for _, n := range sortedKeys(m) {
+		a := m[n]
+		c := float64(a.Count)
+		out = append(out, TaskStats{
+			Transformation: n,
+			Count:          a.Count,
+			MeanKickstart:  a.SumExec / c,
+			MeanWaiting:    a.SumWait / c,
+			MeanSetup:      a.SumSetup / c,
+			MaxKickstart:   a.MaxExec,
+			MaxWaiting:     a.MaxWait,
+			TotalKickstart: a.SumExec,
+		})
 	}
 	return out
 }
 
-// accumTaskStats converts a folded phase accumulator into the TaskStats
-// row exact-mode aggregation would have produced: sums accumulated in
-// record order, means derived by one division.
-func accumTaskStats(name string, a *kickstart.PhaseAccum) TaskStats {
-	c := float64(a.Count)
-	return TaskStats{
-		Transformation: name,
-		Count:          a.Count,
-		MeanKickstart:  a.SumExec / c,
-		MeanWaiting:    a.SumWait / c,
-		MeanSetup:      a.SumSetup / c,
-		MaxKickstart:   a.MaxExec,
-		MaxWaiting:     a.MaxWait,
-		TotalKickstart: a.SumExec,
+// sortedKeys returns a table's keys in sorted order — the deterministic
+// row order of every per-key report.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-}
-
-// accumRows renders a keyed accumulator map as TaskStats rows sorted by
-// key.
-func accumRows(m map[string]*kickstart.PhaseAccum) []TaskStats {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]TaskStats, 0, len(names))
-	for _, n := range names {
-		out = append(out, accumTaskStats(n, m[n]))
-	}
-	return out
+	sort.Strings(keys)
+	return keys
 }
 
 // Reduction returns the fractional running-time reduction of b relative

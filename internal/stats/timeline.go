@@ -113,38 +113,13 @@ func WriteTimeline(w io.Writer, tl Timeline, maxWidth int) error {
 	return nil
 }
 
-// Percentile returns the p-th percentile (0-100) of the values produced
-// by f over successful attempts (nearest-rank). An empty log — or one with
-// no successes — yields 0; p is clamped to [0, 100], and a NaN p (a
-// 0/0 from some upstream ratio) also yields 0 rather than an
-// implementation-defined float→int conversion.
-//
-// Callers that need several percentiles of the same metric should use
-// Percentiles, which extracts and sorts the value set once for the whole
-// batch instead of once per quantile.
-func Percentile(log *kickstart.Log, p float64, f func(*kickstart.Record) float64) float64 {
-	return Percentiles(log, f, p)[0]
-}
-
-// Percentiles returns the requested percentiles (0-100, nearest-rank) of
-// the values produced by f over successful attempts, in the order given.
-// The value set is extracted and sorted exactly once. Edge handling
-// matches Percentile: no successes yields zeros, each p is clamped to
-// [0, 100], and a NaN p yields 0.
-func Percentiles(log *kickstart.Log, f func(*kickstart.Record) float64, ps ...float64) []float64 {
-	var vs []float64
-	for _, r := range log.Successes() {
-		vs = append(vs, f(r))
-	}
-	return PercentilesOf(vs, ps...)
-}
-
 // PercentilesOf returns the requested percentiles (0-100, nearest-rank)
-// of an arbitrary value set, with the same edge handling as Percentiles:
-// an empty set yields zeros, each p is clamped to [0, 100], and a NaN p
-// yields 0. The input slice is not modified. Callers that aggregate
-// across several logs (package scenario) extract values themselves and
-// batch them here.
+// of a value set, in the order given, sorting one copy for the whole
+// batch. An empty set yields zeros, each p is clamped to [0, 100], and a
+// NaN p (a 0/0 from some upstream ratio) yields 0 rather than an
+// implementation-defined float→int conversion. The input slice is not
+// modified. Callers extract the values themselves — package scenario
+// across several logs — and batch them here.
 func PercentilesOf(values []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(values) == 0 {

@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,43 +79,41 @@ func TestPercentile(t *testing.T) {
 		r := rec("j", "t", 0, 0, 0, float64(i), kickstart.StatusSuccess, 1)
 		recs = append(recs, r)
 	}
-	l := buildLog(t, recs...)
-	exec := func(r *kickstart.Record) float64 { return r.Exec() }
-	if got := Percentile(l, 50, exec); got != 50 {
+	vals := successExecs(buildLog(t, recs...))
+	if got := PercentilesOf(vals, 50)[0]; got != 50 {
 		t.Errorf("p50 = %v", got)
 	}
-	if got := Percentile(l, 100, exec); got != 100 {
+	if got := PercentilesOf(vals, 100)[0]; got != 100 {
 		t.Errorf("p100 = %v", got)
 	}
-	if got := Percentile(l, 0, exec); got != 1 {
+	if got := PercentilesOf(vals, 0)[0]; got != 1 {
 		t.Errorf("p0 = %v", got)
 	}
-	if got := Percentile(&kickstart.Log{}, 50, exec); got != 0 {
+	if got := PercentilesOf(nil, 50)[0]; got != 0 {
 		t.Errorf("empty p50 = %v", got)
 	}
 }
 
-// The batch API must agree with repeated single-percentile calls while
-// extracting and sorting only once.
+// A batch must agree with one-percentile calls while sorting only once,
+// and must leave its input unsorted.
 func TestPercentilesBatchMatchesSingles(t *testing.T) {
-	var recs []*kickstart.Record
-	for _, v := range []float64{9, 3, 41, 7, 22, 5, 13, 1, 30, 17} {
-		recs = append(recs, rec("j", "t", 0, 0, 0, v, kickstart.StatusSuccess, 1))
-	}
-	l := buildLog(t, recs...)
-	exec := func(r *kickstart.Record) float64 { return r.Exec() }
+	vals := []float64{9, 3, 41, 7, 22, 5, 13, 1, 30, 17}
+	orig := append([]float64(nil), vals...)
 	ps := []float64{-5, 0, 25, 50, 90, 99, 100, 150, math.NaN()}
-	got := Percentiles(l, exec, ps...)
+	got := PercentilesOf(vals, ps...)
 	if len(got) != len(ps) {
-		t.Fatalf("Percentiles returned %d values for %d quantiles", len(got), len(ps))
+		t.Fatalf("PercentilesOf returned %d values for %d quantiles", len(got), len(ps))
 	}
 	for i, p := range ps {
-		if want := Percentile(l, p, exec); got[i] != want {
-			t.Errorf("Percentiles[%d] (p=%v) = %v, want %v", i, p, got[i], want)
+		if want := PercentilesOf(vals, p)[0]; got[i] != want {
+			t.Errorf("PercentilesOf[%d] (p=%v) = %v, want %v", i, p, got[i], want)
 		}
 	}
-	empty := Percentiles(&kickstart.Log{}, exec, 50, 90)
+	if !slices.Equal(vals, orig) {
+		t.Errorf("PercentilesOf reordered its input: %v", vals)
+	}
+	empty := PercentilesOf(nil, 50, 90)
 	if empty[0] != 0 || empty[1] != 0 {
-		t.Errorf("empty-log batch = %v, want zeros", empty)
+		t.Errorf("empty batch = %v, want zeros", empty)
 	}
 }
