@@ -39,8 +39,10 @@ race:
 # returns, a chunk-seconds miss that allocates its result only and
 # a hit that allocates nothing, an LRU whose lookups allocate nothing and
 # whose insert is one entry, and the scenario front door: a warm single-site
-# cell within the budget of the pipeline it replaced and flat in n, and a
-# Compile that computes nothing a cache-hit request does not need; a
+# cell within the budget of the pipeline it replaced and flat in n, a Parse
+# that walks no source positions for a valid document (TestAllocsParse) and
+# a Compile that builds no catalogs nor anything else a cache-hit request
+# does not need (TestAllocsCompile); a
 # steady-state aggregating-log fold and a Summarize of an exact log that
 # allocate nothing.
 # TestShapeCache*: shape-cache charges within 2× of the heap; budget ≥ 4× big_run's shape.

@@ -556,6 +556,7 @@ func cmdScenarioRun(args []string) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("scenario run: at least one scenario file is required")
 	}
+	var buf []byte
 	for _, path := range fs.Args() {
 		doc, err := scenario.Load(path)
 		if err != nil {
@@ -571,11 +572,14 @@ func cmdScenarioRun(args []string) error {
 		}
 		if _, err := c.Run(scenario.RunOptions{
 			Workers: o.workers,
-			OnLine: func(line []byte) error {
-				if _, err := os.Stdout.Write(line); err != nil {
-					return err
+			// One write per ready batch; batches are serialized, so one
+			// buffer serves them all.
+			OnBatch: func(lines [][]byte) error {
+				buf = buf[:0]
+				for _, line := range lines {
+					buf = append(append(buf, line...), '\n')
 				}
-				_, err := os.Stdout.Write([]byte{'\n'})
+				_, err := os.Stdout.Write(buf)
 				return err
 			},
 		}); err != nil {

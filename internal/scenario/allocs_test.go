@@ -95,11 +95,31 @@ const serveShape = `{
   "outputs": {"fields": ["makespan_s", "jobs", "attempts", "retries", "evictions", "success"], "percentiles": [50, 90, 99]}
 }`
 
+// TestAllocsParse: every request parses its document, hit or miss, and a
+// valid one is decoded and checked once — the walk that finds source lines
+// runs only for a document validation refuses. The budget is the count of
+// the decode and the checks; with the walk on every call it was 469.
+func TestAllocsParse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := Parse("serve.json", []byte(serveShape)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Parse of a serve shape: %v allocations", got)
+	const budget = 59
+	if got > budget {
+		t.Errorf("Parse allocates %v times, budget %v: is it walking positions of a valid document?", got, budget)
+	}
+}
+
 // TestAllocsCompile: a result-cache hit compiles its document and simulates
 // nothing, so whatever a simulated cell needs computed once per document —
-// workflow.World.Key of its site set — must be computed by the first such
-// cell, not by Compile, which only builds the world. The budget is Compile's
-// count before the run paths merged.
+// the world's catalogs and workflow.World.Key of a site set — must be
+// computed by the first such cell, not by Compile, which only checks the
+// sites and builds the grid. Building the catalogs eagerly cost 71.
 func TestAllocsCompile(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
@@ -114,8 +134,8 @@ func TestAllocsCompile(t *testing.T) {
 		}
 	})
 	t.Logf("Compile of a serve shape: %v allocations", got)
-	const budget = 75
+	const budget = 14
 	if got > budget {
-		t.Errorf("Compile allocates %v times, %v before the merge", got, budget)
+		t.Errorf("Compile allocates %v times, budget %v: is it building catalogs?", got, budget)
 	}
 }

@@ -17,7 +17,9 @@
 //     per-attempt percentiles.
 //
 // Load/Parse validate the document with line- and field-qualified errors
-// (`paper.json:14: sites[1].slots: must be positive`), Compile expands it
+// (`paper.json:14: sites[1].slots: must be positive`); the source lines
+// come from a second walk of the document that only a failed validation
+// makes, so a valid document is decoded and checked once. Compile expands it
 // into the cell grid and fingerprints it (SHA-256 over the normalized
 // document), and Compiled.Run executes the grid over the bounded worker
 // pool, emitting one NDJSON line per cell in deterministic cell order —

@@ -2,7 +2,8 @@
 // field path of the offending value. encoding/json reports offsets only
 // for syntax and type errors, so a second, token-level pass records the
 // byte offset (hence line) of every key and array element, keyed by the
-// same "sites[0].slots" paths the validator uses.
+// same "sites[0].slots" paths the validator uses. Parse makes that pass
+// only for a document that fails validation.
 
 package scenario
 

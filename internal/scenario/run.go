@@ -49,15 +49,23 @@ type RunOptions struct {
 	Gate func(ctx context.Context, run func()) error
 	// Cache, when set, serves cells addressed by (Fingerprint, index)
 	// without simulating them and stores fresh lines after simulation.
+	// Run looks every cell up exactly once, when it starts, before any cell
+	// is simulated: a cell another request stores while this one runs is
+	// simulated again rather than served.
 	Cache ResultCache
-	// OnLine, when set, receives each output line (without the trailing
-	// newline) as soon as it is available, in deterministic order: header
-	// first, then cells in grid order, then the footer. The server
-	// streams these to the client. An OnLine error aborts the run: no
-	// further lines are delivered or simulated and Run returns the error.
-	// Calls are serialized: each runs under the run's output lock, so a
-	// slow OnLine (a slow client) throttles the workers, by design.
-	OnLine func(line []byte) error
+	// OnBatch, when set, receives the output lines (without trailing
+	// newlines) as soon as they are available, in deterministic order:
+	// header first, then cells in grid order, then the footer. Each call
+	// carries every line that became ready together — the header with the
+	// cells served from the cache before the first miss, a simulated cell
+	// with the cached cells after it — and no line waits for a later one,
+	// so a batch never holds a line back while a cell simulates. The server
+	// writes a batch and flushes it once. An OnBatch error aborts the run:
+	// no further lines are delivered or simulated and Run returns the
+	// error. Calls are serialized: each runs under the run's output lock,
+	// so a slow OnBatch (a slow client) throttles the workers, by design.
+	// The slice is valid only during the call.
+	OnBatch func(lines [][]byte) error
 }
 
 // CellPanicError reports a cell whose simulation panicked. Run converts
@@ -95,29 +103,53 @@ type Footer struct {
 // worker pool and returns the output lines: a header, one JSON object per
 // cell in grid order, and a footer. Cells are simulated concurrently but
 // emitted in order, so the concatenated output is byte-identical for any
-// worker count.
+// worker count. Cells the cache holds never reach the pool: a run whose
+// every cell is cached emits all of its lines in one batch.
 func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("scenario: canceled before the run: %w", err)
+	}
 	// Output line 0 is the header, cell i is line i+1, the footer is last.
-	out := &emitter{onLine: opts.OnLine, lines: make([][]byte, len(c.Cells)+2)}
-
-	head, err := json.Marshal(Header{
+	// The footer's slot is filled up front: the emitter passes a line on
+	// only once every earlier one is out, so it follows the last cell, and
+	// never a run that failed.
+	lines := make([][]byte, len(c.Cells)+2)
+	var err error
+	if lines[0], err = json.Marshal(Header{
 		Scenario:    c.Doc.Name,
 		Fingerprint: c.Fingerprint,
 		Version:     c.Doc.SchemaVersion,
 		Cells:       len(c.Cells),
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	if err := out.deliver(0, head); err != nil {
+	if lines[len(lines)-1], err = json.Marshal(Footer{Done: true, Cells: len(c.Cells)}); err != nil {
+		return nil, err
+	}
+	// One lookup per cell, before any is simulated; only misses reach the
+	// pool.
+	var misses []int
+	for i := range c.Cells {
+		if opts.Cache != nil {
+			lines[i+1], _ = opts.Cache.Get(c.Fingerprint, i)
+		}
+		if lines[i+1] == nil {
+			misses = append(misses, i)
+		}
+	}
+	// The first batch: the header and every cached cell before the first
+	// miss (the footer too, when nothing missed).
+	out := &emitter{onBatch: opts.OnBatch, lines: lines}
+	if err := out.deliver(0, lines[0]); err != nil {
 		return nil, err
 	}
 
-	err = pool.ForEach(opts.Workers, len(c.Cells), func(i int) (retErr error) {
+	err = pool.ForEach(opts.Workers, len(misses), func(k int) (retErr error) {
+		i := misses[k]
 		// One poisoned cell must not take down the process (a server may
 		// be streaming many other requests): convert the panic into a
 		// CellPanicError carrying the cell index and stack.
@@ -134,38 +166,25 @@ func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 			return err
 		}
 		var line []byte
+		var cellErr error
+		work := func() { line, cellErr = c.cellLine(c.Cells[i]) }
+		if opts.Gate != nil {
+			if gateErr := opts.Gate(ctx, work); gateErr != nil {
+				return fmt.Errorf("scenario: cell %d: gate: %w", i, gateErr)
+			}
+		} else {
+			work()
+		}
+		if cellErr != nil {
+			return fmt.Errorf("scenario: cell %d: %w", i, cellErr)
+		}
 		if opts.Cache != nil {
-			line, _ = opts.Cache.Get(c.Fingerprint, i)
+			opts.Cache.Put(c.Fingerprint, i, line)
 		}
-		if line == nil {
-			var cellErr error
-			work := func() { line, cellErr = c.cellLine(c.Cells[i]) }
-			if opts.Gate != nil {
-				if gateErr := opts.Gate(ctx, work); gateErr != nil {
-					return fmt.Errorf("scenario: cell %d: gate: %w", i, gateErr)
-				}
-			} else {
-				work()
-			}
-			if cellErr != nil {
-				return fmt.Errorf("scenario: cell %d: %w", i, cellErr)
-			}
-			if opts.Cache != nil {
-				opts.Cache.Put(c.Fingerprint, i, line)
-			}
-		}
-		// A failed OnLine write (client gone) aborts remaining dispatch.
+		// A failed OnBatch write (client gone) aborts remaining dispatch.
 		return out.deliver(i+1, line)
 	})
 	if err != nil {
-		return nil, err
-	}
-
-	foot, err := json.Marshal(Footer{Done: true, Cells: len(c.Cells)})
-	if err != nil {
-		return nil, err
-	}
-	if err := out.deliver(len(c.Cells)+1, foot); err != nil {
 		return nil, err
 	}
 	return out.all(), nil
@@ -173,18 +192,18 @@ func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 
 // emitter puts a run's output lines in order: cells finish in any order,
 // and each line waits in its slot until every earlier one has been passed
-// to onLine. onLine runs under the lock — that is what keeps its calls
+// to onBatch. onBatch runs under the lock — that is what keeps its calls
 // serialized and in order — so a slow client throttles the workers
 // delivering to it, by design.
 type emitter struct {
-	mu     sync.Mutex
-	onLine func([]byte) error
-	lines  [][]byte // by output line; nil until delivered
-	next   int      // the first line not yet passed to onLine
-	err    error    // the first onLine failure
+	mu      sync.Mutex
+	onBatch func([][]byte) error
+	lines   [][]byte // by output line; nil until delivered
+	next    int      // the first line not yet passed to onBatch
+	err     error    // the first onBatch failure
 }
 
-// failed returns the first onLine failure, if any.
+// failed returns the first onBatch failure, if any.
 func (e *emitter) failed() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -192,16 +211,21 @@ func (e *emitter) failed() error {
 }
 
 // deliver stores output line i and passes every line now in order to
-// onLine, stopping at the first failure, which it returns.
+// onBatch in one call, returning the first failure.
 func (e *emitter) deliver(i int, line []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.lines[i] = line
-	for ; e.err == nil && e.next < len(e.lines) && e.lines[e.next] != nil; e.next++ {
-		if e.onLine != nil {
-			if err := e.onLine(e.lines[e.next]); err != nil {
-				e.err = fmt.Errorf("scenario: emitting line: %w", err)
-			}
+	if e.err != nil {
+		return e.err
+	}
+	start := e.next
+	for e.next < len(e.lines) && e.lines[e.next] != nil {
+		e.next++
+	}
+	if e.onBatch != nil && e.next > start {
+		if err := e.onBatch(e.lines[start:e.next]); err != nil {
+			e.err = fmt.Errorf("scenario: emitting line: %w", err)
 		}
 	}
 	return e.err

@@ -88,8 +88,10 @@ func TestRunStreamsInOrder(t *testing.T) {
 	var streamed [][]byte
 	lines, err := c.Run(RunOptions{
 		Workers: 4,
-		OnLine: func(line []byte) error {
-			streamed = append(streamed, append([]byte(nil), line...))
+		OnBatch: func(batch [][]byte) error {
+			for _, line := range batch {
+				streamed = append(streamed, append([]byte(nil), line...))
+			}
 			return nil
 		},
 	})
@@ -161,10 +163,10 @@ func TestRunGateErrorAbortsRun(t *testing.T) {
 	}
 }
 
-// An OnLine failure (the server's client hung up mid-stream) aborts the
+// An OnBatch failure (the server's client hung up mid-stream) aborts the
 // run: Run returns the write error instead of simulating and formatting
 // the remaining cells.
-func TestRunOnLineErrorAborts(t *testing.T) {
+func TestRunOnBatchErrorAborts(t *testing.T) {
 	doc, err := Parse("run.json", []byte(minimal))
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +179,8 @@ func TestRunOnLineErrorAborts(t *testing.T) {
 	delivered := 0
 	_, err = c.Run(RunOptions{
 		Workers: 1,
-		OnLine: func(line []byte) error {
+		// With one worker and no cache every batch is one line.
+		OnBatch: func(batch [][]byte) error {
 			delivered++
 			if delivered > 2 { // header + first cell, then the pipe breaks
 				return broken
@@ -186,10 +189,10 @@ func TestRunOnLineErrorAborts(t *testing.T) {
 		},
 	})
 	if !errors.Is(err, broken) {
-		t.Errorf("Run with failing OnLine = %v, want the write error", err)
+		t.Errorf("Run with failing OnBatch = %v, want the write error", err)
 	}
 	if delivered != 3 {
-		t.Errorf("OnLine called %d times after the failure, want exactly 3 (the failing call is the last)", delivered)
+		t.Errorf("OnBatch called %d times after the failure, want exactly 3 (the failing call is the last)", delivered)
 	}
 }
 
@@ -267,6 +270,85 @@ func TestRunServesFromCache(t *testing.T) {
 	if !bytes.Equal(joinLines(cold), joinLines(warm)) {
 		t.Errorf("cached output differs from fresh output:\n--- fresh ---\n%s--- cached ---\n%s",
 			joinLines(cold), joinLines(warm))
+	}
+}
+
+// countingCache is a ResultCache holding the lines of some cells of one
+// document, counting every Get and Put by cell.
+type countingCache struct {
+	mu          sync.Mutex
+	fingerprint string
+	lines       map[int][]byte
+	gets, puts  map[int]int
+}
+
+func (cc *countingCache) Get(fp string, cell int) ([]byte, bool) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if fp != cc.fingerprint {
+		return nil, false
+	}
+	cc.gets[cell]++
+	line, ok := cc.lines[cell]
+	return line, ok
+}
+
+func (cc *countingCache) Put(fp string, cell int, line []byte) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if fp == cc.fingerprint {
+		cc.puts[cell]++
+		cc.lines[cell] = line
+	}
+}
+
+// TestRunLooksUpEachCellOnce: with cached cells before, between and after
+// the misses, Run asks the cache for every cell exactly once, stores only
+// the cells it simulated, and its lines — returned and streamed — are the
+// bytes of a run with no cache, at any worker count.
+func TestRunLooksUpEachCellOnce(t *testing.T) {
+	leakCheck(t)
+	c := compileSource(t, "run.json", []byte(minimal))
+	cold, err := c.Run(RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := joinLines(cold)
+	for _, workers := range []int{1, 8} {
+		cache := &countingCache{
+			fingerprint: c.Fingerprint,
+			lines:       make(map[int][]byte),
+			gets:        make(map[int]int),
+			puts:        make(map[int]int),
+		}
+		for i := 0; i < len(c.Cells); i += 2 {
+			cache.lines[i] = cold[i+1]
+		}
+		var streamed [][]byte
+		lines, err := c.Run(RunOptions{
+			Workers: workers,
+			Cache:   cache,
+			OnBatch: func(batch [][]byte) error {
+				streamed = append(streamed, batch...)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := joinLines(lines); !bytes.Equal(got, want) {
+			t.Errorf("workers %d: returned lines differ from a run with no cache:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
+		}
+		if got := joinLines(streamed); !bytes.Equal(got, want) {
+			t.Errorf("workers %d: streamed lines differ from a run with no cache:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
+		}
+		for i := range c.Cells {
+			wantPuts := i % 2 // the odd cells missed
+			if cache.gets[i] != 1 || cache.puts[i] != wantPuts {
+				t.Errorf("workers %d: cell %d: %d gets and %d puts, want 1 and %d",
+					workers, i, cache.gets[i], cache.puts[i], wantPuts)
+			}
+		}
 	}
 }
 

@@ -235,8 +235,12 @@ func Parse(src string, data []byte) (*Doc, error) {
 	if err := decodeStrict(src, data, doc); err != nil {
 		return nil, err
 	}
-	pos := positions(data)
-	if errs := doc.validate(src, pos); len(errs) > 0 {
+	if errs := doc.validate(src, nil); len(errs) > 0 {
+		// Only an error message reads source lines, and finding them takes a
+		// second, token-level walk of the document: a valid one never pays
+		// for it. Validation is deterministic, so the second pass reports
+		// the same errors, now with their lines.
+		errs = doc.validate(src, positions(data))
 		msgs := make([]string, len(errs))
 		for i, e := range errs {
 			msgs[i] = e.Error()

@@ -160,7 +160,7 @@ func (s *Server) readScenario(w http.ResponseWriter, r *http.Request) (*scenario
 	return c, true
 }
 
-// errClientWrite marks OnLine failures: the client stopped reading, so
+// errClientWrite marks OnBatch failures: the client stopped reading, so
 // the stream is aborted rather than reported in-band.
 var errClientWrite = errors.New("client write failed")
 
@@ -202,12 +202,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Workers: s.opts.Workers,
 		Context: ctx,
 		Gate:    s.gateCell,
-		OnLine: func(line []byte) error {
-			if _, err := w.Write(line); err != nil {
-				return fmt.Errorf("%w: %v", errClientWrite, err)
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return fmt.Errorf("%w: %v", errClientWrite, err)
+		// A batch is every line ready now, so it goes out with one flush:
+		// an all-hit run in one, a simulated cell's line the moment it is
+		// next in order.
+		OnBatch: func(lines [][]byte) error {
+			for _, line := range lines {
+				if _, err := w.Write(line); err != nil {
+					return fmt.Errorf("%w: %v", errClientWrite, err)
+				}
+				if _, err := io.WriteString(w, "\n"); err != nil {
+					return fmt.Errorf("%w: %v", errClientWrite, err)
+				}
 			}
 			if flusher != nil {
 				flusher.Flush()

@@ -604,6 +604,124 @@ func TestClientDisconnectCountsAbortedStream(t *testing.T) {
 	}
 }
 
+// flushRecorder is a ResponseWriter that counts flushes and keeps the body
+// as of the last one: what the client has been sent.
+type flushRecorder struct {
+	mu sync.Mutex
+	*httptest.ResponseRecorder
+	flushes int
+	sent    []byte
+}
+
+func newFlushRecorder() *flushRecorder {
+	return &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+}
+
+func (f *flushRecorder) Write(p []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ResponseRecorder.Write(p)
+}
+
+func (f *flushRecorder) WriteString(s string) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ResponseRecorder.WriteString(s)
+}
+
+func (f *flushRecorder) Flush() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flushes++
+	f.sent = bytes.Clone(f.Body.Bytes())
+}
+
+// state returns the flush count and the bytes flushed so far.
+func (f *flushRecorder) state() (int, []byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.flushes, f.sent
+}
+
+func runRecorded(srv *Server, doc string) *flushRecorder {
+	rec := newFlushRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/scenarios/run", strings.NewReader(doc)))
+	return rec
+}
+
+// TestHitStreamFlushesOnce: a POST the result cache answers whole is
+// written as it was simulated, and reaches the client in at most two
+// flushes rather than one per line.
+func TestHitStreamFlushesOnce(t *testing.T) {
+	srv := New(Options{Workers: 2})
+	cold := runRecorded(srv, testScenario)
+	if cold.Code != http.StatusOK {
+		t.Fatalf("cold POST: %d %s", cold.Code, cold.Body)
+	}
+	warm := runRecorded(srv, testScenario)
+	flushes, sent := warm.state()
+	if !bytes.Equal(sent, cold.Body.Bytes()) {
+		t.Errorf("warm response differs from cold response:\n--- warm ---\n%s--- cold ---\n%s", sent, cold.Body)
+	}
+	if flushes > 2 {
+		t.Errorf("an all-hit response took %d flushes, want at most 2", flushes)
+	}
+}
+
+// TestColdStreamFlushesBeforeSimulating: batching never holds a line back
+// while a cell simulates. When each cell of a cold POST starts, the client
+// has been sent the header and every earlier cell.
+func TestColdStreamFlushesBeforeSimulating(t *testing.T) {
+	srv := New(Options{Workers: 1, CacheBytes: -1})
+	rec := newFlushRecorder()
+	var sentAtStart [][]byte
+	srv.hookCellStart = func() {
+		_, sent := rec.state()
+		sentAtStart = append(sentAtStart, sent)
+	}
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/scenarios/run", strings.NewReader(testScenario)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("cold POST: %d %s", rec.Code, rec.Body)
+	}
+	if len(sentAtStart) != 4 {
+		t.Fatalf("%d cells started, want 4", len(sentAtStart))
+	}
+	lines := bytes.SplitAfter(rec.Body.Bytes(), []byte("\n"))
+	for k, sent := range sentAtStart {
+		// One worker: cell k starts once the header and cells 0..k-1 are out.
+		if want := bytes.Join(lines[:k+1], nil); !bytes.Equal(sent, want) {
+			t.Errorf("cell %d started with the client sent\n%s\nwant\n%s", k, sent, want)
+		}
+	}
+}
+
+// TestBadSitesRefused: a document repeating a site name or declaring a site
+// whose platform model is invalid is refused before anything runs — 422
+// from run, an invalid verdict from check.
+func TestBadSitesRefused(t *testing.T) {
+	ts := httptest.NewServer(New(Options{Workers: 1}))
+	defer ts.Close()
+	for _, tc := range []struct{ name, doc, field string }{
+		{"duplicate name", strings.Replace(testScenario, `{"preset": "osg", "slots": 64}`,
+			`{"preset": "osg", "name": "sandhills", "slots": 64}`, 1), "sites[1].name"},
+		{"invalid platform", strings.Replace(testScenario, `"slots": 64}`,
+			`"slots": 64, "speed_jitter": 1.5}`, 1), "sites[1].speed_jitter"},
+	} {
+		code, body := post(t, ts, "/v1/scenarios/run", tc.doc)
+		if code != http.StatusUnprocessableEntity || !bytes.Contains(body, []byte(tc.field)) {
+			t.Errorf("%s: run = %d %s, want 422 naming %s", tc.name, code, body, tc.field)
+		}
+		code, body = post(t, ts, "/v1/scenarios/check", tc.doc)
+		var resp CheckResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("%s: check: %v: %s", tc.name, err, body)
+		}
+		if code != http.StatusOK || resp.Valid || !strings.Contains(resp.Error, tc.field) {
+			t.Errorf("%s: check = %d %+v, want an invalid verdict naming %s", tc.name, code, resp, tc.field)
+		}
+	}
+}
+
 func TestCheckEndpoint(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Workers: 2}))
 	defer ts.Close()

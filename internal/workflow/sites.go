@@ -130,9 +130,15 @@ var catalogued = append(Transformations(), TrSerial)
 // so what the planner is told about a site, what its plans are cached under
 // and what the simulator runs cannot drift apart. Safe for concurrent use;
 // the sites must not be written after NewWorld.
+//
+// The catalogs are deferred like Key: NewWorld checks the declarations and
+// builds nothing, and the first Catalogs or Key call builds them. A request
+// answered from the result cache builds its world and simulates nothing, so
+// it must not pay for catalogs nobody reads.
 type World struct {
-	sites []Site
-	cats  planner.Catalogs
+	sites    []Site
+	catsOnce sync.Once
+	cats     planner.Catalogs
 	keyMemo
 }
 
@@ -163,24 +169,28 @@ func (m *keyMemo) get(names []string, build func() string) string {
 	return key
 }
 
-// NewWorld validates the declarations and builds their catalogs.
+// NewWorld checks the declarations — every check building their catalogs
+// makes — and builds nothing.
 func NewWorld(sites []Site) (*World, error) {
-	cats, err := Catalogs(sites)
-	if err != nil {
+	if err := checkSites(sites); err != nil {
 		return nil, err
 	}
-	return &World{sites: sites, cats: cats}, nil
+	return &World{sites: sites}, nil
 }
 
-// Catalogs returns the catalogs built from the declared sites; read-only.
-func (w *World) Catalogs() planner.Catalogs { return w.cats }
+// Catalogs returns the catalogs built from the declared sites, building
+// them on the first call; read-only.
+func (w *World) Catalogs() planner.Catalogs {
+	w.catsOnce.Do(func() { w.cats = buildCatalogs(w.sites) })
+	return w.cats
+}
 
 // Key returns Catalogs().Fingerprint(names), which plan caches key resolved
 // masters on. It is computed by the first caller per site list and never by
-// NewWorld: a request answered from the result cache builds its world and
-// simulates nothing, so it must not pay for a fingerprint nobody reads.
+// NewWorld, for the reason the catalogs are deferred.
 func (w *World) Key(names []string) string {
-	return w.keyMemo.get(names, func() string { return w.cats.Fingerprint(names) })
+	cats := w.Catalogs()
+	return w.keyMemo.get(names, func() string { return cats.Fingerprint(names) })
 }
 
 // Configs returns the platform models of the named sites, in that order,
@@ -202,25 +212,52 @@ func (w *World) Configs(names []string, seed uint64) ([]platform.Config, error) 
 // tarball carrying the site's install payload — and replicas of the two
 // external inputs, so that multi-site plans can synthesize stage-in jobs.
 func Catalogs(sites []Site) (planner.Catalogs, error) {
+	if err := checkSites(sites); err != nil {
+		return planner.Catalogs{}, err
+	}
+	return buildCatalogs(sites), nil
+}
+
+// checkSites makes, in site order, every check building the catalogs would:
+// a valid platform model, and a name no earlier site has. Every other entry
+// a catalog refuses is derived from those, so once they pass, building
+// cannot fail.
+func checkSites(sites []Site) error {
+	for i := range sites {
+		if err := sites[i].Platform.Validate(); err != nil {
+			return err
+		}
+		name := sites[i].Platform.Name
+		if slices.ContainsFunc(sites[:i], func(s Site) bool { return s.Platform.Name == name }) {
+			// Worded as the site catalog words it, so what a front end
+			// reports for a repeated site is unchanged.
+			return fmt.Errorf("catalog: duplicate site %q", name)
+		}
+	}
+	return nil
+}
+
+// buildCatalogs builds the catalogs of sites that passed checkSites.
+func buildCatalogs(sites []Site) planner.Catalogs {
 	cats := planner.Catalogs{
 		Sites:           catalog.NewSiteCatalog(),
 		Transformations: catalog.NewTransformationCatalog(),
 		Replicas:        catalog.NewReplicaCatalog(),
 	}
+	must := func(err error) {
+		if err != nil {
+			panic(fmt.Sprintf("workflow: catalogs of checked sites: %v", err))
+		}
+	}
 	for i := range sites {
 		s := &sites[i]
-		if err := s.Platform.Validate(); err != nil {
-			return cats, err
-		}
-		if err := cats.Sites.Add(&catalog.Site{
+		must(cats.Sites.Add(&catalog.Site{
 			Name: s.Platform.Name, Arch: "x86_64", OS: "linux",
 			Slots: s.Platform.Slots, SpeedFactor: s.Platform.SpeedFactor,
 			Heterogeneous:  s.Platform.SpeedJitter >= 0.2,
 			SharedSoftware: s.Preinstalled,
 			StageInMBps:    s.StageInMBps,
-		}); err != nil {
-			return cats, err
-		}
+		}))
 		for _, name := range catalogued {
 			tr := &catalog.Transformation{Name: name, Site: s.Platform.Name}
 			if s.Preinstalled {
@@ -233,17 +270,13 @@ func Catalogs(sites []Site) (planner.Catalogs, error) {
 					tr.InstallBytes += s.CAP3Bytes
 				}
 			}
-			if err := cats.Transformations.Add(tr); err != nil {
-				return cats, err
-			}
+			must(cats.Transformations.Add(tr))
 		}
 	}
 	for _, lfn := range []string{"transcripts.fasta", "alignments.out"} {
-		if err := cats.Replicas.Add(lfn, catalog.Replica{Site: "local", PFN: "/work/data/" + lfn}); err != nil {
-			return cats, err
-		}
+		must(cats.Replicas.Add(lfn, catalog.Replica{Site: "local", PFN: "/work/data/" + lfn}))
 	}
-	return cats, nil
+	return cats
 }
 
 // PaperCatalogs builds the catalogs of the paper's world: the built-in

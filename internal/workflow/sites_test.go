@@ -85,6 +85,68 @@ func TestWorldKeyComputedOnce(t *testing.T) {
 	}
 }
 
+// TestNewWorldBuildsCatalogsOnFirstUse: NewWorld builds no catalog; the
+// first Catalogs or Key call builds them, once, equal to Catalogs(sites).
+func TestNewWorldBuildsCatalogsOnFirstUse(t *testing.T) {
+	for _, first := range []string{"Catalogs", "Key"} {
+		w := presetWorld(t)
+		if w.cats.Sites != nil || w.cats.Transformations != nil || w.cats.Replicas != nil {
+			t.Fatalf("NewWorld built catalogs: %+v", w.cats)
+		}
+		if first == "Key" {
+			w.Key([]string{"osg"})
+		}
+		got := w.Catalogs()
+		if got.Sites == nil || got.Transformations == nil || got.Replicas == nil {
+			t.Fatalf("after %s: catalogs not built: %+v", first, got)
+		}
+		if w.Catalogs() != got {
+			t.Errorf("after %s: a second Catalogs call built them again", first)
+		}
+		want, err := Catalogs(PaperSites(0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := PresetNames()
+		if got.Fingerprint(names) != want.Fingerprint(names) {
+			t.Errorf("after %s: the world's catalogs differ from Catalogs(sites)", first)
+		}
+	}
+}
+
+// TestNewWorldRefusesBadSites: deferring the catalogs drops none of their
+// checks. A repeated site name and every invalid platform model still fail
+// at NewWorld, with the error building the catalogs would give.
+func TestNewWorldRefusesBadSites(t *testing.T) {
+	sandhills, _ := Preset("sandhills")
+	osg, _ := Preset("osg")
+	edit := func(s Site, f func(*Site)) Site { f(&s); return s }
+	for _, tc := range []struct {
+		name  string
+		sites []Site
+		want  string
+	}{
+		{"duplicate name", []Site{sandhills, osg, sandhills}, `duplicate site "sandhills"`},
+		{"empty name", []Site{edit(osg, func(s *Site) { s.Platform.Name = "" })}, "empty name"},
+		{"no slots", []Site{sandhills, edit(osg, func(s *Site) { s.Platform.Slots = 0 })}, "non-positive slots"},
+		{"no speed", []Site{edit(osg, func(s *Site) { s.Platform.SpeedFactor = 0 })}, "non-positive speed factor"},
+		{"jitter", []Site{edit(osg, func(s *Site) { s.Platform.SpeedJitter = 1 })}, "speed jitter"},
+		{"negative mean", []Site{edit(osg, func(s *Site) { s.Platform.DispatchMean = -1 })}, "negative rate or mean"},
+		{"negative ramp", []Site{edit(osg, func(s *Site) { s.Platform.SlotRampInterval = -1 })}, "negative slot ramp"},
+		// The invalid model comes first, so it is the one reported.
+		{"invalid before duplicate", []Site{sandhills, edit(sandhills, func(s *Site) { s.Platform.Slots = -1 })}, "non-positive slots"},
+	} {
+		w, err := NewWorld(tc.sites)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewWorld = %v, %v; want an error containing %q", tc.name, w, err, tc.want)
+			continue
+		}
+		if _, cerr := Catalogs(tc.sites); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("%s: NewWorld says %q, Catalogs %v", tc.name, err, cerr)
+		}
+	}
+}
+
 // TestWorldConfigs: the seeded models come back in the order asked, and a
 // name the world does not declare is refused rather than run on a zero model.
 func TestWorldConfigs(t *testing.T) {
