@@ -11,8 +11,10 @@ import (
 	"pegflow/internal/catalog"
 	"pegflow/internal/dax"
 	"pegflow/internal/engine"
+	"pegflow/internal/fault"
 	"pegflow/internal/planner"
 	"pegflow/internal/sim/platform"
+	"pegflow/internal/sim/rng"
 )
 
 // testCatalogs builds a two-site world: "alpha" has everything
@@ -312,6 +314,107 @@ func TestEnsembleOfOneEqualsEngineRun(t *testing.T) {
 				aggregate, alone.Makespan, alone.Retries, alone.Evictions, alone.Log.Len(),
 				member.Makespan, ens.Makespan, member.Retries, member.Evictions, member.Log.Len())
 		}
+	}
+}
+
+// faultyPool builds the two-site test pool armed with one fault of every
+// kind: an outage on beta, a killing storm on alpha, a capacity step down to
+// two slots and a blackout.
+func faultyPool(t *testing.T, seed uint64) *platform.MultiExecutor {
+	t.Helper()
+	pool, err := platform.NewMultiExecutor(testConfigs(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := 2
+	script, err := fault.Compile([]fault.Spec{
+		{Type: fault.TypeOutage, Site: "beta", At: 40, Duration: 300},
+		{Type: fault.TypeStorm, Site: "alpha", At: 120, Duration: 200, Rate: 2e-3, KillFraction: 0.5},
+		{Type: fault.TypeCapacity, Site: "alpha", At: 400, Slots: &two},
+		{Type: fault.TypeBlackout, Site: "beta", At: 500, Duration: 150},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.InstallFaults(script); err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
+// engine.Run on a two-site pool and an ensemble of one on the same pool are
+// the same run whatever the pool throws at it — faults of every kind,
+// cross-site failover, backoff delays on the pool's clock, clustered
+// composites — because both drivers take their terminal events off one
+// route, in one order.
+func TestEnsembleOfOneEqualsEngineRunOnFaultyPool(t *testing.T) {
+	cats := testCatalogs(t)
+	sites := []string{"alpha", "beta"}
+	specs, err := PlanAll([]WorkflowSource{{Name: "solo", Abstract: fanDAX(t, "solo", 60, 150), RetryLimit: 30}},
+		cats, PlanOptions{
+			Sites: sites, Policy: planner.PolicyDataAware, Workers: 1, Failover: true,
+			Cluster: planner.ClusterOptions{MaxTasksPerJob: 3},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logBytes := func(res *engine.Result) []byte {
+		var buf bytes.Buffer
+		if err := res.Log.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	backoff := func(seed uint64) engine.BackoffPolicy {
+		return engine.ExpBackoff(3, 40, rng.New(seed).Derive("backoff"))
+	}
+	var failovers, backoffs, evictions int
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, aggregate := range []bool{false, true} {
+			fo, err := planner.NewFailover(cats, sites)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone, err := engine.Run(specs[0].Plan, faultyPool(t, seed), engine.Options{
+				RetryLimit: 30, Retry: fo.Resite, Backoff: backoff(seed), Aggregate: aggregate,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The spec's failover policy is this run's own: PlanAll gave it a
+			// fresh one, and the policy is adaptive.
+			if fo, err = planner.NewFailover(cats, sites); err != nil {
+				t.Fatal(err)
+			}
+			member := specs[0]
+			member.Retry, member.Backoff = fo.Resite, backoff(seed)
+			ens, err := Run(faultyPool(t, seed), []Spec{member}, Options{Aggregate: aggregate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := ens.Workflows[0].Result
+			if !bytes.Equal(logBytes(alone), logBytes(got)) {
+				t.Errorf("seed %d aggregate=%v: attempt logs differ", seed, aggregate)
+			}
+			if alone.Makespan != got.Makespan || alone.Makespan != ens.Makespan ||
+				alone.Retries != got.Retries || alone.Failovers != got.Failovers ||
+				alone.Backoffs != got.Backoffs || alone.Evictions != got.Evictions {
+				t.Errorf("seed %d aggregate=%v: engine.Run %v s, %d retries, %d failovers, %d backoffs, %d evictions; "+
+					"ensemble of one %v s (pool %v s), %d, %d, %d, %d", seed, aggregate,
+					alone.Makespan, alone.Retries, alone.Failovers, alone.Backoffs, alone.Evictions,
+					got.Makespan, ens.Makespan, got.Retries, got.Failovers, got.Backoffs, got.Evictions)
+			}
+			if seed == 1 && !aggregate {
+				t.Logf("seed 1: %d failovers, %d backoffs, %d evictions, %d attempts",
+					alone.Failovers, alone.Backoffs, alone.Evictions, alone.Log.Len())
+			}
+			failovers += alone.Failovers
+			backoffs += alone.Backoffs
+			evictions += alone.Evictions
+		}
+	}
+	if failovers == 0 || backoffs == 0 || evictions == 0 {
+		t.Fatalf("fixture too tame: %d failovers, %d backoffs, %d evictions over 40 runs", failovers, backoffs, evictions)
 	}
 }
 
