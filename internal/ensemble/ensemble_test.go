@@ -524,3 +524,30 @@ func TestHoldQueueReleaseOrder(t *testing.T) {
 		t.Fatalf("%d entries left in the queue", len(q))
 	}
 }
+
+// A site whose capacity drops to zero for good leaves the kernel with
+// nothing to fire while the member still waits on it: Run must report the
+// deadlock as an error, not panic and not spin.
+func TestRunReportsDryKernelAsDeadlock(t *testing.T) {
+	specs, err := PlanAll(testSources(t, 1), testCatalogs(t),
+		PlanOptions{Sites: []string{"alpha"}, Policy: planner.PolicyRoundRobin, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := platform.NewMultiExecutor(testConfigs(1)[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := 0
+	script, err := fault.Compile([]fault.Spec{{Type: fault.TypeCapacity, Site: "alpha", At: 0, Slots: &zero}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.InstallFaults(script); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(pool, specs, Options{})
+	if want := "ensemble: deadlock: 1 workflows active with no platform events"; err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, %v; want error %q", res, err, want)
+	}
+}

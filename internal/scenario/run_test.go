@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pegflow/internal/core"
 )
@@ -519,5 +520,33 @@ func TestEnsembleCellsColdWarmAndWorkers(t *testing.T) {
 	}
 	if b, s := afterWarm.PlanBuilds-afterCold.PlanBuilds, afterWarm.PlanShapes-afterCold.PlanShapes; b != 0 || s != 0 {
 		t.Errorf("warm runs resolved %d masters and materialized %d graphs, want 0 and 0", b, s)
+	}
+}
+
+// A document whose only site loses every slot at time zero, with no later
+// raise, deadlocks its cell: the run fails with the ensemble's deadlock
+// error instead of panicking or hanging.
+func TestRunReportsDeadlockedCell(t *testing.T) {
+	const src = `{
+  "version": 1,
+  "name": "dry-kernel",
+  "sites": [{"preset": "sandhills", "slots": 8}],
+  "workload": {
+    "params": {"num_clusters": 50, "max_cluster_size": 20, "size_exponent": 0.5, "mean_read_len": 900},
+    "n": [4],
+    "seeds": [7]
+  },
+  "faults": [{"type": "capacity", "site": "sandhills", "at": 0, "slots": 0}]
+}`
+	c := compileSource(t, "dry.json", []byte(src))
+	done := make(chan error, 1)
+	go func() { _, err := c.Run(RunOptions{Workers: 1}); done <- err }()
+	select {
+	case err := <-done:
+		if want := "cell 0: ensemble: deadlock: 1 workflows active with no platform events"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Run error = %v, want one containing %q", err, want)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Run did not return within a minute")
 	}
 }
