@@ -88,13 +88,14 @@ func NewEscapeGate() *EscapeGate {
 		},
 		{
 			// One attempt, Submit to terminal event. finishDone and
-			// finishEvicted are not here: the engine.Event they emit holds
+			// finishEvicted are not here: the engine.Event they deliver holds
 			// the kickstart record, which is arena-allocated by design.
 			Pkg: "pegflow/internal/sim/platform",
 			Funcs: []string{
-				"Executor.HandleEvent", "Executor.submitWith",
-				"Executor.newAttempt", "Executor.dispatchAttempt",
-				"Executor.runOnNode", "Executor.retire",
+				"Executor.SubmitFor", "Executor.route",
+				"site.HandleEvent", "site.submit",
+				"site.newAttempt", "site.dispatchAttempt",
+				"site.runOnNode", "site.retire",
 				"attemptSlab.alloc", "attemptSlab.release",
 			},
 		},

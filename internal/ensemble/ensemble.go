@@ -5,7 +5,6 @@ import (
 
 	"pegflow/internal/dax"
 	"pegflow/internal/engine"
-	"pegflow/internal/fifo"
 	"pegflow/internal/kickstart"
 	"pegflow/internal/planner"
 	"pegflow/internal/pool"
@@ -61,24 +60,6 @@ type WorkflowResult struct {
 	Result *engine.Result
 }
 
-// SiteUsage summarizes one platform of the pool after the run.
-type SiteUsage struct {
-	// Site is the platform name.
-	Site string
-	// Slots is the configured slot count.
-	Slots int
-	// MaxBusySlots is the high-water mark of concurrently busy slots.
-	MaxBusySlots int
-	// BusySlotSeconds and CapacitySlotSeconds integrate occupancy and
-	// capacity over virtual time.
-	BusySlotSeconds, CapacitySlotSeconds float64
-	// Outages counts fault-imposed full outages of the site, and
-	// DowntimeSeconds integrates them over virtual time (an outage still
-	// open at end of run is counted up to the last event).
-	Outages         int
-	DowntimeSeconds float64
-}
-
 // Result is the outcome of one ensemble run.
 type Result struct {
 	// Makespan is the ensemble wall time: the time of the last event.
@@ -86,7 +67,7 @@ type Result struct {
 	// Workflows lists member results in admission order.
 	Workflows []WorkflowResult
 	// Sites lists per-site usage, sorted by site name.
-	Sites []SiteUsage
+	Sites []platform.SiteUsage
 }
 
 // Report renders the result as a stats.EnsembleReport under the given
@@ -258,12 +239,6 @@ func PlanMember(src ResolvedSource, cats planner.Catalogs, opts PlanOptions) (Sp
 	return spec, nil
 }
 
-// tagged is a platform event attributed to a member workflow.
-type tagged struct {
-	wf int
-	ev engine.Event
-}
-
 // held is a submission waiting for global in-flight capacity, or for its
 // backoff delay to run out.
 type held struct {
@@ -334,35 +309,22 @@ func (q *holdQueue) pop() held {
 	return top
 }
 
-// driver owns all shared ensemble state: the platform pool, the tagged
-// event queue the members' emit callbacks fill, and the global hold queue.
-// It runs entirely on the goroutine that called Run.
+// driver owns all shared ensemble state: the platform pool, whose
+// submissions carry the member index as their tag, and the global hold
+// queue. It runs entirely on the goroutine that called Run.
 type driver struct {
-	pool  *platform.MultiExecutor
+	pool  *platform.Executor
 	specs []Spec
 	opts  Options
 
-	queue    fifo.Queue[tagged]
 	hold     holdQueue
 	inflight int
 	seq      int
-	// emits[w] delivers a platform event to member w's side of the queue:
-	// one closure per member, not one per submission.
-	emits []func(engine.Event)
 	// delayed holds the re-submissions waiting out a backoff delay, indexed
 	// by the argument of their pool event; free slots are recycled through
 	// freeDelayed.
 	delayed     []held
 	freeDelayed []int32
-}
-
-func newDriver(p *platform.MultiExecutor, specs []Spec, opts Options) *driver {
-	d := &driver{pool: p, specs: specs, opts: opts, emits: make([]func(engine.Event), len(specs))}
-	for w := range specs {
-		w := w
-		d.emits[w] = func(ev engine.Event) { d.queue.Push(tagged{wf: w, ev: ev}) }
-	}
-	return d
 }
 
 // member is one workflow's engine.Submitter: submissions enter the
@@ -422,14 +384,25 @@ func (d *driver) submit(wf int, job *planner.Job, attempt int) {
 func (d *driver) release() {
 	for len(d.hold) > 0 && (d.opts.MaxInFlight == 0 || d.inflight < d.opts.MaxInFlight) {
 		h := d.hold.pop()
-		d.pool.SubmitTagged(h.job, h.attempt, d.emits[h.wf])
+		d.pool.SubmitFor(int32(h.wf), h.job, h.attempt)
 		d.inflight++
 	}
 }
 
+// next pulls the pool's next terminal event with the index of the member
+// that submitted the attempt, and releases held work into the freed
+// in-flight slot; ok is false if the pool's kernel ran dry first.
+func (d *driver) next() (wf int32, ev engine.Event, ok bool) {
+	if wf, ev, ok = d.pool.Pull(); ok {
+		d.inflight--
+		d.release()
+	}
+	return wf, ev, ok
+}
+
 // Run executes the ensemble on the shared platform pool. Members are
 // admitted in spec order at virtual time zero.
-func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error) {
+func Run(p *platform.Executor, specs []Spec, opts Options) (*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("ensemble: no workflows")
 	}
@@ -453,7 +426,7 @@ func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error)
 		return nil, fmt.Errorf("ensemble: negative MaxInFlight %d", opts.MaxInFlight)
 	}
 
-	d := newDriver(p, specs, opts)
+	d := &driver{pool: p, specs: specs, opts: opts}
 	jobs := 0
 	for _, s := range specs {
 		jobs += s.Plan.Len()
@@ -478,28 +451,23 @@ func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error)
 	}
 
 	for active > 0 {
-		if d.queue.Len() == 0 {
-			if !d.pool.Step() {
-				return nil, fmt.Errorf("ensemble: deadlock: %d workflows active with no platform events", active)
-			}
-			continue
+		wf, ev, ok := d.next()
+		if !ok {
+			return nil, fmt.Errorf("ensemble: deadlock: %d workflows active with no platform events", active)
 		}
-		te := d.queue.Pop()
-		d.inflight--
-		d.release()
-		s := sessions[te.wf]
+		s := sessions[wf]
 		if !s.Active() {
 			// The member's run already ended in an error; its straggler
 			// events are dropped.
 			continue
 		}
-		s.Handle(te.ev)
+		s.Handle(ev)
 		if !s.Active() {
 			active--
 		}
 	}
 
-	out := &Result{Makespan: p.Now()}
+	out := &Result{Makespan: p.Now(), Sites: p.Usage()}
 	for w, s := range specs {
 		res, err := sessions[w].Finish()
 		if err != nil {
@@ -509,18 +477,6 @@ func Run(p *platform.MultiExecutor, specs []Spec, opts Options) (*Result, error)
 			Name:     s.Name,
 			Priority: s.Priority,
 			Result:   res,
-		})
-	}
-	for _, name := range p.SiteNames() {
-		site := p.Site(name)
-		out.Sites = append(out.Sites, SiteUsage{
-			Site:                name,
-			Slots:               site.Config().Slots,
-			MaxBusySlots:        site.MaxBusySlots(),
-			BusySlotSeconds:     site.BusySlotSeconds(),
-			CapacitySlotSeconds: site.CapacitySlotSeconds(),
-			Outages:             site.Outages(),
-			DowntimeSeconds:     site.DowntimeSeconds(),
 		})
 	}
 	return out, nil

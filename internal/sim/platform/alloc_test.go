@@ -15,8 +15,8 @@ import (
 // The allocation gate of the attempt path (run by CI as `go test -run
 // 'TestAllocs'`): from Submit to its terminal event an attempt is a slab
 // record and typed kernel events, so a reserved executor allocates nothing
-// per attempt. The tests drive the executor the way the engine does —
-// submit everything, take events, retry evictions, recycle records — but
+// per attempt. The tests drive the executor the way the drivers do —
+// submit everything, pull events, retry evictions, recycle records — but
 // without the engine, whose own bookkeeping is gated in its package.
 
 const allocJobs = 512
@@ -63,7 +63,10 @@ func TestAllocsPlatformAttempt(t *testing.T) {
 			}
 			attempts := 0
 			for left := len(jobs); left > 0; {
-				ev := ex.Next()
+				_, ev, ok := ex.Pull()
+				if !ok {
+					t.Fatal("kernel ran dry with attempts outstanding")
+				}
 				attempts++
 				retry := ev.Record.Attempt + 1
 				ex.Recycle(ev.Record)
@@ -119,15 +122,23 @@ func TestAllocsPlatformAttempt(t *testing.T) {
 			}
 			return &stable[flakyIndex[id]]
 		}
+		// First attempts go in under their site's member tag, retries under
+		// the default tag 0; the tag must come back with each event.
 		evictions := 0
 		per, attempts := allocsPerAttempt(func() int {
 			for i := range stable {
-				pool.Submit(&stable[i], 1)
-				pool.Submit(&flaky[i], 1)
+				pool.SubmitFor(0, &stable[i], 1)
+				pool.SubmitFor(1, &flaky[i], 1)
 			}
 			attempts := 0
 			for left := 2 * allocJobs; left > 0; {
-				ev := pool.Next()
+				member, ev, ok := pool.Pull()
+				if !ok {
+					t.Fatal("kernel ran dry with attempts outstanding")
+				}
+				if want := ev.Record.Attempt == 1 && ev.Record.Site == "flaky"; (member == 1) != want {
+					t.Fatalf("attempt %d of %s pulled under member %d", ev.Record.Attempt, ev.JobID, member)
+				}
 				attempts++
 				retry := ev.Record.Attempt + 1
 				pool.Recycle(ev.Record)
@@ -140,8 +151,8 @@ func TestAllocsPlatformAttempt(t *testing.T) {
 			}
 			return attempts
 		})
-		if evictions == 0 || pool.Site("stable").Outages() < 2 {
-			t.Fatalf("fixture broken: %d evictions, %d outages", evictions, pool.Site("stable").Outages())
+		if outages := usageOf(t, pool, "stable").Outages; evictions == 0 || outages < 2 {
+			t.Fatalf("fixture broken: %d evictions, %d outages", evictions, outages)
 		}
 		// The budget covers the correlated preemptions: each sorts the
 		// occupied attempts' keys, a handful of allocations per outage.
@@ -168,13 +179,14 @@ func TestNodeNamesAreFormattedOnFirstUse(t *testing.T) {
 	}
 	attempts := res.Log.Len()
 	formatted := 0
-	for _, name := range ex.nodeNames {
+	names := ex.sites[0].nodeNames
+	for _, name := range names {
 		if name != "" {
 			formatted++
 		}
 	}
 	if formatted != attempts {
-		t.Errorf("%d node names formatted for %d attempts on a %d-slot platform", formatted, attempts, len(ex.nodeNames))
+		t.Errorf("%d node names formatted for %d attempts on a %d-slot platform", formatted, attempts, len(names))
 	}
 	seen := map[string]bool{}
 	for _, r := range res.Log.Records() {

@@ -21,8 +21,22 @@ func installChurn(t *testing.T, cfg Config, specs []fault.Spec) *Executor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.InstallFaults(script.Site(cfg.Name))
+	if err := ex.InstallFaults(script); err != nil {
+		t.Fatal(err)
+	}
 	return ex
+}
+
+// usageOf returns the usage of the named site of the pool.
+func usageOf(t *testing.T, ex *Executor, name string) SiteUsage {
+	t.Helper()
+	for _, u := range ex.Usage() {
+		if u.Site == name {
+			return u
+		}
+	}
+	t.Fatalf("no site %q in pool", name)
+	return SiteUsage{}
 }
 
 func intp(v int) *int { return &v }
@@ -69,9 +83,8 @@ func TestChurnEdgeCases(t *testing.T) {
 		if res.Makespan != 1250 {
 			t.Errorf("Makespan = %v, want 1250 (outage + setup + payload)", res.Makespan)
 		}
-		if ex.Outages() != 1 || ex.DowntimeSeconds() != 100 {
-			t.Errorf("outages=%d downtime=%v, want 1 and 100",
-				ex.Outages(), ex.DowntimeSeconds())
+		if u := usageOf(t, ex, "plain"); u.Outages != 1 || u.DowntimeSeconds != 100 {
+			t.Errorf("outages=%d downtime=%v, want 1 and 100", u.Outages, u.DowntimeSeconds)
 		}
 	})
 
@@ -91,15 +104,15 @@ func TestChurnEdgeCases(t *testing.T) {
 		if !res.Success {
 			t.Fatalf("workflow failed: %+v", res.PermanentlyFailed)
 		}
-		if got := ex.MaxBusySlots(); got != 4 {
+		if got := usageOf(t, ex, "plain").MaxBusySlots; got != 4 {
 			t.Errorf("MaxBusySlots = %d, want 4 (held units remain held)", got)
 		}
 		// First four: 0–1000. Remaining two serialize: 1000–2000, 2000–3000.
 		if res.Makespan != 3000 {
 			t.Errorf("Makespan = %v, want 3000 (post-shrink serialization)", res.Makespan)
 		}
-		if ex.Outages() != 0 {
-			t.Errorf("Outages = %d, want 0 (shrink is not an outage)", ex.Outages())
+		if got := usageOf(t, ex, "plain").Outages; got != 0 {
+			t.Errorf("Outages = %d, want 0 (shrink is not an outage)", got)
 		}
 	})
 
@@ -124,10 +137,11 @@ func TestChurnEdgeCases(t *testing.T) {
 		if res.Makespan != 100 {
 			t.Errorf("Makespan = %v, want 100", res.Makespan)
 		}
-		if ex.Outages() != 1 {
-			t.Errorf("Outages = %d, want 1", ex.Outages())
+		u := usageOf(t, ex, "plain")
+		if u.Outages != 1 {
+			t.Errorf("Outages = %d, want 1", u.Outages)
 		}
-		if got := ex.DowntimeSeconds(); got != 50 {
+		if got := u.DowntimeSeconds; got != 50 {
 			t.Errorf("DowntimeSeconds = %v, want 50 (open outage counted to now)", got)
 		}
 	})

@@ -17,19 +17,17 @@
 //   - preemption: opportunistic slots can be reclaimed by their owners,
 //     ending the attempt with an eviction that DAGMan retries.
 //
-// An attempt allocates nothing between Submit and its terminal event. The
-// Executor keeps one attempt record per in-flight attempt in an
-// index-addressed slab and is the des.Handler of every event it schedules:
-// the end of the dispatch latency, the slot grant, the completion or
-// eviction, and the slot-ramp and fault-timeline steps are operations of
-// Executor.HandleEvent, attempt events carrying the record's index. The
-// kickstart record is built from the attempt record at the terminal event.
-// Reserve sizes the kernel, the slot pool and the slab for a plan's job
-// count; the caller that owns both plan and executor calls it, and only the
-// bytes allocated depend on it.
-//
-// A MultiExecutor pools several platforms on one shared simulation, so a
-// multi-site run — or an ensemble of them — is still one virtual clock
-// advanced by one goroutine, with events from every site interleaving in
-// global time order.
+// The Executor is a pool of one or more sites on one des.Simulation, so a
+// multi-site run — or an ensemble of them — is one virtual clock advanced by
+// one goroutine, with events from every site interleaving in global time
+// order; a single-platform run is a pool of one. Each site keeps one record
+// per in-flight attempt in an index-addressed slab and is the des.Handler of
+// every event it schedules: the end of the dispatch latency, the slot grant,
+// the completion or eviction, and the slot-ramp and fault-timeline steps,
+// attempt events carrying the record's index. An attempt allocates nothing
+// between Submit and its terminal event, whose kickstart record is built
+// from the attempt record. Terminal events leave by one FIFO of (member tag,
+// event): Next serves engine.Run, Pull a driver that submits under its
+// members' tags (SubmitFor). Reserve sizes the kernel, the slot pools and
+// the slabs for a job count; only the bytes allocated depend on it.
 package platform

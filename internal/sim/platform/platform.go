@@ -7,7 +7,6 @@ import (
 
 	"pegflow/internal/engine"
 	"pegflow/internal/fault"
-	"pegflow/internal/fifo"
 	"pegflow/internal/kickstart"
 	"pegflow/internal/planner"
 	"pegflow/internal/sim/des"
@@ -138,11 +137,13 @@ func Cloud(seed uint64) Config {
 	}
 }
 
-// Executor runs planned jobs on a simulated platform in virtual time. It
-// implements engine.Executor; the engine's control flow is identical to
-// the real-execution path.
-type Executor struct {
+// site is one platform of an Executor's pool: its slots, random streams,
+// fault timeline, attempt slab and record arena. It is the des.Handler of
+// every event it schedules on the pool's clock, and it delivers terminal
+// events to the pool's one queue.
+type site struct {
 	cfg   Config
+	pool  *Executor
 	sim   *des.Simulation
 	slots *des.Resource
 
@@ -154,7 +155,7 @@ type Executor struct {
 
 	// faults is the site's compiled fault timeline; nil for a healthy run,
 	// in which case none of the fault paths below are ever entered and the
-	// executor's event stream is bit-identical to earlier versions.
+	// site's event stream is bit-identical to earlier versions.
 	faults *fault.Timeline
 	// capBase is the ramp-managed capacity; capLimit the fault-imposed
 	// one. The slot pool always runs at min(capBase, capLimit).
@@ -162,9 +163,7 @@ type Executor struct {
 	capLimit int
 	// active holds, by slab index, what a correlated preemption needs of
 	// every occupied-slot attempt; maintained only when a fault timeline is
-	// installed (tracking), so a healthy run's attempt records do not
-	// carry it.
-	tracking   bool
+	// installed, so a healthy run's attempt records do not carry it.
 	active     map[int32]occupied
 	attemptSeq int64
 	// Outage/downtime accounting: an outage is any interval with the
@@ -175,14 +174,8 @@ type Executor struct {
 	// bpScratch is reused across hazard-window integrations.
 	bpScratch []float64
 
-	// emit delivers terminal events; by default it appends to pending,
-	// but a MultiExecutor routes it into a shared queue, and per-job
-	// overrides (SubmitTagged) let an ensemble driver demultiplex.
-	emit      func(engine.Event)
-	pending   fifo.Queue[engine.Event]
-	submitted int
-	nextFree  float64 // submit-host release time for the next submission
-	nodeSeq   int
+	nextFree float64 // submit-host release time for the next submission
+	nodeSeq  int
 	// nodeNames is the Slots-sized node-name table, filled on first use: a
 	// record's node label is an index, and a cell that runs ten attempts
 	// formats ten names.
@@ -240,42 +233,25 @@ func (a *recArena) alloc() *kickstart.Record {
 	return &a.chunk[len(a.chunk)-1]
 }
 
-// ArenaRecords reports the number of kickstart-record slots the executor
-// has ever materialized — the record-retention high-water mark. An
-// aggregating run recycles records through the engine, so this stays at
-// the in-flight level however many attempts the run makes.
-func (e *Executor) ArenaRecords() int { return e.recs.allocated }
-
 func (a *recArena) recycle(r *kickstart.Record) {
 	a.free = append(a.free, r)
 }
 
-// NewExecutor builds an executor for the platform configuration with its
-// own virtual clock.
-func NewExecutor(cfg Config) (*Executor, error) {
-	e, err := newExecutorOn(des.New(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.emit = func(ev engine.Event) { e.pending.Push(ev) }
-	return e, nil
-}
-
-// newExecutorOn builds an executor sharing the given simulation — the
-// building block of multi-site pools, where every site advances one common
-// virtual clock. The caller must set emit before submitting.
-func newExecutorOn(sim *des.Simulation, cfg Config) (*Executor, error) {
+// newSite builds a site of the pool, on the pool's clock.
+func newSite(pool *Executor, cfg Config) (*site, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sim := pool.sim
 	base := rng.New(cfg.Seed).Derive("platform/" + cfg.Name)
 	startSlots := cfg.Slots
 	ramp := cfg.InitialSlots > 0 && cfg.InitialSlots < cfg.Slots && cfg.SlotRampInterval > 0
 	if ramp {
 		startSlots = cfg.InitialSlots
 	}
-	e := &Executor{
+	s := &site{
 		cfg:      cfg,
+		pool:     pool,
 		sim:      sim,
 		slots:    des.NewResource(sim, startSlots),
 		dispatch: base.Derive("dispatch"),
@@ -287,7 +263,7 @@ func newExecutorOn(sim *des.Simulation, cfg Config) (*Executor, error) {
 		capLimit: fault.NoLimit,
 		attempts: attemptSlab{free: -1},
 	}
-	e.nodeNames = make([]string, cfg.Slots)
+	s.nodeNames = make([]string, cfg.Slots)
 	if ramp {
 		// Every step is scheduled up front, in order: a fault step landing
 		// on a multiple of SlotRampInterval must keep firing after the ramp
@@ -295,34 +271,25 @@ func newExecutorOn(sim *des.Simulation, cfg Config) (*Executor, error) {
 		steps := cfg.Slots - cfg.InitialSlots
 		sim.Reserve(steps)
 		for k := 1; k <= steps; k++ {
-			sim.AtOp(des.Time(float64(k)*cfg.SlotRampInterval), e, opRamp, int32(cfg.InitialSlots+k))
+			sim.AtOp(des.Time(float64(k)*cfg.SlotRampInterval), s, opRamp, int32(cfg.InitialSlots+k))
 		}
 	}
-	return e, nil
+	return s, nil
 }
 
-// Reserve sizes the executor for a plan of the given number of jobs: the
-// kernel's event arena and heap, the slot pool's request arena and queue and
-// the attempt slab are each allocated once instead of grown. The caller
-// that owns both the plan and the executor calls it before the run; it is
-// a sizing hint whose absence changes bytes allocated, never results.
-func (e *Executor) Reserve(jobs int) {
-	e.sim.Reserve(jobs)
-	e.reserveSite(jobs)
-}
-
-// reserveSite sizes the per-site state (everything but the shared kernel).
-func (e *Executor) reserveSite(jobs int) {
-	e.slots.Reserve(jobs)
-	e.attempts.reserve(jobs)
+// reserve sizes the slot pool's request arena and queue and the attempt slab
+// for the given number of jobs.
+func (s *site) reserve(jobs int) {
+	s.slots.Reserve(jobs)
+	s.attempts.reserve(jobs)
 }
 
 // nodeName returns the label of node i, formatting it on first use.
-func (e *Executor) nodeName(i int32) string {
-	if e.nodeNames[i] == "" {
-		e.nodeNames[i] = formatNodeName(e.cfg.Name, i)
+func (s *site) nodeName(i int32) string {
+	if s.nodeNames[i] == "" {
+		s.nodeNames[i] = formatNodeName(s.cfg.Name, i)
 	}
-	return e.nodeNames[i]
+	return s.nodeNames[i]
 }
 
 // formatNodeName is fmt.Sprintf("%s-node-%04d", site, i) for i >= 0, built
@@ -338,7 +305,7 @@ func formatNodeName(site string, i int32) string {
 	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
-// The executor's event operations. An attempt's events carry its slab
+// The site's event operations. An attempt's events carry its slab
 // index as the argument; the capacity events carry what their comment says.
 const (
 	opSubmit   int32 = iota // a SubmitAfter delay ran out
@@ -351,26 +318,26 @@ const (
 	opPreempt               // correlated preemption; arg = index in faults.Preempts
 )
 
-// HandleEvent implements des.Handler: every event the executor schedules
+// HandleEvent implements des.Handler: every event the site schedules
 // is one of the operations above.
-func (e *Executor) HandleEvent(op, arg int32) {
+func (s *site) HandleEvent(op, arg int32) {
 	switch op {
 	case opSubmit:
-		e.dispatchAttempt(arg)
+		s.dispatchAttempt(arg)
 	case opDispatch:
-		e.slots.AcquireOp(1, e, opGranted, arg)
+		s.slots.AcquireOp(1, s, opGranted, arg)
 	case opGranted:
-		e.runOnNode(arg)
+		s.runOnNode(arg)
 	case opEvicted:
-		e.finishEvicted(arg, "slot reclaimed by resource owner")
+		s.finishEvicted(arg, "slot reclaimed by resource owner")
 	case opDone:
-		e.finishDone(arg)
+		s.finishDone(arg)
 	case opRamp:
-		e.setBaseCapacity(int(arg))
+		s.setBaseCapacity(int(arg))
 	case opCapLimit:
-		e.setCapLimit(e.faults.Steps[arg].Limit)
+		s.setCapLimit(s.faults.Steps[arg].Limit)
 	case opPreempt:
-		e.preemptOccupied(e.faults.Preempts[arg].Fraction)
+		s.preemptOccupied(s.faults.Preempts[arg].Fraction)
 	}
 }
 
@@ -381,13 +348,14 @@ func (e *Executor) HandleEvent(op, arg int32) {
 // fault took the slot. The kickstart record is built from it at the
 // terminal event.
 type attempt struct {
-	job  *planner.Job
-	emit func(engine.Event)
+	job *planner.Job
 	// submitTime is when the engine handed the attempt over; setupStart
 	// when its slot was granted.
 	submitTime, setupStart float64
 	setupDur, nodeSpeed    float64
 	attempt                int32
+	// member is the tag the attempt was submitted under (Executor.SubmitFor).
+	member int32
 	// node indexes nodeNames; a free record holds its free-list link here.
 	node int32
 }
@@ -446,100 +414,92 @@ func (s *attemptSlab) release(i int32) {
 	s.free = i
 }
 
-// InstallFaults arms the executor with a compiled fault timeline,
-// scheduling its capacity steps and correlated preemptions as simulation
-// events. Must be called before any submissions, at virtual time zero.
-func (e *Executor) InstallFaults(tl *fault.Timeline) {
-	if tl == nil {
-		return
-	}
-	e.faults = tl
-	e.tracking = true
-	if e.active == nil {
-		e.active = make(map[int32]occupied)
-	}
+// installFaults arms the site with its compiled fault timeline, scheduling
+// its capacity steps and correlated preemptions as simulation events.
+func (s *site) installFaults(tl *fault.Timeline) {
+	s.faults = tl
+	s.active = make(map[int32]occupied)
 	for i, st := range tl.Steps {
-		e.sim.AtOp(des.Time(st.At), e, opCapLimit, int32(i))
+		s.sim.AtOp(des.Time(st.At), s, opCapLimit, int32(i))
 	}
 	for i, p := range tl.Preempts {
-		e.sim.AtOp(des.Time(p.At), e, opPreempt, int32(i))
+		s.sim.AtOp(des.Time(p.At), s, opPreempt, int32(i))
 	}
 }
 
 // setBaseCapacity updates the ramp-managed capacity.
-func (e *Executor) setBaseCapacity(c int) {
-	e.capBase = c
-	e.applyCapacity()
+func (s *site) setBaseCapacity(c int) {
+	s.capBase = c
+	s.applyCapacity()
 }
 
 // setCapLimit updates the fault-imposed limit, tracking outage intervals
 // (limit at zero) for the downtime accounting.
-func (e *Executor) setCapLimit(limit int) {
-	wasDown := e.capLimit == 0
-	e.capLimit = limit
+func (s *site) setCapLimit(limit int) {
+	wasDown := s.capLimit == 0
+	s.capLimit = limit
 	if limit == 0 && !wasDown {
-		e.outages++
-		e.downSince = e.Now()
+		s.outages++
+		s.downSince = s.now()
 	} else if limit != 0 && wasDown {
-		e.downSeconds += e.Now() - e.downSince
+		s.downSeconds += s.now() - s.downSince
 	}
-	e.applyCapacity()
+	s.applyCapacity()
 }
 
-func (e *Executor) applyCapacity() {
-	eff := e.capBase
-	if e.capLimit < eff {
-		eff = e.capLimit
+func (s *site) applyCapacity() {
+	eff := s.capBase
+	if s.capLimit < eff {
+		eff = s.capLimit
 	}
-	e.slots.SetCapacity(eff)
+	s.slots.SetCapacity(eff)
 }
 
 // preemptOccupied evicts each occupied-slot attempt independently with
 // the given probability (1 = all). Attempts are visited in admission
 // order so the draw sequence — and therefore the output — is fully
 // deterministic.
-func (e *Executor) preemptOccupied(fraction float64) {
-	if len(e.active) == 0 {
+func (s *site) preemptOccupied(fraction float64) {
+	if len(s.active) == 0 {
 		return
 	}
 	type victim struct {
 		occupied
 		idx int32
 	}
-	victims := make([]victim, 0, len(e.active))
-	for idx, o := range e.active {
+	victims := make([]victim, 0, len(s.active))
+	for idx, o := range s.active {
 		victims = append(victims, victim{o, idx})
 	}
 	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
 	for _, v := range victims {
-		if fraction < 1 && e.frng.Float64() >= fraction {
+		if fraction < 1 && s.frng.Float64() >= fraction {
 			continue
 		}
-		e.sim.Cancel(v.done)
-		e.finishEvicted(v.idx, "slot lost to site fault")
+		s.sim.Cancel(v.done)
+		s.finishEvicted(v.idx, "slot lost to site fault")
 	}
 }
 
-// retire ends attempt idx: its record leaves the slab and the active map
-// and is returned by value, since the emit that follows may submit and
-// regrow the slab.
-func (e *Executor) retire(idx int32) attempt {
-	a := e.attempts.recs[idx]
-	e.attempts.release(idx)
-	if e.tracking {
-		delete(e.active, idx)
+// retire ends attempt idx: its record leaves the active map and the slab,
+// which clears it, so it is returned by value.
+func (s *site) retire(idx int32) attempt {
+	a := s.attempts.recs[idx]
+	s.attempts.release(idx)
+	if s.faults != nil {
+		delete(s.active, idx)
 	}
 	return a
 }
 
 // newRecord starts the kickstart record of a terminated attempt.
-func (e *Executor) newRecord(a *attempt) *kickstart.Record {
-	rec := e.recs.alloc()
+func (s *site) newRecord(a *attempt) *kickstart.Record {
+	rec := s.recs.alloc()
 	*rec = kickstart.Record{
 		JobID:          a.job.ID,
 		Transformation: a.job.Transformation,
-		Site:           e.cfg.Name,
-		Node:           e.nodeName(a.node),
+		Site:           s.cfg.Name,
+		Node:           s.nodeName(a.node),
 		Attempt:        int(a.attempt),
 		SubmitTime:     a.submitTime,
 		SetupStart:     a.setupStart,
@@ -551,12 +511,12 @@ func (e *Executor) newRecord(a *attempt) *kickstart.Record {
 }
 
 // finishEvicted finalizes an evicted attempt's record, frees its slot and
-// emits the eviction event — shared by hazard evictions and correlated
+// queues the eviction event — shared by hazard evictions and correlated
 // fault preemptions.
-func (e *Executor) finishEvicted(idx int32, msg string) {
-	a := e.retire(idx)
-	end := e.Now()
-	rec := e.newRecord(&a)
+func (s *site) finishEvicted(idx int32, msg string) {
+	a := s.retire(idx)
+	end := s.now()
+	rec := s.newRecord(&a)
 	rec.ExecStart = a.setupStart + a.setupDur
 	if rec.ExecStart > end {
 		rec.ExecStart = end // evicted during setup
@@ -564,132 +524,117 @@ func (e *Executor) finishEvicted(idx int32, msg string) {
 	rec.EndTime = end
 	rec.Status = kickstart.StatusEvicted
 	rec.ExitMessage = msg
-	e.slots.Release(1)
-	a.emit(engine.Event{
+	s.slots.Release(1)
+	s.deliver(&a, engine.Event{
 		JobID: a.job.ID, Type: engine.EventEvicted, Time: end, Record: rec,
 	})
 }
 
 // finishDone is the terminal event of an attempt that ran to completion.
-func (e *Executor) finishDone(idx int32) {
-	a := e.retire(idx)
-	end := e.Now()
-	e.slots.Release(1)
+func (s *site) finishDone(idx int32) {
+	a := s.retire(idx)
+	end := s.now()
+	s.slots.Release(1)
 	if len(a.job.Members) > 0 {
-		a.emit(engine.Event{
+		s.deliver(&a, engine.Event{
 			JobID: a.job.ID, Type: engine.EventFinished, Time: end,
-			Members: e.memberRecords(&a, end),
+			Members: s.memberRecords(&a, end),
 		})
 		return
 	}
-	rec := e.newRecord(&a)
+	rec := s.newRecord(&a)
 	rec.ExecStart = a.setupStart + a.setupDur
 	rec.EndTime = end
 	rec.Status = kickstart.StatusSuccess
-	a.emit(engine.Event{
+	s.deliver(&a, engine.Event{
 		JobID: a.job.ID, Type: engine.EventFinished, Time: end, Record: rec,
 	})
 }
 
-// Outages reports how many fault-imposed full outages have begun.
-func (e *Executor) Outages() int { return e.outages }
+// deliver queues the terminal event of attempt a on the pool, under the
+// attempt's member tag.
+func (s *site) deliver(a *attempt, ev engine.Event) {
+	s.pool.events.Push(delivery{member: a.member, ev: ev})
+}
 
-// DowntimeSeconds reports the virtual seconds spent in outage so far,
-// including the open interval of an outage still in progress (or one
-// spanning the end of the run).
-func (e *Executor) DowntimeSeconds() float64 {
-	d := e.downSeconds
-	if e.capLimit == 0 {
-		d += e.Now() - e.downSince
+// usage reports the site's occupancy and outage accounting so far; an
+// outage still in progress counts up to now.
+func (s *site) usage() SiteUsage {
+	down := s.downSeconds
+	if s.capLimit == 0 {
+		down += s.now() - s.downSince
 	}
-	return d
+	return SiteUsage{
+		Site:                s.cfg.Name,
+		Slots:               s.cfg.Slots,
+		MaxBusySlots:        s.slots.MaxInUse,
+		BusySlotSeconds:     s.slots.BusySlotSeconds(),
+		CapacitySlotSeconds: s.slots.CapacitySlotSeconds(),
+		Outages:             s.outages,
+		DowntimeSeconds:     down,
+	}
 }
 
-// Now returns the current virtual time in seconds.
-func (e *Executor) Now() float64 { return e.sim.Now().Seconds() }
+// now returns the pool's virtual time in seconds.
+func (s *site) now() float64 { return s.sim.Now().Seconds() }
 
-// MaxBusySlots reports the high-water mark of concurrently busy slots.
-func (e *Executor) MaxBusySlots() int { return e.slots.MaxInUse }
-
-// BusySlotSeconds reports the slot·seconds of occupancy so far.
-func (e *Executor) BusySlotSeconds() float64 { return e.slots.BusySlotSeconds() }
-
-// CapacitySlotSeconds reports the slot·seconds of capacity so far
-// (accounting for opportunistic slot ramps).
-func (e *Executor) CapacitySlotSeconds() float64 { return e.slots.CapacitySlotSeconds() }
-
-// Config returns the platform configuration.
-func (e *Executor) Config() Config { return e.cfg }
-
-// Submit schedules the job attempt onto the platform.
-func (e *Executor) Submit(job *planner.Job, attempt int) {
-	e.submitWith(job, attempt, e.emit)
-}
-
-// SubmitTagged schedules the job attempt, delivering its terminal event
-// through emit instead of the executor's own queue. Ensemble drivers use
-// this to attribute events to the submitting workflow.
-func (e *Executor) SubmitTagged(job *planner.Job, attempt int, emit func(engine.Event)) {
-	e.submitWith(job, attempt, emit)
-}
-
-func (e *Executor) submitWith(job *planner.Job, attempt int, emit func(engine.Event)) {
-	e.dispatchAttempt(e.newAttempt(job, attempt, emit))
+// submit schedules the job attempt onto the site under the member tag.
+func (s *site) submit(member int32, job *planner.Job, attempt int) {
+	s.dispatchAttempt(s.newAttempt(job, attempt, member))
 }
 
 // newAttempt opens the record of one attempt.
-func (e *Executor) newAttempt(job *planner.Job, attempt int, emit func(engine.Event)) int32 {
-	idx := e.attempts.alloc()
-	a := &e.attempts.recs[idx]
-	a.job, a.attempt, a.emit = job, int32(attempt), emit
+func (s *site) newAttempt(job *planner.Job, attempt int, member int32) int32 {
+	idx := s.attempts.alloc()
+	a := &s.attempts.recs[idx]
+	a.job, a.attempt, a.member = job, int32(attempt), member
 	return idx
 }
 
 // dispatchAttempt passes the attempt through the submit host and schedules
 // the end of its dispatch latency.
-func (e *Executor) dispatchAttempt(idx int32) {
-	now := e.Now()
+func (s *site) dispatchAttempt(idx int32) {
+	now := s.now()
 	// Serialize submissions through the submit host.
 	release := now
-	if e.nextFree > release {
-		release = e.nextFree
+	if s.nextFree > release {
+		release = s.nextFree
 	}
-	e.nextFree = release + e.cfg.SubmitInterval
-	e.submitted++
+	s.nextFree = release + s.cfg.SubmitInterval
 
-	e.attempts.recs[idx].submitTime = now
-	delay := (release - now) + e.dispatch.LogNormalMeanCV(e.cfg.DispatchMean, e.cfg.DispatchCV)
-	if e.faults != nil {
+	s.attempts.recs[idx].submitTime = now
+	delay := (release - now) + s.dispatch.LogNormalMeanCV(s.cfg.DispatchMean, s.cfg.DispatchCV)
+	if s.faults != nil {
 		// A dispatch landing inside a blackout window is held until the
 		// window ends — the scheduler simply stops matching jobs.
-		land := e.faults.DelayThroughBlackouts(now + delay)
+		land := s.faults.DelayThroughBlackouts(now + delay)
 		delay = land - now
 	}
-	e.sim.AfterOp(delay, e, opDispatch, idx)
+	s.sim.AfterOp(delay, s, opDispatch, idx)
 }
 
 // runOnNode starts the setup and payload phases once a slot is granted,
 // racing them against the platform's preemption hazard: it schedules the
 // attempt's one terminal event.
-func (e *Executor) runOnNode(idx int32) {
-	a := &e.attempts.recs[idx] // nothing below submits, so a stays valid
+func (s *site) runOnNode(idx int32) {
+	a := &s.attempts.recs[idx] // nothing below submits, so a stays valid
 	job := a.job
-	a.setupStart = e.Now()
-	e.nodeSeq++
-	a.node = int32(e.nodeSeq % e.cfg.Slots)
+	a.setupStart = s.now()
+	s.nodeSeq++
+	a.node = int32(s.nodeSeq % s.cfg.Slots)
 
-	a.nodeSpeed = e.cfg.SpeedFactor
-	if e.cfg.SpeedJitter > 0 {
-		a.nodeSpeed *= e.speed.Uniform(1-e.cfg.SpeedJitter, 1+e.cfg.SpeedJitter)
+	a.nodeSpeed = s.cfg.SpeedFactor
+	if s.cfg.SpeedJitter > 0 {
+		a.nodeSpeed *= s.speed.Uniform(1-s.cfg.SpeedJitter, 1+s.cfg.SpeedJitter)
 	}
 
 	if job.NeedsInstall {
 		// The install is paid once per grid job: a composite (clustered)
 		// job stages its software stack a single time and all member
 		// payloads share it — the amortization clustering buys.
-		a.setupDur = e.setup.LogNormalMeanCV(e.cfg.SetupMean, e.cfg.SetupCV)
-		if e.cfg.SetupBytesPerSec > 0 && job.InstallBytes > 0 {
-			a.setupDur += float64(job.InstallBytes) / e.cfg.SetupBytesPerSec
+		a.setupDur = s.setup.LogNormalMeanCV(s.cfg.SetupMean, s.cfg.SetupCV)
+		if s.cfg.SetupBytesPerSec > 0 && job.InstallBytes > 0 {
+			a.setupDur += float64(job.InstallBytes) / s.cfg.SetupBytesPerSec
 		}
 	}
 	execDur := job.ExecSeconds * a.nodeSpeed
@@ -705,20 +650,20 @@ func (e *Executor) runOnNode(idx int32) {
 	total := a.setupDur + execDur
 
 	op, after := opDone, total
-	hazards := e.faults != nil && len(e.faults.Hazards) > 0
-	if e.cfg.EvictionRate > 0 && !hazards {
-		if tte := e.evict.Exponential(1 / e.cfg.EvictionRate); tte < total {
+	hazards := s.faults != nil && len(s.faults.Hazards) > 0
+	if s.cfg.EvictionRate > 0 && !hazards {
+		if tte := s.evict.Exponential(1 / s.cfg.EvictionRate); tte < total {
 			op, after = opEvicted, tte
 		}
 	} else if hazards {
-		if tte, ok := e.stormEvictionTime(a.setupStart, total); ok {
+		if tte, ok := s.stormEvictionTime(a.setupStart, total); ok {
 			op, after = opEvicted, tte
 		}
 	}
-	done := e.sim.AfterOp(after, e, op, idx)
-	if e.tracking {
-		e.attemptSeq++
-		e.active[idx] = occupied{seq: e.attemptSeq, done: done}
+	done := s.sim.AfterOp(after, s, op, idx)
+	if s.faults != nil {
+		s.attemptSeq++
+		s.active[idx] = occupied{seq: s.attemptSeq, done: done}
 	}
 }
 
@@ -728,18 +673,18 @@ func (e *Executor) runOnNode(idx int32) {
 // [start, start+total). Exactly one stream draw per attempt keeps the
 // sequence aligned no matter how windows land, so output stays
 // deterministic across worker counts.
-func (e *Executor) stormEvictionTime(start, total float64) (float64, bool) {
-	target := e.evict.Exponential(1)
+func (s *site) stormEvictionTime(start, total float64) (float64, bool) {
+	target := s.evict.Exponential(1)
 	end := start + total
-	e.bpScratch = e.faults.HazardBreakpoints(e.bpScratch[:0], start, end)
-	bps := e.bpScratch
+	s.bpScratch = s.faults.HazardBreakpoints(s.bpScratch[:0], start, end)
+	bps := s.bpScratch
 	t0 := start
 	for i := 0; i <= len(bps); i++ {
 		t1 := end
 		if i < len(bps) {
 			t1 = bps[i]
 		}
-		if h := e.faults.HazardAt(e.cfg.EvictionRate, t0); h > 0 {
+		if h := s.faults.HazardAt(s.cfg.EvictionRate, t0); h > 0 {
 			seg := (t1 - t0) * h
 			if target <= seg {
 				return (t0 - start) + target/h, true
@@ -751,34 +696,24 @@ func (e *Executor) stormEvictionTime(start, total float64) (float64, bool) {
 	return 0, false
 }
 
-// SubmitAfter schedules the job attempt after a virtual delay — the
-// engine's backoff hook. A non-positive delay submits immediately.
-func (e *Executor) SubmitAfter(job *planner.Job, attempt int, delay float64) {
-	if delay <= 0 {
-		e.Submit(job, attempt)
-		return
-	}
-	e.sim.AfterOp(delay, e, opSubmit, e.newAttempt(job, attempt, e.emit))
-}
-
 // memberRecords builds the per-task kickstart records of one successful
 // composite-job attempt. Member 0 carries the shared setup phase; each
 // later member's waiting phase extends until the slot turned to it (it
 // queued behind its siblings on the node) and its own setup is zero — the
 // install was already paid. The last member is pinned to the composite's
 // end time so the records and the engine event agree to the bit.
-func (e *Executor) memberRecords(a *attempt, end float64) []*kickstart.Record {
-	job, node := a.job, e.nodeName(a.node)
+func (s *site) memberRecords(a *attempt, end float64) []*kickstart.Record {
+	job, node := a.job, s.nodeName(a.node)
 	out := make([]*kickstart.Record, 0, len(job.Members))
 	t := a.setupStart + a.setupDur
 	for i, m := range job.Members {
 		start := t
 		t += m.ExecSeconds * a.nodeSpeed
-		rec := e.recs.alloc()
+		rec := s.recs.alloc()
 		*rec = kickstart.Record{
 			JobID:          m.TaskID,
 			Transformation: job.Transformation,
-			Site:           e.cfg.Name,
+			Site:           s.cfg.Name,
 			Node:           node,
 			Attempt:        int(a.attempt),
 			ClusterID:      job.ID,
@@ -803,22 +738,3 @@ func (e *Executor) memberRecords(a *attempt, end float64) []*kickstart.Record {
 	}
 	return out
 }
-
-// Next advances virtual time until a job event is available.
-func (e *Executor) Next() engine.Event {
-	for e.pending.Len() == 0 {
-		if !e.sim.Step() {
-			panic("platform: executor deadlock: no pending events but jobs outstanding")
-		}
-	}
-	return e.pending.Pop()
-}
-
-// Recycle returns a spent record's arena slot for reuse — the engine's
-// aggregation mode calls this after folding each record. The record was
-// allocated by this executor (records never change Site) and must not
-// be touched by the caller afterwards.
-func (e *Executor) Recycle(r *kickstart.Record) { e.recs.recycle(r) }
-
-var _ engine.Executor = (*Executor)(nil)
-var _ engine.RecordRecycler = (*Executor)(nil)

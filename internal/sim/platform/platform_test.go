@@ -92,8 +92,8 @@ func TestSlotContentionSerializes(t *testing.T) {
 	if maxWait != 20 {
 		t.Errorf("max waiting = %v, want 20", maxWait)
 	}
-	if ex.MaxBusySlots() != 1 {
-		t.Errorf("MaxBusySlots = %d, want 1", ex.MaxBusySlots())
+	if got := ex.Usage()[0].MaxBusySlots; got != 1 {
+		t.Errorf("MaxBusySlots = %d, want 1", got)
 	}
 }
 

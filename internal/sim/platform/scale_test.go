@@ -54,8 +54,8 @@ func runStormyFlat(t *testing.T, n int, cluster, aggregate bool) (highWater, log
 	if cluster && (!res.Success || res.Evictions == 0) {
 		t.Fatalf("fixture broken: clustered run success=%v with %d evictions", res.Success, res.Evictions)
 	}
-	for _, name := range pool.SiteNames() {
-		highWater += pool.Site(name).ArenaRecords()
+	for _, s := range pool.sites {
+		highWater += s.recs.allocated
 	}
 	return highWater, res.Log.Len()
 }
