@@ -5,6 +5,7 @@ import (
 
 	"pegflow/internal/catalog"
 	"pegflow/internal/engine"
+	"pegflow/internal/fault"
 )
 
 func TestSlotRampDelaysExcessJobs(t *testing.T) {
@@ -107,5 +108,45 @@ func TestRampConfigValidation(t *testing.T) {
 	cfg.SlotRampInterval = -5
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative ramp interval accepted")
+	}
+}
+
+// TestRampStepFiresBeforeTiedFaultStep pins the tie between the slot ramp
+// and a fault capacity step at the same instant: ramp step k fires first.
+// On the OSG preset's ramp (30 slots, one more every 25 s) with every slot
+// wanted, step 144 at 3600 s raises the base to 174 slots and grants a
+// 174th attempt; a capacity step to 173 slots at 3600 s applies after that
+// grant. A step just before the ramp step caps the pool at 173 for good.
+func TestRampStepFiresBeforeTiedFaultStep(t *testing.T) {
+	osg := OSG(1)
+	run := func(at float64) SiteUsage {
+		cfg := plainConfig(osg.Slots)
+		cfg.InitialSlots, cfg.SlotRampInterval = osg.InitialSlots, osg.SlotRampInterval
+		ex := installChurn(t, cfg, []fault.Spec{
+			{Type: fault.TypeCapacity, Site: "plain", At: at, Slots: intp(173)},
+		})
+		runtimes := make([]float64, 200)
+		for i := range runtimes {
+			runtimes[i] = 10000
+		}
+		p := buildPlan(t, plainSite("plain", cfg.Slots), true, runtimes)
+		res, err := engine.Run(p, ex, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Success {
+			t.Fatalf("step at %v: workflow failed", at)
+		}
+		return usageOf(t, ex, "plain")
+	}
+	if osg.InitialSlots != 30 || osg.SlotRampInterval != 25 {
+		t.Fatalf("OSG ramp is %d slots + 1 per %v s; the instants below assume 30 and 25",
+			osg.InitialSlots, osg.SlotRampInterval)
+	}
+	if got := run(144 * 25).MaxBusySlots; got != 174 {
+		t.Errorf("capacity step tied with ramp step 144: MaxBusySlots = %d, want 174 (ramp step first)", got)
+	}
+	if got := run(144*25 - 0.5).MaxBusySlots; got != 173 {
+		t.Errorf("capacity step before ramp step 144: MaxBusySlots = %d, want 173", got)
 	}
 }
