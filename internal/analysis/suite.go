@@ -72,12 +72,17 @@ func NewEscapeGate() *EscapeGate {
 		{
 			Pkg: "pegflow/internal/sim/des",
 			Funcs: []string{
-				// event slab + heap
+				// event slab, lane, heap and series
 				"Simulation.AtOp", "Simulation.AfterOp", "Simulation.At",
-				"Simulation.After", "Simulation.Cancel", "Simulation.Step",
-				"Simulation.release", "Simulation.lookup",
-				"Simulation.heapPush", "Simulation.heapRemove",
-				"Simulation.siftUp", "Simulation.siftDown",
+				"Simulation.After", "Simulation.AtSeriesOp",
+				"Simulation.Cancel", "Simulation.Step",
+				"Simulation.front", "Simulation.stepSeries",
+				"Simulation.findSoonest",
+				"Simulation.release", "Simulation.freeSlot",
+				"Simulation.lookup", "Simulation.lanePush",
+				"Simulation.compact",
+				"Simulation.heapPush", "Simulation.heapPop",
+				"Simulation.siftUp", "Simulation.sink",
 				"heapEntry.before", "funcHandler.HandleEvent",
 				// resource request arena
 				"Resource.AcquireOp", "Resource.Acquire", "Resource.Release",

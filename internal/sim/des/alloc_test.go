@@ -3,6 +3,7 @@ package des
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // The allocation regression gate (run by CI as `go test -run 'TestAllocs'`):
@@ -54,6 +55,33 @@ func TestAllocsScheduleFireDeepQueue(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("deep-queue schedule→fire allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// Zero-delay events go to the lane, not the heap: a slot grant is one. The
+// lane is threaded through the event slab, so it has no storage to grow.
+func TestAllocsScheduleFireZeroDelay(t *testing.T) {
+	s := New()
+	fn := func() {}
+	h := &countHandler{}
+	s.After(1e9, fn) // a heap entry the lane is compared against
+	for i := 0; i < 128; i++ {
+		s.After(0, fn)
+	}
+	for s.Pending() > 1 {
+		s.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.After(0, fn)
+		s.AfterOp(0, h, 1, 2)
+		s.Step()
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("zero-delay schedule→fire allocates %.1f/op, want 0", allocs)
+	}
+	if h.n[1] != 2*1001 || s.Now() != 0 {
+		t.Errorf("typed events delivered %d by %v, want %d at 0s", h.n[1], s.Now(), 2*1001)
 	}
 }
 
@@ -123,6 +151,17 @@ func TestAllocsReservedBurst(t *testing.T) {
 	// wait queue.
 	if allocs > 6 {
 		t.Errorf("reserved burst of %d events and requests made %.0f allocations, want <= 6", n, allocs)
+	}
+}
+
+// The arena's records stay two to a cache line, and the heap's four
+// siblings share one.
+func TestSlabRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Errorf("event record is %d B, want 32", n)
+	}
+	if n := unsafe.Sizeof(heapEntry{}); n != 16 {
+		t.Errorf("heap entry is %d B, want 16", n)
 	}
 }
 

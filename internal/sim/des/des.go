@@ -42,23 +42,24 @@ type EventID struct {
 	gen  uint32
 }
 
-// event is one slab entry. Slots are reused; gen increments on every
-// release so stale EventIDs cannot alias a later event in the same slot.
-// (A slot's generation wraps after ~4 billion reuses; a collision would
-// additionally need a caller holding a handle across that entire span.)
-// The firing key (at, seq) lives in the heap entry, reached through hpos.
+// event is one slab entry. Slots are reused; gen increments when the event
+// fires or is canceled, so stale EventIDs cannot alias a later event in the
+// same slot. (A slot's generation wraps after ~4 billion reuses; a
+// collision would additionally need a caller holding a handle across that
+// entire span.) A nil h marks a slot that holds no live event: free, fired,
+// or canceled and still queued (a tombstone). The firing key (at, seq) of
+// a heap event lives in its heap entry; a lane event's key is implied.
 type event struct {
 	h   Handler
 	op  int32
 	arg int32
 	gen uint32
-	// hpos is the index in the heap array while queued. A free slot holds
-	// freeLink(next), the next free slot encoded as a negative number, so
-	// any negative value means "not queued".
-	hpos int32
+	// next links the slot into a list, -1 ending it: the lane while the
+	// event waits there, the free list while the slot is free.
+	next int32
 }
 
-// heapEntry is one queue position: the firing key inline, so sifting
+// heapEntry is one heap position: the firing key inline, so sifting
 // compares entries without touching the event slab, and four siblings of
 // the 4-ary heap share a cache line.
 type heapEntry struct {
@@ -66,10 +67,6 @@ type heapEntry struct {
 	seq  uint32
 	slot int32
 }
-
-// freeLink encodes a free-list link (a slot index, or -1 for the end of
-// the list) as a negative number; it is its own inverse.
-func freeLink(next int32) int32 { return -2 - next }
 
 // before orders entries by (time, scheduling sequence). Sequence numbers
 // are unique, so this is a strict total order and the firing order does not
@@ -81,6 +78,18 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// series is one periodic series of AtSeriesOp: its k-th firing delivers
+// h.HandleEvent(op, arg0+k) at Time(float64(k)*dt), for k up to n. next is
+// the firing key of its k-th firing, the one it stands for in the queue
+// (its slot is unused).
+type series struct {
+	h        Handler
+	dt       float64
+	next     heapEntry
+	op, arg0 int32
+	k, n     int32
+}
+
 // noCopy makes `go vet` (copylocks) reject a by-value copy of any struct that
 // holds it: the zero-size guard of this package's slab types.
 type noCopy struct{}
@@ -90,23 +99,40 @@ func (*noCopy) Unlock() {}
 
 // Simulation is a discrete-event simulator instance.
 //
+// Events are taken from three sources in one (at, seq) order: the lane, a
+// FIFO of the events scheduled for the current instant; a 4-ary heap of the
+// other one-off events; and the periodic series, one entry each. An event
+// put in the lane at time t was scheduled with the clock at t, after every
+// heap or series firing for t (those were scheduled earlier: a series
+// starts after the instant it is created at), so the earliest timed entry
+// goes first when it is due now and the lane head goes first otherwise.
+//
 // Copying a Simulation by value aliases the event arena, free list and
 // heap between the copies; go vet flags any by-value copy.
 type Simulation struct {
-	_       noCopy
-	now     Time
-	events  []event     // slab arena; index = EventID.slot
-	free    int32       // head of the free-slot list threaded through hpos; -1 when empty
-	heap    []heapEntry // 4-ary heap ordered by (at, seq)
+	_      noCopy
+	now    Time
+	events []event     // slab arena; index = EventID.slot
+	free   int32       // head of the free-slot list threaded through event.next; -1 when empty
+	heap   []heapEntry // 4-ary heap ordered by (at, seq)
+	// laneHead and laneTail are the ends of the lane, threaded through
+	// event.next; laneHead is -1 when it is empty (laneTail is then stale).
+	laneHead, laneTail int32
+	// series holds the live series; soonest indexes the one whose next
+	// firing comes first, -1 when there is none.
+	series  []series
+	soonest int
 	seq     uint32
-	stopped bool
+	// pending counts the live events; dead the canceled ones still queued.
+	pending, dead int
+	stopped       bool
 	// processed counts events executed; useful for tests and loop guards.
 	processed uint64
 }
 
 // New returns a simulation with the clock at zero.
 func New() *Simulation {
-	return &Simulation{free: -1}
+	return &Simulation{free: -1, laneHead: -1, laneTail: -1, soonest: -1}
 }
 
 // Now returns the current virtual time.
@@ -150,9 +176,12 @@ func (s *Simulation) AtOp(t Time, h Handler, op, arg int32) EventID {
 	if math.IsNaN(float64(t)) {
 		panic("des: scheduling event at NaN time")
 	}
+	if h == nil {
+		panic("des: scheduling a nil handler")
+	}
 	slot := s.free
 	if slot >= 0 {
-		s.free = freeLink(s.events[slot].hpos)
+		s.free = s.events[slot].next
 	} else {
 		slot = s.newSlot()
 	}
@@ -163,7 +192,12 @@ func (s *Simulation) AtOp(t Time, h Handler, op, arg int32) EventID {
 	if s.seq == 0 {
 		panic("des: event sequence overflow")
 	}
-	s.heapPush(heapEntry{at: t, seq: seq, slot: slot})
+	s.pending++
+	if t == s.now {
+		s.lanePush(slot)
+	} else {
+		s.heapPush(heapEntry{at: t, seq: seq, slot: slot})
+	}
 	return EventID{slot: slot, gen: e.gen}
 }
 
@@ -175,8 +209,63 @@ func (s *Simulation) newSlot() int32 {
 	if len(s.events) == cap(s.events) {
 		s.events = grown(s.events)
 	}
-	s.events = append(s.events, event{gen: 1, hpos: -1})
+	s.events = append(s.events, event{gen: 1, next: -1})
 	return int32(len(s.events) - 1)
+}
+
+// lanePush appends a slot to the lane.
+func (s *Simulation) lanePush(slot int32) {
+	s.events[slot].next = -1
+	if s.laneHead < 0 {
+		s.laneHead = slot
+	} else {
+		s.events[s.laneTail].next = slot
+	}
+	s.laneTail = slot
+}
+
+// AtSeriesOp schedules a periodic series: h.HandleEvent(op, arg0+k) at
+// Time(float64(k)*dt) for k = 1…n. The series is one queue entry, not n,
+// and takes n consecutive sequence numbers now, so it fires
+// exactly as n AtOp calls made at this point would. Its first firing must
+// lie after the current time; a series has no handle and cannot be
+// canceled. A non-positive n schedules nothing.
+func (s *Simulation) AtSeriesOp(n int, dt float64, h Handler, op, arg0 int32) {
+	if n <= 0 {
+		return
+	}
+	if !(Time(dt) > s.now) {
+		panic(fmt.Sprintf("des: series first firing at %v is not after now %v", Time(dt), s.now))
+	}
+	if h == nil {
+		panic("des: scheduling a nil handler")
+	}
+	if n > math.MaxInt32-int(max(arg0, 0)) {
+		panic("des: series argument overflow")
+	}
+	if uint64(s.seq)+uint64(n) > math.MaxUint32 {
+		panic("des: event sequence overflow")
+	}
+	s.addSeries(series{h: h, dt: dt, next: heapEntry{at: Time(dt), seq: s.seq},
+		op: op, arg0: arg0, k: 1, n: int32(n)})
+	s.seq += uint32(n)
+	s.pending += n
+	s.findSoonest()
+}
+
+// addSeries appends a series (not inlined: see newSlot).
+//
+//go:noinline
+func (s *Simulation) addSeries(sr series) { s.series = append(s.series, sr) }
+
+// findSoonest points soonest at the series whose next firing comes first.
+func (s *Simulation) findSoonest() {
+	s.soonest = -1
+	for i := range s.series {
+		if s.soonest < 0 || s.series[i].next.before(s.series[s.soonest].next) {
+			s.soonest = i
+		}
+	}
 }
 
 // AfterOp schedules h.HandleEvent(op, arg) d seconds after the current
@@ -207,22 +296,27 @@ func (s *Simulation) lookup(id EventID) *event {
 		return nil
 	}
 	e := &s.events[id.slot]
-	if e.gen != id.gen || e.hpos < 0 {
+	if e.gen != id.gen || e.h == nil {
 		return nil
 	}
 	return e
 }
 
-// Cancel withdraws a pending event in O(log n), removing it from the queue
-// and recycling its slot. Canceling an already-fired, already-canceled or
-// zero handle is a no-op.
+// Cancel withdraws a pending event in O(1) amortized. The event's slot
+// becomes a tombstone, dropped when it reaches the front of the queue or
+// when tombstones outnumber live events, whichever comes first. Canceling
+// an already-fired, already-canceled or zero handle is a no-op.
 func (s *Simulation) Cancel(id EventID) {
 	e := s.lookup(id)
 	if e == nil {
 		return
 	}
-	s.heapRemove(e.hpos)
-	s.release(id.slot)
+	e.h = nil
+	e.gen++
+	s.pending--
+	if s.dead++; s.dead > s.pending {
+		s.compact()
+	}
 }
 
 // Live reports whether the handle's event is still scheduled (not yet
@@ -230,47 +324,126 @@ func (s *Simulation) Cancel(id EventID) {
 func (s *Simulation) Live(id EventID) bool { return s.lookup(id) != nil }
 
 // EventTime returns the virtual time at which the handle's event will fire.
-// The second result is false when the handle is stale.
+// The second result is false when the handle is stale. It scans the heap:
+// O(pending), for tests and diagnostics.
 func (s *Simulation) EventTime(id EventID) (Time, bool) {
-	e := s.lookup(id)
-	if e == nil {
+	if s.lookup(id) == nil {
 		return 0, false
 	}
-	return s.heap[e.hpos].at, true
+	for _, ent := range s.heap {
+		if ent.slot == id.slot {
+			return ent.at, true
+		}
+	}
+	return s.now, true // in the lane
 }
 
-// release recycles an arena slot after its event fired or was canceled.
+// release recycles an arena slot after its event fired.
 func (s *Simulation) release(slot int32) {
 	e := &s.events[slot]
 	e.h = nil
 	e.gen++
-	e.hpos = freeLink(s.free)
+	s.freeSlot(slot)
+}
+
+// freeSlot puts a slot whose event is gone on the free list.
+func (s *Simulation) freeSlot(slot int32) {
+	s.events[slot].next = s.free
 	s.free = slot
 }
 
 // Stop makes Run return after the currently executing event completes.
 func (s *Simulation) Stop() { s.stopped = true }
 
-// Pending returns the number of events waiting in the queue.
-func (s *Simulation) Pending() int { return len(s.heap) }
+// Pending returns the number of events waiting to fire, counting each
+// remaining firing of a series.
+func (s *Simulation) Pending() int { return s.pending }
+
+// The sources of the queue, as front reports them.
+const (
+	srcNone = iota
+	srcLane
+	srcHeap
+	srcSeries
+)
+
+// front drops tombstones from the front of the queue and returns the next
+// live entry and its source; a lane entry's time is now. src is srcNone
+// when nothing is pending.
+func (s *Simulation) front() (ent heapEntry, src int) {
+	for {
+		src = srcNone
+		if len(s.heap) > 0 {
+			ent, src = s.heap[0], srcHeap
+		}
+		if s.soonest >= 0 {
+			if next := s.series[s.soonest].next; src == srcNone || next.before(ent) {
+				ent, src = next, srcSeries
+			}
+		}
+		if s.laneHead >= 0 && (src == srcNone || ent.at > s.now) {
+			slot := s.laneHead
+			if s.events[slot].h != nil {
+				return heapEntry{at: s.now, slot: slot}, srcLane
+			}
+			s.laneHead = s.events[slot].next
+			s.dead--
+			s.freeSlot(slot)
+			continue
+		}
+		if src != srcHeap || s.events[ent.slot].h != nil {
+			return ent, src
+		}
+		s.heapPop()
+		s.dead--
+		s.freeSlot(ent.slot)
+	}
+}
 
 // Step executes the single next event, advancing the clock to its time. It
 // returns false when no events remain.
 func (s *Simulation) Step() bool {
-	if len(s.heap) == 0 {
+	ent, src := s.front()
+	switch src {
+	case srcNone:
 		return false
+	case srcLane:
+		s.laneHead = s.events[ent.slot].next
+	case srcHeap:
+		s.heapPop()
 	}
-	top := s.heap[0]
-	s.heapRemove(0)
-	e := &s.events[top.slot]
-	s.now = top.at
+	s.now = ent.at
 	s.processed++
+	s.pending--
+	if src == srcSeries {
+		s.stepSeries()
+		return true
+	}
+	e := &s.events[ent.slot]
 	h, op, arg := e.h, e.op, e.arg
 	// Release before dispatching: the handler may schedule new events and
 	// is allowed to reuse this slot immediately.
-	s.release(top.slot)
+	s.release(ent.slot)
 	h.HandleEvent(op, arg)
 	return true
+}
+
+// stepSeries fires the soonest series, first moving it on to its next
+// firing or retiring it.
+func (s *Simulation) stepSeries() {
+	sr := &s.series[s.soonest]
+	h, op, arg := sr.h, sr.op, sr.arg0+sr.k
+	if sr.k < sr.n {
+		sr.k++
+		sr.next = heapEntry{at: Time(float64(sr.k) * sr.dt), seq: sr.next.seq + 1}
+	} else {
+		last := len(s.series) - 1
+		*sr = s.series[last]
+		s.series[last] = series{}
+		s.series = s.series[:last]
+	}
+	s.findSoonest()
+	h.HandleEvent(op, arg)
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -285,7 +458,7 @@ func (s *Simulation) Run() {
 func (s *Simulation) RunUntil(t Time) {
 	s.stopped = false
 	for !s.stopped {
-		if len(s.heap) == 0 || s.heap[0].at > t {
+		if ent, src := s.front(); src == srcNone || ent.at > t {
 			break
 		}
 		s.Step()
@@ -295,81 +468,98 @@ func (s *Simulation) RunUntil(t Time) {
 	}
 }
 
-// --- indexed 4-ary heap of inline keys ---
+// compact drops every tombstone from the heap and the lane, recycling their
+// slots. The heap is rebuilt in place; the lane keeps its order.
+func (s *Simulation) compact() {
+	live := s.heap[:0]
+	for _, ent := range s.heap {
+		if s.events[ent.slot].h == nil {
+			s.freeSlot(ent.slot)
+			continue
+		}
+		live = append(live, ent)
+	}
+	s.heap = live
+	for i := (int32(len(live)) - 2) / 4; i >= 0 && len(live) > 1; i-- {
+		s.sink(i, live[i])
+	}
+	slot := s.laneHead
+	s.laneHead = -1
+	for slot >= 0 {
+		next := s.events[slot].next
+		if s.events[slot].h == nil {
+			s.freeSlot(slot)
+		} else {
+			s.lanePush(slot)
+		}
+		slot = next
+	}
+	s.dead = 0
+}
+
+// --- 4-ary heap of inline keys ---
 //
 // Sifts move a hole: the entry being placed is held in a register while
 // entries on its path shift one level, and it is written once at the end.
-// The event slab is touched only to record each moved entry's new hpos.
+// Removal is bottom-up: the hole left at the top walks down the smaller
+// child to a leaf, and the entry to place sifts up from there — it almost
+// always belongs near the bottom, so this saves the comparisons a
+// top-down sift spends on it at every level.
 
 func (s *Simulation) heapPush(ent heapEntry) {
 	if len(s.heap) == cap(s.heap) {
 		s.growHeap()
 	}
 	s.heap = append(s.heap, ent)
-	s.siftUp(int32(len(s.heap)-1), ent)
+	s.siftUp(int32(len(s.heap)-1), 0, ent)
 }
 
 //go:noinline
 func (s *Simulation) growHeap() { s.heap = grown(s.heap) }
 
-// heapRemove deletes the entry at heap position i, restoring heap order.
-// The removed event's hpos is left for release to overwrite.
-func (s *Simulation) heapRemove(i int32) {
-	last := int32(len(s.heap) - 1)
+// heapPop removes the top entry.
+func (s *Simulation) heapPop() {
+	last := len(s.heap) - 1
 	ent := s.heap[last]
 	s.heap = s.heap[:last]
-	if i == last {
-		return
+	if last > 0 {
+		s.sink(0, ent)
 	}
-	if i > 0 && ent.before(s.heap[(i-1)/4]) {
-		s.siftUp(i, ent)
-		return
-	}
-	s.siftDown(i, ent)
 }
 
-// siftUp places ent at or above the hole at position i.
-func (s *Simulation) siftUp(i int32, ent heapEntry) {
-	for i > 0 {
+// siftUp places ent at or above the hole at position i, but not above
+// position root.
+func (s *Simulation) siftUp(i, root int32, ent heapEntry) {
+	for i > root {
 		parent := (i - 1) / 4
 		p := s.heap[parent]
 		if !ent.before(p) {
 			break
 		}
 		s.heap[i] = p
-		s.events[p.slot].hpos = i
 		i = parent
 	}
 	s.heap[i] = ent
-	s.events[ent.slot].hpos = i
 }
 
-// siftDown places ent at or below the hole at position i.
-func (s *Simulation) siftDown(i int32, ent heapEntry) {
-	n := int32(len(s.heap))
+// sink places ent in the subtree of the hole at position i: the hole walks
+// down to a leaf, and ent sifts up from there.
+func (s *Simulation) sink(i int32, ent heapEntry) {
+	root, n := i, int32(len(s.heap))
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		end := first + 4
-		if end > n {
-			end = n
-		}
 		min := first
 		m := s.heap[first]
-		for c := first + 1; c < end; c++ {
+		for c := first + 1; c < first+4 && c < n; c++ {
 			if e := s.heap[c]; e.before(m) {
 				min, m = c, e
 			}
 		}
-		if !m.before(ent) {
-			break
-		}
 		s.heap[i] = m
-		s.events[m.slot].hpos = i
 		i = min
 	}
-	s.heap[i] = ent
-	s.events[ent.slot].hpos = i
+	s.siftUp(i, root, ent)
 }

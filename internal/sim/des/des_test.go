@@ -101,6 +101,29 @@ func TestCancel(t *testing.T) {
 	s.Cancel(EventID{})
 }
 
+// Cancel only marks its event; a model that schedules and cancels without
+// ever stepping must still not grow the queue: tombstones, in the heap or
+// in the lane, are dropped once they outnumber the live events.
+func TestCancelKeepsQueueBounded(t *testing.T) {
+	s := New()
+	fired := 0
+	s.At(1e6, func() { fired++ })
+	for i := 0; i < 10000; i++ {
+		s.Cancel(s.After(float64(i%3), func() { t.Error("canceled event fired") }))
+	}
+	if len(s.events) > 4 || len(s.heap) > 3 {
+		t.Errorf("10000 schedule→cancel pairs left %d slots and %d heap entries for one live event",
+			len(s.events), len(s.heap))
+	}
+	if s.Pending() != 1 {
+		t.Errorf("Pending = %d, want 1", s.Pending())
+	}
+	s.Run()
+	if fired != 1 || s.Now() != 1e6 {
+		t.Errorf("fired %d, clock %v; want the live event at 1e6", fired, s.Now())
+	}
+}
+
 func TestCancelFromEarlierEvent(t *testing.T) {
 	s := New()
 	fired := false

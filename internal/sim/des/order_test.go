@@ -4,13 +4,17 @@ import (
 	"testing"
 )
 
-// FuzzKernelOrder is the proof that the 4-ary inline-key heap fires events
-// in (time, scheduling sequence) order — the order of the binary heap it
-// replaced, and the one every output byte depends on. A byte program drives
-// the kernel through interleavings of At (the closure adapter), AtOp, Cancel
-// and Step, with coarse times so that ties are common and cancels that hit
-// interior heap entries; a reference model that scans its live events for
-// the minimum (at, seq) says what must fire. After every move EventTime and
+// FuzzKernelOrder is the proof that the kernel fires events in (time,
+// scheduling sequence) order — the order of the binary heap it replaced, and
+// the one every output byte depends on — whichever of its three sources
+// (the lane of events due now, the 4-ary heap, a periodic series) holds
+// them. A byte program drives the kernel through interleavings of At (the
+// closure adapter), AtOp, AtSeriesOp, Cancel and Step, and of events whose
+// handler schedules a zero-delay event when it fires, with coarse times so
+// that ties are common and cancels hit lane entries and interior heap
+// entries; a reference model that scans its live events for the minimum
+// (at, seq) says what must fire. It expands a series into its n one-off
+// events with consecutive sequence numbers. After every move EventTime and
 // Live are probed for every handle issued so far, stale ones included.
 //
 // The seed corpus runs under plain `go test`; CI fuzzes for 10 s.
@@ -18,8 +22,13 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 3, 0, 3, 3, 3, 3, 3})                   // ties on one instant, then drain past empty
 	f.Add([]byte{0, 9, 1, 9, 0, 9, 1, 1, 2, 1, 2, 0, 2, 1, 3, 3}) // cancel interior, head, and a stale handle
-	// A long pseudo-random program: a heap several levels deep.
-	long := make([]byte, 6000)
+	f.Add([]byte{0, 2, 4, 9, 1, 2, 0, 4, 1, 3, 3, 3, 3, 3, 3})    // a series tied with one-off events at 2 s and 4 s
+	f.Add([]byte{0, 0, 1, 0, 0, 8, 2, 0, 1, 3, 3, 3})             // cancel a lane entry between two others
+	f.Add([]byte{5, 0, 5, 0, 1, 1, 3, 0, 0, 3, 3, 3, 3, 3})       // zero-delay events scheduled by handlers, in the lane
+	f.Add([]byte{5, 2, 4, 1, 1, 2, 3, 3, 3, 3, 4, 6, 3, 3, 3, 3}) // handler-scheduled lane events tied with a series
+	// A long pseudo-random program: a heap several levels deep (five, some
+	// 400 entries).
+	long := make([]byte, 2000)
 	state := uint32(2463534242)
 	for i := range long {
 		state ^= state << 13
@@ -31,41 +40,63 @@ func FuzzKernelOrder(f *testing.F) {
 	// The same, weighted towards scheduling: deeper still.
 	deep := append([]byte(nil), long...)
 	for i := 0; i+1 < len(deep); i += 2 {
-		if deep[i]%4 >= 2 && deep[i+1]%3 != 0 {
-			deep[i] &^= 2
+		if op := deep[i] % 6; (op == 2 || op == 3) && deep[i+1]%3 != 0 {
+			deep[i] -= 2
 		}
 	}
 	f.Add(deep)
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1<<13 {
-			prog = prog[:1<<13] // the model is quadratic
+			prog = prog[:1<<13] // the probes are cubic: EventTime scans the heap
 		}
 		runKernelProgram(t, prog)
 	})
 }
 
-// modelEvent is the reference's view of one scheduled event.
+// modelEvent is the reference's view of one scheduled event. A series'
+// events have no handle (series is set), so only Pending sees them.
 type modelEvent struct {
-	at   Time
-	id   EventID
-	live bool
+	at     Time
+	id     EventID
+	live   bool
+	series bool
 }
 
 // orderRecorder receives the typed events of a kernel program: arg is the
-// event's index in the model.
-type orderRecorder struct{ fired []int32 }
+// event's index in the model. An event with op 1 calls spawn when it fires.
+type orderRecorder struct {
+	fired []int32
+	spawn func()
+}
 
-func (r *orderRecorder) HandleEvent(_, arg int32) { r.fired = append(r.fired, arg) }
+func (r *orderRecorder) HandleEvent(op, arg int32) {
+	r.fired = append(r.fired, arg)
+	if op == 1 {
+		r.spawn()
+	}
+}
 
 func runKernelProgram(t *testing.T, prog []byte) {
 	s := New()
 	rec := &orderRecorder{}
 	var model []modelEvent // index = scheduling sequence
+	// A spawning event schedules one zero-delay event when it fires.
+	rec.spawn = func() {
+		n := int32(len(model))
+		id := s.AfterOp(0, rec, 0, n)
+		model = append(model, modelEvent{at: s.Now(), id: id, live: true})
+	}
 
 	probe := func(move string) {
 		live := 0
 		for i, m := range model {
+			if m.live {
+				live++
+			}
+			if m.series {
+				continue
+			}
 			at, ok := s.EventTime(m.id)
 			if ok != m.live || s.Live(m.id) != m.live {
 				t.Fatalf("after %s: event %d live=%v, kernel says EventTime ok=%v Live=%v",
@@ -74,9 +105,6 @@ func runKernelProgram(t *testing.T, prog []byte) {
 			if ok && at != m.at {
 				t.Fatalf("after %s: event %d EventTime = %v, want %v", move, i, at, m.at)
 			}
-			if m.live {
-				live++
-			}
 		}
 		if s.Pending() != live {
 			t.Fatalf("after %s: Pending = %d, model has %d live", move, s.Pending(), live)
@@ -84,24 +112,36 @@ func runKernelProgram(t *testing.T, prog []byte) {
 	}
 
 	for pc := 0; pc < len(prog); pc++ {
-		op := prog[pc] % 4
+		op := prog[pc] % 6
 		arg := byte(0)
 		if op != 3 && pc+1 < len(prog) {
 			pc++
 			arg = prog[pc]
 		}
 		switch op {
-		case 0, 1: // schedule, 0..7 s ahead: ties are the common case
+		case 0, 1, 5: // schedule, 0..7 s ahead: ties are the common case
 			at := s.Now() + Time(arg%8)
 			n := int32(len(model))
 			var id EventID
-			if op == 0 {
+			switch op {
+			case 0:
 				id = s.At(at, func() { rec.fired = append(rec.fired, n) })
-			} else {
+			case 1:
 				id = s.AtOp(at, rec, 0, n)
+			case 5: // an event that spawns a zero-delay event when it fires
+				id = s.AtOp(at, rec, 1, n)
 			}
 			model = append(model, modelEvent{at: at, id: id, live: true})
 			probe("schedule")
+		case 4: // a series of 1..4 firings, dt 1..8 s past the clock's whole second
+			count := 1 + int(arg%4)
+			dt := float64(int(s.Now())) + float64(1+arg/4%8)
+			first := int32(len(model))
+			s.AtSeriesOp(count, dt, rec, 0, first-1)
+			for k := 1; k <= count; k++ {
+				model = append(model, modelEvent{at: Time(float64(k) * dt), live: true, series: true})
+			}
+			probe("series")
 		case 2: // cancel any handle ever issued, live or stale
 			if len(model) == 0 {
 				continue
@@ -112,6 +152,9 @@ func runKernelProgram(t *testing.T, prog []byte) {
 				k = k<<8 | int(prog[pc+1])
 			}
 			k %= len(model)
+			if model[k].series {
+				continue
+			}
 			s.Cancel(model[k].id)
 			model[k].live = false
 			probe("cancel")

@@ -44,7 +44,7 @@ type Resource struct {
 
 // acquireReq is one request: the grant event to deliver and the unit
 // count. A canceled request still in the queue has a nil handler; a free
-// slot holds freeLink(next) in n.
+// slot holds the next free slot (or -1) in n.
 type acquireReq struct {
 	h   Handler
 	op  int32
@@ -164,7 +164,7 @@ func (r *Resource) AcquireOp(n int, h Handler, op, arg int32) Acquisition {
 	}
 	slot := r.freeReq
 	if slot >= 0 {
-		r.freeReq = freeLink(r.reqs[slot].n)
+		r.freeReq = r.reqs[slot].n
 	} else {
 		slot = r.newReq()
 	}
@@ -218,7 +218,7 @@ func (r *Resource) releaseReq(slot int32) {
 	req := &r.reqs[slot]
 	req.h = nil
 	req.gen++
-	req.n = freeLink(r.freeReq)
+	req.n = r.freeReq
 	r.freeReq = slot
 }
 

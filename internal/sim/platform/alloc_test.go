@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -161,6 +162,35 @@ func TestAllocsPlatformAttempt(t *testing.T) {
 			t.Errorf("%.3f allocations per attempt over %d attempts, want <= 0.05", per, attempts)
 		}
 	})
+}
+
+// TestAllocsNewExecutorFlatInSlots: building an executor costs the same
+// whatever its slot count. The slot ramp is one kernel series, not an event
+// per step, and the node-name table grows with the attempts that land, so a
+// four-million-slot site ramping one slot a second builds in well under a
+// MiB, and runs.
+func TestAllocsNewExecutorFlatInSlots(t *testing.T) {
+	cfg := Config{Name: "huge", Slots: 1 << 22, InitialSlots: 1, SlotRampInterval: 1,
+		SpeedFactor: 1, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ex, err := NewExecutor(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("NewExecutor with %d slots allocated %d B, want < 1 MiB", cfg.Slots, got)
+	}
+	p := buildPlan(t, plainSite("huge", cfg.Slots), true, []float64{100, 100, 100, 100})
+	res, err := engine.Run(p, ex, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One slot at 0 s, a second at 1 s and so on: the fourth job starts at 3 s.
+	if !res.Success || res.Makespan != 103 {
+		t.Errorf("success=%v Makespan=%v, want success at 103", res.Success, res.Makespan)
+	}
 }
 
 // TestNodeNamesAreFormattedOnFirstUse: an executor formats a node label

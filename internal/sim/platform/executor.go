@@ -151,9 +151,9 @@ func (e *Executor) AfterOp(delay float64, h des.Handler, op, arg int32) {
 }
 
 // Reserve sizes the pool for plans totalling the given number of jobs: the
-// kernel's event arena and heap for all of them, and each site's slot pool
-// and attempt slab for an even share (a site that gets more grows by
-// doubling). A sizing hint: its absence changes bytes allocated, never
+// kernel's event arena and heap for all of them, and each site's slot pool,
+// attempt slab and node-name table for an even share (a site that gets
+// more grows by doubling). A sizing hint: its absence changes bytes allocated, never
 // results.
 func (e *Executor) Reserve(jobs int) {
 	e.sim.Reserve(jobs)

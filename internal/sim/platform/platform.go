@@ -176,9 +176,9 @@ type site struct {
 
 	nextFree float64 // submit-host release time for the next submission
 	nodeSeq  int
-	// nodeNames is the Slots-sized node-name table, filled on first use: a
-	// record's node label is an index, and a cell that runs ten attempts
-	// formats ten names.
+	// nodeNames is the node-name table, grown and filled on first use: a
+	// record's node label is an index below Slots, and a cell that runs ten
+	// attempts holds and formats ten names, however many slots it has.
 	nodeNames []string
 	// attempts holds one record per in-flight attempt; the events of an
 	// attempt carry its index.
@@ -263,33 +263,39 @@ func newSite(pool *Executor, cfg Config) (*site, error) {
 		capLimit: fault.NoLimit,
 		attempts: attemptSlab{free: -1},
 	}
-	s.nodeNames = make([]string, cfg.Slots)
 	if ramp {
-		// Every step is scheduled up front, in order: a fault step landing
-		// on a multiple of SlotRampInterval must keep firing after the ramp
-		// step of the same instant.
-		steps := cfg.Slots - cfg.InitialSlots
-		sim.Reserve(steps)
-		for k := 1; k <= steps; k++ {
-			sim.AtOp(des.Time(float64(k)*cfg.SlotRampInterval), s, opRamp, int32(cfg.InitialSlots+k))
-		}
+		// One series, scheduled before any fault: its sequence numbers
+		// precede theirs, so a fault step landing on a multiple of
+		// SlotRampInterval fires after the ramp step of the same instant.
+		sim.AtSeriesOp(cfg.Slots-cfg.InitialSlots, cfg.SlotRampInterval, s, opRamp, int32(cfg.InitialSlots))
 	}
 	return s, nil
 }
 
-// reserve sizes the slot pool's request arena and queue and the attempt slab
-// for the given number of jobs.
+// reserve sizes the slot pool's request arena and queue, the attempt slab
+// and the node-name table for the given number of jobs.
 func (s *site) reserve(jobs int) {
 	s.slots.Reserve(jobs)
 	s.attempts.reserve(jobs)
+	s.growNodeNames(min(jobs+1, s.cfg.Slots)) // attempt k lands on node k % Slots, from k = 1
 }
 
 // nodeName returns the label of node i, formatting it on first use.
 func (s *site) nodeName(i int32) string {
+	if int(i) >= len(s.nodeNames) {
+		s.growNodeNames(min(max(int(i)+1, 2*len(s.nodeNames)), s.cfg.Slots))
+	}
 	if s.nodeNames[i] == "" {
 		s.nodeNames[i] = formatNodeName(s.cfg.Name, i)
 	}
 	return s.nodeNames[i]
+}
+
+// growNodeNames lengthens the node-name table to at least n entries.
+func (s *site) growNodeNames(n int) {
+	if n > len(s.nodeNames) {
+		s.nodeNames = append(s.nodeNames, make([]string, n-len(s.nodeNames))...)
+	}
 }
 
 // formatNodeName is fmt.Sprintf("%s-node-%04d", site, i) for i >= 0, built
