@@ -21,25 +21,20 @@
 //
 // Events live by value in a slab: a growable arena of event records, with
 // freed slots recycled through a free list threaded through the records.
-// The queue takes them from three sources in one (time, sequence) order:
-// the lane, a FIFO of the events scheduled for the current instant (every
-// zero-delay event, such as a Resource grant), threaded through the arena;
-// a 4-ary heap of the other one-off events, whose entries carry the firing
-// key inline so sifting never reads the arena; and the periodic series of
-// AtSeriesOp (a slot ramp), one entry each however many firings remain. A
-// lane event was scheduled after every heap or series firing due at the
-// same instant, so the lane waits only for those. Steady-state scheduling
-// therefore allocates nothing — the arena and the heap reach a high-water
-// mark and are reused; Reserve sets that mark up front for a model that
-// knows its size, and growth otherwise doubles. The firing order is the
-// (time, sequence) order, a strict total order, so it does not depend on
-// which source holds an event or on the heap's shape (FuzzKernelOrder
-// checks it against a reference model that expands every series into its
-// one-off events). Callers hold EventID handles (slot + generation)
-// instead of pointers; a stale handle (its event already fired or
-// canceled) is detected by the generation check and every operation on it
-// is a safe no-op. Cancel is lazy: it marks the slot, which is dropped when
-// it reaches the front of the queue, or sooner, all at once, when canceled
-// entries outnumber live ones. Nothing records where a heap entry sits, so
-// EventTime scans the heap: it is for tests and diagnostics.
+// They fire from three sources: the lane, a FIFO of the events due at the
+// current instant (every zero-delay event, such as a Resource grant),
+// threaded through the arena; a 4-ary heap of the other one-off events,
+// whose entries carry the firing key inline so sifting never reads the
+// arena; and the periodic series of AtSeriesOp (a slot ramp), one record
+// each. Steady-state scheduling therefore allocates nothing — the arena and
+// the heap reach a high-water mark and are reused; Reserve sets that mark
+// up front for a model that knows its size, and growth otherwise doubles.
+// The firing order is the (time, sequence) order, a strict total order, so
+// it does not depend on which source holds an event or on the heap's shape
+// (FuzzKernelOrder checks it against a reference model that expands every
+// series into one-off events). Callers hold EventID handles (slot +
+// generation) instead of pointers; a stale handle (its event already fired
+// or canceled) is detected by the generation check and every operation on
+// it is a safe no-op. Cancel only marks the event; nothing records where a
+// heap entry sits, so EventTime scans the heap.
 package des

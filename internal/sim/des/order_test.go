@@ -22,7 +22,7 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 3, 0, 3, 3, 3, 3, 3})                   // ties on one instant, then drain past empty
 	f.Add([]byte{0, 9, 1, 9, 0, 9, 1, 1, 2, 1, 2, 0, 2, 1, 3, 3}) // cancel interior, head, and a stale handle
-	f.Add([]byte{0, 2, 4, 9, 1, 2, 0, 4, 1, 3, 3, 3, 3, 3, 3})    // a series tied with one-off events at 2 s and 4 s
+	f.Add([]byte{0, 2, 4, 5, 1, 2, 0, 4, 3, 3, 3, 3, 3, 3})       // a series tied with one-off events at 2 s and 4 s
 	f.Add([]byte{0, 0, 1, 0, 0, 8, 2, 0, 1, 3, 3, 3})             // cancel a lane entry between two others
 	f.Add([]byte{5, 0, 5, 0, 1, 1, 3, 0, 0, 3, 3, 3, 3, 3})       // zero-delay events scheduled by handlers, in the lane
 	f.Add([]byte{5, 2, 4, 1, 1, 2, 3, 3, 3, 3, 4, 6, 3, 3, 3, 3}) // handler-scheduled lane events tied with a series
