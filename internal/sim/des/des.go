@@ -226,10 +226,10 @@ func (s *Simulation) lanePush(slot int32) {
 
 // AtSeriesOp schedules a periodic series: h.HandleEvent(op, arg0+k) at
 // Time(float64(k)*dt) for k = 1…n. The series is one queue entry, not n,
-// and takes n consecutive sequence numbers now, so it fires
-// exactly as n AtOp calls made at this point would. Its first firing must
-// lie after the current time; a series has no handle and cannot be
-// canceled. A non-positive n schedules nothing.
+// and takes n consecutive sequence numbers now, so it fires exactly as n
+// AtOp calls made at this point would. Its first firing must lie after the
+// current time; a series has no handle and cannot be canceled. A
+// non-positive n schedules nothing.
 func (s *Simulation) AtSeriesOp(n int, dt float64, h Handler, op, arg0 int32) {
 	if n <= 0 {
 		return

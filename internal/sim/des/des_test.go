@@ -81,6 +81,30 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	s.Run()
 }
 
+// A series whose first firing is not after now would tie with, or precede,
+// the lane's events; AtSeriesOp refuses it, as AtOp refuses the past.
+func TestSeriesStartingByNowPanics(t *testing.T) {
+	s := New()
+	h := &countHandler{}
+	s.At(10, func() {
+		for _, dt := range []float64{10, 5, 0, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("series with dt %v at 10s did not panic", dt)
+					}
+				}()
+				s.AtSeriesOp(3, dt, h, 0, 0)
+			}()
+		}
+		s.AtSeriesOp(3, 11, h, 0, 0) // 11, 22, 33
+	})
+	s.Run()
+	if h.n[0] != 1+2+3 || s.Now() != 33 {
+		t.Errorf("series delivered %d by %v, want 6 by 33s", h.n[0], s.Now())
+	}
+}
+
 func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
