@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"testing"
 )
 
@@ -14,8 +15,10 @@ import (
 // that ties are common and cancels hit lane entries and interior heap
 // entries; a reference model that scans its live events for the minimum
 // (at, seq) says what must fire. It expands a series into its n one-off
-// events with consecutive sequence numbers. After every move EventTime and
-// Live are probed for every handle issued so far, stale ones included.
+// events with consecutive sequence numbers. After every move every handle
+// issued so far, stale ones included, is checked against one pass over the
+// queue (Live, and the firing time of each live one), and EventTime and
+// Live are called on the handle the move touched and a few in rotation.
 //
 // The seed corpus runs under plain `go test`; CI fuzzes for 10 s.
 func FuzzKernelOrder(f *testing.F) {
@@ -26,9 +29,8 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 8, 2, 0, 1, 3, 3, 3})             // cancel a lane entry between two others
 	f.Add([]byte{5, 0, 5, 0, 1, 1, 3, 0, 0, 3, 3, 3, 3, 3})       // zero-delay events scheduled by handlers, in the lane
 	f.Add([]byte{5, 2, 4, 1, 1, 2, 3, 3, 3, 3, 4, 6, 3, 3, 3, 3}) // handler-scheduled lane events tied with a series
-	// A long pseudo-random program: a heap several levels deep (five, some
-	// 400 entries).
-	long := make([]byte, 2000)
+	// A long pseudo-random program: a heap several levels deep.
+	long := make([]byte, 6000)
 	state := uint32(2463534242)
 	for i := range long {
 		state ^= state << 13
@@ -48,7 +50,7 @@ func FuzzKernelOrder(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1<<13 {
-			prog = prog[:1<<13] // the probes are cubic: EventTime scans the heap
+			prog = prog[:1<<13] // the model is quadratic
 		}
 		runKernelProgram(t, prog)
 	})
@@ -88,7 +90,32 @@ func runKernelProgram(t *testing.T, prog []byte) {
 		model = append(model, modelEvent{at: s.Now(), id: id, live: true})
 	}
 
-	probe := func(move string) {
+	// probe checks the kernel against the model after a move. One pass over
+	// the heap and the lane maps each queued slot to its firing time, so
+	// every handle is checked in O(1); EventTime, which scans the heap, is
+	// called on the handle the move touched (-1: none) and on three more in
+	// rotation.
+	var queued []Time // firing time of each queued slot; NaN when not queued
+	rot := 0
+	probe := func(move string, touched int) {
+		queued = queued[:0]
+		for range s.events {
+			queued = append(queued, Time(math.NaN()))
+		}
+		enqueue := func(slot int32, at Time) {
+			if !math.IsNaN(float64(queued[slot])) {
+				t.Fatalf("after %s: slot %d is queued twice", move, slot)
+			}
+			queued[slot] = at
+		}
+		for _, ent := range s.heap {
+			if ent.slot >= 0 {
+				enqueue(ent.slot, ent.at)
+			}
+		}
+		for slot := s.laneHead; slot >= 0; slot = s.events[slot].next {
+			enqueue(slot, s.Now())
+		}
 		live := 0
 		for i, m := range model {
 			if m.live {
@@ -96,6 +123,21 @@ func runKernelProgram(t *testing.T, prog []byte) {
 			}
 			if m.series {
 				continue
+			}
+			if s.Live(m.id) != m.live {
+				t.Fatalf("after %s: event %d live=%v, kernel says Live=%v", move, i, m.live, !m.live)
+			}
+			if at := queued[m.id.slot]; m.live && at != m.at {
+				t.Fatalf("after %s: event %d queued at %v, want %v", move, i, at, m.at)
+			}
+		}
+		if s.Pending() != live {
+			t.Fatalf("after %s: Pending = %d, model has %d live", move, s.Pending(), live)
+		}
+		check := func(i int) {
+			m := model[i]
+			if m.series {
+				return
 			}
 			at, ok := s.EventTime(m.id)
 			if ok != m.live || s.Live(m.id) != m.live {
@@ -106,8 +148,12 @@ func runKernelProgram(t *testing.T, prog []byte) {
 				t.Fatalf("after %s: event %d EventTime = %v, want %v", move, i, at, m.at)
 			}
 		}
-		if s.Pending() != live {
-			t.Fatalf("after %s: Pending = %d, model has %d live", move, s.Pending(), live)
+		if touched >= 0 {
+			check(touched)
+		}
+		for j := 0; j < 3 && len(model) > 0; j++ {
+			rot = (rot + 1) % len(model)
+			check(rot)
 		}
 	}
 
@@ -132,7 +178,7 @@ func runKernelProgram(t *testing.T, prog []byte) {
 				id = s.AtOp(at, rec, 1, n)
 			}
 			model = append(model, modelEvent{at: at, id: id, live: true})
-			probe("schedule")
+			probe("schedule", int(n))
 		case 4: // a series of 1..4 firings, dt 1..8 s past the clock's whole second
 			count := 1 + int(arg%4)
 			dt := float64(int(s.Now())) + float64(1+arg/4%8)
@@ -141,7 +187,7 @@ func runKernelProgram(t *testing.T, prog []byte) {
 			for k := 1; k <= count; k++ {
 				model = append(model, modelEvent{at: Time(float64(k) * dt), live: true, series: true})
 			}
-			probe("series")
+			probe("series", -1)
 		case 2: // cancel any handle ever issued, live or stale
 			if len(model) == 0 {
 				continue
@@ -157,7 +203,7 @@ func runKernelProgram(t *testing.T, prog []byte) {
 			}
 			s.Cancel(model[k].id)
 			model[k].live = false
-			probe("cancel")
+			probe("cancel", k)
 		case 3:
 			want := -1
 			for i, m := range model {
@@ -185,7 +231,7 @@ func runKernelProgram(t *testing.T, prog []byte) {
 				t.Fatalf("clock at %v after firing event %d scheduled for %v", s.Now(), want, model[want].at)
 			}
 			model[want].live = false
-			probe("step")
+			probe("step", want)
 		}
 	}
 
@@ -207,5 +253,5 @@ func runKernelProgram(t *testing.T, prog []byte) {
 		}
 		model[got].live = false
 	}
-	probe("drain")
+	probe("drain", -1)
 }
