@@ -77,7 +77,6 @@ func NewEscapeGate() *EscapeGate {
 				"Simulation.After", "Simulation.AtSeriesOp",
 				"Simulation.Cancel", "Simulation.Step",
 				"Simulation.front", "Simulation.stepSeries",
-				"Simulation.findSoonest",
 				"Simulation.release", "Simulation.freeSlot",
 				"Simulation.lookup", "Simulation.lanePush",
 				"Simulation.compact",

@@ -61,7 +61,8 @@ type event struct {
 
 // heapEntry is one heap position: the firing key inline, so sifting
 // compares entries without touching the event slab, and four siblings of
-// the 4-ary heap share a cache line.
+// the 4-ary heap share a cache line. slot is the event's arena slot, or
+// ^i for the next firing of series i.
 type heapEntry struct {
 	at   Time
 	seq  uint32
@@ -79,13 +80,11 @@ func (a heapEntry) before(b heapEntry) bool {
 }
 
 // series is one periodic series of AtSeriesOp: its k-th firing delivers
-// h.HandleEvent(op, arg0+k) at Time(float64(k)*dt), for k up to n. next is
-// the firing key of its k-th firing, the one it stands for in the queue
-// (its slot is unused).
+// h.HandleEvent(op, arg0+k) at Time(float64(k)*dt), for k up to n. Its one
+// heap entry holds the key of the k-th firing.
 type series struct {
 	h        Handler
 	dt       float64
-	next     heapEntry
 	op, arg0 int32
 	k, n     int32
 }
@@ -101,11 +100,11 @@ func (*noCopy) Unlock() {}
 //
 // Events are taken from three sources in one (at, seq) order: the lane, a
 // FIFO of the events scheduled for the current instant; a 4-ary heap of the
-// other one-off events; and the periodic series, one entry each. An event
-// put in the lane at time t was scheduled with the clock at t, after every
-// heap or series firing for t (those were scheduled earlier: a series
-// starts after the instant it is created at), so the earliest timed entry
-// goes first when it is due now and the lane head goes first otherwise.
+// other one-off events; and the periodic series, one heap entry each. An
+// event put in the lane at time t was scheduled with the clock at t, after
+// every heap entry due at t (those were scheduled earlier: a series starts
+// after the instant it is created at), so the heap top goes first when it
+// is due now and the lane head goes first otherwise.
 //
 // Copying a Simulation by value aliases the event arena, free list and
 // heap between the copies; go vet flags any by-value copy.
@@ -118,11 +117,11 @@ type Simulation struct {
 	// laneHead and laneTail are the ends of the lane, threaded through
 	// event.next; laneHead is -1 when it is empty (laneTail is then stale).
 	laneHead, laneTail int32
-	// series holds the live series; soonest indexes the one whose next
-	// firing comes first, -1 when there is none.
-	series  []series
-	soonest int
-	seq     uint32
+	// series holds the series, retired ones included; freeSeries heads
+	// the list of retired ones, threaded through series.k; -1 when empty.
+	series     []series
+	freeSeries int32
+	seq        uint32
 	// pending counts the live events; dead the canceled ones still queued.
 	pending, dead int
 	stopped       bool
@@ -132,7 +131,7 @@ type Simulation struct {
 
 // New returns a simulation with the clock at zero.
 func New() *Simulation {
-	return &Simulation{free: -1, laneHead: -1, laneTail: -1, soonest: -1}
+	return &Simulation{free: -1, laneHead: -1, laneTail: -1, freeSeries: -1}
 }
 
 // Now returns the current virtual time.
@@ -246,26 +245,25 @@ func (s *Simulation) AtSeriesOp(n int, dt float64, h Handler, op, arg0 int32) {
 	if uint64(s.seq)+uint64(n) > math.MaxUint32 {
 		panic("des: event sequence overflow")
 	}
-	s.addSeries(series{h: h, dt: dt, next: heapEntry{at: Time(dt), seq: s.seq},
-		op: op, arg0: arg0, k: 1, n: int32(n)})
+	sr := series{h: h, dt: dt, op: op, arg0: arg0, k: 1, n: int32(n)}
+	i := s.freeSeries
+	if i >= 0 {
+		s.freeSeries = s.series[i].k
+		s.series[i] = sr
+	} else {
+		i = s.addSeries(sr)
+	}
+	s.heapPush(heapEntry{at: Time(dt), seq: s.seq, slot: ^i})
 	s.seq += uint32(n)
 	s.pending += n
-	s.findSoonest()
 }
 
 // addSeries appends a series (not inlined: see newSlot).
 //
 //go:noinline
-func (s *Simulation) addSeries(sr series) { s.series = append(s.series, sr) }
-
-// findSoonest points soonest at the series whose next firing comes first.
-func (s *Simulation) findSoonest() {
-	s.soonest = -1
-	for i := range s.series {
-		if s.soonest < 0 || s.series[i].next.before(s.series[s.soonest].next) {
-			s.soonest = i
-		}
-	}
+func (s *Simulation) addSeries(sr series) int32 {
+	s.series = append(s.series, sr)
+	return int32(len(s.series) - 1)
 }
 
 // AfterOp schedules h.HandleEvent(op, arg) d seconds after the current
@@ -364,7 +362,6 @@ const (
 	srcNone = iota
 	srcLane
 	srcHeap
-	srcSeries
 )
 
 // front drops tombstones from the front of the queue and returns the next
@@ -372,16 +369,7 @@ const (
 // when nothing is pending.
 func (s *Simulation) front() (ent heapEntry, src int) {
 	for {
-		src = srcNone
-		if len(s.heap) > 0 {
-			ent, src = s.heap[0], srcHeap
-		}
-		if s.soonest >= 0 {
-			if next := s.series[s.soonest].next; src == srcNone || next.before(ent) {
-				ent, src = next, srcSeries
-			}
-		}
-		if s.laneHead >= 0 && (src == srcNone || ent.at > s.now) {
+		if s.laneHead >= 0 && (len(s.heap) == 0 || s.heap[0].at > s.now) {
 			slot := s.laneHead
 			if s.events[slot].h != nil {
 				return heapEntry{at: s.now, slot: slot}, srcLane
@@ -391,8 +379,12 @@ func (s *Simulation) front() (ent heapEntry, src int) {
 			s.freeSlot(slot)
 			continue
 		}
-		if src != srcHeap || s.events[ent.slot].h != nil {
-			return ent, src
+		if len(s.heap) == 0 {
+			return ent, srcNone
+		}
+		ent = s.heap[0]
+		if ent.slot < 0 || s.events[ent.slot].h != nil {
+			return ent, srcHeap
 		}
 		s.heapPop()
 		s.dead--
@@ -404,19 +396,19 @@ func (s *Simulation) front() (ent heapEntry, src int) {
 // returns false when no events remain.
 func (s *Simulation) Step() bool {
 	ent, src := s.front()
-	switch src {
-	case srcNone:
+	switch {
+	case src == srcNone:
 		return false
-	case srcLane:
+	case src == srcLane:
 		s.laneHead = s.events[ent.slot].next
-	case srcHeap:
+	case ent.slot >= 0:
 		s.heapPop()
 	}
 	s.now = ent.at
 	s.processed++
 	s.pending--
-	if src == srcSeries {
-		s.stepSeries()
+	if ent.slot < 0 {
+		s.stepSeries(ent)
 		return true
 	}
 	e := &s.events[ent.slot]
@@ -428,21 +420,20 @@ func (s *Simulation) Step() bool {
 	return true
 }
 
-// stepSeries fires the soonest series, first moving it on to its next
-// firing or retiring it.
-func (s *Simulation) stepSeries() {
-	sr := &s.series[s.soonest]
+// stepSeries fires the series at the top of the heap, first moving its
+// entry on to its next firing or retiring it.
+func (s *Simulation) stepSeries(ent heapEntry) {
+	i := ^ent.slot
+	sr := &s.series[i]
 	h, op, arg := sr.h, sr.op, sr.arg0+sr.k
 	if sr.k < sr.n {
 		sr.k++
-		sr.next = heapEntry{at: Time(float64(sr.k) * sr.dt), seq: sr.next.seq + 1}
+		s.sink(0, heapEntry{at: Time(float64(sr.k) * sr.dt), seq: ent.seq + 1, slot: ent.slot})
 	} else {
-		last := len(s.series) - 1
-		*sr = s.series[last]
-		s.series[last] = series{}
-		s.series = s.series[:last]
+		s.heapPop()
+		*sr = series{k: s.freeSeries}
+		s.freeSeries = i
 	}
-	s.findSoonest()
 	h.HandleEvent(op, arg)
 }
 
@@ -473,7 +464,7 @@ func (s *Simulation) RunUntil(t Time) {
 func (s *Simulation) compact() {
 	live := s.heap[:0]
 	for _, ent := range s.heap {
-		if s.events[ent.slot].h == nil {
+		if ent.slot >= 0 && s.events[ent.slot].h == nil {
 			s.freeSlot(ent.slot)
 			continue
 		}

@@ -25,10 +25,11 @@
 // current instant (every zero-delay event, such as a Resource grant),
 // threaded through the arena; a 4-ary heap of the other one-off events,
 // whose entries carry the firing key inline so sifting never reads the
-// arena; and the periodic series of AtSeriesOp (a slot ramp), one record
-// each. Steady-state scheduling therefore allocates nothing — the arena and
-// the heap reach a high-water mark and are reused; Reserve sets that mark
-// up front for a model that knows its size, and growth otherwise doubles.
+// arena; and the periodic series of AtSeriesOp (a slot ramp), one heap
+// entry each. Steady-state scheduling therefore allocates nothing — the
+// arena and the heap reach a high-water mark and are reused; Reserve sets
+// that mark up front for a model that knows its size, and growth otherwise
+// doubles.
 // The firing order is the (time, sequence) order, a strict total order, so
 // it does not depend on which source holds an event or on the heap's shape
 // (FuzzKernelOrder checks it against a reference model that expands every
