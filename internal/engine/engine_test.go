@@ -249,21 +249,40 @@ func TestMaxActiveThrottle(t *testing.T) {
 	}
 }
 
+// TestPriorityOrdersReadyJobs pins the submission order: the jobs one
+// call readies (the roots at Start, the children of one finished job) are
+// submitted highest priority first, ties in the order they were readied —
+// roots in plan order, children in Children order — and a retry, the only
+// job its event readies, reaches SubmitAfter with the backoff policy's
+// delay.
 func TestPriorityOrdersReadyJobs(t *testing.T) {
 	w := dax.New("prio")
 	w.NewJob("low", "t").Priority = 1
 	w.NewJob("high", "t").Priority = 10
 	w.NewJob("mid", "t").Priority = 5
+	for _, id := range []string{"c1", "c2", "c3", "c4"} {
+		w.NewJob(id, "t")
+		if err := w.AddDependency("high", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Job("c3").Priority = 1 << 20 // a stage-in job's priority
 	p := makePlan(t, w)
-	ex := newFakeExecutor()
-	if _, err := Run(p, ex, Options{MaxActive: 1}); err != nil {
+	ex := &delayingExecutor{fakeExecutor: newFakeExecutor()}
+	ex.failures["c2"] = 1
+	res, err := Run(p, ex, Options{RetryLimit: 1, Backoff: func(int) float64 { return 7 }})
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"high", "mid", "low"}
-	for i, id := range want {
-		if ex.submitted[i] != id {
-			t.Fatalf("submission order = %v, want %v", ex.submitted, want)
-		}
+	if !res.Success || res.Backoffs != 1 {
+		t.Fatalf("Success=%v Backoffs=%d, want true/1", res.Success, res.Backoffs)
+	}
+	want := []string{"high", "mid", "low", "c3", "c1", "c2", "c4", "c2"}
+	if strings.Join(ex.submitted, " ") != strings.Join(want, " ") {
+		t.Fatalf("submission order = %v, want %v", ex.submitted, want)
+	}
+	if len(ex.delays) != 1 || ex.delays[0] != 7 {
+		t.Errorf("SubmitAfter delays = %v, want [7]", ex.delays)
 	}
 }
 
