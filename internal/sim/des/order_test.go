@@ -10,12 +10,16 @@ import (
 // the one every output byte depends on — whichever of its three sources
 // (the lane of events due now, the 4-ary heap, a periodic series) holds
 // them. A byte program drives the kernel through interleavings of At (the
-// closure adapter), AtOp, AtSeriesOp, Cancel and Step, and of events whose
-// handler schedules a zero-delay event when it fires, with coarse times so
-// that ties are common and cancels hit lane entries and interior heap
-// entries; a reference model that scans its live events for the minimum
-// (at, seq) says what must fire. It expands a series into its n one-off
-// events with consecutive sequence numbers. After every move every handle
+// closure adapter), AtOp, AtSeriesOp, Cancel and Step, of events whose
+// handler schedules a zero-delay event when it fires, and of a Resource's
+// AcquireOp, Release and SetCapacity, with coarse times so that ties are
+// common and cancels hit lane entries and interior heap entries; a
+// reference model that scans its live events for the minimum (at, seq)
+// says what must fire. It expands a series into its n one-off events with
+// consecutive sequence numbers, and models the Resource as a FIFO with
+// head-of-line blocking whose grants are zero-delay events scheduled at
+// the move that makes room for them; InUse, QueueLen, MaxInUse and Grants
+// are checked against it after every move. After every move every handle
 // issued so far, stale ones included, is checked against one pass over the
 // queue (Live, and the firing time of each live one), and EventTime and
 // Live are called on the handle the move touched and a few in rotation.
@@ -29,6 +33,8 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 8, 2, 0, 1, 3, 3, 3})             // cancel a lane entry between two others
 	f.Add([]byte{5, 0, 5, 0, 1, 1, 3, 0, 0, 3, 3, 3, 3, 3})       // zero-delay events scheduled by handlers, in the lane
 	f.Add([]byte{5, 2, 4, 1, 1, 2, 3, 3, 3, 3, 4, 6, 3, 3, 3, 3}) // handler-scheduled lane events tied with a series
+	f.Add([]byte{6, 0, 6, 0, 8, 1, 6, 0, 7, 0, 3, 8, 3, 3, 3, 3}) // shrink the capacity below in-use, release, then grow
+	f.Add([]byte{6, 0, 6, 1, 6, 0, 3, 3, 7, 0, 3, 7, 0, 3, 3})    // a 2-unit request blocks a 1-unit one behind it
 	// A long pseudo-random program: a heap several levels deep.
 	long := make([]byte, 6000)
 	state := uint32(2463534242)
@@ -42,7 +48,7 @@ func FuzzKernelOrder(f *testing.F) {
 	// The same, weighted towards scheduling: deeper still.
 	deep := append([]byte(nil), long...)
 	for i := 0; i+1 < len(deep); i += 2 {
-		if op := deep[i] % 6; (op == 2 || op == 3) && deep[i+1]%3 != 0 {
+		if op := deep[i] % kernelOps; (op == 2 || op == 3) && deep[i+1]%3 != 0 {
 			deep[i] -= 2
 		}
 	}
@@ -56,23 +62,36 @@ func FuzzKernelOrder(f *testing.F) {
 	})
 }
 
-// modelEvent is the reference's view of one scheduled event. A series'
-// events have no handle (series is set), so only Pending sees them.
+// kernelOps is the number of program operations runKernelProgram decodes.
+const kernelOps = 9
+
+// modelEvent is the reference's view of one scheduled event. The events of
+// a series and the grants of a Resource have no handle (noHandle is set),
+// so only Pending sees them.
 type modelEvent struct {
-	at     Time
-	id     EventID
-	live   bool
-	series bool
+	at       Time
+	id       EventID
+	live     bool
+	noHandle bool
 }
 
+// modelRequest is one Resource request in the reference model.
+type modelRequest struct{ req, n int32 }
+
 // orderRecorder receives the typed events of a kernel program: arg is the
-// event's index in the model. An event with op 1 calls spawn when it fires.
+// event's index in the model, or for a grant (op 2) the request's number,
+// which grantEvent maps to its grant's index (-1 until the model granted
+// it). An event with op 1 calls spawn when it fires.
 type orderRecorder struct {
-	fired []int32
-	spawn func()
+	fired      []int32
+	spawn      func()
+	grantEvent []int32
 }
 
 func (r *orderRecorder) HandleEvent(op, arg int32) {
+	if op == 2 {
+		arg = r.grantEvent[arg]
+	}
 	r.fired = append(r.fired, arg)
 	if op == 1 {
 		r.spawn()
@@ -88,6 +107,24 @@ func runKernelProgram(t *testing.T, prog []byte) {
 		n := int32(len(model))
 		id := s.AfterOp(0, rec, 0, n)
 		model = append(model, modelEvent{at: s.Now(), id: id, live: true})
+	}
+
+	// The Resource and its model: a FIFO wait queue with head-of-line
+	// blocking, and the granted requests not yet released.
+	res := NewResource(s, 2)
+	capacity, inUse, maxInUse, grants := 2, 0, 0, 0
+	var waiting, held []modelRequest
+	grant := func() {
+		for len(waiting) > 0 && inUse+int(waiting[0].n) <= capacity {
+			w := waiting[0]
+			waiting = waiting[1:]
+			inUse += int(w.n)
+			maxInUse = max(maxInUse, inUse)
+			grants++
+			rec.grantEvent[w.req] = int32(len(model))
+			model = append(model, modelEvent{at: s.Now(), live: true, noHandle: true})
+			held = append(held, w)
+		}
 	}
 
 	// probe checks the kernel against the model after a move. One pass over
@@ -121,7 +158,7 @@ func runKernelProgram(t *testing.T, prog []byte) {
 			if m.live {
 				live++
 			}
-			if m.series {
+			if m.noHandle {
 				continue
 			}
 			if s.Live(m.id) != m.live {
@@ -134,9 +171,13 @@ func runKernelProgram(t *testing.T, prog []byte) {
 		if s.Pending() != live {
 			t.Fatalf("after %s: Pending = %d, model has %d live", move, s.Pending(), live)
 		}
+		if res.InUse() != inUse || res.QueueLen() != len(waiting) || res.MaxInUse != maxInUse || res.Grants != uint64(grants) {
+			t.Fatalf("after %s: resource InUse=%d QueueLen=%d MaxInUse=%d Grants=%d, model %d/%d/%d/%d",
+				move, res.InUse(), res.QueueLen(), res.MaxInUse, res.Grants, inUse, len(waiting), maxInUse, grants)
+		}
 		check := func(i int) {
 			m := model[i]
-			if m.series {
+			if m.noHandle {
 				return
 			}
 			at, ok := s.EventTime(m.id)
@@ -158,7 +199,7 @@ func runKernelProgram(t *testing.T, prog []byte) {
 	}
 
 	for pc := 0; pc < len(prog); pc++ {
-		op := prog[pc] % 6
+		op := prog[pc] % kernelOps
 		arg := byte(0)
 		if op != 3 && pc+1 < len(prog) {
 			pc++
@@ -185,7 +226,7 @@ func runKernelProgram(t *testing.T, prog []byte) {
 			first := int32(len(model))
 			s.AtSeriesOp(count, dt, rec, 0, first-1)
 			for k := 1; k <= count; k++ {
-				model = append(model, modelEvent{at: Time(float64(k) * dt), live: true, series: true})
+				model = append(model, modelEvent{at: Time(float64(k) * dt), live: true, noHandle: true})
 			}
 			probe("series", -1)
 		case 2: // cancel any handle ever issued, live or stale
@@ -198,7 +239,7 @@ func runKernelProgram(t *testing.T, prog []byte) {
 				k = k<<8 | int(prog[pc+1])
 			}
 			k %= len(model)
-			if model[k].series {
+			if model[k].noHandle {
 				continue
 			}
 			s.Cancel(model[k].id)
@@ -224,14 +265,36 @@ func runKernelProgram(t *testing.T, prog []byte) {
 				t.Fatalf("Step returned %v and fired %d events, want event %d", stepped, len(rec.fired)-before, want)
 			}
 			if got := rec.fired[before]; int(got) != want {
-				t.Fatalf("Step fired event %d (at %v), want event %d (at %v)",
-					got, model[got].at, want, model[want].at)
+				t.Fatalf("Step fired event %d, want event %d (at %v)", got, want, model[want].at)
 			}
 			if s.Now() != model[want].at {
 				t.Fatalf("clock at %v after firing event %d scheduled for %v", s.Now(), want, model[want].at)
 			}
 			model[want].live = false
 			probe("step", want)
+		case 6: // acquire 1 or 2 units
+			w := modelRequest{req: int32(len(rec.grantEvent)), n: 1 + int32(arg%2)}
+			rec.grantEvent = append(rec.grantEvent, -1)
+			res.AcquireOp(int(w.n), rec, 2, w.req)
+			waiting = append(waiting, w)
+			grant()
+			probe("acquire", -1)
+		case 7: // release one held grant
+			if len(held) == 0 {
+				continue
+			}
+			k := int(arg) % len(held)
+			w := held[k]
+			held = append(held[:k], held[k+1:]...)
+			res.Release(int(w.n))
+			inUse -= int(w.n)
+			grant()
+			probe("release", -1)
+		case 8: // set the capacity to 0..3 units
+			capacity = int(arg % 4)
+			res.SetCapacity(capacity)
+			grant()
+			probe("capacity", -1)
 		}
 	}
 
@@ -243,6 +306,9 @@ func runKernelProgram(t *testing.T, prog []byte) {
 		}
 		last = s.Now()
 		got := rec.fired[len(rec.fired)-1]
+		if got < 0 {
+			t.Fatalf("drain fired a grant the model has not made")
+		}
 		for i, m := range model {
 			if m.live && (m.at < model[got].at || (m.at == model[got].at && i < int(got))) {
 				t.Fatalf("drain fired event %d (at %v) before event %d (at %v)", got, model[got].at, i, m.at)
