@@ -260,16 +260,23 @@ func TestPriorityOrdersReadyJobs(t *testing.T) {
 	w.NewJob("low", "t").Priority = 1
 	w.NewJob("high", "t").Priority = 10
 	w.NewJob("mid", "t").Priority = 5
-	for _, id := range []string{"c1", "c2", "c3", "c4"} {
+	// Enough children that an unstable sort would not keep the ties in
+	// order.
+	var children []string
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("c%02d", i)
 		w.NewJob(id, "t")
 		if err := w.AddDependency("high", id); err != nil {
 			t.Fatal(err)
 		}
+		if i != 17 {
+			children = append(children, id)
+		}
 	}
-	w.Job("c3").Priority = 1 << 20 // a stage-in job's priority
+	w.Job("c17").Priority = 1 << 20 // a stage-in job's priority
 	p := makePlan(t, w)
 	ex := &delayingExecutor{fakeExecutor: newFakeExecutor()}
-	ex.failures["c2"] = 1
+	ex.failures["c05"] = 1
 	res, err := Run(p, ex, Options{RetryLimit: 1, Backoff: func(int) float64 { return 7 }})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +284,8 @@ func TestPriorityOrdersReadyJobs(t *testing.T) {
 	if !res.Success || res.Backoffs != 1 {
 		t.Fatalf("Success=%v Backoffs=%d, want true/1", res.Success, res.Backoffs)
 	}
-	want := []string{"high", "mid", "low", "c3", "c1", "c2", "c4", "c2"}
+	want := append([]string{"high", "mid", "low", "c17"}, children...)
+	want = append(want, "c05")
 	if strings.Join(ex.submitted, " ") != strings.Join(want, " ") {
 		t.Fatalf("submission order = %v, want %v", ex.submitted, want)
 	}
