@@ -61,8 +61,8 @@ func NewCloneGate() *CloneGate {
 }
 
 // NewEscapeGate returns the production escapegate: the allocation-free
-// hot path of the slab DES kernel, the resource arena, the platform's
-// attempt path, the engine ready queue and the fifo ring. Slabs grow in
+// hot path of the slab DES kernel, the resource wait queue, the platform's
+// attempt path, the engine's submit path and the fifo ring. Slabs grow in
 // unguarded //go:noinline helpers (Simulation.newSlot, attemptSlab.extend,
 // …), where the make is reported; an append that stays within capacity
 // never shows in -m output — escape analysis reports forced-to-heap values,
@@ -83,11 +83,10 @@ func NewEscapeGate() *EscapeGate {
 				"Simulation.heapPush", "Simulation.heapPop",
 				"Simulation.siftUp", "Simulation.sink",
 				"heapEntry.before", "funcHandler.HandleEvent",
-				// resource request arena
+				// resource wait queue
 				"Resource.AcquireOp", "Resource.Acquire", "Resource.Release",
-				"Resource.releaseReq", "Resource.popHead",
-				"Resource.maybeCompact", "Resource.dispatch",
-				"Resource.account", "Acquisition.Cancel",
+				"Resource.enqueue", "Resource.popHead",
+				"Resource.dispatch", "Resource.account",
 			},
 		},
 		{
@@ -105,7 +104,7 @@ func NewEscapeGate() *EscapeGate {
 		},
 		{
 			Pkg:   "pegflow/internal/engine",
-			Funcs: []string{"readyQueue.push", "readyQueue.pop", "readyQueue.less"},
+			Funcs: []string{"Session.submitBatch", "Session.submit"},
 		},
 		{
 			Pkg:   "pegflow/internal/fifo",

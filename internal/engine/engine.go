@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pegflow/internal/kickstart"
@@ -82,9 +84,6 @@ type Options struct {
 	// RetryLimit is the number of additional attempts granted to a
 	// failing job (Pegasus-style job retries). 0 disables retries.
 	RetryLimit int
-	// MaxActive caps jobs in flight (DAGMan's maxjobs throttle).
-	// 0 means unlimited.
-	MaxActive int
 	// Retry, when set, is consulted before every retry and may re-target
 	// the job (cross-site failover). Nil keeps same-site retries.
 	Retry RetryPolicy
@@ -156,79 +155,6 @@ func (r *Result) RescueWorkflow() []string {
 	return append([]string(nil), r.rescue...)
 }
 
-// readyItem is one entry of the ready queue, stored by value.
-type readyItem struct {
-	job   *planner.Job
-	pos   int32 // dense index position of the job
-	seq   int32
-	delay float64 // backoff before submission; 0 submits immediately
-}
-
-// noCopy makes `go vet` (copylocks) reject a by-value copy of any struct that
-// holds it: the zero-size guard of this package's slab types.
-type noCopy struct{}
-
-func (*noCopy) Lock()   {}
-func (*noCopy) Unlock() {}
-
-// readyQueue orders ready jobs by priority (higher first), breaking ties
-// by submission sequence (FIFO). It is a hand-rolled binary heap of values
-// — container/heap's interface would box every item through `any`,
-// allocating on each push in the engine's hot loop.
-//
-// A by-value copy aliases the heap backing array; go vet flags it.
-type readyQueue struct {
-	_     noCopy
-	items []readyItem
-	seq   int32
-}
-
-func (q *readyQueue) less(a, b readyItem) bool {
-	if a.job.Priority != b.job.Priority {
-		return a.job.Priority > b.job.Priority
-	}
-	return a.seq < b.seq
-}
-
-func (q *readyQueue) push(job *planner.Job, pos int32, delay float64) {
-	q.items = append(q.items, readyItem{job: job, pos: pos, seq: q.seq, delay: delay})
-	q.seq++
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(q.items[i], q.items[parent]) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
-	}
-}
-
-func (q *readyQueue) pop() readyItem {
-	top := q.items[0]
-	n := len(q.items) - 1
-	q.items[0] = q.items[n]
-	q.items[n] = readyItem{}
-	q.items = q.items[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(q.items[right], q.items[left]) {
-			smallest = right
-		}
-		if !q.less(q.items[smallest], q.items[i]) {
-			break
-		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
-		i = smallest
-	}
-	return top
-}
-
 // Session is one workflow run as a step-driven state machine: Start
 // submits the root jobs, every Handle folds one terminal event into the
 // run and submits whatever it released, and Finish reports the outcome.
@@ -254,8 +180,10 @@ type Session struct {
 	// resited tracks jobs the retry policy re-targeted, so later retries
 	// start from the job as last submitted (the plan itself is never
 	// mutated — it may be shared or reused).
-	resited  []*planner.Job
-	ready    readyQueue
+	resited []*planner.Job
+	// batch holds the positions of the jobs one call readies — the roots,
+	// or the children of one finished job — until they are submitted.
+	batch    []int32
 	inflight int
 
 	res *Result
@@ -280,21 +208,21 @@ func Start(plan *planner.Plan, sub Submitter, opts Options) *Session {
 	}
 	s.delayed, _ = sub.(DelayedSubmitter)
 	// One event can release a whole level at once (a split finishing
-	// readies every chunk), so the ready queue is sized for the widest
-	// level up front instead of grown to it.
+	// readies every chunk), so the batch is sized for the widest level up
+	// front instead of grown to it.
 	widest := 0
 	for _, level := range idx.Levels {
 		if len(level) > widest {
 			widest = len(level)
 		}
 	}
-	s.ready.items = make([]readyItem, 0, widest)
+	s.batch = make([]int32, 0, widest)
 	for i := 0; i < n; i++ {
 		if s.indeg[i] == 0 {
-			s.ready.push(plan.JobAt(int32(i)), int32(i), 0)
+			s.batch = append(s.batch, int32(i))
 		}
 	}
-	s.submit()
+	s.submitBatch()
 	return s
 }
 
@@ -302,30 +230,36 @@ func Start(plan *planner.Plan, sub Submitter, opts Options) *Session {
 // in flight and no error has ended the run.
 func (s *Session) Active() bool { return s.err == nil && s.inflight > 0 }
 
-// submit releases ready jobs while the MaxActive throttle permits.
-func (s *Session) submit() {
-	for len(s.ready.items) > 0 && (s.opts.MaxActive == 0 || s.inflight < s.opts.MaxActive) {
-		it := s.ready.pop()
-		s.attempts[it.pos]++
-		if it.delay > 0 && s.delayed != nil {
-			s.delayed.SubmitAfter(it.job, s.attempts[it.pos], it.delay)
-		} else {
-			s.sub.Submit(it.job, s.attempts[it.pos])
-		}
-		s.inflight++
+// submitBatch submits the batch, highest priority first and ties in the
+// order the jobs were readied, and empties it.
+func (s *Session) submitBatch() {
+	slices.SortStableFunc(s.batch, func(a, b int32) int {
+		return cmp.Compare(s.plan.JobAt(b).Priority, s.plan.JobAt(a).Priority)
+	})
+	for _, pos := range s.batch {
+		s.submit(s.plan.JobAt(pos), pos, 0)
 	}
+	s.batch = s.batch[:0]
+}
+
+// submit sends the next attempt of the job at position pos, delay seconds
+// of executor time from now when the executor can wait out a backoff.
+func (s *Session) submit(job *planner.Job, pos int32, delay float64) {
+	s.attempts[pos]++
+	if delay > 0 && s.delayed != nil {
+		s.delayed.SubmitAfter(job, s.attempts[pos], delay)
+	} else {
+		s.sub.Submit(job, s.attempts[pos])
+	}
+	s.inflight++
 }
 
 // Handle folds the terminal event of one of the session's in-flight
-// attempts into the run: it logs the records, releases the children of a
-// finished job or re-queues a failed one (consulting the retry and
-// backoff policies), and submits what became ready. It may only be called
+// attempts into the run: it logs the records and submits the children of
+// a finished job that it readies, or the retry of a failed one
+// (consulting the retry and backoff policies). It may only be called
 // while the session is Active.
-func (s *Session) Handle(ev Event) {
-	if s.err = s.handle(ev); s.err == nil {
-		s.submit()
-	}
-}
+func (s *Session) Handle(ev Event) { s.err = s.handle(ev) }
 
 func (s *Session) handle(ev Event) error {
 	res, opts := s.res, &s.opts
@@ -353,9 +287,10 @@ func (s *Session) handle(ev Event) error {
 		for _, child := range s.idx.Children[pos] {
 			s.indeg[child]--
 			if s.indeg[child] == 0 {
-				s.ready.push(s.plan.JobAt(child), child, 0)
+				s.batch = append(s.batch, child)
 			}
 		}
+		s.submitBatch()
 	case EventFailed, EventEvicted:
 		if ev.Type == EventEvicted {
 			res.Evictions++
@@ -395,7 +330,7 @@ func (s *Session) handle(ev Event) error {
 					res.BackoffSeconds += delay
 				}
 			}
-			s.ready.push(job, pos, delay)
+			s.submit(job, pos, delay)
 		} else {
 			res.PermanentlyFailed = append(res.PermanentlyFailed, ev.JobID)
 		}

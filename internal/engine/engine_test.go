@@ -230,25 +230,6 @@ func TestEvictionCountsAndRetries(t *testing.T) {
 	}
 }
 
-func TestMaxActiveThrottle(t *testing.T) {
-	w := dax.New("wide")
-	for i := 0; i < 30; i++ {
-		w.NewJob(fmt.Sprintf("J%02d", i), "t")
-	}
-	p := makePlan(t, w)
-	ex := newFakeExecutor()
-	res, err := Run(p, ex, Options{MaxActive: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Success {
-		t.Fatal("workflow failed")
-	}
-	if ex.maxInflight > 3 {
-		t.Errorf("maxInflight = %d, want ≤ 3", ex.maxInflight)
-	}
-}
-
 // TestPriorityOrdersReadyJobs pins the submission order: the jobs one
 // call readies (the roots at Start, the children of one finished job) are
 // submitted highest priority first, ties in the order they were readied —
@@ -297,13 +278,13 @@ func TestPriorityOrdersReadyJobs(t *testing.T) {
 func TestMakespanIsLastEventTime(t *testing.T) {
 	p := diamondPlan(t)
 	ex := newFakeExecutor()
-	res, err := Run(p, ex, Options{MaxActive: 1})
+	res, err := Run(p, ex, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 jobs × 1 s each, sequential under the fake's clock.
-	if res.Makespan != 4 {
-		t.Errorf("Makespan = %v, want 4", res.Makespan)
+	// 1 s per job under the fake's clock: A, then B and C together, then D.
+	if res.Makespan != 3 {
+		t.Errorf("Makespan = %v, want 3", res.Makespan)
 	}
 }
 

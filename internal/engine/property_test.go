@@ -10,31 +10,6 @@ import (
 	"pegflow/internal/planner"
 )
 
-func TestThrottleWithRetriesStaysBounded(t *testing.T) {
-	w := dax.New("wide")
-	for i := 0; i < 40; i++ {
-		w.NewJob(fmt.Sprintf("J%02d", i), "t")
-	}
-	p := makePlan(t, w)
-	ex := newFakeExecutor()
-	for i := 0; i < 40; i += 3 {
-		ex.failures[fmt.Sprintf("J%02d", i)] = 1
-	}
-	res, err := Run(p, ex, Options{MaxActive: 4, RetryLimit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Success {
-		t.Fatalf("failed: %v", res.PermanentlyFailed)
-	}
-	if ex.maxInflight > 4 {
-		t.Errorf("maxInflight = %d with retries, want ≤ 4", ex.maxInflight)
-	}
-	if res.Retries != 14 {
-		t.Errorf("retries = %d, want 14", res.Retries)
-	}
-}
-
 // Property: for any DAG shape, failure pattern and retry limit, the engine
 // terminates with Completed ∪ Unfinished = all jobs, a descendant of a
 // permanently-failed job never runs, and the log's per-job attempt count

@@ -149,7 +149,7 @@ func TestEngineStress(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			plan := randomPlan(t, "chaos", seed, 30+int(seed%3)*10, 0.08)
 			ex := newChaosExecutor(seed, cfg.failP, cfg.evictP)
-			res, err := Run(plan, ex, Options{RetryLimit: cfg.retries, MaxActive: 1 + int(seed%7)})
+			res, err := Run(plan, ex, Options{RetryLimit: cfg.retries})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +279,6 @@ func TestEngineStressFailover(t *testing.T) {
 				ex := newChaosExecutor(seed, cfg.failP, cfg.evictP)
 				res, err := Run(plan, ex, Options{
 					RetryLimit: cfg.retries,
-					MaxActive:  1 + int(seed%7),
 					Retry:      flipSite,
 				})
 				if err != nil {

@@ -4,6 +4,10 @@
 // the state machine engine.Run loops over); the ensemble adds a global
 // in-flight throttle across members and per-workflow priorities that decide
 // which held job reaches the platform pool first when capacity frees up.
+// Options.MaxInFlight is the one throttle a run has — DAGMan's maxjobs,
+// for an ensemble of one too — and the hold queue is the one place a
+// submission waits before the pool: a session submits every job it
+// readies at once.
 //
 // A submission allocates nothing on its way through the driver: the hold
 // queue is a heap of values, an attempt goes to the pool tagged with its

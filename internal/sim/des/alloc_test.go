@@ -147,10 +147,10 @@ func TestAllocsReservedBurst(t *testing.T) {
 			r.AcquireOp(1, h, 0, 1)
 		}
 	})
-	// The simulation, the resource and four slabs: events, heap, requests,
-	// wait queue.
-	if allocs > 6 {
-		t.Errorf("reserved burst of %d events and requests made %.0f allocations, want <= 6", n, allocs)
+	// The simulation, the resource and three slabs: events, heap, wait
+	// queue.
+	if allocs > 5 {
+		t.Errorf("reserved burst of %d events and requests made %.0f allocations, want <= 5", n, allocs)
 	}
 }
 

@@ -124,7 +124,6 @@ type Simulation struct {
 	seq        uint32
 	// pending counts the live events; dead the canceled ones still queued.
 	pending, dead int
-	stopped       bool
 	// processed counts events executed; useful for tests and loop guards.
 	processed uint64
 }
@@ -350,9 +349,6 @@ func (s *Simulation) freeSlot(slot int32) {
 	s.free = slot
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (s *Simulation) Stop() { s.stopped = true }
-
 // Pending returns the number of events waiting to fire, counting each
 // remaining firing of a series.
 func (s *Simulation) Pending() int { return s.pending }
@@ -437,25 +433,9 @@ func (s *Simulation) stepSeries(ent heapEntry) {
 	h.HandleEvent(op, arg)
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Simulation) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-}
-
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-// Events scheduled exactly at t are executed.
-func (s *Simulation) RunUntil(t Time) {
-	s.stopped = false
-	for !s.stopped {
-		if ent, src := s.front(); src == srcNone || ent.at > t {
-			break
-		}
-		s.Step()
-	}
-	if !s.stopped && t > s.now {
-		s.now = t
+	for s.Step() {
 	}
 }
 

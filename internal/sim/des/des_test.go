@@ -159,104 +159,6 @@ func TestCancelFromEarlierEvent(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Errorf("executed %d events after Stop, want 3", count)
-	}
-	if s.Pending() != 7 {
-		t.Errorf("pending = %d, want 7", s.Pending())
-	}
-	// Run resumes.
-	s.Run()
-	if count != 10 {
-		t.Errorf("after resume executed %d, want 10", count)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var fired []Time
-	for _, at := range []Time{1, 2, 3, 7} {
-		at := at
-		s.At(at, func() { fired = append(fired, at) })
-	}
-	s.RunUntil(3)
-	if len(fired) != 3 {
-		t.Fatalf("RunUntil(3) fired %d events, want 3", len(fired))
-	}
-	if s.Now() != 3 {
-		t.Errorf("clock = %v, want 3s", s.Now())
-	}
-	s.RunUntil(5)
-	if s.Now() != 5 {
-		t.Errorf("clock after empty RunUntil = %v, want 5s", s.Now())
-	}
-	s.Run()
-	if len(fired) != 4 || s.Now() != 7 {
-		t.Errorf("final: fired=%d now=%v", len(fired), s.Now())
-	}
-}
-
-// TestRunUntilCanceledHead is the regression test for the deadline bug:
-// cancellation is lazy, so a canceled entry can sit at the heap head, and a
-// RunUntil guard that reads queue[0].at directly would see the dead entry's
-// early time and let Step fire the next live event even when it lies past
-// the deadline. The fixed guard peeks the next *live* event.
-func TestRunUntilCanceledHead(t *testing.T) {
-	s := New()
-	fired := false
-	e := s.At(5, func() { t.Error("canceled event fired") })
-	s.At(20, func() { fired = true })
-	s.Cancel(e)
-	s.RunUntil(10)
-	if fired {
-		t.Fatal("RunUntil(10) executed an event scheduled at t=20 past the deadline")
-	}
-	if s.Now() != 10 {
-		t.Errorf("clock = %v, want 10s", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Errorf("pending = %d, want 1 (the live t=20 event)", s.Pending())
-	}
-	s.Run()
-	if !fired || s.Now() != 20 {
-		t.Errorf("after Run: fired=%v now=%v, want true/20s", fired, s.Now())
-	}
-}
-
-// A run of canceled entries at the head must all be skipped by the guard.
-func TestRunUntilManyCanceledHeads(t *testing.T) {
-	s := New()
-	for i := 1; i <= 8; i++ {
-		e := s.At(Time(i), func() { t.Error("canceled event fired") })
-		s.Cancel(e)
-	}
-	ran := false
-	s.At(9, func() { ran = true })
-	s.RunUntil(4)
-	if ran {
-		t.Fatal("RunUntil(4) fired the t=9 event")
-	}
-	if s.Now() != 4 {
-		t.Errorf("clock = %v, want 4s", s.Now())
-	}
-	s.RunUntil(9)
-	if !ran || s.Now() != 9 {
-		t.Errorf("RunUntil(9): ran=%v now=%v", ran, s.Now())
-	}
-}
-
 // Pending counts live events only, whether the canceled entries have been
 // discarded yet or not.
 func TestPendingExcludesCanceled(t *testing.T) {

@@ -37,5 +37,6 @@
 // generation) instead of pointers; a stale handle (its event already fired
 // or canceled) is detected by the generation check and every operation on
 // it is a safe no-op. Cancel only marks the event; nothing records where a
-// heap entry sits, so EventTime scans the heap.
+// heap entry sits, so EventTime scans the heap. A Resource request has no
+// handle: it waits by value in the FIFO until it is granted.
 package des

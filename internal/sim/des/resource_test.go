@@ -64,73 +64,6 @@ func TestResourceFIFOHeadOfLineBlocking(t *testing.T) {
 	}
 }
 
-func TestResourceCancelPending(t *testing.T) {
-	s := New()
-	r := NewResource(s, 1)
-	r.Acquire(1, func() { s.After(10, func() { r.Release(1) }) })
-	fired := false
-	a := r.Acquire(1, func() { fired = true })
-	a.Cancel()
-	third := false
-	r.Acquire(1, func() { third = true })
-	s.Run()
-	if fired {
-		t.Error("canceled acquisition was granted")
-	}
-	if !third {
-		t.Error("request behind canceled one was never granted")
-	}
-	if r.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d, want 0", r.QueueLen())
-	}
-}
-
-// Canceled requests lingering mid-queue must not break FIFO order of the
-// live requests around them, must vanish from QueueLen immediately, and the
-// queue must stay usable across heavy cancel churn (compaction path).
-func TestResourceCancelMidQueueChurn(t *testing.T) {
-	s := New()
-	r := NewResource(s, 1)
-	r.Acquire(1, func() { s.After(100, func() { r.Release(1) }) })
-	var order []int
-	var keep []Acquisition
-	for i := 0; i < 200; i++ {
-		i := i
-		a := r.Acquire(1, func() {
-			order = append(order, i)
-			s.After(1, func() { r.Release(1) })
-		})
-		keep = append(keep, a)
-	}
-	// Cancel every request except multiples of 10, scattered mid-queue.
-	live := 0
-	for i, a := range keep {
-		if i%10 == 0 {
-			live++
-			continue
-		}
-		a.Cancel()
-	}
-	if got := r.QueueLen(); got != live {
-		t.Fatalf("QueueLen after cancels = %d, want %d", got, live)
-	}
-	s.Run()
-	if len(order) != live {
-		t.Fatalf("granted %d requests, want %d", len(order), live)
-	}
-	for k, v := range order {
-		if v != k*10 {
-			t.Fatalf("grant order broken: order[%d] = %d, want %d", k, v, k*10)
-		}
-	}
-	// Double cancel and cancel-after-grant are no-ops.
-	keep[0].Cancel()
-	keep[1].Cancel()
-	if r.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d, want 0", r.QueueLen())
-	}
-}
-
 // The waiters backing array must not retain granted requests: after heavy
 // one-in-one-out traffic the internal queue stays compact (live window at
 // the front, dead prefix bounded).

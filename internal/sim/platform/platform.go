@@ -272,7 +272,7 @@ func newSite(pool *Executor, cfg Config) (*site, error) {
 	return s, nil
 }
 
-// reserve sizes the slot pool's request arena and queue, the attempt slab
+// reserve sizes the slot pool's wait queue, the attempt slab
 // and the node-name table for the given number of jobs.
 func (s *site) reserve(jobs int) {
 	s.slots.Reserve(jobs)
