@@ -17,11 +17,7 @@ import (
 	"pegflow/internal/bio/blast2cap3"
 	"pegflow/internal/bio/cap3"
 	"pegflow/internal/bio/fasta"
-	"pegflow/internal/catalog"
-	"pegflow/internal/engine"
-	"pegflow/internal/planner"
 	"pegflow/internal/stats"
-	"pegflow/internal/workflow"
 )
 
 func main() {
@@ -85,33 +81,7 @@ func run(transcripts, alignments, workdir, mode string, n, parallel int, params 
 		return nil
 
 	case "workflow":
-		abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n})
-		if err != nil {
-			return err
-		}
-		cats := planner.Catalogs{
-			Sites:           catalog.NewSiteCatalog(),
-			Transformations: catalog.NewTransformationCatalog(),
-			Replicas:        catalog.NewReplicaCatalog(),
-		}
-		if err := cats.Sites.Add(&catalog.Site{
-			Name: "local", Slots: parallel, SpeedFactor: 1, SharedSoftware: true,
-		}); err != nil {
-			return err
-		}
-		for _, tr := range workflow.Transformations() {
-			if err := cats.Transformations.Add(&catalog.Transformation{
-				Name: tr, Site: "local", Installed: true,
-			}); err != nil {
-				return err
-			}
-		}
-		plan, err := planner.New(abstract, cats, planner.Options{Site: "local"})
-		if err != nil {
-			return err
-		}
-		ex := engine.NewLocalExecutor(blast2cap3.Registry(params), workdir, parallel)
-		res, err := engine.Run(plan, ex, engine.Options{RetryLimit: 1})
+		abstract, res, err := blast2cap3.RunWorkflow(workdir, n, parallel, params)
 		if err != nil {
 			return err
 		}

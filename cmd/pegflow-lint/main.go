@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"pegflow/internal/analysis"
@@ -31,7 +30,6 @@ func run(args []string) int {
 	var (
 		jsonOut = fs.Bool("json", false, "emit findings as a JSON array on stdout")
 		dir     = fs.String("C", ".", "directory to analyze from (module root for ./... patterns)")
-		allow   = fs.String("allow", "lint.allow", "allowlist file, relative to -C (missing file = empty allowlist)")
 		enable  = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 		disable = fs.String("disable", "", "comma-separated analyzers to skip")
 		list    = fs.Bool("list", false, "list analyzers and exit")
@@ -63,23 +61,13 @@ func run(args []string) int {
 		return 2
 	}
 
-	allowPath := *allow
-	if !filepath.IsAbs(allowPath) {
-		allowPath = filepath.Join(*dir, allowPath)
-	}
-	allowlist, err := analysis.LoadAllowlist(allowPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pegflow-lint: %v\n", err)
-		return 2
-	}
-
 	prog, err := analysis.Load(*dir, fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pegflow-lint: %v\n", err)
 		return 2
 	}
 
-	suite := &analysis.Suite{Analyzers: selected, Allow: allowlist}
+	suite := &analysis.Suite{Analyzers: selected}
 	findings, err := suite.Run(prog)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pegflow-lint: %v\n", err)

@@ -18,11 +18,7 @@ import (
 	"pegflow/internal/bio/cap3"
 	"pegflow/internal/bio/datagen"
 	"pegflow/internal/bio/fasta"
-	"pegflow/internal/catalog"
-	"pegflow/internal/engine"
-	"pegflow/internal/planner"
 	"pegflow/internal/stats"
-	"pegflow/internal/workflow"
 )
 
 func main() {
@@ -57,34 +53,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Build the blast2cap3 DAX (real mode: no runtime profiles) and
-	// plan it for the local site.
+	// 4. Plan the blast2cap3 DAX (real mode: no runtime profiles) for
+	// the local site and execute it with the real transformation registry.
 	const n = 4
-	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cats := planner.Catalogs{
-		Sites:           catalog.NewSiteCatalog(),
-		Transformations: catalog.NewTransformationCatalog(),
-		Replicas:        catalog.NewReplicaCatalog(),
-	}
-	if err := cats.Sites.Add(&catalog.Site{Name: "local", Slots: 4, SpeedFactor: 1, SharedSoftware: true}); err != nil {
-		log.Fatal(err)
-	}
-	for _, tr := range workflow.Transformations() {
-		if err := cats.Transformations.Add(&catalog.Transformation{Name: tr, Site: "local", Installed: true}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	plan, err := planner.New(abstract, cats, planner.Options{Site: "local"})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 5. Execute with the real transformation registry.
-	ex := engine.NewLocalExecutor(blast2cap3.Registry(cap3.DefaultParams()), dir, 4)
-	res, err := engine.Run(plan, ex, engine.Options{RetryLimit: 1})
+	abstract, res, err := blast2cap3.RunWorkflow(dir, n, 4, cap3.DefaultParams())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 6. Compare against the serial reference implementation.
+	// 5. Compare against the serial reference implementation.
 	final, err := fasta.ReadFile(filepath.Join(dir, "final_assembly.fasta"))
 	if err != nil {
 		log.Fatal(err)

@@ -18,11 +18,6 @@ type Finding struct {
 	// Line and Col locate the finding (1-based).
 	Line int `json:"line"`
 	Col  int `json:"col"`
-	// Key is the stable allowlist key — what was matched (e.g. the
-	// forbidden callee "time.Now", or the mutated field
-	// "planner.Job.ExecSeconds"), independent of line numbers so
-	// allowlist entries survive unrelated edits.
-	Key string `json:"key"`
 	// Message is the human-readable diagnostic.
 	Message string `json:"message"`
 }
@@ -33,54 +28,38 @@ func (f Finding) String() string {
 
 // Analyzer is one whole-program check.
 type Analyzer interface {
-	// Name is the analyzer's flag/allowlist identifier.
+	// Name is the analyzer's -enable/-disable identifier.
 	Name() string
 	// Doc is a one-line description of the invariant the analyzer guards.
 	Doc() string
 	// Run inspects the program and reports findings. Position and
 	// analyzer stamping are handled by the caller's report func.
-	Run(prog *Program, report func(pos token.Position, key, message string)) error
+	Run(prog *Program, report func(pos token.Position, message string)) error
 }
 
-// Suite is a configured set of analyzers plus an allowlist.
+// Suite is a configured set of analyzers.
 type Suite struct {
 	Analyzers []Analyzer
-	Allow     *Allowlist
 }
 
-// Run executes every analyzer over the program, applies the allowlist,
-// and returns the surviving findings sorted by position. Allowlist
-// entries that matched nothing become findings themselves: a stale
-// suppression is a lint error, so the file can only shrink when the code
-// it excuses is gone.
+// Run executes every analyzer over the program and returns every finding
+// sorted by position. Nothing is exempt: a finding is fixed, not excused.
 func (s *Suite) Run(prog *Program) ([]Finding, error) {
 	var out []Finding
 	for _, a := range s.Analyzers {
 		name := a.Name()
-		report := func(pos token.Position, key, message string) {
-			f := Finding{
+		report := func(pos token.Position, message string) {
+			out = append(out, Finding{
 				Analyzer: name,
 				File:     relFile(prog.Dir, pos.Filename),
 				Line:     pos.Line,
 				Col:      pos.Column,
-				Key:      key,
 				Message:  message,
-			}
-			if s.Allow != nil && s.Allow.permits(f) {
-				return
-			}
-			out = append(out, f)
+			})
 		}
 		if err := a.Run(prog, report); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-	}
-	if s.Allow != nil {
-		enabled := make(map[string]bool, len(s.Analyzers))
-		for _, a := range s.Analyzers {
-			enabled[a.Name()] = true
-		}
-		out = append(out, s.Allow.unused(enabled)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -33,7 +33,7 @@ func (*CloneGate) Doc() string {
 	return "forbid field writes through cached plan/DAX types outside whitelisted clone/constructor functions"
 }
 
-func (c *CloneGate) Run(prog *Program, report func(pos token.Position, key, message string)) error {
+func (c *CloneGate) Run(prog *Program, report func(pos token.Position, message string)) error {
 	protected := make(map[string]bool, len(c.Protected))
 	for _, p := range c.Protected {
 		protected[p] = true
@@ -58,11 +58,11 @@ func (c *CloneGate) Run(prog *Program, report func(pos token.Position, key, mess
 	return nil
 }
 
-func (c *CloneGate) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, protected map[string]bool, report func(pos token.Position, key, message string)) {
+func (c *CloneGate) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, protected map[string]bool, report func(pos token.Position, message string)) {
 	flag := func(lhs ast.Expr) {
 		if key, field := c.protectedWrite(pkg.Info, lhs, protected); key != "" {
 			pos := prog.Fset.Position(lhs.Pos())
-			report(pos, shortTypeKey(key)+"."+field,
+			report(pos,
 				"write to "+shortTypeKey(key)+"."+field+" outside its defining package: cached masters are shared — Clone before mutating, or whitelist this function with a justification")
 		}
 	}
@@ -113,7 +113,7 @@ func (c *CloneGate) protectedWrite(info *types.Info, lhs ast.Expr, protected map
 	}
 }
 
-// shortTypeKey trims the module-internal prefix for readable finding keys:
+// shortTypeKey trims the module-internal prefix for readable findings:
 // "pegflow/internal/planner.Job" -> "planner.Job".
 func shortTypeKey(key string) string {
 	if i := strings.LastIndex(key, "/"); i >= 0 {

@@ -35,7 +35,7 @@ func (*CtxFlow) Doc() string {
 	return "flag dropped contexts and unobservable blocking on the serve/scenario request path"
 }
 
-func (c *CtxFlow) Run(prog *Program, report func(pos token.Position, key, message string)) error {
+func (c *CtxFlow) Run(prog *Program, report func(pos token.Position, message string)) error {
 	for _, pkg := range prog.Module {
 		if !matchPath(pkg.Path, c.Packages) {
 			continue
@@ -57,7 +57,7 @@ func (c *CtxFlow) Run(prog *Program, report func(pos token.Position, key, messag
 	return nil
 }
 
-func (c *CtxFlow) checkFunc(prog *Program, pkg *Package, ft *ast.FuncType, body *ast.BlockStmt, report func(pos token.Position, key, message string)) {
+func (c *CtxFlow) checkFunc(prog *Program, pkg *Package, ft *ast.FuncType, body *ast.BlockStmt, report func(pos token.Position, message string)) {
 	receivesCtx := c.signatureReceivesContext(pkg, ft)
 	ctxInScope := receivesCtx || referencesContext(pkg, body)
 	if !ctxInScope {
@@ -89,23 +89,23 @@ func (c *CtxFlow) checkFunc(prog *Program, pkg *Package, ft *ast.FuncType, body 
 				return
 			}
 			if !c.selectHasDoneCase(pkg, n) {
-				report(prog.Fset.Position(n.Pos()), "select",
+				report(prog.Fset.Position(n.Pos()),
 					"blocking select with a context in scope has no ctx.Done() case; cancellation cannot interrupt it")
 			}
 		case *ast.SendStmt:
 			if receivesCtx && !selectOps[n] {
-				report(prog.Fset.Position(n.Pos()), "send",
+				report(prog.Fset.Position(n.Pos()),
 					"bare channel send in a context-receiving function cannot observe cancellation; use a select with ctx.Done()")
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && receivesCtx && !selectOps[n] {
-				report(prog.Fset.Position(n.Pos()), "recv",
+				report(prog.Fset.Position(n.Pos()),
 					"bare channel receive in a context-receiving function cannot observe cancellation; use a select with ctx.Done()")
 			}
 		case *ast.CallExpr:
 			obj := calleeObj(pkg.Info, n)
 			if receivesCtx && (isPkgFunc(obj, "context", "Background") || isPkgFunc(obj, "context", "TODO")) {
-				report(prog.Fset.Position(n.Pos()), "context."+obj.Name(),
+				report(prog.Fset.Position(n.Pos()),
 					"function already receives a context; thread it instead of starting a fresh context."+obj.Name()+"()")
 			}
 		}

@@ -24,7 +24,7 @@ func (*DetRange) Doc() string {
 	return "flag map iteration that builds output without a subsequent deterministic sort"
 }
 
-func (d *DetRange) Run(prog *Program, report func(pos token.Position, key, message string)) error {
+func (d *DetRange) Run(prog *Program, report func(pos token.Position, message string)) error {
 	for _, pkg := range prog.Module {
 		if !matchPath(pkg.Path, d.Packages) {
 			continue
@@ -50,7 +50,7 @@ type rangeEffect struct {
 	target types.Object
 }
 
-func (d *DetRange) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, report func(pos token.Position, key, message string)) {
+func (d *DetRange) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, report func(pos token.Position, message string)) {
 	closures := localClosures(fd.Body, pkg.Info)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
@@ -72,7 +72,6 @@ func (d *DetRange) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, repo
 			return true
 		}
 		pos := prog.Fset.Position(rs.Pos())
-		key := funcDisplayName(fd) + "." + eff.kind
 		var what string
 		switch eff.kind {
 		case "append":
@@ -84,7 +83,7 @@ func (d *DetRange) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, repo
 		case "callback":
 			what = "invokes a callback whose side effects the analyzer cannot see"
 		}
-		report(pos, key, "map iteration order is nondeterministic and the body "+what+
+		report(pos, "map iteration order is nondeterministic and the body "+what+
 			" with no deterministic sort afterwards; collect keys, sort, then emit")
 		return true
 	})

@@ -16,9 +16,9 @@ import (
 // pool.ForEach over independent cells. A simulation cell must be
 // a pure function of (scenario, seed) — the byte-identical-across-workers
 // guarantee every golden test leans on — so any ambient input is a bug
-// even when it happens to be harmless today. Legitimate uses (the
-// real-time local executor) are excused in the allowlist file, each with
-// a justification.
+// even when it happens to be harmless today. Nothing is exempt: code that
+// needs the wall clock or goroutines, like the real-process executor in
+// bio/blast2cap3, lives outside the boundary.
 type DetSource struct {
 	// Packages are the boundary package patterns ("..."-suffix subtrees
 	// allowed).
@@ -37,7 +37,7 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-func (d *DetSource) Run(prog *Program, report func(pos token.Position, key, message string)) error {
+func (d *DetSource) Run(prog *Program, report func(pos token.Position, message string)) error {
 	for _, pkg := range prog.Module {
 		if !matchPath(pkg.Path, d.Packages) {
 			continue
@@ -48,7 +48,7 @@ func (d *DetSource) Run(prog *Program, report func(pos token.Position, key, mess
 				case *ast.CallExpr:
 					d.checkCall(prog, pkg, n, report)
 				case *ast.GoStmt:
-					report(prog.Fset.Position(n.Pos()), "go",
+					report(prog.Fset.Position(n.Pos()),
 						"go statement inside the simulation boundary: the scheduler would order its effects; a run is one goroutine on one virtual clock")
 				}
 				return true
@@ -58,7 +58,7 @@ func (d *DetSource) Run(prog *Program, report func(pos token.Position, key, mess
 	return nil
 }
 
-func (d *DetSource) checkCall(prog *Program, pkg *Package, call *ast.CallExpr, report func(pos token.Position, key, message string)) {
+func (d *DetSource) checkCall(prog *Program, pkg *Package, call *ast.CallExpr, report func(pos token.Position, message string)) {
 	obj := calleeObj(pkg.Info, call)
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
@@ -74,16 +74,16 @@ func (d *DetSource) checkCall(prog *Program, pkg *Package, call *ast.CallExpr, r
 	case "time":
 		switch name {
 		case "Now", "Since", "Until":
-			report(pos, "time."+name, "time."+name+" inside the simulation boundary: virtual time must come from the DES clock, not the wall clock")
+			report(pos, "time."+name+" inside the simulation boundary: virtual time must come from the DES clock, not the wall clock")
 		}
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[name] {
-			report(pos, key, key+" uses the global process-wide source; build a seeded generator with "+path+".New instead")
+			report(pos, key+" uses the global process-wide source; build a seeded generator with "+path+".New instead")
 		}
 	case "os":
 		switch name {
 		case "Getenv", "LookupEnv", "Environ":
-			report(pos, "os."+name, "os."+name+" inside the simulation boundary: environment reads make results machine-dependent")
+			report(pos, "os."+name+" inside the simulation boundary: environment reads make results machine-dependent")
 		}
 	case "fmt":
 		d.checkFmtCall(prog, pkg, call, name, report)
@@ -105,7 +105,7 @@ var unformattedFmtFuncs = map[string]bool{
 // iterates the map, and although fmt sorts keys these strings routinely
 // become cache keys or log lines whose stability must not hinge on fmt
 // internals — the sim boundary builds keys explicitly instead.
-func (d *DetSource) checkFmtCall(prog *Program, pkg *Package, call *ast.CallExpr, name string, report func(pos token.Position, key, message string)) {
+func (d *DetSource) checkFmtCall(prog *Program, pkg *Package, call *ast.CallExpr, name string, report func(pos token.Position, message string)) {
 	argStart := 0
 	if idx, ok := formattedFmtFuncs[name]; ok {
 		if len(call.Args) <= idx {
@@ -135,7 +135,7 @@ func (d *DetSource) checkFmtCall(prog *Program, pkg *Package, call *ast.CallExpr
 		}
 		if _, isMap := t.Underlying().(*types.Map); isMap {
 			pos := prog.Fset.Position(call.Pos())
-			report(pos, "fmt."+name+"(map)",
+			report(pos,
 				"fmt."+name+" formats a map value inside the simulation boundary; render keys in an explicit deterministic order instead")
 			return
 		}

@@ -18,8 +18,7 @@
 //     the output path.
 //   - detsource: forbids wall-clock, global math/rand, environment reads,
 //     map-formatting fmt calls and go statements inside the simulation
-//     boundary, with an explicit allowlist file for the few legitimate
-//     uses.
+//     boundary, with no exemptions.
 //   - clonegate: forbids assignments through *planner.Plan, *planner.Job,
 //     *dax.Workflow or *dax.Job outside the defining packages and a
 //     justified whitelist of constructor functions, keeping cached
@@ -38,5 +37,6 @@
 // (docs/LINTING.md lists the sites and what checks them).
 //
 // The cmd/pegflow-lint binary drives the suite; docs/LINTING.md documents
-// each analyzer, the invariant it guards, and the allowlist workflow.
+// each analyzer and the invariant it guards. There is no exemption file:
+// a finding is fixed, never excused.
 package analysis

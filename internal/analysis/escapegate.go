@@ -43,7 +43,7 @@ func (*EscapeGate) Doc() string {
 // escapeLine matches `file.go:line:col: msg` diagnostics.
 var escapeLine = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.+)$`)
 
-func (g *EscapeGate) Run(prog *Program, report func(pos token.Position, key, message string)) error {
+func (g *EscapeGate) Run(prog *Program, report func(pos token.Position, message string)) error {
 	if len(g.Guards) == 0 {
 		return nil
 	}
@@ -128,7 +128,7 @@ func (g *EscapeGate) Run(prog *Program, report func(pos token.Position, key, mes
 		if onPanicPath(pkg.Info, fd, pos) {
 			continue
 		}
-		report(prog.Fset.Position(pos), name,
+		report(prog.Fset.Position(pos),
 			fmt.Sprintf("heap escape in guarded kernel function %s: %s — the hot path must stay allocation-free", name, msg))
 	}
 	return nil

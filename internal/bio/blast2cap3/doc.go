@@ -6,5 +6,7 @@
 // The package offers both the monolithic serial driver (the paper's
 // baseline) and the decomposed stages the Pegasus-style workflow runs as
 // separate tasks (create lists, split, run_cap3 per chunk, merge,
-// merge_not_joined).
+// merge_not_joined). LocalExecutor runs those stages for real, on the wall
+// clock and worker goroutines, outside the simulation boundary, and
+// RunWorkflow plans and runs the whole workflow through it.
 package blast2cap3

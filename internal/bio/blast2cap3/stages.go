@@ -11,7 +11,6 @@ import (
 	"pegflow/internal/bio/blast"
 	"pegflow/internal/bio/cap3"
 	"pegflow/internal/bio/fasta"
-	"pegflow/internal/engine"
 )
 
 // File-level stage implementations: each function is one workflow
@@ -19,7 +18,7 @@ import (
 // the Pegasus tasks do on the remote site. Registry wires them to the
 // transformation names used by the DAX builder (package workflow), so the
 // same abstract workflow that the simulator times can be executed for
-// real through engine.LocalExecutor.
+// real through LocalExecutor.
 
 // StageCreateListTranscripts normalizes transcripts.fasta into the
 // transcript dictionary file (the pickled SeqIO dict of the original
@@ -198,24 +197,24 @@ func StageMergeNotJoined(dir, joinedFile, dictFile, outFile string) error {
 	return fasta.WriteFile(filepath.Join(dir, outFile), final)
 }
 
-// Registry builds the transformation registry executing the blast2cap3
-// workflow stages for real under engine.LocalExecutor. Argument
-// conventions match the DAX builder in package workflow.
-func Registry(params cap3.Params) engine.Registry {
-	return engine.Registry{
-		"create_list_transcripts": func(ctx *engine.TaskContext) error {
+// Registry maps each blast2cap3 transformation name to the task that
+// runs its stage for real under LocalExecutor. Argument conventions match
+// the DAX builder in package workflow.
+func Registry(params cap3.Params) map[string]Task {
+	return map[string]Task{
+		"create_list_transcripts": func(ctx *TaskContext) error {
 			if len(ctx.Args) != 2 {
 				return fmt.Errorf("create_list_transcripts: want 2 args, got %v", ctx.Args)
 			}
 			return StageCreateListTranscripts(ctx.WorkDir, ctx.Args[0], ctx.Args[1])
 		},
-		"create_list_alignments": func(ctx *engine.TaskContext) error {
+		"create_list_alignments": func(ctx *TaskContext) error {
 			if len(ctx.Args) != 2 {
 				return fmt.Errorf("create_list_alignments: want 2 args, got %v", ctx.Args)
 			}
 			return StageCreateListAlignments(ctx.WorkDir, ctx.Args[0], ctx.Args[1])
 		},
-		"split": func(ctx *engine.TaskContext) error {
+		"split": func(ctx *TaskContext) error {
 			if len(ctx.Args) != 3 || ctx.Args[0] != "-n" {
 				return fmt.Errorf("split: want [-n N file], got %v", ctx.Args)
 			}
@@ -225,13 +224,13 @@ func Registry(params cap3.Params) engine.Registry {
 			}
 			return StageSplit(ctx.WorkDir, ctx.Args[2], n)
 		},
-		"run_cap3": func(ctx *engine.TaskContext) error {
+		"run_cap3": func(ctx *TaskContext) error {
 			if len(ctx.Args) != 3 {
 				return fmt.Errorf("run_cap3: want [dict protein out], got %v", ctx.Args)
 			}
 			return StageRunCAP3(ctx.WorkDir, ctx.Args[0], ctx.Args[1], ctx.Args[2], params)
 		},
-		"merge": func(ctx *engine.TaskContext) error {
+		"merge": func(ctx *TaskContext) error {
 			if len(ctx.Args) != 3 || ctx.Args[0] != "-n" {
 				return fmt.Errorf("merge: want [-n N out], got %v", ctx.Args)
 			}
@@ -241,7 +240,7 @@ func Registry(params cap3.Params) engine.Registry {
 			}
 			return StageMerge(ctx.WorkDir, n, ctx.Args[2])
 		},
-		"merge_not_joined": func(ctx *engine.TaskContext) error {
+		"merge_not_joined": func(ctx *TaskContext) error {
 			if len(ctx.Args) != 3 {
 				return fmt.Errorf("merge_not_joined: want [joined dict out], got %v", ctx.Args)
 			}

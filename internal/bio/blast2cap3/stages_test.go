@@ -10,9 +10,6 @@ import (
 	"pegflow/internal/bio/cap3"
 	"pegflow/internal/bio/datagen"
 	"pegflow/internal/bio/fasta"
-	"pegflow/internal/catalog"
-	"pegflow/internal/engine"
-	"pegflow/internal/planner"
 	"pegflow/internal/workflow"
 )
 
@@ -82,9 +79,9 @@ func TestStagesPipelineMatchesRunSerial(t *testing.T) {
 
 func itoa(i int) string { return string(rune('0' + i)) }
 
-// TestWorkflowEndToEndLocalExecutor is the golden integration test: build
-// the same abstract DAX the paper's experiments use, plan it for a local
-// site, execute it with the real transformation registry under the
+// TestWorkflowEndToEndLocalExecutor is the golden integration test: run
+// the same abstract DAX the paper's experiments use, planned for a local
+// site and executed with the real transformation registry under the
 // DAGMan-style engine, and check the final assembly equals the serial
 // reference.
 func TestWorkflowEndToEndLocalExecutor(t *testing.T) {
@@ -96,28 +93,7 @@ func TestWorkflowEndToEndLocalExecutor(t *testing.T) {
 	writeInputs(t, dir, ds)
 
 	const n = 4
-	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := catalog.NewSiteCatalog()
-	if err := sc.Add(&catalog.Site{Name: "local", Slots: 4, SpeedFactor: 1, SharedSoftware: true}); err != nil {
-		t.Fatal(err)
-	}
-	tc := catalog.NewTransformationCatalog()
-	for _, tr := range workflow.Transformations() {
-		if err := tc.Add(&catalog.Transformation{Name: tr, Site: "local", Installed: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plan, err := planner.New(abstract, planner.Catalogs{
-		Sites: sc, Transformations: tc, Replicas: catalog.NewReplicaCatalog(),
-	}, planner.Options{Site: "local"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := engine.NewLocalExecutor(Registry(cap3.DefaultParams()), dir, 4)
-	res, err := engine.Run(plan, ex, engine.Options{})
+	_, res, err := RunWorkflow(dir, n, 4, cap3.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +207,7 @@ func TestRegistryCoversAllTransformations(t *testing.T) {
 		}
 	}
 	// Argument validation paths.
-	bad := &engine.TaskContext{Args: []string{"x"}, WorkDir: t.TempDir()}
+	bad := &TaskContext{Args: []string{"x"}, WorkDir: t.TempDir()}
 	for name, fn := range reg {
 		if err := fn(bad); err == nil {
 			t.Errorf("%s accepted bad args", name)

@@ -14,9 +14,8 @@ type BackoffPolicy func(attempt int) float64
 // DelayedSubmitter is the optional executor capability the engine uses
 // to apply backoff delays: SubmitAfter schedules the attempt after delay
 // seconds of executor time. Simulated executors implement it on the
-// virtual clock; executors without it (e.g. the local wall-clock one)
-// fall back to immediate submission and backoff is recorded but not
-// waited out.
+// virtual clock; executors without it fall back to immediate submission
+// and backoff is recorded but not waited out.
 type DelayedSubmitter interface {
 	SubmitAfter(job *planner.Job, attempt int, delay float64)
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"pegflow/internal/catalog"
@@ -317,146 +316,5 @@ func TestRunRejectsCyclicPlan(t *testing.T) {
 	}
 	if !res.Success || len(res.Completed) != 4 {
 		t.Errorf("an edge added to a view reached the run: %+v", res)
-	}
-}
-
-// --- LocalExecutor tests ---
-
-func TestLocalExecutorRunsRealFunctions(t *testing.T) {
-	var mu sync.Mutex
-	ran := map[string]int{}
-	reg := Registry{
-		"t": func(ctx *TaskContext) error {
-			mu.Lock()
-			defer mu.Unlock()
-			ran[ctx.Job.ID]++
-			return nil
-		},
-	}
-	p := diamondPlan(t)
-	ex := NewLocalExecutor(reg, t.TempDir(), 4)
-	res, err := Run(p, ex, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Success {
-		t.Fatalf("run failed: %+v", res)
-	}
-	for _, id := range []string{"A", "B", "C", "D"} {
-		if ran[id] != 1 {
-			t.Errorf("job %s ran %d times", id, ran[id])
-		}
-	}
-	for _, r := range res.Log.Records() {
-		if err := r.Validate(); err != nil {
-			t.Errorf("invalid record: %v", err)
-		}
-		if r.Node != "local" {
-			t.Errorf("node = %q", r.Node)
-		}
-	}
-}
-
-func TestLocalExecutorFailureAndRetry(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	reg := Registry{
-		"t": func(ctx *TaskContext) error {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if calls == 1 {
-				return fmt.Errorf("transient error")
-			}
-			return nil
-		},
-	}
-	w := dax.New("single")
-	w.NewJob("only", "t")
-	p := makePlan(t, w)
-	ex := NewLocalExecutor(reg, t.TempDir(), 1)
-	res, err := Run(p, ex, Options{RetryLimit: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Success || res.Retries != 1 {
-		t.Fatalf("Success=%v Retries=%d", res.Success, res.Retries)
-	}
-	fails := res.Log.Failures()
-	if len(fails) != 1 || fails[0].ExitMessage != "transient error" {
-		t.Errorf("failure records = %+v", fails)
-	}
-}
-
-func TestLocalExecutorUnregisteredTransformationFailsJob(t *testing.T) {
-	w := dax.New("single")
-	w.NewJob("only", "mystery")
-	p := makePlan(t, w)
-	ex := NewLocalExecutor(Registry{}, t.TempDir(), 1)
-	res, err := Run(p, ex, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Success {
-		t.Error("unregistered transformation succeeded")
-	}
-	if len(res.PermanentlyFailed) != 1 {
-		t.Errorf("PermanentlyFailed = %v", res.PermanentlyFailed)
-	}
-}
-
-func TestLocalExecutorPanicBecomesFailure(t *testing.T) {
-	reg := Registry{
-		"t": func(ctx *TaskContext) error { panic("task bug") },
-	}
-	w := dax.New("single")
-	w.NewJob("only", "t")
-	p := makePlan(t, w)
-	ex := NewLocalExecutor(reg, t.TempDir(), 1)
-	res, err := Run(p, ex, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Success {
-		t.Error("panicking task reported success")
-	}
-	fails := res.Log.Failures()
-	if len(fails) != 1 || fails[0].ExitMessage == "" {
-		t.Errorf("failure detail lost: %+v", fails)
-	}
-}
-
-func TestLocalExecutorParallelismBound(t *testing.T) {
-	var mu sync.Mutex
-	cur, max := 0, 0
-	reg := Registry{
-		"t": func(ctx *TaskContext) error {
-			mu.Lock()
-			cur++
-			if cur > max {
-				max = cur
-			}
-			mu.Unlock()
-			// Hold the slot briefly so overlap is observable.
-			for i := 0; i < 1000; i++ {
-				_ = i
-			}
-			mu.Lock()
-			cur--
-			mu.Unlock()
-			return nil
-		},
-	}
-	w := dax.New("wide")
-	for i := 0; i < 16; i++ {
-		w.NewJob(fmt.Sprintf("J%02d", i), "t")
-	}
-	p := makePlan(t, w)
-	ex := NewLocalExecutor(reg, t.TempDir(), 2)
-	if _, err := Run(p, ex, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if max > 2 {
-		t.Errorf("observed %d concurrent tasks, want ≤ 2", max)
 	}
 }
