@@ -28,9 +28,13 @@ race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru ./internal/pool
 	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce|TestFirstRetrievalBuildsOnce|TestConcurrentReadersShareOneTopology' ./internal/core ./internal/planner ./internal/workflow ./internal/dax
 
-# The allocation gates CI runs: zero-alloc kernel and engine dispatch, an
-# attempt path (platform Submit to terminal event, ensemble hold and release)
-# that allocates nothing per attempt, a plan clone and a warm member plan
+# The allocation gates CI runs, the one guard of the zero-allocation
+# kernel: zero-alloc kernel events, one-off and periodic (TestAllocsSeries),
+# a fifo.Queue whose push and pop allocate nothing through compaction
+# (TestAllocsQueue), engine dispatch, an attempt path (platform Submit to
+# terminal event, ensemble hold and release) that allocates nothing per
+# attempt, site fault and ramp events that allocate no more at 2n cycles
+# than at n (TestAllocsFaultEvents), a plan clone and a warm member plan
 # (placement + clone + patch), one-site and two-site, whose allocation counts
 # do not grow with n, a cold BuildDAX at twelve objects per chunk or fewer, a
 # first Plan of a shape (the master's index and slab) at a tenth of an object
@@ -47,7 +51,7 @@ race:
 # allocate nothing.
 # TestShapeCache*: shape-cache charges within 2× of the heap; budget ≥ 4× big_run's shape.
 allocs:
-	$(GO) test -run 'TestAllocs|TestShapeCache' -count=1 ./internal/sim/des ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario ./internal/stats
+	$(GO) test -run 'TestAllocs|TestShapeCache' -count=1 ./internal/sim/des ./internal/fifo ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario ./internal/stats
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
 # through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the

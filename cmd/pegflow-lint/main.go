@@ -1,6 +1,6 @@
 // Command pegflow-lint runs pegflow's project-specific static-analysis
 // suite: the mechanical enforcement of the determinism, clone-before-
-// mutate and zero-allocation invariants (see docs/LINTING.md).
+// mutate and cancelable-wait invariants (see docs/LINTING.md).
 //
 // Usage:
 //
@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"pegflow/internal/analysis"
 )
@@ -30,8 +29,6 @@ func run(args []string) int {
 	var (
 		jsonOut = fs.Bool("json", false, "emit findings as a JSON array on stdout")
 		dir     = fs.String("C", ".", "directory to analyze from (module root for ./... patterns)")
-		enable  = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable = fs.String("disable", "", "comma-separated analyzers to skip")
 		list    = fs.Bool("list", false, "list analyzers and exit")
 	)
 	fs.Usage = func() {
@@ -51,23 +48,13 @@ func run(args []string) int {
 		return 0
 	}
 
-	selected, err := analysis.Select(all, nameSet(*enable), nameSet(*disable))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pegflow-lint: %v\n", err)
-		return 2
-	}
-	if len(selected) == 0 {
-		fmt.Fprintln(os.Stderr, "pegflow-lint: every analyzer is disabled")
-		return 2
-	}
-
 	prog, err := analysis.Load(*dir, fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pegflow-lint: %v\n", err)
 		return 2
 	}
 
-	suite := &analysis.Suite{Analyzers: selected}
+	suite := &analysis.Suite{Analyzers: all}
 	findings, err := suite.Run(prog)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pegflow-lint: %v\n", err)
@@ -96,15 +83,4 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// nameSet parses a comma-separated list into a set, ignoring empties.
-func nameSet(s string) map[string]bool {
-	out := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out[part] = true
-		}
-	}
-	return out
 }

@@ -28,7 +28,7 @@ func (f Finding) String() string {
 
 // Analyzer is one whole-program check.
 type Analyzer interface {
-	// Name is the analyzer's -enable/-disable identifier.
+	// Name identifies the analyzer in -list output and in its findings.
 	Name() string
 	// Doc is a one-line description of the invariant the analyzer guards.
 	Doc() string

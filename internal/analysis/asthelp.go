@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -41,8 +40,8 @@ func isPkgFunc(obj types.Object, pkgPath, name string) bool {
 }
 
 // funcDisplayName renders a FuncDecl as "Name" or "Recv.Name" with any
-// pointer/generic decoration stripped, matching the escapegate and
-// clonegate configuration syntax.
+// pointer/generic decoration stripped, matching the clonegate
+// configuration syntax.
 func funcDisplayName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name
@@ -73,38 +72,6 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// enclosingFuncDecl returns the function declaration whose body spans pos,
-// or nil.
-func enclosingFuncDecl(files []*ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, f := range files {
-		if pos < f.Pos() || pos > f.End() {
-			continue
-		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && fd.Body.Pos() <= pos && pos <= fd.Body.End() {
-				return fd
-			}
-		}
-	}
-	return nil
-}
-
-// nodesAt returns the chain of nodes containing pos, outermost first.
-func nodesAt(root ast.Node, pos token.Pos) []ast.Node {
-	var path []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if n.Pos() <= pos && pos < n.End() {
-			path = append(path, n)
-			return true
-		}
-		return false
-	})
-	return path
 }
 
 // namedType unwraps t to its *types.Named form, looking through pointers

@@ -1,14 +1,13 @@
 // Package analysis is pegflow's project-specific static-analysis suite —
 // the mechanical enforcement of the invariants every PR so far has
 // defended by hand: byte-identical output across worker counts
-// (determinism), clone-before-mutate on cached plan/DAX masters, a
-// zero-allocation simulation kernel, and cancelable waits on the serve
-// tier's request path.
+// (determinism), clone-before-mutate on cached plan/DAX masters, and
+// cancelable waits on the serve tier's request path.
 //
 // The package is built purely on the standard library (go/parser,
 // go/types, and a `go list`-driven package loader) so the module keeps its
 // zero-dependency rule; there is no golang.org/x/tools import anywhere.
-// Four analyzers guard the first three over the fully type-checked repo
+// Three analyzers guard the first two over the fully type-checked repo
 // (by-value copies of the kernel's slab types are `go vet`'s business: each
 // carries a noCopy field, see docs/LINTING.md):
 //
@@ -24,13 +23,13 @@
 //     justified whitelist of constructor functions, keeping cached
 //     masters — and the backing arrays every plan clone and derived view
 //     shares with them — immutable.
-//   - escapegate: runs `go build -gcflags=-m` and asserts that a declared
-//     list of hot kernel functions has zero heap escapes outside panic
-//     paths, generalizing the TestAllocs gates to the whole kernel.
 //
-// A fifth, ctxflow, guards the last: a request-path function that receives
+// A fourth, ctxflow, guards the last: a request-path function that receives
 // a context threads it, and every blocking wait there can observe its
 // cancellation.
+//
+// The zero-allocation kernel has no analyzer: the TestAllocs gates
+// (`make allocs`) measure it.
 //
 // Lock discipline has no analyzer: every lock site is a small type that owns
 // its mutex and takes it, with a deferred unlock, in each of its methods

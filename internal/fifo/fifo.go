@@ -51,12 +51,3 @@ func (q *Queue[T]) Pop() T {
 	}
 	return v
 }
-
-// Peek returns the head element without removing it. It panics on an empty
-// queue.
-func (q *Queue[T]) Peek() T {
-	if q.head >= len(q.buf) {
-		panic("fifo: Peek on empty queue")
-	}
-	return q.buf[q.head]
-}

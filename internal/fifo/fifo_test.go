@@ -14,9 +14,6 @@ func TestQueueOrder(t *testing.T) {
 		q.Push(i)
 	}
 	for i := 0; i < 100; i++ {
-		if got := q.Peek(); got != i {
-			t.Fatalf("Peek = %d, want %d", got, i)
-		}
 		if got := q.Pop(); got != i {
 			t.Fatalf("Pop = %d, want %d", got, i)
 		}
@@ -88,6 +85,31 @@ func TestQueueBoundedRetention(t *testing.T) {
 	}
 }
 
+// TestAllocsQueue: a warm queue moves its elements without allocating,
+// compaction included. Each pass pushes 100 behind 10 standing elements
+// and pops 100, which compacts the dead prefix on the way.
+func TestAllocsQueue(t *testing.T) {
+	var q Queue[int]
+	pass := func() {
+		for i := 0; i < 100; i++ {
+			q.Push(i)
+		}
+		for i := 0; i < 100; i++ {
+			q.Pop()
+		}
+	}
+	for i := 0; i < 10; i++ {
+		q.Push(i)
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+		t.Errorf("push/pop pass allocates %.1f/op, want 0", allocs)
+	}
+	if q.Len() != 10 || len(q.buf) >= 110 {
+		t.Errorf("after a pass: %d queued in a buffer of %d, want 10 in a compacted one", q.Len(), len(q.buf))
+	}
+}
+
 func TestQueuePopEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -96,16 +118,6 @@ func TestQueuePopEmptyPanics(t *testing.T) {
 	}()
 	var q Queue[int]
 	q.Pop()
-}
-
-func TestQueuePeekEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Peek on empty queue did not panic")
-		}
-	}()
-	var q Queue[string]
-	q.Peek()
 }
 
 // TestSlabTypesCarryNoCopy: the leading noCopy field is what makes `go vet`

@@ -9,8 +9,9 @@ import (
 // The allocation regression gate (run by CI as `go test -run 'TestAllocs'`):
 // the slab-backed kernel must not allocate in steady state, whether events
 // are scheduled typed (AtOp, AcquireOp) or through the closure adapters
-// (At, After, Acquire), which wrap the func in a Handler without boxing it.
-// Every test warms the arenas to their high-water mark first, then measures.
+// (At, After, Acquire), which wrap the func in a Handler without boxing it,
+// and whether they are one-off or periodic (AtSeriesOp). Every test warms
+// the arenas to their high-water mark first, then measures.
 
 // countHandler is a typed-event receiver: it adds arg to the counter op
 // selects.
@@ -28,7 +29,9 @@ func TestAllocsScheduleFire(t *testing.T) {
 	s.Run()
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.After(1, fn)
+		s.At(s.Now()+1, fn)
 		s.AfterOp(1, h, 1, 2)
+		s.Step()
 		s.Step()
 		s.Step()
 	})
@@ -82,6 +85,33 @@ func TestAllocsScheduleFireZeroDelay(t *testing.T) {
 	}
 	if h.n[1] != 2*1001 || s.Now() != 0 {
 		t.Errorf("typed events delivered %d by %v, want %d at 0s", h.n[1], s.Now(), 2*1001)
+	}
+}
+
+// A periodic series is one heap entry, and a retired series' record is
+// reused by the next one: scheduling and firing series in steady state
+// allocates nothing. Two series run at once, so each firing sinks its
+// entry past the other's.
+func TestAllocsSeries(t *testing.T) {
+	s := New()
+	h := &countHandler{}
+	s.AtSeriesOp(3, 1, h, 1, 0)
+	s.AtSeriesOp(2, 1.5, h, 1, 0)
+	s.Run()
+	// Firings are at multiples of dt, so each pass starts past the clock;
+	// the clock grows sixfold a pass, which 100 passes keep far from
+	// overflow.
+	allocs := testing.AllocsPerRun(100, func() {
+		dt := 2 * float64(s.Now())
+		s.AtSeriesOp(3, dt, h, 1, 0)
+		s.AtSeriesOp(2, 1.5*dt, h, 1, 0)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("series schedule→fire steady state allocates %.1f/op, want 0", allocs)
+	}
+	if want := 9 * 102; h.n[1] != want || len(s.series) != 2 {
+		t.Errorf("series delivered %d over %d records, want %d over 2", h.n[1], len(s.series), want)
 	}
 }
 

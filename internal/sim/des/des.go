@@ -200,7 +200,7 @@ func (s *Simulation) AtOp(t Time, h Handler, op, arg int32) EventID {
 }
 
 // newSlot extends the arena by one slot. The growth paths are not inlined,
-// so that the guarded hot functions (escapegate) hold no allocation site.
+// so the hot functions that call them hold no allocation site.
 //
 //go:noinline
 func (s *Simulation) newSlot() int32 {

@@ -164,6 +164,51 @@ func TestAllocsPlatformAttempt(t *testing.T) {
 	})
 }
 
+// TestAllocsFaultEvents: a site's fault and ramp events allocate nothing
+// of their own. A site with no attempt drains n cycles of a capacity step,
+// an outage and a storm — whose correlated preemptions find no occupied
+// slot — and a ramp of n slots; 2n cycles allocate no more than n. A
+// preemption that does find occupied slots sorts them, by design: that
+// cost is inside TestAllocsPlatformAttempt's per-attempt budget.
+func TestAllocsFaultEvents(t *testing.T) {
+	drain := func(n int) float64 {
+		cfg := Config{Name: "churn", Slots: n + 1, InitialSlots: 1, SlotRampInterval: 100,
+			SpeedFactor: 1, Seed: 1}
+		var specs []fault.Spec
+		for i := 0; i < n; i++ {
+			at := float64(i) * 100
+			specs = append(specs,
+				fault.Spec{Type: fault.TypeCapacity, Site: "churn", At: at + 10, Slots: intp(2)},
+				fault.Spec{Type: fault.TypeOutage, Site: "churn", At: at + 20, Duration: 30},
+				fault.Spec{Type: fault.TypeStorm, Site: "churn", At: at + 60, Duration: 30,
+					Multiplier: 2, KillFraction: 0.5})
+		}
+		// One executor for AllocsPerRun's warm-up call and one for each
+		// measured drain: a drain consumes its executor.
+		exs := make([]*Executor, 4)
+		for i := range exs {
+			exs[i] = installChurn(t, cfg, specs)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(len(exs)-1, func() {
+			ex := exs[next]
+			next++
+			if _, _, ok := ex.Pull(); ok {
+				t.Fatal("an executor with no attempts delivered an event")
+			}
+		})
+		if u := usageOf(t, exs[0], "churn"); u.Outages != n {
+			t.Fatalf("fixture broken: %d outages, want %d", u.Outages, n)
+		}
+		return allocs
+	}
+	once, twice := drain(100), drain(200)
+	t.Logf("%.0f allocations draining 100 cycles, %.0f draining 200", once, twice)
+	if twice > once {
+		t.Errorf("draining 200 fault cycles allocated %.0f times, 100 cycles %.0f: fault events allocate", twice, once)
+	}
+}
+
 // TestAllocsNewExecutorFlatInSlots: building an executor costs the same
 // whatever its slot count. The slot ramp is one kernel series, not an event
 // per step, and the node-name table grows with the attempts that land, so a

@@ -108,7 +108,7 @@ func (e *Executor) names() []string {
 
 // route returns the site named by the job's Site. It panics on an unknown
 // site (plans must pass CheckPlan first) in unroutable, which is not
-// inlined so that the guarded route (escapegate) holds no allocation site.
+// inlined, so route holds no allocation site.
 func (e *Executor) route(job *planner.Job) *site {
 	s := e.lookup(job.Site)
 	if s == nil {

@@ -396,7 +396,7 @@ func (s *attemptSlab) alloc() int32 {
 
 // extend adds one record, doubling the slab when it is full (append's
 // 1.25× steps would re-allocate a 100k-record slab several times over).
-// Not inlined, so the guarded alloc (escapegate) holds no allocation site.
+// Not inlined, so alloc holds no allocation site.
 //
 //go:noinline
 func (s *attemptSlab) extend() int32 {
