@@ -20,13 +20,15 @@ lint-fixtures:
 test:
 	$(GO) test -vet=all ./...
 
-# The stress variant CI runs on the concurrency-heavy packages. The
+# The stress variant CI runs on the concurrency-heavy packages, and the
+# warm-storage tests, whose workers hand executors and plan slabs to each
+# other through the packages' free lists (internal/spare). The
 # timeout turns a deadlock — a lock-owning type's method blocking on
 # another lock or a channel, or a gate token never returned — into a fast
 # stack-dumped failure instead of a hung job.
 race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru ./internal/pool
-	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce|TestFirstRetrievalBuildsOnce|TestConcurrentReadersShareOneTopology' ./internal/core ./internal/planner ./internal/workflow ./internal/dax
+	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce|TestFirstRetrievalBuildsOnce|TestConcurrentReadersShareOneTopology|TestWarmRunEqualsFresh|TestCloneAfterReleaseIsIndependent|TestWarmCellsMatchGoldens' ./internal/core ./internal/planner ./internal/workflow ./internal/dax ./internal/sim/platform ./internal/scenario
 
 # The allocation gates CI runs, the one guard of the zero-allocation
 # kernel: zero-alloc kernel events, one-off and periodic (TestAllocsSeries),
@@ -42,8 +44,9 @@ race:
 # composite and a fixed count besides, a failover re-site that allocates the job it
 # returns, a chunk-seconds miss that allocates its result only and
 # a hit that allocates nothing, an LRU whose lookups allocate nothing and
-# whose insert is one entry, and the scenario front door: a warm single-site
-# cell within the budget of the pipeline it replaced and flat in n, a Parse
+# whose insert is one entry, and the scenario front door: a warm paper.json
+# cell on the storage the cell before it released within a flat budget, its
+# n = 500 cell within a stated slack of its n = 10 cell, a Parse
 # that walks no source positions for a valid document (TestAllocsParse) and
 # a Compile that builds no catalogs nor anything else a cache-hit request
 # does not need (TestAllocsCompile); a

@@ -28,4 +28,8 @@
 // planner.Resolved master (package core's plan cache shares one per
 // workflow shape, and fans its own members out) — placement under a fresh
 // policy, clustering, failover. PlanAll is Resolve plus that same step.
+//
+// Result.Release hands the storage a run used — the platform pool and the
+// member plans — to later runs, for a caller that owns them all (a
+// scenario cell, once its row is built); the member logs go with it.
 package ensemble

@@ -68,6 +68,28 @@ type Result struct {
 	Workflows []WorkflowResult
 	// Sites lists per-site usage, sorted by site name.
 	Sites []platform.SiteUsage
+
+	// pool and specs are what the run used, for Release to hand back.
+	pool  *platform.Executor
+	specs []Spec
+}
+
+// Release hands the storage the run used — the platform pool, with the
+// record arenas behind every member log, and every member plan — to later
+// runs (platform.Executor.Release, planner.Plan.Release). Only a caller
+// that owns the pool and the plans, and holds no other reference to them,
+// may call it. Afterwards the pool and the plans are unusable, and every
+// member's Result.Log is nil: the records it held are the next run's. The
+// rest of the result — makespans, counts, usage — stays readable.
+func (r *Result) Release() {
+	r.pool.Release()
+	for _, s := range r.specs {
+		s.Plan.Release()
+	}
+	for _, w := range r.Workflows {
+		w.Result.Log = nil
+	}
+	r.pool, r.specs = nil, nil
 }
 
 // Report renders the result as a stats.EnsembleReport under the given
@@ -467,7 +489,7 @@ func Run(p *platform.Executor, specs []Spec, opts Options) (*Result, error) {
 		}
 	}
 
-	out := &Result{Makespan: p.Now(), Sites: p.Usage()}
+	out := &Result{Makespan: p.Now(), Sites: p.Usage(), pool: p, specs: specs}
 	for w, s := range specs {
 		res, err := sessions[w].Finish()
 		if err != nil {

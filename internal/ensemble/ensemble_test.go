@@ -551,3 +551,40 @@ func TestRunReportsDryKernelAsDeadlock(t *testing.T) {
 		t.Fatalf("Run = %v, %v; want error %q", res, err, want)
 	}
 }
+
+// TestReleasedResultHandsBackStorage: Release nils every member log — its
+// records are the next run's — and leaves the pool and the member plans
+// unusable, while the rest of the result stays readable and a second run on
+// the released storage reports the same.
+func TestReleasedResultHandsBackStorage(t *testing.T) {
+	res, specs := runEnsemble(t, 3, 1, 0, planner.PolicyDataAware)
+	want := res.Report("data-aware")
+	pool := res.pool
+	res.Release()
+	for _, w := range res.Workflows {
+		if w.Result.Log != nil {
+			t.Errorf("%s: log survives Release", w.Name)
+		}
+	}
+	if res.Makespan != want.Makespan || len(res.Sites) != len(want.Sites) {
+		t.Error("Release changed the result's makespan or usage")
+	}
+	for name, use := range map[string]func(){
+		"pool":    func() { pool.Now() },
+		"plan":    func() { specs[0].Plan.JobAt(0) },
+		"Release": func() { res.Release() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: use after Release did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+	again, _ := runEnsemble(t, 3, 1, 0, planner.PolicyDataAware)
+	if got := again.Report("data-aware"); !reflect.DeepEqual(got, want) {
+		t.Errorf("a run on released storage reports\n%+v\nwant\n%+v", got, want)
+	}
+}

@@ -28,6 +28,14 @@ func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 // Push appends v to the tail.
 func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
 
+// Reset empties the queue, keeping its storage; the dropped elements are
+// cleared so that nothing they reference is kept alive.
+func (q *Queue[T]) Reset() {
+	clear(q.buf)
+	q.buf = q.buf[:0]
+	q.head = 0
+}
+
 // Pop removes and returns the head element. It panics on an empty queue.
 func (q *Queue[T]) Pop() T {
 	if q.head >= len(q.buf) {

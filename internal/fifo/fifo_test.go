@@ -131,3 +131,32 @@ func TestSlabTypesCarryNoCopy(t *testing.T) {
 		}
 	}
 }
+
+// TestResetDropsAndClears: Reset empties the queue, keeps its storage and
+// clears every slot, so a dropped element is not kept alive; the queue then
+// works as a new one.
+func TestResetDropsAndClears(t *testing.T) {
+	var q Queue[*int]
+	for i := range 40 {
+		q.Push(&i)
+	}
+	for range 7 {
+		q.Pop()
+	}
+	before := cap(q.buf)
+	q.Reset()
+	if q.Len() != 0 || cap(q.buf) != before {
+		t.Fatalf("after Reset: Len %d, capacity %d (was %d)", q.Len(), cap(q.buf), before)
+	}
+	for i, p := range q.buf[:cap(q.buf)] {
+		if p != nil {
+			t.Fatalf("slot %d still holds an element after Reset", i)
+		}
+	}
+	one, two := 1, 2
+	q.Push(&one)
+	q.Push(&two)
+	if a, b := q.Pop(), q.Pop(); a != &one || b != &two {
+		t.Error("a reset queue does not pop in push order")
+	}
+}

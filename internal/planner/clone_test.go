@@ -144,7 +144,8 @@ var cloneSink *Plan
 
 // TestAllocsPlanClone pins Clone's point (run by CI as `go test -run
 // 'TestAllocs'`): two allocations — the plan header and the slab —
-// whatever the job count.
+// whatever the job count, and the header alone when each clone is released
+// before the next: the slab is the released one's.
 func TestAllocsPlanClone(t *testing.T) {
 	cats := testCatalogs(t, "split", "run_cap3", "merge")
 	for _, width := range []int{4, 400} {
@@ -155,6 +156,107 @@ func TestAllocsPlanClone(t *testing.T) {
 		if got := testing.AllocsPerRun(10, func() { cloneSink = plan.Clone() }); got != 2 {
 			t.Errorf("width %d: Clone costs %v allocations, want 2", width, got)
 		}
+		if raceEnabled {
+			continue // the race detector allocates on its own
+		}
+		plan.Clone().Release()
+		if got := testing.AllocsPerRun(10, func() { plan.Clone().Release() }); got != 1 {
+			t.Errorf("width %d: Clone and Release cost %v allocations, want 1", width, got)
+		}
+	}
+}
+
+// TestCloneAfterReleaseIsIndependent: a clone that copies into a released
+// slab is the plan's copy and nobody else's. Clones of plans of several
+// widths are edited, released and taken again in a shuffled order, so a
+// slab comes back under a plan of another size; every live clone must
+// reproduce its plan as edited by itself alone, and no two share a slab.
+func TestCloneAfterReleaseIsIndependent(t *testing.T) {
+	cats := testCatalogs(t, "split", "run_cap3", "merge")
+	r := rand.New(rand.NewSource(11))
+	var plans []*Plan
+	var pristine []map[string]any
+	for _, width := range []int{2, 9, 30} {
+		plan, err := New(fanWorkflow(t, width), cats, Options{Site: "osg"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+		pristine = append(pristine, slabSnapshot(t, plan))
+	}
+	type live struct {
+		clone *Plan
+		want  map[string]any // the clone's snapshot after its own edits
+	}
+	var held []live
+	for round := 0; round < 60; round++ {
+		// Release a random live clone now and then, scribbled on first, so
+		// the next Clone may take a dirty slab.
+		if len(held) > 0 && r.Intn(2) == 0 {
+			k := r.Intn(len(held))
+			mutate(t, held[k].clone, r)
+			held[k].clone.Release()
+			held = append(held[:k], held[k+1:]...)
+		}
+		i := r.Intn(len(plans))
+		c := plans[i].Clone()
+		if got := slabSnapshot(t, c); !reflect.DeepEqual(got, pristine[i]) {
+			t.Fatalf("round %d: a clone into a released slab does not reproduce its plan", round)
+		}
+		mutate(t, c, r)
+		held = append(held, live{c, slabSnapshot(t, c)})
+		seen := map[*Job]bool{}
+		for _, h := range held {
+			if !reflect.DeepEqual(slabSnapshot(t, h.clone), h.want) {
+				t.Fatalf("round %d: a live clone changed under another's clone, edit or release", round)
+			}
+			if seen[&h.clone.jobs[0]] {
+				t.Fatalf("round %d: two live clones share a slab", round)
+			}
+			seen[&h.clone.jobs[0]] = true
+		}
+		for k, p := range plans {
+			if !reflect.DeepEqual(slabSnapshot(t, p), pristine[k]) {
+				t.Fatalf("round %d: cloning and releasing changed the plan", round)
+			}
+		}
+	}
+}
+
+// TestReleasedPlanPanics: a released plan is no plan — every method panics
+// rather than read a slab the next clone owns.
+func TestReleasedPlanPanics(t *testing.T) {
+	cats := testCatalogs(t, "split", "run_cap3", "merge")
+	plan, err := New(fanWorkflow(t, 3), cats, Options{Site: "osg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := plan.Clone()
+	id := c.JobAt(0).ID
+	c.Release()
+	for name, use := range map[string]func(){
+		"Len":              func() { c.Len() },
+		"JobAt":            func() { c.JobAt(0) },
+		"Job":              func() { c.Job(id) },
+		"Jobs":             func() { c.Jobs() },
+		"Indexed":          func() { _ = c.Indexed().Order },
+		"Graph":            func() { c.Graph() },
+		"Name":             func() { c.Name() },
+		"TotalExecSeconds": func() { c.TotalExecSeconds() },
+		"Clone":            func() { c.Clone() },
+		"Release":          func() { c.Release() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released plan did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+	if plan.Len() != 3+2 {
+		t.Errorf("the cloned plan has %d jobs after its clone's release, want 5", plan.Len())
 	}
 }
 

@@ -17,6 +17,8 @@ package planner
 
 import (
 	"fmt"
+
+	"pegflow/internal/spare"
 )
 
 // Index is the dense-integer view of a plan's DAG. Positions follow the
@@ -199,10 +201,40 @@ func alignJobs(jobs []Job, idx *Index) error {
 // Clone returns a plan that shares this plan's immutable shape — Index,
 // Sites, origin and the backing arrays of every job's Args and Members — and
 // owns a copy of the job slab, so a Job field written through one plan never
-// shows in the other. It costs two allocations and one memmove whatever the
-// plan's size: the per-retrieval step of the plan cache.
+// shows in the other. The copy goes into the slab of a released plan when
+// there is one (see Release). It costs two allocations and one memmove
+// whatever the plan's size, one when a released slab is large enough: the
+// per-retrieval step of the plan cache.
 func (p *Plan) Clone() *Plan {
+	if p.index == nil {
+		panic("planner: Clone of a released plan")
+	}
+	var slab []Job
+	if r := spareSlabs.Get(); r != nil {
+		slab, r.jobs = r.jobs, nil
+	}
 	out := *p
-	out.jobs = append([]Job(nil), p.jobs...)
+	out.jobs = append(slab, p.jobs...)
 	return &out
+}
+
+// spareSlabs holds released plans, each keeping only its emptied job slab
+// for the next Clone to take: the released handle is what the list holds,
+// so a release allocates nothing. It drops what it holds across two garbage
+// collections (see package spare).
+var spareSlabs spare.List[Plan]
+
+// Release hands the plan's job slab to a later Clone. The caller gives up
+// the plan and every *Job it handed out: the next clone overwrites the
+// slab. The plan is unusable afterwards — its index and origin are nil and
+// its slab empty, so any method panics, a second Release included. Only the
+// owner of a private plan, such as a Clone nobody else holds, may release
+// it.
+func (p *Plan) Release() {
+	if p.index == nil {
+		panic("planner: Release of a released plan")
+	}
+	p.index, p.origin, p.Sites = nil, nil, nil
+	p.jobs = p.jobs[:0]
+	spareSlabs.Put(p)
 }

@@ -194,7 +194,7 @@ func (p *Plan) Name() string {
 }
 
 // Len returns the number of executable jobs.
-func (p *Plan) Len() int { return len(p.jobs) }
+func (p *Plan) Len() int { return len(p.index.Order) }
 
 // Jobs returns the plan's jobs in insertion order.
 func (p *Plan) Jobs() []*Job {
@@ -218,7 +218,7 @@ func (p *Plan) Job(id string) *Job {
 // give bit-equal sums.
 func (p *Plan) TotalExecSeconds() float64 {
 	var sum float64
-	for i := range p.jobs {
+	for i := range p.Len() {
 		sum += p.jobs[i].ExecSeconds
 	}
 	return sum

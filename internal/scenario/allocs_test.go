@@ -35,17 +35,26 @@ func compileSource(t *testing.T, name string, src []byte) *Compiled {
 	return c
 }
 
-// TestAllocsSingleSiteCell pins what merging the run paths may cost (run by
-// CI as `go test -run 'TestAllocs'`). A warm cell of the paper grid
-// allocates no more than it did on the deleted core.Experiment path — the
-// budgets are that path's counts at its last commit — and a warm aggregated
-// cell on a site that evicts nothing allocates the same at n = 2,000 and
+// TestAllocsSingleSiteCell pins what a warm cell may cost (run by CI as `go
+// test -run 'TestAllocs'`). A warm cell of the paper grid runs on the
+// storage the cell before it released — executor, record arena, node-name
+// table, plan slab — so it allocates a flat budget whatever its n: what
+// remains is the row, the engine session and its log, and the header
+// objects of the run. Measured at 63–73 across the grid; the budget is that
+// top plus a tenth, and the n = 500 cell of a site may allocate no more than
+// its n = 10 cell plus warmGrowthSlack, the log's doublings (the path these
+// cells replaced allocated 129–674, growing with n). A warm aggregated cell
+// on a site that evicts nothing allocates the same at n = 2,000 and
 // n = 20,000: placement, clone, patch, pool check and run keep no per-job
 // temporary and grow no slice by doubling.
 func TestAllocsSingleSiteCell(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
+	const (
+		warmCellBudget  = 80
+		warmGrowthSlack = 12
+	)
 	core.ResetPlanCache()
 	defer core.ResetPlanCache()
 	src, err := os.ReadFile("../../examples/scenarios/paper.json")
@@ -54,16 +63,22 @@ func TestAllocsSingleSiteCell(t *testing.T) {
 	}
 	c := compileSource(t, "paper.json", src)
 	// Grid order: sandhills then osg, each at n = 10, 100, 300, 500.
-	budgets := []float64{129, 244, 461, 463, 131, 248, 471, 674}
-	if len(c.Cells) != len(budgets) {
-		t.Fatalf("paper.json has %d cells, want %d", len(c.Cells), len(budgets))
+	if len(c.Cells) != 8 {
+		t.Fatalf("paper.json has %d cells, want 8", len(c.Cells))
 	}
+	got := make([]float64, len(c.Cells))
 	for i, cell := range c.Cells {
-		got := warmCellAllocs(t, c, cell)
-		t.Logf("%s n=%d: %v allocations (budget %v)", cell.SiteSet[0], cell.N, got, budgets[i])
-		if got > budgets[i] {
-			t.Errorf("%s n=%d: a warm cell allocates %v times, the single-site path it replaced %v",
-				cell.SiteSet[0], cell.N, got, budgets[i])
+		got[i] = warmCellAllocs(t, c, cell)
+		t.Logf("%s n=%d: %v allocations (budget %v)", cell.SiteSet[0], cell.N, got[i], warmCellBudget)
+		if got[i] > warmCellBudget {
+			t.Errorf("%s n=%d: a warm cell allocates %v times, budget %v",
+				cell.SiteSet[0], cell.N, got[i], warmCellBudget)
+		}
+	}
+	for _, site := range []int{0, 4} {
+		if small, large := got[site], got[site+3]; large > small+warmGrowthSlack {
+			t.Errorf("%s: a warm cell allocates %v times at n=500, %v at n=10: more than %d apart",
+				c.Cells[site].SiteSet[0], large, small, warmGrowthSlack)
 		}
 	}
 

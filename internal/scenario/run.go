@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"pegflow/internal/core"
+	"pegflow/internal/ensemble"
 	"pegflow/internal/fault"
 	"pegflow/internal/kickstart"
 	"pegflow/internal/planner"
@@ -259,8 +260,10 @@ type cellMetrics struct {
 }
 
 // runCell executes one cell over the core facade and assembles its row.
+// The row holds nothing of the run, so once it is built the run's storage
+// goes to the next cell (ensemble.Result.Release).
 func (c *Compiled) runCell(cell Cell) (map[string]any, error) {
-	m, err := c.simulate(cell)
+	m, res, err := c.simulate(cell)
 	if err != nil {
 		return nil, err
 	}
@@ -321,8 +324,8 @@ func (c *Compiled) runCell(cell Cell) (map[string]any, error) {
 			wp = mergedQuantiles(m.logs, waitSketch, ps)
 		} else {
 			kick, wait := successPhases(m.logs)
-			kp = stats.PercentilesOf(kick, ps...)
-			wp = stats.PercentilesOf(wait, ps...)
+			kp = stats.PercentilesInPlace(kick, ps...)
+			wp = stats.PercentilesInPlace(wait, ps...)
 		}
 		for i, p := range ps {
 			suffix := strconv.FormatFloat(p, 'g', -1, 64)
@@ -330,6 +333,7 @@ func (c *Compiled) runCell(cell Cell) (map[string]any, error) {
 			row["waiting_p"+suffix] = wp[i]
 		}
 	}
+	res.Release()
 	return row, nil
 }
 
@@ -383,7 +387,7 @@ func mergedQuantiles(logs []*kickstart.Log, pick func(*kickstart.Aggregates) *qu
 // site a pool of one). Member workflows are seeded cell.Seed+i; core's plan
 // cache serves every seed of a (params, n, sites, catalog content, stage-in)
 // shape from one resolved master, across cells and requests.
-func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
+func (c *Compiled) simulate(cell Cell) (cellMetrics, *ensemble.Result, error) {
 	policy := cell.Policy
 	if policy == "" {
 		// Single-site set: any policy resolves every job to the one site.
@@ -429,13 +433,13 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
 		}
 		script, err := fault.Compile(specs)
 		if err != nil {
-			return cellMetrics{}, err
+			return cellMetrics{}, nil, err
 		}
 		exp.Faults = script
 	}
 	res, err := exp.Run()
 	if err != nil {
-		return cellMetrics{}, err
+		return cellMetrics{}, nil, err
 	}
 	m := cellMetrics{makespan: res.Makespan, success: true}
 	for _, s := range res.Sites {
@@ -459,5 +463,5 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, error) {
 		m.logs = append(m.logs, r.Log)
 	}
 	m.meanWorkflowMakespan /= float64(len(res.Workflows))
-	return m, nil
+	return m, res, nil
 }

@@ -286,10 +286,11 @@ func TestStageInPredicate(t *testing.T) {
 					t.Errorf("cell %d (sites %v, failover %v): stage-in = %v, want %v",
 						i, cell.SiteSet, cell.Failover, stageIn, tc.want[i])
 				}
-				m, err := c.simulate(cell)
+				m, res, err := c.simulate(cell)
 				if err != nil {
 					t.Fatal(err)
 				}
+				res.Release()
 				jobs := m.jobs / c.workflows()
 				switch {
 				case ci == 0 && i == 0:

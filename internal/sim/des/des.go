@@ -130,7 +130,29 @@ type Simulation struct {
 
 // New returns a simulation with the clock at zero.
 func New() *Simulation {
-	return &Simulation{free: -1, laneHead: -1, laneTail: -1, freeSeries: -1}
+	s := new(Simulation)
+	s.Reset()
+	return s
+}
+
+// Reset empties the simulation and rewinds its clock to zero, keeping the
+// storage of its arena, heap and series: a reset simulation fires exactly
+// what a New one given the same calls fires, in the same order and with the
+// same handles, and allocates only where it outgrows what it held. Every
+// pending event is dropped unfired, and the handlers it held are cleared so
+// that nothing they reference is kept alive.
+func (s *Simulation) Reset() {
+	clear(s.events)
+	clear(s.series)
+	*s = Simulation{
+		events:     s.events[:0],
+		free:       -1,
+		heap:       s.heap[:0],
+		laneHead:   -1,
+		laneTail:   -1,
+		series:     s.series[:0],
+		freeSeries: -1,
+	}
 }
 
 // Now returns the current virtual time.

@@ -29,7 +29,9 @@
 // entry each. Steady-state scheduling therefore allocates nothing — the
 // arena and the heap reach a high-water mark and are reused; Reserve sets
 // that mark up front for a model that knows its size, and growth otherwise
-// doubles.
+// doubles. Reset (and Resource.Reset) rewinds a simulation to time zero
+// keeping that storage, for a model that runs one simulation after another;
+// New is Reset applied to an empty one.
 // The firing order is the (time, sequence) order, a strict total order, so
 // it does not depend on which source holds an event or on the heap's shape
 // (FuzzKernelOrder checks it against a reference model that expands every

@@ -44,10 +44,20 @@ type acquireReq struct {
 
 // NewResource creates a resource with the given capacity attached to sim.
 func NewResource(sim *Simulation, capacity int) *Resource {
+	r := new(Resource)
+	r.Reset(sim, capacity)
+	return r
+}
+
+// Reset makes r what NewResource(sim, capacity) returns — no units held,
+// nothing waiting, every counter and integral at zero — keeping the storage
+// of its wait queue. The requests still waiting are dropped ungranted.
+func (r *Resource) Reset(sim *Simulation, capacity int) {
 	if capacity < 0 {
 		panic("des: negative resource capacity")
 	}
-	return &Resource{sim: sim, capacity: capacity}
+	clear(r.queue)
+	*r = Resource{sim: sim, capacity: capacity, queue: r.queue[:0]}
 }
 
 // Reserve makes room for n more simultaneously waiting requests (see

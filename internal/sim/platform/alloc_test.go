@@ -240,9 +240,10 @@ func TestAllocsNewExecutorFlatInSlots(t *testing.T) {
 
 // TestNodeNamesAreFormattedOnFirstUse: an executor formats a node label
 // when an attempt first lands on that node, not Slots labels up front, and
-// the labels are the ones the eager table held.
+// the labels are the ones the eager table held. The executor is built on
+// fresh storage: a released osg site would bring its labels along.
 func TestNodeNamesAreFormattedOnFirstUse(t *testing.T) {
-	ex, err := NewExecutor(OSG(11))
+	ex, err := newExecutor(new(storage), []Config{OSG(11)})
 	if err != nil {
 		t.Fatal(err)
 	}

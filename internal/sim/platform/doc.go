@@ -28,6 +28,19 @@
 // between Submit and its terminal event, whose kickstart record is built
 // from the attempt record. Terminal events leave by one FIFO of (member tag,
 // event): Next serves engine.Run, Pull a driver that submits under its
-// members' tags (SubmitFor). Reserve sizes the kernel, the slot pools and
-// the slabs for a job count; only the bytes allocated depend on it.
+// members' tags (SubmitFor).
+//
+// Reserve and Release. Reserve sizes the kernel, the slot pools and the
+// slabs for a job count; only the bytes allocated depend on it. Release
+// hands a finished executor's storage — the clock, each site's slot queue,
+// attempt slab, record arena (a chunk list, rewound) and node-name table
+// (kept while the site's name is), and the event queue — to the next
+// NewMultiExecutor, which re-initializes it in place through the one reset
+// a fresh executor goes through, so a recycled executor runs exactly as a
+// fresh one. The ownership contract: the caller of Release owns the
+// executor and every record it handed out, and gives up both; the executor
+// panics on any later use, and the records' memory is the next pool's.
+// Released storage waits in a spare.List, which any goroutine claims from
+// and which drops what it holds across two garbage collections: a pool holds
+// storage for at most two GC cycles.
 package platform

@@ -11,6 +11,7 @@ import (
 	"pegflow/internal/kickstart"
 	"pegflow/internal/planner"
 	"pegflow/internal/sim/des"
+	"pegflow/internal/spare"
 )
 
 // Executor runs planned jobs in virtual time on a pool of one or more
@@ -25,11 +26,31 @@ import (
 // submitted under and Pull hands it back with the event, so an ensemble
 // driver attributes events to its member workflows; Submit and SubmitAfter
 // use tag 0, and Next drops it.
+//
+// An Executor runs on storage that a finished run can hand to the next one:
+// Release gives it back and NewMultiExecutor takes it (see storage).
 type Executor struct {
-	sim    *des.Simulation
+	*storage // nil once released
+}
+
+// storage is what an Executor runs on: the clock, the sites (each with its
+// slot pool, attempt slab, record arena and node-name table) and the event
+// queue. Release puts it in spares and NewMultiExecutor takes it from there;
+// reset re-initializes it in place, and is how fresh storage is initialized
+// too, so a recycled executor and a fresh one are one code path.
+//
+// Copying storage by value would alias the clock and the queue; go vet
+// flags it.
+type storage struct {
+	sim    des.Simulation
 	sites  []*site // in configuration order
 	events fifo.Queue[delivery]
 }
+
+// spares holds the storage of released executors, for any goroutine's next
+// NewMultiExecutor; it drops what it holds across two garbage collections
+// (see package spare).
+var spares spare.List[storage]
 
 // MultiExecutor is Executor.
 //
@@ -65,23 +86,71 @@ func NewExecutor(cfg Config) (*Executor, error) {
 }
 
 // NewMultiExecutor builds a pool of the given platforms on one clock. Names
-// must be distinct.
+// must be distinct. The pool runs on the storage of a released executor
+// when there is one (see Release), else on fresh storage; the two behave
+// identically.
 func NewMultiExecutor(cfgs []Config) (*Executor, error) {
+	st := spares.Get()
+	if st == nil {
+		st = new(storage)
+	}
+	e, err := newExecutor(st, cfgs)
+	if err != nil {
+		spares.Put(st)
+	}
+	return e, err
+}
+
+// newExecutor builds the pool on st, fresh or released. It checks the
+// configurations before it touches st, so a refused pool leaves st as it
+// was.
+func newExecutor(st *storage, cfgs []Config) (*Executor, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("platform: multi-executor with no platforms")
 	}
-	e := &Executor{sim: des.New(), sites: make([]*site, 0, len(cfgs))}
-	for _, cfg := range cfgs {
-		if e.lookup(cfg.Name) != nil {
-			return nil, fmt.Errorf("platform: duplicate platform %q in pool", cfg.Name)
+	for i, cfg := range cfgs {
+		for _, prev := range cfgs[:i] {
+			if prev.Name == cfg.Name {
+				return nil, fmt.Errorf("platform: duplicate platform %q in pool", cfg.Name)
+			}
 		}
-		s, err := newSite(e, cfg)
-		if err != nil {
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		e.sites = append(e.sites, s)
 	}
-	return e, nil
+	st.reset(cfgs)
+	return &Executor{storage: st}, nil
+}
+
+// reset re-initializes st as a pool of the given platforms at virtual time
+// zero, keeping its storage: the sites it holds are reused in order. cfgs
+// must be valid and distinct.
+func (st *storage) reset(cfgs []Config) {
+	st.sim.Reset()
+	st.events.Reset()
+	if n := len(cfgs); n > cap(st.sites) {
+		st.sites = append(st.sites[:cap(st.sites)], make([]*site, n-cap(st.sites))...)
+	}
+	st.sites = st.sites[:len(cfgs)]
+	for i, cfg := range cfgs {
+		if st.sites[i] == nil {
+			st.sites[i] = new(site)
+		}
+		st.sites[i].reset(st, cfg)
+	}
+}
+
+// Release hands the executor's storage — clock, sites, attempt slabs,
+// record arenas and node-name tables — to a later NewMultiExecutor. The
+// caller gives up the executor and every record it handed out: the next
+// pool reissues the records' memory. The executor is unusable afterwards:
+// any use panics, a second Release included.
+func (e *Executor) Release() {
+	if e.storage == nil {
+		panic("platform: Release of a released executor")
+	}
+	spares.Put(e.storage)
+	e.storage = nil
 }
 
 // Now returns the pool's virtual time in seconds.

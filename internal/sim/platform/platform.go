@@ -140,45 +140,34 @@ func Cloud(seed uint64) Config {
 // site is one platform of an Executor's pool: its slots, random streams,
 // fault timeline, attempt slab and record arena. It is the des.Handler of
 // every event it schedules on the pool's clock, and it delivers terminal
-// events to the pool's one queue.
+// events to the pool's one queue. A site is storage that outlives its run:
+// reset makes it the site of the next pool that takes it.
 type site struct {
 	cfg   Config
-	pool  *Executor
+	pool  *storage
 	sim   *des.Simulation
-	slots *des.Resource
+	slots des.Resource
 
-	dispatch *rng.Stream
-	speed    *rng.Stream
-	setup    *rng.Stream
-	evict    *rng.Stream
-	frng     *rng.Stream // fault decisions (storm kill draws); idle without faults
+	dispatch rng.Stream
+	speed    rng.Stream
+	setup    rng.Stream
+	evict    rng.Stream
+	frng     rng.Stream // fault decisions (storm kill draws); idle without faults
 
-	// faults is the site's compiled fault timeline; nil for a healthy run,
-	// in which case none of the fault paths below are ever entered and the
-	// site's event stream is bit-identical to earlier versions.
-	faults *fault.Timeline
-	// capBase is the ramp-managed capacity; capLimit the fault-imposed
-	// one. The slot pool always runs at min(capBase, capLimit).
-	capBase  int
-	capLimit int
+	runState
+
 	// active holds, by slab index, what a correlated preemption needs of
 	// every occupied-slot attempt; maintained only when a fault timeline is
 	// installed, so a healthy run's attempt records do not carry it.
-	active     map[int32]occupied
-	attemptSeq int64
-	// Outage/downtime accounting: an outage is any interval with the
-	// fault-imposed limit at zero.
-	outages     int
-	downSince   float64
-	downSeconds float64
+	active map[int32]occupied
 	// bpScratch is reused across hazard-window integrations.
 	bpScratch []float64
 
-	nextFree float64 // submit-host release time for the next submission
-	nodeSeq  int
 	// nodeNames is the node-name table, grown and filled on first use: a
 	// record's node label is an index below Slots, and a cell that runs ten
-	// attempts holds and formats ten names, however many slots it has.
+	// attempts holds and formats ten names, however many slots it has. The
+	// labels depend on the site's name only, so the table outlives a reset
+	// that keeps the name.
 	nodeNames []string
 	// attempts holds one record per in-flight attempt; the events of an
 	// attempt carry its index.
@@ -187,6 +176,29 @@ type site struct {
 	// long as the run's log, so chunked arena allocation amortizes one
 	// heap allocation over recChunk attempts.
 	recs recArena
+}
+
+// runState is the part of a site's state that holds no storage: reset
+// replaces it whole, so a field added here starts every run at its zero
+// value or the one reset gives it.
+type runState struct {
+	// faults is the site's compiled fault timeline; nil for a healthy run,
+	// in which case none of the fault paths below are ever entered and the
+	// site's event stream is bit-identical to earlier versions.
+	faults *fault.Timeline
+	// capBase is the ramp-managed capacity; capLimit the fault-imposed
+	// one. The slot pool always runs at min(capBase, capLimit).
+	capBase    int
+	capLimit   int
+	attemptSeq int64
+	// Outage/downtime accounting: an outage is any interval with the
+	// fault-imposed limit at zero.
+	outages     int
+	downSince   float64
+	downSeconds float64
+
+	nextFree float64 // submit-host release time for the next submission
+	nodeSeq  int
 }
 
 // recChunk is the kickstart-record arena chunk size.
@@ -199,22 +211,29 @@ type noCopy struct{}
 func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
-// recArena hands out *kickstart.Record values from append-only chunks.
-// Handed-out pointers stay valid because a chunk is never regrown — when
-// one fills, the arena starts a fresh chunk. Records returned through
+// recArena hands out *kickstart.Record values from a list of fixed-size
+// chunks. Handed-out pointers stay valid because a chunk is never regrown —
+// when one fills, the arena opens the next. Records returned through
 // recycle are reissued before any new chunk space is used, so an
-// aggregating run (which folds and recycles every record) keeps the
-// arena at O(in-flight attempts) regardless of attempt count.
+// aggregating run (which folds and recycles every record) keeps the arena
+// at O(in-flight attempts) regardless of attempt count. A reset rewinds the
+// arena to its first chunk, so the next run reissues the same memory: every
+// record handed out before it is the next run's.
 //
 // A by-value copy aliases the open chunk, so both copies would hand out
 // the same record slots; go vet flags it.
 type recArena struct {
-	_     noCopy
-	chunk []kickstart.Record
-	free  []*kickstart.Record
-	// allocated counts fresh slots ever created (recycled reissues are
-	// free): the arena's high-water retention, which an aggregating run
-	// must keep at O(in-flight) regardless of attempt count.
+	_ noCopy
+	// chunks lists every chunk the arena owns; chunk is the open one,
+	// chunks[next-1] cut to the records handed out of it.
+	chunks [][]kickstart.Record
+	chunk  []kickstart.Record
+	next   int
+	free   []*kickstart.Record
+	// allocated counts fresh slots handed out since the last reset
+	// (recycled reissues are free): the arena's high-water retention, which
+	// an aggregating run must keep at O(in-flight) regardless of attempt
+	// count.
 	allocated int
 }
 
@@ -226,50 +245,70 @@ func (a *recArena) alloc() *kickstart.Record {
 		return r
 	}
 	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]kickstart.Record, 0, recChunk)
+		a.open()
 	}
 	a.chunk = append(a.chunk, kickstart.Record{})
 	a.allocated++
 	return &a.chunk[len(a.chunk)-1]
 }
 
+// open makes the next chunk the open one, allocating it on first use.
+func (a *recArena) open() {
+	if a.next == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]kickstart.Record, 0, recChunk))
+	}
+	a.chunk = a.chunks[a.next][:0]
+	a.next++
+}
+
 func (a *recArena) recycle(r *kickstart.Record) {
 	a.free = append(a.free, r)
 }
 
-// newSite builds a site of the pool, on the pool's clock.
-func newSite(pool *Executor, cfg Config) (*site, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// reset rewinds the arena to its first chunk. It writes no record: alloc
+// zeroes each one as it reissues it.
+func (a *recArena) reset() {
+	clear(a.free)
+	a.free = a.free[:0]
+	a.chunk, a.next, a.allocated = nil, 0, 0
+}
+
+// reset makes s the site cfg describes on the pool's clock, as if built
+// anew: the same streams, capacity and ramp, no attempt, record or fault. It
+// keeps the storage — slot queue, attempt slab, record arena, scratch and
+// active map — and the node-name table when cfg keeps the site's name. A
+// fresh site is the zero site reset. cfg must be valid.
+func (s *site) reset(pool *storage, cfg Config) {
+	if cfg.Name != s.cfg.Name {
+		clear(s.nodeNames)
+		s.nodeNames = s.nodeNames[:0]
 	}
-	sim := pool.sim
-	base := rng.New(cfg.Seed).Derive("platform/" + cfg.Name)
 	startSlots := cfg.Slots
 	ramp := cfg.InitialSlots > 0 && cfg.InitialSlots < cfg.Slots && cfg.SlotRampInterval > 0
 	if ramp {
 		startSlots = cfg.InitialSlots
 	}
-	s := &site{
-		cfg:      cfg,
-		pool:     pool,
-		sim:      sim,
-		slots:    des.NewResource(sim, startSlots),
-		dispatch: base.Derive("dispatch"),
-		speed:    base.Derive("speed"),
-		setup:    base.Derive("setup"),
-		evict:    base.Derive("evict"),
-		frng:     base.Derive("fault"),
-		capBase:  startSlots,
-		capLimit: fault.NoLimit,
-		attempts: attemptSlab{free: -1},
-	}
+	s.cfg, s.pool, s.sim = cfg, pool, &pool.sim
+	s.slots.Reset(s.sim, startSlots)
+	var base rng.Stream
+	base.Reseed(cfg.Seed)
+	base.DeriveInto(&base, "platform/"+cfg.Name)
+	base.DeriveInto(&s.dispatch, "dispatch")
+	base.DeriveInto(&s.speed, "speed")
+	base.DeriveInto(&s.setup, "setup")
+	base.DeriveInto(&s.evict, "evict")
+	base.DeriveInto(&s.frng, "fault")
+	s.runState = runState{capBase: startSlots, capLimit: fault.NoLimit}
+	clear(s.active)
+	s.bpScratch = s.bpScratch[:0]
+	s.attempts.reset()
+	s.recs.reset()
 	if ramp {
 		// One series, scheduled before any fault: its sequence numbers
 		// precede theirs, so a fault step landing on a multiple of
 		// SlotRampInterval fires after the ramp step of the same instant.
-		sim.AtSeriesOp(cfg.Slots-cfg.InitialSlots, cfg.SlotRampInterval, s, opRamp, int32(cfg.InitialSlots))
+		s.sim.AtSeriesOp(cfg.Slots-cfg.InitialSlots, cfg.SlotRampInterval, s, opRamp, int32(cfg.InitialSlots))
 	}
-	return s, nil
 }
 
 // reserve sizes the slot pool's wait queue, the attempt slab
@@ -407,6 +446,13 @@ func (s *attemptSlab) extend() int32 {
 	return int32(len(s.recs) - 1)
 }
 
+// reset empties the slab, keeping its storage.
+func (s *attemptSlab) reset() {
+	clear(s.recs)
+	s.recs = s.recs[:0]
+	s.free = -1
+}
+
 // reserve makes room for n more records.
 func (s *attemptSlab) reserve(n int) {
 	if n += len(s.recs); n > cap(s.recs) {
@@ -424,7 +470,9 @@ func (s *attemptSlab) release(i int32) {
 // its capacity steps and correlated preemptions as simulation events.
 func (s *site) installFaults(tl *fault.Timeline) {
 	s.faults = tl
-	s.active = make(map[int32]occupied)
+	if s.active == nil {
+		s.active = make(map[int32]occupied)
+	}
 	for i, st := range tl.Steps {
 		s.sim.AtOp(des.Time(st.At), s, opCapLimit, int32(i))
 	}

@@ -15,13 +15,28 @@ type Stream struct {
 
 // New returns a stream seeded with the given value.
 func New(seed uint64) *Stream {
-	return &Stream{seed: seed, state: seed ^ 0x9e3779b97f4a7c15}
+	s := new(Stream)
+	s.Reseed(seed)
+	return s
+}
+
+// Reseed restarts s as the stream New(seed) returns, in place.
+func (s *Stream) Reseed(seed uint64) {
+	*s = Stream{seed: seed, state: seed ^ 0x9e3779b97f4a7c15}
 }
 
 // Derive returns a new independent stream identified by name, derived from
 // the parent stream's seed (not its current state), so derivation order
 // does not matter.
 func (s *Stream) Derive(name string) *Stream {
+	d := new(Stream)
+	s.DeriveInto(d, name)
+	return d
+}
+
+// DeriveInto reseeds dst, in place, as the stream Derive(name) returns; dst
+// may be s itself.
+func (s *Stream) DeriveInto(dst *Stream, name string) {
 	// FNV-1a over the name, spelled out: hash/fnv's hasher and the []byte
 	// conversion were two allocations per derived stream, and kept Derive
 	// from inlining, which put the stream itself on the heap too.
@@ -30,7 +45,7 @@ func (s *Stream) Derive(name string) *Stream {
 		h ^= uint64(name[i])
 		h *= 1099511628211
 	}
-	return New(s.seed ^ h*0xbf58476d1ce4e5b9)
+	dst.Reseed(s.seed ^ h*0xbf58476d1ce4e5b9)
 }
 
 // Uint64 returns the next 64 random bits.

@@ -279,3 +279,26 @@ func TestDeriveMatchesHashFNV(t *testing.T) {
 		t.Errorf("Derive allocates %v times, want 0", got)
 	}
 }
+
+// TestInPlaceEqualsAllocated: Reseed restarts a used stream as New does,
+// and DeriveInto — into another stream or into the parent itself — seeds
+// the stream Derive returns.
+func TestInPlaceEqualsAllocated(t *testing.T) {
+	var s Stream
+	s.Reseed(99)
+	s.Float64()
+	s.Normal(0, 1) // leaves a spare normal behind
+	s.Reseed(7)
+	if want := New(7); s != *want {
+		t.Errorf("Reseed(7) on a used stream = %+v, New(7) = %+v", s, *want)
+	}
+	var d Stream
+	s.DeriveInto(&d, "dispatch")
+	if want := New(7).Derive("dispatch"); d != *want {
+		t.Errorf("DeriveInto = %+v, Derive = %+v", d, *want)
+	}
+	s.DeriveInto(&s, "platform/osg")
+	if want := New(7).Derive("platform/osg"); s != *want {
+		t.Errorf("DeriveInto the parent itself = %+v, Derive = %+v", s, *want)
+	}
+}

@@ -15,6 +15,7 @@
 // — on Append for an aggregating log, on demand for an exact one —
 // through one per-record fold, so both modes report identical values.
 // Percentiles are the one mode difference: an exact log's are
-// PercentilesOf its retained values (sort a copy, nearest rank), an
+// PercentilesOf its retained values (sort a copy, nearest rank; or
+// PercentilesInPlace, for values the caller owns, without the copy), an
 // aggregating log's are read off its sketches with quantile.Of.
 package stats

@@ -118,17 +118,23 @@ func WriteTimeline(w io.Writer, tl Timeline, maxWidth int) error {
 // batch. An empty set yields zeros, each p is clamped to [0, 100], and a
 // NaN p (a 0/0 from some upstream ratio) yields 0 rather than an
 // implementation-defined float→int conversion. The input slice is not
-// modified. Callers extract the values themselves — package scenario
-// across several logs — and batch them here.
+// modified.
 func PercentilesOf(values []float64, ps ...float64) []float64 {
+	return PercentilesInPlace(slices.Clone(values), ps...)
+}
+
+// PercentilesInPlace is PercentilesOf for values the caller owns and no
+// longer needs in their order: it sorts them in place instead of a copy.
+// Package scenario extracts a cell's values across several logs into
+// slices of its own and batches them here.
+func PercentilesInPlace(values []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(values) == 0 {
 		return out
 	}
-	sorted := slices.Clone(values)
-	sort.Float64s(sorted)
+	sort.Float64s(values)
 	for i, p := range ps {
-		out[i] = quantile.NearestRank(sorted, p)
+		out[i] = quantile.NearestRank(values, p)
 	}
 	return out
 }

@@ -117,3 +117,21 @@ func TestPercentilesBatchMatchesSingles(t *testing.T) {
 		t.Errorf("empty batch = %v, want zeros", empty)
 	}
 }
+
+// PercentilesInPlace is PercentilesOf without the copy: the same values,
+// its input left sorted, its result the one allocation.
+func TestPercentilesInPlaceSortsItsInput(t *testing.T) {
+	vals := []float64{9, 3, 41, 7, 22, 5, 13, 1, 30, 17, 13}
+	ps := []float64{-5, 0, 25, 50, 90, 99, 100, 150, math.NaN()}
+	want := PercentilesOf(vals, ps...)
+	own := slices.Clone(vals)
+	if got := PercentilesInPlace(own, ps...); !slices.Equal(got, want) {
+		t.Errorf("PercentilesInPlace = %v, PercentilesOf = %v", got, want)
+	}
+	if !slices.IsSorted(own) {
+		t.Errorf("PercentilesInPlace left its input unsorted: %v", own)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { PercentilesInPlace(own, ps...) }); allocs != 1 {
+		t.Errorf("PercentilesInPlace allocates %v times, want its result only", allocs)
+	}
+}
