@@ -88,10 +88,10 @@ func TestAllocsScheduleFireZeroDelay(t *testing.T) {
 	}
 }
 
-// A periodic series is one heap entry, and a retired series' record is
-// reused by the next one: scheduling and firing series in steady state
-// allocates nothing. Two series run at once, so each firing sinks its
-// entry past the other's.
+// A periodic series is one record, and a retired series' record is reused
+// by the next one: scheduling and firing series in steady state allocates
+// nothing. Two series run at once, so each firing looks for the earliest of
+// two.
 func TestAllocsSeries(t *testing.T) {
 	s := New()
 	h := &countHandler{}

@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in virtual time, in seconds since the start of the
@@ -61,8 +62,9 @@ type event struct {
 
 // heapEntry is one heap position: the firing key inline, so sifting
 // compares entries without touching the event slab, and four siblings of
-// the 4-ary heap share a cache line. slot is the event's arena slot, or
-// ^i for the next firing of series i.
+// the 4-ary heap share a cache line. slot is the event's arena slot; a
+// series keeps the key of its next firing in a heapEntry of its own, whose
+// slot is unused.
 type heapEntry struct {
 	at   Time
 	seq  uint32
@@ -72,19 +74,26 @@ type heapEntry struct {
 // before orders entries by (time, scheduling sequence). Sequence numbers
 // are unique, so this is a strict total order and the firing order does not
 // depend on the heap's shape.
-func (a heapEntry) before(b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func (a heapEntry) before(b heapEntry) bool { return less(a, b) == 1 }
+
+// less is 1 when a fires before b and 0 otherwise, computed without a
+// branch: (at, seq) is compared as one 96-bit unsigned key, at's bits
+// above seq's, by two borrows. The bits of a non-negative float64 order as
+// its value does (+Inf last), and every queued time is non-negative — a
+// time is never before now, now starts at +0, and AtOp turns -0 into +0.
+func less(a, b heapEntry) uint64 {
+	_, borrow := bits.Sub64(uint64(a.seq), uint64(b.seq), 0)
+	_, borrow = bits.Sub64(math.Float64bits(float64(a.at)), math.Float64bits(float64(b.at)), borrow)
+	return borrow
 }
 
 // series is one periodic series of AtSeriesOp: its k-th firing delivers
-// h.HandleEvent(op, arg0+k) at Time(float64(k)*dt), for k up to n. Its one
-// heap entry holds the key of the k-th firing.
+// h.HandleEvent(op, arg0+k) at Time(float64(k)*dt), for k up to n. next is
+// the key of the k-th firing; a nil h marks a retired record.
 type series struct {
 	h        Handler
 	dt       float64
+	next     heapEntry
 	op, arg0 int32
 	k, n     int32
 }
@@ -100,11 +109,12 @@ func (*noCopy) Unlock() {}
 //
 // Events are taken from three sources in one (at, seq) order: the lane, a
 // FIFO of the events scheduled for the current instant; a 4-ary heap of the
-// other one-off events; and the periodic series, one heap entry each. An
-// event put in the lane at time t was scheduled with the clock at t, after
-// every heap entry due at t (those were scheduled earlier: a series starts
-// after the instant it is created at), so the heap top goes first when it
-// is due now and the lane head goes first otherwise.
+// other one-off events; and the periodic series, each keeping the key of
+// its next firing in its own record. An event put in the lane at time t was
+// scheduled with the clock at t, after every heap entry and series firing
+// due at t (those were scheduled earlier: a series starts after the instant
+// it is created at), so the earlier of the heap top and the earliest series
+// goes first when it is due now and the lane head goes first otherwise.
 //
 // Copying a Simulation by value aliases the event arena, free list and
 // heap between the copies; go vet flags any by-value copy.
@@ -119,8 +129,10 @@ type Simulation struct {
 	laneHead, laneTail int32
 	// series holds the series, retired ones included; freeSeries heads
 	// the list of retired ones, threaded through series.k; -1 when empty.
+	// nextSeries is the live series that fires first; -1 when none is live.
 	series     []series
 	freeSeries int32
+	nextSeries int32
 	seq        uint32
 	// pending counts the live events; dead the canceled ones still queued.
 	pending, dead int
@@ -152,6 +164,7 @@ func (s *Simulation) Reset() {
 		laneTail:   -1,
 		series:     s.series[:0],
 		freeSeries: -1,
+		nextSeries: -1,
 	}
 }
 
@@ -188,13 +201,17 @@ func reserve[T any](sl []T, n int) []T {
 func grown[T any](sl []T) []T { return reserve(sl, 2*cap(sl)+8) }
 
 // AtOp schedules h.HandleEvent(op, arg) at absolute virtual time t.
-// Scheduling in the past panics: it always indicates a model bug.
+// Scheduling in the past panics: it always indicates a model bug. A time of
+// -0 is +0.
 func (s *Simulation) AtOp(t Time, h Handler, op, arg int32) EventID {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
 	}
 	if math.IsNaN(float64(t)) {
 		panic("des: scheduling event at NaN time")
+	}
+	if t == 0 {
+		t = 0 // -0's sign bit would order it after +Inf in less
 	}
 	if h == nil {
 		panic("des: scheduling a nil handler")
@@ -245,11 +262,11 @@ func (s *Simulation) lanePush(slot int32) {
 }
 
 // AtSeriesOp schedules a periodic series: h.HandleEvent(op, arg0+k) at
-// Time(float64(k)*dt) for k = 1…n. The series is one queue entry, not n,
-// and takes n consecutive sequence numbers now, so it fires exactly as n
-// AtOp calls made at this point would. Its first firing must lie after the
-// current time; a series has no handle and cannot be canceled. A
-// non-positive n schedules nothing.
+// Time(float64(k)*dt) for k = 1…n. The series is one record, not n queue
+// entries, and takes n consecutive sequence numbers now, so it fires
+// exactly as n AtOp calls made at this point would. Its first firing must
+// lie after the current time; a series has no handle and cannot be
+// canceled. A non-positive n schedules nothing.
 func (s *Simulation) AtSeriesOp(n int, dt float64, h Handler, op, arg0 int32) {
 	if n <= 0 {
 		return
@@ -266,24 +283,26 @@ func (s *Simulation) AtSeriesOp(n int, dt float64, h Handler, op, arg0 int32) {
 	if uint64(s.seq)+uint64(n) > math.MaxUint32 {
 		panic("des: event sequence overflow")
 	}
-	sr := series{h: h, dt: dt, op: op, arg0: arg0, k: 1, n: int32(n)}
 	i := s.freeSeries
 	if i >= 0 {
 		s.freeSeries = s.series[i].k
-		s.series[i] = sr
 	} else {
-		i = s.addSeries(sr)
+		i = s.addSeries()
 	}
-	s.heapPush(heapEntry{at: Time(dt), seq: s.seq, slot: ^i})
+	next := heapEntry{at: Time(dt), seq: s.seq}
+	s.series[i] = series{h: h, dt: dt, next: next, op: op, arg0: arg0, k: 1, n: int32(n)}
+	if s.nextSeries < 0 || next.before(s.series[s.nextSeries].next) {
+		s.nextSeries = i
+	}
 	s.seq += uint32(n)
 	s.pending += n
 }
 
-// addSeries appends a series (not inlined: see newSlot).
+// addSeries appends a series record (not inlined: see newSlot).
 //
 //go:noinline
-func (s *Simulation) addSeries(sr series) int32 {
-	s.series = append(s.series, sr)
+func (s *Simulation) addSeries() int32 {
+	s.series = append(s.series, series{})
 	return int32(len(s.series) - 1)
 }
 
@@ -380,6 +399,7 @@ const (
 	srcNone = iota
 	srcLane
 	srcHeap
+	srcSeries
 )
 
 // front drops tombstones from the front of the queue and returns the next
@@ -387,7 +407,16 @@ const (
 // when nothing is pending.
 func (s *Simulation) front() (ent heapEntry, src int) {
 	for {
-		if s.laneHead >= 0 && (len(s.heap) == 0 || s.heap[0].at > s.now) {
+		ent, src = heapEntry{}, srcNone
+		if len(s.heap) > 0 {
+			ent, src = s.heap[0], srcHeap
+		}
+		if s.nextSeries >= 0 {
+			if next := s.series[s.nextSeries].next; src == srcNone || next.before(ent) {
+				ent, src = next, srcSeries
+			}
+		}
+		if s.laneHead >= 0 && (src == srcNone || ent.at > s.now) {
 			slot := s.laneHead
 			if s.events[slot].h != nil {
 				return heapEntry{at: s.now, slot: slot}, srcLane
@@ -397,12 +426,8 @@ func (s *Simulation) front() (ent heapEntry, src int) {
 			s.freeSlot(slot)
 			continue
 		}
-		if len(s.heap) == 0 {
-			return ent, srcNone
-		}
-		ent = s.heap[0]
-		if ent.slot < 0 || s.events[ent.slot].h != nil {
-			return ent, srcHeap
+		if src != srcHeap || s.events[ent.slot].h != nil {
+			return ent, src
 		}
 		s.heapPop()
 		s.dead--
@@ -414,19 +439,19 @@ func (s *Simulation) front() (ent heapEntry, src int) {
 // returns false when no events remain.
 func (s *Simulation) Step() bool {
 	ent, src := s.front()
-	switch {
-	case src == srcNone:
+	switch src {
+	case srcNone:
 		return false
-	case src == srcLane:
+	case srcLane:
 		s.laneHead = s.events[ent.slot].next
-	case ent.slot >= 0:
+	case srcHeap:
 		s.heapPop()
 	}
 	s.now = ent.at
 	s.processed++
 	s.pending--
-	if ent.slot < 0 {
-		s.stepSeries(ent)
+	if src == srcSeries {
+		s.stepSeries(s.nextSeries)
 		return true
 	}
 	e := &s.events[ent.slot]
@@ -438,19 +463,26 @@ func (s *Simulation) Step() bool {
 	return true
 }
 
-// stepSeries fires the series at the top of the heap, first moving its
-// entry on to its next firing or retiring it.
-func (s *Simulation) stepSeries(ent heapEntry) {
-	i := ^ent.slot
+// stepSeries fires series i, the earliest, first moving its key on to its
+// next firing or retiring it, and finding the earliest series again: a scan
+// of the series records, of which a model keeps a few (one per ramping
+// site).
+func (s *Simulation) stepSeries(i int32) {
 	sr := &s.series[i]
 	h, op, arg := sr.h, sr.op, sr.arg0+sr.k
 	if sr.k < sr.n {
 		sr.k++
-		s.sink(0, heapEntry{at: Time(float64(sr.k) * sr.dt), seq: ent.seq + 1, slot: ent.slot})
+		sr.next.at = Time(float64(sr.k) * sr.dt)
+		sr.next.seq++
 	} else {
-		s.heapPop()
 		*sr = series{k: s.freeSeries}
 		s.freeSeries = i
+	}
+	s.nextSeries = -1
+	for j := range s.series {
+		if r := &s.series[j]; r.h != nil && (s.nextSeries < 0 || r.next.before(s.series[s.nextSeries].next)) {
+			s.nextSeries = int32(j)
+		}
 	}
 	h.HandleEvent(op, arg)
 }
@@ -466,7 +498,7 @@ func (s *Simulation) Run() {
 func (s *Simulation) compact() {
 	live := s.heap[:0]
 	for _, ent := range s.heap {
-		if ent.slot >= 0 && s.events[ent.slot].h == nil {
+		if s.events[ent.slot].h == nil {
 			s.freeSlot(ent.slot)
 			continue
 		}
@@ -536,22 +568,32 @@ func (s *Simulation) siftUp(i, root int32, ent heapEntry) {
 }
 
 // sink places ent in the subtree of the hole at position i: the hole walks
-// down to a leaf, and ent sifts up from there.
+// down to a leaf, and ent sifts up from there. A node with four children
+// picks the least without a branch — on random keys which child wins is a
+// coin toss the branch predictor loses — and only the one node with fewer
+// children loops.
 func (s *Simulation) sink(i int32, ent heapEntry) {
 	root, n := i, int32(len(s.heap))
 	for {
 		first := 4*i + 1
-		if first >= n {
+		if first+4 > n {
 			break
 		}
+		c := (*[4]heapEntry)(s.heap[first:])
+		a := less(c[1], c[0])
+		b := 2 + less(c[3], c[2])
+		min := (a + (b-a)*less(c[b&3], c[a&3])) & 3
+		s.heap[i] = c[min]
+		i = first + int32(min)
+	}
+	if first := 4*i + 1; first < n {
 		min := first
-		m := s.heap[first]
-		for c := first + 1; c < first+4 && c < n; c++ {
-			if e := s.heap[c]; e.before(m) {
-				min, m = c, e
+		for c := first + 1; c < n; c++ {
+			if s.heap[c].before(s.heap[min]) {
+				min = c
 			}
 		}
-		s.heap[i] = m
+		s.heap[i] = s.heap[min]
 		i = min
 	}
 	s.siftUp(i, root, ent)

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -252,5 +254,57 @@ func TestEventTimeAccessor(t *testing.T) {
 	s.Run()
 	if _, ok := s.EventTime(e); ok {
 		t.Error("EventTime ok = true after the event fired")
+	}
+}
+
+// TestNegativeZeroTimeOrdersAsZero: an event at -0 scheduled with the clock
+// at 0 is an event at 0, firing in scheduling order among the events at +0
+// and before later ones, and leaves the clock at +0. The kernel compares
+// keys by their bits, in which -0 would sort after +Inf.
+func TestNegativeZeroTimeOrdersAsZero(t *testing.T) {
+	s := New()
+	negZero := Time(math.Copysign(0, -1))
+	var order []int
+	at := func(when Time, id int) EventID {
+		return s.At(when, func() {
+			order = append(order, id)
+			if math.Signbit(float64(s.Now())) {
+				t.Errorf("event %d fired with the clock at -0", id)
+			}
+		})
+	}
+	at(1, 4)
+	at(0, 1)
+	id := at(negZero, 2)
+	at(0, 3)
+	at(Time(math.Inf(1)), 5)
+	if when, ok := s.EventTime(id); !ok || when != 0 || math.Signbit(float64(when)) {
+		t.Errorf("EventTime of the -0 event = %v, %v; want +0", when, ok)
+	}
+	s.Run()
+	if want := []int{1, 2, 3, 4, 5}; !slices.Equal(order, want) {
+		t.Errorf("fired %v, want %v", order, want)
+	}
+}
+
+// TestKeyOrderIsTimeThenSequence: the branch-free key compare agrees with
+// comparing (time, sequence) as numbers, over non-negative times from the
+// smallest subnormal to +Inf and sequence numbers at both ends of their
+// range.
+func TestKeyOrderIsTimeThenSequence(t *testing.T) {
+	times := []Time{0, Time(math.SmallestNonzeroFloat64), 1e-300, 0.5, 1, 1 + 1e-15, 2, 1e9, Time(math.MaxFloat64), Time(math.Inf(1))}
+	seqs := []uint32{0, 1, 2, 1 << 31, math.MaxUint32 - 1, math.MaxUint32}
+	for _, at1 := range times {
+		for _, s1 := range seqs {
+			for _, at2 := range times {
+				for _, s2 := range seqs {
+					a, b := heapEntry{at: at1, seq: s1}, heapEntry{at: at2, seq: s2}
+					want := at1 < at2 || (at1 == at2 && s1 < s2)
+					if got := a.before(b); got != want {
+						t.Fatalf("(%v, %d) before (%v, %d) = %v, want %v", at1, s1, at2, s2, got, want)
+					}
+				}
+			}
+		}
 	}
 }

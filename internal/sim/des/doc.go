@@ -25,11 +25,19 @@
 // current instant (every zero-delay event, such as a Resource grant),
 // threaded through the arena; a 4-ary heap of the other one-off events,
 // whose entries carry the firing key inline so sifting never reads the
-// arena; and the periodic series of AtSeriesOp (a slot ramp), one heap
-// entry each. Steady-state scheduling therefore allocates nothing — the
-// arena and the heap reach a high-water mark and are reused; Reserve sets
-// that mark up front for a model that knows its size, and growth otherwise
-// doubles. Reset (and Resource.Reset) rewinds a simulation to time zero
+// arena; and the periodic series of AtSeriesOp (a slot ramp), which stay
+// out of the heap: each keeps the key of its next firing in its own record,
+// and the kernel tracks the earliest, so a series step costs a scan of the
+// few live series, not a sift. The heap compares a key (time, sequence) as
+// one 96-bit unsigned integer, time's bits above the sequence's, and picks
+// the least of a node's four children without a branch. That needs every
+// queued time to be non-negative, whose float64 bits order as its value
+// does: the clock starts at +0, nothing is scheduled before now, NaN is
+// refused and AtOp turns -0 into +0.
+//
+// Steady-state scheduling allocates nothing: the arena and the heap reach a
+// high-water mark and are reused; Reserve sets that mark up front for a
+// model that knows its size, and growth otherwise doubles. Reset (and Resource.Reset) rewinds a simulation to time zero
 // keeping that storage, for a model that runs one simulation after another;
 // New is Reset applied to an empty one.
 // The firing order is the (time, sequence) order, a strict total order, so

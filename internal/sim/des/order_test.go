@@ -35,6 +35,10 @@ func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{5, 2, 4, 1, 1, 2, 3, 3, 3, 3, 4, 6, 3, 3, 3, 3}) // handler-scheduled lane events tied with a series
 	f.Add([]byte{6, 0, 6, 0, 8, 1, 6, 0, 7, 0, 3, 8, 3, 3, 3, 3}) // shrink the capacity below in-use, release, then grow
 	f.Add([]byte{6, 0, 6, 1, 6, 0, 3, 3, 7, 0, 3, 7, 0, 3, 3})    // a 2-unit request blocks a 1-unit one behind it
+	// Two live series at once (2 s and 4 s; 4 s and 8 s), tied at 4 s with
+	// each other, a typed and a closure event, and a spawning event whose
+	// lane event lands at 4 s behind them all; a third series starts at 2 s.
+	f.Add([]byte{4, 5, 4, 13, 1, 4, 5, 2, 5, 4, 0, 4, 3, 3, 4, 1, 1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
 	// A long pseudo-random program: a heap several levels deep.
 	long := make([]byte, 6000)
 	state := uint32(2463534242)

@@ -30,6 +30,15 @@
 // event): Next serves engine.Run, Pull a driver that submits under its
 // members' tags (SubmitFor).
 //
+// A site derives the log-normal parameters of its dispatch latency and its
+// setup phase (an rng.MeanCV each, from DispatchMean/DispatchCV and
+// SetupMean/SetupCV) in the reset that starts its run, and only when they
+// differ from its previous run's, so a draw is a normal variate and an
+// exponential, without the two logarithms and the square root of deriving
+// them again. Config.Validate refuses a NaN or
+// infinite value in any float field, which would otherwise surface mid-run
+// as an event scheduled at NaN time.
+//
 // Reserve and Release. Reserve sizes the kernel, the slot pools and the
 // slabs for a job count; only the bytes allocated depend on it. Release
 // hands a finished executor's storage — the clock, each site's slot queue,

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -56,6 +57,25 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("platform: config with empty name")
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"submit interval", c.SubmitInterval},
+		{"dispatch mean", c.DispatchMean},
+		{"dispatch cv", c.DispatchCV},
+		{"speed factor", c.SpeedFactor},
+		{"speed jitter", c.SpeedJitter},
+		{"setup mean", c.SetupMean},
+		{"setup cv", c.SetupCV},
+		{"setup bytes per second", c.SetupBytesPerSec},
+		{"eviction rate", c.EvictionRate},
+		{"slot ramp interval", c.SlotRampInterval},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("platform: %s: %s %v is not finite", c.Name, f.name, f.v)
+		}
 	}
 	if c.Slots <= 0 {
 		return fmt.Errorf("platform: %s: non-positive slots %d", c.Name, c.Slots)
@@ -153,6 +173,13 @@ type site struct {
 	setup    rng.Stream
 	evict    rng.Stream
 	frng     rng.Stream // fault decisions (storm kill draws); idle without faults
+
+	// dispatchDelay and setupTime are the log-normal distributions of cfg's
+	// (DispatchMean, DispatchCV) and (SetupMean, SetupCV), derived once
+	// rather than at every draw. Like the node-name table they outlive a
+	// reset that keeps what they depend on, so a warm site running the same
+	// platform takes no logarithm; the zero value is a zero config's.
+	dispatchDelay, setupTime rng.MeanCV
 
 	runState
 
@@ -276,7 +303,8 @@ func (a *recArena) reset() {
 // reset makes s the site cfg describes on the pool's clock, as if built
 // anew: the same streams, capacity and ramp, no attempt, record or fault. It
 // keeps the storage — slot queue, attempt slab, record arena, scratch and
-// active map — and the node-name table when cfg keeps the site's name. A
+// active map — and the node-name table when cfg keeps the site's name, the
+// derived log-normal distributions when cfg keeps their parameters. A
 // fresh site is the zero site reset. cfg must be valid.
 func (s *site) reset(pool *storage, cfg Config) {
 	if cfg.Name != s.cfg.Name {
@@ -287,6 +315,12 @@ func (s *site) reset(pool *storage, cfg Config) {
 	ramp := cfg.InitialSlots > 0 && cfg.InitialSlots < cfg.Slots && cfg.SlotRampInterval > 0
 	if ramp {
 		startSlots = cfg.InitialSlots
+	}
+	if cfg.DispatchMean != s.cfg.DispatchMean || cfg.DispatchCV != s.cfg.DispatchCV {
+		s.dispatchDelay = rng.NewMeanCV(cfg.DispatchMean, cfg.DispatchCV)
+	}
+	if cfg.SetupMean != s.cfg.SetupMean || cfg.SetupCV != s.cfg.SetupCV {
+		s.setupTime = rng.NewMeanCV(cfg.SetupMean, cfg.SetupCV)
 	}
 	s.cfg, s.pool, s.sim = cfg, pool, &pool.sim
 	s.slots.Reset(s.sim, startSlots)
@@ -657,7 +691,7 @@ func (s *site) dispatchAttempt(idx int32) {
 	s.nextFree = release + s.cfg.SubmitInterval
 
 	s.attempts.recs[idx].submitTime = now
-	delay := (release - now) + s.dispatch.LogNormalMeanCV(s.cfg.DispatchMean, s.cfg.DispatchCV)
+	delay := (release - now) + s.dispatch.Draw(s.dispatchDelay)
 	if s.faults != nil {
 		// A dispatch landing inside a blackout window is held until the
 		// window ends — the scheduler simply stops matching jobs.
@@ -686,7 +720,7 @@ func (s *site) runOnNode(idx int32) {
 		// The install is paid once per grid job: a composite (clustered)
 		// job stages its software stack a single time and all member
 		// payloads share it — the amortization clustering buys.
-		a.setupDur = s.setup.LogNormalMeanCV(s.cfg.SetupMean, s.cfg.SetupCV)
+		a.setupDur = s.setup.Draw(s.setupTime)
 		if s.cfg.SetupBytesPerSec > 0 && job.InstallBytes > 0 {
 			a.setupDur += float64(job.InstallBytes) / s.cfg.SetupBytesPerSec
 		}

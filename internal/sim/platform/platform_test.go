@@ -2,6 +2,8 @@ package platform
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"pegflow/internal/catalog"
@@ -323,6 +325,47 @@ func TestConfigValidate(t *testing.T) {
 	for _, c := range []Config{Sandhills(1), OSG(1)} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("preset %s invalid: %v", c.Name, err)
+		}
+	}
+}
+
+// TestConfigValidateRejectsNonFinite: every float field of a valid preset,
+// set to NaN, +Inf or -Inf, makes the config invalid — a NaN dispatch or
+// setup parameter used to pass and then schedule an event at NaN time
+// mid-run.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"SubmitInterval", func(c *Config, v float64) { c.SubmitInterval = v }},
+		{"DispatchMean", func(c *Config, v float64) { c.DispatchMean = v }},
+		{"DispatchCV", func(c *Config, v float64) { c.DispatchCV = v }},
+		{"SpeedFactor", func(c *Config, v float64) { c.SpeedFactor = v }},
+		{"SpeedJitter", func(c *Config, v float64) { c.SpeedJitter = v }},
+		{"SetupMean", func(c *Config, v float64) { c.SetupMean = v }},
+		{"SetupCV", func(c *Config, v float64) { c.SetupCV = v }},
+		{"SetupBytesPerSec", func(c *Config, v float64) { c.SetupBytesPerSec = v }},
+		{"EvictionRate", func(c *Config, v float64) { c.EvictionRate = v }},
+		{"SlotRampInterval", func(c *Config, v float64) { c.SlotRampInterval = v }},
+	}
+	// Every float field of Config is in the table.
+	floats := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if f.Type.Kind() == reflect.Float64 {
+			floats++
+		}
+	}
+	if floats != len(fields) {
+		t.Fatalf("Config has %d float fields, the table %d", floats, len(fields))
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := OSG(1)
+			f.set(&c, v)
+			if err := c.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
 		}
 	}
 }

@@ -73,7 +73,10 @@ func (tc *warmCase) run(t *testing.T, ex *Executor) (warmRun, bool) {
 
 // warmCases is the table: two sites, then one site whose name the recycled
 // storage has not seen, a faulted pool with a storm, an outage and capacity
-// steps, a ramped OSG site, and an aggregating run.
+// steps, a ramped OSG site, the same site with other dispatch and setup
+// spreads and then also other means (a site re-derives its log-normal
+// distributions only when their parameters change, so each case changes
+// one of the two), and an aggregating run.
 func warmCases(t *testing.T) []*warmCase {
 	cats, twoSite := twoSiteWorld(t, 40)
 	runtimes := make([]float64, 30)
@@ -88,12 +91,20 @@ func warmCases(t *testing.T) []*warmCase {
 		fault.Spec{Type: "outage", Site: "stable", At: 300, Duration: 400},
 		fault.Spec{Type: "capacity", Site: "stable", At: 1000, Slots: intp(3)},
 		fault.Spec{Type: "capacity", Site: "stable", At: 2500, Slots: intp(8)})
+	osgPlan := buildPlan(t, &catalog.Site{Name: "osg", Slots: 600, SpeedFactor: 1}, false, runtimes)
+	spread := OSG(9)
+	spread.DispatchCV *= 2
+	spread.SetupCV *= 2
+	means := spread
+	means.DispatchMean *= 2
+	means.SetupMean *= 2
 	return []*warmCase{
 		{name: "two sites", cfgs: stormyConfigs(), plan: twoSite, cats: &cats},
 		{name: "one renamed site", cfgs: []Config{renamed}, plan: buildPlan(t, plainSite("renamed", 4), true, runtimes)},
 		{name: "faulted", cfgs: stormyConfigs(), faults: storms, plan: twoSite, cats: &cats},
-		{name: "ramped osg", cfgs: []Config{OSG(9)},
-			plan: buildPlan(t, &catalog.Site{Name: "osg", Slots: 600, SpeedFactor: 1}, false, runtimes)},
+		{name: "ramped osg", cfgs: []Config{OSG(9)}, plan: osgPlan},
+		{name: "ramped osg, other spreads", cfgs: []Config{spread}, plan: osgPlan},
+		{name: "ramped osg, other means", cfgs: []Config{means}, plan: osgPlan},
 		{name: "aggregate", cfgs: stormyConfigs(), faults: storms, plan: twoSite, cats: &cats, aggregate: true},
 	}
 }

@@ -114,17 +114,43 @@ func (s *Stream) LogNormal(mu, sigma float64) float64 {
 
 // LogNormalMeanCV returns a log-normal variate parameterized by its own
 // mean and coefficient of variation (stddev/mean), which is how the
-// platform configs express overhead distributions.
+// platform configs express overhead distributions. A caller that draws
+// many variates from one (mean, cv) derives a MeanCV once instead.
 func (s *Stream) LogNormalMeanCV(mean, cv float64) float64 {
+	return s.Draw(NewMeanCV(mean, cv))
+}
+
+// MeanCV is a log-normal distribution given by its own mean and
+// coefficient of variation, with the parameters of the underlying normal
+// derived once. A non-positive mean is the constant 0 and a non-positive
+// coefficient the constant mean; drawing from a constant consumes nothing
+// from the stream.
+type MeanCV struct {
+	mu, sigma float64
+	// fixed is the constant value when random is false.
+	fixed  float64
+	random bool
+}
+
+// NewMeanCV derives the log-normal distribution with the given mean and
+// coefficient of variation.
+func NewMeanCV(mean, cv float64) MeanCV {
 	if mean <= 0 {
-		return 0
+		return MeanCV{}
 	}
 	if cv <= 0 {
-		return mean
+		return MeanCV{fixed: mean}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return s.LogNormal(mu, math.Sqrt(sigma2))
+	return MeanCV{mu: math.Log(mean) - sigma2/2, sigma: math.Sqrt(sigma2), random: true}
+}
+
+// Draw returns a variate of d.
+func (s *Stream) Draw(d MeanCV) float64 {
+	if !d.random {
+		return d.fixed
+	}
+	return s.LogNormal(d.mu, d.sigma)
 }
 
 // Pareto returns a Pareto variate with scale xm and shape alpha.

@@ -141,6 +141,47 @@ func TestLogNormalMeanCVDegenerate(t *testing.T) {
 	}
 }
 
+// TestMeanCVTwinStreams: a distribution derived once draws, bit for bit,
+// what LogNormalMeanCV draws and what the derivation spelled out at every
+// draw does, each on its own twin of one stream, and leaves the three at
+// the same position — so a constant (mean <= 0 or cv <= 0) consumes no
+// draw. Odd draw counts leave a Box-Muller spare behind for the next pair.
+func TestMeanCVTwinStreams(t *testing.T) {
+	reference := func(s *Stream, mean, cv float64) float64 {
+		if mean <= 0 {
+			return 0
+		}
+		if cv <= 0 {
+			return mean
+		}
+		sigma2 := math.Log(1 + cv*cv)
+		return math.Exp(s.Normal(math.Log(mean)-sigma2/2, math.Sqrt(sigma2)))
+	}
+	means := []float64{math.Inf(-1), -3, -0.0, 0, 1e-9, 0.5, 1, 30, 700, 1e12, math.Inf(1), math.NaN()}
+	cvs := []float64{math.Inf(-1), -1, -0.0, 0, 1e-6, 0.25, 0.5, 1, 3.5, math.Inf(1), math.NaN()}
+	wrapped, derived, spelled := New(99), New(99), New(99)
+	for _, mean := range means {
+		for _, cv := range cvs {
+			d := NewMeanCV(mean, cv)
+			for k := 0; k < 3; k++ {
+				a := wrapped.LogNormalMeanCV(mean, cv)
+				b := derived.Draw(d)
+				c := reference(spelled, mean, cv)
+				if math.Float64bits(a) != math.Float64bits(c) || math.Float64bits(b) != math.Float64bits(c) {
+					t.Fatalf("mean %v cv %v draw %d: LogNormalMeanCV %v, Draw %v, reference %v", mean, cv, k, a, b, c)
+				}
+			}
+			if *wrapped != *spelled || *derived != *spelled {
+				t.Fatalf("mean %v cv %v: streams at %+v (LogNormalMeanCV) and %+v (Draw), reference at %+v",
+					mean, cv, *wrapped, *derived, *spelled)
+			}
+		}
+	}
+	if *spelled == *New(99) {
+		t.Fatal("the grid drew nothing")
+	}
+}
+
 func TestParetoTail(t *testing.T) {
 	s := New(15)
 	const xm, alpha = 10.0, 2.0

@@ -15,7 +15,8 @@
 // — on Append for an aggregating log, on demand for an exact one —
 // through one per-record fold, so both modes report identical values.
 // Percentiles are the one mode difference: an exact log's are
-// PercentilesOf its retained values (sort a copy, nearest rank; or
-// PercentilesInPlace, for values the caller owns, without the copy), an
+// PercentilesOf its retained values (nearest rank, each requested rank
+// quickselected in a copy, which equals sorting it; or PercentilesInPlace,
+// which permutes values the caller owns instead of copying them), an
 // aggregating log's are read off its sketches with quantile.Of.
 package stats

@@ -10,23 +10,33 @@ import (
 // non-empty. A NaN p yields 0 rather than an implementation-defined
 // float→int conversion; p is clamped to [0, 100].
 func NearestRank(sorted []float64, p float64) float64 {
-	if math.IsNaN(p) {
+	i := NearestRankIndex(len(sorted), p)
+	if i < 0 {
 		return 0
 	}
+	return sorted[i]
+}
+
+// NearestRankIndex returns the index NearestRank reads in a sorted slice of
+// n > 0 values, or -1 for a NaN p.
+func NearestRankIndex(n int, p float64) int {
+	if math.IsNaN(p) {
+		return -1
+	}
 	if p <= 0 {
-		return sorted[0]
+		return 0
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return n - 1
 	}
-	idx := int(p/100*float64(len(sorted))+0.5) - 1
+	idx := int(p/100*float64(n)+0.5) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	if idx >= n {
+		idx = n - 1
 	}
-	return sorted[idx]
+	return idx
 }
 
 // Of evaluates a batch of percentiles (0–100) against one sketch, in the

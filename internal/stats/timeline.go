@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"pegflow/internal/kickstart"
@@ -114,9 +113,9 @@ func WriteTimeline(w io.Writer, tl Timeline, maxWidth int) error {
 }
 
 // PercentilesOf returns the requested percentiles (0-100, nearest-rank)
-// of a value set, in the order given, sorting one copy for the whole
-// batch. An empty set yields zeros, each p is clamped to [0, 100], and a
-// NaN p (a 0/0 from some upstream ratio) yields 0 rather than an
+// of a value set, in the order given, selecting them in one copy for the
+// whole batch. An empty set yields zeros, each p is clamped to [0, 100],
+// and a NaN p (a 0/0 from some upstream ratio) yields 0 rather than an
 // implementation-defined float→int conversion. The input slice is not
 // modified.
 func PercentilesOf(values []float64, ps ...float64) []float64 {
@@ -124,17 +123,110 @@ func PercentilesOf(values []float64, ps ...float64) []float64 {
 }
 
 // PercentilesInPlace is PercentilesOf for values the caller owns and no
-// longer needs in their order: it sorts them in place instead of a copy.
+// longer needs in their order: it permutes them in place instead of a copy.
 // Package scenario extracts a cell's values across several logs into
 // slices of its own and batches them here.
+//
+// It selects the ranks instead of sorting. The order is sort.Float64s's —
+// NaN first — so every result equals what sorting and reading
+// quantile.NearestRank gives: one pass moves the NaNs to the front, and
+// each requested rank past them is quickselected inside the window the
+// ranks already placed bound, the middle one first, so k ranks of n values
+// cost O(n log k). Its result is its one allocation: the ranks are ordered
+// in it before it is filled.
 func PercentilesInPlace(values []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(values) == 0 {
 		return out
 	}
-	sort.Float64s(values)
+	n := len(values)
 	for i, p := range ps {
-		out[i] = quantile.NearestRank(values, p)
+		out[i] = float64(quantile.NearestRankIndex(n, p))
+	}
+	slices.Sort(out)
+	nans := 0
+	for i, x := range values {
+		if x != x {
+			values[i], values[nans] = values[nans], x
+			nans++
+		}
+	}
+	selectRanks(values, nans, n, out)
+	for i, p := range ps {
+		if k := quantile.NearestRankIndex(n, p); k >= 0 {
+			out[i] = values[k]
+		} else {
+			out[i] = 0
+		}
 	}
 	return out
+}
+
+// selectRanks places the element of every rank in ranks (ascending, each
+// a float64 index; those outside [lo, hi) are skipped) at that index of v,
+// permuting only v[lo:hi], which must hold the ranks lo…hi-1 of v and no
+// NaN. The middle rank goes first; it then bounds the windows of the ranks
+// below and above it.
+func selectRanks(v []float64, lo, hi int, ranks []float64) {
+	for len(ranks) > 0 && int(ranks[0]) < lo {
+		ranks = ranks[1:]
+	}
+	for len(ranks) > 0 && int(ranks[len(ranks)-1]) >= hi {
+		ranks = ranks[:len(ranks)-1]
+	}
+	if len(ranks) == 0 {
+		return
+	}
+	m := len(ranks) / 2
+	k := int(ranks[m])
+	selectRank(v, lo, hi-1, k)
+	selectRanks(v, lo, k, ranks[:m])
+	selectRanks(v, k+1, hi, ranks[m+1:])
+}
+
+// selectRank permutes v[l:r+1], which holds no NaN, so that v[k] is its
+// element of rank k - l, with nothing greater before it and nothing lesser
+// after it. It is Hoare's quickselect on the median of three: the pivot's
+// neighbours are sentinels for the inner scans, and both scans stop at keys
+// equal to the pivot, so runs of equal values split evenly.
+func selectRank(v []float64, l, r, k int) {
+	for r > l+1 {
+		mid := int(uint(l+r) >> 1)
+		v[mid], v[l+1] = v[l+1], v[mid]
+		if v[l] > v[r] {
+			v[l], v[r] = v[r], v[l]
+		}
+		if v[l+1] > v[r] {
+			v[l+1], v[r] = v[r], v[l+1]
+		}
+		if v[l] > v[l+1] {
+			v[l], v[l+1] = v[l+1], v[l]
+		}
+		// v[l] <= v[l+1] <= v[r]: the pivot is v[l+1].
+		i, j, p := l+1, r, v[l+1]
+		for {
+			for i++; v[i] < p; i++ {
+			}
+			for j--; v[j] > p; j-- {
+			}
+			if j < i {
+				break
+			}
+			v[i], v[j] = v[j], v[i]
+		}
+		// v[l:j] <= p = v[j] <= v[j+1:r+1]; v[j+1:i] (empty, or one key
+		// both scans stopped at) equals p.
+		v[l+1], v[j] = v[j], p
+		switch {
+		case k < j:
+			r = j - 1
+		case k >= i:
+			l = i
+		default:
+			return
+		}
+	}
+	if r == l+1 && v[r] < v[l] {
+		v[l], v[r] = v[r], v[l]
+	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"pegflow/internal/kickstart"
+	"pegflow/internal/sim/rng"
+	"pegflow/internal/stats/quantile"
 )
 
 func timelineLog(t *testing.T) *kickstart.Log {
@@ -119,8 +122,9 @@ func TestPercentilesBatchMatchesSingles(t *testing.T) {
 }
 
 // PercentilesInPlace is PercentilesOf without the copy: the same values,
-// its input left sorted, its result the one allocation.
-func TestPercentilesInPlaceSortsItsInput(t *testing.T) {
+// its input left a permutation of what it was, its result the one
+// allocation.
+func TestAllocsPercentilesInPlace(t *testing.T) {
 	vals := []float64{9, 3, 41, 7, 22, 5, 13, 1, 30, 17, 13}
 	ps := []float64{-5, 0, 25, 50, 90, 99, 100, 150, math.NaN()}
 	want := PercentilesOf(vals, ps...)
@@ -128,10 +132,124 @@ func TestPercentilesInPlaceSortsItsInput(t *testing.T) {
 	if got := PercentilesInPlace(own, ps...); !slices.Equal(got, want) {
 		t.Errorf("PercentilesInPlace = %v, PercentilesOf = %v", got, want)
 	}
-	if !slices.IsSorted(own) {
-		t.Errorf("PercentilesInPlace left its input unsorted: %v", own)
+	if !samePermutation(own, vals) {
+		t.Errorf("PercentilesInPlace left %v, not a permutation of %v", own, vals)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { PercentilesInPlace(own, ps...) }); allocs != 1 {
 		t.Errorf("PercentilesInPlace allocates %v times, want its result only", allocs)
 	}
+}
+
+// samePermutation reports whether a and b hold the same float64 bit
+// patterns, each as often.
+func samePermutation(a, b []float64) bool {
+	bitsOf := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		slices.Sort(out)
+		return out
+	}
+	return slices.Equal(bitsOf(a), bitsOf(b))
+}
+
+// checkPercentiles fails unless PercentilesInPlace on a copy of values
+// equals sort.Float64s and quantile.NearestRank for every p, and leaves the
+// copy a permutation of values. Results are compared with ==, NaN equal to
+// NaN: a sort may order -0 and +0 either way, so their bits may differ.
+func checkPercentiles(t *testing.T, values, ps []float64) {
+	t.Helper()
+	own := slices.Clone(values)
+	got := PercentilesInPlace(own, ps...)
+	sorted := slices.Clone(values)
+	sort.Float64s(sorted)
+	for i, p := range ps {
+		want := 0.0
+		if len(sorted) > 0 {
+			want = quantile.NearestRank(sorted, p)
+		}
+		if got[i] != want && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
+			t.Fatalf("p=%v of %d values %v: selected %v, sorted %v", p, len(values), values, got[i], want)
+		}
+	}
+	if !samePermutation(own, values) {
+		t.Fatalf("PercentilesInPlace left %v, not a permutation of %v", own, values)
+	}
+}
+
+// TestPercentilesSelectEqualsSort: selection equals sorting on value sets
+// of every length from 1 to 300 — random, with duplicates, with NaN, ±Inf
+// and ±0, ascending and descending — for p inside (0, 100), at and beyond
+// both ends, infinite and NaN, in random order and repeated.
+func TestPercentilesSelectEqualsSort(t *testing.T) {
+	src := rng.New(40)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	edge := []float64{math.NaN(), -5, 0, 100, 150, math.Inf(1), math.Inf(-1)}
+	for n := 1; n <= 300; n++ {
+		for shape := 0; shape < 6; shape++ {
+			values := make([]float64, n)
+			for i := range values {
+				switch shape {
+				case 0: // distinct with high probability
+					values[i] = src.Float64() * 1000
+				case 1: // few distinct values
+					values[i] = float64(src.Intn(4))
+				case 2: // specials among duplicates
+					if src.Intn(4) == 0 {
+						values[i] = specials[src.Intn(len(specials))]
+					} else {
+						values[i] = float64(src.Intn(10))
+					}
+				case 3: // ascending
+					values[i] = float64(i)
+				case 4: // descending
+					values[i] = float64(n - i)
+				case 5: // all equal
+					values[i] = 7
+				}
+			}
+			ps := []float64{50, 90, 99}
+			for k := src.Intn(6); k > 0; k-- {
+				ps = append(ps, src.Float64()*100, edge[src.Intn(len(edge))])
+			}
+			ps = append(ps, ps[src.Intn(len(ps))])
+			checkPercentiles(t, values, ps)
+		}
+	}
+}
+
+// FuzzPercentiles: selection equals sort.Float64s + quantile.NearestRank.
+// The first byte is the number of percentiles (mod 8), one byte each; the
+// rest are values, one byte each. A byte below 16 picks a special — NaN,
+// ±Inf, ±0, or for a percentile one at or beyond an end — and other bytes
+// a value among few, so duplicates are common.
+func FuzzPercentiles(f *testing.F) {
+	f.Add([]byte{3, 128, 230, 252, 40, 41, 40, 200, 17})
+	f.Add([]byte{2, 0, 5, 0, 1, 2, 3, 4, 17, 33})
+	f.Add([]byte{7, 1, 2, 3, 4, 5, 6, 7, 99, 99, 99})
+	f.Add([]byte{1, 200, 250})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) == 0 {
+			return
+		}
+		np := int(prog[0] % 8)
+		prog = prog[1:]
+		specialP := []float64{math.NaN(), -1, 0, 100, 101, math.Inf(1), math.Inf(-1), 50}
+		specialV := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+		var ps, values []float64
+		for i, b := range prog {
+			switch {
+			case i < np && b < 16:
+				ps = append(ps, specialP[int(b)%len(specialP)])
+			case i < np:
+				ps = append(ps, float64(b-16)*100/239)
+			case b < 16:
+				values = append(values, specialV[int(b)%len(specialV)])
+			default:
+				values = append(values, float64(b%32)/4)
+			}
+		}
+		checkPercentiles(t, values, ps)
+	})
 }
