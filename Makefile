@@ -51,10 +51,11 @@ race:
 # a Compile that builds no catalogs nor anything else a cache-hit request
 # does not need (TestAllocsCompile); a
 # steady-state aggregating-log fold and a Summarize of an exact log that
-# allocate nothing.
+# allocate nothing, and a quantile sketch whose NewSketch is one object and
+# whose Add, Merge and Quantile allocate nothing (TestAllocsSketch).
 # TestShapeCache*: shape-cache charges within 2× of the heap; budget ≥ 4× big_run's shape.
 allocs:
-	$(GO) test -run 'TestAllocs|TestShapeCache' -count=1 ./internal/sim/des ./internal/fifo ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario ./internal/stats
+	$(GO) test -run 'TestAllocs|TestShapeCache' -count=1 ./internal/sim/des ./internal/fifo ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario ./internal/stats ./internal/stats/quantile
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
 # through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the

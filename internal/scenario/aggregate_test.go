@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -78,6 +80,73 @@ func TestAggregateMatchesExactCells(t *testing.T) {
 	}
 }
 
+// TestAggregateWithinBoundOfExact runs aggregate-scale.json as written and
+// with outputs.aggregate removed: every field but the percentiles is
+// byte-equal, and every percentile is within quantile.Sketch's 2^-8 of the
+// exact nearest-rank value. Its kickstart_p99 sits above an outlier merge
+// job, the tail a rank-interpolating sketch misreports.
+func TestAggregateWithinBoundOfExact(t *testing.T) {
+	src, err := os.ReadFile("../../examples/scenarios/aggregate-scale.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(aggregate bool) ([][]byte, []float64) {
+		doc, err := Parse("aggregate-scale.json", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.Outputs.Aggregate = aggregate
+		c, err := Compile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, err := c.Run(RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lines, doc.Outputs.Percentiles
+	}
+	agg, ps := run(true)
+	exact, _ := run(false)
+	if len(ps) == 0 || len(agg) != len(exact) {
+		t.Fatalf("percentiles %v; line counts: aggregated %d, exact %d", ps, len(agg), len(exact))
+	}
+	percentile := map[string]bool{}
+	for _, p := range ps {
+		suffix := strconv.FormatFloat(p, 'g', -1, 64)
+		percentile["kickstart_p"+suffix], percentile["waiting_p"+suffix] = true, true
+	}
+	// Compare cell rows (skip header/footer: fingerprints differ by design).
+	for i := 1; i < len(exact)-1; i++ {
+		var er, ar map[string]json.RawMessage
+		if err := json.Unmarshal(exact[i], &er); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(agg[i], &ar); err != nil {
+			t.Fatal(err)
+		}
+		if len(er) != len(ar) {
+			t.Fatalf("cell %d: exact row has %d fields, aggregated %d", i-1, len(er), len(ar))
+		}
+		for k, ev := range er {
+			av := ar[k]
+			if !percentile[k] {
+				if !bytes.Equal(ev, av) {
+					t.Errorf("cell %d field %q: exact %s, aggregated %s", i-1, k, ev, av)
+				}
+				continue
+			}
+			var e, a float64
+			if json.Unmarshal(ev, &e) != nil || json.Unmarshal(av, &a) != nil {
+				t.Fatalf("cell %d field %q: exact %s, aggregated %s are not both numbers", i-1, k, ev, av)
+			}
+			if math.Abs(a-e) > e/256 {
+				t.Errorf("cell %d %s: aggregated %v, exact %v, off by more than 2^-8", i-1, k, a, e)
+			}
+		}
+	}
+}
+
 // isSmallCellExact reports whether the cell ran few enough attempts for
 // the quantile sketch to still be in its exact startup phase.
 func isSmallCellExact(row map[string]any) bool {
@@ -109,8 +178,8 @@ func TestAggregateFingerprints(t *testing.T) {
 }
 
 // TestAggregatePercentilesFinite: aggregated percentile fields exist and
-// are finite on a cell large enough to push the sketch past its startup
-// buffer.
+// are finite on a cell large enough to push the sketch past the values it
+// keeps inline.
 func TestAggregatePercentilesFinite(t *testing.T) {
 	src := `{
   "version": 1,
@@ -128,7 +197,7 @@ func TestAggregatePercentilesFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a := row["attempts"].(float64); a <= 51 {
-		t.Fatalf("cell too small to exercise the sketch's marker path: %v attempts", a)
+		t.Fatalf("cell too small to push the sketch past its inline values: %v attempts", a)
 	}
 	prev := math.Inf(-1)
 	for _, key := range []string{"kickstart_p5", "kickstart_p50", "kickstart_p95"} {

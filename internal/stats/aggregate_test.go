@@ -222,9 +222,9 @@ func TestAllocsAggregateFold(t *testing.T) {
 	if err := log.Append(succ); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the sketch past its startup buffer so Add takes the marker
-	// path (the buffer append is also allocation-free, but the steady
-	// state of a million-job run is the marker path).
+	// Warm the sketches past the values they keep inline, so Add takes
+	// the path of a million-job run's steady state: a bucket count only
+	// (keeping a value inline is also allocation-free).
 	for i := 0; i < 200; i++ {
 		if err := log.Append(succ); err != nil {
 			t.Fatal(err)

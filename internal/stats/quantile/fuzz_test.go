@@ -3,14 +3,16 @@ package quantile
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
 // FuzzSketch drives the insert/merge path from raw bytes: the first
 // byte picks how the value stream is split across two sketches, the
 // rest decodes to float64 observations. Invariants checked: counts add
-// up, answers are finite, bounded by the observed min/max, and monotone
-// in p — for the merged sketch and for each operand.
+// up, answers are finite, bounded by the observed min/max, monotone in p
+// and within the Sketch contract's bound of the exact nearest-rank value
+// — for the merged sketch and for each operand.
 func FuzzSketch(f *testing.F) {
 	seed := func(split byte, vals ...float64) []byte {
 		b := []byte{split}
@@ -70,10 +72,16 @@ func FuzzSketch(f *testing.F) {
 		if b.Count() != int64(len(vals)-split) {
 			t.Fatalf("merge mutated operand: count %d, want %d", b.Count(), len(vals)-split)
 		}
-		for _, s := range []*Sketch{a, b} {
+		for _, c := range []struct {
+			s  *Sketch
+			vs []float64
+		}{{a, vals}, {b, vals[split:]}} {
+			s := c.s
 			if s.Count() == 0 {
 				continue
 			}
+			sorted := slices.Clone(c.vs)
+			slices.Sort(sorted)
 			prev := math.Inf(-1)
 			for p := 0.0; p <= 100; p += 2.5 {
 				q := s.Quantile(p)
@@ -85,6 +93,9 @@ func FuzzSketch(f *testing.F) {
 				}
 				if q < prev {
 					t.Fatalf("quantiles not monotone: q(%v)=%v < %v", p, q, prev)
+				}
+				if err := checkContract(sorted, p, q); err != nil {
+					t.Fatal(err)
 				}
 				prev = q
 			}
