@@ -82,7 +82,7 @@ func (e *LocalExecutor) Submit(job *planner.Job, attempt int) {
 			err = e.run(fn, job)
 		}
 		rec.EndTime = e.Now()
-		ev := engine.Event{JobID: job.ID, Time: rec.EndTime, Record: rec}
+		ev := engine.Event{JobID: job.ID, Pos: job.Pos(), Time: rec.EndTime, Record: rec}
 		if err != nil {
 			rec.Status = kickstart.StatusFailed
 			rec.ExitMessage = err.Error()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -73,6 +74,47 @@ func retainedByRun(t *testing.T, e *Experiment, n int) (bytes uint64, attempts i
 		return 0, attempts
 	}
 	return after.HeapAlloc - before.HeapAlloc, attempts
+}
+
+// BenchmarkWarmCell times a warm aggregated OSG cell of big_run's shape
+// (600 OSG slots, the scale retry budget) at n = 500 and n = 10^5, each run
+// on the storage the run before it released, and reports ns and allocations
+// per attempt: the n-curve of the run path, engine included, without the
+// repository benchmark. One untimed run first fills the plan cache and the
+// free lists.
+func BenchmarkWarmCell(b *testing.B) {
+	world, err := workflow.NewWorld(workflow.PaperSites(300, 600))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := DefaultExperiment(42)
+	e.Aggregate = true
+	e.RetryLimit = scaleRetryLimit
+	for _, n := range []int{500, 100000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			run := func() int {
+				res, err := e.onSite(world, "osg", n, e.Workload, planner.ClusterOptions{}).Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				attempts := res.Workflows[0].Result.Log.Len()
+				res.Release()
+				return attempts
+			}
+			run()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			attempts := 0
+			for i := 0; i < b.N; i++ {
+				attempts += run()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(attempts), "allocs/attempt")
+		})
+	}
 }
 
 // TestAggregatedRunRetention asserts the memory-flat property on the

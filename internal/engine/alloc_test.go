@@ -25,7 +25,7 @@ func (e *nullExecutor) reset() {
 
 func (e *nullExecutor) Submit(job *planner.Job, attempt int) {
 	e.now++
-	e.queue = append(e.queue, Event{JobID: job.ID, Type: EventFinished, Time: e.now})
+	e.queue = append(e.queue, Event{JobID: job.ID, Pos: job.Pos(), Type: EventFinished, Time: e.now})
 }
 
 func (e *nullExecutor) Next() Event {

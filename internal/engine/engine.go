@@ -40,6 +40,10 @@ func (t EventType) String() string {
 type Event struct {
 	// JobID names the planned job.
 	JobID string
+	// Pos is the job's position in its plan (planner.Job.Pos), which the
+	// executor copies from the submitted job. The session finds the job by
+	// it and refuses an event whose Pos does not hold JobID.
+	Pos int32
 	// Type is the attempt outcome.
 	Type EventType
 	// Time is the event time in seconds of workflow-relative time.
@@ -76,7 +80,7 @@ type Executor interface {
 // nil retries the job unchanged (same-site retry, the DAGMan default);
 // returning a job re-targets the retry — planner.Failover re-resolves the
 // job onto a sibling site of a multi-site plan. The returned job must keep
-// the original ID: it is the same DAG node, re-bound.
+// the original ID and position: it is the same DAG node, re-bound.
 type RetryPolicy func(job *planner.Job, attempt int, lastSite string, evicted bool) *planner.Job
 
 // Options tunes the meta-scheduler.
@@ -163,9 +167,9 @@ func (r *Result) RescueWorkflow() []string {
 // so a run never needs a goroutine of its own.
 //
 // Per-job bookkeeping is index-addressed: the plan's dense Index interns
-// job IDs to contiguous integers at plan time, so dispatch runs on slices
-// (indegree, attempts, completion) with a single map lookup per event
-// instead of four string-map probes per dispatch.
+// job IDs to contiguous integers at plan time, and every event carries its
+// job's position, so dispatch runs on slices (indegree, attempts, state)
+// and hashes no string.
 type Session struct {
 	plan     *planner.Plan
 	idx      *planner.Index
@@ -176,7 +180,9 @@ type Session struct {
 
 	indeg    []int32
 	attempts []int
-	done     []bool
+	// state is each job's place in the run: idle (waiting for its parents,
+	// or given up on), running (an attempt in flight) or done.
+	state []jobState
 	// resited tracks jobs the retry policy re-targeted, so later retries
 	// start from the job as last submitted (the plan itself is never
 	// mutated — it may be shared or reused).
@@ -192,6 +198,15 @@ type Session struct {
 	err error
 }
 
+// jobState is what a session knows of one job; see Session.state.
+type jobState uint8
+
+const (
+	idle jobState = iota
+	running
+	done
+)
+
 // Start begins executing the plan, submitting every root job to sub. It
 // cannot fail: a plan's index was validated when the plan was built.
 func Start(plan *planner.Plan, sub Submitter, opts Options) *Session {
@@ -201,7 +216,7 @@ func Start(plan *planner.Plan, sub Submitter, opts Options) *Session {
 	n := len(idx.Order)
 	s.indeg = append([]int32(nil), idx.Indegree...)
 	s.attempts = make([]int, n)
-	s.done = make([]bool, n)
+	s.state = make([]jobState, n)
 	if opts.Aggregate {
 		s.res.Log.SetAggregate()
 		s.recycler, _ = sub.(RecordRecycler)
@@ -251,6 +266,7 @@ func (s *Session) submit(job *planner.Job, pos int32, delay float64) {
 	} else {
 		s.sub.Submit(job, s.attempts[pos])
 	}
+	s.state[pos] = running
 	s.inflight++
 }
 
@@ -263,6 +279,14 @@ func (s *Session) Handle(ev Event) { s.err = s.handle(ev) }
 
 func (s *Session) handle(ev Event) error {
 	res, opts := s.res, &s.opts
+	pos := ev.Pos
+	if pos < 0 || int(pos) >= len(s.state) || s.plan.JobAt(pos).ID != ev.JobID {
+		return fmt.Errorf("engine: executor reported unknown job %q", ev.JobID)
+	}
+	if s.state[pos] != running {
+		return fmt.Errorf("engine: executor reported job %q, which has no attempt in flight", ev.JobID)
+	}
+	s.state[pos] = idle
 	s.inflight--
 	if ev.Record != nil {
 		if err := res.Log.Append(ev.Record); err != nil {
@@ -277,13 +301,9 @@ func (s *Session) handle(ev Event) error {
 	if ev.Time > res.Makespan {
 		res.Makespan = ev.Time
 	}
-	pos, ok := s.idx.ByID[ev.JobID]
-	if !ok {
-		return fmt.Errorf("engine: executor reported unknown job %q", ev.JobID)
-	}
 	switch ev.Type {
 	case EventFinished:
-		s.done[pos] = true
+		s.state[pos] = done
 		for _, child := range s.idx.Children[pos] {
 			s.indeg[child]--
 			if s.indeg[child] == 0 {
@@ -311,11 +331,14 @@ func (s *Session) handle(ev Event) error {
 					if nj.ID != job.ID {
 						return fmt.Errorf("engine: retry policy renamed job %q to %q", job.ID, nj.ID)
 					}
+					if nj.Pos() != pos {
+						return fmt.Errorf("engine: retry policy moved job %q from position %d to %d", job.ID, pos, nj.Pos())
+					}
 					if nj.Site != job.Site {
 						res.Failovers++
 					}
 					if s.resited == nil {
-						s.resited = make([]*planner.Job, len(s.done))
+						s.resited = make([]*planner.Job, len(s.state))
 					}
 					s.resited[pos] = nj
 					job = nj
@@ -360,15 +383,15 @@ func (s *Session) Finish() (*Result, error) {
 	}
 	res := s.res
 	completed := 0
-	for _, done := range s.done {
-		if done {
+	for _, st := range s.state {
+		if st == done {
 			completed++
 		}
 	}
 	res.Completed = make([]string, 0, completed)
-	res.Unfinished = make([]string, 0, len(s.done)-completed)
+	res.Unfinished = make([]string, 0, len(s.state)-completed)
 	for i, id := range s.idx.Order {
-		if s.done[i] {
+		if s.state[i] == done {
 			res.Completed = append(res.Completed, id)
 		} else {
 			res.Unfinished = append(res.Unfinished, id)

@@ -47,7 +47,7 @@ func (f *fakeExecutor) Submit(job *planner.Job, attempt int) {
 		Attempt: attempt, SubmitTime: start, SetupStart: start, ExecStart: start, EndTime: end,
 		Status: kickstart.StatusSuccess,
 	}
-	ev := Event{JobID: job.ID, Type: EventFinished, Time: end, Record: rec}
+	ev := Event{JobID: job.ID, Pos: job.Pos(), Type: EventFinished, Time: end, Record: rec}
 	if f.seen[job.ID] <= f.failures[job.ID] {
 		if f.evict[job.ID] {
 			ev.Type = EventEvicted
@@ -271,6 +271,75 @@ func TestPriorityOrdersReadyJobs(t *testing.T) {
 	}
 	if len(ex.delays) != 1 || ex.delays[0] != 7 {
 		t.Errorf("SubmitAfter delays = %v, want [7]", ex.delays)
+	}
+}
+
+// dupExecutor is a fakeExecutor that reports the first terminal event of
+// one job twice, back to back.
+type dupExecutor struct {
+	*fakeExecutor
+	dup  string
+	done bool
+}
+
+func (d *dupExecutor) Next() Event {
+	ev := d.fakeExecutor.Next()
+	if ev.JobID == d.dup && !d.done {
+		d.done = true
+		d.queue = append([]Event{ev}, d.queue...)
+	}
+	return ev
+}
+
+// TestHandleRejectsDuplicateEvent: an event for a job with no attempt in
+// flight — a job already done, or a failure reported twice, which would
+// otherwise put two retries in flight — ends the run with an error naming
+// the job, instead of logging a second success or draining the in-flight
+// count under the jobs still running.
+func TestHandleRejectsDuplicateEvent(t *testing.T) {
+	for name, fail := range map[string]int{"finish": 0, "failure": 1} {
+		ex := &dupExecutor{fakeExecutor: newFakeExecutor(), dup: "A"}
+		ex.failures["A"] = fail
+		res, err := Run(diamondPlan(t), ex, Options{RetryLimit: 2})
+		if err == nil || !strings.Contains(err.Error(), `"A"`) {
+			t.Errorf("duplicated %s: error %v, result %+v; want an error naming A", name, err, res)
+		}
+	}
+}
+
+// TestHandleRejectsForeignEvent: the session finds an event's job by its
+// position and checks the ID there, so a position out of range, a position
+// that holds another job and an ID the plan lacks each end the run with an
+// error, not a panic or a step on the wrong job; and a retry policy may
+// re-bind a job but not move it.
+func TestHandleRejectsForeignEvent(t *testing.T) {
+	p := diamondPlan(t)
+	posA, posB := p.Indexed().ByID["A"], p.Indexed().ByID["B"]
+	for name, ev := range map[string]Event{
+		"position past the end": {JobID: "A", Pos: int32(p.Len())},
+		"negative position":     {JobID: "A", Pos: -1},
+		"another job's slot":    {JobID: "A", Pos: posB},
+		"unknown ID":            {JobID: "Z", Pos: posA},
+	} {
+		s := Start(p, newFakeExecutor(), Options{})
+		s.Handle(ev)
+		if s.Active() {
+			t.Errorf("%s: the session is still active", name)
+		}
+		if _, err := s.Finish(); err == nil || !strings.Contains(err.Error(), "unknown job") {
+			t.Errorf("%s: error %v, want an unknown job", name, err)
+		}
+	}
+
+	ex := newFakeExecutor()
+	ex.failures["A"] = 1
+	moved := func(job *planner.Job, _ int, _ string, _ bool) *planner.Job {
+		nj := *p.JobAt(posB)
+		nj.ID = job.ID
+		return &nj
+	}
+	if _, err := Run(p, ex, Options{RetryLimit: 1, Retry: moved}); err == nil || !strings.Contains(err.Error(), "moved job") {
+		t.Errorf("a retry policy that moved A: error %v, want a refusal", err)
 	}
 }
 

@@ -62,7 +62,7 @@ func (c *chaosExecutor) Submit(job *planner.Job, attempt int) {
 		EndTime:        end,
 		Status:         status,
 	}
-	c.queue = append(c.queue, Event{JobID: job.ID, Type: typ, Time: end, Record: rec})
+	c.queue = append(c.queue, Event{JobID: job.ID, Pos: job.Pos(), Type: typ, Time: end, Record: rec})
 }
 
 // Next pops the event with the earliest end time (FIFO on ties), advancing

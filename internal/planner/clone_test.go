@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pegflow/internal/catalog"
 	"pegflow/internal/dax"
@@ -304,6 +305,89 @@ func TestSlabFollowsIndex(t *testing.T) {
 	}
 	if single.Job("stage_in_osg") == nil || single.Job("nope") != nil {
 		t.Error("Job(id) lookup broken")
+	}
+}
+
+// TestJobPosMatchesSlab: every constructor and every copy leaves each job
+// knowing its own slot, JobAt(i).Pos() == i — the position an executor
+// hands back on the job's terminal event. Assemble gets its jobs out of
+// order, NewMulti synthesizes stage-in jobs, Cluster both copies jobs it
+// leaves alone (from other positions of the source plan) and builds
+// composites, and clones go into fresh and released slabs.
+func TestJobPosMatchesSlab(t *testing.T) {
+	cats := testCatalogs(t, "split", "run_cap3", "merge")
+	if err := cats.Replicas.Add("alignments.out", catalog.Replica{Site: "local", PFN: "/d/a"}); err != nil {
+		t.Fatal(err)
+	}
+	g := fanWorkflow(t, 4)
+	var reversed []Job
+	for _, gj := range g.Jobs() {
+		reversed = append([]Job{{ID: gj.ID, Transformation: gj.Transformation, Site: "osg"}}, reversed...)
+	}
+	assembled, err := Assemble(g, "osg", reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := New(fanWorkflow(t, 5), cats, Options{Site: "osg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := NewMulti(fanWorkflow(t, 7), cats, MultiOptions{Sites: []string{"sandhills", "osg"}, AddStageIn: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, err := Cluster(multi, ClusterOptions{MaxTasksPerJob: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	composites, untouched := 0, 0
+	for _, j := range clustered.jobs {
+		if len(j.Members) > 0 {
+			composites++
+		} else if src := multi.Job(j.ID); src.Pos() != j.Pos() {
+			untouched++
+		}
+	}
+	if composites == 0 || untouched == 0 {
+		t.Fatalf("the clustered plan has %d composites and %d copied jobs that moved; the test needs both", composites, untouched)
+	}
+	// The released slab is scribbled on, so a clone into it must write
+	// every position.
+	released := multi.Clone()
+	for i := range released.jobs {
+		released.jobs[i].pos = -1
+	}
+	slab := &released.jobs[0]
+	released.Release()
+	reused := clustered.Clone()
+	if &reused.jobs[0] != slab {
+		t.Fatal("the clone did not take the released slab")
+	}
+	plans := map[string]*Plan{
+		"Assemble": assembled, "New": single, "NewMulti": multi, "Cluster": clustered,
+		"Clone": single.Clone(), "Clone into a released slab": reused,
+	}
+	for name, p := range plans {
+		for i := 0; i < p.Len(); i++ {
+			if got := p.JobAt(int32(i)).Pos(); got != int32(i) {
+				t.Errorf("%s: the job at position %d (%s) says %d", name, i, p.JobAt(int32(i)).ID, got)
+			}
+		}
+	}
+}
+
+// TestJobSize pins a Job at 144 bytes on a 64-bit platform. Every plan
+// slab and every failover re-site allocates Jobs, and the allocator rounds
+// a 152-byte object up to its 160-byte size class: a field at the end of
+// the struct instead of in NeedsInstall's padding raised
+// failover_ensemble's allocated bytes per attempt by 2.3 %, past the
+// benchmark's 2 % bound.
+func TestJobSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Job{}); got != 144 {
+		t.Errorf("unsafe.Sizeof(Job{}) = %d, want 144", got)
 	}
 }
 

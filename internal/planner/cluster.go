@@ -362,13 +362,17 @@ func (c *clustering) buildJobs(idx *Index) []Job {
 	jobs := make([]Job, len(c.from))
 	arena := make([]Member, 0, len(c.memberPos))
 	for o, s := range c.from {
-		j := &jobs[idx.insertion[o]]
+		at := idx.insertion[o]
+		j := &jobs[at]
 		if s >= 0 {
+			// A job the pass leaves alone keeps every field but its
+			// position, which is the clustered plan's.
 			*j = c.p.jobs[s]
+			j.pos = at
 			continue
 		}
 		first := &c.p.jobs[c.buckets[^s].first]
-		*j = Job{ID: c.ids[o], Transformation: first.Transformation, Site: first.Site}
+		*j = Job{ID: c.ids[o], Transformation: first.Transformation, Site: first.Site, pos: at}
 		start := len(arena)
 		for _, pos := range c.members(int32(o)) {
 			m := &c.p.jobs[pos]

@@ -1,9 +1,10 @@
-// Dense-integer plan indexing: the engine's per-run bookkeeping (indegree
-// counts, attempt counters, completion flags) used to live in string-keyed
-// maps consulted on every dispatch. An Index interns the plan's job IDs to
+// Dense-integer plan indexing: an Index interns the plan's job IDs to
 // contiguous integers at plan time — topological order, adjacency and
-// indegrees precomputed once — so the engine's hot loop runs on
-// index-addressed slices with a single map lookup per executor event.
+// indegrees precomputed once — and every slab job carries its own position
+// (Job.Pos), which executors hand back on the job's terminal event. So the
+// engine's per-run bookkeeping (indegree counts, attempt counters, job
+// states) lives in index-addressed slices and its hot loop hashes no
+// string; ByID serves lookups by name at plan time.
 //
 // The Index is the plan's topology of record — IDs, edges, degrees, levels,
 // insertion order — and the only one: no dax.Workflow stands behind it
@@ -169,9 +170,9 @@ func levelsOf(idx *Index) [][]int32 {
 }
 
 // alignJobs permutes the slab in place so that jobs[i] is the job at
-// idx.Order[i], and clips every job's slices to their length so that an
-// append through one clone can never reach a backing array another clone
-// shares. Each swap puts one job in its final position, so the permutation
+// idx.Order[i], records i as that job's position, and clips every job's
+// slices to their length so that an append through one clone can never reach
+// a backing array another clone shares. Each swap puts one job in its final position, so the permutation
 // costs at most len(jobs) swaps and no allocation.
 func alignJobs(jobs []Job, idx *Index) error {
 	if len(jobs) != len(idx.Order) {
@@ -192,6 +193,7 @@ func alignJobs(jobs []Job, idx *Index) error {
 			jobs[i], jobs[pos] = jobs[pos], jobs[i]
 		}
 		j := &jobs[i]
+		j.pos = int32(i)
 		j.Args = j.Args[:len(j.Args):len(j.Args)]
 		j.Members = j.Members[:len(j.Members):len(j.Members)]
 	}

@@ -29,6 +29,10 @@ type Job struct {
 	// NeedsInstall marks jobs that must download and install their
 	// software stack on the node before executing (OSG-style sites).
 	NeedsInstall bool
+	// pos is the job's position in its plan's slab (see Pos). It sits in
+	// NeedsInstall's padding: at the end of the struct it would make a Job
+	// 152 bytes, which the allocator rounds up to its 160-byte size class.
+	pos int32
 	// InstallBytes is the size of the software stack to stage when
 	// NeedsInstall is set.
 	InstallBytes int64
@@ -42,6 +46,12 @@ type Job struct {
 	// member. Empty for ordinary jobs.
 	Members []Member
 }
+
+// Pos returns the job's position in its plan: p.JobAt(j.Pos()) is j's
+// slot. Executors copy it onto the job's terminal events, so the engine
+// finds the job without hashing its ID. A re-targeted retry (see
+// Failover.Resite) keeps it, as it keeps the ID.
+func (j *Job) Pos() int32 { return j.pos }
 
 // Member is one payload task folded into a composite (clustered) job.
 type Member struct {

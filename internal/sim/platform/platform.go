@@ -614,7 +614,7 @@ func (s *site) finishEvicted(idx int32, msg string) {
 	rec.ExitMessage = msg
 	s.slots.Release(1)
 	s.deliver(&a, engine.Event{
-		JobID: a.job.ID, Type: engine.EventEvicted, Time: end, Record: rec,
+		JobID: a.job.ID, Pos: a.job.Pos(), Type: engine.EventEvicted, Time: end, Record: rec,
 	})
 }
 
@@ -625,7 +625,7 @@ func (s *site) finishDone(idx int32) {
 	s.slots.Release(1)
 	if len(a.job.Members) > 0 {
 		s.deliver(&a, engine.Event{
-			JobID: a.job.ID, Type: engine.EventFinished, Time: end,
+			JobID: a.job.ID, Pos: a.job.Pos(), Type: engine.EventFinished, Time: end,
 			Members: s.memberRecords(&a, end),
 		})
 		return
@@ -635,7 +635,7 @@ func (s *site) finishDone(idx int32) {
 	rec.EndTime = end
 	rec.Status = kickstart.StatusSuccess
 	s.deliver(&a, engine.Event{
-		JobID: a.job.ID, Type: engine.EventFinished, Time: end, Record: rec,
+		JobID: a.job.ID, Pos: a.job.Pos(), Type: engine.EventFinished, Time: end, Record: rec,
 	})
 }
 
