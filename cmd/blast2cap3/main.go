@@ -46,6 +46,9 @@ func main() {
 }
 
 func run(transcripts, alignments, workdir, mode string, n, parallel int, params cap3.Params) error {
+	if mode != "serial" && mode != "workflow" {
+		return fmt.Errorf("unknown -mode %q (want serial or workflow)", mode)
+	}
 	if err := os.MkdirAll(workdir, 0o755); err != nil {
 		return err
 	}
@@ -56,31 +59,7 @@ func run(transcripts, alignments, workdir, mode string, n, parallel int, params 
 		return err
 	}
 
-	switch mode {
-	case "serial":
-		trs, err := fasta.ReadFile(filepath.Join(workdir, "transcripts.fasta"))
-		if err != nil {
-			return err
-		}
-		hits, err := blast.ParseTabularFile(filepath.Join(workdir, "alignments.out"))
-		if err != nil {
-			return err
-		}
-		res, err := blast2cap3.RunSerial(trs, hits, params)
-		if err != nil {
-			return err
-		}
-		out := filepath.Join(workdir, "final_assembly.fasta")
-		if err := fasta.WriteFile(out, res.Assembly); err != nil {
-			return err
-		}
-		fmt.Printf("serial blast2cap3: %d clusters, %d contigs, %d transcripts joined\n",
-			res.Clusters, res.Contigs, res.Joined)
-		fmt.Printf("assembly: %d records (%.1f%% reduction) -> %s\n",
-			len(res.Assembly), 100*res.ReductionFraction(len(trs)), out)
-		return nil
-
-	case "workflow":
+	if mode == "workflow" {
 		abstract, res, err := blast2cap3.RunWorkflow(workdir, n, parallel, params)
 		if err != nil {
 			return err
@@ -96,10 +75,28 @@ func run(transcripts, alignments, workdir, mode string, n, parallel int, params 
 		}
 		fmt.Printf("assembly written to %s\n", filepath.Join(workdir, "final_assembly.fasta"))
 		return nil
-
-	default:
-		return fmt.Errorf("unknown -mode %q (want serial or workflow)", mode)
 	}
+	trs, err := fasta.ReadFile(filepath.Join(workdir, "transcripts.fasta"))
+	if err != nil {
+		return err
+	}
+	hits, err := blast.ParseTabularFile(filepath.Join(workdir, "alignments.out"))
+	if err != nil {
+		return err
+	}
+	res, err := blast2cap3.RunSerial(trs, hits, params)
+	if err != nil {
+		return err
+	}
+	out := filepath.Join(workdir, "final_assembly.fasta")
+	if err := fasta.WriteFile(out, res.Assembly); err != nil {
+		return err
+	}
+	fmt.Printf("serial blast2cap3: %d clusters, %d contigs, %d transcripts joined\n",
+		res.Clusters, res.Contigs, res.Joined)
+	fmt.Printf("assembly: %d records (%.1f%% reduction) -> %s\n",
+		len(res.Assembly), 100*res.ReductionFraction(len(trs)), out)
+	return nil
 }
 
 // stage copies an input file into the working directory unless it is

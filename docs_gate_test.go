@@ -118,10 +118,11 @@ func firstLine(s string) string {
 
 // TestNoDanglingArtifactReferences keeps the docs and the build files
 // honest about what exists: every BENCH_*.json they name is a checked-in
-// file, and every `make <target>` they tell the reader to run — in
-// backticks, or as a command at the start of a line — is a target of the
-// Makefile, as is every name in its .PHONY list. bench/ documents the
-// artifacts the harness replaced and is not scanned.
+// file, every cmd/<name> or examples/<name> path they name is a directory,
+// and every `make <target>` they tell the reader to run — in backticks, or
+// as a command at the start of a line — is a target of the Makefile, as is
+// every name in its .PHONY list. bench/ documents the artifacts the harness
+// replaced and is not scanned.
 func TestNoDanglingArtifactReferences(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -148,6 +149,7 @@ func TestNoDanglingArtifactReferences(t *testing.T) {
 	}
 	files = append(files, docs...)
 	artifact := regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
+	entry := regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])(?:\./)?((?:cmd|examples)/[A-Za-z0-9_-]+)`)
 	command := regexp.MustCompile("(?m)(?:`|^[ \t#]*(?:run:[ \t]*)?)make ([a-z][a-z0-9-]*)")
 	for _, path := range files {
 		data, err := os.ReadFile(path)
@@ -157,6 +159,11 @@ func TestNoDanglingArtifactReferences(t *testing.T) {
 		for _, name := range artifact.FindAll(data, -1) {
 			if _, err := os.Stat(string(name)); err != nil {
 				t.Errorf("%s names %s, which is not checked in", path, name)
+			}
+		}
+		for _, m := range entry.FindAllSubmatch(data, -1) {
+			if info, err := os.Stat(string(m[1])); err != nil || !info.IsDir() {
+				t.Errorf("%s names %s, which is not a directory", path, m[1])
 			}
 		}
 		for _, m := range command.FindAllSubmatch(data, -1) {

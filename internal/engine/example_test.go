@@ -1,9 +1,4 @@
-// Quickstart: build a small abstract workflow with the public-facing API,
-// plan it for a site, run it on the simulated campus cluster and print
-// pegasus-statistics-style output.
-//
-//	go run ./examples/quickstart
-package main
+package engine_test
 
 import (
 	"fmt"
@@ -18,7 +13,10 @@ import (
 	"pegflow/internal/stats"
 )
 
-func main() {
+// ExampleRun builds a small abstract workflow by hand, plans it for a site,
+// runs it on a simulated campus cluster and prints pegasus-statistics-style
+// output.
+func ExampleRun() {
 	// 1. Describe an abstract workflow: a classic diamond.
 	wf := dax.New("diamond")
 	wf.NewJob("prepare", "preprocess").
@@ -89,4 +87,21 @@ func main() {
 	if err := stats.WritePerTransformation(os.Stdout, stats.PerTransformation(res.Log)); err != nil {
 		log.Fatal(err)
 	}
+	// Output:
+	// workflow "diamond": success=true
+	//
+	// # Workflow statistics: diamond
+	// Workflow Wall Time           :        854.6 s (0:14:15)
+	// Cumulative Job Wall Time     :       1466.0 s (0:24:26)
+	// Cumulative Kickstart Time    :       1380.0 s (0:23:00)
+	// Jobs succeeded               :            5
+	// Total attempts               :            5
+	// Failed attempts              :            0
+	// Retries                      :            0
+	//
+	// TRANSFORMATION  COUNT  KICKSTART(s)  WAITING(s)  DOWNLOAD/INSTALL(s)  MAX KICKSTART(s)
+	// analyze         2      600.0         15.3        0.0                  600.0
+	// merge           1      60.0          14.1        0.0                  60.0
+	// preprocess      1      120.0         21.1        0.0                  120.0
+	// stage_in        1      0.0           20.2        0.0                  0.0
 }

@@ -12,14 +12,13 @@ import (
 
 // TestOneStageInRule: whether a plan carries stage-in jobs is decided in one
 // place, ensemble.StageIn. Outside the planner that defines the option and
-// the benchmark and examples that set it by hand, every non-test AddStageIn
-// value is a call to StageIn, and core.EnsembleExperiment carries no StageIn
-// field for a caller to set instead.
+// the benchmark that sets it by hand, every non-test AddStageIn value is a
+// call to StageIn, and core.EnsembleExperiment carries no StageIn field for
+// a caller to set instead.
 func TestOneStageInRule(t *testing.T) {
 	exempt := map[string]bool{
 		filepath.Join("internal", "planner"): true,
 		"bench":                              true,
-		"examples":                           true,
 		"testdata":                           true,
 		".git":                               true,
 	}
