@@ -8,6 +8,7 @@
 package pegflow_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"pegflow/internal/bio/align"
@@ -15,13 +16,15 @@ import (
 	"pegflow/internal/bio/blast2cap3"
 	"pegflow/internal/bio/cap3"
 	"pegflow/internal/bio/datagen"
+	"pegflow/internal/bio/fasta"
 )
 
 const benchSeed = 42
 
 // BenchmarkRealSerialVsParallel runs the real (non-simulated) blast2cap3
-// pipeline on synthetic data, serial vs decomposed, verifying in passing
-// that the decomposition is work-preserving.
+// pipeline on synthetic data: the serial driver against the 4-chunk
+// workflow on files under the local executor (4 slots), checking in
+// passing that the workflow succeeds.
 func BenchmarkRealSerialVsParallel(b *testing.B) {
 	ds, err := datagen.Generate(datagen.DefaultConfig(benchSeed))
 	if err != nil {
@@ -34,10 +37,22 @@ func BenchmarkRealSerialVsParallel(b *testing.B) {
 			}
 		}
 	})
-	b.Run("parallel-n=4", func(b *testing.B) {
+	b.Run("workflow-n=4", func(b *testing.B) {
+		dir := b.TempDir()
+		if err := fasta.WriteFile(filepath.Join(dir, "transcripts.fasta"), ds.Transcripts); err != nil {
+			b.Fatal(err)
+		}
+		if err := blast.WriteTabularFile(filepath.Join(dir, "alignments.out"), ds.TruthHits); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := blast2cap3.RunParallel(ds.Transcripts, ds.TruthHits, 4, cap3.DefaultParams()); err != nil {
+			_, res, err := blast2cap3.RunWorkflow(dir, 4, 4, cap3.DefaultParams())
+			if err != nil {
 				b.Fatal(err)
+			}
+			if !res.Success {
+				b.Fatalf("workflow failed: unfinished %v", res.Unfinished)
 			}
 		}
 	})

@@ -12,8 +12,9 @@ import (
 	"pegflow/internal/bio/fasta"
 )
 
-// writeDataset writes the two inputs the command reads, as datagen does.
-func writeDataset(t *testing.T) (transcripts, alignments string) {
+// writeDataset writes the two inputs the command reads, as datagen does,
+// with extra appended to the transcripts.
+func writeDataset(t *testing.T, extra ...*fasta.Record) (transcripts, alignments string) {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.DefaultConfig(2014))
 	if err != nil {
@@ -21,7 +22,7 @@ func writeDataset(t *testing.T) (transcripts, alignments string) {
 	}
 	dir := t.TempDir()
 	transcripts, alignments = filepath.Join(dir, "transcripts.fasta"), filepath.Join(dir, "alignments.out")
-	if err := fasta.WriteFile(transcripts, ds.Transcripts); err != nil {
+	if err := fasta.WriteFile(transcripts, append(ds.Transcripts, extra...)); err != nil {
 		t.Fatal(err)
 	}
 	if err := blast.WriteTabularFile(alignments, ds.TruthHits); err != nil {
@@ -30,32 +31,39 @@ func writeDataset(t *testing.T) (transcripts, alignments string) {
 	return transcripts, alignments
 }
 
-// TestWorkflowModeMatchesSerial: the workflow-decomposed run writes the
-// same final assembly as the serial run, record for record. The modes
-// describe a contig differently in its header (serial: read count and
-// protein; workflow: the joined transcript IDs), so IDs and sequences are
-// compared, not bytes.
+// TestWorkflowModeMatchesSerial: for any chunk count, the workflow mode
+// writes the bytes of the serial mode's final assembly.
 func TestWorkflowModeMatchesSerial(t *testing.T) {
 	transcripts, alignments := writeDataset(t)
-	var assemblies [][]*fasta.Record
-	for _, mode := range []string{"serial", "workflow"} {
+	assembly := func(mode string, n int) []byte {
 		workdir := t.TempDir()
-		if err := run(transcripts, alignments, workdir, mode, 4, 4, cap3.DefaultParams()); err != nil {
-			t.Fatalf("%s: %v", mode, err)
+		if err := run(transcripts, alignments, workdir, mode, n, 4, cap3.DefaultParams()); err != nil {
+			t.Fatalf("%s n=%d: %v", mode, n, err)
 		}
-		recs, err := fasta.ReadFile(filepath.Join(workdir, "final_assembly.fasta"))
+		out, err := os.ReadFile(filepath.Join(workdir, "final_assembly.fasta"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assemblies = append(assemblies, recs)
+		return out
 	}
-	serial, workflow := assemblies[0], assemblies[1]
-	if len(serial) == 0 || len(serial) != len(workflow) {
-		t.Fatalf("serial wrote %d records, workflow %d", len(serial), len(workflow))
+	serial := assembly("serial", 1)
+	if !bytes.Contains(serial, []byte(" joined=")) {
+		t.Fatal("serial assembly has no contig")
 	}
-	for i, s := range serial {
-		if w := workflow[i]; s.ID != w.ID || !bytes.Equal(s.Seq, w.Seq) {
-			t.Errorf("record %d: serial %s, workflow %s", i, s.ID, w.ID)
+	for _, n := range []int{1, 4, 13} {
+		if workflow := assembly("workflow", n); !bytes.Equal(serial, workflow) {
+			t.Errorf("n=%d: workflow wrote %d bytes that differ from serial's %d", n, len(workflow), len(serial))
+		}
+	}
+}
+
+// TestBothModesRefuseDuplicateTranscript: a transcript ID that appears
+// twice fails the serial and the workflow mode alike.
+func TestBothModesRefuseDuplicateTranscript(t *testing.T) {
+	transcripts, alignments := writeDataset(t, &fasta.Record{ID: "tr_noise_005", Seq: []byte("ACGTACGT")})
+	for _, mode := range []string{"serial", "workflow"} {
+		if err := run(transcripts, alignments, t.TempDir(), mode, 4, 4, cap3.DefaultParams()); err == nil {
+			t.Errorf("%s mode accepted a duplicated transcript ID", mode)
 		}
 	}
 }

@@ -13,6 +13,7 @@ var OutputPathPackages = []string{
 	"pegflow/internal/core",
 	"pegflow/internal/ensemble",
 	"pegflow/internal/dax",
+	"pegflow/internal/bio/...",
 	"pegflow/cmd/...",
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"pegflow/internal/bio/align"
+	"pegflow/internal/bio/seq"
 )
 
 // Hit is one tabular alignment record (BLAST outfmt 6).
@@ -197,7 +198,7 @@ func (db *DB) Search(queryID string, dna []byte) ([]Hit, error) {
 	best := make(map[key]align.Result)
 
 	for frame := 0; frame < 6; frame++ {
-		prot, err := translate(dna, frame)
+		prot, err := seq.Translate(dna, frame)
 		if err != nil {
 			return nil, err
 		}

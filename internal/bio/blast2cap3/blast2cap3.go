@@ -1,8 +1,10 @@
 package blast2cap3
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"pegflow/internal/bio/blast"
 	"pegflow/internal/bio/cap3"
@@ -36,20 +38,22 @@ func ClusterByProtein(hits []blast.Hit) ([]Cluster, error) {
 			best[h.QueryID] = bestHit{h.SubjectID, h.BitScore}
 		}
 	}
-	byProtein := make(map[string][]string)
-	for tr, b := range best {
-		byProtein[b.protein] = append(byProtein[b.protein], tr)
+	// Order the queries by (protein, query); each protein's run is then
+	// one cluster with its members already sorted.
+	queries := make([]string, 0, len(best))
+	for q := range best {
+		queries = append(queries, q)
 	}
-	proteins := make([]string, 0, len(byProtein))
-	for p := range byProtein {
-		proteins = append(proteins, p)
-	}
-	sort.Strings(proteins)
-	out := make([]Cluster, 0, len(proteins))
-	for _, p := range proteins {
-		ids := byProtein[p]
-		sort.Strings(ids)
-		out = append(out, Cluster{Protein: p, TranscriptIDs: ids})
+	slices.SortFunc(queries, func(a, b string) int {
+		return cmp.Or(strings.Compare(best[a].protein, best[b].protein), strings.Compare(a, b))
+	})
+	var out []Cluster
+	for _, q := range queries {
+		if p := best[q].protein; len(out) == 0 || out[len(out)-1].Protein != p {
+			out = append(out, Cluster{Protein: p})
+		}
+		last := &out[len(out)-1]
+		last.TranscriptIDs = append(last.TranscriptIDs, q)
 	}
 	return out, nil
 }
@@ -68,18 +72,35 @@ func SplitClusters(clusters []Cluster, n int) ([][]Cluster, error) {
 	return out, nil
 }
 
+// indexTranscripts maps each transcript's ID to its record, refusing a
+// duplicated ID: two records under one ID would make the assembly depend
+// on which of them a cluster picks up.
+func indexTranscripts(transcripts []*fasta.Record) (map[string]*fasta.Record, error) {
+	index := make(map[string]*fasta.Record, len(transcripts))
+	for _, tr := range transcripts {
+		if _, dup := index[tr.ID]; dup {
+			return nil, fmt.Errorf("blast2cap3: duplicate transcript %q", tr.ID)
+		}
+		index[tr.ID] = tr
+	}
+	return index, nil
+}
+
+// joinedPrefix starts the description of every contig record; the sorted
+// IDs of the transcripts joined into the contig follow, separated by ';'.
+const joinedPrefix = "joined="
+
 // AssembleChunk runs CAP3 over every cluster of one chunk — the workflow's
-// run_cap3 task. It returns the merged contigs and the IDs of transcripts
-// that were joined into them.
-func AssembleChunk(chunk []Cluster, transcripts map[string]*fasta.Record, params cap3.Params) ([]*fasta.Record, []string, error) {
+// run_cap3 task. Each contig becomes the record <protein>_<contig> whose
+// description lists the transcripts joined into it ("joined=a;b;c").
+func AssembleChunk(chunk []Cluster, transcripts map[string]*fasta.Record, params cap3.Params) ([]*fasta.Record, error) {
 	var contigs []*fasta.Record
-	var joined []string
 	for _, cluster := range chunk {
 		var members []*fasta.Record
 		for _, id := range cluster.TranscriptIDs {
 			rec, ok := transcripts[id]
 			if !ok {
-				return nil, nil, fmt.Errorf("blast2cap3: cluster %q references unknown transcript %q",
+				return nil, fmt.Errorf("blast2cap3: cluster %q references unknown transcript %q",
 					cluster.Protein, id)
 			}
 			members = append(members, rec)
@@ -89,35 +110,54 @@ func AssembleChunk(chunk []Cluster, transcripts map[string]*fasta.Record, params
 		}
 		res, err := cap3.Assemble(members, params)
 		if err != nil {
-			return nil, nil, fmt.Errorf("blast2cap3: cluster %q: %w", cluster.Protein, err)
+			return nil, fmt.Errorf("blast2cap3: cluster %q: %w", cluster.Protein, err)
 		}
 		for _, c := range res.Contigs {
+			ids := make([]string, len(c.Reads))
+			for i, p := range c.Reads {
+				ids[i] = p.ReadID
+			}
+			slices.Sort(ids)
 			contigs = append(contigs, &fasta.Record{
-				ID:   fmt.Sprintf("%s_%s", cluster.Protein, c.ID),
-				Desc: fmt.Sprintf("reads=%d protein=%s", len(c.Reads), cluster.Protein),
+				ID:   cluster.Protein + "_" + c.ID,
+				Desc: joinedPrefix + strings.Join(ids, ";"),
 				Seq:  c.Seq,
 			})
-			for _, p := range c.Reads {
-				joined = append(joined, p.ReadID)
-			}
 		}
 	}
-	sort.Strings(joined)
-	return contigs, joined, nil
+	return contigs, nil
+}
+
+// joinedIDs returns the transcript IDs a contig record's description
+// lists as joined into it.
+func joinedIDs(contig *fasta.Record) []string {
+	rest, ok := strings.CutPrefix(contig.Desc, joinedPrefix)
+	if !ok || rest == "" {
+		return nil
+	}
+	return strings.Split(rest, ";")
+}
+
+// sortByID puts contig records in ID order, which does not depend on how
+// the clusters were split into chunks — the workflow's merge task.
+func sortByID(recs []*fasta.Record) {
+	slices.SortFunc(recs, func(a, b *fasta.Record) int { return strings.Compare(a.ID, b.ID) })
 }
 
 // MergeNotJoined produces the final assembly: the merged contigs plus
-// every transcript that was not joined into any contig (the paper's
+// every transcript that no contig lists as joined (the paper's
 // merge_not_joined step).
-func MergeNotJoined(contigs []*fasta.Record, transcripts []*fasta.Record, joined []string) []*fasta.Record {
-	joinedSet := make(map[string]bool, len(joined))
-	for _, id := range joined {
-		joinedSet[id] = true
+func MergeNotJoined(contigs, transcripts []*fasta.Record) []*fasta.Record {
+	joined := make(map[string]bool)
+	for _, c := range contigs {
+		for _, id := range joinedIDs(c) {
+			joined[id] = true
+		}
 	}
 	out := make([]*fasta.Record, 0, len(contigs)+len(transcripts))
 	out = append(out, contigs...)
 	for _, tr := range transcripts {
-		if !joinedSet[tr.ID] {
+		if !joined[tr.ID] {
 			out = append(out, tr)
 		}
 	}
@@ -147,72 +187,31 @@ func (r *Result) ReductionFraction(inputCount int) float64 {
 
 // RunSerial executes the whole pipeline in one process — the paper's
 // 100-hour baseline, here used at test scale: cluster, assemble every
-// cluster consecutively, and merge.
+// cluster as one chunk, and merge. It runs the steps the workflow's tasks
+// run (see stages.go); its assembly, written out, has the bytes of the
+// workflow's final_assembly.fasta.
 func RunSerial(transcripts []*fasta.Record, hits []blast.Hit, params cap3.Params) (*Result, error) {
-	index := make(map[string]*fasta.Record, len(transcripts))
-	for _, tr := range transcripts {
-		if _, dup := index[tr.ID]; dup {
-			return nil, fmt.Errorf("blast2cap3: duplicate transcript %q", tr.ID)
-		}
-		index[tr.ID] = tr
+	index, err := indexTranscripts(transcripts)
+	if err != nil {
+		return nil, err
 	}
 	clusters, err := ClusterByProtein(hits)
 	if err != nil {
 		return nil, err
 	}
-	contigs, joined, err := AssembleChunk(clusters, index, params)
+	contigs, err := AssembleChunk(clusters, index, params)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(contigs, func(i, j int) bool { return contigs[i].ID < contigs[j].ID })
-	assembly := MergeNotJoined(contigs, transcripts, joined)
+	sortByID(contigs)
+	joined := 0
+	for _, c := range contigs {
+		joined += len(joinedIDs(c))
+	}
 	return &Result{
-		Assembly: assembly,
+		Assembly: MergeNotJoined(contigs, transcripts),
 		Contigs:  len(contigs),
-		Joined:   len(joined),
-		Clusters: len(clusters),
-	}, nil
-}
-
-// RunParallel executes the pipeline with the workflow decomposition: split
-// the clusters into n chunks, assemble each independently (the workflow
-// runs these as parallel tasks; here they run sequentially but through the
-// identical per-chunk code path), then merge. It must produce the same
-// assembly as RunSerial for any n.
-func RunParallel(transcripts []*fasta.Record, hits []blast.Hit, n int, params cap3.Params) (*Result, error) {
-	index := make(map[string]*fasta.Record, len(transcripts))
-	for _, tr := range transcripts {
-		if _, dup := index[tr.ID]; dup {
-			return nil, fmt.Errorf("blast2cap3: duplicate transcript %q", tr.ID)
-		}
-		index[tr.ID] = tr
-	}
-	clusters, err := ClusterByProtein(hits)
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := SplitClusters(clusters, n)
-	if err != nil {
-		return nil, err
-	}
-	var contigs []*fasta.Record
-	var joined []string
-	for _, chunk := range chunks {
-		c, j, err := AssembleChunk(chunk, index, params)
-		if err != nil {
-			return nil, err
-		}
-		contigs = append(contigs, c...)
-		joined = append(joined, j...)
-	}
-	// Deterministic contig order regardless of chunking.
-	sort.Slice(contigs, func(i, j int) bool { return contigs[i].ID < contigs[j].ID })
-	sort.Strings(joined)
-	assembly := MergeNotJoined(contigs, transcripts, joined)
-	return &Result{
-		Assembly: assembly,
-		Contigs:  len(contigs),
-		Joined:   len(joined),
+		Joined:   joined,
 		Clusters: len(clusters),
 	}, nil
 }

@@ -1,8 +1,9 @@
 package blast2cap3
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 	"testing"
 
 	"pegflow/internal/bio/blast"
@@ -131,53 +132,90 @@ func TestRunSerialOnSyntheticData(t *testing.T) {
 	}
 }
 
-func TestRunParallelEquivalentToSerialForAnyN(t *testing.T) {
+// TestWorkflowEquivalentToSerialForAnyN: the n-chunk workflow writes the
+// serial assembly's bytes for any n, including more chunks than clusters,
+// when every transcript also has a weaker hit to another protein, as
+// BLASTX reports.
+func TestWorkflowEquivalentToSerialForAnyN(t *testing.T) {
 	ds, err := datagen.Generate(datagen.DefaultConfig(23))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, h := range slices.Clone(ds.TruthHits) {
+		weaker := h
+		if weaker.SubjectID = ds.Proteins[0].ID; weaker.SubjectID == h.SubjectID {
+			weaker.SubjectID = ds.Proteins[1].ID
+		}
+		weaker.BitScore /= 2
+		ds.TruthHits = append(ds.TruthHits, weaker)
 	}
 	serial, err := RunSerial(ds.Transcripts, ds.TruthHits, cap3.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 3, 7, 50} {
-		par, err := RunParallel(ds.Transcripts, ds.TruthHits, n, cap3.DefaultParams())
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if par.Contigs != serial.Contigs || par.Joined != serial.Joined {
-			t.Errorf("n=%d: contigs/joined = %d/%d, serial %d/%d",
-				n, par.Contigs, par.Joined, serial.Contigs, serial.Joined)
-		}
-		if len(par.Assembly) != len(serial.Assembly) {
-			t.Fatalf("n=%d: assembly size %d != serial %d", n, len(par.Assembly), len(serial.Assembly))
-		}
-		for i := range par.Assembly {
-			if par.Assembly[i].ID != serial.Assembly[i].ID ||
-				!bytes.Equal(par.Assembly[i].Seq, serial.Assembly[i].Seq) {
-				t.Fatalf("n=%d: assembly record %d differs (%s vs %s)",
-					n, i, par.Assembly[i].ID, serial.Assembly[i].ID)
-			}
-		}
+		t.Run(strconv.Itoa(n), func(t *testing.T) {
+			dir := t.TempDir()
+			runWorkflow(t, dir, ds, n)
+			sameAssembly(t, dir, serial.Assembly)
+		})
+	}
+}
+
+// TestAssembleChunkRecords: a contig record is named <protein>_<contig>
+// and lists its joined transcripts in ID order, whatever their layout
+// order; a cluster member that joins nothing is listed nowhere and passes
+// through the merge.
+func TestAssembleChunkRecords(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{
+		Proteins: 1, ProteinLen: 120, ClusterSizes: []int{4}, FragmentLen: 240,
+		OverlapLen: 90, MutationRate: 0.01, NoiseTranscripts: 1, Seed: 13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Name the four fragments against their order along the protein.
+	ids := []string{"tr_d", "tr_c", "tr_b", "tr_a", "tr_noise_001"}
+	for i, tr := range ds.Transcripts {
+		tr.ID = ids[i]
+	}
+	index, err := indexTranscripts(ds.Transcripts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protein := ds.Proteins[0].ID
+	contigs, err := AssembleChunk([]Cluster{{Protein: protein, TranscriptIDs: ids}}, index, cap3.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(contigs) != 1 || contigs[0].ID != protein+"_Contig1" {
+		t.Fatalf("contigs = %+v, want one named %s_Contig1", contigs, protein)
+	}
+	if want := "joined=tr_a;tr_b;tr_c;tr_d"; contigs[0].Desc != want {
+		t.Errorf("desc = %q, want %q", contigs[0].Desc, want)
+	}
+	out := MergeNotJoined(contigs, ds.Transcripts)
+	if len(out) != 2 || out[1].ID != "tr_noise_001" {
+		t.Errorf("merge = %d records, want the contig and tr_noise_001", len(out))
 	}
 }
 
 func TestAssembleChunkUnknownTranscript(t *testing.T) {
 	chunk := []Cluster{{Protein: "p", TranscriptIDs: []string{"ghost", "ghost2"}}}
-	_, _, err := AssembleChunk(chunk, map[string]*fasta.Record{}, cap3.DefaultParams())
+	_, err := AssembleChunk(chunk, map[string]*fasta.Record{}, cap3.DefaultParams())
 	if err == nil {
 		t.Error("unknown transcript accepted")
 	}
 }
 
 func TestMergeNotJoinedPassthrough(t *testing.T) {
-	contigs := []*fasta.Record{{ID: "c1", Seq: []byte("ACGT")}}
+	contigs := []*fasta.Record{{ID: "c1", Desc: "joined=b", Seq: []byte("ACGT")}}
 	transcripts := []*fasta.Record{
 		{ID: "a", Seq: []byte("AA")},
 		{ID: "b", Seq: []byte("CC")},
 		{ID: "c", Seq: []byte("GG")},
 	}
-	out := MergeNotJoined(contigs, transcripts, []string{"b"})
+	out := MergeNotJoined(contigs, transcripts)
 	if len(out) != 3 {
 		t.Fatalf("out = %d records", len(out))
 	}

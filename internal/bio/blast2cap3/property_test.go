@@ -1,17 +1,20 @@
 package blast2cap3
 
 import (
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
 	"pegflow/internal/bio/cap3"
 	"pegflow/internal/bio/datagen"
+	"pegflow/internal/bio/fasta"
 	"pegflow/internal/sim/rng"
 )
 
 // Property: conservation of transcripts — every input transcript appears
-// in the final assembly exactly once, either inside a contig's joined set
-// or as a passthrough record, for any dataset shape and chunk count.
+// in the workflow's final assembly exactly once, either inside a contig's
+// joined set or as a passthrough record, for any dataset shape and chunk
+// count.
 func TestPropertyTranscriptConservation(t *testing.T) {
 	f := func(seedRaw uint16, nRaw, proteinsRaw uint8) bool {
 		cfg := datagen.DefaultConfig(uint64(seedRaw) + 1)
@@ -22,24 +25,25 @@ func TestPropertyTranscriptConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		n := int(nRaw%10) + 1
-		res, err := RunParallel(ds.Transcripts, ds.TruthHits, n, cap3.DefaultParams())
+		dir := t.TempDir()
+		runWorkflow(t, dir, ds, int(nRaw%10)+1)
+		assembly, err := fasta.ReadFile(filepath.Join(dir, "final_assembly.fasta"))
 		if err != nil {
 			return false
 		}
-		// Count coverage: passthrough records by ID, joined by count.
-		inAssembly := make(map[string]bool)
-		for _, rec := range res.Assembly {
-			inAssembly[rec.ID] = true
-		}
-		covered := 0
-		for _, tr := range ds.Transcripts {
-			if inAssembly[tr.ID] {
-				covered++
+		seen := make(map[string]int)
+		for _, rec := range assembly {
+			seen[rec.ID]++
+			for _, id := range joinedIDs(rec) {
+				seen[id]++
 			}
 		}
-		// covered = transcripts passed through; joined = merged away.
-		return covered+res.Joined == len(ds.Transcripts)
+		for _, tr := range ds.Transcripts {
+			if seen[tr.ID] != 1 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)

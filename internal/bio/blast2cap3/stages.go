@@ -22,10 +22,14 @@ import (
 
 // StageCreateListTranscripts normalizes transcripts.fasta into the
 // transcript dictionary file (the pickled SeqIO dict of the original
-// Python implementation; here a normalized FASTA).
+// Python implementation; here a normalized FASTA), refusing a duplicated
+// transcript ID as RunSerial does.
 func StageCreateListTranscripts(dir, in, out string) error {
 	recs, err := fasta.ReadFile(filepath.Join(dir, in))
 	if err != nil {
+		return fmt.Errorf("create_list_transcripts: %w", err)
+	}
+	if _, err := indexTranscripts(recs); err != nil {
 		return fmt.Errorf("create_list_transcripts: %w", err)
 	}
 	if err := fasta.WriteFile(filepath.Join(dir, out), recs); err != nil {
@@ -58,9 +62,6 @@ func StageCreateListAlignments(dir, in, out string) error {
 // protein_1.txt .. protein_n.txt, assigning whole protein clusters
 // round-robin (never splitting a cluster).
 func StageSplit(dir, in string, n int) error {
-	if n <= 0 {
-		return fmt.Errorf("split: non-positive n %d", n)
-	}
 	hits, err := blast.ParseTabularFile(filepath.Join(dir, in))
 	if err != nil {
 		return fmt.Errorf("split: %w", err)
@@ -73,27 +74,22 @@ func StageSplit(dir, in string, n int) error {
 	if err != nil {
 		return fmt.Errorf("split: %w", err)
 	}
-	// Index hits by (query, protein of its best hit) so each chunk file
-	// carries the hits of its clusters.
-	bestProtein := make(map[string]string)
-	for _, c := range clusters {
-		for _, id := range c.TranscriptIDs {
-			bestProtein[id] = c.Protein
-		}
-	}
-	chunkOf := make(map[string]int)
+	// Each chunk file carries the assigning hits of its clusters: those
+	// from a member transcript to its cluster's protein.
+	type member struct{ query, protein string }
+	chunkOf := make(map[member]int)
 	for ci, chunk := range chunks {
 		for _, c := range chunk {
-			chunkOf[c.Protein] = ci
+			for _, id := range c.TranscriptIDs {
+				chunkOf[member{id, c.Protein}] = ci
+			}
 		}
 	}
 	perChunk := make([][]blast.Hit, n)
 	for _, h := range hits {
-		if bestProtein[h.QueryID] != h.SubjectID {
-			continue // not the assigning hit
+		if ci, ok := chunkOf[member{h.QueryID, h.SubjectID}]; ok {
+			perChunk[ci] = append(perChunk[ci], h)
 		}
-		ci := chunkOf[h.SubjectID]
-		perChunk[ci] = append(perChunk[ci], h)
 	}
 	for i := 0; i < n; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("protein_%d.txt", i+1))
@@ -105,18 +101,17 @@ func StageSplit(dir, in string, n int) error {
 }
 
 // StageRunCAP3 assembles the clusters of one chunk: it reads the
-// transcript dictionary and the chunk's alignment file, runs CAP3 per
-// cluster and writes the joined contigs. Each contig's description embeds
-// the member transcript IDs ("joined=a;b;c") so the final merge can
-// compute the unjoined set.
+// transcript dictionary and the chunk's alignment file and writes the
+// contigs AssembleChunk builds, whose joined= descriptions let the final
+// merge compute the unjoined set.
 func StageRunCAP3(dir, dictFile, proteinFile, outFile string, params cap3.Params) error {
 	recs, err := fasta.ReadFile(filepath.Join(dir, dictFile))
 	if err != nil {
 		return fmt.Errorf("run_cap3: %w", err)
 	}
-	index := make(map[string]*fasta.Record, len(recs))
-	for _, r := range recs {
-		index[r.ID] = r
+	index, err := indexTranscripts(recs)
+	if err != nil {
+		return fmt.Errorf("run_cap3: %w", err)
 	}
 	hits, err := blast.ParseTabularFile(filepath.Join(dir, proteinFile))
 	if err != nil {
@@ -126,38 +121,11 @@ func StageRunCAP3(dir, dictFile, proteinFile, outFile string, params cap3.Params
 	if err != nil {
 		return fmt.Errorf("run_cap3: %w", err)
 	}
-	var out []*fasta.Record
-	for _, cluster := range clusters {
-		var members []*fasta.Record
-		for _, id := range cluster.TranscriptIDs {
-			rec, ok := index[id]
-			if !ok {
-				return fmt.Errorf("run_cap3: cluster %q references unknown transcript %q",
-					cluster.Protein, id)
-			}
-			members = append(members, rec)
-		}
-		if len(members) < 2 {
-			continue
-		}
-		res, err := cap3.Assemble(members, params)
-		if err != nil {
-			return fmt.Errorf("run_cap3: cluster %q: %w", cluster.Protein, err)
-		}
-		for _, c := range res.Contigs {
-			ids := make([]string, 0, len(c.Reads))
-			for _, p := range c.Reads {
-				ids = append(ids, p.ReadID)
-			}
-			sort.Strings(ids)
-			out = append(out, &fasta.Record{
-				ID:   fmt.Sprintf("%s_%s", cluster.Protein, c.ID),
-				Desc: "joined=" + strings.Join(ids, ";"),
-				Seq:  c.Seq,
-			})
-		}
+	contigs, err := AssembleChunk(clusters, index, params)
+	if err != nil {
+		return fmt.Errorf("run_cap3: %w", err)
 	}
-	return fasta.WriteFile(filepath.Join(dir, outFile), out)
+	return fasta.WriteFile(filepath.Join(dir, outFile), contigs)
 }
 
 // StageMerge concatenates the n per-chunk joined files into one.
@@ -170,7 +138,7 @@ func StageMerge(dir string, n int, outFile string) error {
 		}
 		all = append(all, recs...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	sortByID(all)
 	return fasta.WriteFile(filepath.Join(dir, outFile), all)
 }
 
@@ -185,16 +153,7 @@ func StageMergeNotJoined(dir, joinedFile, dictFile, outFile string) error {
 	if err != nil {
 		return fmt.Errorf("merge_not_joined: %w", err)
 	}
-	var joined []string
-	for _, c := range contigs {
-		for _, kv := range strings.Fields(c.Desc) {
-			if rest, ok := strings.CutPrefix(kv, "joined="); ok {
-				joined = append(joined, strings.Split(rest, ";")...)
-			}
-		}
-	}
-	final := MergeNotJoined(contigs, transcripts, joined)
-	return fasta.WriteFile(filepath.Join(dir, outFile), final)
+	return fasta.WriteFile(filepath.Join(dir, outFile), MergeNotJoined(contigs, transcripts))
 }
 
 // Registry maps each blast2cap3 transformation name to the task that

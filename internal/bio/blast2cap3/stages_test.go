@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pegflow/internal/bio/blast"
 	"pegflow/internal/bio/cap3"
 	"pegflow/internal/bio/datagen"
 	"pegflow/internal/bio/fasta"
+	"pegflow/internal/engine"
 	"pegflow/internal/workflow"
 )
 
@@ -47,8 +50,7 @@ func TestStagesPipelineMatchesRunSerial(t *testing.T) {
 	}
 	for i := 1; i <= n; i++ {
 		if err := StageRunCAP3(dir, "transcripts_dict.txt",
-			filepath.Join(dir, "protein_"+itoa(i)+".txt")[len(dir)+1:],
-			"joined_"+itoa(i)+".fasta", params); err != nil {
+			"protein_"+strconv.Itoa(i)+".txt", "joined_"+strconv.Itoa(i)+".fasta", params); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,25 +61,53 @@ func TestStagesPipelineMatchesRunSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := fasta.ReadFile(filepath.Join(dir, "final_assembly.fasta"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := RunSerial(ds.Transcripts, ds.TruthHits, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want.Assembly) {
-		t.Fatalf("file pipeline produced %d records, serial %d", len(got), len(want.Assembly))
-	}
-	for i := range got {
-		if got[i].ID != want.Assembly[i].ID || !bytes.Equal(got[i].Seq, want.Assembly[i].Seq) {
-			t.Fatalf("record %d differs: %s vs %s", i, got[i].ID, want.Assembly[i].ID)
-		}
-	}
+	sameAssembly(t, dir, want.Assembly)
 }
 
-func itoa(i int) string { return string(rune('0' + i)) }
+// runWorkflow writes ds into dir and runs the n-chunk workflow there,
+// failing t unless every job succeeds.
+func runWorkflow(t *testing.T, dir string, ds *datagen.Dataset, n int) *engine.Result {
+	t.Helper()
+	writeInputs(t, dir, ds)
+	_, res, err := RunWorkflow(dir, n, 2, cap3.DefaultParams())
+	if err != nil {
+		t.Fatalf("n=%d: %v", n, err)
+	}
+	if !res.Success {
+		for _, r := range res.Log.Failures() {
+			t.Logf("failure: %s: %s", r.JobID, r.ExitMessage)
+		}
+		t.Fatalf("n=%d: workflow failed: unfinished %v", n, res.Unfinished)
+	}
+	return res
+}
+
+// sameAssembly fails t unless dir's final_assembly.fasta holds the bytes
+// the serial assembly want is written as.
+func sameAssembly(t *testing.T, dir string, want []*fasta.Record) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(dir, "final_assembly.fasta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fasta.WriteAll(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(buf.String(), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("final_assembly.fasta line %d is %q, serial %q", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("final_assembly.fasta has %d lines, serial %d", len(gotLines), len(wantLines))
+	}
+}
 
 // TestWorkflowEndToEndLocalExecutor is the golden integration test: run
 // the same abstract DAX the paper's experiments use, planned for a local
@@ -90,39 +120,16 @@ func TestWorkflowEndToEndLocalExecutor(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	writeInputs(t, dir, ds)
-
 	const n = 4
-	_, res, err := RunWorkflow(dir, n, 4, cap3.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Success {
-		for _, r := range res.Log.Failures() {
-			t.Logf("failure: %s: %s", r.JobID, r.ExitMessage)
-		}
-		t.Fatalf("workflow failed: unfinished %v", res.Unfinished)
-	}
+	res := runWorkflow(t, dir, ds, n)
 	if res.Log.Len() != n+5 {
 		t.Errorf("attempts = %d, want %d", res.Log.Len(), n+5)
-	}
-
-	got, err := fasta.ReadFile(filepath.Join(dir, "final_assembly.fasta"))
-	if err != nil {
-		t.Fatal(err)
 	}
 	want, err := RunSerial(ds.Transcripts, ds.TruthHits, cap3.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want.Assembly) {
-		t.Fatalf("workflow produced %d records, serial %d", len(got), len(want.Assembly))
-	}
-	for i := range got {
-		if got[i].ID != want.Assembly[i].ID || !bytes.Equal(got[i].Seq, want.Assembly[i].Seq) {
-			t.Fatalf("record %d differs: %s vs %s", i, got[i].ID, want.Assembly[i].ID)
-		}
-	}
+	sameAssembly(t, dir, want.Assembly)
 	// Intermediate artifacts must exist (protein chunks, joined files).
 	for i := 1; i <= n; i++ {
 		for _, name := range []string{"protein_", "joined_"} {
@@ -130,7 +137,7 @@ func TestWorkflowEndToEndLocalExecutor(t *testing.T) {
 			if name == "joined_" {
 				ext = ".fasta"
 			}
-			if _, err := os.Stat(filepath.Join(dir, name+itoa(i)+ext)); err != nil {
+			if _, err := os.Stat(filepath.Join(dir, name+strconv.Itoa(i)+ext)); err != nil {
 				t.Errorf("missing intermediate %s%d%s: %v", name, i, ext, err)
 			}
 		}
@@ -151,7 +158,7 @@ func TestStageSplitPreservesAllClusters(t *testing.T) {
 	// Every transcript with a hit appears in exactly one chunk file.
 	seen := map[string]int{}
 	for i := 1; i <= n; i++ {
-		hits, err := blast.ParseTabularFile(filepath.Join(dir, "protein_"+itoa(i)+".txt"))
+		hits, err := blast.ParseTabularFile(filepath.Join(dir, "protein_"+strconv.Itoa(i)+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,6 +203,25 @@ func TestStageErrorsOnMissingFiles(t *testing.T) {
 	}
 	if err := StageMergeNotJoined(dir, "no_joined", "no_dict", "out"); err == nil {
 		t.Error("missing inputs accepted")
+	}
+}
+
+// TestStagesRefuseDuplicateTranscript: the stages that read the
+// transcripts refuse a duplicated ID, as RunSerial does.
+func TestStagesRefuseDuplicateTranscript(t *testing.T) {
+	dir := t.TempDir()
+	trs := []*fasta.Record{{ID: "a", Seq: []byte("ACGT")}, {ID: "a", Seq: []byte("TTGA")}}
+	if err := fasta.WriteFile(filepath.Join(dir, "transcripts.fasta"), trs); err != nil {
+		t.Fatal(err)
+	}
+	if err := blast.WriteTabularFile(filepath.Join(dir, "protein_1.txt"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := StageCreateListTranscripts(dir, "transcripts.fasta", "dict"); err == nil {
+		t.Error("create_list_transcripts accepted a duplicate transcript")
+	}
+	if err := StageRunCAP3(dir, "transcripts.fasta", "protein_1.txt", "out", cap3.DefaultParams()); err == nil {
+		t.Error("run_cap3 accepted a duplicate transcript")
 	}
 }
 

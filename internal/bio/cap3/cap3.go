@@ -70,19 +70,6 @@ type Result struct {
 	Singlets []*fasta.Record
 }
 
-// JoinedIDs returns the IDs of all reads that were merged into contigs,
-// sorted — blast2cap3 uses this to compute the unjoined passthrough set.
-func (r *Result) JoinedIDs() []string {
-	var out []string
-	for _, c := range r.Contigs {
-		for _, p := range c.Reads {
-			out = append(out, p.ReadID)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // unit is a working sequence during assembly (a read or partial contig).
 type unit struct {
 	seq   []byte
@@ -308,17 +295,4 @@ func repairN(dst, src []byte, offset int) []byte {
 		}
 	}
 	return dst
-}
-
-// ContigRecords renders contigs as FASTA records.
-func (r *Result) ContigRecords() []*fasta.Record {
-	out := make([]*fasta.Record, 0, len(r.Contigs))
-	for _, c := range r.Contigs {
-		out = append(out, &fasta.Record{
-			ID:   c.ID,
-			Desc: fmt.Sprintf("reads=%d", len(c.Reads)),
-			Seq:  c.Seq,
-		})
-	}
-	return out
 }

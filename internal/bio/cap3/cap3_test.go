@@ -279,26 +279,3 @@ func TestAssembleTwoSeparateContigs(t *testing.T) {
 		t.Errorf("reads in contigs = %d, want %d", total, len(reads))
 	}
 }
-
-func TestJoinedIDsAndContigRecords(t *testing.T) {
-	ref := makeRef(500, 13)
-	reads := fragment(ref, 200, 120)
-	extra := &fasta.Record{ID: "zzz_alone", Seq: makeRef(150, 999)}
-	res, err := Assemble(append(reads, extra), DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := res.JoinedIDs()
-	if len(joined) != len(reads) {
-		t.Fatalf("joined = %d, want %d", len(joined), len(reads))
-	}
-	for _, id := range joined {
-		if id == "zzz_alone" {
-			t.Error("singlet reported as joined")
-		}
-	}
-	recs := res.ContigRecords()
-	if len(recs) != len(res.Contigs) || recs[0].ID != "Contig1" {
-		t.Errorf("contig records = %+v", recs)
-	}
-}

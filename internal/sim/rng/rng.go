@@ -153,24 +153,6 @@ func (s *Stream) Draw(d MeanCV) float64 {
 	return s.LogNormal(d.mu, d.sigma)
 }
 
-// Pareto returns a Pareto variate with scale xm and shape alpha.
-func (s *Stream) Pareto(xm, alpha float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Weibull returns a Weibull variate with scale lambda and shape k.
-func (s *Stream) Weibull(lambda, k float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return lambda * math.Pow(-math.Log(u), 1/k)
-}
-
 // Perm returns a random permutation of [0, n).
 func (s *Stream) Perm(n int) []int {
 	p := make([]int, n)

@@ -182,25 +182,6 @@ func TestMeanCVTwinStreams(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	s := New(15)
-	const xm, alpha = 10.0, 2.0
-	for i := 0; i < 10000; i++ {
-		if v := s.Pareto(xm, alpha); v < xm {
-			t.Fatalf("Pareto variate %v below scale %v", v, xm)
-		}
-	}
-}
-
-func TestWeibullPositive(t *testing.T) {
-	s := New(16)
-	for i := 0; i < 10000; i++ {
-		if v := s.Weibull(5, 1.5); v < 0 {
-			t.Fatalf("negative Weibull variate %v", v)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(17)
 	f := func(nRaw uint8) bool {
