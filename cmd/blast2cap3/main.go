@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -39,13 +40,13 @@ func main() {
 	params.MinOverlap = *minOverlap
 	params.MinIdentity = *minIdentity
 
-	if err := run(*transcripts, *alignments, *workdir, *mode, *n, *parallel, params); err != nil {
+	if err := run(os.Stdout, os.Stderr, *transcripts, *alignments, *workdir, *mode, *n, *parallel, params); err != nil {
 		fmt.Fprintln(os.Stderr, "blast2cap3:", err)
 		os.Exit(1)
 	}
 }
 
-func run(transcripts, alignments, workdir, mode string, n, parallel int, params cap3.Params) error {
+func run(stdout, stderr io.Writer, transcripts, alignments, workdir, mode string, n, parallel int, params cap3.Params) error {
 	if mode != "serial" && mode != "workflow" {
 		return fmt.Errorf("unknown -mode %q (want serial or workflow)", mode)
 	}
@@ -64,16 +65,16 @@ func run(transcripts, alignments, workdir, mode string, n, parallel int, params 
 		if err != nil {
 			return err
 		}
-		if err := stats.WriteSummary(os.Stdout, abstract.Name, stats.Summarize(res.Log, res.Makespan)); err != nil {
+		if err := stats.WriteSummary(stdout, abstract.Name, stats.Summarize(res.Log, res.Makespan)); err != nil {
 			return err
 		}
 		if !res.Success {
 			for _, r := range res.Log.Failures() {
-				fmt.Fprintf(os.Stderr, "failed: %s: %s\n", r.JobID, r.ExitMessage)
+				fmt.Fprintf(stderr, "failed: %s: %s\n", r.JobID, r.ExitMessage)
 			}
 			return fmt.Errorf("workflow incomplete: %d jobs unfinished", len(res.Unfinished))
 		}
-		fmt.Printf("assembly written to %s\n", filepath.Join(workdir, "final_assembly.fasta"))
+		fmt.Fprintf(stdout, "assembly written to %s\n", filepath.Join(workdir, "final_assembly.fasta"))
 		return nil
 	}
 	trs, err := fasta.ReadFile(filepath.Join(workdir, "transcripts.fasta"))
@@ -92,9 +93,9 @@ func run(transcripts, alignments, workdir, mode string, n, parallel int, params 
 	if err := fasta.WriteFile(out, res.Assembly); err != nil {
 		return err
 	}
-	fmt.Printf("serial blast2cap3: %d clusters, %d contigs, %d transcripts joined\n",
+	fmt.Fprintf(stdout, "serial blast2cap3: %d clusters, %d contigs, %d transcripts joined\n",
 		res.Clusters, res.Contigs, res.Joined)
-	fmt.Printf("assembly: %d records (%.1f%% reduction) -> %s\n",
+	fmt.Fprintf(stdout, "assembly: %d records (%.1f%% reduction) -> %s\n",
 		len(res.Assembly), 100*res.ReductionFraction(len(trs)), out)
 	return nil
 }

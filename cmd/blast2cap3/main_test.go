@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pegflow/internal/bio/blast"
@@ -37,7 +39,7 @@ func TestWorkflowModeMatchesSerial(t *testing.T) {
 	transcripts, alignments := writeDataset(t)
 	assembly := func(mode string, n int) []byte {
 		workdir := t.TempDir()
-		if err := run(transcripts, alignments, workdir, mode, n, 4, cap3.DefaultParams()); err != nil {
+		if err := run(io.Discard, io.Discard, transcripts, alignments, workdir, mode, n, 4, cap3.DefaultParams()); err != nil {
 			t.Fatalf("%s n=%d: %v", mode, n, err)
 		}
 		out, err := os.ReadFile(filepath.Join(workdir, "final_assembly.fasta"))
@@ -62,8 +64,34 @@ func TestWorkflowModeMatchesSerial(t *testing.T) {
 func TestBothModesRefuseDuplicateTranscript(t *testing.T) {
 	transcripts, alignments := writeDataset(t, &fasta.Record{ID: "tr_noise_005", Seq: []byte("ACGTACGT")})
 	for _, mode := range []string{"serial", "workflow"} {
-		if err := run(transcripts, alignments, t.TempDir(), mode, 4, 4, cap3.DefaultParams()); err == nil {
+		if err := run(io.Discard, io.Discard, transcripts, alignments, t.TempDir(), mode, 4, 4, cap3.DefaultParams()); err == nil {
 			t.Errorf("%s mode accepted a duplicated transcript ID", mode)
+		}
+	}
+}
+
+// TestWorkflowModeAttemptsAFailingTaskOnce: an in-process task is a
+// deterministic function of its files, so a task that fails on a
+// duplicated transcript ID is attempted once and reported once.
+func TestWorkflowModeAttemptsAFailingTaskOnce(t *testing.T) {
+	transcripts, alignments := writeDataset(t, &fasta.Record{ID: "tr_noise_005", Seq: []byte("ACGTACGT")})
+	var stderr bytes.Buffer
+	if err := run(io.Discard, &stderr, transcripts, alignments, t.TempDir(), "workflow", 4, 4, cap3.DefaultParams()); err == nil {
+		t.Fatal("workflow mode accepted a duplicated transcript ID")
+	}
+	attempts := make(map[string]int)
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "failed: "); ok {
+			job, _, _ := strings.Cut(rest, ": ")
+			attempts[job]++
+		}
+	}
+	if len(attempts) == 0 {
+		t.Fatalf("no failed attempt reported; stderr:\n%s", stderr.String())
+	}
+	for job, n := range attempts {
+		if n != 1 {
+			t.Errorf("job %s failed %d times, want one attempt", job, n)
 		}
 	}
 }
@@ -73,7 +101,7 @@ func TestBothModesRefuseDuplicateTranscript(t *testing.T) {
 func TestUnknownModeTouchesNothing(t *testing.T) {
 	transcripts, alignments := writeDataset(t)
 	workdir := filepath.Join(t.TempDir(), "work")
-	if err := run(transcripts, alignments, workdir, "bogus", 4, 4, cap3.DefaultParams()); err == nil {
+	if err := run(io.Discard, io.Discard, transcripts, alignments, workdir, "bogus", 4, 4, cap3.DefaultParams()); err == nil {
 		t.Fatal("-mode bogus accepted")
 	}
 	if _, err := os.Stat(workdir); !os.IsNotExist(err) {

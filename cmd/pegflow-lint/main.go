@@ -1,6 +1,6 @@
 // Command pegflow-lint runs pegflow's project-specific static-analysis
-// suite: the mechanical enforcement of the determinism, clone-before-
-// mutate and cancelable-wait invariants (see docs/LINTING.md).
+// suite: the mechanical enforcement of the determinism and clone-before-
+// mutate invariants (see docs/LINTING.md).
 //
 // Usage:
 //

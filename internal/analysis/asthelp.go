@@ -30,15 +30,6 @@ func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	return obj
 }
 
-// isPkgFunc reports whether obj is the package-level function pkgPath.name.
-func isPkgFunc(obj types.Object, pkgPath, name string) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // funcDisplayName renders a FuncDecl as "Name" or "Recv.Name" with any
 // pointer/generic decoration stripped, matching the clonegate
 // configuration syntax.
@@ -61,17 +52,6 @@ func funcDisplayName(fd *ast.FuncDecl) string {
 			return fd.Name.Name
 		}
 	}
-}
-
-// selectHasDefault reports whether the select has a default case, which
-// makes it a poll rather than a blocking wait.
-func selectHasDefault(sel *ast.SelectStmt) bool {
-	for _, cl := range sel.Body.List {
-		if cl.(*ast.CommClause).Comm == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // namedType unwraps t to its *types.Named form, looking through pointers

@@ -1,15 +1,12 @@
 // Package analysis is pegflow's project-specific static-analysis suite —
-// the mechanical enforcement of the invariants every PR so far has
-// defended by hand: byte-identical output across worker counts
-// (determinism), clone-before-mutate on cached plan/DAX masters, and
-// cancelable waits on the serve tier's request path.
+// the mechanical enforcement of two invariants that tests probe only at the
+// inputs they try: byte-identical output across worker counts
+// (determinism) and clone-before-mutate on cached plan/DAX masters.
 //
 // The package is built purely on the standard library (go/parser,
 // go/types, and a `go list`-driven package loader) so the module keeps its
 // zero-dependency rule; there is no golang.org/x/tools import anywhere.
-// Three analyzers guard the first two over the fully type-checked repo
-// (by-value copies of the kernel's slab types are `go vet`'s business: each
-// carries a noCopy field, see docs/LINTING.md):
+// Three analyzers run over the fully type-checked repo:
 //
 //   - detrange: flags `range` over a map whose body builds output
 //     (appends, writes to an encoder/writer, or calls a closure that
@@ -24,16 +21,13 @@
 //     masters — and the backing arrays every plan clone and derived view
 //     shares with them — immutable.
 //
-// A fourth, ctxflow, guards the last: a request-path function that receives
-// a context threads it, and every blocking wait there can observe its
-// cancellation.
-//
-// The zero-allocation kernel has no analyzer: the TestAllocs gates
-// (`make allocs`) measure it.
-//
-// Lock discipline has no analyzer: every lock site is a small type that owns
-// its mutex and takes it, with a deferred unlock, in each of its methods
-// (docs/LINTING.md lists the sites and what checks them).
+// Each keeps its place through a mutant table in docs/LINTING.md: a rule
+// whose injected violations tests kill has no analyzer. So cancelable
+// waits on the request path are pinned by the server and scenario tests,
+// the zero-allocation kernel by the TestAllocs gates (`make allocs`), and
+// lock discipline by lock-owning types (docs/LINTING.md lists the sites
+// and what checks them). By-value copies of the kernel's slab types are
+// `go vet`'s business: each carries a noCopy field.
 //
 // The cmd/pegflow-lint binary drives the suite; docs/LINTING.md documents
 // each analyzer and the invariant it guards. There is no exemption file:

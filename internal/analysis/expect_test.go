@@ -122,11 +122,6 @@ func TestCloneGateFixture(t *testing.T) {
 	runFixture(t, a, fixturePath("clonegate"))
 }
 
-func TestCtxFlowFixture(t *testing.T) {
-	a := &CtxFlow{Packages: []string{"pegflow/internal/analysis/testdata/src/ctxflow/..."}}
-	runFixture(t, a, fixturePath("ctxflow"))
-}
-
 // TestFixturesAreOutsideRepoLintScope pins the property the self-check
 // relies on: `go list ./...` never expands into testdata, so the
 // deliberately broken fixtures cannot dirty the repo lint.

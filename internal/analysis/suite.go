@@ -28,14 +28,6 @@ var SimBoundaryPackages = []string{
 	"pegflow/internal/ensemble",
 }
 
-// RequestPathPackages are the packages on the serve/scenario request
-// path, where every blocking wait must be cancelable by the request's
-// context. ctxflow runs here.
-var RequestPathPackages = []string{
-	"pegflow/internal/server/...",
-	"pegflow/internal/scenario",
-}
-
 // NewCloneGate returns the production clonegate: the cached plan/DAX
 // types, their defining packages and the audited whitelist of functions that
 // mutate fresh (not cached) values.
@@ -64,6 +56,5 @@ func Analyzers() []Analyzer {
 		&DetRange{Packages: OutputPathPackages},
 		&DetSource{Packages: SimBoundaryPackages},
 		NewCloneGate(),
-		&CtxFlow{Packages: RequestPathPackages},
 	}
 }

@@ -114,9 +114,10 @@ var _ engine.Executor = (*LocalExecutor)(nil)
 // RunWorkflow runs the n-chunk blast2cap3 workflow for real on the files
 // in dir (transcripts.fasta and alignments.out): it builds the abstract
 // DAX, plans it for one "local" site with parallelism slots, and executes
-// it under the engine through a LocalExecutor with one retry per job. It
-// returns the abstract workflow and the run's result; an incomplete run is
-// reported in the result, not as an error.
+// it under the engine through a LocalExecutor. Each job is attempted once:
+// an in-process task is a deterministic function of its files, so a retry
+// would fail the same way. It returns the abstract workflow and the run's
+// result; an incomplete run is reported in the result, not as an error.
 func RunWorkflow(dir string, n, parallelism int, params cap3.Params) (*dax.Workflow, *engine.Result, error) {
 	if parallelism < 1 {
 		return nil, nil, fmt.Errorf("blast2cap3: parallelism must be positive, got %d", parallelism)
@@ -146,7 +147,7 @@ func RunWorkflow(dir string, n, parallelism int, params cap3.Params) (*dax.Workf
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := engine.Run(plan, NewLocalExecutor(Registry(params), dir, parallelism), engine.Options{RetryLimit: 1})
+	res, err := engine.Run(plan, NewLocalExecutor(Registry(params), dir, parallelism), engine.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -478,8 +478,14 @@ func TestCanceledRequestFreesCellGate(t *testing.T) {
 		<-hold
 	}
 	srv.hookGateWait = func() { gateWaits <- struct{}{} }
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(hold) }) }
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	// Deferred after Close, so it runs first: a t.Fatal before the token is
+	// released below must not leave ts.Close waiting on the handler of a
+	// cell parked in the hook.
+	defer release()
 
 	// Live request L: its first cell acquires the only token and blocks
 	// in the hook.
@@ -531,7 +537,7 @@ func TestCanceledRequestFreesCellGate(t *testing.T) {
 
 	// Release the token. L must finish; C must not have simulated a
 	// single cell.
-	close(hold)
+	release()
 	if err := <-liveDone; err != nil {
 		t.Fatal(err)
 	}
