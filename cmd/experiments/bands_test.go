@@ -14,7 +14,7 @@ import (
 // dedicated campus cluster finishes before OSG at every n (paper §VI.A,
 // Fig. 4) — not only on average.
 func TestBandSandhillsFasterEverySeed(t *testing.T) {
-	doc, rows, err := runFigure("seeds.json", canonicalSeed)
+	c, rows, err := runFigure("seeds.json", canonicalSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func TestBandSandhillsFasterEverySeed(t *testing.T) {
 		}
 		wall[r.site()][key{r.N, r.Seed}] = r.Makespan
 	}
-	for _, n := range doc.Workload.N {
-		for _, seed := range doc.Workload.Seeds {
+	for _, n := range c.Doc.Workload.N {
+		for _, seed := range c.Doc.Workload.Seeds {
 			k := key{n, seed}
 			sh, okS := wall["sandhills"][k]
 			osg, okO := wall["osg"][k]
@@ -51,12 +51,12 @@ func TestBandSandhillsFasterEverySeed(t *testing.T) {
 // than Sandhills'; and the CAP3 kickstart time falls as the data is cut
 // into more chunks, on both platforms.
 func TestBandFig5PhaseShape(t *testing.T) {
-	doc, rows, err := runFigure("paper-grid.json", canonicalSeed)
+	c, rows, err := runFigure("paper-grid.json", canonicalSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prevKick := map[string]float64{}
-	for _, n := range doc.Workload.N {
+	for _, n := range c.Doc.Workload.N {
 		sh, osg := cellAt(t, rows, "sandhills", n), cellAt(t, rows, "osg", n)
 		for _, ts := range sh.PerTransformation[0] {
 			if ts.MeanSetup != 0 {

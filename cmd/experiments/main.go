@@ -178,15 +178,15 @@ func fig4(w io.Writer, seed uint64) error {
 // percentiles, n by n.
 func fig5(w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "== Figure 5: per-task running time breakdown ==")
-	doc, rows, err := runFigure("paper-grid.json", seed)
+	c, rows, err := runFigure("paper-grid.json", seed)
 	if err != nil {
 		return err
 	}
 	// Rows come site set by site set, n by n within each.
-	ns := doc.Workload.N
+	ns := c.Doc.Workload.N
 	for ni, n := range ns {
 		fmt.Fprintf(w, "\n-- n = %d --\n", n)
-		for si := range doc.SiteSets {
+		for si := range c.Doc.SiteSets {
 			r := rows[si*len(ns)+ni]
 			fmt.Fprintf(w, "[%s]  wall time %s\n", r.site(), stats.HMS(r.Makespan))
 			if err := stats.WritePerTransformation(w, r.PerTransformation[0]); err != nil {
@@ -261,11 +261,11 @@ func ablations(w io.Writer, seed uint64) error {
 	// unsplittable makespan floor), whatever the total work is.
 	cm := workflow.DefaultCostModel()
 	for _, name := range a4Figures {
-		doc, rows, err := runFigure(name, seed)
+		c, rows, err := runFigure(name, seed)
 		if err != nil {
 			return err
 		}
-		r, p := rows[0], doc.Workload.Params
+		r, p := rows[0], c.Doc.Workload.Params
 		wl := workflow.CustomWorkload(workflow.WorkloadParams{
 			NumClusters: p.NumClusters, MaxClusterSize: p.MaxClusterSize,
 			SizeExponent: p.SizeExponent, MeanReadLen: p.MeanReadLen,
@@ -342,8 +342,8 @@ func rowAt(rows []figureRow, site string, n int) (figureRow, error) {
 }
 
 // runFigure runs the embedded figure document name with its seeds shifted
-// for seed, and returns the document and its cell rows in grid order.
-func runFigure(name string, seed uint64) (*scenario.Doc, []figureRow, error) {
+// for seed, and returns the compiled document and its cell rows in order.
+func runFigure(name string, seed uint64) (*scenario.Compiled, []figureRow, error) {
 	data, err := figures.FS.ReadFile(name)
 	if err != nil {
 		return nil, nil, err
@@ -370,7 +370,7 @@ func runFigure(name string, seed uint64) (*scenario.Doc, []figureRow, error) {
 			return nil, nil, fmt.Errorf("%s: cell %d: %w", name, i, err)
 		}
 	}
-	return doc, rows, nil
+	return c, rows, nil
 }
 
 // spread summarizes a figure cell's values over its seeds.
@@ -432,11 +432,11 @@ type seedCell struct {
 
 // runSeedSweep runs seeds.json and the serial baseline at each of its seeds.
 func runSeedSweep(seed uint64) (*seedSweep, error) {
-	doc, rows, err := runFigure("seeds.json", seed)
+	c, rows, err := runFigure("seeds.json", seed)
 	if err != nil {
 		return nil, err
 	}
-	seeds := doc.Workload.Seeds
+	seeds := c.Doc.Workload.Seeds
 	sw := &seedSweep{seeds: seeds, optimal: make(map[string]map[int]int)}
 	serial := make([]float64, len(seeds))
 	for i, s := range seeds {
@@ -449,13 +449,13 @@ func runSeedSweep(seed uint64) (*seedSweep, error) {
 	sw.serial = spreadOf(serial)
 	// Rows come in grid order, site set then n then seed, one per seed and
 	// n of each set; a seed's tie keeps the n listed first.
-	if len(rows) != len(doc.SiteSets)*len(doc.Workload.N)*len(seeds) {
+	if len(rows) != len(c.Doc.SiteSets)*len(c.Doc.Workload.N)*len(seeds) {
 		return nil, fmt.Errorf("seeds.json: %d cells, want one per site set, n and seed", len(rows))
 	}
-	for _, set := range doc.SiteSets {
+	for _, set := range c.Doc.SiteSets {
 		site := strings.Join(set, "+")
 		fastest := make([]figureRow, len(seeds))
-		for range doc.Workload.N {
+		for range c.Doc.Workload.N {
 			cell := seedCell{site: site, n: rows[0].N}
 			walls := make([]float64, len(seeds))
 			for i, r := range rows[:len(seeds)] {
@@ -522,15 +522,15 @@ func ensembleSweep(w io.Writer, seed uint64) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "POLICY\tMEAN MAKESPAN (s)\tMIN\tMAX\tMEAN WF MAKESPAN (s)\tRETRIES\tEVICTIONS\tFAILOVERS")
 	for i, fig := range ensembleFigures {
-		doc, rows, err := runFigure(fig.name, seed)
+		c, rows, err := runFigure(fig.name, seed)
 		if err != nil {
 			return err
 		}
 		if i == 0 {
 			fmt.Fprintf(w, "== Ensemble: site-selection policies, %d workflows x %d sites, %d seeds ==\n",
-				doc.Ensemble.Workflows, len(doc.Sites), len(doc.Workload.Seeds))
+				c.Doc.Ensemble.Workflows, len(c.Doc.Sites), len(c.Doc.Workload.Seeds))
 		}
-		for _, policy := range doc.Policies.Site {
+		for _, policy := range c.Doc.Policies.Site {
 			var makespans, wfMakespans []float64
 			var retries, evictions, failovers int
 			for _, r := range rows {
@@ -592,15 +592,15 @@ type clusterBench struct {
 // overhead-dominated OSG vs the dedicated campus cluster? Each platform's
 // first clustering option is its unclustered baseline.
 func clusterSweep(w io.Writer, seed uint64, benchOut string) error {
-	doc, rows, err := runFigure("cluster.json", seed)
+	c, rows, err := runFigure("cluster.json", seed)
 	if err != nil {
 		return err
 	}
-	bench := clusterBench{Experiment: doc.Name, Seed: doc.Workload.Seeds[0], N: doc.Workload.N[0]}
+	bench := clusterBench{Experiment: c.Doc.Name, Seed: c.Doc.Workload.Seeds[0], N: c.Doc.Workload.N[0]}
 	fmt.Fprintf(w, "== Cluster-size sweep: n=%d, Sandhills vs OSG ==\n", bench.N)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "PLATFORM\tCLUSTERING\tGRID JOBS\tWALL TIME (s)\tREDUCTION\tWAIT/TASK (s)\tINSTALL/TASK (s)")
-	perSite := len(rows) / len(doc.SiteSets)
+	perSite := len(rows) / len(c.Doc.SiteSets)
 	for i, r := range rows {
 		cap3 := r.task(workflow.TrRunCAP3)
 		p := clusterPoint{
@@ -652,10 +652,10 @@ func clusterSweep(w io.Writer, seed uint64, benchOut string) error {
 
 // cloud renders cloud.json, the three-platform comparison of the paper's
 // future work (§VII), and an execution timeline per platform at n=300,
-// drawn from a run beside the document since rows hold no attempt records.
+// from the row's own cell run again, since rows hold no attempt records.
 func cloud(w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "== Future work (paper §VII): cloud as a third platform ==")
-	_, rows, err := runFigure("cloud.json", seed)
+	c, rows, err := runFigure("cloud.json", seed)
 	if err != nil {
 		return err
 	}
@@ -668,16 +668,18 @@ func cloud(w io.Writer, seed uint64) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if r.N != 300 {
 			continue
 		}
 		fmt.Fprintf(w, "\n-- execution timeline, %s n=%d --\n", r.site(), r.N)
-		run, err := core.DefaultExperiment(r.Seed).RunWorkflow(r.site(), r.N)
+		res, err := c.Simulate(c.Cells[i])
 		if err != nil {
 			return err
 		}
-		if err := stats.WriteTimeline(w, stats.BuildTimeline(run.Result.Log, 16), 56); err != nil {
+		err = stats.WriteTimeline(w, stats.BuildTimeline(res.Workflows[0].Result.Log, 16), 56)
+		res.Release()
+		if err != nil {
 			return err
 		}
 	}

@@ -74,13 +74,13 @@ func TestMonteCarloOptimumMostlyAt300(t *testing.T) {
 // policy beats round-robin's ensemble makespan at every seed.
 func TestDataAwareBeatsRoundRobin(t *testing.T) {
 	for _, fig := range ensembleFigures {
-		doc, rows, err := runFigure(fig.name, canonicalSeed)
+		c, rows, err := runFigure(fig.name, canonicalSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// One row per (seed, policy), seed-major.
-		per := len(doc.Policies.Site)
-		for i, seed := range doc.Workload.Seeds {
+		per := len(c.Doc.Policies.Site)
+		for i, seed := range c.Doc.Workload.Seeds {
 			makespan := map[string]float64{}
 			for _, r := range rows[i*per : (i+1)*per] {
 				makespan[r.Policy] = r.Makespan
@@ -103,12 +103,12 @@ func TestFigureSeedShift(t *testing.T) {
 		{canonicalSeed, []uint64{42, 43, 44, 45, 46}},
 		{7, []uint64{7, 8, 9, 10, 11}},
 	} {
-		doc, _, err := runFigure("ensemble.json", tc.seed)
+		c, _, err := runFigure("ensemble.json", tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(doc.Workload.Seeds, tc.want) {
-			t.Errorf("-seed %d runs seeds %v, want %v", tc.seed, doc.Workload.Seeds, tc.want)
+		if !slices.Equal(c.Doc.Workload.Seeds, tc.want) {
+			t.Errorf("-seed %d runs seeds %v, want %v", tc.seed, c.Doc.Workload.Seeds, tc.want)
 		}
 	}
 }

@@ -3,8 +3,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -127,13 +130,14 @@ func TestEveryFrontEndAgreesOnStageIn(t *testing.T) {
 			if err != nil {
 				return 0, true, err
 			}
+			world, err := workflow.NewWorld(declared)
+			if err != nil {
+				return 0, true, err
+			}
 			exp := &core.EnsembleExperiment{
 				Seed: seed, Workflows: 1, N: n, Policy: planner.PolicyDataAware,
-				RetryLimit: 5, Failover: failover,
+				World: world, Sites: sites, RetryLimit: 5, Failover: failover,
 				MemberWorkload: func(int) workflow.Workload { return workflow.PaperWorkload(seed) },
-			}
-			if err := exp.Over(declared); err != nil {
-				return 0, true, err
 			}
 			res, err := exp.Run()
 			if err != nil {
@@ -246,7 +250,7 @@ func TestEnsembleFrontEndsAgree(t *testing.T) {
 		cli := totals{report.Makespan, report.MeanWorkflowMakespan,
 			report.TotalRetries, report.TotalEvictions, report.TotalFailovers}
 
-		// The CLI's member workload: core's reduced-scale default.
+		// The CLI's member workload, written out.
 		doc := fmt.Sprintf(`{"version": 1, "name": "ensemble-%s",
   "sites": [{"preset": "sandhills"}, {"preset": "osg"}], "policies": %s,
   "workload": {"params": {"num_clusters": 2000, "max_cluster_size": 200, "size_exponent": 0.5, "mean_read_len": 1200},
@@ -276,19 +280,51 @@ func TestEnsembleFrontEndsAgree(t *testing.T) {
 
 // TestEveryFrontEndRefusesNegativeRetries: `pegflow run -retries -1` and
 // `pegflow ensemble -retries -1` are refused, as a document's "retries": -1
-// is, instead of running with no retries.
+// is, instead of running with no retries; ensemble's document refuses it
+// with the document's own message.
 func TestEveryFrontEndRefusesNegativeRetries(t *testing.T) {
 	dax := daxFixture(t)
 	for _, fe := range []struct {
 		name string
 		cmd  func([]string) error
 		args []string
+		want string
 	}{
-		{"run", cmdRun, []string{"-dax", dax, "-site", "osg", "-retries", "-1"}},
-		{"ensemble", cmdEnsemble, []string{"-workflows", "2", "-n", "4", "-retries", "-1"}},
+		{"run", cmdRun, []string{"-dax", dax, "-site", "osg", "-retries", "-1"}, "negative retry limit"},
+		{"ensemble", cmdEnsemble, []string{"-workflows", "2", "-n", "4", "-retries", "-1"}, "retries: must be non-negative"},
 	} {
-		if _, err := runQuiet(t, fe.cmd, fe.args); err == nil || !strings.Contains(err.Error(), "negative retry limit") {
-			t.Errorf("pegflow %s -retries -1: error %v, want a negative retry limit refused", fe.name, err)
+		if _, err := runQuiet(t, fe.cmd, fe.args); err == nil || !strings.Contains(err.Error(), fe.want) {
+			t.Errorf("pegflow %s -retries -1: error %v, want %q", fe.name, err, fe.want)
 		}
+	}
+}
+
+// TestCLIImportsNoCore: every subcommand reaches the simulator through a
+// scenario document or the ensemble package, never through core's
+// experiments beside them, so no non-test file of this command imports
+// internal/core.
+func TestCLIImportsNoCore(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset, checked := token.NewFileSet(), 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked++
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "pegflow/internal/core" {
+				t.Errorf("%s imports %s", fset.Position(imp.Pos()), p)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no non-test Go file found")
 	}
 }

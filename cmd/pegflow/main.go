@@ -28,11 +28,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
-	"pegflow/internal/core"
 	"pegflow/internal/dax"
 	"pegflow/internal/engine"
 	"pegflow/internal/ensemble"
@@ -461,7 +461,6 @@ type ensembleOpts struct {
 	cluster        int
 	clusterSeconds float64
 	failover       bool
-	workers        int
 	jsonOut        bool
 	aggregate      bool
 }
@@ -481,7 +480,6 @@ func ensembleFlags() (*flag.FlagSet, *ensembleOpts) {
 	fs.Float64Var(&o.clusterSeconds, "cluster-seconds", 0,
 		"close a clustered job once its estimated runtime reaches this many seconds (0 = off)")
 	fs.BoolVar(&o.failover, "failover", false, "retry failed/evicted jobs on a sibling pool site")
-	fs.IntVar(&o.workers, "workers", 0, "planning workers (0 = all CPUs; results are identical for any count)")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the ensemble report as JSON")
 	fs.BoolVar(&o.aggregate, "aggregate", false,
 		"fold member records into fixed-size accumulators instead of retaining them (memory-flat for large ensembles)")
@@ -489,47 +487,62 @@ func ensembleFlags() (*flag.FlagSet, *ensembleOpts) {
 }
 
 // cmdEnsemble runs N blast2cap3 workflows concurrently on a shared pool
-// of simulated platforms — the Pegasus Ensemble Manager scenario.
+// of simulated platforms — the Pegasus Ensemble Manager scenario — as the
+// one cell of the document its flags declare.
 func cmdEnsemble(args []string) error {
 	fs, o := ensembleFlags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	siteNames := splitSites(o.sites)
-	if len(siteNames) == 0 {
-		return fmt.Errorf("ensemble: no sites given")
-	}
-	sites, err := workflow.PresetSites(siteNames)
-	if err != nil {
-		return fmt.Errorf("ensemble: %w", err)
-	}
-	exp := &core.EnsembleExperiment{
-		Seed:        o.seed,
-		Workflows:   o.workflows,
-		N:           o.n,
-		Policy:      o.policy,
-		MaxInFlight: o.maxInFlight,
-		RetryLimit:  o.retries,
-		Cluster: planner.ClusterOptions{
-			MaxTasksPerJob:   o.cluster,
-			TargetJobSeconds: o.clusterSeconds,
-		},
-		Failover:  o.failover,
-		Workers:   o.workers,
-		Aggregate: o.aggregate,
-	}
-	if err := exp.Over(sites); err != nil {
-		return err
-	}
-	res, err := exp.Run()
+	c, err := scenario.Compile(o.doc())
 	if err != nil {
 		return err
 	}
-	report := res.Report(exp.Policy)
+	res, err := c.Simulate(c.Cells[0])
+	if err != nil {
+		return err
+	}
+	defer res.Release()
+	report := res.Report(o.policy)
 	if o.jsonOut {
 		return report.WriteJSON(os.Stdout)
 	}
 	return stats.WriteEnsemble(os.Stdout, report)
+}
+
+// doc is the one-cell document the flags declare. Its members are a
+// reduced-scale cousin of the paper workload (the same rank-size law, ~20x
+// fewer clusters): cheap at 8 members, still heavy-tailed.
+func (o *ensembleOpts) doc() *scenario.Doc {
+	d := &scenario.Doc{
+		SchemaVersion: scenario.Version,
+		Name:          "ensemble",
+		Workload: scenario.WorkloadSpec{
+			Params: &scenario.ParamsSpec{NumClusters: 2000, MaxClusterSize: 200, SizeExponent: 0.5, MeanReadLen: 1200},
+			N:      []int{o.n},
+			Seeds:  []uint64{o.seed},
+		},
+		Policies: scenario.PolicySpec{
+			Cluster: []scenario.ClusterSpec{{MaxTasks: o.cluster, TargetSeconds: o.clusterSeconds}},
+		},
+		Ensemble: &scenario.EnsembleSpec{Workflows: o.workflows, MaxInFlight: o.maxInFlight},
+		Retries:  &o.retries,
+		Outputs:  scenario.OutputSpec{Aggregate: o.aggregate},
+	}
+	names := splitSites(o.sites)
+	for _, name := range names {
+		d.Sites = append(d.Sites, scenario.SiteSpec{Preset: name})
+	}
+	// One site leaves a policy nothing to choose and failover nowhere to
+	// go, so a document takes neither axis there; a policy name the planner
+	// does not know still goes to the document, which refuses it.
+	if len(names) > 1 || !slices.Contains(planner.PolicyNames(), o.policy) {
+		d.Policies.Site = []string{o.policy}
+	}
+	if len(names) > 1 {
+		d.Policies.Failover = []bool{o.failover}
+	}
+	return d
 }
 
 // ---- scenario run / scenario check ----

@@ -4,13 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // DetRange guards the repo's first invariant — byte-identical output for a
 // given (scenario, seed) regardless of worker count — at its most common
 // failure point: Go map iteration order. A `range` over a map that builds
-// output (appends rows, writes to an encoder or writer, or calls a local
-// closure that does) emits in a different order every run unless the
+// output (appends rows, writes to an encoder, a writer or stdout, or calls
+// a local closure that does) emits in a different order every run unless the
 // collected values are deterministically sorted afterwards. The analyzer
 // accepts the canonical two-phase idiom (collect keys, sort, then emit)
 // and flags everything else on the output-path packages.
@@ -163,12 +164,11 @@ func bodyEffect(body ast.Node, info *types.Info, closures map[types.Object]*ast.
 					return false
 				}
 				if obj := info.Uses[fun.Sel]; obj != nil {
-					if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-						name := fn.Name()
-						if len(name) >= 6 && name[:6] == "Fprint" {
-							eff = &rangeEffect{kind: "write"}
-							return false
-						}
+					// fmt's Fprint* write to a writer, its Print* to stdout.
+					if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
+						(strings.HasPrefix(fn.Name(), "Fprint") || strings.HasPrefix(fn.Name(), "Print")) {
+						eff = &rangeEffect{kind: "write"}
+						return false
 					}
 				}
 			case *ast.Ident:

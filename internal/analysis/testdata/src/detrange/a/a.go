@@ -40,6 +40,12 @@ func badWrite(w io.Writer, m map[string]int) {
 	}
 }
 
+func badPrint(m map[string]int) {
+	for k, v := range m { // want "map iteration order is nondeterministic and the body writes output"
+		fmt.Printf("%s=%d\n", k, v)
+	}
+}
+
 func badClosure(m map[string]int) []string {
 	var errs []string
 	add := func(s string) { errs = append(errs, s) }

@@ -31,11 +31,11 @@ func smallExperiment(seed uint64, aggregate bool) *Experiment {
 // the folded accumulators must agree with the retained-record math.
 func TestAggregateRunParity(t *testing.T) {
 	for _, site := range []string{"sandhills", "osg"} {
-		exact, err := smallExperiment(42, false).RunWorkflow(site, 60)
+		exact, err := smallExperiment(42, false).runWorkflow(site, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, err := smallExperiment(42, true).RunWorkflow(site, 60)
+		agg, err := smallExperiment(42, true).runWorkflow(site, 60)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,9 +72,9 @@ var paperWorld = sync.OnceValues(func() (*workflow.World, error) {
 	return workflow.NewWorld(workflow.PaperSites(0, 0))
 })
 
-// RunWorkflow executes the blast2cap3 workflow with n cluster chunks on
+// runWorkflow executes the blast2cap3 workflow with n cluster chunks on
 // the named platform and returns its statistics.
-func (e *Experiment) RunWorkflow(platformName string, n int) (*RunResult, error) {
+func (e *Experiment) runWorkflow(platformName string, n int) (*RunResult, error) {
 	world, err := paperWorld()
 	if err != nil {
 		return nil, err
@@ -108,7 +108,6 @@ func (e *Experiment) onSite(world *workflow.World, site string, n int, w workflo
 		World:          world,
 		RetryLimit:     e.RetryLimit,
 		Cluster:        copts,
-		Workers:        1,
 		MemberWorkload: func(int) workflow.Workload { return w },
 		Aggregate:      e.Aggregate,
 	}
@@ -198,7 +197,7 @@ func (e *Experiment) RunAll() (*AllResults, error) {
 			return nil
 		}
 		c := cells[i-1]
-		r, err := e.RunWorkflow(c.platform, c.n)
+		r, err := e.runWorkflow(c.platform, c.n)
 		if err != nil {
 			return fmt.Errorf("core: %s n=%d: %w", c.platform, c.n, err)
 		}

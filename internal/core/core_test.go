@@ -45,7 +45,7 @@ func TestSerialBaselineNearHundredHours(t *testing.T) {
 
 func TestFig4SandhillsN10NearPaper(t *testing.T) {
 	e := DefaultExperiment(canonicalSeed)
-	r, err := e.RunWorkflow("sandhills", 10)
+	r, err := e.runWorkflow("sandhills", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestOSGFailuresObservedSandhillsNone(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := DefaultExperiment(canonicalSeed).RunWorkflow("osg", 100)
+	a, err := DefaultExperiment(canonicalSeed).runWorkflow("osg", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DefaultExperiment(canonicalSeed).RunWorkflow("osg", 100)
+	b, err := DefaultExperiment(canonicalSeed).runWorkflow("osg", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +244,14 @@ func TestDeterminism(t *testing.T) {
 
 func TestUnknownPlatformRejected(t *testing.T) {
 	e := DefaultExperiment(1)
-	if _, err := e.RunWorkflow("ec2", 10); err == nil {
+	if _, err := e.runWorkflow("ec2", 10); err == nil {
 		t.Error("unknown platform accepted")
 	}
 }
 
 func TestSummaryConsistency(t *testing.T) {
 	e := DefaultExperiment(canonicalSeed)
-	r, err := e.RunWorkflow("sandhills", 100)
+	r, err := e.runWorkflow("sandhills", 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,25 +2,26 @@
 // workflow construction, planning, platform simulation and statistics into
 // runs of the blast2cap3 workflow (build → plan → run → statistics).
 //
-// Experiment runs the paper's reproduction grid (RunWorkflow, RunSerial,
-// RunAll), and EnsembleExperiment runs ensembles over a shared platform
-// pool. The figures of cmd/experiments — Fig. 4 and Fig. 5, the ablations
-// of DESIGN.md, the cloud comparison and the cluster-size, seed and policy
+// Experiment runs the paper's reproduction grid (RunSerial, RunAll), and
+// EnsembleExperiment runs ensembles over a shared platform pool. The
+// figures of cmd/experiments — Fig. 4 and Fig. 5, the ablations of
+// DESIGN.md, the cloud comparison and the cluster-size, seed and policy
 // sweeps — are scenario documents (examples/scenarios/figures) compiled by
 // package scenario onto EnsembleExperiment, not code here; experiments
-// calls this package only for the serial baseline (RunSerial) and the
-// cloud figure's timelines (RunWorkflow).
+// calls this package only for the serial baseline (RunSerial), and
+// `pegflow ensemble` not at all (it runs a one-cell document).
 //
 // There is one run path. EnsembleExperiment.Run plans N member workflows
 // across a site set under a policy and executes them on a shared platform
 // pool; a single workflow is an ensemble of one and a single site a pool of
-// one, so Experiment (RunWorkflow, RunAll) is a thin adapter: the
+// one, so Experiment (RunAll) is a thin adapter: the
 // workflow.World of workflow's table of built-in sites (workflow.PaperSites
 // at the preset slot counts, built once per process), a one-member
 // EnsembleExperiment on one site of it, and the member's outcome as a
 // RunResult. An EnsembleExperiment owns no catalogs, platform models or
 // catalog fingerprint: it names a World and the Sites of it to plan across,
-// and asks the world for all three. Its platforms are seeded with
+// and asks the world for all three; its caller supplies every member's
+// workload, and nothing here defaults one. Its platforms are seeded with
 // PlatformSeed(Seed, N), which nothing can override, so any front end that
 // runs a (seed, n) ensemble runs the same one. Run is the only function
 // here that builds a pool and drives member engines; RunSerial (a one-job

@@ -15,7 +15,6 @@ import (
 	"pegflow/internal/fault"
 	"pegflow/internal/lru"
 	"pegflow/internal/planner"
-	"pegflow/internal/pool"
 	"pegflow/internal/sim/platform"
 	"pegflow/internal/sim/rng"
 	"pegflow/internal/workflow"
@@ -48,11 +47,7 @@ type EnsembleExperiment struct {
 	// Failover gives members cross-site retry: jobs evicted or failed on
 	// one pool site are re-resolved and resubmitted to a sibling.
 	Failover bool
-	// Workers bounds planning parallelism (PR-1 worker pool); results
-	// are identical for any worker count.
-	Workers int
-	// MemberWorkload supplies the dataset of member i; nil derives a
-	// reduced-scale synthetic workload from Seed+i.
+	// MemberWorkload supplies the dataset of member i.
 	MemberWorkload func(i int) workflow.Workload
 	// Faults, when set, is the compiled fault script installed on the
 	// platform pool before execution (site outages, capacity steps,
@@ -69,22 +64,6 @@ type EnsembleExperiment struct {
 	// Experiment.Aggregate): member logs fold instead of retaining
 	// records, and spent records recycle into the pool's arenas.
 	Aggregate bool
-}
-
-// memberWorkload returns the dataset for member i.
-func (e *EnsembleExperiment) memberWorkload(i int) workflow.Workload {
-	if e.MemberWorkload != nil {
-		return e.MemberWorkload(i)
-	}
-	// A reduced-scale cousin of the paper workload: same rank-size law,
-	// ~20x fewer clusters, so an 8-member ensemble stays cheap to
-	// simulate while keeping the heavy-tailed chunk-work distribution.
-	return workflow.CustomWorkload(workflow.WorkloadParams{
-		NumClusters:    2000,
-		MaxClusterSize: 200,
-		SizeExponent:   0.5,
-		MeanReadLen:    1200,
-	}, e.Seed+uint64(i))
 }
 
 // memberDAXKey fingerprints a member workflow's shape: synthesized datasets
@@ -174,7 +153,7 @@ func (e *EnsembleExperiment) memberSource(i int, catalogs string) (ensemble.Reso
 		Priority:   e.Workflows - i,
 		RetryLimit: e.RetryLimit,
 	}
-	w := e.memberWorkload(i)
+	w := e.MemberWorkload(i)
 	mopts := planner.MultiOptions{Sites: e.Sites, AddStageIn: ensemble.StageIn(e.Sites)}
 	if !cacheable(w) {
 		abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: e.N, Workload: w})
@@ -237,9 +216,9 @@ func (c *cachedMultiPlan) build(dk memberDAXKey, w workflow.Workload, cats plann
 	return nil
 }
 
-// plan resolves and plans every member across the worker pool. Members are
-// admitted in index order; earlier members get higher ensemble priority
-// (the Pegasus Ensemble Manager's priority knob).
+// plan resolves and plans every member. Members are admitted in index
+// order; earlier members get higher ensemble priority (the Pegasus Ensemble
+// Manager's priority knob).
 func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
 	if e.Workflows <= 0 {
 		return nil, fmt.Errorf("core: non-positive ensemble size %d", e.Workflows)
@@ -255,21 +234,19 @@ func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
 		Failover: e.Failover,
 	}
 	specs := make([]ensemble.Spec, e.Workflows)
-	err := pool.ForEach(e.Workers, e.Workflows, func(i int) error {
+	for i := range specs {
 		src, err := e.memberSource(i, catalogs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		specs[i], err = ensemble.PlanMember(src, e.World.Catalogs(), opts)
-		return err
-	})
-	if err != nil {
-		return nil, err
+		if specs[i], err = ensemble.PlanMember(src, e.World.Catalogs(), opts); err != nil {
+			return nil, err
+		}
 	}
 	return specs, nil
 }
 
-// Run plans all members across the worker pool and executes the ensemble on
+// Run plans all members and executes the ensemble on
 // the sites' platform models seeded with PlatformSeed(e.Seed, e.N);
 // Result.Report(e.Policy) renders the outcome as a report. It is the one
 // place in this package that builds a platform pool and drives member
@@ -298,17 +275,4 @@ func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 		return nil, err
 	}
 	return ensemble.Run(p, specs, ensemble.Options{MaxInFlight: e.MaxInFlight, Aggregate: e.Aggregate})
-}
-
-// Over points the experiment at a world of declared sites, planned across
-// all of them in order.
-func (e *EnsembleExperiment) Over(sites []workflow.Site) error {
-	var err error
-	if e.World, err = workflow.NewWorld(sites); err != nil {
-		return err
-	}
-	for _, s := range sites {
-		e.Sites = append(e.Sites, s.Platform.Name)
-	}
-	return nil
 }

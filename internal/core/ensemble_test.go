@@ -35,7 +35,6 @@ func TestPaperEnsembleReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.Workers = 1 + i*7
 		report := runReport(t, e)
 		for _, w := range report.Workflows {
 			if !w.Success {

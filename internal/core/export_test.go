@@ -5,6 +5,33 @@ import (
 	"pegflow/internal/workflow"
 )
 
+// reducedMembers gives member i the tests' ensemble workload seeded seed+i:
+// a reduced-scale cousin of the paper workload (same rank-size law, ~20x
+// fewer clusters, the parameters of `pegflow ensemble`), so an 8-member
+// ensemble stays cheap to simulate while keeping the heavy-tailed chunk-work
+// distribution.
+func reducedMembers(seed uint64) func(int) workflow.Workload {
+	return func(i int) workflow.Workload {
+		return workflow.CustomWorkload(workflow.WorkloadParams{
+			NumClusters: 2000, MaxClusterSize: 200, SizeExponent: 0.5, MeanReadLen: 1200,
+		}, seed+uint64(i))
+	}
+}
+
+// over is an ensemble of reducedMembers planned across every site of the
+// world of sites, in order.
+func over(e *EnsembleExperiment, sites []workflow.Site) (*EnsembleExperiment, error) {
+	world, err := workflow.NewWorld(sites)
+	if err != nil {
+		return nil, err
+	}
+	e.World, e.MemberWorkload = world, reducedMembers(e.Seed)
+	for _, s := range sites {
+		e.Sites = append(e.Sites, s.Platform.Name)
+	}
+	return e, nil
+}
+
 // PaperEnsemble is the tests' ensemble over the paper's two-site world
 // (Sandhills + OSG).
 func PaperEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExperiment, error) {
@@ -12,8 +39,7 @@ func PaperEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExper
 	if err != nil {
 		return nil, err
 	}
-	e := &EnsembleExperiment{Seed: seed, Workflows: workflows, N: n, Policy: policy, RetryLimit: 5}
-	return e, e.Over(sites)
+	return over(&EnsembleExperiment{Seed: seed, Workflows: workflows, N: n, Policy: policy, RetryLimit: 5}, sites)
 }
 
 // HeteroBenchEnsemble is the tests' two-site fixture where the cost policies
@@ -21,8 +47,7 @@ func PaperEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExper
 // "slow" site whose nodes run 3x slower and must download a 150 MB stack per
 // job (the sites of examples/scenarios/figures/ensemble.json).
 func HeteroBenchEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExperiment, error) {
-	e := &EnsembleExperiment{Seed: seed, Workflows: workflows, N: n, Policy: policy, RetryLimit: 3}
-	return e, e.Over([]workflow.Site{
+	return over(&EnsembleExperiment{Seed: seed, Workflows: workflows, N: n, Policy: policy, RetryLimit: 3}, []workflow.Site{
 		{
 			Platform: platform.Config{
 				Name: "fast", Slots: 32, SubmitInterval: 0.2,

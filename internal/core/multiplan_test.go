@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func memberPlans(t testing.TB, e *EnsembleExperiment) []ensemble.Spec {
 	return specs
 }
 
-// runClustered is RunWorkflow with the clustering pass applied: the
+// runClustered is runWorkflow with the clustering pass applied: the
 // experiment's workload with n chunks as an ensemble of one on the named
 // paper platform, clustered by copts.
 func runClustered(e *Experiment, site string, n int, copts planner.ClusterOptions) (*RunResult, error) {
@@ -120,7 +121,7 @@ func diffSnapshots(a, b map[string]any) string {
 // scratch — what every cell ran before the multi-site cache.
 func uncachedMemberPlan(t testing.TB, e *EnsembleExperiment, i int) *planner.Plan {
 	t.Helper()
-	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: e.N, Workload: e.memberWorkload(i)})
+	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: e.N, Workload: e.MemberWorkload(i)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +299,14 @@ func TestMultiPlanCacheKeysOnCatalogContent(t *testing.T) {
 // planning it — chunk runtimes, placement, clone, patch — allocates the same
 // number of objects at both sizes, and no more than limit. Anything per job
 // that creeps into the placement pass or the patch makes the sizes disagree.
+// The collector is paused while it measures: a collection empties the free
+// list a clone takes its slab from, and how many happen depends on GOGC, not
+// on the plan path.
 func checkWarmPlanAllocs(t *testing.T, build func(n int) *EnsembleExperiment, small, large int, limit float64) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ResetPlanCache()
 	defer ResetPlanCache()
 	measure := func(n int) float64 {

@@ -54,7 +54,6 @@ func TestSummaryRetriesMatchEngine(t *testing.T) {
 			}
 			ens.Cluster = planner.ClusterOptions{MaxTasksPerJob: 6}
 			ens.Failover = true
-			ens.Workers = 1
 			ens.Aggregate = aggregate
 			res, err := ens.Run()
 			if err != nil {

@@ -55,7 +55,7 @@ func retainedByRun(t *testing.T, e *Experiment, n int) (bytes uint64, attempts i
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	r, err := e.RunWorkflow("osg", n)
+	r, err := e.runWorkflow("osg", n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func scaleSpecs(tb testing.TB, n int) ([]ensemble.Spec, []platform.Config) {
 // heap bytes one execution of it retains: the pre-built specs (the run's
 // O(n) input) stay alive on both sides of the measurement while the pool
 // — like the executor the single-site path builds and drops inside
-// RunWorkflow — is released with the run, so the post-GC heap delta is
+// runWorkflow — is released with the run, so the post-GC heap delta is
 // what the run hands its caller: the member log.
 func retainedByScaleRun(t *testing.T, n int, aggregate bool) (bytes uint64, attempts int) {
 	t.Helper()

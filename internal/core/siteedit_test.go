@@ -146,7 +146,7 @@ func TestVariantPreinstallEqualsDirectPipeline(t *testing.T) {
 			}
 			// The edited site must not have served the plain run's master, nor
 			// its platform model.
-			plain, err := e.RunWorkflow("osg", n)
+			plain, err := e.runWorkflow("osg", n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestVariantPreinstallEqualsDirectPipeline(t *testing.T) {
 // plain run.
 func TestVariantPreinstallKeepsEverySite(t *testing.T) {
 	e := DefaultExperiment(42)
-	plain, err := e.RunWorkflow("cloud", 10)
+	plain, err := e.runWorkflow("cloud", 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"pegflow/internal/dax"
 	"pegflow/internal/planner"
@@ -16,7 +17,9 @@ import (
 // Each job carries what replanning it needs from the plan's slab: its
 // arguments and, as a pegasus::runtime profile in the form BuildDAX writes,
 // the runtime estimate this run was planned with (a composite's is its
-// members' sum). It returns an error if the run actually succeeded.
+// members' sum). Its Args and Uses are copies, since a plan shares them
+// with every clone of its master. It returns an error if the run actually
+// succeeded.
 func RescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
 	if res.Success {
 		return nil, fmt.Errorf("engine: no rescue workflow for a successful run")
@@ -32,7 +35,8 @@ func RescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
 			continue
 		}
 		pj := plan.Job(j.ID)
-		rj := &dax.Job{ID: j.ID, Transformation: j.Transformation, Priority: j.Priority, Args: pj.Args, Uses: j.Uses}
+		rj := &dax.Job{ID: j.ID, Transformation: j.Transformation, Priority: j.Priority,
+			Args: slices.Clone(pj.Args), Uses: slices.Clone(j.Uses)}
 		rj.SetProfile("pegasus", "runtime", fmt.Sprintf("%.3f", pj.ExecSeconds))
 		if err := out.AddJob(rj); err != nil {
 			return nil, err

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pegflow/internal/catalog"
@@ -207,6 +209,60 @@ func TestRescueDAXKeepsRuntimesAndArgs(t *testing.T) {
 			if len(had.Args)+len(got.Args) > 0 && !reflect.DeepEqual(got.Args, had.Args) {
 				t.Errorf("%s: %s replans with Args %v, the failed run had %v", name, had.ID, got.Args, had.Args)
 			}
+		}
+	}
+}
+
+// TestRescueDAXIsPrivate: a rescue DAX shares no storage with the plan it
+// was cut from. Clones of one master plan share its jobs' Args and Uses
+// arrays, so a write through a rescue job's Args or Uses must reach neither
+// the failed run's clone, nor the master, nor a second clone of it.
+func TestRescueDAXIsPrivate(t *testing.T) {
+	w := dax.New("pair")
+	w.NewJob("A", "t").AddInput("in", 10).AddOutput("mid", 10).SetProfile("pegasus", "runtime", "10").Args = []string{"-i", "in"}
+	w.NewJob("B", "t").AddInput("mid", 10).AddOutput("out", 10).SetProfile("pegasus", "runtime", "10").Args = []string{"-i", "mid"}
+	if err := w.AddDependency("A", "B"); err != nil {
+		t.Fatal(err)
+	}
+	master := makePlan(t, w)
+	run, other := master.Clone(), master.Clone()
+	ex := newFakeExecutor()
+	ex.failures["A"] = 10
+	res, err := Run(run, ex, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rescue, err := RescueDAX(run, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rescue.Len() != 2 {
+		t.Fatalf("rescue of a failed root has %d jobs, want 2", rescue.Len())
+	}
+	// snapshot renders every job's Args and Uses as the plan holds them.
+	snapshot := func(p *planner.Plan) string {
+		var b strings.Builder
+		graph := p.Graph()
+		for _, j := range p.Jobs() {
+			fmt.Fprintf(&b, "%s %q %v\n", j.ID, j.Args, graph.Job(j.ID).Uses)
+		}
+		return b.String()
+	}
+	want := snapshot(master)
+	for _, j := range rescue.Jobs() {
+		for i := range j.Args {
+			j.Args[i] = "written"
+		}
+		for i := range j.Uses {
+			j.Uses[i].LFN = "written"
+		}
+	}
+	for _, p := range []struct {
+		name string
+		plan *planner.Plan
+	}{{"master", master}, {"failed run's clone", run}, {"second clone", other}} {
+		if got := snapshot(p.plan); got != want {
+			t.Errorf("a write through the rescue DAX reached the %s:\n%s\nwant\n%s", p.name, got, want)
 		}
 	}
 }

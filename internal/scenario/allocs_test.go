@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"runtime/debug"
 	"testing"
 
 	"pegflow/internal/core"
@@ -10,9 +11,12 @@ import (
 
 // warmCellAllocs is the allocation count of one warm cell: every cache the
 // cell reads (plan master, member DAX, chunk seconds, the world's key for
-// the site set) filled by a first run.
+// the site set) filled by a first run. The collector is paused while it
+// measures: a collection empties the free lists a warm cell reuses its
+// storage from, and how many happen depends on GOGC, not on the cell.
 func warmCellAllocs(t *testing.T, c *Compiled, cell Cell) float64 {
 	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := func() {
 		if _, err := c.runCell(cell); err != nil {
 			t.Fatal(err)

@@ -35,7 +35,8 @@
 // Execution reuses the core facade: every cell, whatever its shape, is one
 // core.EnsembleExperiment — a single workflow is an ensemble of one, a
 // single site a pool of one — and hits core's plan cache (resolved masters
-// placed, cloned and patched per seed and policy). Whether a cell's plans
+// placed, cloned and patched per seed and policy). Compiled.Simulate runs
+// one cell; Run totals its result into the row, and callers read it whole. Whether a cell's plans
 // carry stage-in jobs follows from its site set alone (ensemble.StageIn),
 // as for every other front end. No plan-cache key holds a seed, so a
 // long-running process (pegflow serve) warms up across requests and does

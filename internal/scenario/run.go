@@ -263,10 +263,11 @@ type cellMetrics struct {
 // The row holds nothing of the run, so once it is built the run's storage
 // goes to the next cell (ensemble.Result.Release).
 func (c *Compiled) runCell(cell Cell) (map[string]any, error) {
-	m, res, err := c.simulate(cell)
+	res, err := c.Simulate(cell)
 	if err != nil {
 		return nil, err
 	}
+	m := metricsOf(res)
 
 	row := map[string]any{
 		"cell":      cell.Index,
@@ -381,13 +382,14 @@ func mergedQuantiles(logs []*kickstart.Log, pick func(*kickstart.Aggregates) *qu
 	return quantile.Of(merged, ps...)
 }
 
-// simulate runs one cell: every cell — one workflow on one preset site as
+// Simulate runs one cell: every cell — one workflow on one preset site as
 // much as an ensemble failing over between inline sites — compiles onto
 // core.EnsembleExperiment (a single workflow is an ensemble of one, a single
 // site a pool of one). Member workflows are seeded cell.Seed+i; core's plan
 // cache serves every seed of a (params, n, sites, catalog content, stage-in)
-// shape from one resolved master, across cells and requests.
-func (c *Compiled) simulate(cell Cell) (cellMetrics, *ensemble.Result, error) {
+// shape from one resolved master, across cells and requests. The caller
+// releases the result (ensemble.Result.Release) once it has read it.
+func (c *Compiled) Simulate(cell Cell) (*ensemble.Result, error) {
 	policy := cell.Policy
 	if policy == "" {
 		// Single-site set: any policy resolves every job to the one site.
@@ -403,9 +405,6 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, *ensemble.Result, error) {
 		RetryLimit: c.retries,
 		Cluster:    cell.Cluster.options(),
 		Failover:   cell.Failover,
-		// Cells are already fanned out across the pool; keep per-cell
-		// planning serial so worker counts never nest.
-		Workers: 1,
 		MemberWorkload: func(i int) workflow.Workload {
 			return workflow.CustomWorkload(c.params, cell.Seed+uint64(i))
 		},
@@ -433,14 +432,15 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, *ensemble.Result, error) {
 		}
 		script, err := fault.Compile(specs)
 		if err != nil {
-			return cellMetrics{}, nil, err
+			return nil, err
 		}
 		exp.Faults = script
 	}
-	res, err := exp.Run()
-	if err != nil {
-		return cellMetrics{}, nil, err
-	}
+	return exp.Run()
+}
+
+// metricsOf totals a cell's result into its row metrics.
+func metricsOf(res *ensemble.Result) cellMetrics {
 	m := cellMetrics{makespan: res.Makespan, success: true}
 	for _, s := range res.Sites {
 		m.outages += s.Outages
@@ -463,5 +463,5 @@ func (c *Compiled) simulate(cell Cell) (cellMetrics, *ensemble.Result, error) {
 		m.logs = append(m.logs, r.Log)
 	}
 	m.meanWorkflowMakespan /= float64(len(res.Workflows))
-	return m, res, nil
+	return m
 }

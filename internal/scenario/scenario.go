@@ -557,11 +557,11 @@ func (d *Doc) validateWorkload(ef func(path, format string, args ...any)) {
 }
 
 func (d *Doc) validatePolicies(ef func(path, format string, args ...any), anyMulti, allMulti bool) {
-	known := make(map[string]bool)
+	// "" is the placeholder applyDefaults writes when no set has two sites;
+	// accepting it there keeps already-defaulted documents re-validatable.
+	known := map[string]bool{"": !anyMulti}
 	for _, p := range planner.PolicyNames() {
-		// "" is the internal single-site placeholder applyDefaults writes;
-		// accepting it keeps already-defaulted documents re-validatable.
-		known[p], known[""] = true, true
+		known[p] = true
 	}
 	explicit := false
 	for i, p := range d.Policies.Site {

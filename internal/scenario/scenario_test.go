@@ -286,10 +286,11 @@ func TestStageInPredicate(t *testing.T) {
 					t.Errorf("cell %d (sites %v, failover %v): stage-in = %v, want %v",
 						i, cell.SiteSet, cell.Failover, stageIn, tc.want[i])
 				}
-				m, res, err := c.simulate(cell)
+				res, err := c.Simulate(cell)
 				if err != nil {
 					t.Fatal(err)
 				}
+				m := metricsOf(res)
 				res.Release()
 				jobs := m.jobs / c.workflows()
 				switch {
