@@ -14,10 +14,9 @@ import (
 //	go test ./cmd/experiments -run TestFigureGoldens -update
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// TestFigureGoldens pins the stdout of every figure that is not compared
-// against a golden elsewhere, at the canonical seed.
+// TestFigureGoldens pins the stdout of every figure at the canonical seed.
 func TestFigureGoldens(t *testing.T) {
-	for _, fig := range []string{"4", "5", "ablations", "cloud", "cluster"} {
+	for _, fig := range []string{"4", "5", "ablations", "cloud", "seeds", "ensemble", "cluster"} {
 		t.Run(fig, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := run(&buf, fig, canonicalSeed, ""); err != nil {

@@ -28,7 +28,6 @@ import (
 	"text/tabwriter"
 
 	"pegflow/examples/scenarios/figures"
-	"pegflow/internal/core"
 	"pegflow/internal/scenario"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
@@ -121,6 +120,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// serialSeconds is the wall time of the serial blast2cap3 baseline on one
+// dedicated Sandhills core (paper §V.B: 100 hours) at seed: the cost
+// model's serial running time of the paper workload, as a runtime profile
+// carries it. One job on one noiseless slot runs exactly that long.
+func serialSeconds(seed uint64) float64 {
+	return workflow.RoundMillis(workflow.DefaultCostModel().SerialSeconds(workflow.PaperWorkload(seed)))
+}
+
 // fig4 renders paper-grid.json's wall times beside the serial baseline.
 func fig4(w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "== Figure 4: workflow wall time, Sandhills vs OSG ==")
@@ -128,11 +135,7 @@ func fig4(w io.Writer, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	ser, err := core.DefaultExperiment(seed).RunSerial()
-	if err != nil {
-		return err
-	}
-	serial := ser.WallTime()
+	serial := serialSeconds(seed)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "RUN\tWALL TIME (s)\tWALL TIME\tRETRIES\tEVICTIONS")
 	fmt.Fprintf(tw, "serial (1 core)\t%.0f\t%s\t0\t0\n", serial, stats.HMS(serial))
@@ -440,11 +443,7 @@ func runSeedSweep(seed uint64) (*seedSweep, error) {
 	sw := &seedSweep{seeds: seeds, optimal: make(map[string]map[int]int)}
 	serial := make([]float64, len(seeds))
 	for i, s := range seeds {
-		r, err := core.DefaultExperiment(s).RunSerial()
-		if err != nil {
-			return nil, err
-		}
-		serial[i] = r.WallTime()
+		serial[i] = serialSeconds(s)
 	}
 	sw.serial = spreadOf(serial)
 	// Rows come in grid order, site set then n then seed, one per seed and

@@ -3,11 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -296,35 +293,5 @@ func TestEveryFrontEndRefusesNegativeRetries(t *testing.T) {
 		if _, err := runQuiet(t, fe.cmd, fe.args); err == nil || !strings.Contains(err.Error(), fe.want) {
 			t.Errorf("pegflow %s -retries -1: error %v, want %q", fe.name, err, fe.want)
 		}
-	}
-}
-
-// TestCLIImportsNoCore: every subcommand reaches the simulator through a
-// scenario document or the ensemble package, never through core's
-// experiments beside them, so no non-test file of this command imports
-// internal/core.
-func TestCLIImportsNoCore(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset, checked := token.NewFileSet(), 0
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checked++
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "pegflow/internal/core" {
-				t.Errorf("%s imports %s", fset.Position(imp.Pos()), p)
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no non-test Go file found")
 	}
 }

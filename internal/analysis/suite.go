@@ -44,8 +44,7 @@ func NewCloneGate() *CloneGate {
 			"pegflow/internal/dax",
 		},
 		AllowedFuncs: map[string]string{
-			"pegflow/internal/workflow.BuildDAX":       "constructor: assembles a brand-new abstract DAX; nothing it touches is cached yet",
-			"pegflow/internal/workflow.BuildSerialDAX": "constructor: assembles the serial-baseline DAX from scratch",
+			"pegflow/internal/workflow.BuildDAX": "constructor: assembles a brand-new abstract DAX; nothing it touches is cached yet",
 		},
 	}
 }

@@ -16,7 +16,7 @@ func directChunkSeconds(t testing.TB, cost workflow.CostModel, w workflow.Worklo
 		t.Fatal(err)
 	}
 	for i := range chunks {
-		chunks[i] = roundMillis(chunks[i])
+		chunks[i] = workflow.RoundMillis(chunks[i])
 	}
 	return chunks
 }

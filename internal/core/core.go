@@ -7,7 +7,6 @@ import (
 	"pegflow/internal/engine"
 	"pegflow/internal/planner"
 	"pegflow/internal/pool"
-	"pegflow/internal/sim/platform"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
@@ -15,8 +14,8 @@ import (
 // PaperNValues are the cluster counts evaluated in the paper.
 var PaperNValues = []int{10, 100, 300, 500}
 
-// Platforms are the two execution platforms compared in the paper.
-var Platforms = []string{"sandhills", "osg"}
+// platforms are the two execution platforms compared in the paper.
+var platforms = []string{"sandhills", "osg"}
 
 // Experiment configures a reproduction run.
 type Experiment struct {
@@ -54,11 +53,13 @@ type RunResult struct {
 	Platform string
 	// N is the cluster count (0 for the serial baseline).
 	N int
-	// Result is the engine outcome (log, makespan, retries).
+	// Result is the engine outcome (log, makespan, retries); nil for the
+	// serial baseline, which is computed, not run.
 	Result *engine.Result
 	// Summary is the workflow-level statistics block.
 	Summary stats.Summary
-	// PerTask is the per-transformation breakdown (Fig. 5 panel rows).
+	// PerTask is the per-transformation breakdown (Fig. 5 panel rows); nil
+	// for the serial baseline.
 	PerTask []stats.TaskStats
 }
 
@@ -132,34 +133,20 @@ func newRunResult(platformName string, n int, res *engine.Result) *RunResult {
 	}
 }
 
-// RunSerial executes the serial blast2cap3 baseline on a single dedicated
-// Sandhills core (paper §V.B: "the running time was 100 hours"). Its
-// one-job plan is built directly and run on a bare engine: the only caller
-// of engine.Run in this package.
-func (e *Experiment) RunSerial() (*RunResult, error) {
-	world, err := paperWorld()
-	if err != nil {
-		return nil, err
+// serialResult is the serial blast2cap3 baseline on one dedicated Sandhills
+// core (paper §V.B: "the running time was 100 hours"), in closed form: one
+// job whose runtime is the cost model's SerialSeconds of w, as its profile
+// carries it, on a slot of reference speed with nothing to wait for. A
+// simulation of that one job adds nothing to the number.
+func serialResult(w workflow.Workload) *RunResult {
+	t := workflow.RoundMillis(workflow.DefaultCostModel().SerialSeconds(w))
+	return &RunResult{
+		Platform: "serial",
+		Summary: stats.Summary{
+			WallTime: t, CumulativeJobWallTime: t, CumulativeKickstart: t,
+			Jobs: 1, Attempts: 1,
+		},
 	}
-	abstract, err := workflow.BuildSerialDAX(e.Workload, workflow.CostModel{})
-	if err != nil {
-		return nil, err
-	}
-	plan, err := planner.New(abstract, world.Catalogs(), planner.Options{Site: "sandhills"})
-	if err != nil {
-		return nil, err
-	}
-	// A single interactive node: no dispatch noise, one slot.
-	cfg := platform.Config{Name: "sandhills", Slots: 1, SpeedFactor: 1.0, Seed: e.Seed}
-	ex, err := platform.NewExecutor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := engine.Run(plan, ex, engine.Options{Aggregate: e.Aggregate})
-	if err != nil {
-		return nil, err
-	}
-	return newRunResult("serial", 0, res), nil
 }
 
 // AllResults holds the complete evaluation: the serial baseline plus every
@@ -170,10 +157,10 @@ type AllResults struct {
 	Runs map[string]map[int]*RunResult
 }
 
-// RunAll executes the full evaluation grid — the serial baseline plus
-// every (platform, n) cell — across e.Workers concurrent simulations.
+// RunAll executes the full evaluation grid — every (platform, n) cell,
+// across e.Workers concurrent simulations — beside the serial baseline.
 // Each cell is an independent simulation seeded from (e.Seed, n), so the
-// grid is embarrassingly parallel and the results match the serial path
+// grid is embarrassingly parallel and the results match a one-worker run
 // exactly; they are merged in deterministic grid order after collection.
 func (e *Experiment) RunAll() (*AllResults, error) {
 	type gridCell struct {
@@ -181,22 +168,14 @@ func (e *Experiment) RunAll() (*AllResults, error) {
 		n        int
 	}
 	var cells []gridCell
-	for _, p := range Platforms {
+	for _, p := range platforms {
 		for _, n := range PaperNValues {
 			cells = append(cells, gridCell{p, n})
 		}
 	}
-	results := make([]*RunResult, 1+len(cells))
-	err := pool.ForEach(e.Workers, 1+len(cells), func(i int) error {
-		if i == 0 {
-			ser, err := e.RunSerial()
-			if err != nil {
-				return err
-			}
-			results[0] = ser
-			return nil
-		}
-		c := cells[i-1]
+	results := make([]*RunResult, len(cells))
+	err := pool.ForEach(e.Workers, len(cells), func(i int) error {
+		c := cells[i]
 		r, err := e.runWorkflow(c.platform, c.n)
 		if err != nil {
 			return fmt.Errorf("core: %s n=%d: %w", c.platform, c.n, err)
@@ -207,12 +186,12 @@ func (e *Experiment) RunAll() (*AllResults, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &AllResults{Serial: results[0], Runs: make(map[string]map[int]*RunResult)}
+	out := &AllResults{Serial: serialResult(e.Workload), Runs: make(map[string]map[int]*RunResult)}
 	for i, c := range cells {
 		if out.Runs[c.platform] == nil {
 			out.Runs[c.platform] = make(map[int]*RunResult)
 		}
-		out.Runs[c.platform][c.n] = results[i+1]
+		out.Runs[c.platform][c.n] = results[i]
 	}
 	return out, nil
 }

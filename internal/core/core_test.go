@@ -5,9 +5,14 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"strconv"
 	"strings"
 	"testing"
 
+	"pegflow/internal/dax"
+	"pegflow/internal/engine"
+	"pegflow/internal/planner"
+	"pegflow/internal/sim/platform"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
@@ -28,18 +33,65 @@ func runAll(t *testing.T) *AllResults {
 	return all
 }
 
-func TestSerialBaselineNearHundredHours(t *testing.T) {
-	e := DefaultExperiment(canonicalSeed)
-	ser, err := e.RunSerial()
+// serialOracle is the run the serial baseline's closed form replaced, kept
+// as its reference: the one-job DAX of the serial blast2cap3 built by hand
+// (the cost model's SerialSeconds as its "%.3f" runtime profile), planned on
+// Sandhills and run through a bare engine on one slot of reference speed
+// with no noise.
+func serialOracle(t *testing.T, seed uint64) stats.Summary {
+	t.Helper()
+	w := workflow.PaperWorkload(seed)
+	abstract := dax.New("blast2cap3-serial")
+	j := abstract.NewJob("blast2cap3_serial", workflow.TrSerial).
+		AddInput("transcripts.fasta", w.TranscriptBytes).
+		AddInput("alignments.out", w.AlignmentBytes).
+		AddOutput("final_assembly.fasta", w.TranscriptBytes/2)
+	j.Profiles = map[string]string{
+		"pegasus::runtime": strconv.FormatFloat(workflow.DefaultCostModel().SerialSeconds(w), 'f', 3, 64),
+	}
+	world, err := paperWorld()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := ser.WallTime() / 3600
-	if h < 95 || h > 105 {
-		t.Errorf("serial wall time = %.1f h, want ≈100 h (paper §V.B)", h)
+	plan, err := planner.New(abstract, world.Catalogs(), planner.Options{Site: "sandhills"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !ser.Result.Success {
-		t.Error("serial run failed")
+	ex, err := platform.NewExecutor(platform.Config{Name: "sandhills", Slots: 1, SpeedFactor: 1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Run(plan, ex, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Success {
+		t.Fatalf("seed %d: serial oracle run failed", seed)
+	}
+	return stats.Summarize(res.Log, res.Makespan)
+}
+
+// TestSerialBaselineNearHundredHours: RunAll's serial baseline is the
+// one-job run it stands for, bit for bit, at several seeds — a degenerate
+// limit of the simulator, one job on one noiseless slot, whose makespan is
+// its runtime — and lands in the paper's band (§V.B: 100 hours).
+func TestSerialBaselineNearHundredHours(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, canonicalSeed, 299} {
+		all, err := DefaultExperiment(seed).RunAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ser := all.Serial
+		if want := serialOracle(t, seed); ser.Summary != want {
+			t.Errorf("seed %d: serial summary %+v, one-job run %+v", seed, ser.Summary, want)
+		}
+		if ser.Platform != "serial" || ser.N != 0 || ser.Result != nil || ser.PerTask != nil {
+			t.Errorf("seed %d: serial result %s n=%d, result %v, per-task %v; want serial n=0 and neither",
+				seed, ser.Platform, ser.N, ser.Result, ser.PerTask)
+		}
+		if h := ser.WallTime() / 3600; h < 95 || h > 105 {
+			t.Errorf("seed %d: serial wall time = %.1f h, want ≈100 h (paper §V.B)", seed, h)
+		}
 	}
 }
 
@@ -67,7 +119,7 @@ func TestFig4PlateauAndOptimum(t *testing.T) {
 			t.Errorf("sandhills n=%d wall = %.0f s, want ≈10,000 s band", n, w)
 		}
 	}
-	for _, p := range Platforms {
+	for _, p := range platforms {
 		runs := all.Runs[p]
 		// Paper: 300 clusters is the optimum.
 		w300 := runs[300].WallTime()
@@ -90,7 +142,7 @@ func TestFig4WorkflowVsSerialReduction(t *testing.T) {
 	// Paper: Pegasus implementation reduces running time by more than
 	// 95% on both platforms (average ≈3 h vs 100 h).
 	serial := all.Serial.WallTime()
-	for _, p := range Platforms {
+	for _, p := range platforms {
 		for _, n := range []int{100, 300, 500} {
 			red := stats.Reduction(serial, all.Runs[p][n].WallTime())
 			if red < 0.90 {
@@ -167,7 +219,7 @@ func TestFig5KickstartDecreasesWithN(t *testing.T) {
 	all := runAll(t)
 	// Paper: "The Kickstart Time value per task on Sandhills slowly
 	// decreases when n increases."
-	for _, p := range Platforms {
+	for _, p := range platforms {
 		prev := -1.0
 		for _, n := range PaperNValues {
 			row := findTask(all.Runs[p][n].PerTask, workflow.TrRunCAP3)
@@ -216,7 +268,7 @@ func TestOSGFailuresObservedSandhillsNone(t *testing.T) {
 		t.Error("no OSG evictions across the whole grid; opportunistic model inert")
 	}
 	// All runs must nevertheless succeed (DAGMan retries recover).
-	for _, p := range Platforms {
+	for _, p := range platforms {
 		for _, n := range PaperNValues {
 			if !all.Runs[p][n].Result.Success {
 				t.Errorf("%s n=%d failed", p, n)
@@ -277,8 +329,8 @@ func findTask(rows []stats.TaskStats, name string) *stats.TaskStats {
 	return nil
 }
 
-// TestOneEngineDriverInCore parses the package's non-test sources: one
-// engine.Run call (RunSerial) and one platform.NewMultiExecutor call
+// TestOneEngineDriverInCore parses the package's non-test sources: no
+// engine.Run call and one platform.NewMultiExecutor call
 // (EnsembleExperiment.Run), so no experiment has a run path of its own.
 func TestOneEngineDriverInCore(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
@@ -300,9 +352,9 @@ func TestOneEngineDriverInCore(t *testing.T) {
 			return true
 		})
 	}
-	for _, call := range []string{"engine.Run", "platform.NewMultiExecutor"} {
-		if calls[call] != 1 {
-			t.Errorf("%d %s calls in non-test core, want 1", calls[call], call)
+	for call, want := range map[string]int{"engine.Run": 0, "platform.NewMultiExecutor": 1} {
+		if calls[call] != want {
+			t.Errorf("%d %s calls in non-test core, want %d", calls[call], call, want)
 		}
 	}
 }

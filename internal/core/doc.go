@@ -2,14 +2,13 @@
 // workflow construction, planning, platform simulation and statistics into
 // runs of the blast2cap3 workflow (build → plan → run → statistics).
 //
-// Experiment runs the paper's reproduction grid (RunSerial, RunAll), and
+// Experiment runs the paper's reproduction grid (RunAll), and
 // EnsembleExperiment runs ensembles over a shared platform pool. The
 // figures of cmd/experiments — Fig. 4 and Fig. 5, the ablations of
 // DESIGN.md, the cloud comparison and the cluster-size, seed and policy
 // sweeps — are scenario documents (examples/scenarios/figures) compiled by
-// package scenario onto EnsembleExperiment, not code here; experiments
-// calls this package only for the serial baseline (RunSerial), and
-// `pegflow ensemble` not at all (it runs a one-cell document).
+// package scenario onto EnsembleExperiment, not code here; no command
+// imports this package.
 //
 // There is one run path. EnsembleExperiment.Run plans N member workflows
 // across a site set under a policy and executes them on a shared platform
@@ -24,9 +23,11 @@
 // workload, and nothing here defaults one. Its platforms are seeded with
 // PlatformSeed(Seed, N), which nothing can override, so any front end that
 // runs a (seed, n) ensemble runs the same one. Run is the only function
-// here that builds a pool and drives member engines; RunSerial (a one-job
-// DAX) alone plans directly and calls engine.Run, which is also the
-// reference the equality tests compare the one path against. Whether
+// here that builds a pool and drives member engines, and nothing here calls
+// engine.Run, which is the reference the equality tests compare the one
+// path against. RunAll's serial baseline is not a run: one job on one
+// noiseless slot takes exactly its runtime, so it is the cost model's
+// SerialSeconds, rounded as a runtime profile carries it. Whether
 // member plans carry stage-in jobs is ensemble.StageIn of Sites, the rule
 // every front end shares, so a one-site experiment plans none.
 //

@@ -35,7 +35,7 @@ func over(e *EnsembleExperiment, sites []workflow.Site) (*EnsembleExperiment, er
 // PaperEnsemble is the tests' ensemble over the paper's two-site world
 // (Sandhills + OSG).
 func PaperEnsemble(seed uint64, workflows, n int, policy string) (*EnsembleExperiment, error) {
-	sites, err := workflow.PresetSites(Platforms)
+	sites, err := workflow.PresetSites(platforms)
 	if err != nil {
 		return nil, err
 	}

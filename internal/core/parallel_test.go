@@ -102,7 +102,7 @@ func TestRunAllParallelSerialEquivalence(t *testing.T) {
 	if s, p := serial.Serial.WallTime(), parallel.Serial.WallTime(); s != p {
 		t.Errorf("serial baseline differs: %v vs %v", s, p)
 	}
-	for _, pf := range Platforms {
+	for _, pf := range platforms {
 		for _, n := range PaperNValues {
 			a, b := serial.Runs[pf][n], parallel.Runs[pf][n]
 			if a.WallTime() != b.WallTime() {

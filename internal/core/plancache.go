@@ -11,7 +11,6 @@
 package core
 
 import (
-	"strconv"
 	"sync/atomic"
 
 	"pegflow/internal/lru"
@@ -132,16 +131,6 @@ func cacheable(w workflow.Workload) bool {
 	return w.Params != (workflow.WorkloadParams{}) && len(w.Clusters) > 0
 }
 
-// roundMillis rounds x as the DAX builder's runtime profile does — "%.3f"
-// formatted, then parsed back by the planner — bit for bit and without
-// allocating: the digits never leave the stack buffer.
-func roundMillis(x float64) float64 {
-	var buf [32]byte
-	// 'f' digits of a float64 always parse; there is no error to report.
-	v, _ := strconv.ParseFloat(string(strconv.AppendFloat(buf[:0], x, 'f', 3, 64)), 64)
-	return v
-}
-
 // chunkCacheBytes is the chunk-seconds cache's budget: 32 MiB holds the
 // paper grid (n ∈ {10, 100, 300, 500}) for ≈ 4,000 seeds, or ≈ 7,900
 // (seed, n) pairs at n = 500. It is a constant, not an option: an entry is
@@ -201,7 +190,7 @@ func roundedChunkSeconds(cost workflow.CostModel, w workflow.Workload, n int) ([
 		return nil, err
 	}
 	for i := range chunks {
-		chunks[i] = roundMillis(chunks[i])
+		chunks[i] = workflow.RoundMillis(chunks[i])
 	}
 	if keyed {
 		chunkCache.Put(key, chunks)

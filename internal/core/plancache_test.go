@@ -23,8 +23,8 @@ func sprintfRound(t testing.TB, x float64) float64 {
 }
 
 func checkRoundMillis(t testing.TB, x float64) {
-	if got, want := roundMillis(x), sprintfRound(t, x); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("roundMillis(%v) = %v (%#x), \"%%.3f\" round trip gives %v (%#x)",
+	if got, want := workflow.RoundMillis(x), sprintfRound(t, x); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("RoundMillis(%v) = %v (%#x), \"%%.3f\" round trip gives %v (%#x)",
 			x, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
@@ -43,10 +43,11 @@ func roundMillisCorpus() []float64 {
 	return xs
 }
 
-// TestRoundMillisMatchesSprintf: the allocation-free rounding is the "%.3f"
-// round trip bit for bit — over the corpus, a pseudo-random sweep of
-// magnitudes, and the real chunk runtimes of the paper preset — and
-// allocates nothing.
+// TestRoundMillisMatchesSprintf: workflow.RoundMillis, the rounding this
+// package's chunk-seconds cache and serial baseline both apply in place of
+// a DAX profile, is the "%.3f" round trip bit for bit — over the corpus, a
+// pseudo-random sweep of magnitudes, and the real chunk runtimes of the
+// paper preset — and allocates nothing.
 func TestRoundMillisMatchesSprintf(t *testing.T) {
 	for _, x := range roundMillisCorpus() {
 		checkRoundMillis(t, x)
@@ -68,8 +69,8 @@ func TestRoundMillisMatchesSprintf(t *testing.T) {
 		}
 	}
 	x := 1234.56789
-	if got := testing.AllocsPerRun(100, func() { x = roundMillis(x + 0.0007) }); got != 0 {
-		t.Errorf("roundMillis allocates %v times per call, want 0", got)
+	if got := testing.AllocsPerRun(100, func() { x = workflow.RoundMillis(x + 0.0007) }); got != 0 {
+		t.Errorf("RoundMillis allocates %v times per call, want 0", got)
 	}
 }
 

@@ -19,15 +19,15 @@
 //
 // Execution is single-threaded and deterministic: Run is one loop on the
 // caller's goroutine that pulls the pool's next terminal event and hands it
-// to the session of the member that submitted the attempt. For a fixed seed the interleaving — and therefore every
-// statistic — is bit-identical across runs, a single workflow is exactly
-// an ensemble of one, and a panic in a member's policy unwinds to Run's
-// caller. Only planning fans out, over independent members, on pool.ForEach:
-// PlanAll resolves each member's abstract workflow and plans it;
-// PlanMember is its per-member step for a member that arrives as a
-// planner.Resolved master (package core's plan cache shares one per
-// workflow shape, and fans its own members out) — placement under a fresh
-// policy, clustering, failover. PlanAll is Resolve plus that same step.
+// to the session of the member that submitted the attempt. For a fixed
+// seed the interleaving — and therefore every statistic — is bit-identical
+// across runs, a single workflow is exactly an ensemble of one, and a panic
+// in a member's policy unwinds to Run's caller. Planning is a plain loop
+// too: PlanAll resolves each member's abstract workflow and plans it, one
+// member after another. PlanMember is its per-member step for a member that
+// arrives as a planner.Resolved master (package core's plan cache shares one
+// per workflow shape) — placement under a fresh policy, clustering,
+// failover. PlanAll is Resolve plus that same step.
 //
 // Result.Release hands the storage a run used — the platform pool and the
 // member plans — to later runs, for a caller that owns them all (a

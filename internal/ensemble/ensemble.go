@@ -7,7 +7,6 @@ import (
 	"pegflow/internal/engine"
 	"pegflow/internal/kickstart"
 	"pegflow/internal/planner"
-	"pegflow/internal/pool"
 	"pegflow/internal/sim/platform"
 	"pegflow/internal/stats"
 )
@@ -166,7 +165,9 @@ type PlanOptions struct {
 	// target sites (planner.Failover), so jobs evicted on one pool site
 	// are re-resolved and resubmitted to a sibling.
 	Failover bool
-	// Workers bounds planning parallelism (<= 0 means all CPUs).
+	// Deprecated: PlanAll ignores Workers and plans its members one after
+	// another. The field stays only so that callers which still set it
+	// compile.
 	Workers int
 }
 
@@ -197,30 +198,27 @@ type ResolvedSource struct {
 }
 
 // PlanAll maps every source onto the target sites under a fresh instance
-// of the named policy, fanning the independent planning runs across the
-// shared worker pool. Results are identical for any worker count: each
-// member gets its own policy state, so plans do not depend on planning
-// order.
+// of the named policy, one member after another. Each member gets its own
+// policy state, so plans do not depend on planning order.
 func PlanAll(srcs []WorkflowSource, cats planner.Catalogs, opts PlanOptions) ([]Spec, error) {
 	specs := make([]Spec, len(srcs))
-	err := pool.ForEach(opts.Workers, len(srcs), func(i int) error {
-		r, err := planner.Resolve(srcs[i].Abstract, cats, planner.MultiOptions{
+	for i, src := range srcs {
+		r, err := planner.Resolve(src.Abstract, cats, planner.MultiOptions{
 			Sites:      opts.Sites,
 			AddStageIn: StageIn(opts.Sites),
 		})
 		if err != nil {
-			return fmt.Errorf("ensemble: planning %q: %w", srcs[i].Name, err)
+			return nil, fmt.Errorf("ensemble: planning %q: %w", src.Name, err)
 		}
 		specs[i], err = PlanMember(ResolvedSource{
-			Name:       srcs[i].Name,
+			Name:       src.Name,
 			Master:     r,
-			Priority:   srcs[i].Priority,
-			RetryLimit: srcs[i].RetryLimit,
+			Priority:   src.Priority,
+			RetryLimit: src.RetryLimit,
 		}, cats, opts)
-		return err
-	})
-	if err != nil {
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
 	}
 	return specs, nil
 }
@@ -230,7 +228,7 @@ func PlanAll(srcs []WorkflowSource, cats planner.Catalogs, opts PlanOptions) ([]
 // clustering, failover — so nothing it does is proportional to building a
 // graph once the master's shapes are materialized. opts.Sites must be the
 // site list the master was resolved with, with AddStageIn from
-// StageIn(opts.Sites); opts.Workers is the caller's business.
+// StageIn(opts.Sites).
 func PlanMember(src ResolvedSource, cats planner.Catalogs, opts PlanOptions) (Spec, error) {
 	pol, err := planner.NewPolicy(opts.Policy)
 	if err != nil {

@@ -97,10 +97,10 @@ func testSources(t *testing.T, n int) []WorkflowSource {
 	return srcs
 }
 
-func runEnsemble(t *testing.T, seed uint64, workers, maxInFlight int, policy string) (*Result, []Spec) {
+func runEnsemble(t *testing.T, seed uint64, maxInFlight int, policy string) (*Result, []Spec) {
 	t.Helper()
 	cats := testCatalogs(t)
-	specs, err := PlanAll(testSources(t, 8), cats, PlanOptions{Sites: []string{"alpha", "beta"}, Policy: policy, Workers: workers})
+	specs, err := PlanAll(testSources(t, 8), cats, PlanOptions{Sites: []string{"alpha", "beta"}, Policy: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,12 @@ func runEnsemble(t *testing.T, seed uint64, workers, maxInFlight int, policy str
 }
 
 // Acceptance: an ensemble of 8 workflows across 2 sites is deterministic
-// for a fixed seed — byte-identical JSON stats across repeated runs and
-// across planning worker counts.
+// for a fixed seed — byte-identical JSON stats across repeated runs.
 func TestEnsembleDeterministic(t *testing.T) {
 	for _, policy := range planner.PolicyNames() {
 		var first []byte
-		for run, workers := range []int{1, 4, 8} {
-			res, _ := runEnsemble(t, 42, workers, 24, policy)
+		for run := range 3 {
+			res, _ := runEnsemble(t, 42, 24, policy)
 			var buf bytes.Buffer
 			if err := res.Report(policy).WriteJSON(&buf); err != nil {
 				t.Fatal(err)
@@ -132,15 +131,15 @@ func TestEnsembleDeterministic(t *testing.T) {
 				continue
 			}
 			if !bytes.Equal(first, buf.Bytes()) {
-				t.Fatalf("policy %s: run with %d workers differs from first run:\n%s\n---\n%s",
-					policy, workers, first, buf.Bytes())
+				t.Fatalf("policy %s: run %d differs from the first:\n%s\n---\n%s",
+					policy, run, first, buf.Bytes())
 			}
 		}
 	}
 }
 
 func TestEnsembleCompletesAllWorkflows(t *testing.T) {
-	res, specs := runEnsemble(t, 7, 0, 0, planner.PolicyDataAware)
+	res, specs := runEnsemble(t, 7, 0, planner.PolicyDataAware)
 	if len(res.Workflows) != len(specs) {
 		t.Fatalf("got %d workflow results, want %d", len(res.Workflows), len(specs))
 	}
@@ -174,7 +173,7 @@ func TestEnsembleCompletesAllWorkflows(t *testing.T) {
 // The global throttle bounds concurrently busy slots across the pool.
 func TestEnsembleGlobalThrottle(t *testing.T) {
 	const cap = 3
-	res, _ := runEnsemble(t, 11, 1, cap, planner.PolicyRoundRobin)
+	res, _ := runEnsemble(t, 11, cap, planner.PolicyRoundRobin)
 	for _, s := range res.Sites {
 		// Per-site maxima are reached at different times, so only each
 		// individual site is bounded by the global in-flight cap.
@@ -183,7 +182,7 @@ func TestEnsembleGlobalThrottle(t *testing.T) {
 		}
 	}
 	throttled := res.Makespan
-	free, _ := runEnsemble(t, 11, 1, 0, planner.PolicyRoundRobin)
+	free, _ := runEnsemble(t, 11, 0, planner.PolicyRoundRobin)
 	if throttled <= free.Makespan {
 		t.Errorf("throttled makespan %v not larger than unthrottled %v", throttled, free.Makespan)
 	}
@@ -197,7 +196,7 @@ func TestEnsemblePriorityOrdering(t *testing.T) {
 		{Name: "low", Abstract: fanDAX(t, "low", 8, 30), Priority: 1, RetryLimit: 5},
 		{Name: "high", Abstract: fanDAX(t, "high", 8, 30), Priority: 10, RetryLimit: 5},
 	}
-	specs, err := PlanAll(srcs, cats, PlanOptions{Sites: []string{"alpha"}, Policy: planner.PolicyRoundRobin, Workers: 1})
+	specs, err := PlanAll(srcs, cats, PlanOptions{Sites: []string{"alpha"}, Policy: planner.PolicyRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +216,7 @@ func TestEnsemblePriorityOrdering(t *testing.T) {
 
 func TestEnsembleRejectsBadSpecs(t *testing.T) {
 	cats := testCatalogs(t)
-	specs, err := PlanAll(testSources(t, 2), cats, PlanOptions{Sites: []string{"alpha"}, Policy: planner.PolicyRoundRobin, Workers: 1})
+	specs, err := PlanAll(testSources(t, 2), cats, PlanOptions{Sites: []string{"alpha"}, Policy: planner.PolicyRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +232,7 @@ func TestEnsembleRejectsBadSpecs(t *testing.T) {
 		t.Error("no error for duplicate names")
 	}
 	// A plan targeting a site missing from the pool is rejected up front.
-	multi, err := PlanAll(testSources(t, 1), cats, PlanOptions{Sites: []string{"alpha", "beta"}, Policy: planner.PolicyRoundRobin, Workers: 1})
+	multi, err := PlanAll(testSources(t, 1), cats, PlanOptions{Sites: []string{"alpha", "beta"}, Policy: planner.PolicyRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +243,7 @@ func TestEnsembleRejectsBadSpecs(t *testing.T) {
 
 func TestPlanAllUnknownPolicy(t *testing.T) {
 	cats := testCatalogs(t)
-	if _, err := PlanAll(testSources(t, 1), cats, PlanOptions{Sites: []string{"alpha"}, Policy: "nope", Workers: 1}); err == nil {
+	if _, err := PlanAll(testSources(t, 1), cats, PlanOptions{Sites: []string{"alpha"}, Policy: "nope"}); err == nil {
 		t.Error("no error for unknown policy")
 	}
 }
@@ -267,7 +266,7 @@ func grid(seed uint64) platform.Config {
 func TestEnsembleOfOneEqualsEngineRun(t *testing.T) {
 	specs, err := PlanAll([]WorkflowSource{{Name: "solo", Abstract: fanDAX(t, "solo", 400, 200), RetryLimit: 50}},
 		testCatalogs(t), PlanOptions{
-			Sites: []string{"beta"}, Policy: planner.PolicyRoundRobin, Workers: 1,
+			Sites: []string{"beta"}, Policy: planner.PolicyRoundRobin,
 			Cluster: planner.ClusterOptions{MaxTasksPerJob: 4},
 		})
 	if err != nil {
@@ -352,7 +351,7 @@ func TestEnsembleOfOneEqualsEngineRunOnFaultyPool(t *testing.T) {
 	sites := []string{"alpha", "beta"}
 	specs, err := PlanAll([]WorkflowSource{{Name: "solo", Abstract: fanDAX(t, "solo", 60, 150), RetryLimit: 30}},
 		cats, PlanOptions{
-			Sites: sites, Policy: planner.PolicyDataAware, Workers: 1, Failover: true,
+			Sites: sites, Policy: planner.PolicyDataAware, Failover: true,
 			Cluster: planner.ClusterOptions{MaxTasksPerJob: 3},
 		})
 	if err != nil {
@@ -424,7 +423,7 @@ func TestEnsembleOfOneEqualsEngineRunOnFaultyPool(t *testing.T) {
 // must leave no goroutine behind.
 func TestMemberPanicSurfacesOnCaller(t *testing.T) {
 	specs, err := PlanAll(testSources(t, 3), testCatalogs(t),
-		PlanOptions{Sites: []string{"beta"}, Policy: planner.PolicyRoundRobin, Workers: 1})
+		PlanOptions{Sites: []string{"beta"}, Policy: planner.PolicyRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +452,7 @@ func TestMemberPanicSurfacesOnCaller(t *testing.T) {
 // completion; Run then reports the first failed member in spec order.
 func TestMemberErrorDropsStragglersAndReportsFirst(t *testing.T) {
 	specs, err := PlanAll(testSources(t, 4), testCatalogs(t),
-		PlanOptions{Sites: []string{"beta"}, Policy: planner.PolicyRoundRobin, Workers: 1})
+		PlanOptions{Sites: []string{"beta"}, Policy: planner.PolicyRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +529,7 @@ func TestHoldQueueReleaseOrder(t *testing.T) {
 // deadlock as an error, not panic and not spin.
 func TestRunReportsDryKernelAsDeadlock(t *testing.T) {
 	specs, err := PlanAll(testSources(t, 1), testCatalogs(t),
-		PlanOptions{Sites: []string{"alpha"}, Policy: planner.PolicyRoundRobin, Workers: 1})
+		PlanOptions{Sites: []string{"alpha"}, Policy: planner.PolicyRoundRobin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +556,7 @@ func TestRunReportsDryKernelAsDeadlock(t *testing.T) {
 // unusable, while the rest of the result stays readable and a second run on
 // the released storage reports the same.
 func TestReleasedResultHandsBackStorage(t *testing.T) {
-	res, specs := runEnsemble(t, 3, 1, 0, planner.PolicyDataAware)
+	res, specs := runEnsemble(t, 3, 0, planner.PolicyDataAware)
 	want := res.Report("data-aware")
 	pool := res.pool
 	res.Release()
@@ -583,7 +582,7 @@ func TestReleasedResultHandsBackStorage(t *testing.T) {
 			use()
 		}()
 	}
-	again, _ := runEnsemble(t, 3, 1, 0, planner.PolicyDataAware)
+	again, _ := runEnsemble(t, 3, 0, planner.PolicyDataAware)
 	if got := again.Report("data-aware"); !reflect.DeepEqual(got, want) {
 		t.Errorf("a run on released storage reports\n%+v\nwant\n%+v", got, want)
 	}

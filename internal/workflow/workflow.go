@@ -376,6 +376,17 @@ const runtimeKey = "pegasus::runtime"
 // carry it, "%.3f".
 func formatRuntime(seconds float64) string { return strconv.FormatFloat(seconds, 'f', 3, 64) }
 
+// RoundMillis is the runtime a job's profile hands the planner for an
+// estimate of seconds: formatRuntime's "%.3f", parsed back. It is bit for
+// bit that round trip and allocates nothing, since the digits never leave
+// the stack buffer.
+func RoundMillis(seconds float64) float64 {
+	var buf [32]byte
+	// 'f' digits of a float64 always parse; there is no error to report.
+	v, _ := strconv.ParseFloat(string(strconv.AppendFloat(buf[:0], seconds, 'f', 3, 64)), 64)
+	return v
+}
+
 // BuildDAX constructs the abstract blast2cap3 workflow for n chunks.
 func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 	if cfg.N <= 0 {
@@ -482,27 +493,6 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 		return nil, err
 	}
 
-	if err := wf.Validate(); err != nil {
-		return nil, err
-	}
-	return wf, nil
-}
-
-// BuildSerialDAX constructs the one-job workflow representing the original
-// serial blast2cap3 (the paper's baseline).
-func BuildSerialDAX(w Workload, cost CostModel) (*dax.Workflow, error) {
-	if cost == (CostModel{}) {
-		cost = DefaultCostModel()
-	}
-	wf := dax.New("blast2cap3-serial")
-	j := wf.NewJob("blast2cap3_serial", TrSerial).
-		AddInput("transcripts.fasta", w.TranscriptBytes).
-		AddInput("alignments.out", w.AlignmentBytes).
-		AddOutput("final_assembly.fasta", w.TranscriptBytes/2)
-	j.Args = []string{"transcripts.fasta", "alignments.out"}
-	if len(w.Clusters) > 0 {
-		j.Profiles = map[string]string{runtimeKey: formatRuntime(cost.SerialSeconds(w))}
-	}
 	if err := wf.Validate(); err != nil {
 		return nil, err
 	}

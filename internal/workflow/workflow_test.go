@@ -257,24 +257,6 @@ func TestAllocsBuildDAX(t *testing.T) {
 	}
 }
 
-func TestBuildSerialDAX(t *testing.T) {
-	w := PaperWorkload(42)
-	wf, err := BuildSerialDAX(w, DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wf.Len() != 1 {
-		t.Fatalf("serial DAX has %d jobs", wf.Len())
-	}
-	j := wf.Jobs()[0]
-	if j.Transformation != TrSerial {
-		t.Errorf("transformation = %s", j.Transformation)
-	}
-	if j.Profile("pegasus", "runtime") == "" {
-		t.Error("serial job missing runtime")
-	}
-}
-
 func TestPaperCatalogsTwoWorlds(t *testing.T) {
 	w := PaperWorkload(42)
 	cats, err := PaperCatalogs(w, 300, 600)

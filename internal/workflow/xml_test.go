@@ -48,21 +48,3 @@ func TestBlast2cap3DAXRoundTrip(t *testing.T) {
 		t.Errorf("critical path after round trip = %d, %v", cp, err)
 	}
 }
-
-func TestSerialDAXRoundTrip(t *testing.T) {
-	wf, err := BuildSerialDAX(PaperWorkload(7), DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := wf.WriteXML(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dax.ReadXML(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 || got.Jobs()[0].Transformation != TrSerial {
-		t.Errorf("round trip = %+v", got.Jobs())
-	}
-}
