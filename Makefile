@@ -30,7 +30,7 @@ test:
 # stack-dumped failure instead of a hung job.
 race:
 	$(GO) test -race -count=2 -timeout 120s ./internal/server/... ./internal/scenario ./internal/lru ./internal/pool
-	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce|TestFirstRetrievalBuildsOnce|TestConcurrentReadersShareOneTopology|TestWarmRunEqualsFresh|TestCloneAfterReleaseIsIndependent|TestWarmCellsMatchGoldens' ./internal/core ./internal/planner ./internal/workflow ./internal/dax ./internal/sim/platform ./internal/scenario
+	$(GO) test -race -count=10 -timeout 120s -run 'TestCachedMasterUnchangedByConcurrentCells|TestPlanCloneDeeplyIndependent|TestGraphViewIsPrivate|TestResolvedUnchangedByConcurrentPlans|TestWorldKeyComputedOnce|TestFirstRetrievalBuildsOnce|TestConcurrentReadersShareOneTopology|TestWarmRunEqualsFresh|TestCloneAfterReleaseIsIndependent|TestWarmCellsMatchGoldens' ./internal/planner ./internal/workflow ./internal/dax ./internal/sim/platform ./internal/scenario
 
 # The allocation gates CI runs, the one guard of the zero-allocation
 # kernel: zero-alloc kernel events, one-off and periodic (TestAllocsSeries),
@@ -57,7 +57,7 @@ race:
 # whose Add, Merge and Quantile allocate nothing (TestAllocsSketch).
 # TestShapeCache*: shape-cache charges within 2× of the heap; budget ≥ 4× big_run's shape.
 allocs:
-	$(GO) test -run 'TestAllocs|TestShapeCache' -count=1 ./internal/sim/des ./internal/fifo ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/core ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario ./internal/stats ./internal/stats/quantile
+	$(GO) test -run 'TestAllocs|TestShapeCache' -count=1 ./internal/sim/des ./internal/fifo ./internal/sim/platform ./internal/ensemble ./internal/engine ./internal/planner ./internal/workflow ./internal/lru ./internal/scenario ./internal/stats ./internal/stats/quantile
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): five workloads
 # through the two front doors, ~5 min; bench-quick is the ~5 s smoke of the

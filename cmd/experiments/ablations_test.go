@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pegflow/examples/scenarios/figures"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
@@ -11,7 +12,7 @@ import (
 // figureRows runs a figure document at the canonical seed.
 func figureRows(t *testing.T, name string) []figureRow {
 	t.Helper()
-	_, rows, err := runFigure(name, canonicalSeed)
+	_, rows, err := runFigure(name, figures.CanonicalSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

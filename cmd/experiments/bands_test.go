@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"pegflow/examples/scenarios/figures"
 	"pegflow/internal/workflow"
 )
 
@@ -14,7 +15,7 @@ import (
 // dedicated campus cluster finishes before OSG at every n (paper §VI.A,
 // Fig. 4) — not only on average.
 func TestBandSandhillsFasterEverySeed(t *testing.T) {
-	c, rows, err := runFigure("seeds.json", canonicalSeed)
+	c, rows, err := runFigure("seeds.json", figures.CanonicalSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestBandSandhillsFasterEverySeed(t *testing.T) {
 // than Sandhills'; and the CAP3 kickstart time falls as the data is cut
 // into more chunks, on both platforms.
 func TestBandFig5PhaseShape(t *testing.T) {
-	c, rows, err := runFigure("paper-grid.json", canonicalSeed)
+	c, rows, err := runFigure("paper-grid.json", figures.CanonicalSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pegflow/examples/scenarios/figures"
 )
 
 // update regenerates the figure goldens (make figures does, and also
@@ -19,7 +21,7 @@ func TestFigureGoldens(t *testing.T) {
 	for _, fig := range []string{"4", "5", "ablations", "cloud", "seeds", "ensemble", "cluster"} {
 		t.Run(fig, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := run(&buf, fig, canonicalSeed, ""); err != nil {
+			if err := run(&buf, fig, figures.CanonicalSeed, ""); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "fig_"+fig+".golden")
@@ -45,7 +47,7 @@ func TestFigureGoldens(t *testing.T) {
 func TestClusterFigureWritesBenchCluster(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_cluster.json")
 	var buf bytes.Buffer
-	if err := run(&buf, "cluster", canonicalSeed, out); err != nil {
+	if err := run(&buf, "cluster", figures.CanonicalSeed, out); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(out)

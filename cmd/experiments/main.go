@@ -120,14 +120,6 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// serialSeconds is the wall time of the serial blast2cap3 baseline on one
-// dedicated Sandhills core (paper §V.B: 100 hours) at seed: the cost
-// model's serial running time of the paper workload, as a runtime profile
-// carries it. One job on one noiseless slot runs exactly that long.
-func serialSeconds(seed uint64) float64 {
-	return workflow.RoundMillis(workflow.DefaultCostModel().SerialSeconds(workflow.PaperWorkload(seed)))
-}
-
 // fig4 renders paper-grid.json's wall times beside the serial baseline.
 func fig4(w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "== Figure 4: workflow wall time, Sandhills vs OSG ==")
@@ -135,7 +127,7 @@ func fig4(w io.Writer, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	serial := serialSeconds(seed)
+	serial := workflow.PaperSerialSeconds(seed)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "RUN\tWALL TIME (s)\tWALL TIME\tRETRIES\tEVICTIONS")
 	fmt.Fprintf(tw, "serial (1 core)\t%.0f\t%s\t0\t0\n", serial, stats.HMS(serial))
@@ -290,11 +282,6 @@ func ablations(w io.Writer, seed uint64) error {
 	return nil
 }
 
-// canonicalSeed is the seed the figure documents are written at: -seed N
-// shifts each of their seeds by N - canonicalSeed, so the default runs them
-// exactly as checked in.
-const canonicalSeed = 42
-
 // figureRow is the part of a scenario cell row the figures render.
 type figureRow struct {
 	Sites                []string `json:"sites"`
@@ -344,21 +331,10 @@ func rowAt(rows []figureRow, site string, n int) (figureRow, error) {
 	return figureRow{}, fmt.Errorf("no %s n=%d cell", site, n)
 }
 
-// runFigure runs the embedded figure document name with its seeds shifted
-// for seed, and returns the compiled document and its cell rows in order.
+// runFigure runs the embedded figure document name at seed (figures.Load),
+// and returns the compiled document and its cell rows in order.
 func runFigure(name string, seed uint64) (*scenario.Compiled, []figureRow, error) {
-	data, err := figures.FS.ReadFile(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	doc, err := scenario.Parse(name, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range doc.Workload.Seeds {
-		doc.Workload.Seeds[i] += seed - canonicalSeed
-	}
-	c, err := scenario.Compile(doc)
+	c, err := figures.Load(name, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -443,7 +419,7 @@ func runSeedSweep(seed uint64) (*seedSweep, error) {
 	sw := &seedSweep{seeds: seeds, optimal: make(map[string]map[int]int)}
 	serial := make([]float64, len(seeds))
 	for i, s := range seeds {
-		serial[i] = serialSeconds(s)
+		serial[i] = workflow.PaperSerialSeconds(s)
 	}
 	sw.serial = spreadOf(serial)
 	// Rows come in grid order, site set then n then seed, one per seed and

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"pegflow/internal/core"
 	"pegflow/internal/ensemble"
 	"pegflow/internal/planner"
+	"pegflow/internal/scenario"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
 )
@@ -131,7 +131,7 @@ func TestEveryFrontEndAgreesOnStageIn(t *testing.T) {
 			if err != nil {
 				return 0, true, err
 			}
-			exp := &core.EnsembleExperiment{
+			exp := &scenario.EnsembleExperiment{
 				Seed: seed, Workflows: 1, N: n, Policy: planner.PolicyDataAware,
 				World: world, Sites: sites, RetryLimit: 5, Failover: failover,
 				MemberWorkload: func(int) workflow.Workload { return workflow.PaperWorkload(seed) },

@@ -1,17 +1,17 @@
 package core
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 
+	"pegflow/examples/scenarios/figures"
 	"pegflow/internal/dax"
 	"pegflow/internal/engine"
 	"pegflow/internal/planner"
+	"pegflow/internal/scenario"
 	"pegflow/internal/sim/platform"
 	"pegflow/internal/stats"
 	"pegflow/internal/workflow"
@@ -23,6 +23,9 @@ import (
 // they hold for this seed and, qualitatively, for most seeds — the paper
 // itself notes run-to-run variability on opportunistic resources (§VI.A).
 const canonicalSeed = 42
+
+// platforms are the two execution platforms compared in the paper.
+var platforms = []string{"sandhills", "osg"}
 
 func runAll(t *testing.T) *AllResults {
 	t.Helper()
@@ -49,7 +52,7 @@ func serialOracle(t *testing.T, seed uint64) stats.Summary {
 	j.Profiles = map[string]string{
 		"pegasus::runtime": strconv.FormatFloat(workflow.DefaultCostModel().SerialSeconds(w), 'f', 3, 64),
 	}
-	world, err := paperWorld()
+	world, err := workflow.NewWorld(workflow.PaperSites(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +99,7 @@ func TestSerialBaselineNearHundredHours(t *testing.T) {
 }
 
 func TestFig4SandhillsN10NearPaper(t *testing.T) {
-	e := DefaultExperiment(canonicalSeed)
-	r, err := e.runWorkflow("sandhills", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAll(t).Runs["sandhills"][10]
 	// Paper: 41,593 s. Accept ±15%.
 	if w := r.WallTime(); w < 35354 || w > 47832 {
 		t.Errorf("sandhills n=10 wall = %.0f s, want ≈41,593 s ±15%%", w)
@@ -277,36 +276,32 @@ func TestOSGFailuresObservedSandhillsNone(t *testing.T) {
 	}
 }
 
+// TestDeterminism: two RunAll calls at one seed give the same grid, cell
+// for cell.
 func TestDeterminism(t *testing.T) {
-	a, err := DefaultExperiment(canonicalSeed).runWorkflow("osg", 100)
+	a, err := DefaultExperiment(canonicalSeed).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := DefaultExperiment(canonicalSeed).runWorkflow("osg", 100)
+	b, err := DefaultExperiment(canonicalSeed).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.WallTime() != b.WallTime() {
-		t.Errorf("same seed differs: %.3f vs %.3f", a.WallTime(), b.WallTime())
-	}
-	if a.Result.Log.Len() != b.Result.Log.Len() {
-		t.Errorf("log lengths differ: %d vs %d", a.Result.Log.Len(), b.Result.Log.Len())
-	}
-}
-
-func TestUnknownPlatformRejected(t *testing.T) {
-	e := DefaultExperiment(1)
-	if _, err := e.runWorkflow("ec2", 10); err == nil {
-		t.Error("unknown platform accepted")
+	for _, p := range platforms {
+		for _, n := range PaperNValues {
+			ra, rb := a.Runs[p][n], b.Runs[p][n]
+			if ra.Summary != rb.Summary || !reflect.DeepEqual(ra.PerTask, rb.PerTask) {
+				t.Errorf("%s n=%d: same seed differs: %+v vs %+v", p, n, ra.Summary, rb.Summary)
+			}
+			if ra.Result.Log.Len() != rb.Result.Log.Len() {
+				t.Errorf("%s n=%d: log lengths differ: %d vs %d", p, n, ra.Result.Log.Len(), rb.Result.Log.Len())
+			}
+		}
 	}
 }
 
 func TestSummaryConsistency(t *testing.T) {
-	e := DefaultExperiment(canonicalSeed)
-	r, err := e.runWorkflow("sandhills", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAll(t).Runs["sandhills"][100]
 	// 100 cap3 + 5 fixed jobs.
 	if r.Summary.Jobs != 105 {
 		t.Errorf("Jobs = %d, want 105", r.Summary.Jobs)
@@ -320,6 +315,47 @@ func TestSummaryConsistency(t *testing.T) {
 	}
 }
 
+// TestRunAllParallelSerialEquivalence: RunAll is a view of paper-grid.json.
+// The document's NDJSON rows are byte-identical at one worker and at eight,
+// and every row carries the wall time, retries, evictions and
+// per-transformation tables of RunAll's cell.
+func TestRunAllParallelSerialEquivalence(t *testing.T) {
+	c, err := figures.Load("paper-grid.json", canonicalSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) [][]byte {
+		lines, err := c.Run(scenario.RunOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lines
+	}
+	serial, parallel := run(1), run(8)
+	if !bytes.Equal(bytes.Join(serial, []byte("\n")), bytes.Join(parallel, []byte("\n"))) {
+		t.Fatal("paper-grid.json rows differ between 1 and 8 workers")
+	}
+	all := runAll(t)
+	for i, cell := range c.Cells {
+		var row struct {
+			Makespan          float64             `json:"makespan_s"`
+			Retries           int                 `json:"retries"`
+			Evictions         int                 `json:"evictions"`
+			PerTransformation [][]stats.TaskStats `json:"per_transformation"`
+		}
+		if err := json.Unmarshal(serial[i+1], &row); err != nil {
+			t.Fatal(err)
+		}
+		r := all.Runs[cell.SiteSet[0]][cell.N]
+		if row.Makespan != r.WallTime() || row.Retries != r.Result.Retries || row.Evictions != r.Result.Evictions ||
+			!reflect.DeepEqual(row.PerTransformation, [][]stats.TaskStats{r.PerTask}) {
+			t.Errorf("%s n=%d: document row %.3f s, %d retries, %d evictions; RunAll %.3f s, %d, %d",
+				cell.SiteSet[0], cell.N, row.Makespan, row.Retries, row.Evictions,
+				r.WallTime(), r.Result.Retries, r.Result.Evictions)
+		}
+	}
+}
+
 func findTask(rows []stats.TaskStats, name string) *stats.TaskStats {
 	for i := range rows {
 		if rows[i].Transformation == name {
@@ -327,34 +363,4 @@ func findTask(rows []stats.TaskStats, name string) *stats.TaskStats {
 		}
 	}
 	return nil
-}
-
-// TestOneEngineDriverInCore parses the package's non-test sources: no
-// engine.Run call and one platform.NewMultiExecutor call
-// (EnsembleExperiment.Run), so no experiment has a run path of its own.
-func TestOneEngineDriverInCore(t *testing.T) {
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := map[string]int{}
-	for _, pkg := range pkgs {
-		ast.Inspect(pkg, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok {
-						calls[x.Name+"."+sel.Sel.Name]++
-					}
-				}
-			}
-			return true
-		})
-	}
-	for call, want := range map[string]int{"engine.Run": 0, "platform.NewMultiExecutor": 1} {
-		if calls[call] != want {
-			t.Errorf("%d %s calls in non-test core, want %d", calls[call], call, want)
-		}
-	}
 }

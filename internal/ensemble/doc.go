@@ -25,7 +25,7 @@
 // in a member's policy unwinds to Run's caller. Planning is a plain loop
 // too: PlanAll resolves each member's abstract workflow and plans it, one
 // member after another. PlanMember is its per-member step for a member that
-// arrives as a planner.Resolved master (package core's plan cache shares one
+// arrives as a planner.Resolved master (package scenario's plan cache shares one
 // per workflow shape) — placement under a fresh policy, clustering,
 // failover. PlanAll is Resolve plus that same step.
 //

@@ -20,6 +20,6 @@
 //
 // Users: the serve tier's cell-result cache (internal/server/resultcache),
 // the per-seed chunk-runtime cache, the plan cache and the member-DAX
-// cache (internal/core), and the two workload memo tables
+// cache (internal/scenario), and the two workload memo tables
 // (internal/workflow). Every process-wide cache under internal/ is one.
 package lru

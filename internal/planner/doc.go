@@ -47,7 +47,7 @@
 // a children arena and indegrees, and it runs Kahn's algorithm as
 // dax.Workflow.TopoSort does and refuses a cycle. Plan.Clone copies the slab
 // and shares the rest (two allocations at any size), which is what the plan
-// cache in package core hands to each sweep cell; Plan.Release hands a
+// cache in package scenario hands to each sweep cell; Plan.Release hands a
 // private plan's slab to a later Clone (then one allocation), leaving the
 // released plan unusable. Plan.Graph derives the
 // dax.Workflow view on every call, for any plan the same way: jobs in

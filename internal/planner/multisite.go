@@ -215,7 +215,7 @@ func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, 
 // sites, and the external inputs a stage-in job would transfer. It is
 // immutable apart from the memo of materialized shapes and safe for
 // concurrent Plan calls, so one Resolved serves every plan of its workflow
-// shape (the multi-site plan cache in package core keeps one per shape).
+// shape (the multi-site plan cache in package scenario keeps one per shape).
 type Resolved struct {
 	// Materialized, when set before the first Plan call, is called once
 	// per master plan Plan builds (a memo miss).

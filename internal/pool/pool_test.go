@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
@@ -70,5 +71,29 @@ func TestForEachStopsStartingAfterFailure(t *testing.T) {
 	}
 	if got := started.Load(); got != 4 {
 		t.Errorf("serial run started %d tasks after failure at index 3, want 4", got)
+	}
+}
+
+// TestForEachBoundsConcurrency: each task stays running for a millisecond,
+// so tasks a pool started beyond its bound would overlap and raise the peak.
+func TestForEachBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	var cur, peak atomic.Int32
+	if err := ForEach(workers, 64, func(i int) error {
+		c := cur.Add(1)
+		defer cur.Add(-1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Errorf("peak concurrency %d exceeds %d workers", p, workers)
 	}
 }

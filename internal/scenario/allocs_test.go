@@ -5,8 +5,6 @@ import (
 	"os"
 	"runtime/debug"
 	"testing"
-
-	"pegflow/internal/core"
 )
 
 // warmCellAllocs is the allocation count of one warm cell: every cache the
@@ -59,8 +57,8 @@ func TestAllocsSingleSiteCell(t *testing.T) {
 		warmCellBudget  = 80
 		warmGrowthSlack = 12
 	)
-	core.ResetPlanCache()
-	defer core.ResetPlanCache()
+	ResetPlanCache()
+	defer ResetPlanCache()
 	src, err := os.ReadFile("../../examples/scenarios/paper.json")
 	if err != nil {
 		t.Fatal(err)

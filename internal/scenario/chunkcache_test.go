@@ -1,4 +1,4 @@
-package core
+package scenario
 
 import (
 	"math"
@@ -21,6 +21,15 @@ func directChunkSeconds(t testing.TB, cost workflow.CostModel, w workflow.Worklo
 	return chunks
 }
 
+// setChunkCacheBytes replaces the chunk-seconds cache with an empty one
+// bounded by maxBytes and returns the call that puts the original back. Not
+// safe to call while cells are running.
+func setChunkCacheBytes(maxBytes int64) (restore func()) {
+	old := chunkCache
+	chunkCache = newChunkCache(maxBytes)
+	return func() { chunkCache = old }
+}
+
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -41,7 +50,7 @@ func sameBits(a, b []float64) bool {
 // internal/lru's own test holds the bound over 10^5 keys.
 func TestChunkCacheBounded(t *testing.T) {
 	const budget = 2 << 20
-	defer SetChunkCacheBytes(budget)()
+	defer setChunkCacheBytes(budget)()
 	const n, seeds = 500, 1500
 	params := workflow.WorkloadParams{NumClusters: 700, MaxClusterSize: 40, SizeExponent: 0.5, MeanReadLen: 900}
 	cost := workflow.DefaultCostModel()

@@ -1,11 +1,8 @@
-package core_test
+package scenario
 
 import (
 	"bytes"
 	"testing"
-
-	"pegflow/internal/core"
-	"pegflow/internal/scenario"
 )
 
 // singleSiteSweep is a what-if grid whose cells differ on the axes the
@@ -19,35 +16,18 @@ const singleSiteSweep = `{
                "n": [8, 24], "seeds": [1, 2, 3, 4, 5, 6]}
 }`
 
-func runSweep(t *testing.T, workers int) []byte {
-	t.Helper()
-	d, err := scenario.Parse("chunk-cache-sweep", []byte(singleSiteSweep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := scenario.Compile(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines, err := comp.Run(scenario.RunOptions{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Join(lines, []byte("\n"))
-}
-
 // TestSweepBytesIndependentOfChunkCache: a sweep's NDJSON does not depend on
 // where a cell's chunk runtimes came from — computed (cold), resident
 // (warm), or recomputed after eviction because the cache holds one entry per
 // shard and every insertion pushes its neighbour out.
 func TestSweepBytesIndependentOfChunkCache(t *testing.T) {
-	core.ResetPlanCache()
-	defer core.ResetPlanCache()
-	start := core.PlanCacheStats()
-	cold := runSweep(t, 1)
-	afterCold := core.PlanCacheStats()
-	warm := runSweep(t, 4)
-	afterWarm := core.PlanCacheStats()
+	ResetPlanCache()
+	defer ResetPlanCache()
+	start := PlanCacheStats()
+	cold := joinLines(runLines(t, singleSiteSweep, 1))
+	afterCold := PlanCacheStats()
+	warm := joinLines(runLines(t, singleSiteSweep, 4))
+	afterWarm := PlanCacheStats()
 
 	// 24 cells ask for 12 (seed, n) pairs: each is dealt once and found
 	// once on the cold pass, and found by every cell of the warm one.
@@ -60,11 +40,10 @@ func TestSweepBytesIndependentOfChunkCache(t *testing.T) {
 
 	// 512 bytes a shard: one entry of either n fits (320 and 448 bytes
 	// charged), two do not.
-	restore := core.SetChunkCacheBytes(16 * 512)
-	defer restore()
-	shrunk := runSweep(t, 1)
-	shrunkAgain := runSweep(t, 4)
-	st := core.PlanCacheStats()
+	defer setChunkCacheBytes(16 * 512)()
+	shrunk := joinLines(runLines(t, singleSiteSweep, 1))
+	shrunkAgain := joinLines(runLines(t, singleSiteSweep, 4))
+	st := PlanCacheStats()
 	if st.ChunkEvictions == 0 || st.ChunkBytes > 16*512 {
 		t.Errorf("shrunk cache: %d evictions, %d bytes resident of %d", st.ChunkEvictions, st.ChunkBytes, 16*512)
 	}

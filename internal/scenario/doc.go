@@ -32,17 +32,41 @@
 // and seed, so a bare preset plans and runs on exactly the site
 // `pegflow run -site` does.
 //
-// Execution reuses the core facade: every cell, whatever its shape, is one
-// core.EnsembleExperiment — a single workflow is an ensemble of one, a
-// single site a pool of one — and hits core's plan cache (resolved masters
-// placed, cloned and patched per seed and policy). Compiled.Simulate runs
-// one cell; Run totals its result into the row, and callers read it whole. Whether a cell's plans
-// carry stage-in jobs follows from its site set alone (ensemble.StageIn),
-// as for every other front end. No plan-cache key holds a seed, so a
-// long-running process (pegflow serve) warms up across requests and does
-// not grow with the seeds it is asked for; the catalog fingerprint in the
-// key is the world's (World.Key),
-// computed once per document and site set by the first cell that is
-// actually simulated — never by Compile, which a request served from the
-// result cache also pays.
+// Execution has one path, and this package owns it: every cell, whatever
+// its shape, is one EnsembleExperiment (experiment.go) — a single workflow
+// is an ensemble of one, a single site a pool of one — whose Run plans the
+// members across the cell's sites and drives them on one platform pool
+// seeded with PlatformSeed(seed, n). Compiled.Simulate runs one cell; Run
+// totals its result into the row, and callers read it whole. Whether a
+// cell's plans carry stage-in jobs follows from its site set alone
+// (ensemble.StageIn), as for every other front end.
+//
+// Three process-wide caches (plancache.go), each an internal/lru cache
+// with a constant byte budget, make sweeps cheap without changing a single
+// output byte:
+//
+//   - the plan cache keeps one planner.Resolved master per (workload
+//     fingerprint, n, stage-in, fingerprint of the catalog fields planning
+//     reads over the ordered site list: World.Key). A member plan is the
+//     seed's chunk runtimes plus Resolved.Plan — a placement pass under the
+//     cell's policy, a Clone of the master plan memoized for that
+//     placement's stage-in signature, one patch of site, install and
+//     runtime fields — and equals planner.NewMulti on the member's own
+//     BuildDAX;
+//   - the member-DAX cache holds the abstract workflow per (workload
+//     fingerprint, n) the masters are resolved from; both shape caches
+//     charge an entry from its key's n and build it once under a sync.Once;
+//   - the chunk-seconds cache holds the rounded run_cap3 runtimes per
+//     (workload params, cost model, seed, n), 32 MiB; the cells of a grid
+//     that differ only in sites, policy, clustering or failover deal each
+//     (seed, n) once.
+//
+// No plan or DAX key holds a seed, so a long-running process (pegflow serve)
+// warms up across requests and does not grow with the seeds it is asked
+// for; the one cache keyed on a seed is the byte-bounded chunk-seconds
+// cache. World.Key is computed once per document and site set by the first
+// cell that is actually simulated — never by Compile, which a request
+// served from the result cache also pays. PlanCacheStats reports the
+// caches' counters (pegflow serve's /v1/healthz); ResetPlanCache empties
+// all three, for tests and benchmarks that want a cold cache.
 package scenario

@@ -1,9 +1,9 @@
-// Ensemble experiments: many blast2cap3 workflows sharing a platform pool
-// under one WMS, compared across site-selection policies — the multi-user,
-// multi-backend regime the ROADMAP's north star demands and the natural
-// extension of the paper's one-workflow-per-platform measurements.
+// The run path: every cell is an EnsembleExperiment — many blast2cap3
+// workflows sharing a platform pool under one WMS, planned across a site set
+// under a policy. A single workflow is an ensemble of one and a single site
+// a pool of one.
 
-package core
+package scenario
 
 import (
 	"fmt"
@@ -60,10 +60,20 @@ type EnsembleExperiment struct {
 	// name, so runs reproduce exactly.
 	BackoffBase float64
 	BackoffCap  float64
-	// Aggregate runs every member engine in aggregation mode (see
-	// Experiment.Aggregate): member logs fold instead of retaining
-	// records, and spent records recycle into the pool's arenas.
+	// Aggregate runs every member engine in aggregation mode: member logs
+	// fold into fixed-size accumulators and streaming sketches instead of
+	// retaining records, and spent records recycle into the pool's arenas.
+	// Summaries and per-transformation tables are unaffected.
 	Aggregate bool
+}
+
+// PlatformSeed mixes the chunk count n into seed, so the cells of an n-sweep
+// draw independent platform noise while cells that differ only in policy
+// share it. It is the only platform seed EnsembleExperiment.Run uses, so
+// every front end that reaches it (scenario cells, pegflow ensemble, core's
+// paper grid) seeds a (seed, n) run alike.
+func PlatformSeed(seed uint64, n int) uint64 {
+	return seed ^ (uint64(n) * 0x9e3779b97f4a7c15)
 }
 
 // memberDAXKey fingerprints a member workflow's shape: synthesized datasets
@@ -208,7 +218,7 @@ func (c *cachedMultiPlan) build(dk memberDAXKey, w workflow.Workload, cats plann
 	for k := range chunkPos {
 		pos, ok := master.Position(workflow.ChunkJobID(k))
 		if !ok {
-			return fmt.Errorf("core: plan cache: job %q missing from resolved workflow", workflow.ChunkJobID(k))
+			return fmt.Errorf("scenario: plan cache: job %q missing from resolved workflow", workflow.ChunkJobID(k))
 		}
 		chunkPos[k] = pos
 	}
@@ -221,10 +231,10 @@ func (c *cachedMultiPlan) build(dk memberDAXKey, w workflow.Workload, cats plann
 // Manager's priority knob).
 func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
 	if e.Workflows <= 0 {
-		return nil, fmt.Errorf("core: non-positive ensemble size %d", e.Workflows)
+		return nil, fmt.Errorf("scenario: non-positive ensemble size %d", e.Workflows)
 	}
 	if e.N <= 0 {
-		return nil, fmt.Errorf("core: non-positive chunk count %d", e.N)
+		return nil, fmt.Errorf("scenario: non-positive chunk count %d", e.N)
 	}
 	catalogs := e.World.Key(e.Sites)
 	opts := ensemble.PlanOptions{
@@ -249,9 +259,9 @@ func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
 // Run plans all members and executes the ensemble on
 // the sites' platform models seeded with PlatformSeed(e.Seed, e.N);
 // Result.Report(e.Policy) renders the outcome as a report. It is the one
-// place in this package that builds a platform pool and drives member
-// engines over it: every experiment, single-site ones included
-// (Experiment.runOnSite), ends here.
+// place in the program that builds a platform pool for a simulated run and
+// drives member engines over it: every cell (Compiled.Simulate), single-site
+// ones included, ends here.
 func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 	specs, err := e.plan()
 	if err != nil {

@@ -1,5 +1,5 @@
 // Shared cache machinery: the budget and charges of the plan and member-DAX
-// caches (ensemble.go), their counters, and the chunk-seconds cache. All
+// caches (experiment.go), their counters, and the chunk-seconds cache. All
 // three are internal/lru caches. The only seed-dependent part of a plan is
 // the set of run_cap3 chunk runtimes (the seed drives nothing but the
 // cluster→chunk assignment permutation); they depend on the seed and n but
@@ -8,7 +8,7 @@
 // profiles round them — in a byte-bounded LRU that every member plan reads
 // through roundedChunkSeconds.
 
-package core
+package scenario
 
 import (
 	"sync/atomic"

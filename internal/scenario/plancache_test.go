@@ -1,9 +1,10 @@
-package core
+package scenario
 
 import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -21,8 +22,8 @@ var ensembleFixtures = []struct {
 	name  string
 	build func(seed uint64, workflows, n int, policy string) (*EnsembleExperiment, error)
 }{
-	{"paper", PaperEnsemble},
-	{"hetero", HeteroBenchEnsemble},
+	{"paper", paperEnsemble},
+	{"hetero", heteroBenchEnsemble},
 }
 
 // memberPlans plans the experiment's members through the cache.
@@ -35,43 +36,17 @@ func memberPlans(t testing.TB, e *EnsembleExperiment) []ensemble.Spec {
 	return specs
 }
 
-// runClustered is runWorkflow with the clustering pass applied: the
-// experiment's workload with n chunks as an ensemble of one on the named
-// paper platform, clustered by copts.
-func runClustered(e *Experiment, site string, n int, copts planner.ClusterOptions) (*RunResult, error) {
-	world, err := paperWorld()
-	if err != nil {
-		return nil, err
-	}
-	return e.runOnSite(world, site, n, e.Workload, copts)
-}
-
-// singleSite is the ensemble runClustered runs.
-func singleSite(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *EnsembleExperiment {
+// singleSitePlan is the one member plan of a single-site experiment.
+func singleSitePlan(t testing.TB, e *EnsembleExperiment) *planner.Plan {
 	t.Helper()
-	world, err := paperWorld()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e.onSite(world, site, n, e.Workload, copts)
+	return memberPlans(t, e)[0].Plan
 }
 
-// singleSitePlan is the one member plan of singleSite.
-func singleSitePlan(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *planner.Plan {
+// uncachedOnSite is paperOnSite planned from the workload's own DAX
+// (uncached).
+func uncachedOnSite(t testing.TB, seed uint64, site string, n int, copts planner.ClusterOptions) *EnsembleExperiment {
 	t.Helper()
-	return memberPlans(t, singleSite(t, e, site, n, copts))[0].Plan
-}
-
-// uncachedExperiment returns the default experiment with the workload's
-// synthesis fingerprint cleared, which forces every plan to be resolved
-// from the workload's own DAX — no cached master, no runtime patch — the
-// reference the cached runs are compared with.
-func uncachedExperiment(seed uint64) *Experiment {
-	e := DefaultExperiment(seed)
-	w := e.Workload
-	w.Params = workflow.WorkloadParams{}
-	e.Workload = w
-	return e
+	return onSite(paperWorld(t), seed, uncached(workflow.PaperWorkload(seed)), site, n, copts)
 }
 
 // planSnapshot captures everything observable about a plan through its
@@ -216,7 +191,7 @@ func fmtSites(sites []string) string {
 func TestMultiPlanCacheHoldsNoSeed(t *testing.T) {
 	ResetPlanCache()
 	plan := func(seed uint64) {
-		e, err := HeteroBenchEnsemble(seed, 2, 30, planner.PolicyDataAware)
+		e, err := heteroBenchEnsemble(seed, 2, 30, planner.PolicyDataAware)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +238,7 @@ func TestMultiPlanCacheHoldsNoSeed(t *testing.T) {
 func TestMultiPlanCacheKeysOnCatalogContent(t *testing.T) {
 	ResetPlanCache()
 	build := func(edit func(*EnsembleExperiment)) {
-		e, err := HeteroBenchEnsemble(5, 1, 20, planner.PolicyDataAware)
+		e, err := heteroBenchEnsemble(5, 1, 20, planner.PolicyDataAware)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +302,7 @@ func checkWarmPlanAllocs(t *testing.T, build func(n int) *EnsembleExperiment, sm
 // TestAllocsMemberPlanRetrieval: a two-site member under a cost policy.
 func TestAllocsMemberPlanRetrieval(t *testing.T) {
 	checkWarmPlanAllocs(t, func(n int) *EnsembleExperiment {
-		e, err := PaperEnsemble(42, 1, n, planner.PolicyDataAware)
+		e, err := paperEnsemble(42, 1, n, planner.PolicyDataAware)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,9 +312,8 @@ func TestAllocsMemberPlanRetrieval(t *testing.T) {
 
 // TestAllocsPlanRetrieval: the one-site member every single-site run plans.
 func TestAllocsPlanRetrieval(t *testing.T) {
-	e := DefaultExperiment(42)
 	checkWarmPlanAllocs(t, func(n int) *EnsembleExperiment {
-		return singleSite(t, e, "osg", n, planner.ClusterOptions{})
+		return paperOnSite(t, 42, "osg", n, planner.ClusterOptions{})
 	}, 2000, 20000, 8)
 }
 
@@ -359,14 +333,8 @@ func TestPlanCacheByteIdentical(t *testing.T) {
 		for _, p := range []string{"sandhills", "osg"} {
 			for _, n := range []int{10, 100} {
 				for _, co := range copts {
-					cached, err := runClustered(DefaultExperiment(seed), p, n, co)
-					if err != nil {
-						t.Fatal(err)
-					}
-					direct, err := runClustered(uncachedExperiment(seed), p, n, co)
-					if err != nil {
-						t.Fatal(err)
-					}
+					cached := mustRunMember(t, paperOnSite(t, seed, p, n, co))
+					direct := mustRunMember(t, uncachedOnSite(t, seed, p, n, co))
 					cb, err := json.Marshal(cached)
 					if err != nil {
 						t.Fatal(err)
@@ -391,14 +359,13 @@ func TestPlanCacheBuildsOncePerShape(t *testing.T) {
 	ResetPlanCache()
 	none := planner.ClusterOptions{}
 	for seed := uint64(0); seed < 8; seed++ {
-		singleSitePlan(t, DefaultExperiment(seed), "sandhills", 50, none)
+		singleSitePlan(t, paperOnSite(t, seed, "sandhills", 50, none))
 	}
 	if got := multiPlanCache.Stats().Entries; got != 1 {
 		t.Errorf("cache entries after 8 seeds of one shape = %d, want 1", got)
 	}
-	e := DefaultExperiment(0)
-	singleSitePlan(t, e, "osg", 50, none)
-	singleSitePlan(t, e, "sandhills", 60, none)
+	singleSitePlan(t, paperOnSite(t, 0, "osg", 50, none))
+	singleSitePlan(t, paperOnSite(t, 0, "sandhills", 60, none))
 	if got := multiPlanCache.Stats().Entries; got != 3 {
 		t.Errorf("cache entries after two more shapes = %d, want 3", got)
 	}
@@ -407,7 +374,7 @@ func TestPlanCacheBuildsOncePerShape(t *testing.T) {
 	}
 
 	// Distinct retrievals must be independent clones, not the master.
-	a, b := singleSitePlan(t, e, "sandhills", 50, none), singleSitePlan(t, e, "sandhills", 50, none)
+	a, b := singleSitePlan(t, paperOnSite(t, 0, "sandhills", 50, none)), singleSitePlan(t, paperOnSite(t, 0, "sandhills", 50, none))
 	if a == b || a.Job("run_cap3_0001") == b.Job("run_cap3_0001") {
 		t.Error("cache handed out shared plan state instead of clones")
 	}
@@ -421,11 +388,11 @@ func TestPlanCacheSpeedup(t *testing.T) {
 	const n = 300
 	const reps = 5
 	none := planner.ClusterOptions{}
-	e, eu := DefaultExperiment(42), uncachedExperiment(42)
+	e, eu := paperOnSite(t, 42, "sandhills", n, none), uncachedOnSite(t, 42, "sandhills", n, none)
 
 	// Warm both paths (cache master, memoized workload tables).
-	singleSitePlan(t, e, "sandhills", n, none)
-	singleSitePlan(t, eu, "sandhills", n, none)
+	singleSitePlan(t, e)
+	singleSitePlan(t, eu)
 
 	// Best-of-5 sampling damps scheduler preemption on tiny CI machines:
 	// one undisturbed trial per side suffices.
@@ -442,8 +409,8 @@ func TestPlanCacheSpeedup(t *testing.T) {
 		}
 		return bestD
 	}
-	cachedD := best(func() { singleSitePlan(t, e, "sandhills", n, none) })
-	uncachedD := best(func() { singleSitePlan(t, eu, "sandhills", n, none) })
+	cachedD := best(func() { singleSitePlan(t, e) })
+	uncachedD := best(func() { singleSitePlan(t, eu) })
 
 	t.Logf("warm cached retrieval: %v/plan, uncached planning: %v/plan (%.1fx)",
 		cachedD/reps, uncachedD/reps, float64(uncachedD)/float64(cachedD))
@@ -458,13 +425,13 @@ func TestPlanCacheSpeedup(t *testing.T) {
 // seed's own DAX, the paper's catalogs, planner.New from scratch (itself
 // pinned against the deleted single-site builder by the planner's
 // TestNewEqualsReferenceBuilder), then the clustering pass.
-func singleSiteReference(t testing.TB, e *Experiment, site string, n int, copts planner.ClusterOptions) *planner.Plan {
+func singleSiteReference(t testing.TB, w workflow.Workload, site string, n int, copts planner.ClusterOptions) *planner.Plan {
 	t.Helper()
-	cats, err := workflow.PaperCatalogs(e.Workload, 0, 0)
+	cats, err := workflow.PaperCatalogs(w, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: e.Workload})
+	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,17 +455,16 @@ func TestCachedPlanEqualsUncachedPlan(t *testing.T) {
 	copts := []planner.ClusterOptions{{}, {MaxTasksPerJob: 4}, {TargetJobSeconds: 1800}}
 	for _, site := range workflow.PresetNames() {
 		ResetPlanCache()
-		singleSitePlan(t, DefaultExperiment(7), site, n, planner.ClusterOptions{})
+		singleSitePlan(t, paperOnSite(t, 7, site, n, planner.ClusterOptions{}))
 		for _, seed := range []uint64{8, 42} {
-			e := DefaultExperiment(seed)
 			for _, co := range copts {
-				cached := singleSitePlan(t, e, site, n, co)
+				cached := singleSitePlan(t, paperOnSite(t, seed, site, n, co))
 				for _, gj := range cached.Graph().Jobs() {
 					if !co.Enabled() && len(gj.Profiles) != 0 {
 						t.Fatalf("%s seed %d: cached graph job %q carries profiles %v", site, seed, gj.ID, gj.Profiles)
 					}
 				}
-				if d := diffSnapshots(planSnapshot(t, singleSiteReference(t, e, site, n, co)), planSnapshot(t, cached)); d != "" {
+				if d := diffSnapshots(planSnapshot(t, singleSiteReference(t, workflow.PaperWorkload(seed), site, n, co)), planSnapshot(t, cached)); d != "" {
 					t.Errorf("%s seed %d copts %+v: planner.New vs one-site member plan differ at %s", site, seed, co, d)
 				}
 				if cached.Site != site || !reflect.DeepEqual(cached.Sites, []string{site}) {
@@ -524,8 +490,8 @@ func TestCachedPlanEqualsUncachedPlan(t *testing.T) {
 func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 	ResetPlanCache()
 	const n = 80
-	builder := DefaultExperiment(100)
-	before := planSnapshot(t, singleSitePlan(t, builder, "osg", n, planner.ClusterOptions{}))
+	builder := paperOnSite(t, 100, "osg", n, planner.ClusterOptions{})
+	before := planSnapshot(t, singleSitePlan(t, builder))
 	if got := multiPlanCache.Stats().Entries; got != 1 {
 		t.Fatalf("%d masters, want 1", got)
 	}
@@ -535,21 +501,22 @@ func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 	// The slices the cells are about to share, and a private copy of each.
 	shared, copies := make([][]float64, len(makespans)), make([][]float64, len(makespans))
 	for g := range shared {
-		e := DefaultExperiment(uint64(101 + g))
-		chunks, err := roundedChunkSeconds(workflow.DefaultCostModel(), e.Workload, n)
+		chunks, err := roundedChunkSeconds(workflow.DefaultCostModel(), workflow.PaperWorkload(uint64(101+g)), n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		shared[g], copies[g] = chunks, append([]float64(nil), chunks...)
 	}
 	chunkStats := PlanCacheStats()
+	world := paperWorld(t)
 	var wg sync.WaitGroup
 	for g := range makespans {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			seed := uint64(101 + g)
 			for rep := 0; rep < 3; rep++ {
-				res, err := runClustered(DefaultExperiment(uint64(101+g)), "osg", n, copts[(g+rep)%len(copts)])
+				res, err := runMember(onSite(world, seed, workflow.PaperWorkload(seed), "osg", n, copts[(g+rep)%len(copts)]))
 				if err != nil {
 					t.Error(err)
 					return
@@ -565,7 +532,7 @@ func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 	if after := PlanCacheStats(); after.ChunkMisses != chunkStats.ChunkMisses || after.ChunkHits-chunkStats.ChunkHits != 3*uint64(len(makespans)) {
 		t.Errorf("the cells did not all run on the cached chunk seconds: %+v -> %+v", chunkStats, after)
 	}
-	if d := diffSnapshots(before, planSnapshot(t, singleSitePlan(t, builder, "osg", n, planner.ClusterOptions{}))); d != "" {
+	if d := diffSnapshots(before, planSnapshot(t, singleSitePlan(t, builder))); d != "" {
 		t.Errorf("master changed under concurrent cells at %s", d)
 	}
 	if got := multiPlanCache.Stats().Entries; got != 1 {
@@ -578,12 +545,117 @@ func TestCachedMasterUnchangedByConcurrentCells(t *testing.T) {
 	}
 	// Each cell saw its own seed's runtimes, not a neighbour's patch.
 	for g, got := range makespans {
-		res, err := runClustered(uncachedExperiment(uint64(101+g)), "osg", n, copts[g%len(copts)])
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRunMember(t, uncachedOnSite(t, uint64(101+g), "osg", n, copts[g%len(copts)]))
 		if res.Summary.WallTime != got {
 			t.Errorf("cell %d: makespan %v under concurrency, %v planned from scratch", g, got, res.Summary.WallTime)
 		}
+	}
+}
+
+// heapAfterGC is the live heap once two collections have run.
+func heapAfterGC() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestShapeCacheChargeMatchesHeap: the shape caches charge an entry from
+// its key, and the charge is within 2× of the post-GC heap the entry
+// holds, at n = 2,000 and 20,000, for a one-site and a two-site master. On
+// a cold cache, a one-site cell builds the shape's DAX and a master; a cell
+// on the other paper site then builds a master alone, and a two-site cell
+// another, so the first delta less the second is the DAX.
+func TestShapeCacheChargeMatchesHeap(t *testing.T) {
+	defer ResetPlanCache()
+	none := planner.ClusterOptions{}
+	for _, n := range []int{2000, 20000} {
+		ResetPlanCache()
+		w := workflow.PaperWorkload(42)
+		if _, err := roundedChunkSeconds(workflow.DefaultCostModel(), w, n); err != nil {
+			t.Fatal(err) // warms the chunk and workload caches out of the measurement
+		}
+		pair, err := paperEnsemble(42, 1, n, planner.PolicyDataAware)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair.MemberWorkload = func(int) workflow.Workload { return w }
+		cells := []*EnsembleExperiment{paperOnSite(t, 42, "osg", n, none), paperOnSite(t, 42, "sandhills", n, none), pair}
+		var heap, charge [3]int64
+		for i, cell := range cells {
+			st, h := PlanCacheStats(), heapAfterGC()
+			memberPlans(t, cell)
+			end := PlanCacheStats()
+			heap[i] = heapAfterGC() - h
+			charge[i] = end.PlanBytes - st.PlanBytes + end.MemberDAXBytes - st.MemberDAXBytes
+		}
+		for _, c := range []struct {
+			what          string
+			heap, charged int64
+		}{
+			{"abstract DAX", heap[0] - heap[1], charge[0] - charge[1]},
+			{"one-site master", heap[1], charge[1]},
+			{"two-site master", heap[2], charge[2]},
+		} {
+			t.Logf("n=%d %s: charged %d B (%.0f B/chunk), holds %d B (%.0f B/chunk)",
+				n, c.what, c.charged, float64(c.charged)/float64(n), c.heap, float64(c.heap)/float64(n))
+			if c.charged > 2*c.heap || c.heap > 2*c.charged {
+				t.Errorf("n=%d %s: charged %d B, holds %d B: not within 2×", n, c.what, c.charged, c.heap)
+			}
+		}
+	}
+}
+
+// TestShapeCacheHoldsBigRun: each shape cache's budget holds big_run's
+// n = 10^5 shape four times over, so no benchmark workload evicts.
+func TestShapeCacheHoldsBigRun(t *testing.T) {
+	const bigRunN = 100000
+	dk := memberDAXKey{n: bigRunN}
+	for _, c := range []struct {
+		cache  string
+		charge int64
+	}{
+		{"member-DAX", dk.charge(nil)},
+		{"plan", multiPlanKey{dax: dk}.charge(nil)},
+	} {
+		if 4*c.charge > shapeCacheBytes {
+			t.Errorf("%s cache: 4 × %d B at n=%d exceeds the %d B budget", c.cache, c.charge, bigRunN, shapeCacheBytes)
+		}
+	}
+}
+
+// TestFirstRetrievalBuildsOnce: eight cells racing the first retrieval of
+// a shape — whether they meet in the cache (a miss each, and every Put
+// returning the entry that won: internal/lru's TestDuplicatePutKeepsIncumbent)
+// or in the entry's Once — build the shape's DAX and master once each. CI
+// runs this under -race -count=10.
+func TestFirstRetrievalBuildsOnce(t *testing.T) {
+	ResetPlanCache()
+	defer ResetPlanCache()
+	before := PlanCacheStats()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(e *EnsembleExperiment) {
+			defer wg.Done()
+			<-start
+			if _, err := e.plan(); err != nil {
+				t.Error(err)
+			}
+		}(paperOnSite(t, uint64(200+g), "osg", 40, planner.ClusterOptions{}))
+	}
+	close(start)
+	wg.Wait()
+	after := PlanCacheStats()
+	if got := after.PlanBuilds - before.PlanBuilds; got != 1 {
+		t.Errorf("8 racing first retrievals resolved %d masters, want 1", got)
+	}
+	if got := after.MemberDAXBuilds - before.MemberDAXBuilds; got != 1 {
+		t.Errorf("8 racing first retrievals built %d member DAXes, want 1", got)
+	}
+	if got := after.PlanRetrievals - before.PlanRetrievals; got != 8 {
+		t.Errorf("8 cells retrieved %d plans, want 8", got)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestPresetWorldsAgree: the built-in sites are declared once, so the world
-// the CLI and core plan on (workflow.PaperCatalogs) and the world a document
+// the CLI plans on (workflow.PaperCatalogs) and the world a document
 // naming the three bare presets compiles to have the same planning
 // fingerprint, and what the catalog tells the planner about a preset — its
 // slots and speed — is what the platform model that runs the jobs has.

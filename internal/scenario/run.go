@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 
-	"pegflow/internal/core"
 	"pegflow/internal/ensemble"
 	"pegflow/internal/fault"
 	"pegflow/internal/kickstart"
@@ -259,7 +258,7 @@ type cellMetrics struct {
 	logs                                                    []*kickstart.Log
 }
 
-// runCell executes one cell over the core facade and assembles its row.
+// runCell executes one cell and assembles its row.
 // The row holds nothing of the run, so once it is built the run's storage
 // goes to the next cell (ensemble.Result.Release).
 func (c *Compiled) runCell(cell Cell) (map[string]any, error) {
@@ -383,19 +382,20 @@ func mergedQuantiles(logs []*kickstart.Log, pick func(*kickstart.Aggregates) *qu
 }
 
 // Simulate runs one cell: every cell — one workflow on one preset site as
-// much as an ensemble failing over between inline sites — compiles onto
-// core.EnsembleExperiment (a single workflow is an ensemble of one, a single
-// site a pool of one). Member workflows are seeded cell.Seed+i; core's plan
-// cache serves every seed of a (params, n, sites, catalog content, stage-in)
-// shape from one resolved master, across cells and requests. The caller
-// releases the result (ensemble.Result.Release) once it has read it.
+// much as an ensemble failing over between inline sites — compiles onto an
+// EnsembleExperiment (a single workflow is an ensemble of one, a single site
+// a pool of one). Member workflows are seeded cell.Seed+i; the plan cache
+// serves every seed of a (params, n, sites, catalog content, stage-in) shape
+// from one resolved master, across cells and requests. The caller releases
+// the result (ensemble.Result.Release) once it has read it; core's paper
+// grid keeps its results and does not.
 func (c *Compiled) Simulate(cell Cell) (*ensemble.Result, error) {
 	policy := cell.Policy
 	if policy == "" {
 		// Single-site set: any policy resolves every job to the one site.
 		policy = planner.PolicyDataAware
 	}
-	exp := &core.EnsembleExperiment{
+	exp := &EnsembleExperiment{
 		Seed:       cell.Seed,
 		Workflows:  c.workflows(),
 		N:          cell.N,

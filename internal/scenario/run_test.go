@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pegflow/internal/core"
 )
 
 // runLines compiles and runs a scenario source with the given workers.
@@ -501,14 +499,14 @@ const warmMatrix = `{
 // resolved the shared master either — nor on the worker count.
 func TestEnsembleCellsColdWarmAndWorkers(t *testing.T) {
 	leakCheck(t)
-	core.ResetPlanCache()
-	before := core.PlanCacheStats()
+	ResetPlanCache()
+	before := PlanCacheStats()
 	cold1 := joinLines(runLines(t, warmMatrix, 1))
-	afterCold := core.PlanCacheStats()
+	afterCold := PlanCacheStats()
 	warm1 := joinLines(runLines(t, warmMatrix, 1))
 	warm8 := joinLines(runLines(t, warmMatrix, 8))
-	afterWarm := core.PlanCacheStats()
-	core.ResetPlanCache()
+	afterWarm := PlanCacheStats()
+	ResetPlanCache()
 	cold8 := joinLines(runLines(t, warmMatrix, 8))
 	for name, got := range map[string][]byte{"warm, 1 worker": warm1, "warm, 8 workers": warm8, "cold, 8 workers": cold8} {
 		if !bytes.Equal(cold1, got) {

@@ -1,4 +1,4 @@
-package core
+package scenario
 
 import (
 	"fmt"
@@ -47,24 +47,27 @@ const scaleRetryLimit = 1000
 // first (the plan is the run's O(n) input, not its working set), then one
 // run executes and everything but res.Result.Log is dropped. The
 // difference between the post-GC heap before and after is the run's own
-// retention — the quantity this PR makes independent of n.
-func retainedByRun(t *testing.T, e *Experiment, n int) (bytes uint64, attempts int) {
+// retention, which aggregation makes independent of n.
+func retainedByRun(t *testing.T, aggregate bool, n int) (bytes uint64, attempts int) {
 	t.Helper()
-	singleSitePlan(t, e, "osg", n, planner.ClusterOptions{})
+	e := paperOnSite(t, 42, "osg", n, planner.ClusterOptions{})
+	e.Aggregate, e.RetryLimit = aggregate, scaleRetryLimit
+	singleSitePlan(t, e)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	r, err := e.runWorkflow("osg", n)
+	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Result.Unfinished) != 0 {
+	r := res.Workflows[0].Result
+	if len(r.Unfinished) != 0 {
 		t.Fatalf("n=%d run did not complete: %d jobs unfinished, %d permanently failed",
-			n, len(r.Result.Unfinished), len(r.Result.PermanentlyFailed))
+			n, len(r.Unfinished), len(r.PermanentlyFailed))
 	}
-	log := r.Result.Log
-	r = nil
+	log := r.Log
+	res, r = nil, nil
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -87,13 +90,12 @@ func BenchmarkWarmCell(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := DefaultExperiment(42)
-	e.Aggregate = true
-	e.RetryLimit = scaleRetryLimit
 	for _, n := range []int{500, 100000} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			e := onSite(world, 42, workflow.PaperWorkload(42), "osg", n, planner.ClusterOptions{})
+			e.Aggregate, e.RetryLimit = true, scaleRetryLimit
 			run := func() int {
-				res, err := e.onSite(world, "osg", n, e.Workload, planner.ClusterOptions{}).Run()
+				res, err := e.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -118,7 +120,7 @@ func BenchmarkWarmCell(b *testing.B) {
 }
 
 // TestAggregatedRunRetention asserts the memory-flat property on the
-// single-site core path: an aggregated OSG run at n=3·10^4 must retain no
+// single-site path: an aggregated OSG run at n=3·10^4 must retain no
 // more than 2× the heap an n=10^4 run retains, plus a fixed 1 MiB
 // measurement allowance — run retention is independent of n. The plan
 // itself is the run's input and stays O(n); what this asserts is that
@@ -132,11 +134,8 @@ func TestAggregatedRunRetention(t *testing.T) {
 	}
 	const small, big = 10000, 30000
 
-	agg := DefaultExperiment(42)
-	agg.Aggregate = true
-	agg.RetryLimit = scaleRetryLimit
-	smallBytes, smallAttempts := retainedByRun(t, agg, small)
-	bigBytes, bigAttempts := retainedByRun(t, agg, big)
+	smallBytes, smallAttempts := retainedByRun(t, true, small)
+	bigBytes, bigAttempts := retainedByRun(t, true, big)
 	t.Logf("aggregated retention: n=%d → %d B (%d attempts); n=%d → %d B (%d attempts)",
 		small, smallBytes, smallAttempts, big, bigBytes, bigAttempts)
 
@@ -146,9 +145,7 @@ func TestAggregatedRunRetention(t *testing.T) {
 			bigBytes, big, smallBytes, small)
 	}
 
-	exact := DefaultExperiment(42)
-	exact.RetryLimit = scaleRetryLimit
-	exactBytes, exactAttempts := retainedByRun(t, exact, small)
+	exactBytes, exactAttempts := retainedByRun(t, false, small)
 	t.Logf("exact retention: n=%d → %d B (%d attempts)", small, exactBytes, exactAttempts)
 	if exactBytes < 5*(bigBytes+1) {
 		t.Errorf("exact-mode run at n=%d retained only %d B — the probe cannot see record retention",
@@ -164,13 +161,13 @@ func TestAggregatedRunRetention(t *testing.T) {
 // attempt, so it must fail over to the never-preempting campus cluster.
 func scaleSpecs(tb testing.TB, n int) ([]ensemble.Spec, []platform.Config) {
 	tb.Helper()
-	e, err := PaperEnsemble(42, 1, n, planner.PolicyRuntimeAware)
+	e, err := paperEnsemble(42, 1, n, planner.PolicyRuntimeAware)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	e.Failover = true
 	e.RetryLimit = scaleRetryLimit
-	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: DefaultExperiment(42).Workload})
+	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: workflow.PaperWorkload(42)})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -193,8 +190,8 @@ func scaleSpecs(tb testing.TB, n int) ([]ensemble.Spec, []platform.Config) {
 // retainedByScaleRun plans an n-job two-site workflow, then measures the
 // heap bytes one execution of it retains: the pre-built specs (the run's
 // O(n) input) stay alive on both sides of the measurement while the pool
-// — like the executor the single-site path builds and drops inside
-// runWorkflow — is released with the run, so the post-GC heap delta is
+// — like the executor a single-site cell builds and drops inside
+// EnsembleExperiment.Run — is released with the run, so the post-GC heap delta is
 // what the run hands its caller: the member log.
 func retainedByScaleRun(t *testing.T, n int, aggregate bool) (bytes uint64, attempts int) {
 	t.Helper()

@@ -1,4 +1,4 @@
-package core
+package scenario
 
 import (
 	"bytes"
@@ -21,10 +21,10 @@ type siteEdit struct {
 	noEvictions  bool // the eviction hazard is zero (A2)
 }
 
-// runEdited runs e's workload with n chunks on the named built-in site after
-// applying edit to its declaration, through the one run path: the edited
-// world fingerprints to its own plan-cache key.
-func runEdited(t *testing.T, e *Experiment, site string, n int, edit siteEdit) *RunResult {
+// runEdited runs the paper workload at seed with n chunks on the named
+// built-in site after applying edit to its declaration, through the one run
+// path: the edited world fingerprints to its own plan-cache key.
+func runEdited(t *testing.T, seed uint64, site string, n int, edit siteEdit) *memberRun {
 	t.Helper()
 	sites := workflow.PaperSites(0, 0)
 	for i := range sites {
@@ -41,11 +41,7 @@ func runEdited(t *testing.T, e *Experiment, site string, n int, edit siteEdit) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.runOnSite(world, site, n, e.Workload, planner.ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return mustRunMember(t, onSite(world, seed, workflow.PaperWorkload(seed), site, n, planner.ClusterOptions{}))
 }
 
 // directEditedRun is the pipeline an edited site had to itself before it
@@ -54,22 +50,23 @@ func runEdited(t *testing.T, e *Experiment, site string, n int, edit siteEdit) *
 // preinstalled with the site's transformations marked installed —
 // planner.New, one bare executor — without evictions with the hazard zeroed
 // — and engine.Run.
-func directEditedRun(t *testing.T, e *Experiment, platformName string, n int, edit siteEdit) *engine.Result {
+func directEditedRun(t *testing.T, seed uint64, platformName string, n int, edit siteEdit) *engine.Result {
 	t.Helper()
+	w := workflow.PaperWorkload(seed)
 	var cfg platform.Config
 	for _, s := range workflow.PaperSites(0, 0) {
 		if s.Platform.Name == platformName {
-			cfg = s.Config(e.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15))
+			cfg = s.Config(seed ^ (uint64(n) * 0x9e3779b97f4a7c15))
 		}
 	}
 	if edit.noEvictions {
 		cfg.EvictionRate = 0
 	}
-	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: e.Workload})
+	abstract, err := workflow.BuildDAX(workflow.BuilderConfig{N: n, Workload: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cats, err := workflow.PaperCatalogs(e.Workload, 0, 0)
+	cats, err := workflow.PaperCatalogs(w, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +82,7 @@ func directEditedRun(t *testing.T, e *Experiment, platformName string, n int, ed
 		t.Fatal(err)
 	}
 	ex.Reserve(plan.Graph().Len())
-	res, err := engine.Run(plan, ex, engine.Options{RetryLimit: e.RetryLimit})
+	res, err := engine.Run(plan, ex, engine.Options{RetryLimit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +106,7 @@ func preinstalledEverywhere(cats planner.Catalogs, site string) *catalog.Transfo
 				cp.InstallBytes = 0
 			}
 			if err := out.Add(&cp); err != nil {
-				panic(fmt.Sprintf("core: rebuilding catalog: %v", err))
+				panic(fmt.Sprintf("rebuilding catalog: %v", err))
 			}
 		}
 	}
@@ -132,9 +129,9 @@ func TestVariantPreinstallEqualsDirectPipeline(t *testing.T) {
 	ResetPlanCache()
 	for _, edit := range []siteEdit{{preinstalled: true}, {noEvictions: true}, {preinstalled: true, noEvictions: true}} {
 		for _, n := range []int{10, 100, 100} {
-			e := DefaultExperiment(canonicalSeed)
-			want := directEditedRun(t, e, "osg", n, edit)
-			got := runEdited(t, e, "osg", n, edit)
+			const seed = 42
+			want := directEditedRun(t, seed, "osg", n, edit)
+			got := runEdited(t, seed, "osg", n, edit)
 			if !bytes.Equal(logBytes(want), logBytes(got.Result)) {
 				t.Errorf("%+v n=%d: attempt logs differ", edit, n)
 			}
@@ -146,14 +143,11 @@ func TestVariantPreinstallEqualsDirectPipeline(t *testing.T) {
 			}
 			// The edited site must not have served the plain run's master, nor
 			// its platform model.
-			plain, err := e.runWorkflow("osg", n)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain := mustRunMember(t, paperOnSite(t, seed, "osg", n, planner.ClusterOptions{}))
 			if findTask(plain.PerTask, workflow.TrRunCAP3).MeanSetup <= 0 {
 				t.Errorf("%+v n=%d: plain OSG run after the edited one has no install time", edit, n)
 			}
-			if want := directEditedRun(t, e, "osg", n, siteEdit{}); plain.Result.Makespan != want.Makespan {
+			if want := directEditedRun(t, seed, "osg", n, siteEdit{}); plain.Result.Makespan != want.Makespan {
 				t.Errorf("%+v n=%d: plain OSG run after the edited one takes %v s, from scratch %v s",
 					edit, n, plain.Result.Makespan, want.Makespan)
 			}
@@ -165,12 +159,8 @@ func TestVariantPreinstallEqualsDirectPipeline(t *testing.T) {
 // the others. The cloud is already preinstalled, so the edit there is the
 // plain run.
 func TestVariantPreinstallKeepsEverySite(t *testing.T) {
-	e := DefaultExperiment(42)
-	plain, err := e.runWorkflow("cloud", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := runEdited(t, e, "cloud", 10, siteEdit{preinstalled: true})
+	plain := mustRunMember(t, paperOnSite(t, 42, "cloud", 10, planner.ClusterOptions{}))
+	pre := runEdited(t, 42, "cloud", 10, siteEdit{preinstalled: true})
 	if !reflect.DeepEqual(plain.Summary, pre.Summary) || !reflect.DeepEqual(plain.PerTask, pre.PerTask) {
 		t.Errorf("preinstalled cloud run differs from the plain one:\n%+v\n%+v", plain.Summary, pre.Summary)
 	}

@@ -12,7 +12,7 @@
 //   - a request throttle (Options.MaxInFlight) that rejects work beyond
 //     the cap with 429 rather than queueing unboundedly.
 //
-// Because all requests run in one process, they share the core caches:
+// Because all requests run in one process, they share scenario's run caches:
 // the first request for a scenario shape builds the master plans, and
 // every later request — from any client, for any seed — clones warm
 // masters and pays only simulation. GET /v1/healthz exposes the cache

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pegflow/internal/core"
 	"pegflow/internal/scenario"
 	"pegflow/internal/server/resultcache"
 )
@@ -323,7 +322,7 @@ type HealthResponse struct {
 	MaxInFlight int `json:"max_inflight"`
 	// Cache reports the process-wide plan/member-DAX cache counters; a
 	// warm service shows retrievals growing while builds stay flat.
-	Cache core.CacheStats `json:"cache"`
+	Cache scenario.CacheStats `json:"cache"`
 	// Results reports the content-addressed cell-result cache: hits
 	// skipped planning AND simulation entirely. Absent when the cache is
 	// disabled.
@@ -347,7 +346,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		OK:             true,
 		Workers:        s.opts.Workers,
 		MaxInFlight:    s.opts.MaxInFlight,
-		Cache:          core.PlanCacheStats(),
+		Cache:          scenario.PlanCacheStats(),
 		AbortedStreams: s.aborted.Load(),
 		AbortedCells:   s.abortedCells.Load(),
 		InFlight:       s.inflight.Load(),

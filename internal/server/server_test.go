@@ -16,7 +16,7 @@ import (
 	"testing/iotest"
 	"time"
 
-	"pegflow/internal/core"
+	"pegflow/internal/scenario"
 )
 
 // testScenario is one workflow on each built-in preset, planned without
@@ -122,15 +122,15 @@ func postWave(t *testing.T, ts *httptest.Server, n int) [][]byte {
 // with NDJSON byte-identical to the cold wave.
 func TestConcurrentPostsAndWarmCache(t *testing.T) {
 	leakCheck(t)
-	core.ResetPlanCache()
+	scenario.ResetPlanCache()
 	ts := httptest.NewServer(New(Options{Workers: 4, MaxInFlight: 32}))
 	defer ts.Close()
 
-	before := core.PlanCacheStats()
+	before := scenario.PlanCacheStats()
 	coldStart := time.Now()
 	cold := postWave(t, ts, 8)
 	coldElapsed := time.Since(coldStart)
-	afterCold := core.PlanCacheStats()
+	afterCold := scenario.PlanCacheStats()
 
 	for i := 1; i < len(cold); i++ {
 		if !bytes.Equal(cold[0], cold[i]) {
@@ -148,7 +148,7 @@ func TestConcurrentPostsAndWarmCache(t *testing.T) {
 	warmStart := time.Now()
 	warm := postWave(t, ts, 8)
 	warmElapsed := time.Since(warmStart)
-	afterWarm := core.PlanCacheStats()
+	afterWarm := scenario.PlanCacheStats()
 	h := health(t, ts)
 
 	if !bytes.Equal(warm[0], cold[0]) {
@@ -188,14 +188,14 @@ func TestConcurrentPostsAndWarmCache(t *testing.T) {
 // With the result cache disabled, repeat traffic still runs warm at the
 // plan-cache layer: zero new masters, one retrieval per simulated cell.
 func TestRepeatWaveWarmPlanCacheWithoutResultCache(t *testing.T) {
-	core.ResetPlanCache()
+	scenario.ResetPlanCache()
 	ts := httptest.NewServer(New(Options{Workers: 4, MaxInFlight: 32, CacheBytes: -1}))
 	defer ts.Close()
 
 	cold := postWave(t, ts, 4)
-	afterCold := core.PlanCacheStats()
+	afterCold := scenario.PlanCacheStats()
 	warm := postWave(t, ts, 4)
-	afterWarm := core.PlanCacheStats()
+	afterWarm := scenario.PlanCacheStats()
 
 	if !bytes.Equal(warm[0], cold[0]) {
 		t.Errorf("warm response differs from cold response")
@@ -235,15 +235,15 @@ const ensembleScenario = `{
 // result-cache miss — resolves no master, materializes no graph and builds
 // no DAX; it only retrieves.
 func TestFreshSeedsRunWarmOnMultiSitePlans(t *testing.T) {
-	core.ResetPlanCache()
+	scenario.ResetPlanCache()
 	ts := httptest.NewServer(New(Options{Workers: 4, MaxInFlight: 32}))
 	defer ts.Close()
 
-	before := core.PlanCacheStats()
+	before := scenario.PlanCacheStats()
 	if status, body := post(t, ts, "/v1/scenarios/run", fmt.Sprintf(ensembleScenario, "11, 12")); status != http.StatusOK {
 		t.Fatalf("cold POST: status %d: %s", status, body)
 	}
-	afterCold := core.PlanCacheStats()
+	afterCold := scenario.PlanCacheStats()
 	if builds := afterCold.PlanBuilds - before.PlanBuilds; builds != 1 {
 		t.Errorf("cold POST resolved %d masters, want 1 for its 8 cells", builds)
 	}
@@ -254,7 +254,7 @@ func TestFreshSeedsRunWarmOnMultiSitePlans(t *testing.T) {
 	if n := bytes.Count(body, []byte(`"success":true`)); n != 12 {
 		t.Errorf("fresh-seed POST: %d successful cells, want 12:\n%s", n, body)
 	}
-	afterWarm := core.PlanCacheStats()
+	afterWarm := scenario.PlanCacheStats()
 	if builds := afterWarm.PlanBuilds - afterCold.PlanBuilds; builds != 0 {
 		t.Errorf("fresh seeds resolved %d new masters, want 0", builds)
 	}
@@ -274,7 +274,7 @@ func TestFreshSeedsRunWarmOnMultiSitePlans(t *testing.T) {
 // resolves a new master — but each (seed, n)'s chunk runtimes are the ones
 // the first POST dealt: /v1/healthz shows chunk hits and not one new miss.
 func TestChangedSitesReuseChunkSeconds(t *testing.T) {
-	core.ResetPlanCache()
+	scenario.ResetPlanCache()
 	ts := httptest.NewServer(New(Options{Workers: 4, MaxInFlight: 32}))
 	defer ts.Close()
 

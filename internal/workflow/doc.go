@@ -27,7 +27,7 @@
 // table (Preset, PaperSites). A World is a set of declared sites plus what a
 // run derives from them: the planner's catalogs, the key plan caches know
 // those catalogs by over a site list (memoized on first use), and the seeded
-// platform models. The CLI, scenario and core describe their sites as Site
+// platform models. The CLI and scenario describe their sites as Site
 // values and hand the run path a World, so what the planner is told about a
 // site cannot drift from what the simulator runs.
 //
@@ -37,6 +37,6 @@
 // the params come from client documents: an evicted entry is re-synthesized
 // to identical values. The seed-dependent step, CostModel.ChunkSeconds,
 // deals the clusters to n chunks over a seeded permutation drawn into pooled
-// scratch, so its n-float result is its only allocation; package core caches
+// scratch, so its n-float result is its only allocation; package scenario caches
 // that result per (params, cost model, seed, n).
 package workflow

@@ -58,7 +58,7 @@ type Workload struct {
 	// Params records the rank-size law Clusters was synthesized from; it
 	// is the workload's seed-independent fingerprint, used to memoize
 	// cluster synthesis and cost-model sums and to key the plan cache
-	// (package core). It is zero for hand-built workloads, which are
+	// (package scenario). It is zero for hand-built workloads, which are
 	// never cached. When Params is set, Clusters is shared with every
 	// other workload of the same Params and must be treated as read-only;
 	// code that hand-edits Clusters must clear Params.
@@ -265,6 +265,15 @@ func (c CostModel) SerialSeconds(w Workload) float64 {
 	return total
 }
 
+// PaperSerialSeconds is the wall time of the serial blast2cap3 baseline on
+// one dedicated Sandhills core (paper §V.B: 100 hours) at seed: the default
+// cost model's SerialSeconds of the paper workload, as a runtime profile
+// carries it. One job on one noiseless slot runs exactly that long, so the
+// baseline is computed, not simulated.
+func PaperSerialSeconds(seed uint64) float64 {
+	return RoundMillis(DefaultCostModel().SerialSeconds(PaperWorkload(seed)))
+}
+
 // permBuf is ChunkSeconds' scratch: the cluster permutation, pooled so a
 // sweep cell does not allocate 4 bytes per cluster only to drop them.
 type permBuf struct{ p []int32 }
@@ -350,7 +359,7 @@ type BuilderConfig struct {
 
 // ChunkJobID returns the executable job ID of the i-th (0-based) run_cap3
 // chunk of an n-way split — the naming contract shared by the DAX builder
-// and the plan cache's per-seed runtime patching (internal/core): i+1
+// and the plan cache's per-seed runtime patching (internal/scenario): i+1
 // zero-padded to four digits, as "run_cap3_%04d" formats it.
 func ChunkJobID(i int) string {
 	var buf [32]byte

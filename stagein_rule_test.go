@@ -13,7 +13,7 @@ import (
 // TestOneStageInRule: whether a plan carries stage-in jobs is decided in one
 // place, ensemble.StageIn. Outside the planner that defines the option and
 // the benchmark that sets it by hand, every non-test AddStageIn value is a
-// call to StageIn, and core.EnsembleExperiment carries no StageIn field for
+// call to StageIn, and scenario.EnsembleExperiment carries no StageIn field for
 // a caller to set instead.
 func TestOneStageInRule(t *testing.T) {
 	exempt := map[string]bool{
@@ -67,14 +67,14 @@ func TestOneStageInRule(t *testing.T) {
 				rules++
 			case *ast.TypeSpec:
 				st, ok := n.Type.(*ast.StructType)
-				if !ok || n.Name.Name != "EnsembleExperiment" || filepath.Dir(path) != filepath.Join("internal", "core") {
+				if !ok || n.Name.Name != "EnsembleExperiment" || filepath.Dir(path) != filepath.Join("internal", "scenario") {
 					return true
 				}
 				sawExperiment = true
 				for _, field := range st.Fields.List {
 					for _, name := range field.Names {
 						if name.Name == "StageIn" {
-							t.Errorf("%s: core.EnsembleExperiment has a StageIn field; stage-in is ensemble.StageIn of its Sites",
+							t.Errorf("%s: scenario.EnsembleExperiment has a StageIn field; stage-in is ensemble.StageIn of its Sites",
 								fset.Position(name.Pos()))
 						}
 					}
@@ -88,10 +88,10 @@ func TestOneStageInRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sawExperiment {
-		t.Error("core.EnsembleExperiment not found")
+		t.Error("scenario.EnsembleExperiment not found")
 	}
-	// core's member plans and ensemble.PlanAll both derive it.
+	// scenario's member plans and ensemble.PlanAll both derive it.
 	if rules < 2 {
-		t.Errorf("%d AddStageIn values found, want at least 2 (core and ensemble.PlanAll)", rules)
+		t.Errorf("%d AddStageIn values found, want at least 2 (scenario and ensemble.PlanAll)", rules)
 	}
 }
