@@ -12,10 +12,10 @@ import (
 	"pegflow/internal/scenario"
 )
 
-// FS holds every *.json document in this directory.
+// docs holds every *.json document in this directory.
 //
 //go:embed *.json
-var FS embed.FS
+var docs embed.FS
 
 // CanonicalSeed is the seed the documents are written at: Load at seed N
 // shifts each of their seeds by N − CanonicalSeed, so loading at it runs
@@ -25,7 +25,7 @@ const CanonicalSeed = 42
 // Load parses the embedded document name, shifts its workload seeds for
 // seed and compiles it.
 func Load(name string, seed uint64) (*scenario.Compiled, error) {
-	data, err := FS.ReadFile(name)
+	data, err := docs.ReadFile(name)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// CloneGate enforces the sharing rule behind the plan cache: a
+// cloneGate enforces the sharing rule behind the plan cache: a
 // *planner.Plan, *planner.Job, *dax.Workflow or *dax.Job handed out of a
 // cache is an immutable shared master — mutating it corrupts every future
 // retrieval — and a Plan.Clone shares its master's index and slice backing
@@ -17,7 +17,7 @@ import (
 // build fresh values) and in an explicitly whitelisted set of functions
 // that have been audited to operate on freshly cloned or freshly
 // constructed values.
-type CloneGate struct {
+type cloneGate struct {
 	// Protected lists the guarded named types as "pkg/path.Name".
 	Protected []string
 	// DefiningPkgs may mutate freely: the packages that own the types.
@@ -28,12 +28,12 @@ type CloneGate struct {
 	AllowedFuncs map[string]string
 }
 
-func (*CloneGate) Name() string { return "clonegate" }
-func (*CloneGate) Doc() string {
+func (*cloneGate) Name() string { return "clonegate" }
+func (*cloneGate) Doc() string {
 	return "forbid field writes through cached plan/DAX types outside whitelisted clone/constructor functions"
 }
 
-func (c *CloneGate) Run(prog *Program, report func(pos token.Position, message string)) error {
+func (c *cloneGate) Run(prog *Program, report func(pos token.Position, message string)) error {
 	protected := make(map[string]bool, len(c.Protected))
 	for _, p := range c.Protected {
 		protected[p] = true
@@ -58,7 +58,7 @@ func (c *CloneGate) Run(prog *Program, report func(pos token.Position, message s
 	return nil
 }
 
-func (c *CloneGate) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, protected map[string]bool, report func(pos token.Position, message string)) {
+func (c *cloneGate) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, protected map[string]bool, report func(pos token.Position, message string)) {
 	flag := func(lhs ast.Expr) {
 		if key, field := c.protectedWrite(pkg.Info, lhs, protected); key != "" {
 			pos := prog.Fset.Position(lhs.Pos())
@@ -85,7 +85,7 @@ func (c *CloneGate) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, pro
 // inward: an index or star step keeps the search going (writing p.Sites[k]
 // or *p mutates p's reachable state), a field selection on a protected
 // base is the violation.
-func (c *CloneGate) protectedWrite(info *types.Info, lhs ast.Expr, protected map[string]bool) (typeKey_, field string) {
+func (c *cloneGate) protectedWrite(info *types.Info, lhs ast.Expr, protected map[string]bool) (typeKey_, field string) {
 	expr := ast.Unparen(lhs)
 	for {
 		switch e := expr.(type) {

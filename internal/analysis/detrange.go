@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// DetRange guards the repo's first invariant — byte-identical output for a
+// detRange guards the repo's first invariant — byte-identical output for a
 // given (scenario, seed) regardless of worker count — at its most common
 // failure point: Go map iteration order. A `range` over a map that builds
 // output (appends rows, writes to an encoder, a writer or stdout, or calls
@@ -15,17 +15,17 @@ import (
 // collected values are deterministically sorted afterwards. The analyzer
 // accepts the canonical two-phase idiom (collect keys, sort, then emit)
 // and flags everything else on the output-path packages.
-type DetRange struct {
+type detRange struct {
 	// Packages are the output-path package patterns.
 	Packages []string
 }
 
-func (*DetRange) Name() string { return "detrange" }
-func (*DetRange) Doc() string {
+func (*detRange) Name() string { return "detrange" }
+func (*detRange) Doc() string {
 	return "flag map iteration that builds output without a subsequent deterministic sort"
 }
 
-func (d *DetRange) Run(prog *Program, report func(pos token.Position, message string)) error {
+func (d *detRange) Run(prog *Program, report func(pos token.Position, message string)) error {
 	for _, pkg := range prog.Module {
 		if !matchPath(pkg.Path, d.Packages) {
 			continue
@@ -51,7 +51,7 @@ type rangeEffect struct {
 	target types.Object
 }
 
-func (d *DetRange) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, report func(pos token.Position, message string)) {
+func (d *detRange) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl, report func(pos token.Position, message string)) {
 	closures := localClosures(fd.Body, pkg.Info)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// DetSource forbids nondeterministic inputs inside the simulation
+// detSource forbids nondeterministic inputs inside the simulation
 // boundary: wall-clock reads, the global math/rand source, environment
 // variables, fmt formatting of map values, and go statements — a goroutine
 // is ordered by the runtime scheduler, an ambient input like the wall
@@ -19,14 +19,14 @@ import (
 // even when it happens to be harmless today. Nothing is exempt: code that
 // needs the wall clock or goroutines, like the real-process executor in
 // bio/blast2cap3, lives outside the boundary.
-type DetSource struct {
+type detSource struct {
 	// Packages are the boundary package patterns ("..."-suffix subtrees
 	// allowed).
 	Packages []string
 }
 
-func (*DetSource) Name() string { return "detsource" }
-func (*DetSource) Doc() string {
+func (*detSource) Name() string { return "detsource" }
+func (*detSource) Doc() string {
 	return "forbid time.Now, global math/rand, os.Getenv, map-formatting fmt calls and go statements inside the simulation boundary"
 }
 
@@ -37,7 +37,7 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-func (d *DetSource) Run(prog *Program, report func(pos token.Position, message string)) error {
+func (d *detSource) Run(prog *Program, report func(pos token.Position, message string)) error {
 	for _, pkg := range prog.Module {
 		if !matchPath(pkg.Path, d.Packages) {
 			continue
@@ -58,7 +58,7 @@ func (d *DetSource) Run(prog *Program, report func(pos token.Position, message s
 	return nil
 }
 
-func (d *DetSource) checkCall(prog *Program, pkg *Package, call *ast.CallExpr, report func(pos token.Position, message string)) {
+func (d *detSource) checkCall(prog *Program, pkg *Package, call *ast.CallExpr, report func(pos token.Position, message string)) {
 	obj := calleeObj(pkg.Info, call)
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
@@ -105,7 +105,7 @@ var unformattedFmtFuncs = map[string]bool{
 // iterates the map, and although fmt sorts keys these strings routinely
 // become cache keys or log lines whose stability must not hinge on fmt
 // internals — the sim boundary builds keys explicitly instead.
-func (d *DetSource) checkFmtCall(prog *Program, pkg *Package, call *ast.CallExpr, name string, report func(pos token.Position, message string)) {
+func (d *detSource) checkFmtCall(prog *Program, pkg *Package, call *ast.CallExpr, name string, report func(pos token.Position, message string)) {
 	argStart := 0
 	if idx, ok := formattedFmtFuncs[name]; ok {
 		if len(call.Args) <= idx {

@@ -105,17 +105,17 @@ func fixturePath(analyzer string) string {
 }
 
 func TestDetSourceFixture(t *testing.T) {
-	a := &DetSource{Packages: []string{"pegflow/internal/analysis/testdata/src/detsource/..."}}
+	a := &detSource{Packages: []string{"pegflow/internal/analysis/testdata/src/detsource/..."}}
 	runFixture(t, a, fixturePath("detsource"))
 }
 
 func TestDetRangeFixture(t *testing.T) {
-	a := &DetRange{Packages: []string{"pegflow/internal/analysis/testdata/src/detrange/..."}}
+	a := &detRange{Packages: []string{"pegflow/internal/analysis/testdata/src/detrange/..."}}
 	runFixture(t, a, fixturePath("detrange"))
 }
 
 func TestCloneGateFixture(t *testing.T) {
-	a := NewCloneGate()
+	a := newCloneGate()
 	a.AllowedFuncs = map[string]string{
 		"pegflow/internal/analysis/testdata/src/clonegate/a.freshCloneMutation": "fixture: mutates its own fresh clone",
 	}

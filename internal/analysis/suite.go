@@ -4,9 +4,9 @@ package analysis
 // repo. Fixture tests build analyzers with their own configs; this file is
 // the single place the real invariant surface is declared.
 
-// OutputPathPackages are the packages whose emissions reach users —
+// outputPathPackages are the packages whose emissions reach users —
 // reports, NDJSON, golden files, HTTP responses. detrange runs here.
-var OutputPathPackages = []string{
+var outputPathPackages = []string{
 	"pegflow/internal/stats",
 	"pegflow/internal/scenario",
 	"pegflow/internal/server/...",
@@ -17,10 +17,10 @@ var OutputPathPackages = []string{
 	"pegflow/cmd/...",
 }
 
-// SimBoundaryPackages are the packages inside the simulation boundary,
+// simBoundaryPackages are the packages inside the simulation boundary,
 // where every input must derive from (scenario, seed). detsource runs
 // here.
-var SimBoundaryPackages = []string{
+var simBoundaryPackages = []string{
 	"pegflow/internal/sim/...",
 	"pegflow/internal/engine",
 	"pegflow/internal/fault",
@@ -28,11 +28,11 @@ var SimBoundaryPackages = []string{
 	"pegflow/internal/ensemble",
 }
 
-// NewCloneGate returns the production clonegate: the cached plan/DAX
+// newCloneGate returns the production clonegate: the cached plan/DAX
 // types, their defining packages and the audited whitelist of functions that
 // mutate fresh (not cached) values.
-func NewCloneGate() *CloneGate {
-	return &CloneGate{
+func newCloneGate() *cloneGate {
+	return &cloneGate{
 		Protected: []string{
 			"pegflow/internal/planner.Plan",
 			"pegflow/internal/planner.Job",
@@ -52,8 +52,8 @@ func NewCloneGate() *CloneGate {
 // Analyzers returns the full production suite in a stable order.
 func Analyzers() []Analyzer {
 	return []Analyzer{
-		&DetRange{Packages: OutputPathPackages},
-		&DetSource{Packages: SimBoundaryPackages},
-		NewCloneGate(),
+		&detRange{Packages: outputPathPackages},
+		&detSource{Packages: simBoundaryPackages},
+		newCloneGate(),
 	}
 }

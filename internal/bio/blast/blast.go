@@ -67,14 +67,14 @@ const (
 	kaK      = 0.041
 )
 
-// BitScore converts a raw score to bits.
-func BitScore(raw int) float64 {
+// bitScore converts a raw score to bits.
+func bitScore(raw int) float64 {
 	return (kaLambda*float64(raw) - math.Log(kaK)) / math.Ln2
 }
 
-// EValue computes the expected number of alignments with at least the raw
+// eValue computes the expected number of alignments with at least the raw
 // score in a search space of m×n residues.
-func EValue(raw, queryLen, dbLen int) float64 {
+func eValue(raw, queryLen, dbLen int) float64 {
 	return float64(queryLen) * float64(dbLen) * math.Exp(-kaLambda*float64(raw)+math.Log(kaK))
 }
 
@@ -181,12 +181,6 @@ func NewDB(proteins []Protein, p Params) (*DB, error) {
 	return db, nil
 }
 
-// Len returns the number of proteins.
-func (db *DB) Len() int { return len(db.proteins) }
-
-// Residues returns the total residue count.
-func (db *DB) Residues() int { return db.residues }
-
 // Search runs the translated query against the database.
 func (db *DB) Search(queryID string, dna []byte) ([]Hit, error) {
 	p := db.params
@@ -244,7 +238,7 @@ func (db *DB) Search(queryID string, dna []byte) ([]Hit, error) {
 
 	var hits []Hit
 	for k, r := range best {
-		ev := EValue(r.Score, len(dna), db.residues)
+		ev := eValue(r.Score, len(dna), db.residues)
 		if ev > p.MaxEValue {
 			continue
 		}
@@ -257,7 +251,7 @@ func (db *DB) Search(queryID string, dna []byte) ([]Hit, error) {
 			SStart:          r.BStart + 1,
 			SEnd:            r.BEnd,
 			EValue:          ev,
-			BitScore:        BitScore(r.Score),
+			BitScore:        bitScore(r.Score),
 		}
 		h.QStart, h.QEnd = nucCoords(int(k.frame), len(dna), r.AStart, r.AEnd)
 		hits = append(hits, h)

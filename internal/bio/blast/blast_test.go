@@ -160,21 +160,21 @@ func TestNewDBValidation(t *testing.T) {
 		t.Error("empty protein ID accepted")
 	}
 	db, err := NewDB(nil, DefaultParams())
-	if err != nil || db.Len() != 0 || db.Residues() != 0 {
+	if err != nil || len(db.proteins) != 0 || db.residues != 0 {
 		t.Errorf("empty DB: %v", err)
 	}
 }
 
 func TestBitScoreEValueMonotone(t *testing.T) {
-	if BitScore(100) <= BitScore(50) {
+	if bitScore(100) <= bitScore(50) {
 		t.Error("bit score not monotone")
 	}
-	if EValue(100, 1000, 1e6) >= EValue(50, 1000, 1e6) {
+	if eValue(100, 1000, 1e6) >= eValue(50, 1000, 1e6) {
 		t.Error("evalue not decreasing in score")
 	}
 	// Doubling the search space doubles E.
-	a := EValue(60, 1000, 1e6)
-	b := EValue(60, 2000, 1e6)
+	a := eValue(60, 1000, 1e6)
+	b := eValue(60, 2000, 1e6)
 	if math.Abs(b/a-2) > 1e-9 {
 		t.Errorf("evalue scaling = %v", b/a)
 	}
@@ -189,10 +189,10 @@ func TestTabularRoundTrip(t *testing.T) {
 			QStart: 120, QEnd: 1, SStart: 5, SEnd: 44, EValue: 2e-8, BitScore: 61.2},
 	}
 	var buf bytes.Buffer
-	if err := WriteTabular(&buf, hits); err != nil {
+	if err := writeTabular(&buf, hits); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseTabular(&buf)
+	got, err := parseTabular(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestTabularRoundTrip(t *testing.T) {
 
 func TestParseTabularSkipsCommentsAndBlank(t *testing.T) {
 	in := "# comment\n\ntr1\tp1\t100.00\t10\t0\t0\t1\t30\t1\t10\t1e-10\t50.0\n"
-	hits, err := ParseTabular(strings.NewReader(in))
+	hits, err := parseTabular(strings.NewReader(in))
 	if err != nil || len(hits) != 1 {
 		t.Fatalf("hits = %v, err = %v", hits, err)
 	}
@@ -232,30 +232,9 @@ func TestParseTabularErrors(t *testing.T) {
 		"tr1\tp1\t100.0\t10\t0\t0\t1\t30\t1\t10\tnope\t50.0\n",
 	}
 	for i, in := range bad {
-		if _, err := ParseTabular(strings.NewReader(in)); err == nil {
+		if _, err := parseTabular(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: bad line accepted", i)
 		}
-	}
-}
-
-func TestEachTabularStreams(t *testing.T) {
-	var buf bytes.Buffer
-	want := []Hit{
-		{QueryID: "a", SubjectID: "p", PercentIdentity: 90, Length: 5, QStart: 1, QEnd: 15, SStart: 1, SEnd: 5, EValue: 1e-6, BitScore: 30},
-		{QueryID: "b", SubjectID: "q", PercentIdentity: 95, Length: 8, QStart: 1, QEnd: 24, SStart: 1, SEnd: 8, EValue: 1e-9, BitScore: 40},
-	}
-	if err := WriteTabular(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	if err := EachTabular(&buf, func(h Hit) error {
-		ids = append(ids, h.QueryID)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
-		t.Errorf("ids = %v", ids)
 	}
 }
 

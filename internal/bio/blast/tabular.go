@@ -15,8 +15,8 @@ import (
 //
 // which is the "alignments.out" format blast2cap3 consumes.
 
-// WriteTabular writes hits in outfmt-6 order.
-func WriteTabular(w io.Writer, hits []Hit) error {
+// writeTabular writes hits in outfmt-6 order.
+func writeTabular(w io.Writer, hits []Hit) error {
 	bw := bufio.NewWriter(w)
 	for _, h := range hits {
 		if _, err := fmt.Fprintf(bw, "%s\t%s\t%.2f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2e\t%.1f\n",
@@ -34,16 +34,16 @@ func WriteTabularFile(path string, hits []Hit) error {
 	if err != nil {
 		return err
 	}
-	if err := WriteTabular(f, hits); err != nil {
+	if err := writeTabular(f, hits); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// ParseTabular reads outfmt-6 records. Blank lines and '#' comments are
+// parseTabular reads outfmt-6 records. Blank lines and '#' comments are
 // skipped.
-func ParseTabular(r io.Reader) ([]Hit, error) {
+func parseTabular(r io.Reader) ([]Hit, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var out []Hit
@@ -73,30 +73,7 @@ func ParseTabularFile(path string) ([]Hit, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ParseTabular(f)
-}
-
-// EachTabular streams hits to fn without materializing the whole file —
-// "alignments.out" is 155 MB in the paper's dataset.
-func EachTabular(r io.Reader, fn func(Hit) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		h, err := parseLine(line)
-		if err != nil {
-			return fmt.Errorf("blast: line %d: %w", lineNo, err)
-		}
-		if err := fn(h); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return parseTabular(f)
 }
 
 func parseLine(line string) (Hit, error) {

@@ -11,18 +11,18 @@ import (
 	"pegflow/internal/bio/fasta"
 )
 
-// Cluster is a group of transcripts sharing a best protein hit.
-type Cluster struct {
+// cluster is a group of transcripts sharing a best protein hit.
+type cluster struct {
 	// Protein is the subject ID the members hit.
 	Protein string
 	// TranscriptIDs are the member transcripts, sorted.
 	TranscriptIDs []string
 }
 
-// ClusterByProtein groups transcripts by their best-scoring protein hit
+// clusterByProtein groups transcripts by their best-scoring protein hit
 // (highest bit score wins; ties break toward the lexicographically first
 // subject for determinism). Clusters are returned sorted by protein ID.
-func ClusterByProtein(hits []blast.Hit) ([]Cluster, error) {
+func clusterByProtein(hits []blast.Hit) ([]cluster, error) {
 	type bestHit struct {
 		protein string
 		bits    float64
@@ -47,10 +47,10 @@ func ClusterByProtein(hits []blast.Hit) ([]Cluster, error) {
 	slices.SortFunc(queries, func(a, b string) int {
 		return cmp.Or(strings.Compare(best[a].protein, best[b].protein), strings.Compare(a, b))
 	})
-	var out []Cluster
+	var out []cluster
 	for _, q := range queries {
 		if p := best[q].protein; len(out) == 0 || out[len(out)-1].Protein != p {
-			out = append(out, Cluster{Protein: p})
+			out = append(out, cluster{Protein: p})
 		}
 		last := &out[len(out)-1]
 		last.TranscriptIDs = append(last.TranscriptIDs, q)
@@ -58,14 +58,14 @@ func ClusterByProtein(hits []blast.Hit) ([]Cluster, error) {
 	return out, nil
 }
 
-// SplitClusters deals clusters round-robin into n chunks — the paper's
+// splitClusters deals clusters round-robin into n chunks — the paper's
 // split() task dividing "alignments.out" into n smaller files. Whole
 // clusters are never divided.
-func SplitClusters(clusters []Cluster, n int) ([][]Cluster, error) {
+func splitClusters(clusters []cluster, n int) ([][]cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("blast2cap3: non-positive chunk count %d", n)
 	}
-	out := make([][]Cluster, n)
+	out := make([][]cluster, n)
 	for i, c := range clusters {
 		out[i%n] = append(out[i%n], c)
 	}
@@ -90,10 +90,10 @@ func indexTranscripts(transcripts []*fasta.Record) (map[string]*fasta.Record, er
 // IDs of the transcripts joined into the contig follow, separated by ';'.
 const joinedPrefix = "joined="
 
-// AssembleChunk runs CAP3 over every cluster of one chunk — the workflow's
+// assembleChunk runs CAP3 over every cluster of one chunk — the workflow's
 // run_cap3 task. Each contig becomes the record <protein>_<contig> whose
 // description lists the transcripts joined into it ("joined=a;b;c").
-func AssembleChunk(chunk []Cluster, transcripts map[string]*fasta.Record, params cap3.Params) ([]*fasta.Record, error) {
+func assembleChunk(chunk []cluster, transcripts map[string]*fasta.Record, params cap3.Params) ([]*fasta.Record, error) {
 	var contigs []*fasta.Record
 	for _, cluster := range chunk {
 		var members []*fasta.Record
@@ -144,10 +144,10 @@ func sortByID(recs []*fasta.Record) {
 	slices.SortFunc(recs, func(a, b *fasta.Record) int { return strings.Compare(a.ID, b.ID) })
 }
 
-// MergeNotJoined produces the final assembly: the merged contigs plus
+// mergeNotJoined produces the final assembly: the merged contigs plus
 // every transcript that no contig lists as joined (the paper's
 // merge_not_joined step).
-func MergeNotJoined(contigs, transcripts []*fasta.Record) []*fasta.Record {
+func mergeNotJoined(contigs, transcripts []*fasta.Record) []*fasta.Record {
 	joined := make(map[string]bool)
 	for _, c := range contigs {
 		for _, id := range joinedIDs(c) {
@@ -195,11 +195,11 @@ func RunSerial(transcripts []*fasta.Record, hits []blast.Hit, params cap3.Params
 	if err != nil {
 		return nil, err
 	}
-	clusters, err := ClusterByProtein(hits)
+	clusters, err := clusterByProtein(hits)
 	if err != nil {
 		return nil, err
 	}
-	contigs, err := AssembleChunk(clusters, index, params)
+	contigs, err := assembleChunk(clusters, index, params)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +209,7 @@ func RunSerial(transcripts []*fasta.Record, hits []blast.Hit, params cap3.Params
 		joined += len(joinedIDs(c))
 	}
 	return &Result{
-		Assembly: MergeNotJoined(contigs, transcripts),
+		Assembly: mergeNotJoined(contigs, transcripts),
 		Contigs:  len(contigs),
 		Joined:   joined,
 		Clusters: len(clusters),

@@ -24,7 +24,7 @@ func TestClusterByProteinBestHitWins(t *testing.T) {
 		hit("tr2", "protB", 90),
 		hit("tr3", "protA", 50),
 	}
-	clusters, err := ClusterByProtein(hits)
+	clusters, err := clusterByProtein(hits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestClusterByProteinBestHitWins(t *testing.T) {
 
 func TestClusterByProteinTieBreaksDeterministically(t *testing.T) {
 	hits := []blast.Hit{hit("tr1", "protB", 100), hit("tr1", "protA", 100)}
-	clusters, err := ClusterByProtein(hits)
+	clusters, err := clusterByProtein(hits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,17 +53,17 @@ func TestClusterByProteinTieBreaksDeterministically(t *testing.T) {
 }
 
 func TestClusterByProteinRejectsEmptyIDs(t *testing.T) {
-	if _, err := ClusterByProtein([]blast.Hit{{QueryID: "", SubjectID: "p"}}); err == nil {
+	if _, err := clusterByProtein([]blast.Hit{{QueryID: "", SubjectID: "p"}}); err == nil {
 		t.Error("empty query accepted")
 	}
 }
 
 func TestSplitClustersRoundRobin(t *testing.T) {
-	var clusters []Cluster
+	var clusters []cluster
 	for i := 0; i < 10; i++ {
-		clusters = append(clusters, Cluster{Protein: fmt.Sprintf("p%02d", i)})
+		clusters = append(clusters, cluster{Protein: fmt.Sprintf("p%02d", i)})
 	}
-	chunks, err := SplitClusters(clusters, 3)
+	chunks, err := splitClusters(clusters, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +76,13 @@ func TestSplitClustersRoundRobin(t *testing.T) {
 	if chunks[0][0].Protein != "p00" || chunks[1][0].Protein != "p01" {
 		t.Errorf("assignment not round-robin")
 	}
-	if _, err := SplitClusters(clusters, 0); err == nil {
+	if _, err := splitClusters(clusters, 0); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
 
 func TestSplitClustersMoreChunksThanClusters(t *testing.T) {
-	chunks, err := SplitClusters([]Cluster{{Protein: "p"}}, 5)
+	chunks, err := splitClusters([]cluster{{Protein: "p"}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestAssembleChunkRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	protein := ds.Proteins[0].ID
-	contigs, err := AssembleChunk([]Cluster{{Protein: protein, TranscriptIDs: ids}}, index, cap3.DefaultParams())
+	contigs, err := assembleChunk([]cluster{{Protein: protein, TranscriptIDs: ids}}, index, cap3.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,15 +194,15 @@ func TestAssembleChunkRecords(t *testing.T) {
 	if want := "joined=tr_a;tr_b;tr_c;tr_d"; contigs[0].Desc != want {
 		t.Errorf("desc = %q, want %q", contigs[0].Desc, want)
 	}
-	out := MergeNotJoined(contigs, ds.Transcripts)
+	out := mergeNotJoined(contigs, ds.Transcripts)
 	if len(out) != 2 || out[1].ID != "tr_noise_001" {
 		t.Errorf("merge = %d records, want the contig and tr_noise_001", len(out))
 	}
 }
 
 func TestAssembleChunkUnknownTranscript(t *testing.T) {
-	chunk := []Cluster{{Protein: "p", TranscriptIDs: []string{"ghost", "ghost2"}}}
-	_, err := AssembleChunk(chunk, map[string]*fasta.Record{}, cap3.DefaultParams())
+	chunk := []cluster{{Protein: "p", TranscriptIDs: []string{"ghost", "ghost2"}}}
+	_, err := assembleChunk(chunk, map[string]*fasta.Record{}, cap3.DefaultParams())
 	if err == nil {
 		t.Error("unknown transcript accepted")
 	}
@@ -215,7 +215,7 @@ func TestMergeNotJoinedPassthrough(t *testing.T) {
 		{ID: "b", Seq: []byte("CC")},
 		{ID: "c", Seq: []byte("GG")},
 	}
-	out := MergeNotJoined(contigs, transcripts)
+	out := mergeNotJoined(contigs, transcripts)
 	if len(out) != 3 {
 		t.Fatalf("out = %d records", len(out))
 	}

@@ -13,8 +13,8 @@ import (
 	"pegflow/internal/workflow"
 )
 
-// TaskContext is what a task receives when a job runs locally.
-type TaskContext struct {
+// taskContext is what a task receives when a job runs locally.
+type taskContext struct {
 	// Job is the planned job being executed.
 	Job *planner.Job
 	// WorkDir is the directory holding the workflow's files.
@@ -23,26 +23,26 @@ type TaskContext struct {
 	Args []string
 }
 
-// Task is the local implementation of a logical transformation.
-type Task func(ctx *TaskContext) error
+// task is the local implementation of a logical transformation.
+type task func(ctx *taskContext) error
 
-// LocalExecutor runs planned jobs as real Go functions with bounded
+// localExecutor runs planned jobs as real Go functions with bounded
 // parallelism — the "real mode" of the system: examples and tests execute
 // actual CAP3/BLAST work through it. It measures the wall clock and runs
 // each task on its own goroutine, so it lives here, outside the simulation
 // boundary.
-type LocalExecutor struct {
-	registry map[string]Task
+type localExecutor struct {
+	registry map[string]task
 	workDir  string
 	sem      chan struct{}
 	events   chan engine.Event
 	start    time.Time
 }
 
-// NewLocalExecutor builds an executor with the given task registry,
+// newLocalExecutor builds an executor with the given task registry,
 // working directory and parallelism, which must be positive.
-func NewLocalExecutor(reg map[string]Task, workDir string, parallelism int) *LocalExecutor {
-	return &LocalExecutor{
+func newLocalExecutor(reg map[string]task, workDir string, parallelism int) *localExecutor {
+	return &localExecutor{
 		registry: reg,
 		workDir:  workDir,
 		sem:      make(chan struct{}, parallelism),
@@ -52,12 +52,12 @@ func NewLocalExecutor(reg map[string]Task, workDir string, parallelism int) *Loc
 }
 
 // Now returns seconds since the executor was created.
-func (e *LocalExecutor) Now() float64 { return time.Since(e.start).Seconds() }
+func (e *localExecutor) Now() float64 { return time.Since(e.start).Seconds() }
 
 // Submit schedules the job on the worker pool. Unknown transformations
 // fail the attempt rather than erroring the submission, mirroring how a
 // batch system reports a missing executable as a job failure.
-func (e *LocalExecutor) Submit(job *planner.Job, attempt int) {
+func (e *localExecutor) Submit(job *planner.Job, attempt int) {
 	submitTime := e.Now()
 	go func() {
 		e.sem <- struct{}{}
@@ -97,24 +97,24 @@ func (e *LocalExecutor) Submit(job *planner.Job, attempt int) {
 
 // run invokes the task, converting panics into job failures so a buggy
 // task cannot take down the meta-scheduler.
-func (e *LocalExecutor) run(fn Task, job *planner.Job) (err error) {
+func (e *localExecutor) run(fn task, job *planner.Job) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("local: transformation %q panicked: %v", job.Transformation, r)
 		}
 	}()
-	return fn(&TaskContext{Job: job, WorkDir: e.workDir, Args: job.Args})
+	return fn(&taskContext{Job: job, WorkDir: e.workDir, Args: job.Args})
 }
 
 // Next blocks until a job attempt finishes.
-func (e *LocalExecutor) Next() engine.Event { return <-e.events }
+func (e *localExecutor) Next() engine.Event { return <-e.events }
 
-var _ engine.Executor = (*LocalExecutor)(nil)
+var _ engine.Executor = (*localExecutor)(nil)
 
 // RunWorkflow runs the n-chunk blast2cap3 workflow for real on the files
 // in dir (transcripts.fasta and alignments.out): it builds the abstract
 // DAX, plans it for one "local" site with parallelism slots, and executes
-// it under the engine through a LocalExecutor. Each job is attempted once:
+// it under the engine through a localExecutor. Each job is attempted once:
 // an in-process task is a deterministic function of its files, so a retry
 // would fail the same way. It returns the abstract workflow and the run's
 // result; an incomplete run is reported in the result, not as an error.
@@ -147,7 +147,7 @@ func RunWorkflow(dir string, n, parallelism int, params cap3.Params) (*dax.Workf
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := engine.Run(plan, NewLocalExecutor(Registry(params), dir, parallelism), engine.Options{})
+	res, err := engine.Run(plan, newLocalExecutor(registry(params), dir, parallelism), engine.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -58,8 +58,8 @@ func makePlan(t *testing.T, w *dax.Workflow) *planner.Plan {
 func TestLocalExecutorRunsRealFunctions(t *testing.T) {
 	var mu sync.Mutex
 	ran := map[string]int{}
-	reg := map[string]Task{
-		"t": func(ctx *TaskContext) error {
+	reg := map[string]task{
+		"t": func(ctx *taskContext) error {
 			mu.Lock()
 			defer mu.Unlock()
 			ran[ctx.Job.ID]++
@@ -67,7 +67,7 @@ func TestLocalExecutorRunsRealFunctions(t *testing.T) {
 		},
 	}
 	p := diamondPlan(t)
-	ex := NewLocalExecutor(reg, t.TempDir(), 4)
+	ex := newLocalExecutor(reg, t.TempDir(), 4)
 	res, err := engine.Run(p, ex, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +93,8 @@ func TestLocalExecutorRunsRealFunctions(t *testing.T) {
 func TestLocalExecutorFailureAndRetry(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
-	reg := map[string]Task{
-		"t": func(ctx *TaskContext) error {
+	reg := map[string]task{
+		"t": func(ctx *taskContext) error {
 			mu.Lock()
 			defer mu.Unlock()
 			calls++
@@ -107,7 +107,7 @@ func TestLocalExecutorFailureAndRetry(t *testing.T) {
 	w := dax.New("single")
 	w.NewJob("only", "t")
 	p := makePlan(t, w)
-	ex := NewLocalExecutor(reg, t.TempDir(), 1)
+	ex := newLocalExecutor(reg, t.TempDir(), 1)
 	res, err := engine.Run(p, ex, engine.Options{RetryLimit: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestLocalExecutorUnregisteredTransformationFailsJob(t *testing.T) {
 	w := dax.New("single")
 	w.NewJob("only", "mystery")
 	p := makePlan(t, w)
-	ex := NewLocalExecutor(map[string]Task{}, t.TempDir(), 1)
+	ex := newLocalExecutor(map[string]task{}, t.TempDir(), 1)
 	res, err := engine.Run(p, ex, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +139,13 @@ func TestLocalExecutorUnregisteredTransformationFailsJob(t *testing.T) {
 }
 
 func TestLocalExecutorPanicBecomesFailure(t *testing.T) {
-	reg := map[string]Task{
-		"t": func(ctx *TaskContext) error { panic("task bug") },
+	reg := map[string]task{
+		"t": func(ctx *taskContext) error { panic("task bug") },
 	}
 	w := dax.New("single")
 	w.NewJob("only", "t")
 	p := makePlan(t, w)
-	ex := NewLocalExecutor(reg, t.TempDir(), 1)
+	ex := newLocalExecutor(reg, t.TempDir(), 1)
 	res, err := engine.Run(p, ex, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -162,8 +162,8 @@ func TestLocalExecutorPanicBecomesFailure(t *testing.T) {
 func TestLocalExecutorParallelismBound(t *testing.T) {
 	var mu sync.Mutex
 	cur, max := 0, 0
-	reg := map[string]Task{
-		"t": func(ctx *TaskContext) error {
+	reg := map[string]task{
+		"t": func(ctx *taskContext) error {
 			mu.Lock()
 			cur++
 			if cur > max {
@@ -185,7 +185,7 @@ func TestLocalExecutorParallelismBound(t *testing.T) {
 		w.NewJob(fmt.Sprintf("J%02d", i), "t")
 	}
 	p := makePlan(t, w)
-	ex := NewLocalExecutor(reg, t.TempDir(), 2)
+	ex := newLocalExecutor(reg, t.TempDir(), 2)
 	if _, err := engine.Run(p, ex, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestPropertyClusterPartition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		clusters, err := ClusterByProtein(ds.TruthHits)
+		clusters, err := clusterByProtein(ds.TruthHits)
 		if err != nil {
 			return false
 		}

@@ -15,16 +15,16 @@ import (
 
 // File-level stage implementations: each function is one workflow
 // transformation operating on files in a working directory, exactly as
-// the Pegasus tasks do on the remote site. Registry wires them to the
+// the Pegasus tasks do on the remote site. registry wires them to the
 // transformation names used by the DAX builder (package workflow), so the
 // same abstract workflow that the simulator times can be executed for
-// real through LocalExecutor.
+// real through localExecutor.
 
-// StageCreateListTranscripts normalizes transcripts.fasta into the
+// stageCreateListTranscripts normalizes transcripts.fasta into the
 // transcript dictionary file (the pickled SeqIO dict of the original
 // Python implementation; here a normalized FASTA), refusing a duplicated
 // transcript ID as RunSerial does.
-func StageCreateListTranscripts(dir, in, out string) error {
+func stageCreateListTranscripts(dir, in, out string) error {
 	recs, err := fasta.ReadFile(filepath.Join(dir, in))
 	if err != nil {
 		return fmt.Errorf("create_list_transcripts: %w", err)
@@ -38,9 +38,9 @@ func StageCreateListTranscripts(dir, in, out string) error {
 	return nil
 }
 
-// StageCreateListAlignments writes the sorted list of distinct query IDs
+// stageCreateListAlignments writes the sorted list of distinct query IDs
 // appearing in alignments.out.
-func StageCreateListAlignments(dir, in, out string) error {
+func stageCreateListAlignments(dir, in, out string) error {
 	hits, err := blast.ParseTabularFile(filepath.Join(dir, in))
 	if err != nil {
 		return fmt.Errorf("create_list_alignments: %w", err)
@@ -58,19 +58,19 @@ func StageCreateListAlignments(dir, in, out string) error {
 		[]byte(strings.Join(ids, "\n")+"\n"), 0o644)
 }
 
-// StageSplit divides alignments.out into n per-chunk tabular files
+// stageSplit divides alignments.out into n per-chunk tabular files
 // protein_1.txt .. protein_n.txt, assigning whole protein clusters
 // round-robin (never splitting a cluster).
-func StageSplit(dir, in string, n int) error {
+func stageSplit(dir, in string, n int) error {
 	hits, err := blast.ParseTabularFile(filepath.Join(dir, in))
 	if err != nil {
 		return fmt.Errorf("split: %w", err)
 	}
-	clusters, err := ClusterByProtein(hits)
+	clusters, err := clusterByProtein(hits)
 	if err != nil {
 		return fmt.Errorf("split: %w", err)
 	}
-	chunks, err := SplitClusters(clusters, n)
+	chunks, err := splitClusters(clusters, n)
 	if err != nil {
 		return fmt.Errorf("split: %w", err)
 	}
@@ -100,11 +100,11 @@ func StageSplit(dir, in string, n int) error {
 	return nil
 }
 
-// StageRunCAP3 assembles the clusters of one chunk: it reads the
+// stageRunCAP3 assembles the clusters of one chunk: it reads the
 // transcript dictionary and the chunk's alignment file and writes the
-// contigs AssembleChunk builds, whose joined= descriptions let the final
+// contigs assembleChunk builds, whose joined= descriptions let the final
 // merge compute the unjoined set.
-func StageRunCAP3(dir, dictFile, proteinFile, outFile string, params cap3.Params) error {
+func stageRunCAP3(dir, dictFile, proteinFile, outFile string, params cap3.Params) error {
 	recs, err := fasta.ReadFile(filepath.Join(dir, dictFile))
 	if err != nil {
 		return fmt.Errorf("run_cap3: %w", err)
@@ -117,19 +117,19 @@ func StageRunCAP3(dir, dictFile, proteinFile, outFile string, params cap3.Params
 	if err != nil {
 		return fmt.Errorf("run_cap3: %w", err)
 	}
-	clusters, err := ClusterByProtein(hits)
+	clusters, err := clusterByProtein(hits)
 	if err != nil {
 		return fmt.Errorf("run_cap3: %w", err)
 	}
-	contigs, err := AssembleChunk(clusters, index, params)
+	contigs, err := assembleChunk(clusters, index, params)
 	if err != nil {
 		return fmt.Errorf("run_cap3: %w", err)
 	}
 	return fasta.WriteFile(filepath.Join(dir, outFile), contigs)
 }
 
-// StageMerge concatenates the n per-chunk joined files into one.
-func StageMerge(dir string, n int, outFile string) error {
+// stageMerge concatenates the n per-chunk joined files into one.
+func stageMerge(dir string, n int, outFile string) error {
 	var all []*fasta.Record
 	for i := 1; i <= n; i++ {
 		recs, err := fasta.ReadFile(filepath.Join(dir, fmt.Sprintf("joined_%d.fasta", i)))
@@ -142,9 +142,9 @@ func StageMerge(dir string, n int, outFile string) error {
 	return fasta.WriteFile(filepath.Join(dir, outFile), all)
 }
 
-// StageMergeNotJoined writes the final assembly: contigs plus every
+// stageMergeNotJoined writes the final assembly: contigs plus every
 // transcript not named in any contig's joined= list.
-func StageMergeNotJoined(dir, joinedFile, dictFile, outFile string) error {
+func stageMergeNotJoined(dir, joinedFile, dictFile, outFile string) error {
 	contigs, err := fasta.ReadFile(filepath.Join(dir, joinedFile))
 	if err != nil {
 		return fmt.Errorf("merge_not_joined: %w", err)
@@ -153,27 +153,27 @@ func StageMergeNotJoined(dir, joinedFile, dictFile, outFile string) error {
 	if err != nil {
 		return fmt.Errorf("merge_not_joined: %w", err)
 	}
-	return fasta.WriteFile(filepath.Join(dir, outFile), MergeNotJoined(contigs, transcripts))
+	return fasta.WriteFile(filepath.Join(dir, outFile), mergeNotJoined(contigs, transcripts))
 }
 
-// Registry maps each blast2cap3 transformation name to the task that
-// runs its stage for real under LocalExecutor. Argument conventions match
+// registry maps each blast2cap3 transformation name to the task that
+// runs its stage for real under localExecutor. Argument conventions match
 // the DAX builder in package workflow.
-func Registry(params cap3.Params) map[string]Task {
-	return map[string]Task{
-		"create_list_transcripts": func(ctx *TaskContext) error {
+func registry(params cap3.Params) map[string]task {
+	return map[string]task{
+		"create_list_transcripts": func(ctx *taskContext) error {
 			if len(ctx.Args) != 2 {
 				return fmt.Errorf("create_list_transcripts: want 2 args, got %v", ctx.Args)
 			}
-			return StageCreateListTranscripts(ctx.WorkDir, ctx.Args[0], ctx.Args[1])
+			return stageCreateListTranscripts(ctx.WorkDir, ctx.Args[0], ctx.Args[1])
 		},
-		"create_list_alignments": func(ctx *TaskContext) error {
+		"create_list_alignments": func(ctx *taskContext) error {
 			if len(ctx.Args) != 2 {
 				return fmt.Errorf("create_list_alignments: want 2 args, got %v", ctx.Args)
 			}
-			return StageCreateListAlignments(ctx.WorkDir, ctx.Args[0], ctx.Args[1])
+			return stageCreateListAlignments(ctx.WorkDir, ctx.Args[0], ctx.Args[1])
 		},
-		"split": func(ctx *TaskContext) error {
+		"split": func(ctx *taskContext) error {
 			if len(ctx.Args) != 3 || ctx.Args[0] != "-n" {
 				return fmt.Errorf("split: want [-n N file], got %v", ctx.Args)
 			}
@@ -181,15 +181,15 @@ func Registry(params cap3.Params) map[string]Task {
 			if err != nil {
 				return fmt.Errorf("split: bad n %q", ctx.Args[1])
 			}
-			return StageSplit(ctx.WorkDir, ctx.Args[2], n)
+			return stageSplit(ctx.WorkDir, ctx.Args[2], n)
 		},
-		"run_cap3": func(ctx *TaskContext) error {
+		"run_cap3": func(ctx *taskContext) error {
 			if len(ctx.Args) != 3 {
 				return fmt.Errorf("run_cap3: want [dict protein out], got %v", ctx.Args)
 			}
-			return StageRunCAP3(ctx.WorkDir, ctx.Args[0], ctx.Args[1], ctx.Args[2], params)
+			return stageRunCAP3(ctx.WorkDir, ctx.Args[0], ctx.Args[1], ctx.Args[2], params)
 		},
-		"merge": func(ctx *TaskContext) error {
+		"merge": func(ctx *taskContext) error {
 			if len(ctx.Args) != 3 || ctx.Args[0] != "-n" {
 				return fmt.Errorf("merge: want [-n N out], got %v", ctx.Args)
 			}
@@ -197,13 +197,13 @@ func Registry(params cap3.Params) map[string]Task {
 			if err != nil {
 				return fmt.Errorf("merge: bad n %q", ctx.Args[1])
 			}
-			return StageMerge(ctx.WorkDir, n, ctx.Args[2])
+			return stageMerge(ctx.WorkDir, n, ctx.Args[2])
 		},
-		"merge_not_joined": func(ctx *TaskContext) error {
+		"merge_not_joined": func(ctx *taskContext) error {
 			if len(ctx.Args) != 3 {
 				return fmt.Errorf("merge_not_joined: want [joined dict out], got %v", ctx.Args)
 			}
-			return StageMergeNotJoined(ctx.WorkDir, ctx.Args[0], ctx.Args[1], ctx.Args[2])
+			return stageMergeNotJoined(ctx.WorkDir, ctx.Args[0], ctx.Args[1], ctx.Args[2])
 		},
 	}
 }

@@ -39,25 +39,25 @@ func TestStagesPipelineMatchesRunSerial(t *testing.T) {
 	params := cap3.DefaultParams()
 
 	// Run the stages by hand in dependency order.
-	if err := StageCreateListTranscripts(dir, "transcripts.fasta", "transcripts_dict.txt"); err != nil {
+	if err := stageCreateListTranscripts(dir, "transcripts.fasta", "transcripts_dict.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if err := StageCreateListAlignments(dir, "alignments.out", "alignments_list.txt"); err != nil {
+	if err := stageCreateListAlignments(dir, "alignments.out", "alignments_list.txt"); err != nil {
 		t.Fatal(err)
 	}
-	if err := StageSplit(dir, "alignments.out", n); err != nil {
+	if err := stageSplit(dir, "alignments.out", n); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
-		if err := StageRunCAP3(dir, "transcripts_dict.txt",
+		if err := stageRunCAP3(dir, "transcripts_dict.txt",
 			"protein_"+strconv.Itoa(i)+".txt", "joined_"+strconv.Itoa(i)+".fasta", params); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := StageMerge(dir, n, "joined_all.fasta"); err != nil {
+	if err := stageMerge(dir, n, "joined_all.fasta"); err != nil {
 		t.Fatal(err)
 	}
-	if err := StageMergeNotJoined(dir, "joined_all.fasta", "transcripts_dict.txt", "final_assembly.fasta"); err != nil {
+	if err := stageMergeNotJoined(dir, "joined_all.fasta", "transcripts_dict.txt", "final_assembly.fasta"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,7 +152,7 @@ func TestStageSplitPreservesAllClusters(t *testing.T) {
 	dir := t.TempDir()
 	writeInputs(t, dir, ds)
 	const n = 3
-	if err := StageSplit(dir, "alignments.out", n); err != nil {
+	if err := stageSplit(dir, "alignments.out", n); err != nil {
 		t.Fatal(err)
 	}
 	// Every transcript with a hit appears in exactly one chunk file.
@@ -166,7 +166,7 @@ func TestStageSplitPreservesAllClusters(t *testing.T) {
 			seen[h.QueryID]++
 		}
 	}
-	clusters, err := ClusterByProtein(ds.TruthHits)
+	clusters, err := clusterByProtein(ds.TruthHits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,22 +186,22 @@ func TestStageSplitPreservesAllClusters(t *testing.T) {
 
 func TestStageErrorsOnMissingFiles(t *testing.T) {
 	dir := t.TempDir()
-	if err := StageCreateListTranscripts(dir, "missing.fasta", "out"); err == nil {
+	if err := stageCreateListTranscripts(dir, "missing.fasta", "out"); err == nil {
 		t.Error("missing transcripts accepted")
 	}
-	if err := StageSplit(dir, "missing.out", 2); err == nil {
+	if err := stageSplit(dir, "missing.out", 2); err == nil {
 		t.Error("missing alignments accepted")
 	}
-	if err := StageSplit(dir, "missing.out", 0); err == nil {
+	if err := stageSplit(dir, "missing.out", 0); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if err := StageRunCAP3(dir, "no_dict", "no_chunk", "out", cap3.DefaultParams()); err == nil {
+	if err := stageRunCAP3(dir, "no_dict", "no_chunk", "out", cap3.DefaultParams()); err == nil {
 		t.Error("missing dict accepted")
 	}
-	if err := StageMerge(dir, 1, "out"); err == nil {
+	if err := stageMerge(dir, 1, "out"); err == nil {
 		t.Error("missing joined file accepted")
 	}
-	if err := StageMergeNotJoined(dir, "no_joined", "no_dict", "out"); err == nil {
+	if err := stageMergeNotJoined(dir, "no_joined", "no_dict", "out"); err == nil {
 		t.Error("missing inputs accepted")
 	}
 }
@@ -217,23 +217,23 @@ func TestStagesRefuseDuplicateTranscript(t *testing.T) {
 	if err := blast.WriteTabularFile(filepath.Join(dir, "protein_1.txt"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := StageCreateListTranscripts(dir, "transcripts.fasta", "dict"); err == nil {
+	if err := stageCreateListTranscripts(dir, "transcripts.fasta", "dict"); err == nil {
 		t.Error("create_list_transcripts accepted a duplicate transcript")
 	}
-	if err := StageRunCAP3(dir, "transcripts.fasta", "protein_1.txt", "out", cap3.DefaultParams()); err == nil {
+	if err := stageRunCAP3(dir, "transcripts.fasta", "protein_1.txt", "out", cap3.DefaultParams()); err == nil {
 		t.Error("run_cap3 accepted a duplicate transcript")
 	}
 }
 
 func TestRegistryCoversAllTransformations(t *testing.T) {
-	reg := Registry(cap3.DefaultParams())
+	reg := registry(cap3.DefaultParams())
 	for _, tr := range workflow.Transformations() {
 		if _, ok := reg[tr]; !ok {
 			t.Errorf("registry missing transformation %q", tr)
 		}
 	}
 	// Argument validation paths.
-	bad := &TaskContext{Args: []string{"x"}, WorkDir: t.TempDir()}
+	bad := &taskContext{Args: []string{"x"}, WorkDir: t.TempDir()}
 	for name, fn := range reg {
 		if err := fn(bad); err == nil {
 			t.Errorf("%s accepted bad args", name)

@@ -19,32 +19,29 @@ type Record struct {
 	Seq []byte
 }
 
-// Header renders the full header line content (without '>').
-func (r *Record) Header() string {
+// header renders the full header line content (without '>').
+func (r *Record) header() string {
 	if r.Desc == "" {
 		return r.ID
 	}
 	return r.ID + " " + r.Desc
 }
 
-// Len returns the sequence length.
-func (r *Record) Len() int { return len(r.Seq) }
-
-// Reader streams records from FASTA text.
-type Reader struct {
+// reader streams records from FASTA text.
+type reader struct {
 	br     *bufio.Reader
 	header string // pending header line (without '>'), "" before first record
 	eof    bool
 	line   int
 }
 
-// NewReader wraps r for FASTA parsing.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
+// newReader wraps r for FASTA parsing.
+func newReader(r io.Reader) *reader {
+	return &reader{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
-// Next returns the next record, or io.EOF when the input is exhausted.
-func (r *Reader) Next() (*Record, error) {
+// next returns the next record, or io.EOF when the input is exhausted.
+func (r *reader) next() (*Record, error) {
 	if r.eof && r.header == "" {
 		return nil, io.EOF
 	}
@@ -98,7 +95,7 @@ func (r *Reader) Next() (*Record, error) {
 	return rec, nil
 }
 
-func (r *Reader) readLine() (string, error) {
+func (r *reader) readLine() (string, error) {
 	line, err := r.br.ReadString('\n')
 	if err == io.EOF && line == "" {
 		return "", io.EOF
@@ -125,12 +122,12 @@ func truncate(s string) string {
 	return s
 }
 
-// ReadAll parses every record from r.
-func ReadAll(r io.Reader) ([]*Record, error) {
-	fr := NewReader(r)
+// readAll parses every record from r.
+func readAll(r io.Reader) ([]*Record, error) {
+	fr := newReader(r)
 	var out []*Record
 	for {
-		rec, err := fr.Next()
+		rec, err := fr.next()
 		if err == io.EOF {
 			return out, nil
 		}
@@ -148,21 +145,21 @@ func ReadFile(path string) ([]*Record, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadAll(f)
+	return readAll(f)
 }
 
-// Writer emits records with sequence lines wrapped at Width columns.
-type Writer struct {
+// writer emits records with sequence lines wrapped at Width columns.
+type writer struct {
 	w io.Writer
 	// Width is the wrap column (default 70 when 0).
 	Width int
 }
 
-// NewWriter returns a writer targeting w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+// newWriter returns a writer targeting w.
+func newWriter(w io.Writer) *writer { return &writer{w: w} }
 
-// Write emits one record.
-func (w *Writer) Write(rec *Record) error {
+// write emits one record.
+func (w *writer) write(rec *Record) error {
 	if rec.ID == "" {
 		return fmt.Errorf("fasta: writing record with empty identifier")
 	}
@@ -170,7 +167,7 @@ func (w *Writer) Write(rec *Record) error {
 	if width <= 0 {
 		width = 70
 	}
-	if _, err := fmt.Fprintf(w.w, ">%s\n", rec.Header()); err != nil {
+	if _, err := fmt.Fprintf(w.w, ">%s\n", rec.header()); err != nil {
 		return err
 	}
 	seq := rec.Seq
@@ -192,9 +189,9 @@ func (w *Writer) Write(rec *Record) error {
 
 // WriteAll emits all records to w.
 func WriteAll(w io.Writer, recs []*Record) error {
-	fw := NewWriter(w)
+	fw := newWriter(w)
 	for _, rec := range recs {
-		if err := fw.Write(rec); err != nil {
+		if err := fw.write(rec); err != nil {
 			return err
 		}
 	}

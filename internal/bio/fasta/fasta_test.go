@@ -11,7 +11,7 @@ import (
 
 func TestReadBasic(t *testing.T) {
 	in := ">tr1 wheat transcript\nACGTACGT\nACGT\n>tr2\nTTTT\n"
-	recs, err := ReadAll(strings.NewReader(in))
+	recs, err := readAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestReadBasic(t *testing.T) {
 
 func TestReadSkipsBlankAndCRLF(t *testing.T) {
 	in := "\n\n>a desc here\r\nACGT\r\n\r\nAC GT\n>b\nGG\n"
-	recs, err := ReadAll(strings.NewReader(in))
+	recs, err := readAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,28 +44,28 @@ func TestReadSkipsBlankAndCRLF(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	if _, err := ReadAll(strings.NewReader("ACGT\n")); err == nil {
+	if _, err := readAll(strings.NewReader("ACGT\n")); err == nil {
 		t.Error("sequence before header accepted")
 	}
-	if _, err := ReadAll(strings.NewReader("> \nACGT\n")); err == nil {
+	if _, err := readAll(strings.NewReader("> \nACGT\n")); err == nil {
 		t.Error("empty identifier accepted")
 	}
 }
 
 func TestReadEmptyInput(t *testing.T) {
-	recs, err := ReadAll(strings.NewReader(""))
+	recs, err := readAll(strings.NewReader(""))
 	if err != nil || len(recs) != 0 {
 		t.Errorf("empty input: %v, %v", recs, err)
 	}
 }
 
 func TestReaderNextEOFTerminal(t *testing.T) {
-	r := NewReader(strings.NewReader(">a\nAC\n"))
-	if _, err := r.Next(); err != nil {
+	r := newReader(strings.NewReader(">a\nAC\n"))
+	if _, err := r.next(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := r.Next(); err != io.EOF {
+		if _, err := r.next(); err != io.EOF {
 			t.Fatalf("Next after end = %v, want io.EOF", err)
 		}
 	}
@@ -73,10 +73,10 @@ func TestReaderNextEOFTerminal(t *testing.T) {
 
 func TestWriteWrapsLines(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := newWriter(&buf)
 	w.Width = 10
 	rec := &Record{ID: "x", Seq: []byte("AAAAAAAAAACCCCCCCCCCGGG")}
-	if err := w.Write(rec); err != nil {
+	if err := w.write(rec); err != nil {
 		t.Fatal(err)
 	}
 	want := ">x\nAAAAAAAAAA\nCCCCCCCCCC\nGGG\n"
@@ -87,13 +87,13 @@ func TestWriteWrapsLines(t *testing.T) {
 
 func TestWriteEmptySeq(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).Write(&Record{ID: "e"}); err != nil {
+	if err := newWriter(&buf).write(&Record{ID: "e"}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != ">e\n" {
 		t.Errorf("got %q", buf.String())
 	}
-	if err := NewWriter(&buf).Write(&Record{}); err == nil {
+	if err := newWriter(&buf).write(&Record{}); err == nil {
 		t.Error("empty ID accepted")
 	}
 }
@@ -131,10 +131,10 @@ func TestReadFileMissing(t *testing.T) {
 
 func TestHeaderAndLen(t *testing.T) {
 	r := &Record{ID: "a", Desc: "b c", Seq: []byte("ACGT")}
-	if r.Header() != "a b c" || r.Len() != 4 {
-		t.Errorf("Header=%q Len=%d", r.Header(), r.Len())
+	if r.header() != "a b c" || len(r.Seq) != 4 {
+		t.Errorf("Header=%q", r.header())
 	}
-	if (&Record{ID: "a"}).Header() != "a" {
+	if (&Record{ID: "a"}).header() != "a" {
 		t.Error("Header with empty Desc")
 	}
 }
@@ -157,7 +157,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 		if err := WriteAll(&buf, recs); err != nil {
 			return false
 		}
-		got, err := ReadAll(&buf)
+		got, err := readAll(&buf)
 		if err != nil || len(got) != len(recs) {
 			return false
 		}

@@ -25,7 +25,7 @@ func FuzzReader(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ReadAll(bytes.NewReader(data))
+		recs, err := readAll(bytes.NewReader(data))
 		if err != nil {
 			return // malformed input may error, but must not panic
 		}
@@ -52,7 +52,7 @@ func FuzzReader(f *testing.F) {
 		if err := WriteAll(&buf, recs); err != nil {
 			t.Fatalf("writing parsed records: %v", err)
 		}
-		again, err := ReadAll(bytes.NewReader(buf.Bytes()))
+		again, err := readAll(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("reparsing written records: %v\n%q", err, buf.Bytes())
 		}

@@ -16,19 +16,6 @@ func init() {
 	complement['N'], complement['n'] = 'N', 'N'
 }
 
-// IsDNA reports whether every byte is an ACGTN nucleotide (case
-// insensitive).
-func IsDNA(s []byte) bool {
-	for _, c := range s {
-		switch c {
-		case 'A', 'C', 'G', 'T', 'N', 'a', 'c', 'g', 't', 'n':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // ReverseComplement returns the reverse complement of a DNA sequence as a
 // new slice.
 func ReverseComplement(s []byte) []byte {
@@ -39,30 +26,12 @@ func ReverseComplement(s []byte) []byte {
 	return out
 }
 
-// GC returns the fraction of G/C bases (0 for empty input).
-func GC(s []byte) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range s {
-		switch c {
-		case 'G', 'C', 'g', 'c':
-			n++
-		}
-	}
-	return float64(n) / float64(len(s))
-}
-
 // codonTable maps a 6-bit codon index (2 bits per base, A=0 C=1 G=2 T=3)
 // to an amino acid; '*' is a stop.
 var codonTable [64]byte
 
-// StopCodon is the translation of a stop codon.
-const StopCodon = '*'
-
-// Unknown is the translation of a codon containing N.
-const Unknown = 'X'
+// unknown is the translation of a codon containing N.
+const unknown = 'X'
 
 func init() {
 	// Standard genetic code, laid out by first/second/third base in
@@ -111,17 +80,17 @@ func baseCode(b byte) byte {
 	}
 }
 
-// TranslateCodon translates a single 3-base codon; codons containing
-// non-ACGT bases translate to Unknown.
-func TranslateCodon(c []byte) byte {
+// translateCodon translates a single 3-base codon; codons containing
+// non-ACGT bases translate to unknown.
+func translateCodon(c []byte) byte {
 	if len(c) != 3 {
-		return Unknown
+		return unknown
 	}
 	idx := 0
 	for _, b := range c {
 		bc := baseCode(b)
 		if bc == 0xFF {
-			return Unknown
+			return unknown
 		}
 		idx = idx<<2 | int(bc)
 	}
@@ -146,20 +115,7 @@ func Translate(dna []byte, frame int) ([]byte, error) {
 	s = s[frame:]
 	out := make([]byte, 0, len(s)/3)
 	for i := 0; i+3 <= len(s); i += 3 {
-		out = append(out, TranslateCodon(s[i:i+3]))
-	}
-	return out, nil
-}
-
-// SixFrames translates all six reading frames.
-func SixFrames(dna []byte) ([6][]byte, error) {
-	var out [6][]byte
-	for f := 0; f < 6; f++ {
-		t, err := Translate(dna, f)
-		if err != nil {
-			return out, err
-		}
-		out[f] = t
+		out = append(out, translateCodon(s[i:i+3]))
 	}
 	return out, nil
 }
@@ -188,23 +144,6 @@ type Kmer uint64
 
 // MaxK is the largest supported k-mer size (2 bits per base in 64 bits).
 const MaxK = 31
-
-// KmerAt packs the k bases starting at position i; ok is false if the
-// window contains a non-ACGT base or overruns the sequence.
-func KmerAt(s []byte, i, k int) (Kmer, bool) {
-	if k <= 0 || k > MaxK || i < 0 || i+k > len(s) {
-		return 0, false
-	}
-	var v Kmer
-	for _, b := range s[i : i+k] {
-		c := baseCode(b)
-		if c == 0xFF {
-			return 0, false
-		}
-		v = v<<2 | Kmer(c)
-	}
-	return v, true
-}
 
 // EachKmer calls fn for every valid k-mer position in s.
 func EachKmer(s []byte, k int, fn func(pos int, km Kmer)) {

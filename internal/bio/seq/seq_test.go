@@ -35,33 +35,6 @@ func TestReverseComplementInvolution(t *testing.T) {
 	}
 }
 
-func TestIsDNA(t *testing.T) {
-	if !IsDNA([]byte("ACGTacgtNn")) {
-		t.Error("valid DNA rejected")
-	}
-	if IsDNA([]byte("ACGU")) {
-		t.Error("RNA accepted")
-	}
-	if IsDNA([]byte("HELLO")) {
-		t.Error("protein accepted")
-	}
-}
-
-func TestGC(t *testing.T) {
-	if got := GC([]byte("GGCC")); got != 1.0 {
-		t.Errorf("GC = %v", got)
-	}
-	if got := GC([]byte("AATT")); got != 0.0 {
-		t.Errorf("GC = %v", got)
-	}
-	if got := GC([]byte("ACGT")); got != 0.5 {
-		t.Errorf("GC = %v", got)
-	}
-	if got := GC(nil); got != 0 {
-		t.Errorf("GC(empty) = %v", got)
-	}
-}
-
 func TestTranslateKnownGene(t *testing.T) {
 	// ATG AAA TAA → M K *
 	got, err := Translate([]byte("ATGAAATAA"), 0)
@@ -115,17 +88,20 @@ func TestTranslateShortInput(t *testing.T) {
 	}
 }
 
+// TestSixFrames: Translate reads all six frames of one sequence, the
+// forward ones at (len-frame)/3 codons.
 func TestSixFrames(t *testing.T) {
-	frames, err := SixFrames([]byte("ATGAAATTTGGGCCC"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(frames[0]) != "MKFGP" {
-		t.Errorf("frame 0 = %q", frames[0])
-	}
+	dna := []byte("ATGAAATTTGGGCCC")
 	for f := 0; f < 6; f++ {
-		if f < 3 && len(frames[f]) != (15-f)/3 {
-			t.Errorf("frame %d length = %d", f, len(frames[f]))
+		frame, err := Translate(dna, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f == 0 && string(frame) != "MKFGP" {
+			t.Errorf("frame 0 = %q", frame)
+		}
+		if f < 3 && len(frame) != (15-f)/3 {
+			t.Errorf("frame %d length = %d", f, len(frame))
 		}
 	}
 }
@@ -136,7 +112,7 @@ func TestCodonTableCompleteness(t *testing.T) {
 	for _, b1 := range "ACGT" {
 		for _, b2 := range "ACGT" {
 			for _, b3 := range "ACGT" {
-				aa := TranslateCodon([]byte{byte(b1), byte(b2), byte(b3)})
+				aa := translateCodon([]byte{byte(b1), byte(b2), byte(b3)})
 				if !strings.ContainsRune("ACDEFGHIKLMNPQRSTVWY*", rune(aa)) {
 					t.Fatalf("codon %c%c%c → %q", b1, b2, b3, aa)
 				}
@@ -162,7 +138,7 @@ func TestCodonsForRoundTrip(t *testing.T) {
 			t.Fatalf("no codons for %c", aa)
 		}
 		for _, c := range codons {
-			if got := TranslateCodon([]byte(c)); got != aa {
+			if got := translateCodon([]byte(c)); got != aa {
 				t.Errorf("codon %s → %c, want %c", c, got, aa)
 			}
 		}
@@ -244,4 +220,22 @@ func TestPropertyFrameSymmetry(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// KmerAt packs the k bases starting at position i; ok is false if the
+// window contains a non-ACGT base or overruns the sequence. It is the
+// direct computation EachKmer's rolling update is checked against.
+func KmerAt(s []byte, i, k int) (Kmer, bool) {
+	if k <= 0 || k > MaxK || i < 0 || i+k > len(s) {
+		return 0, false
+	}
+	var v Kmer
+	for _, b := range s[i : i+k] {
+		c := baseCode(b)
+		if c == 0xFF {
+			return 0, false
+		}
+		v = v<<2 | Kmer(c)
+	}
+	return v, true
 }

@@ -66,16 +66,6 @@ func (c *SiteCatalog) Lookup(name string) (*Site, error) {
 	return s, nil
 }
 
-// Names returns the sorted site names.
-func (c *SiteCatalog) Names() []string {
-	out := make([]string, 0, len(c.sites))
-	for n := range c.sites {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Transformation is one entry in the transformation catalog.
 type Transformation struct {
 	// Name is the logical transformation name (e.g. "run_cap3").
@@ -170,15 +160,6 @@ func (c *ReplicaCatalog) Add(lfn string, r Replica) error {
 	}
 	c.replicas[lfn] = append(c.replicas[lfn], r)
 	return nil
-}
-
-// Lookup returns the replicas of a logical file.
-func (c *ReplicaCatalog) Lookup(lfn string) ([]Replica, error) {
-	rs := c.replicas[lfn]
-	if len(rs) == 0 {
-		return nil, fmt.Errorf("catalog: no replica registered for %q", lfn)
-	}
-	return rs, nil
 }
 
 // Has reports whether the logical file has at least one replica.

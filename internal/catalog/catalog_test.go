@@ -42,19 +42,6 @@ func TestSiteCatalogRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestSiteCatalogNamesSorted(t *testing.T) {
-	c := NewSiteCatalog()
-	for _, n := range []string{"osg", "local", "sandhills"} {
-		if err := c.Add(&Site{Name: n, Slots: 1, SpeedFactor: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	names := c.Names()
-	if len(names) != 3 || names[0] != "local" || names[1] != "osg" || names[2] != "sandhills" {
-		t.Errorf("Names = %v", names)
-	}
-}
-
 func TestTransformationCatalog(t *testing.T) {
 	c := NewTransformationCatalog()
 	if err := c.Add(&Transformation{Name: "run_cap3", Site: "sandhills", PFN: "/usr/bin/cap3", Installed: true}); err != nil {
@@ -109,15 +96,14 @@ func TestReplicaCatalog(t *testing.T) {
 	if err := c.Add("transcripts.fasta", Replica{Site: "osg", PFN: "gsiftp://osg/transcripts.fasta"}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := c.Lookup("transcripts.fasta")
-	if err != nil || len(rs) != 2 {
-		t.Fatalf("Lookup = %v, %v", rs, err)
+	if rs := c.replicas["transcripts.fasta"]; len(rs) != 2 {
+		t.Fatalf("replicas = %v", rs)
 	}
 	if !c.Has("transcripts.fasta") {
 		t.Error("Has = false after Add")
 	}
-	if _, err := c.Lookup("missing"); err == nil {
-		t.Error("missing LFN lookup succeeded")
+	if c.Has("missing") {
+		t.Error("Has = true for an unregistered LFN")
 	}
 }
 

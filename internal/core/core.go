@@ -104,18 +104,12 @@ func (a *AllResults) BestWorkflowWallTime() float64 {
 	return best
 }
 
-// CacheStats is scenario.CacheStats, kept for bench/.
-//
-// Deprecated: use scenario.CacheStats. ROADMAP item 4(b)/18(b) removes it
-// once bench/ names scenario's.
-type CacheStats = scenario.CacheStats
-
 // PlanCacheStats is scenario.PlanCacheStats, kept for bench/.
 //
-// Deprecated: use scenario.PlanCacheStats (item 4(b)/18(b) removes it).
-func PlanCacheStats() CacheStats { return scenario.PlanCacheStats() }
+// Deprecated: use scenario.PlanCacheStats.
+func PlanCacheStats() scenario.CacheStats { return scenario.PlanCacheStats() }
 
 // ResetPlanCache is scenario.ResetPlanCache, kept for bench/.
 //
-// Deprecated: use scenario.ResetPlanCache (item 4(b)/18(b) removes it).
+// Deprecated: use scenario.ResetPlanCache.
 func ResetPlanCache() { scenario.ResetPlanCache() }

@@ -15,7 +15,6 @@
 // planner, platform or pool, and names engine only for RunResult.Result's
 // type; scenario and server do not import it (TestOneFrontDoor, at the
 // repository root). The run path, its plan, member-DAX and chunk-seconds
-// caches and PlatformSeed are package scenario's; CacheStats,
-// PlanCacheStats and ResetPlanCache remain here only as forwarders for the
-// benchmark.
+// caches and the platform seed are package scenario's; PlanCacheStats and
+// ResetPlanCache remain here only as forwarders for the benchmark.
 package core

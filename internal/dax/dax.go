@@ -99,28 +99,6 @@ func (j *Job) Clone() *Job {
 	return &cp
 }
 
-// Inputs returns the logical names of the job's inputs, in declaration order.
-func (j *Job) Inputs() []string {
-	var out []string
-	for _, u := range j.Uses {
-		if u.Link == LinkInput {
-			out = append(out, u.LFN)
-		}
-	}
-	return out
-}
-
-// Outputs returns the logical names of the job's outputs, in declaration order.
-func (j *Job) Outputs() []string {
-	var out []string
-	for _, u := range j.Uses {
-		if u.Link == LinkOutput {
-			out = append(out, u.LFN)
-		}
-	}
-	return out
-}
-
 // Workflow is an abstract DAG of jobs (a Pegasus "ADAG"). A job's number is
 // its index in insertion order; the structure is stored as the jobs and the
 // edges by number, and every query reads a topology derived from them (see
@@ -277,60 +255,8 @@ func (w *Workflow) ids(nums []int32) []string {
 	return out
 }
 
-// Roots returns jobs with no parents, in insertion order.
-func (w *Workflow) Roots() []string {
-	t := w.topology()
-	var out []string
-	for k, j := range w.jobs {
-		if t.parentAt[k] == t.parentAt[k+1] {
-			out = append(out, j.ID)
-		}
-	}
-	return out
-}
-
-// Leaves returns jobs with no children, in insertion order.
-func (w *Workflow) Leaves() []string {
-	t := w.topology()
-	var out []string
-	for k, j := range w.jobs {
-		if t.childAt[k] == t.childAt[k+1] {
-			out = append(out, j.ID)
-		}
-	}
-	return out
-}
-
 // Edges returns the number of dependency edges.
 func (w *Workflow) Edges() int { return len(w.topology().child) }
-
-// InferDependencies adds edges from every producer of a logical file to
-// every consumer of that file. This is how Pegasus derives structure from
-// data flow when explicit edges are omitted.
-func (w *Workflow) InferDependencies() error {
-	producer := make(map[string][]int32)
-	for k, j := range w.jobs {
-		for _, u := range j.Uses {
-			if u.Link == LinkOutput {
-				producer[u.LFN] = append(producer[u.LFN], int32(k))
-			}
-		}
-	}
-	for k, j := range w.jobs {
-		for _, u := range j.Uses {
-			if u.Link != LinkInput {
-				continue
-			}
-			for _, p := range producer[u.LFN] {
-				if p == int32(k) {
-					return fmt.Errorf("dax: job %q both produces and consumes %q", j.ID, u.LFN)
-				}
-				w.link(p, int32(k))
-			}
-		}
-	}
-	return nil
-}
 
 // TopoSort returns the job IDs in a dependency-respecting order (Kahn's
 // algorithm; ties broken by insertion order, so the result is
@@ -361,15 +287,6 @@ func (w *Workflow) acyclic(t *topology) error {
 func (w *Workflow) Validate() error {
 	_, err := w.valid()
 	return err
-}
-
-// ValidOrder is Validate for callers that go on to walk the workflow: it
-// returns the topological order (TopoSort) its acyclicity check computed.
-func (w *Workflow) ValidOrder() ([]string, error) {
-	if _, err := w.valid(); err != nil {
-		return nil, err
-	}
-	return w.TopoSort()
 }
 
 // valid runs Validate's checks and returns the topology they passed on.

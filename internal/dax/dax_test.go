@@ -3,6 +3,7 @@ package dax
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,6 +120,16 @@ func TestAddDependencyErrors(t *testing.T) {
 	}
 }
 
+// TestInputsOutputs: AddInput and AddOutput record each use with its link,
+// in declaration order.
+func TestInputsOutputs(t *testing.T) {
+	w := diamond(t)
+	want := []Use{{LFN: "f.c1", Link: LinkInput, Size: 5}, {LFN: "f.c2", Link: LinkInput, Size: 5}, {LFN: "f.d", Link: LinkOutput, Size: 1}}
+	if got := w.Job("D").Uses; !reflect.DeepEqual(got, want) {
+		t.Errorf("Uses = %+v, want %+v", got, want)
+	}
+}
+
 func TestInferDependencies(t *testing.T) {
 	w := New("infer")
 	w.NewJob("A", "gen").AddOutput("data", 0)
@@ -175,17 +186,6 @@ func TestProfiles(t *testing.T) {
 	}
 }
 
-func TestInputsOutputs(t *testing.T) {
-	w := diamond(t)
-	d := w.Job("D")
-	if in := d.Inputs(); len(in) != 2 || in[0] != "f.c1" {
-		t.Errorf("Inputs = %v", in)
-	}
-	if out := d.Outputs(); len(out) != 1 || out[0] != "f.d" {
-		t.Errorf("Outputs = %v", out)
-	}
-}
-
 func TestXMLRoundTrip(t *testing.T) {
 	w := diamond(t)
 	w.Job("A").Args = []string{"-v", "input.txt"}
@@ -212,7 +212,7 @@ func TestXMLRoundTrip(t *testing.T) {
 	if got.Job("B").Priority != 5 {
 		t.Errorf("priority not preserved")
 	}
-	if len(got.Job("D").Inputs()) != 2 {
+	if !reflect.DeepEqual(got.Job("D").Uses, w.Job("D").Uses) {
 		t.Errorf("uses not preserved on D")
 	}
 	if p := got.Parents("D"); len(p) != 2 {

@@ -18,7 +18,7 @@
 // on the first read after an edit: children and parents in compressed
 // sparse rows (offsets plus targets, each job's run sorted by ID and free of
 // duplicate edges) and the topological order, all as int32 job numbers.
-// TopoSort, Levels, CriticalPathLength, Roots, Leaves and Validate work on
+// TopoSort, Levels, CriticalPathLength and Validate work on
 // those arrays and turn numbers into IDs only in what they return. Every
 // AddJob and AddDependency drops the topology; the next read derives it
 // afresh. It is published through an atomic pointer, so a workflow that is

@@ -34,9 +34,11 @@ func ExampleRun() {
 		AddInput("part1.dat", 512<<10).
 		AddOutput("result.dat", 64<<10).
 		SetProfile("pegasus", "runtime", "60")
-	// Dependencies can be declared explicitly or inferred from data flow.
-	if err := wf.InferDependencies(); err != nil {
-		log.Fatal(err)
+	// Dependencies: each job runs after the producers of its inputs.
+	for _, e := range [][2]string{{"prepare", "left"}, {"prepare", "right"}, {"left", "combine"}, {"right", "combine"}} {
+		if err := wf.AddDependency(e[0], e[1]); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// 2. Catalogs: one campus-cluster site with everything installed.

@@ -9,7 +9,7 @@ import (
 	"pegflow/internal/planner"
 )
 
-// RescueDAX builds the rescue workflow for an incomplete run: the
+// rescueDAX builds the rescue workflow for an incomplete run: the
 // sub-DAG of the plan induced by the unfinished jobs, with dependencies on
 // completed jobs dropped (their outputs already exist) — what Pegasus
 // resubmits after a failure (paper §III: "Pegasus generates a rescue
@@ -20,7 +20,7 @@ import (
 // members' sum). Its Args and Uses are copies, since a plan shares them
 // with every clone of its master. It returns an error if the run actually
 // succeeded.
-func RescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
+func rescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
 	if res.Success {
 		return nil, fmt.Errorf("engine: no rescue workflow for a successful run")
 	}
@@ -59,7 +59,7 @@ func RescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
 
 // WriteRescue writes the rescue workflow as DAX XML.
 func WriteRescue(w io.Writer, plan *planner.Plan, res *Result) error {
-	rescue, err := RescueDAX(plan, res)
+	rescue, err := rescueDAX(plan, res)
 	if err != nil {
 		return err
 	}

@@ -24,13 +24,13 @@ func TestRescueDAXContainsOnlyUnfinished(t *testing.T) {
 	if res.Success {
 		t.Fatal("expected failure")
 	}
-	rescue, err := RescueDAX(p, res)
+	rescue, err := rescueDAX(p, res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// B failed, D depends on B: rescue = {B, D}; A and C completed.
 	if rescue.Len() != 2 {
-		t.Fatalf("rescue has %d jobs: %v", rescue.Len(), rescue.Roots())
+		t.Fatalf("rescue has %d jobs, want 2", rescue.Len())
 	}
 	if rescue.Job("B") == nil || rescue.Job("D") == nil {
 		t.Error("rescue missing B or D")
@@ -78,7 +78,7 @@ func TestRescueDAXRefusesSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RescueDAX(p, res); err == nil {
+	if _, err := rescueDAX(p, res); err == nil {
 		t.Error("rescue built for successful run")
 	}
 }
@@ -92,7 +92,7 @@ func TestRescueRunnableOnFreshExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rescue, err := RescueDAX(p, res)
+	rescue, err := rescueDAX(p, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRescueDAXIsPrivate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rescue, err := RescueDAX(run, res)
+	rescue, err := rescueDAX(run, res)
 	if err != nil {
 		t.Fatal(err)
 	}

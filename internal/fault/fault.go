@@ -26,9 +26,9 @@ const (
 
 // Eviction profiles for TypeOutage.
 const (
-	// ProfilePreempt evicts every occupied slot when the outage begins —
+	// profilePreempt evicts every occupied slot when the outage begins —
 	// the glidein-vanishes case.
-	ProfilePreempt = "preempt"
+	profilePreempt = "preempt"
 	// ProfileDrain lets running attempts finish while refusing new slot
 	// grants — an administrative drain.
 	ProfileDrain = "drain"
@@ -109,7 +109,7 @@ func (s *Spec) Validate() []FieldError {
 	if s.Profile != "" {
 		if s.Type != TypeOutage {
 			ef("profile", "profile only applies to outages")
-		} else if s.Profile != ProfilePreempt && s.Profile != ProfileDrain {
+		} else if s.Profile != profilePreempt && s.Profile != ProfileDrain {
 			ef("profile", "unknown profile %q (have preempt, drain)", s.Profile)
 		}
 	}

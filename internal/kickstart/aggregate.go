@@ -10,7 +10,7 @@ type Tally struct {
 	// Attempts counts all appended records; Successes, Failed and Evicted
 	// split them by status.
 	Attempts, Successes, Failed, Evicted int
-	// CumulativeTotal and CumulativeExec sum Total() and Exec() over
+	// CumulativeTotal and CumulativeExec sum total() and Exec() over
 	// successful attempts.
 	CumulativeTotal, CumulativeExec float64
 
@@ -38,7 +38,7 @@ func (t *Tally) fold(r *Record) {
 	switch r.Status {
 	case StatusSuccess:
 		t.Successes++
-		t.CumulativeTotal += r.Total()
+		t.CumulativeTotal += r.total()
 		t.CumulativeExec += r.Exec()
 		delete(t.unfinished, gridJob(r))
 		return

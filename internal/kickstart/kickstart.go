@@ -76,8 +76,8 @@ func (r *Record) Setup() float64 { return r.ExecStart - r.SetupStart }
 // the remote node).
 func (r *Record) Exec() float64 { return r.EndTime - r.ExecStart }
 
-// Total returns submit-to-end time for the attempt.
-func (r *Record) Total() float64 { return r.EndTime - r.SubmitTime }
+// total returns submit-to-end time for the attempt.
+func (r *Record) total() float64 { return r.EndTime - r.SubmitTime }
 
 // Validate checks that the phase timestamps are ordered.
 func (r *Record) Validate() error {

@@ -35,7 +35,7 @@ func TestPhaseAccessors(t *testing.T) {
 	if got := r.Exec(); got != 1000 {
 		t.Errorf("Exec = %v, want 1000", got)
 	}
-	if got := r.Total(); got != 1360 {
+	if got := r.total(); got != 1360 {
 		t.Errorf("Total = %v, want 1360", got)
 	}
 }
@@ -208,7 +208,7 @@ func TestPropertyPhasesSumToTotal(t *testing.T) {
 		if r.Waiting() < 0 || r.Setup() < 0 || r.Exec() < 0 {
 			return false
 		}
-		return math.Abs(r.Waiting()+r.Setup()+r.Exec()-r.Total()) < 1e-9
+		return math.Abs(r.Waiting()+r.Setup()+r.Exec()-r.total()) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -114,8 +114,10 @@ func referenceJobAttributes(aj *dax.Job) (planner.Job, error) {
 func referenceAddStageIn(graph *dax.Workflow, jobs []planner.Job, work *dax.Workflow, cats planner.Catalogs, site *catalog.Site) ([]planner.Job, error) {
 	produced := make(map[string]bool)
 	for _, j := range work.Jobs() {
-		for _, lfn := range j.Outputs() {
-			produced[lfn] = true
+		for _, u := range j.Uses {
+			if u.Link == dax.LinkOutput {
+				produced[u.LFN] = true
+			}
 		}
 	}
 	type ext struct {

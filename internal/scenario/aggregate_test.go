@@ -170,9 +170,9 @@ func TestAggregateFingerprints(t *testing.T) {
 	if strings.Contains(string(b), "aggregate") {
 		t.Fatalf("exact-mode document marshals an aggregate key (breaks old fingerprints): %s", b)
 	}
-	exactFP := doc.Fingerprint()
+	exactFP := doc.fingerprint()
 	doc.Outputs.Aggregate = true
-	if aggFP := doc.Fingerprint(); aggFP == exactFP {
+	if aggFP := doc.fingerprint(); aggFP == exactFP {
 		t.Fatal("aggregated document has the same fingerprint as the exact one")
 	}
 }

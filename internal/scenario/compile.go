@@ -94,7 +94,7 @@ func Compile(d *Doc) (*Compiled, error) {
 			}
 		}
 	}
-	c.Fingerprint = d.Fingerprint()
+	c.Fingerprint = d.fingerprint()
 	return c, nil
 }
 

@@ -36,7 +36,7 @@
 // its shape, is one EnsembleExperiment (experiment.go) — a single workflow
 // is an ensemble of one, a single site a pool of one — whose Run plans the
 // members across the cell's sites and drives them on one platform pool
-// seeded with PlatformSeed(seed, n). Compiled.Simulate runs one cell; Run
+// seeded with platformSeed(seed, n). Compiled.Simulate runs one cell; Run
 // totals its result into the row, and callers read it whole. Whether a
 // cell's plans carry stage-in jobs follows from its site set alone
 // (ensemble.StageIn), as for every other front end.

@@ -24,7 +24,7 @@ import (
 // planned across a site set under a policy, executed on a shared pool.
 type EnsembleExperiment struct {
 	// Seed drives workload synthesis and retry-backoff jitter, and with N
-	// seeds the platform models (PlatformSeed).
+	// seeds the platform models (platformSeed).
 	Seed uint64
 	// Workflows is the member count.
 	Workflows int
@@ -67,12 +67,12 @@ type EnsembleExperiment struct {
 	Aggregate bool
 }
 
-// PlatformSeed mixes the chunk count n into seed, so the cells of an n-sweep
+// platformSeed mixes the chunk count n into seed, so the cells of an n-sweep
 // draw independent platform noise while cells that differ only in policy
 // share it. It is the only platform seed EnsembleExperiment.Run uses, so
 // every front end that reaches it (scenario cells, pegflow ensemble, core's
 // paper grid) seeds a (seed, n) run alike.
-func PlatformSeed(seed uint64, n int) uint64 {
+func platformSeed(seed uint64, n int) uint64 {
 	return seed ^ (uint64(n) * 0x9e3779b97f4a7c15)
 }
 
@@ -257,7 +257,7 @@ func (e *EnsembleExperiment) plan() ([]ensemble.Spec, error) {
 }
 
 // Run plans all members and executes the ensemble on
-// the sites' platform models seeded with PlatformSeed(e.Seed, e.N);
+// the sites' platform models seeded with platformSeed(e.Seed, e.N);
 // Result.Report(e.Policy) renders the outcome as a report. It is the one
 // place in the program that builds a platform pool for a simulated run and
 // drives member engines over it: every cell (Compiled.Simulate), single-site
@@ -273,7 +273,7 @@ func (e *EnsembleExperiment) Run() (*ensemble.Result, error) {
 				rng.New(e.Seed).Derive("backoff/"+specs[i].Name))
 		}
 	}
-	cfgs, err := e.World.Configs(e.Sites, PlatformSeed(e.Seed, e.N))
+	cfgs, err := e.World.Configs(e.Sites, platformSeed(e.Seed, e.N))
 	if err != nil {
 		return nil, err
 	}

@@ -101,17 +101,17 @@ func TestOptInFieldsPerMember(t *testing.T) {
 }
 
 // TestOptInFieldsStayOut: a document that names neither field gets rows
-// without them, and its defaulted field list is MetricFields — so every
+// without them, and its defaulted field list is metricFields — so every
 // existing document keeps its fingerprint and its bytes (the scenario
 // goldens of cmd/pegflow pin those).
 func TestOptInFieldsStayOut(t *testing.T) {
 	c := compileSource(t, "minimal.json", []byte(minimal))
-	if !slices.Equal(c.Doc.Outputs.Fields, MetricFields()) {
-		t.Fatalf("defaulted fields %v, want MetricFields", c.Doc.Outputs.Fields)
+	if !slices.Equal(c.Doc.Outputs.Fields, metricFields()) {
+		t.Fatalf("defaulted fields %v, want metricFields", c.Doc.Outputs.Fields)
 	}
 	for _, f := range optInFields {
-		if slices.Contains(MetricFields(), f) {
-			t.Errorf("opt-in field %q is in MetricFields", f)
+		if slices.Contains(metricFields(), f) {
+			t.Errorf("opt-in field %q is in metricFields", f)
 		}
 	}
 	lines, err := c.Run(RunOptions{Workers: 1})

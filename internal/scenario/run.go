@@ -85,16 +85,16 @@ func (e *CellPanicError) Error() string {
 	return fmt.Sprintf("panic: %v", e.Value)
 }
 
-// Header is the first NDJSON line of a scenario run.
-type Header struct {
+// header is the first NDJSON line of a scenario run.
+type header struct {
 	Scenario    string `json:"scenario"`
 	Fingerprint string `json:"fingerprint"`
 	Version     int    `json:"version"`
 	Cells       int    `json:"cells"`
 }
 
-// Footer is the last NDJSON line of a scenario run.
-type Footer struct {
+// footer is the last NDJSON line of a scenario run.
+type footer struct {
 	Done  bool `json:"done"`
 	Cells int  `json:"cells"`
 }
@@ -119,7 +119,7 @@ func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 	// never a run that failed.
 	lines := make([][]byte, len(c.Cells)+2)
 	var err error
-	if lines[0], err = json.Marshal(Header{
+	if lines[0], err = json.Marshal(header{
 		Scenario:    c.Doc.Name,
 		Fingerprint: c.Fingerprint,
 		Version:     c.Doc.SchemaVersion,
@@ -127,7 +127,7 @@ func (c *Compiled) Run(opts RunOptions) ([][]byte, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if lines[len(lines)-1], err = json.Marshal(Footer{Done: true, Cells: len(c.Cells)}); err != nil {
+	if lines[len(lines)-1], err = json.Marshal(footer{Done: true, Cells: len(c.Cells)}); err != nil {
 		return nil, err
 	}
 	// One lookup per cell, before any is simulated; only misses reach the

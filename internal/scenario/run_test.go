@@ -41,14 +41,14 @@ func TestRunShape(t *testing.T) {
 	if len(lines) != 2+4 {
 		t.Fatalf("lines = %d, want header + 4 cells + footer", len(lines))
 	}
-	var head Header
+	var head header
 	if err := json.Unmarshal(lines[0], &head); err != nil {
 		t.Fatal(err)
 	}
 	if head.Scenario != "unit-test" || head.Cells != 4 || len(head.Fingerprint) != 64 {
 		t.Errorf("bad header: %+v", head)
 	}
-	var foot Footer
+	var foot footer
 	if err := json.Unmarshal(lines[len(lines)-1], &foot); err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func scaleSpecs(tb testing.TB, n int) ([]ensemble.Spec, []platform.Config) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfgs, err := e.World.Configs(e.Sites, PlatformSeed(e.Seed, e.N))
+	cfgs, err := e.World.Configs(e.Sites, platformSeed(e.Seed, e.N))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -18,10 +18,10 @@ import (
 // Version is the scenario schema version this package reads.
 const Version = 1
 
-// MaxCells bounds the cell grid a single scenario may expand to, so a
+// maxCells bounds the cell grid a single scenario may expand to, so a
 // malformed (or hostile, via pegflow serve) document cannot fan out an
 // unbounded amount of simulation work.
-const MaxCells = 4096
+const maxCells = 4096
 
 // SiteSpec declares one platform of the scenario's pool: a named preset
 // (sandhills, osg, cloud), a preset with overrides, or a fully inline
@@ -137,7 +137,7 @@ type EnsembleSpec struct {
 // OutputSpec selects what each cell row reports.
 type OutputSpec struct {
 	// Fields filters the metric fields of each cell row; empty keeps all of
-	// MetricFields, and the opt-in grid_jobs and per_transformation appear
+	// metricFields, and the opt-in grid_jobs and per_transformation appear
 	// only when named. Identity fields (cell, n, seed, sites, …) are always
 	// present.
 	Fields []string `json:"fields,omitempty"`
@@ -200,9 +200,9 @@ type Doc struct {
 	Outputs OutputSpec `json:"outputs,omitempty"`
 }
 
-// MetricFields lists the metric field names of a row whose document
+// metricFields lists the metric field names of a row whose document
 // selects none: every field but the opt-in ones (optInFields).
-func MetricFields() []string {
+func metricFields() []string {
 	return []string{
 		"makespan_s", "mean_workflow_makespan_s", "cumulative_kickstart_s",
 		"jobs", "attempts", "retries", "evictions", "failovers", "backoffs",
@@ -211,7 +211,7 @@ func MetricFields() []string {
 }
 
 // optInFields are the fields Outputs.Fields may select beyond
-// MetricFields; a row carries one only when its document names it.
+// metricFields; a row carries one only when its document names it.
 // grid_jobs counts the jobs DAGMan ran — a clustered composite once, where
 // jobs counts each of its member tasks — and per_transformation holds each
 // member's stats.PerTransformation table, in member order, computed only
@@ -293,7 +293,7 @@ func (d *Doc) applyDefaults() {
 		d.Retries = &r
 	}
 	if len(d.Outputs.Fields) == 0 {
-		d.Outputs.Fields = MetricFields()
+		d.Outputs.Fields = metricFields()
 	}
 }
 
@@ -312,11 +312,11 @@ func (d *Doc) params() workflow.WorkloadParams {
 	return workflow.PaperWorkload(0).Params
 }
 
-// CellCount returns the size of the grid the document expands to,
+// cellCount returns the size of the grid the document expands to,
 // saturating at math.MaxInt: axis lengths are author-controlled (and, via
 // pegflow serve, attacker-controlled), so the product must not wrap
-// around and slip under the MaxCells guard.
-func (d *Doc) CellCount() int {
+// around and slip under the maxCells guard.
+func (d *Doc) cellCount() int {
 	n := 1
 	for _, k := range []int{
 		len(d.SiteSets), len(d.Workload.N), len(d.Workload.Seeds),
@@ -333,11 +333,11 @@ func (d *Doc) CellCount() int {
 	return n
 }
 
-// Fingerprint returns the SHA-256 hex digest of the normalized document:
+// fingerprint returns the SHA-256 hex digest of the normalized document:
 // the parsed form re-marshaled compactly, so formatting and key order in
 // the source do not change the fingerprint, while any semantic change
 // does. Call it on a parsed (defaulted) document.
-func (d *Doc) Fingerprint() string {
+func (d *Doc) fingerprint() string {
 	b, err := json.Marshal(d)
 	if err != nil {
 		// Doc contains only marshalable fields; unreachable.
@@ -400,8 +400,8 @@ func (d *Doc) validate(src string, pos map[string]int) []error {
 	d.validateOutputs(ef)
 
 	if len(errs) == 0 {
-		if cells := d.cellCountAfterDefaults(); cells > MaxCells {
-			ef("workload", "scenario expands to %d cells, more than the limit of %d", cells, MaxCells)
+		if cells := d.cellCountAfterDefaults(); cells > maxCells {
+			ef("workload", "scenario expands to %d cells, more than the limit of %d", cells, maxCells)
 		}
 	}
 	return errs
@@ -412,7 +412,7 @@ func (d *Doc) validate(src string, pos map[string]int) []error {
 func (d *Doc) cellCountAfterDefaults() int {
 	c := *d
 	c.applyDefaults()
-	return c.CellCount()
+	return c.cellCount()
 }
 
 func validName(s string) bool {
@@ -608,7 +608,7 @@ func (d *Doc) validateFaults(ef func(path, format string, args ...any), siteName
 }
 
 func (d *Doc) validateOutputs(ef func(path, format string, args ...any)) {
-	selectable := append(MetricFields(), optInFields...)
+	selectable := append(metricFields(), optInFields...)
 	for i, f := range d.Outputs.Fields {
 		if !slices.Contains(selectable, f) {
 			ef(fmt.Sprintf("outputs.fields[%d]", i), "unknown field %q (have %s)",

@@ -48,7 +48,7 @@ func TestParseAppliesDefaults(t *testing.T) {
 	if *doc.Retries != 5 {
 		t.Errorf("retries default = %d, want 5", *doc.Retries)
 	}
-	if len(doc.Outputs.Fields) != len(MetricFields()) {
+	if len(doc.Outputs.Fields) != len(metricFields()) {
 		t.Errorf("fields should default to all metrics, got %v", doc.Outputs.Fields)
 	}
 }
@@ -184,13 +184,13 @@ func TestFingerprintNormalizesFormatting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Fingerprint() != b.Fingerprint() {
+	if a.fingerprint() != b.fingerprint() {
 		t.Error("fingerprint depends on formatting/key order")
 	}
 	// A semantic change must change it.
 	c := parseMinimal(t)
 	c.Workload.N = []int{4, 9}
-	if a.Fingerprint() == c.Fingerprint() {
+	if a.fingerprint() == c.fingerprint() {
 		t.Error("fingerprint ignored a semantic change")
 	}
 }

@@ -95,7 +95,7 @@ func directEditedRun(t *testing.T, seed uint64, platformName string, n int, edit
 func preinstalledEverywhere(cats planner.Catalogs, site string) *catalog.TransformationCatalog {
 	out := catalog.NewTransformationCatalog()
 	for _, name := range cats.Transformations.Names() {
-		for _, s := range cats.Sites.Names() {
+		for _, s := range workflow.PresetNames() {
 			t, err := cats.Transformations.Lookup(name, s)
 			if err != nil {
 				continue

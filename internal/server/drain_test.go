@@ -59,8 +59,8 @@ func TestGracefulDrainRefusesNewWorkAndFinishesStreams(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Errorf("POST %s during drain = %d, want 503", path, resp.StatusCode)
 		}
-		if ra := resp.Header.Get("Retry-After"); ra != fmt.Sprintf("%d", RetryAfterSeconds) {
-			t.Errorf("POST %s during drain Retry-After = %q, want %d", path, ra, RetryAfterSeconds)
+		if ra := resp.Header.Get("Retry-After"); ra != fmt.Sprintf("%d", retryAfterSeconds) {
+			t.Errorf("POST %s during drain Retry-After = %q, want %d", path, ra, retryAfterSeconds)
 		}
 	}
 

@@ -2,8 +2,8 @@ package resultcache
 
 import "pegflow/internal/lru"
 
-// DefaultShards is the shard count New uses.
-const DefaultShards = lru.DefaultShards
+// defaultShards is the shard count New uses.
+const defaultShards = lru.DefaultShards
 
 // entryOverhead approximates the per-entry bookkeeping cost (map slot,
 // list pointers, key copy) charged against the byte budget in addition
@@ -33,9 +33,9 @@ type Cache struct {
 type Stats = lru.Stats
 
 // New builds a cache bounded by maxBytes total, spread over
-// DefaultShards shards. maxBytes must be positive.
+// defaultShards shards. maxBytes must be positive.
 func New(maxBytes int64) *Cache {
-	return newWithShards(maxBytes, DefaultShards)
+	return newWithShards(maxBytes, defaultShards)
 }
 
 // newWithShards is the constructor tests use to pin eviction order on a

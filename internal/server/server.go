@@ -15,8 +15,8 @@ import (
 	"pegflow/internal/server/resultcache"
 )
 
-// MaxScenarioBytes bounds a POSTed scenario document.
-const MaxScenarioBytes = 1 << 20
+// maxScenarioBytes bounds a POSTed scenario document.
+const maxScenarioBytes = 1 << 20
 
 // DefaultCacheBytes is the result-cache byte budget when Options leaves
 // CacheBytes zero.
@@ -40,10 +40,10 @@ type Options struct {
 	RequestTimeout time.Duration
 }
 
-// RetryAfterSeconds is the Retry-After hint on 503 responses while the
+// retryAfterSeconds is the Retry-After hint on 503 responses while the
 // server drains: by then this process is gone and its replacement (or the
 // restarted service) should be accepting.
-const RetryAfterSeconds = 5
+const retryAfterSeconds = 5
 
 // Server is the scenario HTTP service. Create one with New.
 type Server struct {
@@ -116,7 +116,7 @@ func (s *Server) refuseIfDraining(w http.ResponseWriter) bool {
 	if !s.draining.Load() {
 		return false
 	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", RetryAfterSeconds))
+	w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds))
 	s.httpError(w, http.StatusServiceUnavailable, "server is draining for shutdown")
 	return true
 }
@@ -126,12 +126,12 @@ func (s *Server) refuseIfDraining(w http.ResponseWriter) bool {
 // http.MaxBytesReader, so an oversized upload is cut off at the transport
 // (413, connection close) instead of being drained.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxScenarioBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxScenarioBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("scenario document exceeds %d bytes", MaxScenarioBytes))
+				fmt.Sprintf("scenario document exceeds %d bytes", maxScenarioBytes))
 		} else {
 			s.httpError(w, http.StatusBadRequest, fmt.Sprintf("unreadable scenario document: %v", err))
 		}
@@ -282,8 +282,8 @@ func (s *Server) gateCell(ctx context.Context, run func()) error {
 	return nil
 }
 
-// CheckResponse is the body of POST /v1/scenarios/check.
-type CheckResponse struct {
+// checkResponse is the body of POST /v1/scenarios/check.
+type checkResponse struct {
 	Valid       bool   `json:"valid"`
 	Scenario    string `json:"scenario,omitempty"`
 	Fingerprint string `json:"fingerprint,omitempty"`
@@ -300,7 +300,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := CheckResponse{}
+	resp := checkResponse{}
 	if doc, perr := scenario.Parse("request", body); perr != nil {
 		resp.Error = perr.Error()
 	} else if c, cerr := scenario.Compile(doc); cerr != nil {

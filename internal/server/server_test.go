@@ -415,7 +415,7 @@ func TestSlowUploadDoesNotHoldInFlightSlot(t *testing.T) {
 func TestOversizedUploadRejected(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Workers: 1, CacheBytes: -1}))
 	defer ts.Close()
-	big := strings.Repeat("x", MaxScenarioBytes+16)
+	big := strings.Repeat("x", maxScenarioBytes+16)
 	for _, path := range []string{"/v1/scenarios/run", "/v1/scenarios/check"} {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(big))
 		if err != nil {
@@ -442,7 +442,7 @@ func TestBodyErrorsAgreeAcrossEndpoints(t *testing.T) {
 		body   func() io.Reader
 		status int
 	}{
-		{"oversized", func() io.Reader { return strings.NewReader(strings.Repeat("x", MaxScenarioBytes+16)) }, http.StatusRequestEntityTooLarge},
+		{"oversized", func() io.Reader { return strings.NewReader(strings.Repeat("x", maxScenarioBytes+16)) }, http.StatusRequestEntityTooLarge},
 		{"failed read", func() io.Reader { return iotest.ErrReader(errors.New("connection reset")) }, http.StatusBadRequest},
 	} {
 		var bodies []string
@@ -718,7 +718,7 @@ func TestBadSitesRefused(t *testing.T) {
 			t.Errorf("%s: run = %d %s, want 422 naming %s", tc.name, code, body, tc.field)
 		}
 		code, body = post(t, ts, "/v1/scenarios/check", tc.doc)
-		var resp CheckResponse
+		var resp checkResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatalf("%s: check: %v: %s", tc.name, err, body)
 		}
@@ -736,7 +736,7 @@ func TestCheckEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("check: %d %s", code, body)
 	}
-	var ok CheckResponse
+	var ok checkResponse
 	if err := json.Unmarshal(body, &ok); err != nil {
 		t.Fatal(err)
 	}
@@ -749,7 +749,7 @@ func TestCheckEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("check(bad): %d %s", code, body)
 	}
-	var nok CheckResponse
+	var nok checkResponse
 	if err := json.Unmarshal(body, &nok); err != nil {
 		t.Fatal(err)
 	}

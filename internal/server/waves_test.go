@@ -129,7 +129,7 @@ func TestServeWavesUnderChaos(t *testing.T) {
 // sent at least once, and returns how many were answered with a 5xx. A
 // transport error rejects a body as well as a 4xx does.
 func hostileWave(ts *httptest.Server, stop <-chan struct{}) (served5xx int) {
-	oversized := strings.Repeat("x", MaxScenarioBytes+16)
+	oversized := strings.Repeat("x", maxScenarioBytes+16)
 	bodies := []func() io.Reader{
 		func() io.Reader { return strings.NewReader(`{"version": 1, "name": `) },
 		func() io.Reader { return strings.NewReader(oversized) },

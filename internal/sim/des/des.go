@@ -171,9 +171,6 @@ func (s *Simulation) Reset() {
 // Now returns the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
 
-// Processed returns the number of events executed so far.
-func (s *Simulation) Processed() uint64 { return s.processed }
-
 // Reserve makes room for n more simultaneously pending events, so a model
 // that knows its size up front allocates the arena and the heap once
 // instead of growing them. It is a sizing hint: results never depend on it.
@@ -315,12 +312,6 @@ func (s *Simulation) AfterOp(d float64, h Handler, op, arg int32) EventID {
 	return s.AtOp(s.now+Time(d), h, op, arg)
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it always indicates a model bug.
-func (s *Simulation) At(t Time, fn func()) EventID {
-	return s.AtOp(t, funcHandler(fn), 0, 0)
-}
-
 // After schedules fn to run d seconds after the current time. Negative
 // delays are clamped to zero.
 func (s *Simulation) After(d float64, fn func()) EventID {
@@ -357,25 +348,6 @@ func (s *Simulation) Cancel(id EventID) {
 	}
 }
 
-// Live reports whether the handle's event is still scheduled (not yet
-// fired and not canceled).
-func (s *Simulation) Live(id EventID) bool { return s.lookup(id) != nil }
-
-// EventTime returns the virtual time at which the handle's event will fire.
-// The second result is false when the handle is stale. It scans the heap:
-// O(pending), for tests and diagnostics.
-func (s *Simulation) EventTime(id EventID) (Time, bool) {
-	if s.lookup(id) == nil {
-		return 0, false
-	}
-	for _, ent := range s.heap {
-		if ent.slot == id.slot {
-			return ent.at, true
-		}
-	}
-	return s.now, true // in the lane
-}
-
 // release recycles an arena slot after its event fired.
 func (s *Simulation) release(slot int32) {
 	e := &s.events[slot]
@@ -389,10 +361,6 @@ func (s *Simulation) freeSlot(slot int32) {
 	s.events[slot].next = s.free
 	s.free = slot
 }
-
-// Pending returns the number of events waiting to fire, counting each
-// remaining firing of a series.
-func (s *Simulation) Pending() int { return s.pending }
 
 // The sources of the queue, as front reports them.
 const (
@@ -485,12 +453,6 @@ func (s *Simulation) stepSeries(i int32) {
 		}
 	}
 	h.HandleEvent(op, arg)
-}
-
-// Run executes events until the queue is empty.
-func (s *Simulation) Run() {
-	for s.Step() {
-	}
 }
 
 // compact drops every tombstone from the heap and the lane, recycling their

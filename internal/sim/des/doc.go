@@ -47,6 +47,9 @@
 // generation) instead of pointers; a stale handle (its event already fired
 // or canceled) is detected by the generation check and every operation on
 // it is a safe no-op. Cancel only marks the event; nothing records where a
-// heap entry sits, so EventTime scans the heap. A Resource request has no
-// handle: it waits by value in the FIFO until it is granted.
+// heap entry sits. A Resource request has no handle: it waits by value in
+// the FIFO until it is granted. A model drives the kernel with Step; the
+// observers the tests read (Pending, Live, EventTime, Processed, Resource's
+// InUse and QueueLen) and the Run and At drivers are declared in the
+// package's test files.
 package des

@@ -91,18 +91,6 @@ func (r *Resource) CapacitySlotSeconds() float64 {
 	return r.capSeconds
 }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Available returns the number of free units.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
-
-// QueueLen returns the number of waiting requests.
-func (r *Resource) QueueLen() int { return len(r.queue) - r.whead }
-
 // SetCapacity changes the capacity. Growing the pool wakes queued waiters.
 // Shrinking below inUse is allowed: units already held remain held and the
 // pool refuses new grants until enough are released.

@@ -35,7 +35,7 @@ func TestCompositeJobEmitsPerMemberRecords(t *testing.T) {
 		t.Fatalf("plan has %d jobs, want 1 composite", p.Graph().Len())
 	}
 	cfg := plainConfig(4)
-	cfg.SetupMean = 40 // deterministic: CV 0 makes LogNormalMeanCV return the mean
+	cfg.SetupMean = 40 // deterministic: CV 0 makes the draw return the mean
 	ex, err := NewExecutor(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -48,8 +48,8 @@ func (s *Stream) DeriveInto(dst *Stream, name string) {
 	dst.Reseed(s.seed ^ h*0xbf58476d1ce4e5b9)
 }
 
-// Uint64 returns the next 64 random bits.
-func (s *Stream) Uint64() uint64 {
+// next returns the next 64 random bits.
+func (s *Stream) next() uint64 {
 	s.state += 0x9e3779b97f4a7c15
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -59,7 +59,7 @@ func (s *Stream) Uint64() uint64 {
 
 // Float64 returns a uniform variate in [0, 1).
 func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return float64(s.next()>>11) / (1 << 53)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -67,7 +67,7 @@ func (s *Stream) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
-	return int(s.Uint64() % uint64(n))
+	return int(s.next() % uint64(n))
 }
 
 // Uniform returns a uniform variate in [lo, hi).
@@ -84,9 +84,9 @@ func (s *Stream) Exponential(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Normal returns a normal variate with mean mu and standard deviation
+// normal returns a normal variate with mean mu and standard deviation
 // sigma, using the Box-Muller transform.
-func (s *Stream) Normal(mu, sigma float64) float64 {
+func (s *Stream) normal(mu, sigma float64) float64 {
 	if s.hasSpare {
 		s.hasSpare = false
 		return mu + sigma*s.spare
@@ -106,18 +106,10 @@ func (s *Stream) Normal(mu, sigma float64) float64 {
 	return mu + sigma*u*f
 }
 
-// LogNormal returns a log-normal variate whose underlying normal has mean
+// logNormal returns a log-normal variate whose underlying normal has mean
 // mu and standard deviation sigma.
-func (s *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.Normal(mu, sigma))
-}
-
-// LogNormalMeanCV returns a log-normal variate parameterized by its own
-// mean and coefficient of variation (stddev/mean), which is how the
-// platform configs express overhead distributions. A caller that draws
-// many variates from one (mean, cv) derives a MeanCV once instead.
-func (s *Stream) LogNormalMeanCV(mean, cv float64) float64 {
-	return s.Draw(NewMeanCV(mean, cv))
+func (s *Stream) logNormal(mu, sigma float64) float64 {
+	return math.Exp(s.normal(mu, sigma))
 }
 
 // MeanCV is a log-normal distribution given by its own mean and
@@ -150,7 +142,7 @@ func (s *Stream) Draw(d MeanCV) float64 {
 	if !d.random {
 		return d.fixed
 	}
-	return s.LogNormal(d.mu, d.sigma)
+	return s.logNormal(d.mu, d.sigma)
 }
 
 // Perm returns a random permutation of [0, n).
@@ -174,48 +166,9 @@ func (s *Stream) PermInt32(p []int32) {
 		p[i] = int32(i)
 	}
 	for i := len(p) - 1; i > 0; i-- {
-		j := s.Uint64() % uint64(i+1)
+		j := s.next() % uint64(i+1)
 		p[i], p[j] = p[j], p[i]
 	}
-}
-
-// Zipf samples ranks from a Zipf distribution over {1, ..., n} with
-// exponent sExp, using precomputed cumulative weights for O(log n) draws.
-type Zipf struct {
-	cum []float64
-	src *Stream
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent sExp > 0.
-func NewZipf(src *Stream, n int, sExp float64) *Zipf {
-	if n <= 0 {
-		panic("rng: Zipf with non-positive n")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), sExp)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &Zipf{cum: cum, src: src}
-}
-
-// Rank returns a rank in [1, n], with rank 1 the most probable.
-func (z *Zipf) Rank() int {
-	u := z.src.Float64()
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }
 
 // ZipfSizes returns n cluster sizes following a Zipf-like rank-size law:

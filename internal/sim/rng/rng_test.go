@@ -10,7 +10,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	a, b := New(7), New(7)
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatalf("streams with same seed diverged at draw %d", i)
 		}
 	}
@@ -20,7 +20,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.next() == b.next() {
 			same++
 		}
 	}
@@ -31,12 +31,12 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 
 func TestDeriveIndependentOfDrawOrder(t *testing.T) {
 	a := New(99)
-	a.Uint64() // advance parent state
+	a.next() // advance parent state
 	d1 := a.Derive("queue")
 	b := New(99)
 	d2 := b.Derive("queue")
 	for i := 0; i < 10; i++ {
-		if d1.Uint64() != d2.Uint64() {
+		if d1.next() != d2.next() {
 			t.Fatal("Derive depends on parent draw position")
 		}
 	}
@@ -45,7 +45,7 @@ func TestDeriveIndependentOfDrawOrder(t *testing.T) {
 func TestDeriveDistinctNames(t *testing.T) {
 	p := New(5)
 	a, b := p.Derive("alpha"), p.Derive("beta")
-	if a.Uint64() == b.Uint64() {
+	if a.next() == b.next() {
 		t.Error("streams derived with different names produced identical first draw")
 	}
 }
@@ -99,7 +99,7 @@ func TestNormalMoments(t *testing.T) {
 	const mu, sigma = 5.0, 2.0
 	sum, sumsq := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		v := s.Normal(mu, sigma)
+		v := s.normal(mu, sigma)
 		sum += v
 		sumsq += v * v
 	}
@@ -119,7 +119,7 @@ func TestLogNormalMeanCV(t *testing.T) {
 	const mean, cv = 300.0, 0.5
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		v := s.LogNormalMeanCV(mean, cv)
+		v := s.Draw(NewMeanCV(mean, cv))
 		if v <= 0 {
 			t.Fatalf("non-positive lognormal variate %v", v)
 		}
@@ -133,19 +133,19 @@ func TestLogNormalMeanCV(t *testing.T) {
 
 func TestLogNormalMeanCVDegenerate(t *testing.T) {
 	s := New(14)
-	if got := s.LogNormalMeanCV(0, 0.5); got != 0 {
+	if got := s.Draw(NewMeanCV(0, 0.5)); got != 0 {
 		t.Errorf("mean 0 → %v, want 0", got)
 	}
-	if got := s.LogNormalMeanCV(7, 0); got != 7 {
+	if got := s.Draw(NewMeanCV(7, 0)); got != 7 {
 		t.Errorf("cv 0 → %v, want exactly the mean", got)
 	}
 }
 
 // TestMeanCVTwinStreams: a distribution derived once draws, bit for bit,
-// what LogNormalMeanCV draws and what the derivation spelled out at every
-// draw does, each on its own twin of one stream, and leaves the three at
-// the same position — so a constant (mean <= 0 or cv <= 0) consumes no
-// draw. Odd draw counts leave a Box-Muller spare behind for the next pair.
+// what the derivation spelled out at every draw does, each on its own twin
+// of one stream, and leaves the two at the same position — so a constant
+// (mean <= 0 or cv <= 0) consumes no draw. Odd draw counts leave a
+// Box-Muller spare behind for the next pair.
 func TestMeanCVTwinStreams(t *testing.T) {
 	reference := func(s *Stream, mean, cv float64) float64 {
 		if mean <= 0 {
@@ -155,25 +155,23 @@ func TestMeanCVTwinStreams(t *testing.T) {
 			return mean
 		}
 		sigma2 := math.Log(1 + cv*cv)
-		return math.Exp(s.Normal(math.Log(mean)-sigma2/2, math.Sqrt(sigma2)))
+		return math.Exp(s.normal(math.Log(mean)-sigma2/2, math.Sqrt(sigma2)))
 	}
 	means := []float64{math.Inf(-1), -3, -0.0, 0, 1e-9, 0.5, 1, 30, 700, 1e12, math.Inf(1), math.NaN()}
 	cvs := []float64{math.Inf(-1), -1, -0.0, 0, 1e-6, 0.25, 0.5, 1, 3.5, math.Inf(1), math.NaN()}
-	wrapped, derived, spelled := New(99), New(99), New(99)
+	derived, spelled := New(99), New(99)
 	for _, mean := range means {
 		for _, cv := range cvs {
 			d := NewMeanCV(mean, cv)
 			for k := 0; k < 3; k++ {
-				a := wrapped.LogNormalMeanCV(mean, cv)
 				b := derived.Draw(d)
 				c := reference(spelled, mean, cv)
-				if math.Float64bits(a) != math.Float64bits(c) || math.Float64bits(b) != math.Float64bits(c) {
-					t.Fatalf("mean %v cv %v draw %d: LogNormalMeanCV %v, Draw %v, reference %v", mean, cv, k, a, b, c)
+				if math.Float64bits(b) != math.Float64bits(c) {
+					t.Fatalf("mean %v cv %v draw %d: Draw %v, reference %v", mean, cv, k, b, c)
 				}
 			}
-			if *wrapped != *spelled || *derived != *spelled {
-				t.Fatalf("mean %v cv %v: streams at %+v (LogNormalMeanCV) and %+v (Draw), reference at %+v",
-					mean, cv, *wrapped, *derived, *spelled)
+			if *derived != *spelled {
+				t.Fatalf("mean %v cv %v: stream at %+v (Draw), reference at %+v", mean, cv, *derived, *spelled)
 			}
 		}
 	}
@@ -198,22 +196,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestZipfRankRange(t *testing.T) {
-	s := New(18)
-	z := NewZipf(s, 100, 1.5)
-	counts := make([]int, 101)
-	for i := 0; i < 50000; i++ {
-		r := z.Rank()
-		if r < 1 || r > 100 {
-			t.Fatalf("rank %d out of [1,100]", r)
-		}
-		counts[r]++
-	}
-	if counts[1] <= counts[50] {
-		t.Errorf("rank 1 count %d not greater than rank 50 count %d", counts[1], counts[50])
 	}
 }
 
@@ -271,7 +253,7 @@ func TestPermInt32MatchesPerm(t *testing.T) {
 					t.Fatalf("seed %d n %d: element %d is %d, Perm gives %d", seed, n, i, got[i], want[i])
 				}
 			}
-			if a.Uint64() != b.Uint64() {
+			if a.next() != b.next() {
 				t.Fatalf("seed %d n %d: the streams diverged after the permutation", seed, n)
 			}
 		}
@@ -290,14 +272,14 @@ func TestDeriveMatchesHashFNV(t *testing.T) {
 		h := fnv.New64a()
 		h.Write([]byte(name))
 		for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
-			want := New(seed ^ h.Sum64()*0xbf58476d1ce4e5b9).Uint64()
-			if got := New(seed).Derive(name).Uint64(); got != want {
+			want := New(seed ^ h.Sum64()*0xbf58476d1ce4e5b9).next()
+			if got := New(seed).Derive(name).next(); got != want {
 				t.Errorf("Derive(%q) from seed %d draws %#x first, hash/fnv derivation %#x", name, seed, got, want)
 			}
 		}
 	}
 	s := New(5)
-	if got := testing.AllocsPerRun(100, func() { _ = s.Derive("chunk-assignment").Uint64() }); got != 0 {
+	if got := testing.AllocsPerRun(100, func() { _ = s.Derive("chunk-assignment").next() }); got != 0 {
 		t.Errorf("Derive allocates %v times, want 0", got)
 	}
 }
@@ -309,7 +291,7 @@ func TestInPlaceEqualsAllocated(t *testing.T) {
 	var s Stream
 	s.Reseed(99)
 	s.Float64()
-	s.Normal(0, 1) // leaves a spare normal behind
+	s.normal(0, 1) // leaves a spare normal behind
 	s.Reseed(7)
 	if want := New(7); s != *want {
 		t.Errorf("Reseed(7) on a used stream = %+v, New(7) = %+v", s, *want)

@@ -84,7 +84,7 @@ func FuzzSketch(f *testing.F) {
 			slices.Sort(sorted)
 			prev := math.Inf(-1)
 			for p := 0.0; p <= 100; p += 2.5 {
-				q := s.Quantile(p)
+				q := s.quantile(p)
 				if math.IsNaN(q) || math.IsInf(q, 0) {
 					t.Fatalf("non-finite quantile q(%v)=%v", p, q)
 				}

@@ -45,14 +45,14 @@ func NearestRankIndex(n int, p float64) int {
 func Of(s *Sketch, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = s.Quantile(p)
+		out[i] = s.quantile(p)
 	}
 	return out
 }
 
-// Inline is the number of values a Sketch keeps as given: a stream of at
-// most Inline values is answered exactly.
-const Inline = 51
+// maxInline is the number of values a Sketch keeps as given: a stream of at
+// most maxInline values is answered exactly.
+const maxInline = 51
 
 // The bucket layout. A positive value's bucket is its float64 exponent and
 // the top subBits bits of its mantissa, so a bucket spans 2^-subBits of its
@@ -75,7 +75,7 @@ const (
 // HdrHistogram's log-linear layout with DDSketch's relative-error
 // guarantee. It counts every value exactly, so ranks are exact and only
 // the value inside a bucket is approximated. Memory is fixed at about
-// 18 KiB per sketch (4352 uint32 bucket counts, the first Inline values,
+// 18 KiB per sketch (4352 uint32 bucket counts, the first maxInline values,
 // the exact min and max), whatever the stream length; a bucket counts at
 // most 2^32−1 values. Add and Merge use integer and bit operations and
 // comparisons only, and nothing the Sketch does after NewSketch
@@ -84,8 +84,8 @@ const (
 // Accuracy contract (pinned by TestSketchRelativeBound, TestSketchEveryRank
 // and FuzzSketch):
 // let q be NearestRank of the p-th percentile over all the values added
-// or merged in, in any order. Quantile(p) returns:
-//   - q itself while the stream has at most Inline values, and at the
+// or merged in, in any order. The answer at p (Of(s, p)) is:
+//   - q itself while the stream has at most maxInline values, and at the
 //     ranks of the minimum and the maximum;
 //   - a value within 2^-8·q of q when q is 0 or inside the range
 //     [2^-11, 2^23): the midpoint of q's bucket, clamped to the observed
@@ -108,7 +108,7 @@ type Sketch struct {
 	// to zero and in (0, 2^-11); a value at or above 2^23 is counted in n
 	// alone.
 	neg, zero, under int64
-	inline           [Inline]float64
+	inline           [maxInline]float64
 	counts           [buckets]uint32
 }
 
@@ -123,7 +123,7 @@ func (s *Sketch) Count() int64 { return s.n }
 
 // Add records one observation.
 func (s *Sketch) Add(v float64) {
-	if s.n < Inline {
+	if s.n < maxInline {
 		s.inline[s.n] = v
 	}
 	s.n++
@@ -146,14 +146,14 @@ func (s *Sketch) Add(v float64) {
 	}
 }
 
-// Quantile returns the p-th percentile (0–100) under the contract on
+// quantile returns the p-th percentile (0–100) under the contract on
 // Sketch. An empty sketch yields 0, NaN p yields 0, and p is clamped.
-func (s *Sketch) Quantile(p float64) float64 {
+func (s *Sketch) quantile(p float64) float64 {
 	if s.n == 0 || math.IsNaN(p) {
 		return 0
 	}
-	if s.n <= Inline {
-		var buf [Inline]float64
+	if s.n <= maxInline {
+		var buf [maxInline]float64
 		vs := buf[:s.n]
 		copy(vs, s.inline[:s.n])
 		slices.Sort(vs)
@@ -190,7 +190,7 @@ func (s *Sketch) Merge(other *Sketch) {
 	if other == nil || other.n == 0 {
 		return
 	}
-	if s.n+other.n <= Inline {
+	if s.n+other.n <= maxInline {
 		copy(s.inline[s.n:], other.inline[:other.n])
 	}
 	s.n += other.n

@@ -53,13 +53,13 @@ func TestSketchExactWhileSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	s := NewSketch()
 	var vs []float64
-	for i := 0; i < Inline; i++ {
+	for i := 0; i < maxInline; i++ {
 		v := r.Float64() * 100
 		s.Add(v)
 		vs = append(vs, v)
 		for _, p := range checkPs {
 			want := exactAt(vs, p)
-			if got := s.Quantile(p); got != want {
+			if got := s.quantile(p); got != want {
 				t.Fatalf("n=%d p=%v: sketch %v, exact %v (must be identical while small)", i+1, p, got, want)
 			}
 		}
@@ -80,16 +80,16 @@ func TestSketchRankError(t *testing.T) {
 			}
 			for _, p := range checkPs {
 				lo, hi := rankEnvelope(vs, p, rankErrorEps)
-				got := s.Quantile(p)
+				got := s.quantile(p)
 				if got < lo || got > hi {
 					t.Errorf("p=%v: sketch %v outside exact rank envelope [%v, %v] (exact %v)",
 						p, got, lo, hi, exactAt(vs, p))
 				}
 			}
-			if min := s.Quantile(0); min != exactAt(vs, 0) {
+			if min := s.quantile(0); min != exactAt(vs, 0) {
 				t.Errorf("min: sketch %v, exact %v", min, exactAt(vs, 0))
 			}
-			if max := s.Quantile(100); max != exactAt(vs, 100) {
+			if max := s.quantile(100); max != exactAt(vs, 100) {
 				t.Errorf("max: sketch %v, exact %v", max, exactAt(vs, 100))
 			}
 		})
@@ -120,7 +120,7 @@ func TestSketchMergeRankError(t *testing.T) {
 			}
 			for _, p := range checkPs {
 				lo, hi := rankEnvelope(vs, p, rankErrorEps)
-				got := merged.Quantile(p)
+				got := merged.quantile(p)
 				if got < lo || got > hi {
 					t.Errorf("p=%v: merged sketch %v outside envelope [%v, %v] (exact %v)",
 						p, got, lo, hi, exactAt(vs, p))
@@ -146,41 +146,41 @@ func TestSketchMergeSmall(t *testing.T) {
 		t.Fatalf("count %d, want 22", a.Count())
 	}
 	for _, p := range checkPs {
-		if got, want := a.Quantile(p), exactAt(vs, p); got != want {
-			t.Errorf("p=%v: small merge %v, exact %v (must stay exact under Inline)", p, got, want)
+		if got, want := a.quantile(p), exactAt(vs, p); got != want {
+			t.Errorf("p=%v: small merge %v, exact %v (must stay exact under maxInline)", p, got, want)
 		}
 	}
 	// Merging into an empty sketch copies; merging an empty is a no-op.
 	e := NewSketch()
 	e.Merge(a)
-	if e.Count() != 22 || e.Quantile(50) != a.Quantile(50) {
-		t.Fatalf("merge into empty: count %d q50 %v, want 22 %v", e.Count(), e.Quantile(50), a.Quantile(50))
+	if e.Count() != 22 || e.quantile(50) != a.quantile(50) {
+		t.Fatalf("merge into empty: count %d q50 %v, want 22 %v", e.Count(), e.quantile(50), a.quantile(50))
 	}
-	before := a.Quantile(50)
+	before := a.quantile(50)
 	a.Merge(NewSketch())
-	if a.Count() != 22 || a.Quantile(50) != before {
+	if a.Count() != 22 || a.quantile(50) != before {
 		t.Fatalf("merge of empty changed state")
 	}
 }
 
 func TestSketchMonotoneAndEdges(t *testing.T) {
 	s := NewSketch()
-	if s.Quantile(50) != 0 {
+	if s.quantile(50) != 0 {
 		t.Fatalf("empty sketch must yield 0")
 	}
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 5000; i++ {
 		s.Add(r.NormFloat64() * 10)
 	}
-	if s.Quantile(math.NaN()) != 0 {
+	if s.quantile(math.NaN()) != 0 {
 		t.Fatalf("NaN percentile must yield 0")
 	}
-	if s.Quantile(-10) != s.Quantile(0) || s.Quantile(150) != s.Quantile(100) {
+	if s.quantile(-10) != s.quantile(0) || s.quantile(150) != s.quantile(100) {
 		t.Fatalf("percentile must clamp to [0, 100]")
 	}
 	prev := math.Inf(-1)
 	for p := 0.0; p <= 100; p += 0.5 {
-		q := s.Quantile(p)
+		q := s.quantile(p)
 		if q < prev {
 			t.Fatalf("quantiles not monotone: q(%v)=%v < %v", p, q, prev)
 		}
@@ -211,7 +211,7 @@ func checkContract(sorted []float64, p, got float64) error {
 	lo, hi := 1.0/(1<<11), float64(1<<23) // the documented range
 	var ok bool
 	switch {
-	case n <= Inline || i == 0 || i == n-1:
+	case n <= maxInline || i == 0 || i == n-1:
 		ok = got == q
 	case q < 0:
 		ok = got == sorted[0]
@@ -291,12 +291,12 @@ func TestSketchRelativeBound(t *testing.T) {
 					sketches = append(sketches, merged)
 				}
 				for _, p := range ps {
-					want := direct.Quantile(p)
+					want := direct.quantile(p)
 					if err := checkContract(vals, p, want); err != nil {
 						t.Error(err)
 					}
 					for k, s := range sketches {
-						if got := s.Quantile(p); math.Float64bits(got) != math.Float64bits(want) {
+						if got := s.quantile(p); math.Float64bits(got) != math.Float64bits(want) {
 							t.Errorf("p=%v: merge order %d gives %v, one sketch %v", p, k, got, want)
 						}
 					}
@@ -325,7 +325,7 @@ func TestSketchEveryRank(t *testing.T) {
 	slices.Sort(vals)
 	for k := 0; k <= 4*len(vals); k++ {
 		p := 100 * float64(k) / float64(4*len(vals))
-		if err := checkContract(vals, p, s.Quantile(p)); err != nil {
+		if err := checkContract(vals, p, s.quantile(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,8 +368,8 @@ func TestAllocsSketch(t *testing.T) {
 	}{
 		{"Add", func() { big.Add(3.5) }},
 		{"Merge", func() { into.Merge(big) }},
-		{"Quantile", func() { quantileSink = big.Quantile(99) }},
-		{"Quantile of an inline stream", func() { quantileSink = small.Quantile(50) }},
+		{"Quantile", func() { quantileSink = big.quantile(99) }},
+		{"Quantile of an inline stream", func() { quantileSink = small.quantile(50) }},
 	} {
 		if avg := testing.AllocsPerRun(100, c.f); avg != 0 {
 			t.Errorf("%s allocates %.1f objects, want 0", c.name, avg)
@@ -387,6 +387,6 @@ func BenchmarkSketchQuantile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		quantileSink = s.Quantile(ps[i%3])
+		quantileSink = s.quantile(ps[i%3])
 	}
 }

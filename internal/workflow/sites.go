@@ -207,11 +207,11 @@ func (w *World) Configs(names []string, seed uint64) ([]platform.Config, error) 
 	return cfgs, nil
 }
 
-// Catalogs builds the catalogs of a world of simulated sites: a site entry
+// catalogs builds the catalogs of a world of simulated sites: a site entry
 // each, every transformation registered at every site — installed, or as a
 // tarball carrying the site's install payload — and replicas of the two
 // external inputs, so that multi-site plans can synthesize stage-in jobs.
-func Catalogs(sites []Site) (planner.Catalogs, error) {
+func catalogs(sites []Site) (planner.Catalogs, error) {
 	if err := checkSites(sites); err != nil {
 		return planner.Catalogs{}, err
 	}
@@ -282,5 +282,5 @@ func buildCatalogs(sites []Site) planner.Catalogs {
 // PaperCatalogs builds the catalogs of the paper's world: the built-in
 // sites at the given slot counts. The workload is not consulted.
 func PaperCatalogs(_ Workload, sandhillsSlots, osgSlots int) (planner.Catalogs, error) {
-	return Catalogs(PaperSites(sandhillsSlots, osgSlots))
+	return catalogs(PaperSites(sandhillsSlots, osgSlots))
 }

@@ -103,7 +103,7 @@ func TestNewWorldBuildsCatalogsOnFirstUse(t *testing.T) {
 		if w.Catalogs() != got {
 			t.Errorf("after %s: a second Catalogs call built them again", first)
 		}
-		want, err := Catalogs(PaperSites(0, 0))
+		want, err := catalogs(PaperSites(0, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestNewWorldRefusesBadSites(t *testing.T) {
 			t.Errorf("%s: NewWorld = %v, %v; want an error containing %q", tc.name, w, err, tc.want)
 			continue
 		}
-		if _, cerr := Catalogs(tc.sites); cerr == nil || cerr.Error() != err.Error() {
+		if _, cerr := catalogs(tc.sites); cerr == nil || cerr.Error() != err.Error() {
 			t.Errorf("%s: NewWorld says %q, Catalogs %v", tc.name, err, cerr)
 		}
 	}

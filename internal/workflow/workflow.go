@@ -14,12 +14,12 @@ import (
 
 // Transformation names used by the blast2cap3 workflow.
 const (
-	TrListTranscripts = "create_list_transcripts"
-	TrListAlignments  = "create_list_alignments"
+	trListTranscripts = "create_list_transcripts"
+	trListAlignments  = "create_list_alignments"
 	TrSplit           = "split"
 	TrRunCAP3         = "run_cap3"
 	TrMerge           = "merge"
-	TrMergeNotJoined  = "merge_not_joined"
+	trMergeNotJoined  = "merge_not_joined"
 	// TrSerial is the monolithic serial blast2cap3 run (the baseline).
 	TrSerial = "blast2cap3_serial"
 )
@@ -28,7 +28,7 @@ const (
 // serial baseline).
 func Transformations() []string {
 	return []string{
-		TrListTranscripts, TrListAlignments, TrSplit, TrRunCAP3, TrMerge, TrMergeNotJoined,
+		trListTranscripts, trListAlignments, TrSplit, TrRunCAP3, TrMerge, trMergeNotJoined,
 	}
 }
 
@@ -417,13 +417,13 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 		}
 	}
 
-	lt := wf.NewJob("create_list_transcripts", TrListTranscripts).
+	lt := wf.NewJob("create_list_transcripts", trListTranscripts).
 		AddInput("transcripts.fasta", w.TranscriptBytes).
 		AddOutput("transcripts_dict.txt", w.TranscriptBytes/8)
 	lt.Args = []string{"transcripts.fasta", "transcripts_dict.txt"}
 	setRuntime(lt, cost.scanSeconds(w.TranscriptBytes))
 
-	la := wf.NewJob("create_list_alignments", TrListAlignments).
+	la := wf.NewJob("create_list_alignments", trListAlignments).
 		AddInput("alignments.out", w.AlignmentBytes).
 		AddOutput("alignments_list.txt", w.AlignmentBytes/16)
 	la.Args = []string{"alignments.out", "alignments_list.txt"}
@@ -489,7 +489,7 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 		}
 	}
 
-	mnj := wf.NewJob("merge_not_joined", TrMergeNotJoined).
+	mnj := wf.NewJob("merge_not_joined", trMergeNotJoined).
 		AddInput("joined_all.fasta", w.TranscriptBytes/4).
 		AddInput("transcripts_dict.txt", w.TranscriptBytes/8).
 		AddOutput("final_assembly.fasta", w.TranscriptBytes/2)

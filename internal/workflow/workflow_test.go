@@ -143,12 +143,19 @@ func TestBuildDAXShapeFig2(t *testing.T) {
 		}
 		// Roots: the two list tasks (paper: "independent of each other,
 		// and can be run at the same time").
-		roots := wf.Roots()
+		var roots, leaves []string
+		for _, j := range wf.Jobs() {
+			if len(wf.Parents(j.ID)) == 0 {
+				roots = append(roots, j.ID)
+			}
+			if len(wf.Children(j.ID)) == 0 {
+				leaves = append(leaves, j.ID)
+			}
+		}
 		if len(roots) != 2 {
 			t.Errorf("n=%d: roots = %v", n, roots)
 		}
 		// Leaves: merge_not_joined only.
-		leaves := wf.Leaves()
 		if len(leaves) != 1 || leaves[0] != "merge_not_joined" {
 			t.Errorf("n=%d: leaves = %v", n, leaves)
 		}
@@ -287,7 +294,7 @@ func TestPaperCatalogsTwoWorlds(t *testing.T) {
 	}
 	// CAP3-bearing tasks carry the larger payload.
 	cap3, _ := cats.Transformations.Lookup(TrRunCAP3, "osg")
-	list, _ := cats.Transformations.Lookup(TrListTranscripts, "osg")
+	list, _ := cats.Transformations.Lookup(trListTranscripts, "osg")
 	if cap3.InstallBytes <= list.InstallBytes {
 		t.Errorf("run_cap3 install %d not above list task %d", cap3.InstallBytes, list.InstallBytes)
 	}
